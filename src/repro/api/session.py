@@ -105,12 +105,32 @@ class _SessionBase:
         ).set_function(lambda: int(c.synthesizer.n_live))
         m.gauge(
             "retrasyn_store_rows",
-            "Total rows (live + retired) in the columnar trajectory store.",
+            "Total rows (live + archived) in the columnar trajectory store.",
         ).set_function(
             lambda: int(getattr(getattr(c, "synthesizer", None), "store").n_total)
             if getattr(getattr(c, "synthesizer", None), "store", None) is not None
             else 0
         )
+        # State lifetime: what each plane holds now and has let go so far
+        # (worker-side planes ride the shard-stats reply).
+        state_rows = m.gauge(
+            "retrasyn_state_rows",
+            "Rows resident in each state plane.",
+            labelnames=("plane",),
+        )
+        for plane in ("ledger", "tracker", "store_live", "store_archived"):
+            state_rows.labels(plane).set_function(
+                lambda p=plane: c.state_summary()["rows"][p]
+            )
+        retired = m.counter(
+            "retrasyn_retired_total",
+            "Rows each state plane has retired since the session began.",
+            labelnames=("plane",),
+        )
+        for plane in ("ledger", "tracker", "store_live"):
+            retired.labels(plane).set_function(
+                lambda p=plane: c.state_summary()["retired"][p]
+            )
         phases = m.counter(
             "retrasyn_phase_seconds_total",
             "Cumulative seconds spent per pipeline phase.",
@@ -201,6 +221,7 @@ class _SessionBase:
                 k: (bool(v) if isinstance(v, (bool, np.bool_)) else v)
                 for k, v in c.accountant.summary().items()
             }
+        out["state"] = c.state_summary()
         return out
 
     def result(
@@ -588,13 +609,12 @@ def load_session(
 ) -> CuratorSession:
     """Resume the session frozen at ``path`` by :meth:`checkpoint`.
 
-    The v3 checkpoint format stores the session spec; ``spec`` replaces
-    it wholesale, while ``service`` replaces only the service layer
+    The checkpoint stores the session spec; ``spec`` replaces it
+    wholesale, while ``service`` replaces only the service layer
     (transport, lateness, cadence, binding) and keeps the stored
     privacy/engine/sharding layers — the right tool when a restarted
     deployment passes fresh service flags but must not misdescribe the
-    engine the checkpoint actually restores.  Migrated v2 checkpoints
-    fall back to lifting the stored flat config.
+    engine the checkpoint actually restores.
     """
     import dataclasses
 
@@ -608,8 +628,6 @@ def load_session(
     curator, stored_spec = load_checkpoint_with_spec(path)
     if spec is None:
         spec = stored_spec
-    if spec is None:
-        spec = SessionSpec.from_config(curator.config)
     if service is not None:
         spec = dataclasses.replace(spec, service=service)
     if spec.service.transport == "ingest":

@@ -35,7 +35,9 @@ Shard RPC (all messages are v2 binary frames; see ``docs/API.md``):
                       the shard's full state — tracker, rng, ledger — as
                       an opaque pickle ``blob`` column.  Trusted local
                       transport only; never accepted from an ingress.
-``shard-stats``       The shard ledger's audit summary and violations.
+``shard-stats``       The shard ledger's audit summary and violations, and
+                      the resident / retired row counts of the shard's
+                      ledger and tracker planes.
 ``shard-exit``        Orderly shutdown.
 ====================  ===================================================
 
@@ -387,8 +389,11 @@ class _ShardService:
                 [int(uid), int(t), float(total)]
                 for uid, t, total in self.accountant.violations
             ]
+        from repro.core.online import plane_state
+
         return schema.message(
-            "shard-stats", summary=summary, violations=violations
+            "shard-stats", summary=summary, violations=violations,
+            state=plane_state(self.accountant, self.shard.tracker),
         )
 
 
@@ -789,7 +794,7 @@ class ShardSocketPool:
             self._recv(k, "checkpoint", expect="ack")
 
     def stats(self) -> list[dict]:
-        """Per-shard ledger summaries (``summary`` + ``violations``)."""
+        """Per-shard ledger ``summary`` + ``violations`` and plane ``state``."""
         for k in range(len(self._socks)):
             self._send(k, schema.message("shard-stats"), "stats")
         return [
@@ -798,12 +803,17 @@ class ShardSocketPool:
                 "violations": [
                     tuple(v) for v in (rep.get("violations") or [])
                 ],
+                "state": rep.get("state"),
             }
             for rep in (
                 self._recv(k, "stats", expect="shard-stats")
                 for k in range(len(self._socks))
             )
         ]
+
+    def plane_states(self) -> list[dict]:
+        """Each worker's ledger/tracker row counts (see ``plane_state``)."""
+        return [entry["state"] for entry in self.stats()]
 
     def close(self) -> None:
         for sock in self._socks:

@@ -82,6 +82,35 @@ def support_mask(ones: np.ndarray, n_reporters: int, q: float) -> np.ndarray:
     return np.asarray(ones) > floor
 
 
+def plane_state(accountant, tracker) -> dict:
+    """Resident and retired row counts of the ledger and tracker planes.
+
+    ``{"rows": {plane: n}, "retired": {plane: n}}`` — the shape
+    :meth:`OnlineRetraSyn.state_summary` reports and shard workers ship
+    with their ``shard-stats`` reply, summed per plane across shards.
+    """
+    planes = (("ledger", accountant), ("tracker", tracker))
+    return {
+        "rows": {p: int(getattr(o, "n_rows", 0)) for p, o in planes},
+        "retired": {p: int(getattr(o, "n_retired", 0)) for p, o in planes},
+    }
+
+
+def _forget_retired_phases(tracker, report_phase: dict) -> None:
+    """Drop the "random"-strategy phases of users the tracker has retired.
+
+    A retired uid that returns is re-drawn a phase on arrival, so stale
+    entries are never read — this only keeps the dict the size of the
+    resident population.  Amortised: it runs when the dict has outgrown
+    the tracker's table twofold.
+    """
+    if len(report_phase) <= 2 * tracker.n_rows + 1024:
+        return
+    uids = np.fromiter(report_phase, dtype=np.int64, count=len(report_phase))
+    for uid in uids[~tracker.is_resident(uids)].tolist():
+        del report_phase[uid]
+
+
 def sample_population_reporters(
     tracker,
     report_phase: dict,
@@ -110,6 +139,7 @@ def sample_population_reporters(
     if cfg.allocator == "random":
         for uid in newly_entered:
             report_phase[uid] = int(rng.integers(0, cfg.w))
+        _forget_retired_phases(tracker, report_phase)
     tracker.recycle(t)
     eligible = [
         (uid, s)
@@ -160,6 +190,7 @@ def sample_population_reporters_batch(
     if cfg.allocator == "random":
         for uid in entered:
             report_phase[uid] = int(rng.integers(0, cfg.w))
+        _forget_retired_phases(tracker, report_phase)
     tracker.recycle(t)
     eligible_rows = np.flatnonzero(tracker.active_mask(batch.user_ids))
     if cfg.allocator == "random":
@@ -246,7 +277,8 @@ class OnlineRetraSyn:
         self.selector = DMUSelector()
         self.context = AllocationContext(kappa=config.kappa)
         # One uid -> slot table backs both columnar user-state planes: the
-        # tracker's status columns and the accountant's spend ring buffer.
+        # tracker's status columns and the accountant's spend ring hang on
+        # it, and it retires a row once both have released it.
         self._slots = UserSlotTable()
         self.accountant = (
             make_accountant(
@@ -486,6 +518,28 @@ class OnlineRetraSyn:
     def restore_state(self, state: dict) -> None:
         """Inverse of :meth:`checkpoint_state` on a freshly built curator."""
         self.__dict__.update(state)
+
+    # ------------------------------------------------------------------ #
+    # state lifetime (see docs/ARCHITECTURE.md, "State lifetime")
+    # ------------------------------------------------------------------ #
+    def _collection_state(self) -> dict:
+        """Ledger/tracker plane counts; sharded engines sum their shards."""
+        return plane_state(self.accountant, self._tracker)
+
+    def state_summary(self) -> dict:
+        """Rows resident in, and retired from, each state plane.
+
+        ``rows`` has one entry per plane — ``ledger``, ``tracker``,
+        ``store_live``, ``store_archived`` — and ``retired`` counts the
+        rows each plane has let go since the session began (a finished
+        stream leaves ``store_live`` for the archive).
+        """
+        state = self._collection_state()
+        store = self.synthesizer.store
+        state["rows"]["store_live"] = int(store.n_live)
+        state["rows"]["store_archived"] = int(store.n_archived)
+        state["retired"]["store_live"] = int(store.n_archived)
+        return state
 
     # ------------------------------------------------------------------ #
     # outputs

@@ -10,12 +10,13 @@ A deployed curator needs to survive restarts.  Three artefact shapes:
   per-shard trackers fetched from worker processes), allocator feedback
   context and the privacy-accountant ledger.  The columnar accounting
   plane checkpoints as plain numpy state: the shared
-  :class:`~repro.stream.slots.UserSlotTable` and the accountant's spend
-  ring buffer are ordinary arrays, and pickle's reference sharing keeps
-  the tracker and accountant pointing at the *same* table after a
-  restore.  The synthesis plane checkpoints the same way: the
-  :class:`~repro.core.trajectory_store.TrajectoryStore` cell buffer,
-  compiled-model arrays and per-shard generation rngs are plain state
+  :class:`~repro.stream.slots.UserSlotTable`, the columns hung on it (the
+  accountant's swept spend ring, the tracker's statuses) and the audit
+  archive are ordinary arrays, and pickle's reference sharing keeps the
+  tracker and accountant pointing at the *same* table after a restore.
+  The synthesis plane checkpoints the same way: the
+  :class:`~repro.core.trajectory_store.TrajectoryStore` live block and
+  archive, compiled-model arrays and per-shard generation rngs are plain state
   (the vectorized synthesizer drops only its process-local thread pool,
   rebuilt lazily on the next step).  A curator restored from a checkpoint continues the stream
   bit-for-bit identically to one that was never interrupted; the
@@ -54,11 +55,13 @@ _MODEL_FORMAT_VERSION = 1
 # v3: the payload additionally carries the layered SessionSpec (the
 # canonical config surface since the unified curator API), so a resumed
 # service restores its deployment shape — transport, lateness bound,
-# checkpoint cadence — not just the engine state.  v2 checkpoints load
-# through a migration shim (the spec is lifted from the stored flat
-# config) and emit a DeprecationWarning; re-saving writes v3.
-_CHECKPOINT_FORMAT_VERSION = 3
-_MIGRATABLE_CHECKPOINT_VERSIONS = (2,)
+# checkpoint cadence — not just the engine state.
+# v4: live-window state layouts — the ledger is a swept ring on columns
+# owned by a self-compacting slot table (plus an audit archive of retired
+# rows), the tracker's columns live on the same table, and the trajectory
+# store is a live block plus a CSR archive.  Older checkpoints describe
+# attribute layouts that no longer exist and are refused by version.
+_CHECKPOINT_FORMAT_VERSION = 4
 
 
 def save_model(model: GlobalMobilityModel, path: Union[str, Path]) -> None:
@@ -220,7 +223,7 @@ def save_checkpoint(curator, path: Union[str, Path], spec=None, keep: int = 1) -
 
 
 def _read_checkpoint_payload(path: Union[str, Path]) -> dict:
-    """Load and version-check one checkpoint file (v2 migrates, warns).
+    """Load and version-check one checkpoint file.
 
     Callers resolving a rotated set use :func:`_read_newest_valid` — this
     reads exactly the file it is given.
@@ -233,19 +236,7 @@ def _read_checkpoint_payload(path: Union[str, Path]) -> dict:
     if not isinstance(payload, dict):
         raise DatasetError(f"checkpoint {path} does not contain a payload dict")
     version = int(payload.get("version", -1))
-    if version in _MIGRATABLE_CHECKPOINT_VERSIONS:
-        warnings.warn(
-            f"checkpoint format v{version} is deprecated; it loads through "
-            f"a migration shim (session spec lifted from the stored flat "
-            f"config) — re-save to write "
-            f"v{_CHECKPOINT_FORMAT_VERSION}",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        payload = dict(payload)
-        payload["spec"] = None  # derived lazily from the flat config
-        payload["version"] = _CHECKPOINT_FORMAT_VERSION
-    elif version != _CHECKPOINT_FORMAT_VERSION:
+    if version != _CHECKPOINT_FORMAT_VERSION:
         raise DatasetError(
             f"unsupported checkpoint format version {version} "
             f"(expected {_CHECKPOINT_FORMAT_VERSION})"
@@ -289,9 +280,8 @@ def load_checkpoint(path: Union[str, Path]):
     Returns an :class:`~repro.core.online.OnlineRetraSyn` or
     :class:`~repro.core.sharded.ShardedOnlineRetraSyn` whose next
     ``process_timestep`` continues exactly where the saved one stopped
-    (``curator._last_t + 1``).  v2 checkpoints migrate transparently (with
-    a :class:`DeprecationWarning`); resume stays bit-for-bit identical
-    because the migration touches only metadata, never engine state.
+    (``curator._last_t + 1``).  Checkpoints of an older format version are
+    refused with a :class:`~repro.exceptions.DatasetError` naming it.
     Only load checkpoints you wrote: the format is pickle.
     """
     return load_checkpoint_with_spec(path)[0]
@@ -300,10 +290,9 @@ def load_checkpoint(path: Union[str, Path]):
 def load_checkpoint_with_spec(path: Union[str, Path]):
     """One-read variant of :func:`load_checkpoint` + :func:`peek_checkpoint_spec`.
 
-    Returns ``(curator, spec)``; ``spec`` is ``None`` for migrated v2
-    checkpoints, which predate the layered specs.  Session resume
+    Returns ``(curator, spec)``.  Session resume
     (:func:`repro.api.session.load_session`) uses this so large payloads
-    — the full trajectory store, model and ledgers — are unpickled once.
+    — the trajectory store, model and ledgers — are unpickled once.
     """
     from repro.core.online import OnlineRetraSyn
     from repro.core.sharded import ShardedOnlineRetraSyn
@@ -316,11 +305,7 @@ def load_checkpoint_with_spec(path: Union[str, Path]):
 
 
 def peek_checkpoint_spec(path: Union[str, Path]):
-    """The :class:`~repro.api.specs.SessionSpec` stored in a checkpoint.
-
-    Returns ``None`` for migrated v2 checkpoints (which predate specs);
-    callers fall back to lifting the flat config of the loaded curator.
-    """
+    """The :class:`~repro.api.specs.SessionSpec` stored in a checkpoint."""
     return _read_newest_valid(path)["spec"]
 
 

@@ -63,6 +63,7 @@ from repro.core.online import (
     _MIN_EPSILON,
     OnlineRetraSyn,
     TimestepResult,
+    plane_state,
     sample_population_reporters_batch,
     support_mask,
 )
@@ -203,8 +204,9 @@ class CollectionShard:
 def _shard_worker(conn, grid: Grid, config, seed: int) -> None:
     """Process-executor loop: build the shard, answer commands until EOF.
 
-    Commands are ``("round", args)``, ``("get_state", None)`` /
-    ``("set_state", shard)`` for checkpoint/resume, and ``None`` to exit.
+    Commands are ``("round", args)``, ``("plane_state", None)`` for the
+    tracker's row counts, ``("get_state", None)`` / ``("set_state", shard)``
+    for checkpoint/resume, and ``None`` to exit.
     Exceptions are shipped back as ``("err", traceback)`` so the parent can
     re-raise with shard context instead of dying on a bare ``EOFError``.
     """
@@ -220,6 +222,8 @@ def _shard_worker(conn, grid: Grid, config, seed: int) -> None:
         try:
             if cmd == "round":
                 conn.send(("ok", shard.round_batch(*payload)))
+            elif cmd == "plane_state":
+                conn.send(("ok", plane_state(None, shard.tracker)))
             elif cmd == "get_state":
                 conn.send(("ok", shard))
             elif cmd == "set_state":
@@ -260,6 +264,10 @@ class ShardWorkerPool:
     def __len__(self) -> int:
         return len(self._pipes)
 
+    @property
+    def alive(self) -> bool:
+        return bool(self._pipes)
+
     def _dead(self, k: int, command: str) -> ShardWorkerError:
         """Typed error for a worker whose pipe broke mid-``command``."""
         proc = self._procs[k]
@@ -291,6 +299,10 @@ class ShardWorkerPool:
     def run_rounds(self, rounds: Sequence[tuple]) -> list:
         """One ``round_batch`` per shard; blocks until all K results land."""
         return self._call_all("round", rounds)
+
+    def plane_states(self) -> list:
+        """Each worker's tracker-plane row counts (see ``plane_state``)."""
+        return self._call_all("plane_state", [None] * len(self._pipes))
 
     def get_states(self) -> list:
         return self._call_all("get_state", [None] * len(self._pipes))
@@ -353,6 +365,8 @@ class ShardedOnlineRetraSyn(OnlineRetraSyn):
         #: Final per-shard ledger stats, cached by :meth:`close` so the
         #: distributed accountant view stays auditable after shutdown.
         self._final_summaries = None
+        #: Final per-worker plane row counts, cached by :meth:`close`.
+        self._final_plane_states: list = []
         seeds = [
             int(s) for s in self.rng.integers(0, 2**63 - 1, size=self.n_shards)
         ]
@@ -673,6 +687,25 @@ class ShardedOnlineRetraSyn(OnlineRetraSyn):
                     pass
         return results
 
+    def _collection_state(self) -> dict:
+        """Ledger and tracker rows summed over wherever the shards live."""
+        if self._pool is None:
+            parts = [plane_state(None, shard.tracker) for shard in self._shards]
+        elif self._pool.alive:
+            parts = self._pool.plane_states()
+        else:  # workers gone: what close() read from them last
+            parts = list(self._final_plane_states)
+        # Distributed workers own the ledgers too; otherwise it is ours.
+        if self.executor != "distributed":
+            parts.append(plane_state(self.accountant, None))
+        return {
+            key: {
+                plane: sum(part[key][plane] for part in parts)
+                for plane in ("ledger", "tracker")
+            }
+            for key in ("rows", "retired")
+        }
+
     def _finish_round(
         self, results, pending, t, collected, n_rep, eps_used, n_active
     ):
@@ -727,15 +760,15 @@ class ShardedOnlineRetraSyn(OnlineRetraSyn):
     def close(self) -> None:
         """Shut down worker processes and the synthesizer's thread slabs."""
         if self._pool is not None:
-            # Freeze the shard-local ledgers' final summaries so the
-            # distributed accountant view answers audits after shutdown.
-            if (
-                self.executor == "distributed"
-                and getattr(self._pool, "alive", False)
-                and getattr(self.config, "track_privacy", True)
-            ):
+            # Freeze what the workers hold so state_summary() — and the
+            # distributed accountant view's audits — answer after shutdown.
+            if self._pool.alive:
                 try:
-                    self._final_summaries = self._pool.stats()
+                    self._final_plane_states = self._pool.plane_states()
+                    if self.executor == "distributed" and getattr(
+                        self.config, "track_privacy", True
+                    ):
+                        self._final_summaries = self._pool.stats()
                 except Exception:  # pragma: no cover - dead workers
                     pass
             self._pool.close()

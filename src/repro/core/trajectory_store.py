@@ -7,21 +7,30 @@ object churn — allocation, append, list reshuffling, and re-materialisation
 for every metrics pass — dominates the per-timestamp synthesis cost that
 Table V of the paper identifies as the bottleneck.
 
-:class:`TrajectoryStore` replaces both with one append-only columnar layout:
+:class:`TrajectoryStore` replaces both with one columnar layout that
+follows the streams' lifetime — a terminated stream is never read by
+synthesis again, so only live streams occupy the structures the hot path
+touches:
 
-* ``_cells`` — a flat cell buffer, laid out as ``(capacity, horizon)`` rows
-  (one row stride per stream) so per-timestamp appends are single fancy
-  writes;
-* ``_birth`` / ``_length`` / ``_alive`` — per-stream entering timestamp,
-  current length and liveness, all dense parallel arrays indexed by the
-  stream's creation-order row id.
+* the **live block** — ``_block``, a compact ``(live slots, width)`` cell
+  matrix holding exactly the live streams (slots are recycled through a
+  free list), plus ``_current``, the current cell of every slot, so
+  ``last_cells`` is a 1-D read, and ``_live``, the live row ids in
+  creation order, maintained incrementally;
+* the **archive** — finished streams' cells in CSR form: one flat,
+  append-only cell log grown chunk by chunk (no copy on growth), with each
+  finished row's start offset kept beside its birth and length;
+* ``_birth`` / ``_length`` / ``_where`` — per-stream entering timestamp,
+  length and location (live slot, or archive offset), dense arrays indexed
+  by the stream's creation-order row id.
 
-Growth is by doubling in both dimensions, so appends are amortised O(1).
-``CellTrajectory`` objects are *views*: they are materialised only when a
-caller crosses an API boundary that genuinely needs objects
-(:meth:`view` / :meth:`views`); the hot path and the evaluation plane use
-the array accessors (:meth:`cells_at`, :meth:`lengths`,
-:meth:`counts_by_cell`, :meth:`counts_matrix`) and never touch objects.
+A stream moves from the block to the archive when it is killed.  Row ids
+are creation-order and stable for life; ``CellTrajectory`` objects are
+*views*, materialised only when a caller crosses an API boundary that
+genuinely needs objects (:meth:`view` / :meth:`views`); the hot path and
+the evaluation plane use the array accessors (:meth:`cells_at`,
+:meth:`lengths`, :meth:`counts_by_cell`, :meth:`counts_matrix`) and never
+touch objects.
 
 The store is plain numpy state, so it pickles into curator checkpoints
 unchanged and is shared safely by the thread-sharded generation path
@@ -34,20 +43,36 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError, DatasetError
 from repro.geo.trajectory import CellTrajectory
+from repro.stream.slots import extend_log, reserve
 
-#: Padding value for never-written cells of the flat buffer.
+#: Padding value for never-written cells of the live block.
 ABSENT = -1
+
+#: Bounds on one archive chunk, in cells: chunks grow with the archive up
+#: to the cap, after which growth is linear and never copies.
+_MIN_CHUNK, _MAX_CHUNK = 1 << 12, 1 << 20
+
+#: Streams histogrammed per step of :meth:`TrajectoryStore.counts_matrix`.
+_COUNT_BLOCK = 1 << 14
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + n) for s, n in zip(starts, lengths)])``."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(
+        int(ends[-1]) if ends.size else 0, dtype=np.int64
+    )
 
 
 class TrajectoryStore:
-    """Append-only columnar trajectory database keyed by creation order.
+    """Trajectory database keyed by creation order: live block + archive.
 
     Parameters
     ----------
     initial_capacity:
-        Number of stream rows allocated up front (grown by doubling).
+        Live slots allocated up front (grown geometrically).
     initial_horizon:
-        Cells-per-stream allocated up front (grown by doubling).
+        Cells-per-live-stream allocated up front (grown geometrically).
     """
 
     def __init__(self, initial_capacity: int = 1024, initial_horizon: int = 64) -> None:
@@ -56,15 +81,32 @@ class TrajectoryStore:
                 f"store capacities must be >= 1, got "
                 f"({initial_capacity}, {initial_horizon})"
             )
-        self._capacity = int(initial_capacity)
-        self._horizon = int(initial_horizon)
-        self._cells = np.full(
-            (self._capacity, self._horizon), ABSENT, dtype=np.int32
+        # Live block: rows are slots, recycled through the free stack.
+        self._block = np.full(
+            (int(initial_capacity), int(initial_horizon)), ABSENT, dtype=np.int32
         )
-        self._birth = np.zeros(self._capacity, dtype=np.int64)
-        self._length = np.zeros(self._capacity, dtype=np.int64)
-        self._alive = np.zeros(self._capacity, dtype=bool)
+        self._current = np.zeros(int(initial_capacity), dtype=np.int64)
+        self._n_slots = 0  # slots ever handed out (high-water mark)
+        self._free = np.empty(0, dtype=np.int64)
+        self._n_free = 0
+        self._live = np.empty(0, dtype=np.int64)  # live row ids, ascending
+        # Per-row columns, creation order.  _where >= 0 is the live slot;
+        # a finished row holds ~offset of its first cell in the archive.
+        self._birth = np.zeros(0, dtype=np.int64)
+        self._length = np.zeros(0, dtype=np.int64)
+        self._where = np.zeros(0, dtype=np.int64)
         self._n = 0
+        # Archive: cell chunks, all full except the last (filled to _tail).
+        self._chunks: list[np.ndarray] = []
+        self._tail = 0
+        self._n_archived_cells = 0
+
+    def __getstate__(self) -> dict:
+        # Checkpoints carry the archive trimmed to what was written.
+        state = dict(self.__dict__)
+        if self._chunks:
+            state["_chunks"] = self._chunks[:-1] + [self._chunks[-1][: self._tail]]
+        return state
 
     # ------------------------------------------------------------------ #
     # sizes / row sets
@@ -79,44 +121,81 @@ class TrajectoryStore:
 
     @property
     def n_live(self) -> int:
-        return int(self._alive[: self._n].sum())
+        return int(self._live.size)
+
+    @property
+    def n_archived(self) -> int:
+        """Finished streams, whose cells live in the archive."""
+        return self._n - int(self._live.size)
 
     def live_rows(self) -> np.ndarray:
-        """Row ids of live streams, in creation order."""
-        return np.flatnonzero(self._alive[: self._n])
+        """Row ids of live streams, in creation order (do not mutate)."""
+        return self._live
 
     def alive_mask(self) -> np.ndarray:
-        """Boolean liveness over all created rows (read-only copy)."""
-        return self._alive[: self._n].copy()
+        """Boolean liveness over all created rows."""
+        return self._where[: self._n] >= 0
 
     # ------------------------------------------------------------------ #
-    # growth
+    # live-block plumbing
     # ------------------------------------------------------------------ #
-    def _grow_rows(self, need_rows: int) -> None:
-        if need_rows <= self._capacity:
-            return
-        new_cap = max(need_rows, 2 * self._capacity)
-        cells = np.full((new_cap, self._horizon), ABSENT, dtype=np.int32)
-        cells[: self._capacity] = self._cells
-        self._cells = cells
-        for name in ("_birth", "_length"):
-            arr = getattr(self, name)
-            grown = np.zeros(new_cap, dtype=arr.dtype)
-            grown[: self._capacity] = arr
-            setattr(self, name, grown)
-        alive = np.zeros(new_cap, dtype=bool)
-        alive[: self._capacity] = self._alive
-        self._alive = alive
-        self._capacity = new_cap
+    def _take_slots(self, count: int) -> np.ndarray:
+        """``count`` free live slots: recycled ones first, then fresh."""
+        reuse = min(count, self._n_free)
+        self._n_free -= reuse
+        fresh = count - reuse
+        if self._n_slots + fresh > self._block.shape[0]:
+            self._current = reserve(
+                self._current, self._n_slots, self._n_slots + fresh
+            )
+            self._resize_block(self._current.size, self._block.shape[1])
+        slots = np.concatenate(
+            [
+                self._free[self._n_free : self._n_free + reuse],
+                np.arange(self._n_slots, self._n_slots + fresh, dtype=np.int64),
+            ]
+        )
+        self._n_slots += fresh
+        return slots
 
-    def _grow_horizon(self, need_cols: int) -> None:
-        if need_cols <= self._horizon:
-            return
-        new_h = max(need_cols, 2 * self._horizon)
-        cells = np.full((self._capacity, new_h), ABSENT, dtype=np.int32)
-        cells[:, : self._horizon] = self._cells
-        self._cells = cells
-        self._horizon = new_h
+    def _resize_block(self, n_slots: int, width: int) -> None:
+        """Reallocate the live block; copies the slots in use only."""
+        grown = np.full((n_slots, width), ABSENT, dtype=np.int32)
+        used = self._block[: self._n_slots]
+        grown[: self._n_slots, : used.shape[1]] = used
+        self._block = grown
+
+    def _live_slots(self, rows: np.ndarray, doing: str) -> np.ndarray:
+        slots = self._where[rows]
+        if (slots < 0).any():
+            raise DatasetError(f"cannot {doing} a finished stream")
+        return slots
+
+    def _archive(self) -> np.ndarray:
+        """The archive's cell log as one array (chunks are merged)."""
+        if len(self._chunks) > 1:
+            merged = np.concatenate(
+                self._chunks[:-1] + [self._chunks[-1][: self._tail]]
+            )
+            self._chunks, self._tail = [merged], merged.size
+        return self._chunks[0] if self._chunks else np.empty(0, dtype=np.int32)
+
+    def _archive_cells(self, cells: np.ndarray) -> None:
+        """Append ``cells`` to the log, opening new chunks as needed."""
+        done = 0
+        while done < cells.size:
+            if not self._chunks or self._tail == self._chunks[-1].size:
+                size = min(max(self._n_archived_cells, _MIN_CHUNK), _MAX_CHUNK)
+                self._chunks.append(
+                    np.empty(max(size, cells.size - done), dtype=np.int32)
+                )
+                self._tail = 0
+            chunk = self._chunks[-1]
+            take = min(cells.size - done, chunk.size - self._tail)
+            chunk[self._tail : self._tail + take] = cells[done : done + take]
+            self._tail += take
+            done += take
+        self._n_archived_cells += int(cells.size)
 
     # ------------------------------------------------------------------ #
     # mutation (the synthesizer hot path)
@@ -127,13 +206,19 @@ class TrajectoryStore:
         count = cells.size
         if count == 0:
             return np.empty(0, dtype=np.int64)
-        self._grow_rows(self._n + count)
-        rows = np.arange(self._n, self._n + count, dtype=np.int64)
-        self._cells[rows, 0] = cells
+        n, need = self._n, self._n + count
+        self._birth = extend_log(self._birth, n, need)
+        self._length = extend_log(self._length, n, need)
+        self._where = extend_log(self._where, n, need)
+        rows = np.arange(n, need, dtype=np.int64)
+        slots = self._take_slots(count)
+        self._block[slots, 0] = cells
+        self._current[slots] = cells
         self._birth[rows] = int(t)
         self._length[rows] = 1
-        self._alive[rows] = True
-        self._n += count
+        self._where[rows] = slots
+        self._live = np.concatenate([self._live, rows])
+        self._n = need
         return rows
 
     def append_cells(self, rows: np.ndarray, cells: np.ndarray) -> None:
@@ -141,9 +226,15 @@ class TrajectoryStore:
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size == 0:
             return
+        slots = self._live_slots(rows, "extend")
         lengths = self._length[rows]
-        self._grow_horizon(int(lengths.max()) + 1)
-        self._cells[rows, lengths] = cells
+        width = int(lengths.max()) + 1
+        if width > self._block.shape[1]:
+            self._resize_block(
+                self._block.shape[0], max(width, 2 * self._block.shape[1])
+            )
+        self._block[slots, lengths] = cells
+        self._current[slots] = cells
         self._length[rows] = lengths + 1
 
     def pop_last(self, rows: np.ndarray) -> None:
@@ -151,16 +242,33 @@ class TrajectoryStore:
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size == 0:
             return
-        if (self._length[rows] <= 1).any():
+        slots = self._live_slots(rows, "shorten")
+        lengths = self._length[rows] - 1
+        if (lengths < 1).any():
             raise DatasetError("cannot pop the only cell of a stream")
-        self._cells[rows, self._length[rows] - 1] = ABSENT
-        self._length[rows] -= 1
+        self._length[rows] = lengths
+        self._current[slots] = self._block[slots, lengths - 1]
 
     def kill(self, rows: np.ndarray) -> None:
-        """Terminate the given streams (idempotent)."""
+        """Terminate the given streams (idempotent).
+
+        Their cells move from the live block to the archive and their
+        slots return to the free stack.
+        """
         rows = np.asarray(rows, dtype=np.int64)
-        if rows.size:
-            self._alive[rows] = False
+        rows = np.unique(rows[self._where[rows] >= 0])
+        if rows.size == 0:
+            return
+        slots = self._where[rows]
+        lengths = self._length[rows]
+        block = self._block[slots, : int(lengths.max())]
+        starts = self._n_archived_cells + np.cumsum(lengths) - lengths
+        self._archive_cells(block[np.arange(block.shape[1]) < lengths[:, None]])
+        self._where[rows] = ~starts
+        self._live = self._live[self._where[self._live] >= 0]
+        self._free = reserve(self._free, self._n_free, self._n_free + slots.size)
+        self._free[self._n_free : self._n_free + slots.size] = slots
+        self._n_free += int(slots.size)
 
     # ------------------------------------------------------------------ #
     # per-row array accessors
@@ -168,31 +276,66 @@ class TrajectoryStore:
     def last_cells(self, rows: np.ndarray) -> np.ndarray:
         """Current (latest) cell of each requested row."""
         rows = np.asarray(rows, dtype=np.int64)
-        return self._cells[rows, self._length[rows] - 1].astype(np.int64)
+        where = self._where[rows]
+        done = where < 0
+        if not done.any():
+            return self._current[where]
+        out = np.empty(rows.size, dtype=np.int64)
+        out[~done] = self._current[where[~done]]
+        out[done] = self._archive()[~where[done] + self._length[rows[done]] - 1]
+        return out
 
     def lengths_of(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.int64)
-        return self._length[rows].copy()
+        return self._length[rows]
 
     def births_of(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.int64)
-        return self._birth[rows].copy()
+        return self._birth[rows]
+
+    def _gather(self, rows: np.ndarray, at=None) -> np.ndarray:
+        """Cells of ``rows`` from wherever they live.
+
+        ``at=None`` concatenates every row's whole stream in row order;
+        otherwise ``at`` holds one position per row and one cell per row
+        comes back.
+        """
+        where = self._where[rows]
+        live = where >= 0
+        if at is None:
+            lengths = self._length[rows]
+            out = np.empty(int(lengths.sum()), dtype=np.int64)
+            dest = np.cumsum(lengths) - lengths
+            if live.any():
+                n_live = lengths[live]
+                block = self._block[where[live], : int(n_live.max())]
+                out[_ranges(dest[live], n_live)] = block[
+                    np.arange(block.shape[1]) < n_live[:, None]
+                ]
+            if not live.all():
+                done = ~live
+                out[_ranges(dest[done], lengths[done])] = self._archive()[
+                    _ranges(~where[done], lengths[done])
+                ]
+            return out
+        out = np.empty(rows.size, dtype=np.int64)
+        out[live] = self._block[where[live], at[live]]
+        if not live.all():
+            done = ~live
+            out[done] = self._archive()[~where[done] + at[done]]
+        return out
 
     def flat_cells(self, rows) -> np.ndarray:
         """The requested rows' cells concatenated in row order.
 
         The wire format of result messages (and the dataset npz layout):
-        one masked gather over the padded cell buffer, no per-stream
+        masked gathers over the live block and the archive, no per-stream
         object or list construction.
         """
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size == 0:
             return np.zeros(0, dtype=np.int64)
-        lengths = self._length[rows]
-        width = int(lengths.max())
-        block = self._cells[rows][:, :width]
-        mask = np.arange(width)[None, :] < lengths[:, None]
-        return block[mask].astype(np.int64)
+        return self._gather(rows)
 
     # ------------------------------------------------------------------ #
     # whole-store array accessors (the evaluation plane)
@@ -210,7 +353,7 @@ class TrajectoryStore:
         birth = self._birth[: self._n]
         active = (birth <= t) & (t < birth + self._length[: self._n])
         rows = np.flatnonzero(active)
-        return self._cells[rows, t - birth[rows]].astype(np.int64)
+        return self._gather(rows, at=t - birth[rows])
 
     def counts_by_cell(self, t: int, n_cells: int) -> np.ndarray:
         """Histogram of :meth:`cells_at` over ``[0, n_cells)``."""
@@ -220,26 +363,28 @@ class TrajectoryStore:
         """``(n_timestamps, n_cells)`` point-count matrix over all streams.
 
         Vectorized twin of ``StreamDataset.cell_counts_matrix``'s
-        per-trajectory loop: one masked gather over the flat cell buffer
-        plus a single ``bincount``.  Points outside ``[0, n_timestamps)``
-        are clipped, matching the object implementation.
+        per-trajectory loop: a gather of the streams' cells beside their
+        timestamps plus a ``bincount``, one block of streams at a time.  Points outside
+        ``[0, n_timestamps)`` are clipped, matching the object
+        implementation.
         """
         n_timestamps = int(n_timestamps)
         n_cells = int(n_cells)
         n = self._n
         if n == 0 or n_timestamps == 0:
             return np.zeros((n_timestamps, n_cells), dtype=np.int64)
-        width = int(self._length[:n].max(initial=0))
-        if width == 0:
-            return np.zeros((n_timestamps, n_cells), dtype=np.int64)
-        col = np.arange(width, dtype=np.int64)
-        ts = self._birth[:n, None] + col[None, :]
-        valid = (col[None, :] < self._length[:n, None]) & (ts >= 0) & (
-            ts < n_timestamps
-        )
-        flat = ts[valid] * n_cells + self._cells[:n, :width][valid]
-        counts = np.bincount(flat, minlength=n_timestamps * n_cells)
-        return counts.reshape(n_timestamps, n_cells).astype(np.int64)
+        counts = np.zeros(n_timestamps * n_cells, dtype=np.int64)
+        # Row blocks keep the transient (timestamp, cell) arrays a few MB
+        # however many points the archive holds.
+        for lo in range(0, n, _COUNT_BLOCK):
+            rows = np.arange(lo, min(n, lo + _COUNT_BLOCK), dtype=np.int64)
+            ts = _ranges(self._birth[rows], self._length[rows])
+            cells = self._gather(rows)
+            valid = (ts >= 0) & (ts < n_timestamps)
+            counts += np.bincount(
+                ts[valid] * n_cells + cells[valid], minlength=counts.size
+            )
+        return counts.reshape(n_timestamps, n_cells)
 
     # ------------------------------------------------------------------ #
     # object views (API boundaries only)
@@ -248,7 +393,7 @@ class TrajectoryStore:
         """Materialise one stream as a :class:`CellTrajectory`.
 
         ``user_id`` is the creation-order row id; ``terminated`` mirrors
-        the store's liveness bit.  The view owns its cell list — mutating
+        the store's liveness.  The view owns its cell list — mutating
         it does not write back into the store.
         """
         row = int(row)
@@ -256,10 +401,10 @@ class TrajectoryStore:
             raise DatasetError(f"stream row {row} outside [0, {self._n})")
         traj = CellTrajectory(
             int(self._birth[row]),
-            self._cells[row, : self._length[row]].tolist(),
+            self._gather(np.asarray([row], dtype=np.int64)).tolist(),
             user_id=row,
         )
-        traj.terminated = not bool(self._alive[row])
+        traj.terminated = bool(self._where[row] < 0)
         return traj
 
     def views(self, rows) -> list[CellTrajectory]:

@@ -13,17 +13,19 @@ Two interchangeable ledger engines implement the same surface:
   full spend histories.  Simple, order-free, able to answer any historical
   query; cost grows per user per spend (a Python loop in ``spend_many``).
 * :class:`ColumnarPrivacyAccountant` — the **columnar** engine used by the
-  pipeline: spends live in an ``(n_slots, w)`` numpy ring buffer indexed by
-  a :class:`~repro.stream.slots.UserSlotTable`, so ``spend_many``,
+  pipeline: spends live in a swept ``(n_slots, w)`` numpy ring hung on a
+  :class:`~repro.stream.slots.UserSlotTable`, so ``spend_many``,
   ``window_spend_many``, ``remaining_many`` and the strict-mode violation
   check are array ops over whole report batches with no per-user loop.
-  The ledger retains exactly the live window per user (all the w-event
-  guarantee needs) plus running lifetime totals and the running maximum
-  window spend, and therefore requires spend timestamps to be
-  non-decreasing — which the curator's consecutive-timestamp protocol
-  guarantees.  ``tests/ldp/test_accountant_differential.py`` pins the two
-  engines to identical spends, refusals, violations and window totals on
-  randomized schedules.
+  The ledger retains exactly the live window of exactly the users who
+  still have one (all the w-event guarantee needs): rows whose window has
+  emptied are retired to a 16 B/user audit archive that keeps lifetime
+  totals, and the running maximum window spend covers everyone ever
+  seen.  It therefore requires spend timestamps to be non-decreasing —
+  which the curator's consecutive-timestamp protocol guarantees.
+  ``tests/ldp/test_accountant_differential.py`` and the model-based
+  ``tests/ldp/test_accountant_model.py`` pin the two engines to identical
+  spends, refusals, violations and window totals on randomized schedules.
 
 Select via :func:`make_accountant` /
 ``RetraSynConfig(accountant_mode="columnar" | "object")``.
@@ -47,7 +49,7 @@ from typing import Dict, Iterable, Optional
 import numpy as np
 
 from repro.exceptions import ConfigurationError, PrivacyBudgetError
-from repro.stream.slots import UserSlotTable
+from repro.stream.slots import UserSlotTable, extend_log, find_sorted
 
 #: Tolerance for floating-point budget accumulation.
 _EPS_TOL = 1e-9
@@ -55,7 +57,7 @@ _EPS_TOL = 1e-9
 #: The selectable ledger engines (RetraSynConfig.accountant_mode).
 ACCOUNTANT_MODES = ("columnar", "object")
 
-#: Ring-buffer sentinel: "this cell was never written".
+#: Ring-column sentinel: "this column has never held a timestamp".
 _NEVER = np.iinfo(np.int64).min // 2
 
 
@@ -224,6 +226,10 @@ class PrivacyAccountant:
     def n_users(self) -> int:
         return len(self._spends)
 
+    #: The dict ledger keeps every user resident and retires nobody.
+    n_rows = n_users
+    n_retired = 0
+
     def user_ids(self) -> list[int]:
         """Every user with at least one recorded spend (audit surface)."""
         return list(self._spends)
@@ -241,14 +247,28 @@ class PrivacyAccountant:
 
 
 class ColumnarPrivacyAccountant:
-    """Ring-buffer ledger over a dense slot table (``accountant_mode="columnar"``).
+    """Swept ring-buffer ledger over a self-compacting slot table.
 
-    Spends at timestamp ``t`` land in column ``t % w`` of an
-    ``(n_slots, w)`` float matrix; a parallel int64 matrix remembers which
-    timestamp each cell belongs to, so window totals are one masked
-    row-sum and never require clearing sweeps.  All batch operations —
-    recording, the strict refusal check, violation detection, window and
+    Spends at timestamp ``t`` land in layer ``t % w`` of a ``w``-deep
+    float column hung on the :class:`~repro.stream.slots.UserSlotTable` —
+    one contiguous column of slots per live timestamp.  The ring is
+    *swept*: when the spend frontier advances, the columns of every
+    timestamp that left the window (skipped timestamps included) are
+    zeroed once, so at the frontier a window total is a plain sum of the
+    ``w`` columns; a ``w``-vector of column timestamps answers queries
+    about later windows without touching the ring.  All batch operations
+    — recording, the strict refusal check, violation detection, window and
     remaining-budget queries — are numpy array ops over the whole batch.
+
+    The ledger holds exactly the users who can still influence a live
+    window.  A row whose window is all zero is *released* to the table's
+    compaction (together with any other component sharing the table — see
+    :meth:`UserSlotTable.attach <repro.stream.slots.UserSlotTable.attach>`);
+    its uid and lifetime total move to a 16 B/user audit archive, so
+    ``summary()``, ``n_users``, ``user_ids()``, ``total_spend()``,
+    ``verify()`` and ``max_window_spend()`` still cover everyone ever
+    seen.  A retired uid that spends again is a fresh row — safe, because
+    its window is empty by construction.
 
     Semantics match :class:`PrivacyAccountant` exactly (including partial
     recording of a batch prefix before a strict refusal, and per-row
@@ -257,10 +277,12 @@ class ColumnarPrivacyAccountant:
 
     * spend timestamps must be non-decreasing (the curator's protocol
       already enforces consecutive ``t``); out-of-order spends raise
-      :class:`~repro.exceptions.ConfigurationError`;
+      :class:`~repro.exceptions.ConfigurationError`.  The frontier is the
+      latest timestamp a non-empty spend was *attempted* at, recorded or
+      refused;
     * :meth:`window_spend` is exact for windows ending at or after the
-      latest recorded timestamp; queries about long-closed windows may
-      undercount because their cells have been recycled.
+      frontier; queries about long-closed windows may undercount because
+      their cells have been swept.
 
     Parameters
     ----------
@@ -287,12 +309,20 @@ class ColumnarPrivacyAccountant:
         self.w = int(w)
         self.strict = bool(strict)
         self._slots = slots if slots is not None else UserSlotTable()
-        self._ring = np.zeros((0, self.w))
-        self._ring_t = np.full((0, self.w), _NEVER, dtype=np.int64)
-        self._total = np.zeros(0)
-        self._max_window = 0.0
+        self._ring = self._slots.add_column(np.float64, 0.0, depth=self.w)
+        self._total = self._slots.add_column(np.float64, 0.0)
+        self._slots.attach(self)
+        # Timestamp each ring column currently holds (swept columns only).
+        self._col_t = np.full(self.w, _NEVER, dtype=np.int64)
         self._frontier: Optional[int] = None
+        self._max_window = 0.0
         self._violations: list[tuple[int, int, float]] = []
+        # Audit archive of retired rows: uid + lifetime total, append-only.
+        # Kept uid-sorted and duplicate-free lazily (see _archive).
+        self._arch_uid = np.empty(0, dtype=np.int64)
+        self._arch_total = np.empty(0)
+        self._arch_n = 0
+        self._arch_sorted = True
         # Operational counters (scraped by /metrics, never part of the
         # audit summary); counted identically to the object ledger's loop.
         self.n_spend_events = 0
@@ -323,16 +353,16 @@ class ColumnarPrivacyAccountant:
                 f"columnar ledger requires non-decreasing spend timestamps: "
                 f"got t={timestamp} after t={self._frontier}"
             )
+        # Sweep first: if interning triggers the table's scan for retirable
+        # rows, it sees the windows as they stand at this timestamp.
+        self._sweep_to(timestamp)
         slots = self._slots.intern(ids)
-        self._ensure()
-        # One stable sort serves the whole round: duplicate-occurrence
-        # numbering here, and the touched-slot set _record needs (the
-        # ROADMAP follow-up — previously each did its own argsort).
-        order = np.argsort(slots, kind="stable")
-        sorted_slots = slots[order]
-        firsts = np.r_[True, sorted_slots[1:] != sorted_slots[:-1]]
-        totals = self._window_totals(slots, timestamp)
-        totals += (self._occurrences(slots, order, firsts) + 1) * epsilon
+        ring = self._ring.data
+        # Window totals as each row's own spend would leave them.  A batch
+        # observed to hold every slot once needs no occurrence numbering.
+        distinct = self._distinct(slots)
+        totals = ring[:, slots].sum(axis=0)
+        totals += epsilon if distinct else (self._occurrences(slots) + 1) * epsilon
         over = totals > self.epsilon + _EPS_TOL
         n_record = ids.size
         offender = -1
@@ -351,10 +381,19 @@ class ColumnarPrivacyAccountant:
                     )
         self.n_spend_events += int(n_record)
         if n_record:
-            # The sorted unique set only describes the full batch; a strict
-            # refusal truncates it, so _record falls back to its own sort.
-            touched = sorted_slots[firsts] if n_record == ids.size else None
-            self._record(slots[:n_record], timestamp, epsilon, touched=touched)
+            recorded, column = slots[:n_record], ring[timestamp % self.w]
+            if distinct:
+                column[recorded] += epsilon
+                self._total.data[recorded] += epsilon
+            else:
+                np.add.at(column, recorded, epsilon)
+                np.add.at(self._total.data, recorded, epsilon)
+            # The checked totals *are* the recorded rows' new window totals
+            # (a slot's last occurrence carries its largest), so the running
+            # maximum needs no second pass over the ring.
+            self._max_window = max(
+                self._max_window, float(totals[:n_record].max())
+            )
         if offender >= 0:
             raise PrivacyBudgetError(
                 f"user {int(ids[offender])} would spend "
@@ -362,40 +401,101 @@ class ColumnarPrivacyAccountant:
                 f"in window ending at t={timestamp}"
             )
 
-    def _record(
-        self,
-        slots: np.ndarray,
-        t: int,
-        epsilon: float,
-        touched: Optional[np.ndarray] = None,
-    ) -> None:
-        """Apply a validated batch; ``touched`` is the pre-sorted distinct
-        slot set when the caller already paid for the sort."""
-        col = t % self.w
-        stale = self._ring_t[slots, col] != t
-        if stale.any():
-            recycled = slots[stale]
-            self._ring[recycled, col] = 0.0
-            self._ring_t[recycled, col] = t
-        np.add.at(self._ring, (slots, col), epsilon)
-        np.add.at(self._total, slots, epsilon)
-        if touched is None:
-            touched = np.unique(slots)
-        new_totals = self._window_totals(touched, t)
-        if new_totals.size:
-            self._max_window = max(self._max_window, float(new_totals.max()))
-        self._frontier = t if self._frontier is None else max(self._frontier, t)
+    def _sweep_to(self, t: int) -> None:
+        """Advance the frontier to ``t``, zeroing every column that left.
+
+        Each timestamp in ``(frontier, t]`` that still fits the window
+        claims its column: the column is cleared (it held the timestamp
+        ``w`` earlier, or a skipped one) and stamped.  One contiguous
+        memset per advanced timestamp — at most ``w`` of them however
+        large the gap — replaces the per-cell timestamp matrix.
+        """
+        frontier = self._frontier
+        if frontier == t:
+            return
+        lo = t - self.w + 1 if frontier is None else max(frontier + 1, t - self.w + 1)
+        live = self._ring.data[:, : self._slots.n_slots]
+        for ts in range(lo, t + 1):
+            col = ts % self.w
+            live[col] = 0.0
+            self._col_t[col] = ts
+        self._frontier = t
+
+    def _distinct(self, slots: np.ndarray) -> bool:
+        """Whether every slot occurs once in the batch (one scatter)."""
+        if slots.size == 1:
+            return True
+        seen = np.zeros(self._slots.n_slots, dtype=bool)
+        seen[slots] = True
+        return int(np.count_nonzero(seen)) == slots.size
+
+    # ------------------------------------------------------------------ #
+    # retirement (the slot table's release protocol)
+    # ------------------------------------------------------------------ #
+    def _releasable(self, n: int) -> np.ndarray:
+        """Rows with no spend left in the live window."""
+        return ~self._ring.data[:, :n].any(axis=0)
+
+    def _retire(self, slots: np.ndarray) -> None:
+        """Move the retiring rows' uid + lifetime total to the archive."""
+        totals = self._total.data[slots]
+        spent = totals > 0.0
+        uids, totals = self._slots.uids[slots[spent]], totals[spent]
+        if not uids.size:
+            return
+        n, need = self._arch_n, self._arch_n + uids.size
+        # Compaction hands rows over in slot order; when uids also arrive
+        # in increasing order (every replay) the archive stays sorted.
+        self._arch_sorted = bool(
+            self._arch_sorted
+            and (n == 0 or uids[0] > self._arch_uid[n - 1])
+            and (uids[1:] > uids[:-1]).all()
+        )
+        self._arch_uid = extend_log(self._arch_uid, n, need)
+        self._arch_total = extend_log(self._arch_total, n, need)
+        self._arch_uid[n:need] = uids
+        self._arch_total[n:need] = totals
+        self._arch_n = need
+
+    def _archive(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(uids, lifetime totals)`` of retired rows, uid-sorted, merged.
+
+        A uid retired more than once (it returned and left again) holds
+        several raw entries; they are folded into one on the first audit
+        query after an out-of-order append.
+        """
+        n = self._arch_n
+        if not self._arch_sorted:
+            uids, inverse = np.unique(self._arch_uid[:n], return_inverse=True)
+            self._arch_total = np.bincount(
+                inverse, weights=self._arch_total[:n], minlength=uids.size
+            )
+            self._arch_uid, self._arch_n, self._arch_sorted = uids, uids.size, True
+            n = uids.size
+        return self._arch_uid[:n], self._arch_total[:n]
+
+    def _archived(self, uids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which of ``uids`` the archive holds, and their lifetime totals."""
+        arch_uids, arch_totals = self._archive()
+        if not arch_uids.size:
+            return np.zeros(uids.shape, dtype=bool), np.zeros(uids.shape)
+        found, pos = find_sorted(arch_uids, uids)
+        return found, np.where(found, arch_totals[pos], 0.0)
+
+    def _live_spenders(self) -> np.ndarray:
+        """uids of resident rows with a recorded spend, in slot order."""
+        n = self._slots.n_slots
+        return self._slots.uids[self._total.data[:n] > 0.0]
 
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
     def window_spend(self, user_id: int, timestamp: int) -> float:
         """Budget spent by ``user_id`` within ``[timestamp-w+1, timestamp]``."""
-        slot = self._slots.slot_of(_as_uid(user_id))
-        if slot < 0 or slot >= len(self._total):
-            return 0.0
         return float(
-            self._window_totals(np.asarray([slot]), int(timestamp))[0]
+            self.window_spend_many(
+                np.asarray([_as_uid(user_id)], dtype=np.int64), timestamp
+            )[0]
         )
 
     def window_spend_many(self, user_ids, timestamp: int) -> np.ndarray:
@@ -403,7 +503,7 @@ class ColumnarPrivacyAccountant:
         ids = _as_uid_array(user_ids)
         out = np.zeros(ids.size)
         slots = self._slots.lookup(ids)
-        known = (slots >= 0) & (slots < len(self._total))
+        known = slots >= 0
         if known.any():
             out[known] = self._window_totals(slots[known], int(timestamp))
         return out
@@ -414,19 +514,19 @@ class ColumnarPrivacyAccountant:
 
     def total_spend(self, user_id: int) -> float:
         """Lifetime budget spent by one user (for audit output only)."""
-        slot = self._slots.slot_of(_as_uid(user_id))
-        if slot < 0 or slot >= len(self._total):
-            return 0.0
-        return float(self._total[slot])
+        uid = np.asarray([_as_uid(user_id)], dtype=np.int64)
+        slot = int(self._slots.lookup(uid)[0])
+        live = float(self._total.data[slot]) if slot >= 0 else 0.0
+        return live + float(self._archived(uid)[1][0])
 
     def max_window_spend(self) -> float:
         """The largest any-user any-window spend observed so far.
 
-        Maintained incrementally: every recorded batch refreshes the
-        window totals of the touched slots, and any window's maximum is
-        attained at a window ending on its last contained spend — so the
-        running maximum over "windows ending at spend time" equals the
-        object ledger's full-history scan.
+        Maintained incrementally: every recorded batch folds in the
+        window totals its rows were checked at, and any window's maximum
+        is attained at a window ending on its last contained spend — so
+        the running maximum over "windows ending at spend time" equals the
+        object ledger's full-history scan, retired rows included.
         """
         return self._max_window
 
@@ -441,18 +541,22 @@ class ColumnarPrivacyAccountant:
 
     @property
     def n_users(self) -> int:
-        return int((self._total[: self._n_rows()] > 0.0).sum())
+        """Distinct users with a recorded spend, resident or retired."""
+        live = self._live_spenders()
+        returned = int(self._archived(live)[0].sum())
+        return self._archive()[0].size + live.size - returned
 
     def user_ids(self) -> list[int]:
         """Every user with at least one recorded spend (audit surface).
 
-        Slot order — i.e. first time the shared table saw the user, which
-        may predate their first spend when the table is shared with a
-        tracker.
+        Retired users first, in uid order, then resident rows in slot
+        order — i.e. first time the shared table saw the user, which may
+        predate their first spend when the table is shared with a tracker.
         """
-        n = self._n_rows()
-        spenders = np.flatnonzero(self._total[:n] > 0.0)
-        return self._slots.uids[spenders].tolist()
+        live = self._live_spenders()
+        retired = self._archive()[0]
+        retired = retired[~np.isin(retired, live)]
+        return retired.tolist() + live.tolist()
 
     def summary(self) -> dict:
         """Audit summary suitable for experiment reports."""
@@ -465,60 +569,38 @@ class ColumnarPrivacyAccountant:
             "satisfied": self.verify(),
         }
 
+    @property
+    def n_rows(self) -> int:
+        """Resident ledger rows (the slot table's live rows)."""
+        return self._slots.n_slots
+
+    @property
+    def n_retired(self) -> int:
+        """Rows the slot table has retired (every owner released them)."""
+        return self._slots.n_retired
+
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _n_rows(self) -> int:
-        # The shared table can hold slots interned by other components
-        # (tracker registrations) that never spent; rows exist lazily.
-        return min(self._slots.n_slots, len(self._total))
-
-    def _ensure(self) -> None:
-        need = self._slots.n_slots
-        cap = self._ring.shape[0]
-        if need <= cap:
-            return
-        new_cap = max(need, 2 * cap, 1024)
-        ring = np.zeros((new_cap, self.w))
-        ring[:cap] = self._ring
-        ring_t = np.full((new_cap, self.w), _NEVER, dtype=np.int64)
-        ring_t[:cap] = self._ring_t
-        total = np.zeros(new_cap)
-        total[:cap] = self._total
-        self._ring, self._ring_t, self._total = ring, ring_t, total
-
     def _window_totals(self, slots: np.ndarray, t: int) -> np.ndarray:
-        """Window totals ``[t-w+1, t]`` for the given slots (one row-sum)."""
-        if slots.size == 0:
-            return np.zeros(0)
-        cell_t = self._ring_t[slots]
-        valid = (cell_t > t - self.w) & (cell_t <= t)
-        return (self._ring[slots] * valid).sum(axis=1)
+        """Window totals ``[t-w+1, t]`` for the given slots (one column-sum)."""
+        cells = self._ring.data[:, slots]
+        if t != self._frontier:
+            in_window = (self._col_t > t - self.w) & (self._col_t <= t)
+            cells = cells * in_window[:, None]
+        return cells.sum(axis=0)
 
     @staticmethod
-    def _occurrences(
-        slots: np.ndarray,
-        order: Optional[np.ndarray] = None,
-        firsts: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """For each row, how many earlier rows in the batch share its slot.
-
-        ``order`` (a stable argsort of ``slots``) and ``firsts`` (the
-        group-start mask over the sorted array) may be supplied by a caller
-        that already sorted the batch; omitted, they are computed here.
-        """
-        if order is None:
-            order = np.argsort(slots, kind="stable")
+    def _occurrences(slots: np.ndarray) -> np.ndarray:
+        """For each row, how many earlier rows in the batch share its slot."""
+        order = np.argsort(slots, kind="stable")
         s = slots[order]
         n = s.size
-        if firsts is None:
-            firsts = np.r_[True, s[1:] != s[:-1]]
-        starts = np.flatnonzero(firsts)
+        starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
         lengths = np.diff(np.r_[starts, n])
         idx = np.arange(n, dtype=np.int64)
-        occ_sorted = idx - np.repeat(idx[starts], lengths)
         occ = np.empty(n, dtype=np.int64)
-        occ[order] = occ_sorted
+        occ[order] = idx - np.repeat(idx[starts], lengths)
         return occ
 
 

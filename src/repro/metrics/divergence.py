@@ -39,6 +39,9 @@ def jensen_shannon_divergence(p: np.ndarray, q: np.ndarray) -> float:
     if p.shape != q.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
     m = 0.5 * (p + q)
+    # A subnormal entry halves to exactly 0; it contributes nothing.
+    keep = m > 0.0
+    p, q, m = p[keep], q[keep], m[keep]
     return 0.5 * kl_divergence(p, m) + 0.5 * kl_divergence(q, m)
 
 

@@ -16,16 +16,29 @@ division: each user reports at most once with full ε inside any window of
 
 Internally the tracker is columnar end-to-end: uid → row resolution goes
 through a :class:`~repro.stream.slots.UserSlotTable` (one vectorized
-``searchsorted`` per batch, no per-uid dict scan), statuses live in an int8
-code array and last-report timestamps in an int64 array, both indexed by
-the table's dense slots.  Every lifecycle transition, the hot ``recycle``
-scan and ``active_mask`` are single vectorized masks over the population.
-The table can be *shared* — the unsharded curator hands the same instance
-to its columnar privacy accountant, so a user occupies one row in both
-planes; slots interned by the other component stay in an *unknown* state
-here until the tracker itself meets the user.  Report histories (an
-audit/test surface) are kept as per-round ``(slots, t)`` array pairs and
-reconstructed on demand.
+``searchsorted`` per batch, no per-uid dict scan), and statuses (an int8
+code), last-report and quit timestamps are columns hung on that table,
+indexed by its dense slots.  Every lifecycle transition, the hot
+``recycle`` scan and ``active_mask`` are single vectorized masks over the
+resident rows.  The table can be *shared* — the unsharded curator hands
+the same instance to its columnar privacy accountant, so a user occupies
+one row in both planes; slots interned by the other component stay in an
+*unknown* state here until the tracker itself meets the user.
+
+The resident rows are the users who can still act.  A quit is terminal
+for ``w`` timestamps: while a QUITTED user was last seen (quit marked, or
+presented again as an arrival or a participant) at most ``w``
+timestamps ago, re-registering is a no-op.  After that the user is
+*forgotten* — the row is released to the table's compaction and its
+report-history entries leave with it — and a uid that returns is
+admitted as a **fresh arrival**, whether or not compaction has physically
+reclaimed the row yet (the rule reads timestamps only, never compaction
+timing; the tracker's clock is the latest ``t`` shown to ``recycle`` /
+``mark_reported``).  This is privacy-safe: the user's last report is at
+or before the quit, so once ``w`` timestamps have passed every window
+containing it has closed, and the returning uid cannot report twice
+inside one window.  Report histories (an audit/test surface) are flat
+``(uid, t)`` arrays.
 """
 
 from __future__ import annotations
@@ -36,7 +49,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.stream.slots import UserSlotTable
+from repro.stream.slots import UserSlotTable, reserve
 
 
 class UserStatus(enum.Enum):
@@ -75,31 +88,19 @@ class UserTracker:
             raise ConfigurationError(f"window size w must be >= 1, got {w}")
         self.w = int(w)
         self._table = slots if slots is not None else UserSlotTable()
-        self._status = np.empty(0, dtype=np.int8)
-        self._last_report = np.empty(0, dtype=np.int64)
-        # Report history, columnar: one (slot-array, timestamp) pair per
-        # mark_reported call; report_history() builds (and caches) a
-        # per-slot index on first query so whole-population audits stay
-        # linear in the number of reports.
-        self._hist_slots: list[np.ndarray] = []
-        self._hist_ts: list[int] = []
-        self._hist_index: Optional[dict[int, list[int]]] = None
-
-    # ------------------------------------------------------------------ #
-    # columnar storage
-    # ------------------------------------------------------------------ #
-    def _ensure(self) -> None:
-        """Grow the status columns to cover every slot in the table."""
-        need = self._table.n_slots
-        cap = len(self._status)
-        if need <= cap:
-            return
-        new_cap = max(need, 2 * cap, 1024)
-        status = np.full(new_cap, _UNKNOWN, dtype=np.int8)
-        status[:cap] = self._status
-        last = np.full(new_cap, _NEVER, dtype=np.int64)
-        last[:cap] = self._last_report
-        self._status, self._last_report = status, last
+        self._status = self._table.add_column(np.int8, _UNKNOWN)
+        self._last_report = self._table.add_column(np.int64, _NEVER)
+        # QUITTED rows only: when the user was last seen (see _forgotten).
+        self._idle_since = self._table.add_column(np.int64, _NEVER)
+        self._table.attach(self)
+        # Latest timestamp shown to recycle()/mark_reported(); sightings
+        # are stamped with it (mark_quitted carries no timestamp itself).
+        self._clock = 0
+        # Report history, columnar: one (uid, timestamp) entry per report
+        # of a resident user, in report order.
+        self._hist_uid = np.empty(0, dtype=np.int64)
+        self._hist_t = np.empty(0, dtype=np.int64)
+        self._hist_n = 0
 
     def _slots_of(self, user_ids: Iterable[int]) -> np.ndarray:
         """Dense slots for ``user_ids``, interning unseen ids — vectorized.
@@ -110,65 +111,110 @@ class UserTracker:
         slots = self._table.intern(
             user_ids if isinstance(user_ids, np.ndarray) else list(user_ids)
         )
-        self._ensure()
+        # A forgotten user whose row compaction has not reclaimed yet
+        # starts over exactly as a reclaimed one would.
+        stale = slots[self._forgotten(slots)]
+        if stale.size:
+            self._retire(stale)
+            self._status.data[stale] = _UNKNOWN
         return slots
+
+    # ------------------------------------------------------------------ #
+    # retirement (the slot table's release protocol)
+    # ------------------------------------------------------------------ #
+    def _forgotten(self, slots) -> np.ndarray:
+        """Which of ``slots`` quitted and then went unseen for more than
+        ``w`` timestamps."""
+        return (self._status.data[slots] == _QUITTED) & (
+            self._idle_since.data[slots] < self._clock - self.w
+        )
+
+    def _releasable(self, n: int) -> np.ndarray:
+        """Rows of forgotten users, or of users the tracker never met."""
+        rows = slice(0, n)
+        return self._forgotten(rows) | (self._status.data[rows] == _UNKNOWN)
+
+    def _retire(self, slots: np.ndarray) -> None:
+        """Drop the report-history entries of the (forgotten) users in
+        ``slots`` — all the tracker keeps outside its columns."""
+        n = self._hist_n
+        keep = ~np.isin(self._hist_uid[:n], self._table.uids[slots])
+        self._hist_n = int(keep.sum())
+        self._hist_uid[: self._hist_n] = self._hist_uid[:n][keep]
+        self._hist_t[: self._hist_n] = self._hist_t[:n][keep]
 
     # ------------------------------------------------------------------ #
     # lifecycle transitions
     # ------------------------------------------------------------------ #
     def register(self, user_ids: Iterable[int]) -> None:
-        """Mark newly arrived users as active (Algorithm 1, lines 1 and 7)."""
+        """Mark newly arrived users as active (Algorithm 1, lines 1 and 7).
+
+        A QUITTED user stays quitted (and counts as seen) unless already
+        forgotten, in which case the uid starts over as a fresh arrival.
+        """
         slots = self._slots_of(user_ids)
         if slots.size:
-            keep = self._status[slots] != _QUITTED
-            self._status[slots[keep]] = _ACTIVE
+            status = self._status.data
+            quitted = status[slots] == _QUITTED
+            self._idle_since.data[slots[quitted]] = self._clock
+            status[slots[~quitted]] = _ACTIVE
 
     def mark_quitted(self, user_ids: Iterable[int]) -> None:
         """Mark users who ceased sharing as quitted (line 8)."""
         slots = self._slots_of(user_ids)
         if slots.size:
-            self._status[slots] = _QUITTED
+            status = self._status.data
+            status[slots] = _QUITTED
+            self._idle_since.data[slots] = self._clock
 
     def mark_reported(self, user_ids: Iterable[int], timestamp: int) -> None:
         """Mark sampled reporters inactive and remember when (line 14)."""
+        self._clock = max(self._clock, int(timestamp))
         slots = self._slots_of(user_ids)
         if not slots.size:
             return
         # An unknown (shared-table) user reporting here behaves like a
         # fresh arrival, as the dict tracker's implicit creation did.
-        live = self._status[slots] != _QUITTED
-        chosen = slots[live]
-        self._status[chosen] = _INACTIVE
-        self._last_report[chosen] = timestamp
+        status = self._status.data
+        chosen = slots[status[slots] != _QUITTED]
+        status[chosen] = _INACTIVE
+        self._last_report.data[chosen] = timestamp
         if chosen.size:
-            self._hist_slots.append(chosen.copy())
-            self._hist_ts.append(int(timestamp))
-            self._hist_index = None
+            n, need = self._hist_n, self._hist_n + chosen.size
+            self._hist_uid = reserve(self._hist_uid, n, need)
+            self._hist_t = reserve(self._hist_t, n, need)
+            self._hist_uid[n:need] = self._table.uids[chosen]
+            self._hist_t[n:need] = timestamp
+            self._hist_n = need
 
     def recycle(self, t: int) -> list[int]:
         """Reactivate users whose last report was at ``t - w`` (line 9).
 
         Returns the recycled user ids (useful for tests and audits).
-        One vectorized scan over the status / last-report columns.
+        One vectorized scan over the resident status / last-report columns.
         """
+        self._clock = max(self._clock, int(t))
         target = t - self.w
         if target < 0:
             return []
         n = self._table.n_slots
-        if n > len(self._status):
-            self._ensure()
-        mask = (self._status[:n] == _INACTIVE) & (self._last_report[:n] == target)
-        self._status[:n][mask] = _ACTIVE
+        status = self._status.data[:n]
+        mask = (status == _INACTIVE) & (self._last_report.data[:n] == target)
+        status[mask] = _ACTIVE
         return self._table.uids[mask].tolist()
 
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
+    def _codes(self, slots) -> np.ndarray:
+        """Status codes of ``slots``; forgotten users read as unknown."""
+        return np.where(
+            self._forgotten(slots), _UNKNOWN, self._status.data[slots]
+        )
+
     def status(self, user_id: int) -> UserStatus:
         slot = self._table.slot_of(user_id)
-        if slot < 0 or slot >= len(self._status):
-            raise ConfigurationError(f"unknown user {user_id}")
-        code = int(self._status[slot])
+        code = int(self._codes(slot)) if slot >= 0 else _UNKNOWN
         if code == _UNKNOWN:
             raise ConfigurationError(f"unknown user {user_id}")
         return _CODE_TO_STATUS[code]
@@ -178,48 +224,61 @@ class UserTracker:
 
         Columnar twin of per-user :meth:`status` calls; unknown ids raise
         exactly as ``status`` does (including ids another component
-        interned into a shared table without registering them here).
+        interned into a shared table without registering them here, and
+        forgotten users — those must re-register first).
         """
         ids = np.atleast_1d(np.asarray(user_ids))
         if ids.size == 0:
             return np.zeros(0, dtype=bool)
         slots = self._table.lookup(ids)  # validates integer dtype/range
-        bad = np.flatnonzero((slots < 0) | (slots >= len(self._status)))
-        if bad.size:
-            raise ConfigurationError(f"unknown user {int(ids[bad[0]])}")
-        codes = self._status[slots]
+        known = slots >= 0
+        codes = np.full(ids.shape, _UNKNOWN, dtype=np.int8)
+        codes[known] = self._codes(slots[known])
         unknown = np.flatnonzero(codes == _UNKNOWN)
         if unknown.size:
             raise ConfigurationError(f"unknown user {int(ids[unknown[0]])}")
+        # A quitted user who keeps showing up is not forgotten meanwhile.
+        self._idle_since.data[slots[codes == _QUITTED]] = self._clock
         return codes == _ACTIVE
+
+    def _resident(self) -> np.ndarray:
+        """Status codes of the resident rows, in slot order."""
+        return self._codes(slice(0, self._table.n_slots))
 
     def active_users(self) -> list[int]:
         """The current active set ``U_A`` (Algorithm 1, line 11)."""
-        n = min(self._table.n_slots, len(self._status))
-        return self._table.uids[:n][self._status[:n] == _ACTIVE].tolist()
+        return self._table.uids[self._resident() == _ACTIVE].tolist()
 
     def n_active(self) -> int:
-        n = min(self._table.n_slots, len(self._status))
-        return int((self._status[:n] == _ACTIVE).sum())
+        return int((self._resident() == _ACTIVE).sum())
 
     def n_known(self) -> int:
-        """Users the tracker has met (excludes shared-table-only slots)."""
-        n = min(self._table.n_slots, len(self._status))
-        return int((self._status[:n] != _UNKNOWN).sum())
+        """Users the tracker has met and not forgotten (excludes
+        shared-table-only slots)."""
+        return int((self._resident() != _UNKNOWN).sum())
 
     def known_users(self) -> list[int]:
-        """Ids of every user the tracker has met, in slot order."""
-        n = min(self._table.n_slots, len(self._status))
-        return self._table.uids[:n][self._status[:n] != _UNKNOWN].tolist()
+        """Ids of every user the tracker has met and not forgotten, in slot order."""
+        return self._table.uids[self._resident() != _UNKNOWN].tolist()
+
+    @property
+    def n_rows(self) -> int:
+        """Resident tracker rows (the slot table's live rows)."""
+        return self._table.n_slots
+
+    @property
+    def n_retired(self) -> int:
+        """Rows the slot table has retired (every owner released them)."""
+        return self._table.n_retired
+
+    def is_resident(self, user_ids) -> np.ndarray:
+        """Which of ``user_ids`` the tracker has met and not forgotten."""
+        slots = self._table.lookup(user_ids)
+        known = slots >= 0
+        known[known] = self._codes(slots[known]) != _UNKNOWN
+        return known
 
     def report_history(self, user_id: int) -> list[int]:
-        slot = self._table.slot_of(user_id)
-        if slot < 0:
-            return []
-        if self._hist_index is None:
-            index: dict[int, list[int]] = {}
-            for slots, t in zip(self._hist_slots, self._hist_ts):
-                for s in slots.tolist():
-                    index.setdefault(s, []).append(t)
-            self._hist_index = index
-        return list(self._hist_index.get(slot, ()))
+        """Timestamps at which ``user_id`` reported since it was last admitted."""
+        n = self._hist_n
+        return self._hist_t[:n][self._hist_uid[:n] == int(user_id)].tolist()

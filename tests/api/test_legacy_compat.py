@@ -1,5 +1,6 @@
-"""Legacy-surface compatibility: flat config kwargs, v2 checkpoints, and
-the historical ``from repro import ...`` names all keep working."""
+"""Legacy-surface compatibility: flat config kwargs and the historical
+``from repro import ...`` names keep working; checkpoints of older format
+versions are refused by version, never migrated."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from repro.core.persistence import (
     peek_checkpoint_spec,
     save_checkpoint,
 )
-from repro.core.retrasyn import RetraSyn, RetraSynConfig
+from repro.core.retrasyn import RetraSynConfig
 from repro.exceptions import DatasetError
 from repro.geo.trajectory import average_length
 from repro.stream.reports import ColumnarStreamView
@@ -94,18 +95,7 @@ class TestLegacyConfigKwargs:
         session.close()
 
 
-def _rewrite_as_v2(path):
-    """Turn a fresh v3 checkpoint into the exact v2 on-disk layout."""
-    with open(path, "rb") as fh:
-        payload = pickle.load(fh)
-    assert payload["version"] == 3
-    payload["version"] = 2
-    del payload["spec"]  # v2 predates the layered specs
-    with open(path, "wb") as fh:
-        pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-class TestV2CheckpointMigration:
+class TestCheckpointVersions:
     def _half_run_curator(self, data, seed=3):
         config = RetraSynConfig(epsilon=1.0, w=10, seed=seed)
         curator = OnlineRetraSyn(
@@ -120,79 +110,36 @@ class TestV2CheckpointMigration:
                 quitted=view.quitted_at(t),
                 n_real_active=view.n_active_at(t),
             )
-        return curator, view
+        return curator
 
-    def test_v2_checkpoint_loads_with_deprecation_warning(
-        self, walk_data, tmp_path
-    ):
-        curator, _ = self._half_run_curator(walk_data)
-        path = tmp_path / "legacy.ckpt"
-        save_checkpoint(curator, path)
-        _rewrite_as_v2(path)
-        with pytest.warns(DeprecationWarning, match="checkpoint format v2"):
-            restored = load_checkpoint(path)
-        assert restored._last_t == curator._last_t
-
-    def test_v2_resume_stays_bitwise(self, walk_data, tmp_path):
-        reference = RetraSyn(RetraSynConfig(epsilon=1.0, w=10, seed=3)).run(
-            walk_data
-        )
-        curator, view = self._half_run_curator(walk_data)
-        path = tmp_path / "legacy.ckpt"
-        save_checkpoint(curator, path)
-        _rewrite_as_v2(path)
-        with pytest.warns(DeprecationWarning):
-            resumed = load_checkpoint(path)
-        for t in range(walk_data.n_timestamps // 2, walk_data.n_timestamps):
-            resumed.process_timestep(
-                t,
-                participants=view.batch_at(t),
-                newly_entered=view.newly_entered_at(t),
-                quitted=view.quitted_at(t),
-                n_real_active=view.n_active_at(t),
-            )
-        run = resumed.result(walk_data.n_timestamps)
-        assert (
-            [(t.start_time, list(t.cells)) for t in run.synthetic]
-            == [(t.start_time, list(t.cells)) for t in reference.synthetic]
-        )
-
-    def test_v2_spec_peek_returns_none(self, walk_data, tmp_path):
-        curator, _ = self._half_run_curator(walk_data)
-        path = tmp_path / "legacy.ckpt"
-        save_checkpoint(curator, path)
-        _rewrite_as_v2(path)
-        with pytest.warns(DeprecationWarning):
-            assert peek_checkpoint_spec(path) is None
-
-    def test_resave_migrates_to_v3(self, walk_data, tmp_path):
-        curator, _ = self._half_run_curator(walk_data)
-        path = tmp_path / "legacy.ckpt"
-        save_checkpoint(curator, path)
-        _rewrite_as_v2(path)
-        with pytest.warns(DeprecationWarning):
-            restored = load_checkpoint(path)
-        save_checkpoint(restored, path)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no warning: it is v3 now
-            spec = peek_checkpoint_spec(path)
-        assert isinstance(spec, SessionSpec)
-
-    def test_v3_checkpoint_carries_the_spec(self, walk_data, tmp_path):
-        curator, _ = self._half_run_curator(walk_data)
+    def test_current_checkpoint_carries_the_spec(self, walk_data, tmp_path):
+        curator = self._half_run_curator(walk_data)
         path = tmp_path / "current.ckpt"
         save_checkpoint(curator, path)
+        with open(path, "rb") as fh:
+            assert pickle.load(fh)["version"] == 4
         spec = peek_checkpoint_spec(path)
+        assert isinstance(spec, SessionSpec)
         assert spec == curator.config.to_spec()
 
-    def test_v1_is_still_refused(self, walk_data, tmp_path):
-        curator, _ = self._half_run_curator(walk_data)
-        path = tmp_path / "ancient.ckpt"
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_older_formats_are_refused_by_version(
+        self, walk_data, tmp_path, version
+    ):
+        """v<=3 layouts (dense store, per-cell ring timestamps) are gone:
+        no migration, a typed error naming the version."""
+        curator = self._half_run_curator(walk_data)
+        path = tmp_path / "old.ckpt"
         save_checkpoint(curator, path)
         with open(path, "rb") as fh:
             payload = pickle.load(fh)
-        payload["version"] = 1
+        payload["version"] = version
         with open(path, "wb") as fh:
             pickle.dump(payload, fh)
-        with pytest.raises(DatasetError, match="unsupported checkpoint"):
-            load_checkpoint(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused, not migrated-with-warning
+            with pytest.raises(
+                DatasetError,
+                match=f"unsupported checkpoint format version {version}",
+            ):
+                load_checkpoint(path)

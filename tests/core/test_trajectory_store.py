@@ -3,14 +3,19 @@
 The store must round-trip bit-identical ``CellTrajectory`` views against a
 plain object reference driven by the same operation sequence, grow
 transparently in both dimensions, and serve array accessors that agree
-with object-side computations.
+with object-side computations — wherever a stream's cells currently live
+(the live block, or the archive of finished streams).
 """
 
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import trajectory_store as store_module
 from repro.core.synthesis import Synthesizer
 from repro.core.trajectory_store import TrajectoryStore
 from repro.exceptions import ConfigurationError, DatasetError
@@ -210,3 +215,152 @@ class TestEngineIntegration:
             syn.live_last_cells(),
             np.asarray([tr.last_cell for tr in syn.live_streams]),
         )
+
+
+# ---------------------------------------------------------------------- #
+# model-based: live block + archive against a list-of-lists oracle
+# ---------------------------------------------------------------------- #
+_N_CELLS = 7
+
+#: One step of a random store history; ``args`` are resolved against the
+#: oracle's current live set so every operation is legal.
+_steps = st.lists(
+    st.tuples(
+        st.sampled_from(("spawn", "extend", "extend", "pop", "kill", "kill")),
+        st.integers(0, 2**31 - 1),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+def _pick(rnd, live, k_max):
+    if not live:
+        return []
+    return rnd.sample(live, rnd.randint(0, min(k_max, len(live))))
+
+
+@given(_steps, st.integers(1, 4), st.integers(1, 3))
+@settings(max_examples=120, deadline=None)
+def test_store_matches_list_of_lists_oracle(steps, capacity, horizon):
+    import random
+
+    store = TrajectoryStore(initial_capacity=capacity, initial_horizon=horizon)
+    births: list[int] = []
+    streams: list[list[int]] = []
+    alive: list[bool] = []
+    for t, (op, seed) in enumerate(steps):
+        rnd = random.Random(seed)
+        live = [r for r, a in enumerate(alive) if a]
+        if op == "spawn":
+            cells = [rnd.randrange(_N_CELLS) for _ in range(rnd.randint(0, 5))]
+            rows = store.append_streams(t, np.asarray(cells, dtype=np.int64))
+            assert rows.tolist() == list(range(len(streams), len(streams) + len(cells)))
+            births += [t] * len(cells)
+            streams += [[c] for c in cells]
+            alive += [True] * len(cells)
+        elif op == "extend":
+            rows = _pick(rnd, live, 6)
+            cells = [rnd.randrange(_N_CELLS) for _ in rows]
+            store.append_cells(np.asarray(rows, dtype=np.int64), np.asarray(cells))
+            for r, c in zip(rows, cells):
+                streams[r].append(c)
+        elif op == "pop":
+            rows = [r for r in _pick(rnd, live, 4) if len(streams[r]) > 1]
+            store.pop_last(np.asarray(rows, dtype=np.int64))
+            for r in rows:
+                streams[r].pop()
+        else:
+            rows = _pick(rnd, live, 4)
+            # kill is idempotent: re-killing finished rows changes nothing.
+            dead = [r for r, a in enumerate(alive) if not a][:2]
+            store.kill(np.asarray(rows + dead + rows[:1], dtype=np.int64))
+            for r in rows:
+                alive[r] = False
+
+        live = [r for r, a in enumerate(alive) if a]
+        everyone = list(range(len(streams)))
+        assert store.n_total == len(streams)
+        assert store.n_live == len(live) and store.n_archived == len(streams) - len(live)
+        assert store.live_rows().tolist() == live  # creation order
+        assert store.alive_mask().tolist() == alive
+        assert store.lengths().tolist() == [len(s) for s in streams]
+        assert store.last_cells(np.asarray(everyone, dtype=np.int64)).tolist() == [
+            s[-1] for s in streams
+        ]
+    # Read surfaces over the final state, in a scrambled row order too.
+    rnd = random.Random(len(steps))
+    order = rnd.sample(everyone, len(everyone)) if streams else []
+    rows = np.asarray(order, dtype=np.int64)
+    assert store.flat_cells(rows).tolist() == [c for r in order for c in streams[r]]
+    assert store.births_of(rows).tolist() == [births[r] for r in order]
+    assert store.lengths_of(rows).tolist() == [len(streams[r]) for r in order]
+    for r in order:
+        view = store.view(r)
+        assert (view.start_time, view.cells, view.terminated) == (
+            births[r], streams[r], not alive[r]
+        )
+    horizon_t = len(steps) + 2
+    expected = np.zeros((horizon_t, _N_CELLS), dtype=np.int64)
+    for t in range(horizon_t):
+        at_t = [
+            s[t - b] for b, s in zip(births, streams) if b <= t < b + len(s)
+        ]
+        assert store.cells_at(t).tolist() == at_t
+        np.add.at(expected[t], at_t, 1)
+    np.testing.assert_array_equal(store.counts_matrix(horizon_t, _N_CELLS), expected)
+    with mock.patch.object(store_module, "_COUNT_BLOCK", 3):  # several blocks
+        np.testing.assert_array_equal(
+            store.counts_matrix(horizon_t, _N_CELLS), expected
+        )
+    # Clipped horizon drops the tail identically.
+    np.testing.assert_array_equal(
+        store.counts_matrix(horizon_t // 2, _N_CELLS), expected[: horizon_t // 2]
+    )
+    clone = pickle.loads(pickle.dumps(store))
+    assert clone.flat_cells(rows).tolist() == store.flat_cells(rows).tolist()
+    assert clone.live_rows().tolist() == live
+
+
+class TestLiveBlockAndArchive:
+    def test_finished_streams_are_immutable(self):
+        store = TrajectoryStore()
+        rows = store.append_streams(0, [1, 2])
+        store.append_cells(rows, np.asarray([3, 4]))
+        store.kill(rows[:1])
+        with pytest.raises(DatasetError, match="finished stream"):
+            store.append_cells(rows, np.asarray([5, 6]))
+        with pytest.raises(DatasetError, match="finished stream"):
+            store.pop_last(rows[:1])
+        assert store.view(0).cells == [1, 3]
+
+    def test_live_slots_are_recycled_so_the_block_tracks_the_live_set(self):
+        store = TrajectoryStore(initial_capacity=8, initial_horizon=4)
+        for t in range(200):
+            rows = store.append_streams(t, np.arange(8) % 5)
+            store.append_cells(rows, np.arange(8) % 3)
+            store.kill(rows)
+        assert store.n_total == 1600 and store.n_live == 0
+        assert store._block.shape == (8, 4)  # never grew past the live set
+        assert store.view(1599).cells == [2, 1]
+
+    def test_archive_grows_by_chunks_and_merges_only_on_read(self):
+        store = TrajectoryStore(initial_capacity=4, initial_horizon=4)
+        per_round = store_module._MIN_CHUNK // 2 + 1
+        for t in range(6):
+            rows = store.append_streams(t, np.full(per_round, t))
+            store.kill(rows)
+        assert len(store._chunks) > 1  # appends opened chunks, copied nothing
+        first = store._chunks[0]
+        assert store.cells_at(3).tolist() == [3] * per_round  # a read merges
+        assert len(store._chunks) == 1 and store._chunks[0] is not first
+        store.kill(store.append_streams(9, [6]))  # and appends continue after it
+        assert store.view(store.n_total - 1).cells == [6]
+
+    def test_pickle_drops_the_unwritten_tail_of_the_archive(self):
+        store = TrajectoryStore()
+        store.kill(store.append_streams(0, [1, 2, 3]))
+        clone = pickle.loads(pickle.dumps(store))
+        assert sum(c.size for c in clone._chunks) == 3
+        clone.kill(clone.append_streams(1, [4]))
+        assert clone.flat_cells(np.arange(4)).tolist() == [1, 2, 3, 4]

@@ -148,21 +148,6 @@ class TestIdentityFastPath:
         table.intern([99])
         assert not pickle.loads(pickle.dumps(table)).is_identity
 
-    def test_legacy_state_without_flag_recomputes(self):
-        """Checkpoints from before the fast path restore correctly."""
-        dense, sparse = UserSlotTable(), UserSlotTable()
-        dense.intern(np.arange(6))
-        sparse.intern([5, 1])
-        for table, expect in ((dense, True), (sparse, False)):
-            state = dict(table.__dict__)
-            del state["_identity"]
-            restored = UserSlotTable.__new__(UserSlotTable)
-            restored.__setstate__(state)
-            assert restored.is_identity is expect
-            np.testing.assert_array_equal(
-                restored.lookup(table.uids), np.arange(table.n_slots)
-            )
-
 
 class TestSharingAndPersistence:
     def test_shared_between_components(self):
@@ -189,3 +174,160 @@ class TestSharingAndPersistence:
         graph = {"tracker_table": table, "accountant_table": table}
         restored = pickle.loads(pickle.dumps(graph))
         assert restored["tracker_table"] is restored["accountant_table"]
+
+
+class TestSortedIndexIsLazy:
+    """The sorted index costs nothing while the identity path is armed."""
+
+    def test_no_index_while_identity_is_armed(self):
+        table = UserSlotTable()
+        for lo in range(0, 5_000, 500):
+            table.intern(np.arange(lo, lo + 500))
+        assert table.is_identity
+        assert table._sorted_uids is None  # never built, never copied
+
+    def test_index_is_built_on_the_first_lookup_after_disarming(self):
+        table = UserSlotTable()
+        table.intern(np.arange(100))
+        table.intern([1_000])  # a gap: identity disarms, still no index
+        assert not table.is_identity and table._sorted_uids is None
+        assert table.lookup([1_000, 5, 100]).tolist() == [100, 5, -1]
+        assert table._sorted_uids is not None
+
+    def test_uids_past_the_tail_are_appended_without_reindexing(self):
+        table = UserSlotTable()
+        table.intern([10, 5])  # out of order: indexed from the start
+        table.lookup([5])
+        for lo in range(20, 4_000, 100):
+            table.intern(np.arange(lo, lo + 100))
+            index = table._sorted_uids
+        # Amortised growth: the buffer was not reallocated per batch.
+        table.intern([4_020])  # the batches above cover 20..4019
+        assert table._sorted_uids is index
+        probe = np.asarray([5, 10, 20, 4_019, 4_020, 4_021, 15])
+        assert table.lookup(probe).tolist() == [1, 0, 2, 4_001, 4_002, -1, -1]
+
+    def test_out_of_order_arrivals_still_merge_correctly(self):
+        rng = np.random.default_rng(3)
+        uids = rng.permutation(2_000)
+        table = UserSlotTable()
+        for part in np.array_split(uids, 17):
+            table.intern(part)
+        np.testing.assert_array_equal(table.lookup(uids), np.arange(2_000))
+
+
+class _Owner:
+    """A component with one column and an explicit release set."""
+
+    def __init__(self, table):
+        self.table = table
+        self.column = table.add_column(np.int64, -1)
+        self.deep = table.add_column(np.float64, 0.0, depth=3)
+        self.release: set[int] = set()
+        self.retired: list[int] = []
+        table.attach(self)
+
+    def _releasable(self, n):
+        return np.isin(self.table.uids[:n], sorted(self.release))
+
+    def _retire(self, slots):
+        self.retired += self.table.uids[slots].tolist()
+
+
+class TestCompaction:
+    @pytest.fixture(autouse=True)
+    def _small_tables_compact(self, monkeypatch):
+        from repro.stream import slots
+
+        monkeypatch.setattr(slots, "_MIN_COMPACT_ROWS", 4)
+
+    def test_released_rows_leave_and_the_rest_keep_their_order(self):
+        table = UserSlotTable()
+        owner = _Owner(table)
+        slots = table.intern([50, 10, 40, 20, 30])
+        owner.column.data[slots] = [500, 100, 400, 200, 300]
+        owner.deep.data[:, slots] = np.arange(15.0).reshape(3, 5)
+        owner.release = {10, 20}
+        assert table.intern([60]).tolist() == [3]  # scans first, then admits
+        assert table.uids.tolist() == [50, 40, 30, 60]
+        assert owner.retired == [10, 20]
+        assert table.n_retired == 2
+        assert owner.column.data[:4].tolist() == [500, 400, 300, -1]
+        assert owner.deep.data[:, :4].tolist() == [
+            [0.0, 2.0, 4.0, 0.0], [5.0, 7.0, 9.0, 0.0], [10.0, 12.0, 14.0, 0.0],
+        ]
+        assert table.lookup([10, 20, 30, 40, 50, 60]).tolist() == [-1, -1, 2, 1, 0, 3]
+
+    def test_a_retired_uid_returns_as_a_fresh_slot(self):
+        table = UserSlotTable()
+        owner = _Owner(table)
+        table.intern(np.arange(5))
+        owner.release = {1, 2}
+        table.intern([9])
+        assert not table.is_identity  # retiring disarms the fast path
+        owner.release = set()
+        assert table.intern([2]).tolist() == [4]
+        assert table.uids.tolist() == [0, 3, 4, 9, 2]
+
+    def test_every_owner_must_release_a_row(self):
+        table = UserSlotTable()
+        first, second = _Owner(table), _Owner(table)
+        table.intern(np.arange(6))
+        first.release = {0, 1, 2}
+        second.release = {2, 3}
+        table.intern([6])
+        assert table.uids.tolist() == [0, 1, 3, 4, 5, 6]
+        assert first.retired == second.retired == [2]
+
+    def test_a_table_without_owners_never_retires(self):
+        table = UserSlotTable()
+        table.intern(np.arange(64))
+        table.intern(np.arange(64, 256))
+        assert table.n_slots == 256 and table.n_retired == 0
+
+    def test_scans_are_paid_for_by_growth(self):
+        """The next scan waits until the table has doubled again."""
+        table = UserSlotTable()
+        owner = _Owner(table)
+        calls = []
+        original = owner._releasable
+        owner._releasable = lambda n: (calls.append(n), original(n))[1]
+        for uid in range(40):
+            table.intern([uid])
+        assert calls == [4, 8, 16, 32]
+
+    def test_compacted_table_pickles_with_columns_and_owners(self):
+        table = UserSlotTable()
+        owner = _Owner(table)
+        table.intern(np.arange(10, 16))
+        owner.release = {11, 14}
+        table.intern([3])
+        clone = pickle.loads(pickle.dumps(owner))
+        assert clone.table.uids.tolist() == [10, 12, 13, 15, 3]
+        assert clone.table._owners == [clone]
+        assert clone.table._columns[0] is clone.column
+        assert clone.table.lookup([3, 11]).tolist() == [4, -1]
+
+
+class TestExtendLog:
+    def test_grows_in_place_keeping_contents_and_a_zero_tail(self):
+        from repro.stream.slots import _LOG_STEP, extend_log
+
+        log = np.arange(1, 2_001, dtype=np.int64)
+        grown = extend_log(log, 2_000, 2_001)
+        assert grown is log  # realloc'd, not copied into a new object
+        assert grown.size == 3_024 and grown[:2_000].sum() == 2_001_000
+        assert not grown[2_000:].any()
+        assert extend_log(grown, 2_000, 2_500) is grown  # room already
+        # Large logs grow in fixed steps, not by half their size again.
+        big = np.zeros(10 * _LOG_STEP, dtype=np.int64)
+        assert extend_log(big, big.size, big.size + 1).size == 11 * _LOG_STEP
+
+    def test_falls_back_to_a_copy_when_it_does_not_own_its_memory(self):
+        from repro.stream.slots import extend_log
+
+        backing = np.arange(8, dtype=np.int64)
+        view = backing[:4]
+        grown = extend_log(view, 4, 6)
+        assert grown is not view and grown[:4].tolist() == [0, 1, 2, 3]
+        assert backing.tolist() == list(range(8))
