@@ -14,7 +14,8 @@ replacement that advances *all* live streams with array operations:
   loop survives as the ``"full-loop"`` reference, mirroring
   ``oracle_mode="exact-loop"``;
 * each timestamp draws one uniform vector for quits and one for moves, and
-  resolves destinations with a row-wise inverse-CDF lookup;
+  resolves destinations with an inverse-CDF lookup that walks the CDF one
+  contiguous column at a time (no streams × out-degree temporary);
 * live streams can be partitioned into ``synthesis_shards`` slabs advanced
   concurrently on a thread pool (the heavy numpy kernels release the GIL);
   slab results are merged back by array concatenation, so the store is
@@ -57,41 +58,68 @@ SYNTHESIS_EXECUTORS = ("thread", "process")
 _MIN_STREAMS_PER_SHARD = 2048
 
 
-def _advance_slab_remote(args: tuple) -> tuple:
-    """Process-executor twin of :meth:`VectorizedSynthesizer._advance_slab`.
+def _inverse_cdf(cum_t: np.ndarray, cells: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Index of the first CDF entry of row ``cells[i]`` not below ``draws[i]``.
 
-    Runs in a worker process, so it receives slab-*local* arrays (the
-    parent gathers ``cum_probs`` / ``dest`` / ``quit_raw`` rows for the
-    slab's current cells) plus the slab's generator, and returns the
-    generator with its advanced state so the parent can thread it into
-    the next round.  The draw sequence — one uniform vector for quits,
-    one for moves, the move draw skipped when nothing stays — is exactly
-    the thread path's, which makes the two executors bit-identical.
+    ``cum_t`` is the column-major CDF (``(width, n_cells)``), so the count
+    of entries each draw exceeds accumulates one contiguous column at a
+    time and no ``(n, width)`` array is ever gathered, compared or
+    reduced.  The last column is 1.0 in every row and draws lie in
+    ``[0, 1)``, so it never counts and is skipped.
     """
-    lam, enable_termination, lengths, cum, dest, quit_raw, rng = args
-    n = cum.shape[0]
-    if enable_termination:
-        quit_probs = np.minimum(lengths / lam * quit_raw, 1.0)
-        quit_mask = rng.random(n) < quit_probs
+    index = np.zeros(cells.size, dtype=np.int64)
+    for column in cum_t[:-1]:
+        index += draws > column.take(cells)
+    return index
+
+
+def _draw_slab(
+    lam: float,
+    lengths: Optional[np.ndarray],
+    cells: np.ndarray,
+    cum_t: np.ndarray,
+    dest: np.ndarray,
+    quit_raw: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quit mask and the stayers' next cells for streams now at ``cells``.
+
+    The one draw sequence both executors share — one uniform vector for
+    quits (``lengths`` is ``None`` when termination is disabled), one for
+    moves, the move draw skipped when nothing stays — which is what makes
+    them bit-identical.
+    """
+    if lengths is None:
+        stay_cells = cells
+        quit_mask = np.zeros(cells.size, dtype=bool)
     else:
-        quit_mask = np.zeros(n, dtype=bool)
-    stay = ~quit_mask
-    n_stay = int(stay.sum())
-    if n_stay == 0:
-        return quit_mask, np.empty(0, dtype=np.int64), rng
-    draws = rng.random(n_stay)
-    dest_idx = (draws[:, None] > cum[stay]).sum(axis=1)
-    new_cells = dest[stay][np.arange(n_stay), dest_idx]
-    return quit_mask, new_cells, rng
+        quit_mask = rng.random(cells.size) < lengths / lam * quit_raw.take(cells)
+        stay_cells = cells[~quit_mask]
+    if stay_cells.size == 0:
+        return quit_mask, np.empty(0, dtype=np.int64)
+    dest_idx = _inverse_cdf(cum_t, stay_cells, rng.random(stay_cells.size))
+    return quit_mask, dest.reshape(-1).take(stay_cells * dest.shape[1] + dest_idx)
+
+
+def _advance_slab(args: tuple) -> tuple:
+    """Slab-pool entry point: :func:`_draw_slab`, plus the advanced rng.
+
+    A process worker advances a *copy* of the slab's generator, so the
+    generator travels back with the result and the parent threads it into
+    the next round (on the thread pool it is the same object).
+    """
+    return (*_draw_slab(*args), args[-1])
 
 
 class _CompiledModel:
     """Padded array view of a mobility model, kept current per row.
 
     ``dest`` is the space's static padded destination matrix (shared,
-    read-only); ``cum_probs`` holds the per-origin inverse-CDF over
-    destinations (conditional on not quitting) and ``quit_raw`` the raw
-    per-origin quit probability of Eq. 6.
+    read-only); ``cum_t`` holds the per-origin inverse-CDF over
+    destinations (conditional on not quitting), column-major — one
+    contiguous ``n_cells`` column per destination rank, the layout
+    :func:`_inverse_cdf` walks — and ``quit_raw`` the raw per-origin quit
+    probability of Eq. 6.
     """
 
     def __init__(self, model: GlobalMobilityModel) -> None:
@@ -101,13 +129,13 @@ class _CompiledModel:
         self._deg = deg
         self._mask = np.arange(out_pad.shape[1]) < deg[:, None]
         self.dest = dest_pad
-        self.cum_probs = np.empty(out_pad.shape, dtype=float)
+        self.cum_t = np.empty(out_pad.shape[::-1], dtype=float)
         self.quit_raw = np.empty(space.n_cells, dtype=float)
         self._assemble(model, slice(None))
         self.version = model.version
 
     def _assemble(self, model: GlobalMobilityModel, rows) -> None:
-        """Recompute ``cum_probs`` / ``quit_raw`` for the selected rows.
+        """Recompute ``cum_t`` / ``quit_raw`` for the selected origin rows.
 
         ``rows`` is a row-index array or ``slice(None)``; either way the
         assembly is pure padded gathering — no per-cell iteration.
@@ -145,7 +173,7 @@ class _CompiledModel:
         cum = np.cumsum(norm, axis=1)
         cum[~mask] = 1.0
         cum[np.arange(deg.size), deg - 1] = 1.0  # guard against rounding
-        self.cum_probs[rows] = cum
+        self.cum_t[:, rows] = cum.T
         self.quit_raw[rows] = np.where(
             has_mass, quit_mass / np.where(has_mass, denom, 1.0), 0.0
         )
@@ -183,7 +211,7 @@ class _CompiledModel:
         n = space.n_cells
         width = max(len(space.out_destinations(c)) for c in range(n))
         compiled.dest = np.full((n, width), 0, dtype=np.int64)
-        compiled.cum_probs = np.ones((n, width), dtype=float)
+        compiled.cum_t = np.ones((width, n), dtype=float)
         compiled.quit_raw = np.zeros(n, dtype=float)
         for cell in range(n):
             probs, quit = model.row_distribution(cell)
@@ -194,8 +222,7 @@ class _CompiledModel:
             cum[-1] = 1.0  # guard against rounding
             compiled.dest[cell, : len(dests)] = dests
             compiled.dest[cell, len(dests):] = dests[-1]
-            compiled.cum_probs[cell, : len(dests)] = cum
-            compiled.cum_probs[cell, len(dests):] = 1.0
+            compiled.cum_t[: len(dests), cell] = cum
             compiled.quit_raw[cell] = quit
         compiled.version = model.version
         return compiled
@@ -218,10 +245,10 @@ class VectorizedSynthesizer:
     synthesis_executor:
         Where slabs run: ``"thread"`` (default) on a pool of threads (the
         heavy numpy kernels release the GIL), ``"process"`` on worker
-        processes — the parent gathers each slab's model rows, ships them
-        with the slab rng, and threads the returned rng state back, so
-        both executors are bit-identical for a fixed seed and shard
-        count.  Processes pay a per-step shipping cost and win only when
+        processes — the parent ships each slab's cells and the compiled
+        tables with the slab rng, and threads the returned rng state
+        back, so both executors are bit-identical for a fixed seed and
+        shard count.  Processes pay a per-step shipping cost and win only when
         slab compute dominates the interpreter's share of the step.
     """
 
@@ -259,7 +286,10 @@ class VectorizedSynthesizer:
         self.compile_mode = compile_mode
         self.synthesis_shards = int(synthesis_shards)
         self.synthesis_executor = synthesis_executor
-        self.store = TrajectoryStore(initial_capacity=max(16, int(initial_capacity)))
+        self.store = TrajectoryStore(
+            initial_capacity=max(16, int(initial_capacity)),
+            n_cells=model.space.n_cells,
+        )
         self._compiled: Optional[_CompiledModel] = None
         self._shard_rngs: Optional[list[np.random.Generator]] = None
         if self.synthesis_shards > 1:
@@ -347,36 +377,24 @@ class VectorizedSynthesizer:
         if target_size is not None:
             self._adjust_size(t, int(target_size))
 
-    def _advance_slab(
-        self,
-        compiled: _CompiledModel,
-        rows: np.ndarray,
-        rng: np.random.Generator,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Quit/move draws for one slab of live rows (read-only on the store).
+    def _slab_args(
+        self, compiled: _CompiledModel, rows: np.ndarray, rng: np.random.Generator
+    ) -> tuple:
+        """:func:`_draw_slab` arguments for one slab of live rows.
 
-        Returns ``(quit_rows, stay_rows, new_cells)``; the caller merges
-        slabs and performs all store writes, so concurrent slabs never
-        mutate shared state.
+        Pool workers cannot see the store or the compiled model: they get
+        the slab's current cells and lengths plus the compiled tables
+        (``n_cells × width``, a few KB), never per-stream model rows.
         """
-        cells = self.store.last_cells(rows)
-        if self.enable_termination:
-            quit_probs = np.minimum(
-                self.store.lengths_of(rows) / self.lam * compiled.quit_raw[cells],
-                1.0,
-            )
-            quit_mask = rng.random(rows.size) < quit_probs
-        else:
-            quit_mask = np.zeros(rows.size, dtype=bool)
-        stay_rows = rows[~quit_mask]
-        if stay_rows.size == 0:
-            return rows[quit_mask], stay_rows, np.empty(0, dtype=np.int64)
-        stay_cells = cells[~quit_mask]
-        draws = rng.random(stay_rows.size)
-        # Row-wise inverse-CDF: index of the first cum-prob exceeding u.
-        dest_idx = (draws[:, None] > compiled.cum_probs[stay_cells]).sum(axis=1)
-        new_cells = compiled.dest[stay_cells, dest_idx]
-        return rows[quit_mask], stay_rows, new_cells
+        return (
+            self.lam,
+            self.store.lengths_of(rows) if self.enable_termination else None,
+            self.store.last_cells(rows),
+            compiled.cum_t,
+            compiled.dest,
+            compiled.quit_raw,
+            rng,
+        )
 
     def _executor(self):
         if self._pool is None:
@@ -395,79 +413,34 @@ class VectorizedSynthesizer:
                 )
         return self._pool
 
-    def _generate_sharded_process(
-        self, compiled: _CompiledModel, slabs: list
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Advance slabs on the process pool; returns merged results.
-
-        Workers cannot see the store or the compiled model, so the parent
-        gathers each slab's rows — current cells' CDF/destination rows,
-        quit masses, lengths — and ships them with the slab rng; the
-        advanced rng comes back and replaces the parent's copy, keeping
-        the per-slab draw sequence identical to the thread executor's.
-        """
-        futures = []
-        for i, slab in enumerate(slabs):
-            cells = self.store.last_cells(slab)
-            lengths = (
-                self.store.lengths_of(slab) if self.enable_termination else None
-            )
-            futures.append(
-                self._executor().submit(
-                    _advance_slab_remote,
-                    (
-                        self.lam,
-                        self.enable_termination,
-                        lengths,
-                        compiled.cum_probs[cells],
-                        compiled.dest[cells],
-                        compiled.quit_raw[cells],
-                        self._shard_rngs[i],
-                    ),
-                )
-            )
-        quit_parts, stay_parts, cell_parts = [], [], []
-        for i, (slab, future) in enumerate(zip(slabs, futures)):
-            quit_mask, new_cells, rng = future.result()
-            self._shard_rngs[i] = rng
-            quit_parts.append(slab[quit_mask])
-            stay_parts.append(slab[~quit_mask])
-            cell_parts.append(new_cells)
-        return (
-            np.concatenate(quit_parts),
-            np.concatenate(stay_parts),
-            np.concatenate(cell_parts),
-        )
-
     def _generate(self, t: int) -> None:
         rows = self.store.live_rows()
         if rows.size == 0:
             return
         compiled = self._compile()
-        use_shards = (
+        if (
             self.synthesis_shards > 1
             and rows.size >= self.synthesis_shards * _MIN_STREAMS_PER_SHARD
-        )
-        if use_shards and self.synthesis_executor == "process":
-            slabs = np.array_split(rows, self.synthesis_shards)
-            quit_rows, stay_rows, new_cells = self._generate_sharded_process(
-                compiled, slabs
-            )
-        elif use_shards:
-            slabs = np.array_split(rows, self.synthesis_shards)
+        ):
+            # Slabs are consecutive runs of ``rows``, so their results
+            # concatenate back into ``rows`` order; all store writes
+            # happen here, on one thread.
             futures = [
-                self._executor().submit(self._advance_slab, compiled, slab, rng)
-                for slab, rng in zip(slabs, self._shard_rngs)
+                self._executor().submit(
+                    _advance_slab, self._slab_args(compiled, slab, rng)
+                )
+                for slab, rng in zip(
+                    np.array_split(rows, self.synthesis_shards), self._shard_rngs
+                )
             ]
-            parts = [f.result() for f in futures]
-            quit_rows = np.concatenate([p[0] for p in parts])
-            stay_rows = np.concatenate([p[1] for p in parts])
-            new_cells = np.concatenate([p[2] for p in parts])
+            parts = [future.result() for future in futures]
+            quit_mask = np.concatenate([part[0] for part in parts])
+            new_cells = np.concatenate([part[1] for part in parts])
+            self._shard_rngs = [part[2] for part in parts]
         else:
             rng = self._shard_rngs[0] if self._shard_rngs else self.rng
-            quit_rows, stay_rows, new_cells = self._advance_slab(
-                compiled, rows, rng
-            )
+            quit_mask, new_cells = _draw_slab(*self._slab_args(compiled, rows, rng))
+        quit_rows, stay_rows = rows[quit_mask], rows[~quit_mask]
         self.store.kill(quit_rows)
         self.store.append_cells(stay_rows, new_cells)
 
@@ -510,8 +483,14 @@ class VectorizedSynthesizer:
             pass
 
     def __getstate__(self) -> dict:
-        # The thread pool is process-local machinery; everything else —
-        # store, compiled model, shard rngs — is plain picklable state.
+        # The thread pool is process-local machinery and the compiled
+        # model a pure function of ``self.model`` (rebuilt by the next
+        # step); everything else — store, shard rngs — is plain state.
         state = dict(self.__dict__)
-        state["_pool"] = None
+        state["_pool"] = state["_compiled"] = None
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Older checkpoints pickled the compiled model, CDF row-major.
+        self.__dict__.update(state)
+        self._compiled = None

@@ -16,9 +16,9 @@ A deployed curator needs to survive restarts.  Three artefact shapes:
   tracker and accountant pointing at the *same* table after a restore.
   The synthesis plane checkpoints the same way: the
   :class:`~repro.core.trajectory_store.TrajectoryStore` live block and
-  archive, compiled-model arrays and per-shard generation rngs are plain state
-  (the vectorized synthesizer drops only its process-local thread pool,
-  rebuilt lazily on the next step).  A curator restored from a checkpoint continues the stream
+  archive and per-shard generation rngs are plain state
+  (the vectorized synthesizer drops its process-local thread pool and its
+  compiled model, both rebuilt lazily on the next step).  A curator restored from a checkpoint continues the stream
   bit-for-bit identically to one that was never interrupted; the
   ingestion service (:mod:`repro.stream.ingest`) checkpoints on this API.
 

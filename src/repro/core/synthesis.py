@@ -74,7 +74,7 @@ class Synthesizer:
         self.lam = float(lam)
         self.enable_termination = bool(enable_termination)
         self.rng = ensure_rng(rng)
-        self.store = TrajectoryStore()
+        self.store = TrajectoryStore(n_cells=model.space.n_cells)
         # Ordered row ids; the order defines RNG consumption (grouping) and
         # matches the historical _live / _finished object-list semantics.
         self._live: list[int] = []

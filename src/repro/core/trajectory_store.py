@@ -20,6 +20,9 @@ touches:
 * the **archive** — finished streams' cells in CSR form: one flat,
   append-only cell log grown chunk by chunk (no copy on growth), with each
   finished row's start offset kept beside its birth and length;
+* block and archive hold cells in the smallest signed dtype that fits the
+  declared cell count and ``ABSENT`` (1 byte per point up to 127 cells, 2
+  up to 32,767, else — or undeclared — 4); accessors return ``int64``;
 * ``_birth`` / ``_length`` / ``_where`` — per-stream entering timestamp,
   length and location (live slot, or archive offset), dense arrays indexed
   by the stream's creation-order row id.
@@ -39,6 +42,8 @@ unchanged and is shared safely by the thread-sharded generation path
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.exceptions import ConfigurationError, DatasetError
@@ -54,6 +59,13 @@ _MIN_CHUNK, _MAX_CHUNK = 1 << 12, 1 << 20
 
 #: Streams histogrammed per step of :meth:`TrajectoryStore.counts_matrix`.
 _COUNT_BLOCK = 1 << 14
+
+
+def _cell_dtype(n_cells: Optional[int]) -> type:
+    """Smallest signed dtype holding ``n_cells`` and :data:`ABSENT`."""
+    if n_cells is None:
+        return np.int32
+    return np.int8 if n_cells <= 127 else np.int16 if n_cells <= 32767 else np.int32
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -73,23 +85,38 @@ class TrajectoryStore:
         Live slots allocated up front (grown geometrically).
     initial_horizon:
         Cells-per-live-stream allocated up front (grown geometrically).
+    n_cells:
+        Cell ids are promised to lie in ``[0, n_cells)``, which lets the
+        store pick a narrower cell dtype than the ``int32`` default.
     """
 
-    def __init__(self, initial_capacity: int = 1024, initial_horizon: int = 64) -> None:
+    def __init__(
+        self,
+        initial_capacity: int = 1024,
+        initial_horizon: int = 64,
+        n_cells: Optional[int] = None,
+    ) -> None:
         if initial_capacity < 1 or initial_horizon < 1:
             raise ConfigurationError(
                 f"store capacities must be >= 1, got "
                 f"({initial_capacity}, {initial_horizon})"
             )
-        # Live block: rows are slots, recycled through the free stack.
+        # Live block: rows are slots, recycled through the free stack.  A
+        # grown block and every archive chunk copy its dtype, so a restored
+        # store keeps appending in the dtype it was written with.
         self._block = np.full(
-            (int(initial_capacity), int(initial_horizon)), ABSENT, dtype=np.int32
+            (int(initial_capacity), int(initial_horizon)),
+            ABSENT,
+            dtype=_cell_dtype(n_cells),
         )
         self._current = np.zeros(int(initial_capacity), dtype=np.int64)
         self._n_slots = 0  # slots ever handed out (high-water mark)
         self._free = np.empty(0, dtype=np.int64)
         self._n_free = 0
-        self._live = np.empty(0, dtype=np.int64)  # live row ids, ascending
+        # Live row ids, ascending: the first _n_live entries of a buffer
+        # appended to in place and *replaced* by kill(), so views stay valid.
+        self._live = np.empty(0, dtype=np.int64)
+        self._n_live = 0
         # Per-row columns, creation order.  _where >= 0 is the live slot;
         # a finished row holds ~offset of its first cell in the archive.
         self._birth = np.zeros(0, dtype=np.int64)
@@ -102,11 +129,17 @@ class TrajectoryStore:
         self._n_archived_cells = 0
 
     def __getstate__(self) -> dict:
-        # Checkpoints carry the archive trimmed to what was written.
+        # Checkpoints carry the archive and live list trimmed to what is used.
         state = dict(self.__dict__)
         if self._chunks:
             state["_chunks"] = self._chunks[:-1] + [self._chunks[-1][: self._tail]]
+        state["_live"] = self.live_rows()
+        del state["_n_live"]
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._n_live = self._live.size
 
     # ------------------------------------------------------------------ #
     # sizes / row sets
@@ -121,16 +154,16 @@ class TrajectoryStore:
 
     @property
     def n_live(self) -> int:
-        return int(self._live.size)
+        return self._n_live
 
     @property
     def n_archived(self) -> int:
         """Finished streams, whose cells live in the archive."""
-        return self._n - int(self._live.size)
+        return self._n - self._n_live
 
     def live_rows(self) -> np.ndarray:
         """Row ids of live streams, in creation order (do not mutate)."""
-        return self._live
+        return self._live[: self._n_live]
 
     def alive_mask(self) -> np.ndarray:
         """Boolean liveness over all created rows."""
@@ -160,10 +193,16 @@ class TrajectoryStore:
 
     def _resize_block(self, n_slots: int, width: int) -> None:
         """Reallocate the live block; copies the slots in use only."""
-        grown = np.full((n_slots, width), ABSENT, dtype=np.int32)
+        grown = np.full((n_slots, width), ABSENT, dtype=self._block.dtype)
         used = self._block[: self._n_slots]
         grown[: self._n_slots, : used.shape[1]] = used
         self._block = grown
+
+    def _block_cells(self, slots: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """The written cells of the given live slots, concatenated."""
+        return self._block.reshape(-1).take(
+            _ranges(slots * self._block.shape[1], lengths)
+        )
 
     def _live_slots(self, rows: np.ndarray, doing: str) -> np.ndarray:
         slots = self._where[rows]
@@ -178,7 +217,7 @@ class TrajectoryStore:
                 self._chunks[:-1] + [self._chunks[-1][: self._tail]]
             )
             self._chunks, self._tail = [merged], merged.size
-        return self._chunks[0] if self._chunks else np.empty(0, dtype=np.int32)
+        return self._chunks[0] if self._chunks else self._block[:0, 0]
 
     def _archive_cells(self, cells: np.ndarray) -> None:
         """Append ``cells`` to the log, opening new chunks as needed."""
@@ -187,7 +226,7 @@ class TrajectoryStore:
             if not self._chunks or self._tail == self._chunks[-1].size:
                 size = min(max(self._n_archived_cells, _MIN_CHUNK), _MAX_CHUNK)
                 self._chunks.append(
-                    np.empty(max(size, cells.size - done), dtype=np.int32)
+                    np.empty(max(size, cells.size - done), dtype=self._block.dtype)
                 )
                 self._tail = 0
             chunk = self._chunks[-1]
@@ -217,7 +256,9 @@ class TrajectoryStore:
         self._birth[rows] = int(t)
         self._length[rows] = 1
         self._where[rows] = slots
-        self._live = np.concatenate([self._live, rows])
+        self._live = reserve(self._live, self._n_live, self._n_live + count)
+        self._live[self._n_live : self._n_live + count] = rows
+        self._n_live += count
         self._n = need
         return rows
 
@@ -256,16 +297,24 @@ class TrajectoryStore:
         slots return to the free stack.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        rows = np.unique(rows[self._where[rows] >= 0])
+        slots = self._where[rows]
+        # The synthesizer hands over ascending distinct live rows; anything
+        # else (repeats, finished rows, any order) is normalised first.
+        if (slots < 0).any() or (rows[1:] <= rows[:-1]).any():
+            rows = np.unique(rows[slots >= 0])
+            slots = self._where[rows]
         if rows.size == 0:
             return
-        slots = self._where[rows]
         lengths = self._length[rows]
-        block = self._block[slots, : int(lengths.max())]
         starts = self._n_archived_cells + np.cumsum(lengths) - lengths
-        self._archive_cells(block[np.arange(block.shape[1]) < lengths[:, None]])
+        self._archive_cells(self._block_cells(slots, lengths))
         self._where[rows] = ~starts
-        self._live = self._live[self._where[self._live] >= 0]
+        live = self.live_rows()
+        keep = np.ones(live.size, dtype=bool)
+        keep[np.searchsorted(live, rows)] = False
+        self._n_live -= int(rows.size)
+        self._live = np.empty_like(self._live)
+        self._live[: self._n_live] = live[keep]
         self._free = reserve(self._free, self._n_free, self._n_free + slots.size)
         self._free[self._n_free : self._n_free + slots.size] = slots
         self._n_free += int(slots.size)
@@ -307,11 +356,9 @@ class TrajectoryStore:
             out = np.empty(int(lengths.sum()), dtype=np.int64)
             dest = np.cumsum(lengths) - lengths
             if live.any():
-                n_live = lengths[live]
-                block = self._block[where[live], : int(n_live.max())]
-                out[_ranges(dest[live], n_live)] = block[
-                    np.arange(block.shape[1]) < n_live[:, None]
-                ]
+                out[_ranges(dest[live], lengths[live])] = self._block_cells(
+                    where[live], lengths[live]
+                )
             if not live.all():
                 done = ~live
                 out[_ranges(dest[done], lengths[done])] = self._archive()[

@@ -5,14 +5,28 @@ object-based synthesizer: identical invariants, statistically identical
 generative distribution, materially faster on large populations.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.fast_synthesis import COMPILE_MODES, VectorizedSynthesizer, _CompiledModel
+import repro.core.fast_synthesis as fs
+from repro.core.fast_synthesis import (
+    COMPILE_MODES,
+    SYNTHESIS_EXECUTORS,
+    VectorizedSynthesizer,
+    _CompiledModel,
+    _draw_slab,
+    _inverse_cdf,
+)
 from repro.core.mobility_model import GlobalMobilityModel
 from repro.core.retrasyn import RetraSyn, RetraSynConfig
 from repro.core.synthesis import Synthesizer
 from repro.exceptions import ConfigurationError
+from repro.geo.grid import unit_grid
+from repro.stream.state_space import TransitionStateSpace
 
 from tests.core.test_synthesis import deterministic_model
 
@@ -84,7 +98,7 @@ class TestInterfaceParity:
 
 def _compiled_equal(a, b):
     np.testing.assert_array_equal(np.asarray(a.dest), np.asarray(b.dest))
-    np.testing.assert_allclose(a.cum_probs, b.cum_probs, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(a.cum_t, b.cum_t, rtol=0, atol=1e-12)
     np.testing.assert_allclose(a.quit_raw, b.quit_raw, rtol=0, atol=1e-12)
     assert a.version == b.version
 
@@ -147,20 +161,123 @@ class TestCompiledModel:
         _compiled_equal(compiled, _CompiledModel(model))
 
 
+def _row_gather_inverse_cdf(cum_probs, cells, draws):
+    """The formulation ``_inverse_cdf`` replaced: gather rows, compare, reduce."""
+    return (draws[:, None] > cum_probs[cells]).sum(axis=1)
+
+
+def _draws_on_cdf_entries(rng, cum_probs, cells):
+    """Uniform draws, about half of them *exactly* a CDF entry of their row."""
+    draws = rng.random(cells.size)
+    entries = cum_probs[cells, rng.integers(0, cum_probs.shape[1], size=cells.size)]
+    on_entry = (rng.random(cells.size) < 0.5) & (entries < 1.0)
+    return np.where(on_entry, entries, draws)
+
+
+class TestInverseCdf:
+    """Column-wise ``_inverse_cdf`` ≡ the row-gather lookup, draw for draw."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(COMPILE_MODES),
+        st.sampled_from((1, 2, 4)),  # k=1: one cell, one destination, width 1
+        st.sampled_from((0, 1, 7, 300)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_row_gather_on_compiled_models(self, seed, mode, k, n):
+        rng = np.random.default_rng(seed)
+        space = TransitionStateSpace(unit_grid(k))
+        model = GlobalMobilityModel(space)
+        f = rng.normal(0.3, 1.0, size=space.size)
+        f[space.out_move_indices(0)] = 0.0  # a massless row: uniform fallback
+        model.set_all(f)
+        if mode == "full-loop":
+            compiled = _CompiledModel.reference(model)
+        else:
+            compiled = _CompiledModel(model)
+            model.update_selected(
+                rng.choice(space.size, size=space.size // 2, replace=False),
+                rng.normal(0.3, 1.0, size=space.size),
+            )
+            compiled.update(model, mode)
+        assert compiled.cum_t.flags.c_contiguous
+        assert compiled.cum_t.shape == compiled.dest.shape[::-1]
+        cells = rng.integers(0, space.n_cells, size=n)
+        draws = _draws_on_cdf_entries(rng, compiled.cum_t.T, cells)
+        index = _inverse_cdf(compiled.cum_t, cells, draws)
+        assert index.dtype == np.int64
+        np.testing.assert_array_equal(
+            index, _row_gather_inverse_cdf(compiled.cum_t.T, cells, draws)
+        )
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_row_gather_on_padded_rows_of_every_degree(self, seed, width):
+        rng = np.random.default_rng(seed)
+        n_rows = 12
+        degrees = rng.integers(1, width + 1, size=n_rows)
+        degrees[0] = 1  # a degree-1 row, padded to the full width
+        probs = rng.random((n_rows, width)) * (np.arange(width) < degrees[:, None])
+        cum = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+        cum[np.arange(width) >= degrees[:, None] - 1] = 1.0
+        cells = rng.integers(0, n_rows, size=200)
+        draws = _draws_on_cdf_entries(rng, cum, cells)
+        index = _inverse_cdf(np.ascontiguousarray(cum.T), cells, draws)
+        np.testing.assert_array_equal(
+            index, _row_gather_inverse_cdf(cum, cells, draws)
+        )
+        assert (index < degrees[cells]).all()  # never lands on padding
+
+    def test_empty_stay_set_draws_quits_only(self, space4):
+        """Everyone quits: no move vector is drawn, no cell comes back."""
+        model = GlobalMobilityModel(space4)
+        model.set_all(np.random.default_rng(0).random(space4.size))
+        compiled = _CompiledModel(model)
+        cells = np.arange(10) % space4.n_cells
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        quit_mask, new_cells = _draw_slab(
+            1.0, np.full(10, 10**6), cells, compiled.cum_t, compiled.dest,
+            np.ones(space4.n_cells), rng,
+        )
+        assert quit_mask.all() and new_cells.size == 0
+        twin.random(10)
+        assert rng.random() == twin.random()
+
+
+class TestExecutors:
+    """Thread and process slab executors: one draw sequence, same streams."""
+
+    @pytest.mark.parametrize("mode", COMPILE_MODES)
+    def test_thread_and_process_bit_identical(self, space4, mode):
+        with mock.patch.object(fs, "_MIN_STREAMS_PER_SHARD", 1):  # pools engage
+            runs = {
+                executor: TestCompileModes()._run(
+                    space4, mode, seed=4,
+                    synthesis_shards=2, synthesis_executor=executor,
+                )
+                for executor in SYNTHESIS_EXECUTORS
+            }
+        assert runs["thread"] == runs["process"]
+
+
 class TestCompileModes:
     """All compile modes must yield bit-identical synthetic streams."""
 
-    def _run(self, space, mode, seed=0):
+    def _run(self, space, mode, seed=0, **engine):
         rng = np.random.default_rng(11)
         model = GlobalMobilityModel(space)
         model.set_all(rng.random(space.size))
-        syn = VectorizedSynthesizer(model, lam=8.0, rng=seed, compile_mode=mode)
+        syn = VectorizedSynthesizer(
+            model, lam=8.0, rng=seed, compile_mode=mode, **engine
+        )
         syn.spawn_from_entering(0, 200)
         for t in range(1, 10):
             # Mutate the model mid-run the way DMU rounds do.
             idx = rng.choice(space.size, size=space.size // 4, replace=False)
             model.update_selected(idx, rng.random(space.size))
             syn.step(t, target_size=200 - 5 * t)
+        assert (syn._pool is not None) == (syn.synthesis_shards > 1)
+        syn.close()
         return [(tr.start_time, tr.cells, tr.terminated) for tr in syn.all_trajectories()]
 
     def test_all_modes_bit_identical(self, space4):

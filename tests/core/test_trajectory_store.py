@@ -240,12 +240,32 @@ def _pick(rnd, live, k_max):
     return rnd.sample(live, rnd.randint(0, min(k_max, len(live))))
 
 
-@given(_steps, st.integers(1, 4), st.integers(1, 3))
+#: Declared cell count -> the store's cell dtype (None: not declared).
+_CELL_DTYPES = {
+    None: np.int32, 127: np.int8, 128: np.int16, 32767: np.int16, 32768: np.int32
+}
+
+
+def _assert_cell_storage(store, dtype):
+    """Block and archive hold ``dtype``; ABSENT pads, and only pads."""
+    assert store._block.dtype == dtype
+    assert all(chunk.dtype == dtype for chunk in store._chunks)
+    live = store.live_rows()
+    written = np.arange(store._block.shape[1]) < store.lengths_of(live)[:, None]
+    assert (store._block[store._where[live]][written] >= 0).all()
+    assert (store._block[store._n_slots:] == store_module.ABSENT).all()
+
+
+@given(
+    _steps, st.integers(1, 4), st.integers(1, 3), st.sampled_from(list(_CELL_DTYPES))
+)
 @settings(max_examples=120, deadline=None)
-def test_store_matches_list_of_lists_oracle(steps, capacity, horizon):
+def test_store_matches_list_of_lists_oracle(steps, capacity, horizon, n_cells):
     import random
 
-    store = TrajectoryStore(initial_capacity=capacity, initial_horizon=horizon)
+    store = TrajectoryStore(
+        initial_capacity=capacity, initial_horizon=horizon, n_cells=n_cells
+    )
     births: list[int] = []
     streams: list[list[int]] = []
     alive: list[bool] = []
@@ -288,6 +308,7 @@ def test_store_matches_list_of_lists_oracle(steps, capacity, horizon):
         assert store.last_cells(np.asarray(everyone, dtype=np.int64)).tolist() == [
             s[-1] for s in streams
         ]
+        _assert_cell_storage(store, _CELL_DTYPES[n_cells])
     # Read surfaces over the final state, in a scrambled row order too.
     rnd = random.Random(len(steps))
     order = rnd.sample(everyone, len(everyone)) if streams else []
@@ -317,9 +338,47 @@ def test_store_matches_list_of_lists_oracle(steps, capacity, horizon):
     np.testing.assert_array_equal(
         store.counts_matrix(horizon_t // 2, _N_CELLS), expected[: horizon_t // 2]
     )
+    # Accessors hand out int64 whatever the storage dtype.
+    everyone = np.asarray(everyone, dtype=np.int64)
+    for cells in (
+        store.flat_cells(rows), store.cells_at(1), store.last_cells(everyone),
+        store.counts_matrix(horizon_t, _N_CELLS),
+    ):
+        assert cells.dtype == np.int64
     clone = pickle.loads(pickle.dumps(store))
     assert clone.flat_cells(rows).tolist() == store.flat_cells(rows).tolist()
     assert clone.live_rows().tolist() == live
+    _assert_cell_storage(clone, _CELL_DTYPES[n_cells])
+    # A restored store keeps appending, in the dtype it was written with.
+    fresh = clone.append_streams(horizon_t, [3])
+    clone.append_cells(fresh, [4])
+    clone.kill(fresh)
+    assert clone.view(int(fresh[0])).cells == [3, 4]
+    assert clone.live_rows().tolist() == live
+    _assert_cell_storage(clone, _CELL_DTYPES[n_cells])
+
+
+@pytest.mark.parametrize("n_cells", [127, 128, 32767, 32768])
+def test_largest_cell_id_survives_every_dtype_boundary(n_cells):
+    """``n_cells - 1`` must read back unwrapped from block and archive."""
+    top = n_cells - 1
+    store = TrajectoryStore(initial_capacity=2, initial_horizon=1, n_cells=n_cells)
+    rows = store.append_streams(0, [top, 0, top])  # grows the slot axis
+    store.append_cells(rows, [0, top, top])  # grows the width axis
+    store.append_cells(rows[:2], [top, top])
+    store.kill(rows[1:2])  # one stream in the archive, two in the block
+    _assert_cell_storage(store, _CELL_DTYPES[n_cells])
+    assert store.flat_cells(rows).tolist() == [top, 0, top, 0, top, top, top, top]
+    assert [store.view(r).cells for r in rows] == [
+        [top, 0, top], [0, top, top], [top, top]
+    ]
+    assert store.last_cells(rows).tolist() == [top, top, top]
+    assert store.cells_at(1).tolist() == [0, top, top]
+    assert store.counts_by_cell(2, n_cells)[top] == 2
+    counts = store.counts_matrix(3, n_cells)
+    assert counts.dtype == np.int64 and counts[:, top].tolist() == [2, 2, 2]
+    store.pop_last(rows[:1])
+    assert store.last_cells(rows[:1]).tolist() == [0]
 
 
 class TestLiveBlockAndArchive:

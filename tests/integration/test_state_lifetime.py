@@ -10,6 +10,8 @@ two compactions resumes bit for bit, and the session reports its planes.
 
 from __future__ import annotations
 
+import copyreg
+import pickle
 import time
 from unittest import mock
 
@@ -20,6 +22,9 @@ from hypothesis import strategies as st
 
 from repro.api.session import create_session, load_session
 from repro.api.specs import SessionSpec
+from repro.core import persistence
+from repro.core.fast_synthesis import VectorizedSynthesizer, _CompiledModel
+from repro.core.trajectory_store import TrajectoryStore
 from repro.geo.grid import unit_grid
 from repro.ldp.accountant import PrivacyAccountant
 from repro.stream import slots as slots_module
@@ -117,7 +122,7 @@ def _live_state_bytes(curator) -> int:
         total += tracker._hist_n * 16
     total += sum(_table_bytes(table) for table in tables.values())
     store = curator.synthesizer.store
-    return total + store._n_slots * (store._block.shape[1] * 4 + 8) + store.n_live * 8
+    return total + store._n_slots * (store._block[0].nbytes + 8) + store.n_live * 8
 
 
 @pytest.mark.parametrize("division", ["population", "budget"])
@@ -165,12 +170,12 @@ def test_state_stays_bounded_over_forty_windows(churn_stream, division, n_shards
 # ---------------------------------------------------------------------- #
 # checkpoints: cut between two compactions, resume bit for bit
 # ---------------------------------------------------------------------- #
-@pytest.mark.parametrize(
-    "n_shards, executor", [(1, "serial"), (2, "distributed")]
-)
-def test_resume_between_two_compactions_is_bitwise(
-    churn_stream, tmp_path, n_shards, executor
-):
+def _resume_at_cut(churn_stream, tmp_path, n_shards, executor, rewrite=None):
+    """Run whole vs. checkpoint-at-cut-and-resume; assert them bit-identical.
+
+    ``rewrite(path)`` may re-encode the checkpoint file before it is
+    loaded.  Returns the resumed session's trajectory store.
+    """
     w, cut, horizon = 3, 20, 44
 
     def fresh():
@@ -193,6 +198,8 @@ def test_resume_between_two_compactions_is_bitwise(
     path = tmp_path / "cut.ckpt"
     first.checkpoint(str(path))
     first.close()
+    if rewrite is not None:
+        rewrite(path)
     resumed = load_session(str(path))
     tail = _drive(resumed, stream, range(cut, horizon))
     stats = resumed.stats()
@@ -214,6 +221,68 @@ def test_resume_between_two_compactions_is_bitwise(
     assert store.n_total == ref_store.n_total
     np.testing.assert_array_equal(store.flat_cells(rows), ref_store.flat_cells(rows))
     np.testing.assert_array_equal(store.births_of(rows), ref_store.births_of(rows))
+    return store
+
+
+_RESUME_SHAPES = pytest.mark.parametrize(
+    "n_shards, executor", [(1, "serial"), (2, "distributed")]
+)
+
+
+@_RESUME_SHAPES
+def test_resume_between_two_compactions_is_bitwise(
+    churn_stream, tmp_path, n_shards, executor
+):
+    store = _resume_at_cut(churn_stream, tmp_path, n_shards, executor)
+    assert store._block.dtype == np.int8  # 16 cells: one byte per point
+
+
+def _as_the_previous_commit_wrote_it(path):
+    """Re-encode a checkpoint in the attribute layout of the commit before
+    compact cell storage: an ``int32`` block and archive, an exact-size
+    live list, and a pickled compiled model holding a row-major CDF."""
+
+    def store_state(store):
+        state = store.__getstate__()
+        state["_block"] = state["_block"].astype(np.int32)
+        state["_chunks"] = [chunk.astype(np.int32) for chunk in state["_chunks"]]
+        return state
+
+    def synthesizer_state(synthesizer):
+        state = synthesizer.__getstate__()
+        compiled = _CompiledModel(synthesizer.model)
+        layout = vars(compiled)
+        layout["cum_probs"] = np.ascontiguousarray(layout.pop("cum_t").T)
+        state["_compiled"] = compiled
+        return state
+
+    states = {TrajectoryStore: store_state, VectorizedSynthesizer: synthesizer_state}
+
+    class Pickler(pickle.Pickler):
+        def reducer_override(self, obj):
+            if type(obj) in states:
+                return copyreg.__newobj__, (type(obj),), states[type(obj)](obj)
+            return NotImplemented
+
+    with open(path, "rb") as fh:
+        payload = pickle.load(fh)
+    with open(path, "wb") as fh:
+        Pickler(fh, protocol=pickle.HIGHEST_PROTOCOL).dump(payload)
+
+
+@_RESUME_SHAPES
+def test_checkpoint_in_the_previous_layout_resumes_bitwise(
+    churn_stream, tmp_path, n_shards, executor
+):
+    """No format bump: a v4 file written before this layout still loads,
+    resumes bit for bit, and keeps appending in the dtype it carries."""
+    assert persistence._CHECKPOINT_FORMAT_VERSION == 4
+    store = _resume_at_cut(
+        churn_stream, tmp_path, n_shards, executor,
+        rewrite=_as_the_previous_commit_wrote_it,
+    )
+    assert store._block.dtype == np.int32
+    assert store._chunks and all(c.dtype == np.int32 for c in store._chunks)
 
 
 # ---------------------------------------------------------------------- #

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import PrivacyBudgetError
+from repro.ldp import accountant as accountant_module
 from repro.ldp.accountant import ColumnarPrivacyAccountant, PrivacyAccountant
 from repro.stream import slots as slots_module
 
@@ -142,3 +143,73 @@ def test_refused_batch_keeps_its_prefix_and_the_running_maximum():
     assert ledger.window_spend(3, 1) == 0.75  # after it: not recorded
     assert ledger.max_window_spend() == 0.75
     assert ledger.verify()
+
+
+# ---------------------------------------------------------------------- #
+# window totals: the dense and the sparse route, to the bit
+# ---------------------------------------------------------------------- #
+#: Spends whose sums round: only one accumulation order gives these bits.
+ROUNDING_SPENDS = (0.1, 0.07, 0.013)
+
+#: ``_DENSE_BATCH_SHARE`` values that force a route, beside the real switch.
+_ROUTES = {
+    "dense": 10**9, "sparse": 0, "switch": accountant_module._DENSE_BATCH_SHARE
+}
+
+
+def _routed(route, call, *args):
+    with mock.patch.object(accountant_module, "_DENSE_BATCH_SHARE", _ROUTES[route]):
+        return call(*args)
+
+
+def _ring_order_totals(ledger, uids, t):
+    """Scalar reference: add the in-window ring columns, column 0 first."""
+    out = []
+    for slot in ledger._slots.lookup(uids).tolist():
+        total = 0.0
+        for column, held in zip(ledger._ring.data, ledger._col_t.tolist()):
+            if slot >= 0 and t - ledger.w < held <= t:
+                total += float(column[slot])
+        out.append(total)
+    return np.asarray(out)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 20),
+    st.booleans(),
+    st.sampled_from((1, 2, 7, 8, 9, 64)),
+)
+@settings(max_examples=60, deadline=None)
+def test_dense_and_sparse_window_totals_are_bit_identical(seed, w, strict, ratio):
+    """Same spends, refusals, violations and totals whichever route sums them.
+
+    Batches run from one spender in 64 to the whole table (the switch sits
+    at one in 8), repeat uids, and are queried at the frontier and ahead
+    of it, where the columns that left the window are masked out.
+    """
+    rng = np.random.default_rng(seed)
+    n = 64
+    ledgers = {
+        route: ColumnarPrivacyAccountant(0.5, w, strict=strict) for route in _ROUTES
+    }
+    for ledger in ledgers.values():
+        ledger.spend_many(np.arange(n), 0, 0.001)  # the table: n resident rows
+    t = 0
+    for _ in range(2 * w + 3):
+        t += int(rng.choice((0, 1, 1, 1, 2, w + 1)))
+        uids = rng.integers(0, n, size=max(1, n // ratio))  # repeats happen
+        eps = float(rng.choice(ROUNDING_SPENDS))
+        refusals = {
+            route: _routed(route, _spend, ledger, uids, t, eps)
+            for route, ledger in ledgers.items()
+        }
+        assert refusals["dense"] == refusals["sparse"] == refusals["switch"]
+        probe = rng.integers(0, n + 2, size=max(1, n // ratio))  # two unknown
+        for route, ledger in ledgers.items():
+            assert ledger.violations == ledgers["dense"].violations
+            assert ledger.max_window_spend() == ledgers["dense"].max_window_spend()
+            for at in (t, t + 1, t + w - 1, t + w):
+                got = _routed(route, ledger.window_spend_many, probe, at)
+                expected = _ring_order_totals(ledger, probe, at)
+                assert got.tobytes() == expected.tobytes(), (route, at)
