@@ -169,7 +169,7 @@ def test_columnar_report_plane_speedup(benchmark, quick_mode, save_artifact):
 
     def build_curator():
         cfg = RetraSynConfig(
-            epsilon=1.0, w=10, n_shards=2, shard_executor="process",
+            epsilon=1.0, w=10, n_shards=2, shard_executor="distributed",
             engine="vectorized", seed=0, track_privacy=False,
         )
         return ShardedOnlineRetraSyn(grid, cfg, lam=10.0)
@@ -236,7 +236,7 @@ def test_columnar_report_plane_speedup(benchmark, quick_mode, save_artifact):
     save_artifact(
         "columnar_report_plane",
         f"Columnar report plane vs object path "
-        f"(n={n_users}, {n_rounds} rounds, K=2 persistent process pool)\n"
+        f"(n={n_users}, {n_rounds} rounds, K=2 distributed shard workers)\n"
         f"  object:   {out['object_s']:.3f} s   "
         f"({out['n_reporters']} reports collected)\n"
         f"  columnar: {out['columnar_s']:.3f} s\n"

@@ -8,8 +8,8 @@ engines:
   timestamp (the literal protocol, minus the per-user Python loop);
 * ``RetraSynConfig(n_shards=K)`` hash-partitions users across K independent
   collection shards whose aggregated counts merge before the global
-  mobility model is built — ``shard_executor="process"`` runs each shard
-  in its own worker process;
+  mobility model is built — ``shard_executor="distributed"`` runs each
+  shard in its own worker process;
 * ``engine="vectorized"`` with ``compile_mode="incremental"`` runs the
   columnar synthesis plane: DMU-dirtied model rows recompile in place and
   streams live in the struct-of-arrays ``TrajectoryStore``
@@ -39,8 +39,8 @@ def main() -> None:
         ("exact (batched)", dict(oracle_mode="exact")),
         ("exact + 4 shards", dict(oracle_mode="exact", n_shards=4)),
         (
-            "exact + 4 shards, process exec",
-            dict(oracle_mode="exact", n_shards=4, shard_executor="process"),
+            "exact + 4 shards, distributed",
+            dict(oracle_mode="exact", n_shards=4, shard_executor="distributed"),
         ),
         (
             "exact + incremental synthesis",

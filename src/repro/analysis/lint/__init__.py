@@ -1,7 +1,7 @@
 """`repro lint`: invariant-checking static analysis for this repository.
 
 Every scaling PR rests on contracts that are otherwise only checked
-*dynamically* — bit-identical RNG draw order across the serial / process /
+*dynamically* — bit-identical RNG draw order across the serial and
 distributed executors, pickle-safe checkpoint state, wire-schema and
 spec↔CLI consistency.  A violation is caught (if at all) by an expensive
 differential test long after the offending line was written.  This package

@@ -1,6 +1,6 @@
 """Determinism rules: RNG discipline, wall-clock reads, set iteration.
 
-The reproduction's core guarantee — serial ≡ process ≡ distributed
+The reproduction's core guarantee — the serial and distributed
 executors produce *bit-identical* streams — holds only because every
 random draw flows through an injected, seeded
 :class:`numpy.random.Generator` in a pinned order.  These rules make the
@@ -134,7 +134,7 @@ class WallClockRule(Rule):
     severity = "warning"
     description = (
         "no time.time()/perf_counter()/datetime.now() in the "
-        "deterministic planes outside the obs/bench allowlist"
+        "deterministic planes (core/, ldp/, stream/)"
     )
 
     def visit_module(self, module: Module) -> Iterable[Finding]:

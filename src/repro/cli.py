@@ -141,75 +141,6 @@ def _add_serve_parser(sub) -> None:
     p.add_argument("--no-audit", action="store_true")
 
 
-def _add_bench_parser(sub) -> None:
-    p = sub.add_parser(
-        "bench",
-        help="end-to-end load benchmarks (machine-readable artifacts)",
-    )
-    inner = p.add_subparsers(dest="bench_cmd", required=True)
-    serve = inner.add_parser(
-        "serve",
-        help="saturating load harness over the serve/HTTP ingress: "
-             "replays a synthetic population against every boundary "
-             "(in-process, HTTP v1/v2, subprocess) and writes "
-             "BENCH_serve.json",
-    )
-    serve.add_argument("--users", type=int, default=100_000,
-                       help="synthetic population size (reports per round)")
-    serve.add_argument("--horizon", type=int, default=8,
-                       help="timestamps replayed (enter + moves + quit)")
-    serve.add_argument("--k", type=int, default=6, help="grid granularity")
-    serve.add_argument("--epsilon", type=float, default=1.0)
-    serve.add_argument("--w", type=int, default=10)
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--pipeline", type=int, default=4,
-                       help="timestamps per pipelined request (binary frames)")
-    serve.add_argument("--ingest-consumers", type=int, default=1)
-    serve.add_argument("--modes", default="inproc,http,subprocess",
-                       help="comma-separated subset of inproc,http,subprocess")
-    serve.add_argument("--quick", action="store_true",
-                       help="CI smoke scale: caps users/horizon "
-                            "(small populations, no speedup gate)")
-    serve.add_argument("--out", default="BENCH_serve.json",
-                       help="artifact path (JSON)")
-    serve.add_argument("--profile", default=None, metavar="PATH",
-                       help="profile the benchmark under cProfile: pstats "
-                            "dump at PATH plus a top-20 cumulative text "
-                            "summary at PATH.txt")
-
-    dist = inner.add_parser(
-        "distributed",
-        help="collection-round throughput of the shard executors "
-             "(serial / in-process pool / socket-framed worker "
-             "processes) plus thread-vs-process synthesis scaling; "
-             "writes BENCH_distributed.json",
-    )
-    dist.add_argument("--users", type=int, default=100_000,
-                      help="synthetic population size (reports per round)")
-    dist.add_argument("--horizon", type=int, default=8,
-                      help="timestamps replayed (enter + moves + quit)")
-    dist.add_argument("--k", type=int, default=6, help="grid granularity")
-    dist.add_argument("--epsilon", type=float, default=1.0)
-    dist.add_argument("--w", type=int, default=10)
-    dist.add_argument("--seed", type=int, default=0)
-    dist.add_argument("--shards", default="1,4",
-                      help="comma-separated shard counts to sweep")
-    dist.add_argument("--synthesis-shards", type=int, default=4,
-                      help="slab count for the synthesis executor sweep")
-    dist.add_argument("--round-batches", default="1,4,8",
-                      help="comma-separated pipelining depths swept by the "
-                           "fused-round benchmark (1 always included)")
-    dist.add_argument("--quick", action="store_true",
-                      help="CI smoke scale: caps users/horizon "
-                           "(speedup gate becomes report-only)")
-    dist.add_argument("--out", default="BENCH_distributed.json",
-                      help="artifact path (JSON)")
-    dist.add_argument("--profile", default=None, metavar="PATH",
-                      help="profile the benchmark under cProfile: pstats "
-                           "dump at PATH plus a top-20 cumulative text "
-                           "summary at PATH.txt")
-
-
 def _add_evaluate_parser(sub) -> None:
     p = sub.add_parser("evaluate", help="score a synthetic DB against the real one")
     p.add_argument("real", help="real dataset .npz")
@@ -263,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_datasets_parser(sub)
     _add_run_parser(sub)
     _add_serve_parser(sub)
-    _add_bench_parser(sub)
     _add_evaluate_parser(sub)
     _add_experiment_parser(sub)
     _add_plan_parser(sub)
@@ -429,106 +359,6 @@ def _audit_exit_code(run) -> int:
     return 0
 
 
-def _profiled(profile_path, fn, /, *fn_args, **fn_kwargs):
-    """Run ``fn`` (optionally) under cProfile.
-
-    With a path: dumps the raw pstats file there and writes a top-20
-    cumulative-time text summary next to it (``PATH.txt``), so the
-    benchmark artifact always travels with a readable hot-spot digest.
-    """
-    if not profile_path:
-        return fn(*fn_args, **fn_kwargs)
-    import cProfile
-    import io
-    import pstats
-    from pathlib import Path
-
-    profiler = cProfile.Profile()
-    try:
-        return profiler.runcall(fn, *fn_args, **fn_kwargs)
-    finally:
-        out = Path(profile_path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        profiler.dump_stats(out)
-        text = io.StringIO()
-        stats = pstats.Stats(profiler, stream=text)
-        stats.sort_stats("cumulative").print_stats(20)
-        out.with_name(out.name + ".txt").write_text(text.getvalue())
-        print(f"wrote profile {out} (+ {out.name}.txt)")
-
-
-def _cmd_bench(args) -> int:
-    import json
-    from pathlib import Path
-
-    if args.bench_cmd == "distributed":
-        from repro.bench.distributed import (
-            format_bench_distributed,
-            run_bench_distributed,
-        )
-
-        shard_counts = tuple(
-            int(s) for s in args.shards.split(",") if s.strip()
-        )
-        round_batches = tuple(
-            int(d) for d in args.round_batches.split(",") if d.strip()
-        )
-        payload = _profiled(
-            args.profile,
-            run_bench_distributed,
-            n_users=args.users,
-            horizon=args.horizon,
-            k=args.k,
-            epsilon=args.epsilon,
-            w=args.w,
-            seed=args.seed,
-            shard_counts=shard_counts,
-            synthesis_shards=args.synthesis_shards,
-            round_batches=round_batches,
-            quick=args.quick,
-        )
-        formatted = format_bench_distributed(payload)
-        # Bit-identity is a hard gate everywhere; the speedup gates only
-        # bind when the payload says they were enforced (multi-core, full
-        # scale) — single-core CI records the ratios without failing.
-        ok = (
-            payload["bit_identical"]
-            and payload["synthesis"]["bit_identical"]
-            and payload["pipeline"]["bit_identical"]
-        )
-        if payload["gate"]["enforced"]:
-            ok = ok and payload["gate"]["passed"]
-        if payload["pipeline"]["gate"]["enforced"]:
-            ok = ok and payload["pipeline"]["gate"]["passed"]
-    else:
-        from repro.bench.load import format_bench_serve, run_bench_serve
-
-        modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
-        payload = _profiled(
-            args.profile,
-            run_bench_serve,
-            n_users=args.users,
-            horizon=args.horizon,
-            k=args.k,
-            epsilon=args.epsilon,
-            w=args.w,
-            seed=args.seed,
-            pipeline=args.pipeline,
-            ingest_consumers=args.ingest_consumers,
-            modes=modes,
-            quick=args.quick,
-        )
-        formatted = format_bench_serve(payload)
-        ok = payload["remote_bit_identical"]
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    for line in formatted:
-        print(line)
-    print(f"wrote {out}")
-    return 0 if ok else 1
-
-
 def _cmd_evaluate(args) -> int:
     real = load_stream_dataset(args.real)
     syn = load_stream_dataset(args.synthetic)
@@ -609,7 +439,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "datasets": _cmd_datasets,
         "run": _cmd_run,
         "serve": _cmd_serve,
-        "bench": _cmd_bench,
         "evaluate": _cmd_evaluate,
         "experiment": _cmd_experiment,
         "plan": _cmd_plan,

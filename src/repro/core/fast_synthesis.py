@@ -51,9 +51,6 @@ from repro.rng import RngLike, ensure_rng
 #: Selectable compilation strategies (RetraSynConfig.compile_mode).
 COMPILE_MODES = ("incremental", "full", "full-loop")
 
-#: Selectable slab executors (RetraSynConfig.synthesis_executor).
-SYNTHESIS_EXECUTORS = ("thread", "process")
-
 #: Below this many live streams a shard round trip costs more than it saves.
 _MIN_STREAMS_PER_SHARD = 2048
 
@@ -84,10 +81,10 @@ def _draw_slab(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quit mask and the stayers' next cells for streams now at ``cells``.
 
-    The one draw sequence both executors share — one uniform vector for
-    quits (``lengths`` is ``None`` when termination is disabled), one for
-    moves, the move draw skipped when nothing stays — which is what makes
-    them bit-identical.
+    The one draw sequence the single-threaded path and the thread slabs
+    share — one uniform vector for quits (``lengths`` is ``None`` when
+    termination is disabled), one for moves, the move draw skipped when
+    nothing stays.
     """
     if lengths is None:
         stay_cells = cells
@@ -99,16 +96,6 @@ def _draw_slab(
         return quit_mask, np.empty(0, dtype=np.int64)
     dest_idx = _inverse_cdf(cum_t, stay_cells, rng.random(stay_cells.size))
     return quit_mask, dest.reshape(-1).take(stay_cells * dest.shape[1] + dest_idx)
-
-
-def _advance_slab(args: tuple) -> tuple:
-    """Slab-pool entry point: :func:`_draw_slab`, plus the advanced rng.
-
-    A process worker advances a *copy* of the slab's generator, so the
-    generator travels back with the result and the parent threads it into
-    the next round (on the thread pool it is the same object).
-    """
-    return (*_draw_slab(*args), args[-1])
 
 
 class _CompiledModel:
@@ -241,15 +228,8 @@ class VectorizedSynthesizer:
         Live streams are split into this many slabs, each advanced by its
         own rng and merged by concatenation.  ``1`` (default) keeps the
         single-threaded path, which consumes the main rng exactly like
-        earlier releases.
-    synthesis_executor:
-        Where slabs run: ``"thread"`` (default) on a pool of threads (the
-        heavy numpy kernels release the GIL), ``"process"`` on worker
-        processes — the parent ships each slab's cells and the compiled
-        tables with the slab rng, and threads the returned rng state
-        back, so both executors are bit-identical for a fixed seed and
-        shard count.  Processes pay a per-step shipping cost and win only when
-        slab compute dominates the interpreter's share of the step.
+        earlier releases.  Slabs run on a pool of threads (the heavy
+        numpy kernels release the GIL).
     """
 
     def __init__(
@@ -261,7 +241,6 @@ class VectorizedSynthesizer:
         initial_capacity: int = 1024,
         compile_mode: str = "incremental",
         synthesis_shards: int = 1,
-        synthesis_executor: str = "thread",
     ) -> None:
         if lam <= 0:
             raise ConfigurationError(f"lambda must be positive, got {lam}")
@@ -274,18 +253,12 @@ class VectorizedSynthesizer:
             raise ConfigurationError(
                 f"synthesis_shards must be >= 1, got {synthesis_shards}"
             )
-        if synthesis_executor not in SYNTHESIS_EXECUTORS:
-            raise ConfigurationError(
-                f"synthesis_executor must be one of {SYNTHESIS_EXECUTORS}, "
-                f"got {synthesis_executor!r}"
-            )
         self.model = model
         self.lam = float(lam)
         self.enable_termination = bool(enable_termination)
         self.rng = ensure_rng(rng)
         self.compile_mode = compile_mode
         self.synthesis_shards = int(synthesis_shards)
-        self.synthesis_executor = synthesis_executor
         self.store = TrajectoryStore(
             initial_capacity=max(16, int(initial_capacity)),
             n_cells=model.space.n_cells,
@@ -380,12 +353,7 @@ class VectorizedSynthesizer:
     def _slab_args(
         self, compiled: _CompiledModel, rows: np.ndarray, rng: np.random.Generator
     ) -> tuple:
-        """:func:`_draw_slab` arguments for one slab of live rows.
-
-        Pool workers cannot see the store or the compiled model: they get
-        the slab's current cells and lengths plus the compiled tables
-        (``n_cells × width``, a few KB), never per-stream model rows.
-        """
+        """:func:`_draw_slab` arguments for one slab of live rows."""
         return (
             self.lam,
             self.store.lengths_of(rows) if self.enable_termination else None,
@@ -398,19 +366,12 @@ class VectorizedSynthesizer:
 
     def _executor(self):
         if self._pool is None:
-            if self.synthesis_executor == "process":
-                from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures import ThreadPoolExecutor
 
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.synthesis_shards
-                )
-            else:
-                from concurrent.futures import ThreadPoolExecutor
-
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.synthesis_shards,
-                    thread_name_prefix="synthesis-shard",
-                )
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.synthesis_shards,
+                thread_name_prefix="synthesis-shard",
+            )
         return self._pool
 
     def _generate(self, t: int) -> None:
@@ -427,7 +388,7 @@ class VectorizedSynthesizer:
             # happen here, on one thread.
             futures = [
                 self._executor().submit(
-                    _advance_slab, self._slab_args(compiled, slab, rng)
+                    _draw_slab, *self._slab_args(compiled, slab, rng)
                 )
                 for slab, rng in zip(
                     np.array_split(rows, self.synthesis_shards), self._shard_rngs
@@ -436,7 +397,6 @@ class VectorizedSynthesizer:
             parts = [future.result() for future in futures]
             quit_mask = np.concatenate([part[0] for part in parts])
             new_cells = np.concatenate([part[1] for part in parts])
-            self._shard_rngs = [part[2] for part in parts]
         else:
             rng = self._shard_rngs[0] if self._shard_rngs else self.rng
             quit_mask, new_cells = _draw_slab(*self._slab_args(compiled, rows, rng))

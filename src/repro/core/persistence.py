@@ -167,9 +167,9 @@ def save_checkpoint(curator, path: Union[str, Path], spec=None, keep: int = 1) -
 
     Captures everything :meth:`~repro.core.online.OnlineRetraSyn
     .checkpoint_state` returns, plus the grid / config / λ needed to
-    rebuild the curator object itself.  For the process shard executor the
-    per-shard states are fetched from the worker processes first, so the
-    checkpoint is complete even though the workers hold the trackers.
+    rebuild the curator object itself.  For the distributed shard executor
+    the per-shard states are fetched from the worker processes first, so
+    the checkpoint is complete even though the workers hold the trackers.
 
     ``spec`` is the session's :class:`~repro.api.specs.SessionSpec`; when
     omitted it is lifted from the curator's flat config (losing only the

@@ -13,8 +13,6 @@ synthesizer remain global and unchanged.
 The shard wire format is columnar (:class:`~repro.stream.reports
 .ReportBatch`): partitions travel as numpy index arrays — user ids, encoded
 state indices, kind codes — never as per-user ``TransitionState`` objects.
-For the process executor this is the difference between pickling three flat
-arrays per round and pickling tens of thousands of dataclass instances.
 
 Why this is statistically equivalent to the unsharded curator:
 
@@ -30,14 +28,10 @@ Why this is statistically equivalent to the unsharded curator:
   division) is proposed *globally* from the merged collection feedback, so
   allocation adapts on the same signal as the unsharded engine.
 
-Shard rounds are embarrassingly parallel.  Three executors are provided:
+Shard rounds are embarrassingly parallel.  Two executors are provided:
 
 * ``executor="serial"`` — rounds run in-process, one shard after another
   (no IPC overhead; the default and the reference semantics);
-* ``executor="process"`` — shards live in a persistent
-  :class:`ShardWorkerPool`: one worker process per shard, spawned once and
-  reused for every round, holding the shard's tracker and rng across the
-  whole stream;
 * ``executor="distributed"`` — shards are promoted to services: worker
   processes speaking length-prefixed RSF2 binary frames over local
   sockets (:class:`~repro.core.distributed.ShardSocketPool`), each owning
@@ -46,13 +40,12 @@ Shard rounds are embarrassingly parallel.  Three executors are provided:
   ``accountant`` becomes a merged read-only
   :class:`~repro.core.distributed.DistributedAccountantView`.
 
-All executors draw shard randomness from the same per-shard seeds, so
+Both executors draw shard randomness from the same per-shard seeds, so
 they produce identical output streams for a fixed configuration.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import threading
 import time
 from typing import Optional, Sequence
@@ -67,7 +60,7 @@ from repro.core.online import (
     sample_population_reporters_batch,
     support_mask,
 )
-from repro.exceptions import ConfigurationError, ShardWorkerError
+from repro.exceptions import ConfigurationError
 from repro.geo.grid import Grid
 from repro.ldp.oue import OptimizedUnaryEncoding
 from repro.stream.encoder import UserSideEncoder
@@ -201,129 +194,6 @@ class CollectionShard:
         return ones, uids.tolist(), user_seconds
 
 
-def _shard_worker(conn, grid: Grid, config, seed: int) -> None:
-    """Process-executor loop: build the shard, answer commands until EOF.
-
-    Commands are ``("round", args)``, ``("plane_state", None)`` for the
-    tracker's row counts, ``("get_state", None)`` / ``("set_state", shard)``
-    for checkpoint/resume, and ``None`` to exit.
-    Exceptions are shipped back as ``("err", traceback)`` so the parent can
-    re-raise with shard context instead of dying on a bare ``EOFError``.
-    """
-    import traceback
-
-    shard = CollectionShard(grid, config, seed)
-    while True:
-        msg = conn.recv()
-        if msg is None:
-            conn.close()
-            return
-        cmd, payload = msg
-        try:
-            if cmd == "round":
-                conn.send(("ok", shard.round_batch(*payload)))
-            elif cmd == "plane_state":
-                conn.send(("ok", plane_state(None, shard.tracker)))
-            elif cmd == "get_state":
-                conn.send(("ok", shard))
-            elif cmd == "set_state":
-                shard = payload
-                conn.send(("ok", None))
-            else:
-                conn.send(("err", f"unknown shard command {cmd!r}"))
-        except Exception:
-            conn.send(("err", traceback.format_exc()))
-
-
-class ShardWorkerPool:
-    """Persistent worker processes, one per collection shard.
-
-    Workers are spawned once and reused for every round: shard state
-    (tracker, rng, report phases) never crosses the pipe during normal
-    operation — only the round's columnar index arrays and the returned
-    one-count vectors do.  ``get_states`` / ``set_states`` ship whole
-    :class:`CollectionShard` objects for checkpoint/resume.
-    """
-
-    def __init__(self, grid: Grid, config, seeds: Sequence[int]) -> None:
-        ctx = mp.get_context()
-        self._procs: list = []
-        self._pipes: list = []
-        for seed in seeds:
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_shard_worker,
-                args=(child_conn, grid, config, seed),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            self._pipes.append(parent_conn)
-            self._procs.append(proc)
-
-    def __len__(self) -> int:
-        return len(self._pipes)
-
-    @property
-    def alive(self) -> bool:
-        return bool(self._pipes)
-
-    def _dead(self, k: int, command: str) -> ShardWorkerError:
-        """Typed error for a worker whose pipe broke mid-``command``."""
-        proc = self._procs[k]
-        proc.join(timeout=1.0)
-        return ShardWorkerError(
-            f"collection shard {k} worker died during {command!r} "
-            f"(exitcode {proc.exitcode})"
-        )
-
-    def _call_all(self, command: str, payloads: Sequence) -> list:
-        for k, (pipe, payload) in enumerate(zip(self._pipes, payloads)):
-            try:
-                pipe.send((command, payload))
-            except (BrokenPipeError, OSError) as exc:
-                raise self._dead(k, command) from exc
-        outs = []
-        for k, pipe in enumerate(self._pipes):
-            try:
-                status, payload = pipe.recv()
-            except (EOFError, OSError) as exc:
-                raise self._dead(k, command) from exc
-            if status == "err":
-                raise RuntimeError(
-                    f"collection shard {k} failed ({command}):\n{payload}"
-                )
-            outs.append(payload)
-        return outs
-
-    def run_rounds(self, rounds: Sequence[tuple]) -> list:
-        """One ``round_batch`` per shard; blocks until all K results land."""
-        return self._call_all("round", rounds)
-
-    def plane_states(self) -> list:
-        """Each worker's tracker-plane row counts (see ``plane_state``)."""
-        return self._call_all("plane_state", [None] * len(self._pipes))
-
-    def get_states(self) -> list:
-        return self._call_all("get_state", [None] * len(self._pipes))
-
-    def set_states(self, shards: Sequence) -> None:
-        self._call_all("set_state", shards)
-
-    def close(self) -> None:
-        for pipe in self._pipes:
-            try:
-                pipe.send(None)
-                pipe.close()
-            except (BrokenPipeError, OSError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=5)
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
-        self._pipes, self._procs = [], []
-
-
 class ShardedOnlineRetraSyn(OnlineRetraSyn):
     """Drop-in :class:`OnlineRetraSyn` with a hash-partitioned collector.
 
@@ -355,10 +225,10 @@ class ShardedOnlineRetraSyn(OnlineRetraSyn):
             raise ConfigurationError(
                 f"n_shards must be >= 1, got {self.n_shards}"
             )
-        if self.executor not in ("serial", "process", "distributed"):
+        if self.executor not in ("serial", "distributed"):
             raise ConfigurationError(
-                f"shard executor must be 'serial', 'process' or "
-                f"'distributed', got {self.executor!r}"
+                f"shard executor must be 'serial' or 'distributed', "
+                f"got {self.executor!r}"
             )
         # The parent never tracks users itself — shards own their partitions.
         self._tracker = None
@@ -370,12 +240,7 @@ class ShardedOnlineRetraSyn(OnlineRetraSyn):
         seeds = [
             int(s) for s in self.rng.integers(0, 2**63 - 1, size=self.n_shards)
         ]
-        if self.executor == "process":
-            self._pool: Optional[ShardWorkerPool] = ShardWorkerPool(
-                grid, config, seeds
-            )
-            self._shards = None
-        elif self.executor == "distributed":
+        if self.executor == "distributed":
             from repro.core.distributed import (
                 DistributedAccountantView,
                 ShardSocketPool,
@@ -465,7 +330,6 @@ class ShardedOnlineRetraSyn(OnlineRetraSyn):
 
     def _collect_round(self, t, batch: ReportBatch, newly_entered, quitted):
         cfg = self.config
-        K = self.n_shards
         distributed = self.executor == "distributed"
 
         parts, entered, quits = self._partition(batch, newly_entered, quitted)
@@ -475,7 +339,7 @@ class ShardedOnlineRetraSyn(OnlineRetraSyn):
         # global minimum remaining window budget from the shard-local
         # accountants.  ``propose_for`` reduces the whole remaining vector
         # to its minimum, so a min-of-shard-mins is an exact substitute
-        # for the parent-ledger query the other executors make.
+        # for the parent-ledger query the serial executor makes.
         global_min: Optional[float] = None
         if distributed:
             want_remaining = (
@@ -494,12 +358,6 @@ class ShardedOnlineRetraSyn(OnlineRetraSyn):
             # Phase 2: run the staged round everywhere; workers spend
             # their reporters' budget locally before replying.
             outs = self._pool.advance(t, rate, eps_t)
-        elif self._pool is not None:
-            rounds = [
-                (t, parts[k], entered[k], quits[k], rate, eps_t)
-                for k in range(K)
-            ]
-            outs = self._pool.run_rounds(rounds)
         else:
             outs = [
                 shard.round_batch(t, parts[k], entered[k], quits[k], rate, eps_t)
@@ -625,7 +483,7 @@ class ShardedOnlineRetraSyn(OnlineRetraSyn):
         pending = None
         try:
             if mode is None:
-                # Per-t protocol (serial/process executors, or distributed
+                # Per-t protocol (serial executor, or distributed
                 # adaptive-user): only the synthesis overlap applies.
                 for t, batch, entered, quitted, n_active in prepared:
                     self._last_t = t
@@ -722,15 +580,15 @@ class ShardedOnlineRetraSyn(OnlineRetraSyn):
         n_sig = self._update_model(collected, eps_used, n_rep)
         self.significant_per_timestamp.append(n_sig)
         return self._launch_synthesis(t, n_active, n_rep, eps_used, n_sig)
+
     def checkpoint_state(self) -> dict:
         """Base curator state plus each shard's full state.
 
-        For the process executor the shards live in worker memory, so they
-        are fetched over the pipes; the pool itself (pipes, processes,
-        sockets) is never part of a checkpoint.  Distributed workers
-        additionally serialize their shard-local accountants through the
-        coordinator — each ``_shards`` entry is a ``(shard, accountant)``
-        pair — so a distributed checkpoint restores into a distributed
+        Distributed shards live in worker memory, so they are fetched
+        over the sockets together with their shard-local accountants —
+        each ``_shards`` entry is then a ``(shard, accountant)`` pair —
+        and the pool itself (processes, sockets) is never part of a
+        checkpoint.  A distributed checkpoint restores into a distributed
         engine (the session spec carried by the v3 format guarantees the
         executor matches).
         """

@@ -52,9 +52,8 @@ class ResponseLostError(ReproError):
 class ShardWorkerError(ReproError):
     """A shard worker process died or broke protocol mid-round.
 
-    Raised by the sharded collection engines (the pipe-based
-    :class:`repro.core.sharded.ShardWorkerPool` and the socket-based
-    :class:`repro.core.distributed.ShardSocketPool`) when a worker's
+    Raised by the distributed shard plane
+    (:class:`repro.core.distributed.ShardSocketPool`) when a worker's
     channel breaks — typically because the worker process was killed —
     so the parent fails fast with the shard named instead of hanging or
     dying on a bare ``EOFError``.

@@ -3,8 +3,7 @@
 The object-path curator moves reports around as ``(user_id,
 TransitionState)`` tuples — one Python object per user per timestamp.  At
 production population sizes that representation dominates the round cost:
-allocation, per-user dict lookups, and (for the process shard executor)
-pickling of dataclass instances.  This module defines the columnar wire
+allocation and per-user dict lookups.  This module defines the columnar wire
 format the whole pipeline speaks instead:
 
 * :class:`ReportBatch` — one timestamp's candidate reports as three
@@ -12,7 +11,7 @@ format the whole pipeline speaks instead:
   into the :class:`~repro.stream.state_space.TransitionStateSpace`, ``-1``
   for states the space cannot encode), and ``kinds`` (int8 transition
   family codes).  Batches flow unchanged from ingestion through selection,
-  the frequency oracles and shard merging; process shards receive index
+  the frequency oracles and shard merging; shard workers receive index
   arrays, never pickled state objects.
 * :class:`ColumnarStreamView` — per-timestamp ``ReportBatch`` views over a
   finished :class:`~repro.stream.stream.StreamDataset`, built in one

@@ -92,8 +92,18 @@ class TestRemoteRoundTrip:
     def test_remote_replay_is_bit_identical_to_in_process(
         self, served, walk_data
     ):
+        self._assert_replay_matches_in_process(served, walk_data, version=2)
+
+    def test_json_v1_replay_is_bit_identical_to_in_process(
+        self, served, walk_data
+    ):
+        """The base64-JSON reference encoding, end to end over HTTP."""
+        self._assert_replay_matches_in_process(served, walk_data, version=1)
+
+    def _assert_replay_matches_in_process(self, served, walk_data, version):
         server, client = served
         hello = client.hello()
+        client.schema_version = version
         space = TransitionStateSpace(
             client.grid(), include_entering_quitting=hello["include_eq"]
         )

@@ -60,6 +60,7 @@ class TestLayerValidation:
             (ServiceSpec, dict(drain_deadline=-1.0)),
             (ServiceSpec, dict(ingest_consumers=0)),
             (ServiceSpec, dict(http_port=70000)),
+            (ShardingSpec, dict(shard_executor="process")),  # pipe pool: removed
         ],
     )
     def test_bad_fields_raise(self, layer_cls, kwargs):
@@ -118,6 +119,8 @@ class TestConfigFacade:
     def test_from_flat_rejects_unknown_fields(self):
         with pytest.raises(ConfigurationError):
             SessionSpec.from_flat(budget=1.0)
+        with pytest.raises(ConfigurationError):  # a knob that was removed
+            SessionSpec.from_flat(synthesis_executor="thread")
 
     def test_from_flat_accepts_service_fields(self):
         spec = SessionSpec.from_flat(
@@ -180,7 +183,7 @@ class TestCliDerivation:
             "--engine", "--oracle-mode", "--compile-mode",
             "--shards", "--shard-executor", "--shard-round-timeout",
             "--round-batch", "--dmu-prefilter",
-            "--synthesis-shards", "--synthesis-executor",
+            "--synthesis-shards",
         }
 
     def test_service_cli_fields(self):

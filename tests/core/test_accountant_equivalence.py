@@ -42,9 +42,6 @@ class TestPipelineEquivalence:
         [
             pytest.param({}, id="K1"),
             pytest.param({"n_shards": 4}, id="K4"),
-            pytest.param(
-                {"n_shards": 2, "shard_executor": "process"}, id="K2-process"
-            ),
         ],
     )
     def test_bit_identical_streams_both_modes(self, stream, overrides):

@@ -11,7 +11,7 @@ Three entry points feed the same curator code:
   arrival within the watermark window.
 
 For a fixed RNG seed all three must synthesize the *identical* stream —
-across shard counts (K=1, K=4) and executors (serial, process).  Any drift
+across shard counts (K=1, K=4) and executors (serial, distributed).  Any drift
 in selection order, partitioning, or batch assembly breaks these tests.
 """
 
@@ -46,7 +46,7 @@ def _make(stream, n_shards, executor, **overrides):
         epsilon=1.0, w=5, seed=42, n_shards=n_shards,
         shard_executor=executor, **overrides,
     )
-    if n_shards > 1 or executor == "process":
+    if n_shards > 1 or executor == "distributed":
         return ShardedOnlineRetraSyn(stream.grid, cfg, lam=5.0)
     return OnlineRetraSyn(stream.grid, cfg, lam=5.0)
 
@@ -95,8 +95,8 @@ def _drive_async(stream, curator, max_lateness=2, shuffle_seed=None):
 CONFIGS = [
     pytest.param(1, "serial", id="K1-serial"),
     pytest.param(4, "serial", id="K4-serial"),
-    pytest.param(1, "process", id="K1-process"),
-    pytest.param(4, "process", id="K4-process"),
+    pytest.param(1, "distributed", id="K1-distributed"),
+    pytest.param(4, "distributed", id="K4-distributed"),
 ]
 
 

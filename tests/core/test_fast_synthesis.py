@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import repro.core.fast_synthesis as fs
 from repro.core.fast_synthesis import (
     COMPILE_MODES,
-    SYNTHESIS_EXECUTORS,
     VectorizedSynthesizer,
     _CompiledModel,
     _draw_slab,
@@ -244,22 +243,6 @@ class TestInverseCdf:
         assert rng.random() == twin.random()
 
 
-class TestExecutors:
-    """Thread and process slab executors: one draw sequence, same streams."""
-
-    @pytest.mark.parametrize("mode", COMPILE_MODES)
-    def test_thread_and_process_bit_identical(self, space4, mode):
-        with mock.patch.object(fs, "_MIN_STREAMS_PER_SHARD", 1):  # pools engage
-            runs = {
-                executor: TestCompileModes()._run(
-                    space4, mode, seed=4,
-                    synthesis_shards=2, synthesis_executor=executor,
-                )
-                for executor in SYNTHESIS_EXECUTORS
-            }
-        assert runs["thread"] == runs["process"]
-
-
 class TestCompileModes:
     """All compile modes must yield bit-identical synthetic streams."""
 
@@ -281,8 +264,13 @@ class TestCompileModes:
         return [(tr.start_time, tr.cells, tr.terminated) for tr in syn.all_trajectories()]
 
     def test_all_modes_bit_identical(self, space4):
-        runs = {mode: self._run(space4, mode) for mode in COMPILE_MODES}
-        assert runs["incremental"] == runs["full"] == runs["full-loop"]
+        for shards in (1, 2):  # the single-threaded path, then thread slabs
+            with mock.patch.object(fs, "_MIN_STREAMS_PER_SHARD", 1):
+                runs = {
+                    mode: self._run(space4, mode, synthesis_shards=shards)
+                    for mode in COMPILE_MODES
+                }
+            assert runs["incremental"] == runs["full"] == runs["full-loop"]
 
     def test_invalid_compile_mode(self, space4):
         with pytest.raises(ConfigurationError):

@@ -11,6 +11,7 @@ from repro.core.persistence import (
     load_checkpoint,
     load_config,
     load_model,
+    peek_checkpoint_spec,
     save_checkpoint,
     save_config,
     save_model,
@@ -147,7 +148,9 @@ class TestCheckpointResume:
         syn = curator.synthetic_dataset(data.n_timestamps)
         return [(tr.start_time, list(tr.cells)) for tr in syn.trajectories]
 
-    def _run_with_interruption(self, data, make_curator, tmp_path, half):
+    def _run_with_interruption(
+        self, data, make_curator, tmp_path, half, spec=None
+    ):
         # Uninterrupted reference run.
         ref = make_curator()
         for t in range(data.n_timestamps):
@@ -162,7 +165,7 @@ class TestCheckpointResume:
         for t in range(half):
             self._step(first, data, t)
         path = tmp_path / "curator.ckpt"
-        save_checkpoint(first, path)
+        save_checkpoint(first, path, spec=spec)
         if hasattr(first, "close"):
             first.close()
         del first
@@ -193,15 +196,57 @@ class TestCheckpointResume:
             tmp_path, half=data.n_timestamps // 2,
         )
 
-    def test_sharded_process_roundtrip(self, data, tmp_path):
-        """Shard state living in worker processes must survive the trip."""
+    @pytest.mark.parametrize(
+        "sharding",
+        [
+            pytest.param({}, id="K1"),
+            pytest.param(
+                {"n_shards": 2, "shard_executor": "distributed"},
+                id="K2-distributed",
+            ),
+        ],
+    )
+    def test_checkpoint_with_removed_knob_resumes(self, data, tmp_path, sharding):
+        """Format v4 outlives the ``synthesis_executor`` knob.
+
+        Checkpoints written before the knob was removed carry it as a
+        plain attribute on the pickled sharding spec, flat config (also
+        inside every shard worker's state) and vectorized synthesizer.
+        The attribute is inert: such a file loads and resumes bitwise.
+        """
         cfg = RetraSynConfig(
-            epsilon=1.0, w=5, seed=17, n_shards=2, shard_executor="process"
+            epsilon=1.0, w=5, seed=17, engine="vectorized", **sharding
         )
+        spec = cfg.to_spec()
+        cfg.synthesis_executor = "thread"
+        object.__setattr__(spec.sharding, "synthesis_executor", "thread")
+
+        def make_curator():
+            cls = ShardedOnlineRetraSyn if sharding else OnlineRetraSyn
+            curator = cls(data.grid, cfg, lam=5.0)
+            curator.synthesizer.synthesis_executor = "thread"
+            return curator
+
         self._run_with_interruption(
-            data, lambda: ShardedOnlineRetraSyn(data.grid, cfg, lam=5.0),
-            tmp_path, half=data.n_timestamps // 2,
+            data, make_curator, tmp_path, half=data.n_timestamps // 2,
+            spec=spec,
         )
+        stored = peek_checkpoint_spec(tmp_path / "curator.ckpt")
+        assert stored.sharding.synthesis_executor == "thread"
+        assert stored == cfg.to_spec()
+        assert stored.replace(w=6).privacy.w == 6
+
+    def test_process_executor_checkpoint_refused(self, data, tmp_path):
+        """What the removed pipe-pool engine pickled names no live executor."""
+        cfg = RetraSynConfig(epsilon=1.0, w=5, seed=17, n_shards=2)
+        spec = cfg.to_spec()
+        curator = ShardedOnlineRetraSyn(data.grid, cfg, lam=5.0)
+        self._step(curator, data, 0)
+        cfg.shard_executor = curator.executor = "process"
+        path = tmp_path / "process.ckpt"
+        save_checkpoint(curator, path, spec=spec)
+        with pytest.raises(ConfigurationError, match="'serial' or 'distributed'"):
+            load_checkpoint(path)
 
     def test_resumed_accountant_keeps_enforcing(self, data, tmp_path):
         """The restored ledger still refuses over-budget spends."""

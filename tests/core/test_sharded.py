@@ -182,11 +182,11 @@ class TestShardCountInvariance:
         assert jsd < 0.15, jsd
 
 
-class TestProcessExecutor:
-    def test_process_matches_serial(self, small_stream):
+class TestDistributedExecutor:
+    def test_distributed_matches_serial(self, small_stream):
         """Both executors share shard seeds => identical outputs."""
         outs = {}
-        for executor in ("serial", "process"):
+        for executor in ("serial", "distributed"):
             cfg = RetraSynConfig(
                 epsilon=1.0, w=5, n_shards=2, shard_executor=executor, seed=7
             )
@@ -194,15 +194,15 @@ class TestProcessExecutor:
             outs[executor] = run
         assert (
             outs["serial"].reporters_per_timestamp
-            == outs["process"].reporters_per_timestamp
+            == outs["distributed"].reporters_per_timestamp
         )
-        assert len(outs["serial"].synthetic) == len(outs["process"].synthetic)
-        assert outs["process"].accountant.verify()
+        assert len(outs["serial"].synthetic) == len(outs["distributed"].synthetic)
+        assert outs["distributed"].accountant.verify()
 
     def test_close_is_idempotent(self, small_stream):
         cfg = RetraSynConfig(epsilon=1.0, w=5, seed=0)
         curator = ShardedOnlineRetraSyn(
-            small_stream.grid, cfg, lam=5.0, n_shards=2, executor="process"
+            small_stream.grid, cfg, lam=5.0, n_shards=2, executor="distributed"
         )
         curator.close()
         curator.close()

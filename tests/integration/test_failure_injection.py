@@ -19,7 +19,10 @@ from repro.baselines.ldp_ids import make_baseline
 from repro.core.retrasyn import RetraSyn, RetraSynConfig
 from repro.geo.grid import unit_grid
 from repro.geo.trajectory import CellTrajectory
+from repro.datasets.synthetic import make_random_walks
 from repro.metrics.registry import evaluate_all
+from repro.stream.reports import KIND_ENTER, KIND_MOVE, KIND_QUIT, ReportBatch
+from repro.stream.state_space import TransitionStateSpace
 from repro.stream.stream import StreamDataset
 
 
@@ -185,6 +188,40 @@ _LISTEN_RE = re.compile(r"listening on http://127\.0\.0\.1:(\d+)")
 _RESUME_RE = re.compile(r"resumed at t=(\d+)")
 
 
+def _saturating_workload(n_users, horizon, k=4, seed=3):
+    """A server's boot dataset (grid + λ donor) and the rounds to replay.
+
+    ``n_users`` users all enter at ``t=0`` in random cells, emit one
+    random movement report per timestamp and quit at the last one, so
+    every round carries ``n_users`` rows; entirely derived from ``seed``.
+    """
+    seed_data = make_random_walks(
+        k=k, n_streams=40, n_timestamps=horizon, seed=seed
+    )
+    rng = np.random.default_rng(seed)
+    space = TransitionStateSpace(unit_grid(k))
+    uids = np.arange(n_users, dtype=np.int64)
+    empty = np.empty(0, dtype=np.int64)
+    rounds = []
+    for t in range(horizon):
+        if t == 0:
+            cells = rng.integers(0, space.n_cells, size=n_users)
+            idx = space.enter_indices[0] + cells
+            kind, entered, quitted, n_active = KIND_ENTER, uids, empty, n_users
+        elif t == horizon - 1:
+            cells = rng.integers(0, space.n_cells, size=n_users)
+            idx = space.quit_indices[0] + cells
+            kind, entered, quitted, n_active = KIND_QUIT, empty, uids, 0
+        else:
+            idx = rng.integers(0, space.n_move, size=n_users)
+            kind, entered, quitted, n_active = KIND_MOVE, empty, empty, n_users
+        batch = ReportBatch(
+            uids, idx.astype(np.int64), np.full(n_users, kind, dtype=np.int8)
+        )
+        rounds.append((t, batch, entered, quitted, n_active))
+    return seed_data, rounds
+
+
 class TestServerCrashRecovery:
     """SIGKILL a ``repro serve --http`` process mid-round under load.
 
@@ -198,18 +235,6 @@ class TestServerCrashRecovery:
     """
 
     EPSILON, W, SEED = 1.0, 5, 3
-
-    @staticmethod
-    def _workload():
-        from repro.bench.load import LoadSpec, seed_dataset, synthetic_rounds
-
-        spec = LoadSpec(
-            n_users=250, horizon=8, k=4,
-            epsilon=TestServerCrashRecovery.EPSILON,
-            w=TestServerCrashRecovery.W,
-            seed=TestServerCrashRecovery.SEED,
-        )
-        return seed_dataset(spec), synthetic_rounds(spec)
 
     def _boot(self, dataset_path, checkpoint=None, resume=False):
         """Start a server subprocess; returns (proc, port, resumed_t)."""
@@ -271,7 +296,7 @@ class TestServerCrashRecovery:
         from repro.api.client import Client
         from repro.datasets.io import save_stream_dataset
 
-        seed_data, rounds = self._workload()
+        seed_data, rounds = _saturating_workload(n_users=250, horizon=8)
         dataset_path = tmp_path / "crash_seed.npz"
         save_stream_dataset(seed_data, dataset_path)
 
@@ -376,15 +401,6 @@ class TestGracefulDrain:
 
     EPSILON, W, SEED = 1.0, 5, 3
 
-    def _workload(self):
-        from repro.bench.load import LoadSpec, seed_dataset, synthetic_rounds
-
-        spec = LoadSpec(
-            n_users=250, horizon=8, k=4,
-            epsilon=self.EPSILON, w=self.W, seed=self.SEED,
-        )
-        return seed_dataset(spec), synthetic_rounds(spec)
-
     def test_probes_and_metrics_then_sigterm_exits_clean(self, tmp_path):
         """The CI ops-smoke shape: boot a real server subprocess, scrape
         /healthz, /readyz and /metrics, SIGTERM it, assert exit 0."""
@@ -394,7 +410,7 @@ class TestGracefulDrain:
         from repro.api.client import Client
         from repro.datasets.io import save_stream_dataset
 
-        seed_data, rounds = self._workload()
+        seed_data, rounds = _saturating_workload(n_users=250, horizon=8)
         dataset_path = tmp_path / "ops_seed.npz"
         save_stream_dataset(seed_data, dataset_path)
 
@@ -433,7 +449,7 @@ class TestGracefulDrain:
         from repro.api.client import Client
         from repro.datasets.io import save_stream_dataset
 
-        seed_data, rounds = self._workload()
+        seed_data, rounds = _saturating_workload(n_users=250, horizon=8)
         dataset_path = tmp_path / "drain_seed.npz"
         save_stream_dataset(seed_data, dataset_path)
 
@@ -505,12 +521,10 @@ class TestCheckpointRotationRecovery:
 
     def test_corrupt_newest_generation_falls_back(self, tmp_path):
         from repro.api.client import Client
-        from repro.bench.load import LoadSpec, seed_dataset, synthetic_rounds
         from repro.core.persistence import checkpoint_candidates
         from repro.datasets.io import save_stream_dataset
 
-        spec = LoadSpec(n_users=150, horizon=6, k=4, epsilon=1.0, w=5, seed=3)
-        seed_data, rounds = seed_dataset(spec), synthetic_rounds(spec)
+        seed_data, rounds = _saturating_workload(n_users=150, horizon=6)
         dataset_path = tmp_path / "rot_seed.npz"
         save_stream_dataset(seed_data, dataset_path)
 
@@ -595,13 +609,13 @@ class TestHungShardWorker:
 class TestShardWorkerDeath:
     """A shard worker killed mid-run surfaces as a typed ShardWorkerError.
 
-    Both multiprocess pools — the pipe-based ``ShardWorkerPool`` and the
-    socket-framed ``ShardSocketPool`` — must detect the dead peer on the
-    next round trip and raise :class:`~repro.exceptions.ShardWorkerError`
-    naming the shard, instead of dying on a bare EOF/EPIPE.
+    The socket-framed ``ShardSocketPool`` must detect the dead peer on
+    the next round trip and raise
+    :class:`~repro.exceptions.ShardWorkerError` naming the shard, instead
+    of dying on a bare EOF/EPIPE.
     """
 
-    @pytest.mark.parametrize("executor", ["process", "distributed"])
+    @pytest.mark.parametrize("executor", ["distributed"])
     def test_sigkill_one_worker_mid_round(self, walk_data, executor):
         import signal
 

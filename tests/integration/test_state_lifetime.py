@@ -289,7 +289,7 @@ def test_checkpoint_in_the_previous_layout_resumes_bitwise(
 # observability
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize(
-    "n_shards, executor", [(1, "serial"), (2, "serial"), (2, "process"), (2, "distributed")]
+    "n_shards, executor", [(1, "serial"), (2, "serial"), (2, "distributed")]
 )
 def test_session_reports_its_state_planes(churn_stream, n_shards, executor):
     session = _session("population", 3, seed=2, n_shards=n_shards, executor=executor)
