@@ -10,7 +10,6 @@ Scale is controlled by the REPRO_BENCH_SCALE environment variable
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
@@ -21,21 +20,6 @@ from repro.experiments.runner import ExperimentSetting
 RESULTS_DIR = Path(__file__).parent / "results"
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.02"))
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--quick",
-        action="store_true",
-        default=False,
-        help="CI smoke scale: small populations, relaxed speedup gates "
-             "(used by the benchmark-smoke workflow job)",
-    )
-
-
-@pytest.fixture(scope="session")
-def quick_mode(request) -> bool:
-    return bool(request.config.getoption("--quick"))
 
 
 @pytest.fixture(scope="session")
@@ -57,19 +41,3 @@ def save_artifact():
 
     return _save
 
-
-@pytest.fixture(scope="session")
-def save_json_artifact():
-    """Write a machine-readable result to benchmarks/results/<name>.json.
-
-    Used by the acceptance-gate benchmarks so CI can persist measured
-    speedups (e.g. ``BENCH_synthesis.json``) alongside the rendered text.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-
-    def _save(name: str, payload: dict) -> None:
-        (RESULTS_DIR / f"{name}.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-
-    return _save

@@ -43,7 +43,6 @@ from repro.core import (
     OnlineRetraSyn,
     RetraSyn,
     RetraSynConfig,
-    ShardedOnlineRetraSyn,
     SynthesisRun,
     Synthesizer,
     VectorizedSynthesizer,
@@ -81,7 +80,6 @@ __all__ = [
     "RetraSyn",
     "RetraSynConfig",
     "OnlineRetraSyn",
-    "ShardedOnlineRetraSyn",
     "SynthesisRun",
     "Synthesizer",
     "VectorizedSynthesizer",

@@ -1,11 +1,10 @@
 """Engine-agnostic curator sessions.
 
-Before this module, callers hard-coded engine classes: experiments built
-:class:`~repro.core.online.OnlineRetraSyn`, scale tests built
-:class:`~repro.core.sharded.ShardedOnlineRetraSyn`, and deployments built
-:class:`~repro.stream.ingest.IngestionService` — three overlapping
-surfaces for one curator.  A :class:`CuratorSession` is the one protocol
-they all speak now:
+Before this module, callers hard-coded front-ends: experiments drove
+:class:`~repro.core.online.OnlineRetraSyn` directly and deployments built
+:class:`~repro.stream.ingest.IngestionService` — overlapping surfaces for
+one curator.  A :class:`CuratorSession` is the one protocol they all speak
+now:
 
 ``submit_batch(t, reports)``
     Hand the session one timestamp's candidate reports (columnar
@@ -25,9 +24,11 @@ they all speak now:
     Persistence and lifecycle.
 
 :func:`create_session` is the factory: it reads a
-:class:`~repro.api.specs.SessionSpec` and returns the right engine family
-behind the protocol — unsharded, sharded (``sharding.n_shards > 1``), or
-the watermarked ingestion front-end (``service.transport="ingest"``).
+:class:`~repro.api.specs.SessionSpec`, builds the one curator engine
+(which picks its collection shards and executor from the ``sharding``
+layer itself; K=1 serial is one in-process shard on the engine's rng) and
+wraps it in the synchronous façade or the watermarked ingestion front-end
+(``service.transport="ingest"``).
 The HTTP ingress (:mod:`repro.api.http`) serves exactly this protocol
 over the wire, so remote and in-process callers are interchangeable.
 """
@@ -42,7 +43,6 @@ import numpy as np
 
 from repro.api.specs import ServiceSpec, SessionSpec
 from repro.core.online import OnlineRetraSyn, TimestepResult
-from repro.core.sharded import ShardedOnlineRetraSyn
 from repro.exceptions import ConfigurationError
 from repro.obs import MetricsRegistry
 
@@ -266,9 +266,7 @@ class _SessionBase:
         self._drain_on_close(flush_partial)
         if self.spec.service.checkpoint_path is not None:
             self.checkpoint()
-        closer = getattr(self.curator, "close", None)
-        if closer is not None:
-            closer()
+        self.curator.close()
 
     def _drain_on_close(self, flush_partial: bool = True) -> None:
         pass  # overridden by IngestSession
@@ -304,9 +302,8 @@ class DirectSession(_SessionBase):
 
     ``submit_batch`` stages exactly one timestamp's reports; ``advance``
     drives the staged rounds through
-    :meth:`~repro.core.online.OnlineRetraSyn.process_timestep` in order.
-    Backs both the unsharded and the hash-sharded collection engines —
-    whichever :func:`create_session` routed to.
+    :meth:`~repro.core.online.OnlineRetraSyn.process_timestep` in order,
+    whatever shard count and executor the engine runs.
     """
 
     def __init__(self, curator, spec: Optional[SessionSpec] = None) -> None:
@@ -335,9 +332,9 @@ class DirectSession(_SessionBase):
         With ``sharding.round_batch > 1`` the staged timestamps are handed
         to the curator in groups of that depth
         (:meth:`~repro.core.online.OnlineRetraSyn.process_timesteps`), so
-        the sharded engines can fuse shard round-trips and overlap
-        synthesis with the next round's collection.  Depth 1 is today's
-        exact per-timestamp path.
+        the engine can fuse shard round-trips and overlap synthesis with
+        the next round's collection.  Depth 1 is the exact per-timestamp
+        path.
         """
         results = []
         staged, self._staged = self._staged, []
@@ -473,8 +470,8 @@ class IngestSession(_SessionBase):
         """Close and process every timestamp at or below the watermark.
 
         With ``sharding.round_batch > 1`` the closed timestamps are handed
-        to the curator in groups of that depth so the sharded engines can
-        fuse shard round-trips and overlap synthesis with the next round's
+        to the curator in groups of that depth so the engine can fuse
+        shard round-trips and overlap synthesis with the next round's
         collection.  Depth 1 keeps the exact per-timestamp path.
         """
         ready = self.assembler.pop_ready()
@@ -567,10 +564,6 @@ def create_session(spec, grid, *, lam: Optional[float] = None) -> CuratorSession
         ``spec.engine.lam``.  One of the two must be set: a session has no
         dataset to derive it from.
 
-    Engine routing: ``sharding.n_shards > 1`` (or
-    ``sharding.shard_executor="distributed"``, which promotes shards to
-    socket-framed worker services) selects the hash-sharded collection
-    engine, otherwise the unsharded one;
     ``service.transport="ingest"`` wraps the curator in the watermarked
     ingestion assembler, ``"direct"`` in the synchronous façade.
     """
@@ -589,14 +582,7 @@ def create_session(spec, grid, *, lam: Optional[float] = None) -> CuratorSession
             "create_session() needs the termination factor lambda: set "
             "EngineSpec.lam or pass lam="
         )
-    config = spec.to_config()
-    if (
-        spec.sharding.n_shards > 1
-        or spec.sharding.shard_executor == "distributed"
-    ):
-        curator = ShardedOnlineRetraSyn(grid, config, lam=lam)
-    else:
-        curator = OnlineRetraSyn(grid, config, lam=lam)
+    curator = OnlineRetraSyn(grid, spec.to_config(), lam=lam)
     if spec.service.transport == "ingest":
         return IngestSession(curator, spec)
     return DirectSession(curator, spec)

@@ -35,6 +35,7 @@ import dataclasses
 from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional
 
+from repro.core.sharded import SHARD_EXECUTORS
 from repro.exceptions import ConfigurationError
 from repro.ldp.accountant import ACCOUNTANT_MODES
 from repro.rng import RngLike
@@ -46,7 +47,6 @@ UPDATE_STRATEGIES = ("dmu", "all")
 ENGINES = ("object", "vectorized")
 ORACLE_MODES = ("fast", "exact", "exact-loop")
 COMPILE_MODES = ("incremental", "full", "full-loop")
-SHARD_EXECUTORS = ("serial", "distributed")
 TRANSPORTS = ("direct", "ingest")
 
 

@@ -12,8 +12,11 @@
   (Algorithm 1), with budget- and population-division modes.
 * :mod:`~repro.core.variants` — AllUpdate and NoEQ ablation variants
   (Table IV).
-* :class:`~repro.core.sharded.ShardedOnlineRetraSyn` — hash-partitioned,
-  optionally multi-process collection engine (``RetraSynConfig.n_shards``).
+* :class:`~repro.core.online.OnlineRetraSyn` — the one curator engine,
+  collecting each timestamp through ``RetraSynConfig.n_shards``
+  hash-partitioned :class:`~repro.core.sharded.CollectionShard` objects,
+  in process or on worker processes (K=1 serial: one in-process shard on
+  the engine's rng — the paper's unsharded round).
 * :class:`~repro.core.trajectory_store.TrajectoryStore` — columnar (SoA)
   storage for synthetic streams, shared by both synthesis engines.
 """
@@ -36,7 +39,7 @@ from repro.core.allocation import (
     UniformPopulationAllocator,
 )
 from repro.core.online import OnlineRetraSyn, TimestepResult
-from repro.core.sharded import CollectionShard, ShardedOnlineRetraSyn, shard_of
+from repro.core.sharded import CollectionShard, shard_of
 from repro.core.persistence import (
     load_checkpoint,
     load_config,
@@ -71,7 +74,6 @@ __all__ = [
     "SynthesisRun",
     "OnlineRetraSyn",
     "TimestepResult",
-    "ShardedOnlineRetraSyn",
     "CollectionShard",
     "shard_of",
     "save_model",

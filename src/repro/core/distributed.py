@@ -1,9 +1,10 @@
 """Distributed shard plane: per-shard worker services over binary sockets.
 
-The serial executor of :class:`~repro.core.sharded.ShardedOnlineRetraSyn`
-runs every shard in the parent, which also executes every privacy spend.
-This module promotes each collection shard to a *service*: a worker
-process speaking the versioned RSF2 frame protocol
+The serial executor of :class:`~repro.core.online.OnlineRetraSyn` runs
+every collection shard in the engine's process, which also executes every
+privacy spend.  ``shard_executor="distributed"`` — chosen in the engine's
+constructor, at any shard count — promotes each shard to a *service*: a
+worker process speaking the versioned RSF2 frame protocol
 (:mod:`repro.api.schema`) over a local ``socketpair``, owning its
 partition's
 
@@ -39,7 +40,9 @@ Shard RPC (all messages are v2 binary frames; see ``docs/API.md``):
 ``shard-exit``        Orderly shutdown.
 ====================  ===================================================
 
-Why the output is bit-identical to the serial executor: the parent
+Why the output is bit-identical to the serial executor at the same
+shard count K > 1 (the K=1 serial shard draws from the engine rng
+instead, so one worker matches it in distribution only): the parent
 draws the same per-shard seeds, each worker's :class:`CollectionShard`
 consumes its rng in exactly the same sequence as the serial executor's
 shard object, and accountant operations never touch any rng.  Moving the

@@ -18,11 +18,21 @@ timestamp.  :class:`OnlineRetraSyn` is that interface::
 
     run = curator.result(n_timestamps=T)       # full SynthesisRun at the end
 
-The batch pipeline is implemented on top of this class, so both paths share
-one code base and one set of invariants (privacy accounting, DMU, size
-adjustment).
+The batch pipeline, every session and the served deployment drive this one
+class, so all paths share one code base and one set of invariants (privacy
+accounting, DMU, size adjustment).
 
-Internally the collection phase is *columnar*: ``participants`` may be a
+Collection always runs through ``config.n_shards`` hash-partitioned
+:class:`~repro.core.sharded.CollectionShard` objects — in process
+(``shard_executor="serial"``) or on worker processes (``"distributed"``) —
+whose raw one-counts are merged and debiased once per round.  K=1 serial
+is the paper's unsharded round: one in-process shard drawing from the
+engine's own rng.  Synthesis draws from that rng too, so at K=1 serial
+the rounds of a :meth:`OnlineRetraSyn.process_timesteps` group run one
+after another; every other engine overlaps synthesis of round ``t`` with
+collection of round ``t+1``.
+
+The collection phase is *columnar*: ``participants`` may be a
 :class:`~repro.stream.reports.ReportBatch` (numpy arrays of user ids,
 encoded state indices, and transition-kind codes) and object-path inputs —
 lists of ``(user_id, TransitionState)`` pairs — are bridged into one at the
@@ -33,6 +43,7 @@ fixed seed (tested in ``tests/core/test_columnar_equivalence.py``).
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -52,8 +63,7 @@ from repro.geo.grid import Grid
 from repro.ldp.accountant import make_accountant
 from repro.ldp.oue import OptimizedUnaryEncoding
 from repro.rng import ensure_rng
-from repro.stream.encoder import UserSideEncoder
-from repro.stream.reports import ReportBatch, as_report_batch
+from repro.stream.reports import ReportBatch, as_report_batch, shard_of_array
 from repro.stream.slots import UserSlotTable
 from repro.stream.state_space import TransitionStateSpace
 from repro.stream.user_tracker import UserTracker
@@ -126,9 +136,10 @@ def sample_population_reporters(
 
     Registers arrivals, recycles the ``t − w`` cohort, then either applies
     the user-driven "random" phase rule or samples a ``rate`` fraction of
-    the eligible set.  Shared by the unsharded engine (whole population)
-    and each :class:`~repro.core.sharded.CollectionShard` (one partition),
-    so the selection semantics cannot drift between engines.
+    the eligible set.  The object-path reference of
+    :func:`sample_population_reporters_batch`, which every
+    :class:`~repro.core.sharded.CollectionShard` runs over its partition
+    (the whole population on the engine's K=1 serial shard).
 
     ``stochastic_round=True`` rounds the sample size probabilistically so
     that its *expectation* is exactly ``rate * len(eligible)`` — required
@@ -215,6 +226,15 @@ def sample_population_reporters_batch(
     return eligible_rows[np.atleast_1d(idx)]
 
 
+def _split_ids(ids, n_shards: int) -> list[np.ndarray]:
+    """Partition an id array by shard, preserving order inside each part."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if n_shards == 1:
+        return [ids]
+    sid = shard_of_array(ids, n_shards)
+    return [ids[sid == k] for k in range(n_shards)]
+
+
 @dataclass(frozen=True)
 class TimestepResult:
     """What happened inside one :meth:`OnlineRetraSyn.process_timestep`."""
@@ -239,11 +259,27 @@ class OnlineRetraSyn:
         Termination restriction factor λ (Eq. 8).  The batch pipeline
         defaults it to the dataset's average length; online deployments
         supply a domain estimate.
+
+    ``config.n_shards`` and ``config.shard_executor`` choose where the
+    collection shards run (see :mod:`repro.core.sharded`); the choice is
+    made here, once.  ``close()`` (or a ``with`` block) releases worker
+    processes and synthesis thread slabs.
     """
 
     def __init__(self, grid: Grid, config, lam: float) -> None:
+        from repro.core.sharded import SHARD_EXECUTORS, CollectionShard
+
         if lam <= 0:
             raise ConfigurationError(f"lambda must be positive, got {lam}")
+        self.n_shards = int(getattr(config, "n_shards", 1))
+        executor = getattr(config, "shard_executor", "serial")
+        if self.n_shards < 1:
+            raise ConfigurationError(f"n_shards must be >= 1, got {self.n_shards}")
+        if executor not in SHARD_EXECUTORS:
+            allowed = " or ".join(map(repr, SHARD_EXECUTORS))
+            raise ConfigurationError(
+                f"shard executor must be {allowed}, got {executor!r}"
+            )
         self.grid = grid
         self.config = config
         self.lam = float(lam)
@@ -251,7 +287,6 @@ class OnlineRetraSyn:
         self.space = TransitionStateSpace(
             grid, include_entering_quitting=config.model_entering_quitting
         )
-        self.encoder = UserSideEncoder(self.space)
         self.model = GlobalMobilityModel(self.space)
         if config.engine == "vectorized":
             from repro.core.fast_synthesis import VectorizedSynthesizer
@@ -273,9 +308,10 @@ class OnlineRetraSyn:
             )
         self.selector = DMUSelector()
         self.context = AllocationContext(kappa=config.kappa)
-        # One uid -> slot table backs both columnar user-state planes: the
-        # tracker's status columns and the accountant's spend ring hang on
-        # it, and it retires a row once both have released it.
+        # The ledger's uid -> slot table.  At K=1 serial it backs both
+        # columnar user-state planes: the shard's tracker columns and the
+        # accountant's spend ring hang on it, and it retires a row once
+        # both have released it.
         self._slots = UserSlotTable()
         self.accountant = (
             make_accountant(
@@ -311,15 +347,42 @@ class OnlineRetraSyn:
                 )
             )
             self._budget_alloc = None
-            self._tracker = UserTracker(config.w, slots=self._slots)
-            self._report_phase: dict[int, int] = {}
         else:
             self._pop_alloc = None
             self._budget_alloc = make_budget_allocator(
                 config.allocator, config.epsilon, config.w,
                 alpha=config.alpha, p_max=config.p_max,
             )
-            self._tracker = None
+
+        #: Final per-shard ledger stats and per-worker plane row counts,
+        #: cached by :meth:`close` so the distributed accountant view and
+        #: :meth:`state_summary` stay answerable after shutdown.
+        self._final_summaries = None
+        self._final_plane_states: list = []
+        self._pool = self._shards = None
+        if self.n_shards == 1 and executor == "serial":
+            # The unsharded round: the one shard draws from the engine rng,
+            # tracks users on the ledger's slot table and rounds the sample
+            # size deterministically; no shard seed is drawn.
+            shard = CollectionShard(grid, config, self.rng)
+            shard.stochastic_round = False
+            if shard.tracker is not None:
+                shard.tracker = UserTracker(config.w, slots=self._slots)
+            self._shards = [shard]
+            return
+        seeds = [
+            int(s) for s in self.rng.integers(0, 2**63 - 1, size=self.n_shards)
+        ]
+        if executor == "serial":
+            self._shards = [CollectionShard(grid, config, s) for s in seeds]
+            return
+        from repro.core.distributed import DistributedAccountantView, ShardSocketPool
+
+        self._pool = ShardSocketPool(grid, config, seeds)
+        # The workers own the ledgers; the engine exposes a merged
+        # read-only view so stats()/result()/audits work unchanged.
+        if self.accountant is not None:
+            self.accountant = DistributedAccountantView(self)
 
     # ------------------------------------------------------------------ #
     # the per-timestamp protocol round
@@ -375,54 +438,148 @@ class OnlineRetraSyn:
         """Run a group of consecutive rounds; one result per timestamp.
 
         ``items`` is a sequence of ``(t, participants, newly_entered,
-        quitted, n_real_active)`` tuples in timestamp order.  The unsharded
-        curator's collection phase draws from the engine RNG, so there is
-        no safe overlap here — this base implementation is the sequential
-        reference the sharded engine's pipelined override must stay
-        bit-identical to.
+        quitted, n_real_active)`` tuples in timestamp order.  Bit-identical
+        to running :meth:`process_timestep` per item: rounds advance in
+        timestamp order on the same shard states, the proposal sequence is
+        replayed exactly (see :meth:`_fusion_mode`), and the engine rng is
+        only ever consumed by synthesis, which runs one round at a time —
+        merely overlapped with the rng-free collection of the next round.
+        The K=1 serial shard draws from the engine rng itself, so its
+        rounds run strictly one after another.
         """
-        return [
-            self.process_timestep(t, participants, entered, quitted, n_active)
-            for t, participants, entered, quitted, n_active in items
-        ]
-
-    # ------------------------------------------------------------------ #
-    # phases
-    # ------------------------------------------------------------------ #
-    def _collect_round(self, t, batch: ReportBatch, newly_entered, quitted):
-        """Selection + private collection for one timestamp (columnar).
-
-        Returns ``(collected, n_reporters, eps_used)``.  This is the hook
-        :class:`~repro.core.sharded.ShardedOnlineRetraSyn` overrides: the
-        model-update and synthesis phases downstream are shared.
-        """
-        chosen, eps_used = self._select_reporters(t, batch, newly_entered)
-        collected = self._collect(t, chosen, eps_used)
-        if self._tracker is not None:
-            self._tracker.mark_quitted(quitted)
-        return collected, len(chosen), eps_used
-
-    def _select_reporters(self, t, batch: ReportBatch, newly_entered):
+        items = list(items)
+        if len(items) <= 1 or (
+            self._shards is not None and self._shards[0].rng is self.rng
+        ):
+            return [self.process_timestep(*item) for item in items]
         cfg = self.config
-        if cfg.division == "population":
-            rate = (
-                None
-                if cfg.allocator == "random"
-                else self._pop_alloc.propose(t, self.context)
-            )
-            rows = sample_population_reporters_batch(
-                self._tracker, self._report_phase, self.rng, cfg,
-                t, batch, newly_entered, rate,
-            )
-            return batch.take(rows), cfg.epsilon
 
-        eps_t = self._propose_budget(t, batch)
-        if eps_t < _MIN_EPSILON:
-            chosen, eps_used = ReportBatch.empty(), 0.0
+        prepared = []
+        expect = self._last_t
+        for t, participants, entered, quitted, n_active in items:
+            t = int(t)
+            if expect is not None and t != expect + 1:
+                raise ConfigurationError(
+                    f"timestamps must be consecutive: got {t} after {expect}"
+                )
+            expect = t
+            batch = as_report_batch(self.space, participants)
+            if not cfg.model_entering_quitting:
+                batch = batch.moves_only()
+            prepared.append(
+                (
+                    t,
+                    batch,
+                    np.asarray(entered, dtype=np.int64),
+                    np.asarray(quitted, dtype=np.int64),
+                    int(n_active),
+                )
+            )
+
+        mode = self._fusion_mode()
+        results: list[TimestepResult] = []
+        pending = None
+        try:
+            if mode is None:
+                # Per-t protocol (serial executor, or distributed
+                # adaptive-user): only the synthesis overlap applies.
+                for t, batch, entered, quitted, n_active in prepared:
+                    self._last_t = t
+                    collected, n_rep, eps_used = self._collect_round(
+                        t, batch, entered, quitted
+                    )
+                    pending = self._finish_round(
+                        results, pending, t, collected, n_rep, eps_used,
+                        n_active,
+                    )
+            else:
+                groups = [
+                    (t, *self._partition(batch, entered, quitted))
+                    for t, batch, entered, quitted, _n in prepared
+                ]
+                self._pool.submit_many(groups)
+                if mode == "full":
+                    proposals = [
+                        self._propose(t, batch, None)
+                        for t, batch, _e, _q, _n in prepared
+                    ]
+                    outs_by_t = self._pool.advance_many(
+                        [t for t, *_ in prepared],
+                        [rate for rate, _eps in proposals],
+                        [eps for _rate, eps in proposals],
+                    )
+                    for i, (t, batch, _e, _q, n_active) in enumerate(prepared):
+                        self._last_t = t
+                        collected, n_rep, eps_used = self._merge_outs(
+                            t, outs_by_t[i], proposals[i][1]
+                        )
+                        pending = self._finish_round(
+                            results, pending, t, collected, n_rep, eps_used,
+                            n_active,
+                        )
+                else:  # fused submit, per-t advance
+                    for t, batch, _e, _q, n_active in prepared:
+                        self._last_t = t
+                        rate, eps_t = self._propose(t, batch, None)
+                        outs = self._pool.advance(t, rate, eps_t)
+                        collected, n_rep, eps_used = self._merge_outs(
+                            t, outs, eps_t
+                        )
+                        pending = self._finish_round(
+                            results, pending, t, collected, n_rep, eps_used,
+                            n_active,
+                        )
+            if pending is not None:
+                results.append(self._join_synthesis(pending))
+                pending = None
+        finally:
+            if pending is not None:
+                # An earlier phase raised: drain the in-flight synthesis so
+                # no background thread outlives the error (its own failure,
+                # if any, is secondary).
+                try:
+                    self._join_synthesis(pending)
+                except Exception:
+                    pass
+        return results
+
+    # ------------------------------------------------------------------ #
+    # the collection round
+    # ------------------------------------------------------------------ #
+    def _partition(self, batch: ReportBatch, newly_entered, quitted):
+        """Hash-partition one timestamp's traffic: pure array slicing."""
+        K = self.n_shards
+        return batch.partition(K), _split_ids(newly_entered, K), _split_ids(quitted, K)
+
+    def _propose(self, t, batch: ReportBatch, global_min: Optional[float]):
+        """The round's globally proposed ``(rate, ε_t)``.
+
+        Exactly the per-timestamp proposal sequence — including the budget
+        allocators' ``commit`` — so the fused paths can replay it upfront
+        for schedule-division allocators without changing a single call.
+        """
+        cfg = self.config
+        rate: Optional[float] = None
+        if cfg.division == "population":
+            eps_t = cfg.epsilon
+            if cfg.allocator != "random":
+                rate = self._pop_alloc.propose(t, self.context)
         else:
-            chosen, eps_used = batch, eps_t
-        self._budget_alloc.commit(eps_used)
-        return chosen, eps_used
+            if self._pool is not None and getattr(
+                self._budget_alloc, "consults_users", False
+            ):
+                remaining = (
+                    None if global_min is None else np.asarray([global_min])
+                )
+                eps_t = self._budget_alloc.propose_for(
+                    t, self.context, remaining
+                )
+            else:
+                eps_t = self._propose_budget(t, batch)
+            if eps_t < _MIN_EPSILON:
+                eps_t = 0.0
+            self._budget_alloc.commit(eps_t)
+        return rate, eps_t
 
     def _propose_budget(self, t, batch: ReportBatch) -> float:
         """The round's ε_t under budget division.
@@ -440,29 +597,79 @@ class OnlineRetraSyn:
             return alloc.propose_for(t, self.context, remaining)
         return alloc.propose(t, self.context)
 
-    def _collect(self, t, chosen: ReportBatch, eps_used):
-        if len(chosen) == 0:
-            return None
-        oracle = OptimizedUnaryEncoding(
-            self.space.size, eps_used, rng=self.rng, mode=self.config.oracle_mode
-        )
-        tic = time.perf_counter()
-        ones = oracle.simulate_ones(chosen.state_idx)
-        self.timings["user_side"] += time.perf_counter() - tic
+    def _merge_outs(self, t, outs, eps_t):
+        """Merge per-shard round outputs into one debiased collection.
 
-        tic = time.perf_counter()
-        counts = oracle.debias(ones, len(chosen))
-        collected = counts / len(chosen)
-        self.timings["model_construction"] += time.perf_counter() - tic
+        One vector add per shard, one debias for the union.  Only the
+        perturbation seconds count as user-side cost (Table V's split).
+        Returns ``(collected, n_reporters, eps_used)``.
+        """
+        cfg = self.config
+        ones = np.zeros(self.space.size)
+        uid_parts: list[np.ndarray] = []
+        for shard_ones, uids, user_seconds, support in outs:
+            ones += shard_ones
+            uid_parts.append(uids)
+            self.timings["user_side"] += user_seconds
+            if support is not None:
+                self._dmu_candidates |= support
+        reporter_uids = np.concatenate(uid_parts) if uid_parts else np.empty(0, np.int64)
+        n_reporters = int(reporter_uids.size)
+        eps_used = eps_t
 
-        if self.accountant is not None:
-            self.accountant.spend_many(chosen.user_ids, t, eps_used)
-        if self._tracker is not None:
-            self._tracker.mark_reported(chosen.user_ids, t)
-        if self.config.dmu_prefilter:
-            self._dmu_candidates |= support_mask(ones, len(chosen), oracle.q)
-        self.context.record_collection(collected)
-        return collected
+        collected = None
+        if n_reporters:
+            tic = time.perf_counter()
+            oracle = OptimizedUnaryEncoding(
+                self.space.size, eps_used, rng=self.rng, mode=cfg.oracle_mode
+            )
+            collected = oracle.debias(ones, n_reporters) / n_reporters
+            self.timings["model_construction"] += time.perf_counter() - tic
+            # Distributed shards spent their partitions locally already.
+            if self.accountant is not None and self._pool is None:
+                self.accountant.spend_many(reporter_uids, t, eps_used)
+            self.context.record_collection(collected)
+        return collected, n_reporters, eps_used
+
+    def _collect_round(self, t, batch: ReportBatch, newly_entered, quitted):
+        """Selection + private collection for one timestamp (columnar).
+
+        Returns ``(collected, n_reporters, eps_used)``; the model-update
+        and synthesis phases downstream are executor-independent.
+        """
+        cfg = self.config
+        parts, entered, quits = self._partition(batch, newly_entered, quitted)
+
+        # Distributed phase 1: stage the partitions on every shard and,
+        # when a per-user allocator needs ledger feedback, collect the
+        # global minimum remaining window budget from the shard-local
+        # accountants.  ``propose_for`` reduces the whole remaining vector
+        # to its minimum, so a min-of-shard-mins is an exact substitute
+        # for the engine-ledger query the serial executor makes.
+        global_min: Optional[float] = None
+        if self._pool is not None:
+            want_remaining = (
+                cfg.division != "population"
+                and getattr(self._budget_alloc, "consults_users", False)
+                and getattr(cfg, "track_privacy", True)
+            )
+            global_min = self._pool.submit(
+                t, parts, entered, quits, want_remaining
+            )
+
+        # Globally proposed rate / budget, from the merged feedback context.
+        rate, eps_t = self._propose(t, batch, global_min)
+
+        if self._pool is not None:
+            # Phase 2: run the staged round everywhere; workers spend
+            # their reporters' budget locally before replying.
+            outs = self._pool.advance(t, rate, eps_t)
+        else:
+            outs = [
+                shard.round_batch(t, parts[k], entered[k], quits[k], rate, eps_t)
+                for k, shard in enumerate(self._shards)
+            ]
+        return self._merge_outs(t, outs, eps_t)
 
     def _update_model(self, collected, eps_used, n_reporters) -> int:
         tic = time.perf_counter()
@@ -500,28 +707,162 @@ class OnlineRetraSyn:
         self.timings["synthesis"] += time.perf_counter() - tic
 
     # ------------------------------------------------------------------ #
+    # the pipelined multi-timestamp round
+    # ------------------------------------------------------------------ #
+    def _fusion_mode(self) -> Optional[str]:
+        """How far the distributed round protocol can be fused.
+
+        ``"full"``   — one ``shard-submit-many`` *and* one
+                       ``shard-advance-many`` per group: every per-t rate/ε
+                       is computable from the schedule alone (population
+                       uniform/sample/random; budget uniform/sample, whose
+                       proposals read only the allocator's own commit
+                       ledger, replayed here in the exact per-t order).
+        ``"submit"`` — fused submit, per-t advance: adaptive allocators
+                       read the collection feedback context, so each
+                       round's proposal must wait for the previous merge.
+        ``None``     — per-t submit *and* advance: ``adaptive-user``
+                       proposals need each round's cross-shard minimum
+                       remaining budget computed after the previous
+                       round's spends.
+        """
+        cfg = self.config
+        if self._pool is None:
+            return None
+        if cfg.division == "population":
+            if cfg.allocator in ("uniform", "sample", "random"):
+                return "full"
+            return "submit"
+        if getattr(self._budget_alloc, "consults_users", False):
+            return None
+        if cfg.allocator in ("uniform", "sample"):
+            return "full"
+        return "submit"
+
+    def _launch_synthesis(self, t, n_active, n_rep, eps_used, n_sig):
+        """Start round ``t``'s synthesis on a background thread.
+
+        Safe to overlap with the *next* round's collection when the shards
+        make no engine-rng draws (their randomness lives in the seeded
+        shard objects / workers) — :meth:`process_timesteps` checks that —
+        and collection never touches the model or the trajectory store.
+        The vectorized engine's compiled model is refreshed here, on the
+        caller's thread, so the in-flight step reads only the front buffer
+        while the caller's next merge stays off the model until
+        :meth:`_join_synthesis`.
+        """
+        compile_fn = getattr(self.synthesizer, "_compile", None)
+        if compile_fn is not None:
+            compile_fn()
+        holder: dict = {}
+
+        def run() -> None:
+            try:
+                self._synthesize(t, n_active)
+                holder["n_live"] = self.synthesizer.n_live
+            except BaseException as exc:  # propagated at join
+                holder["exc"] = exc
+
+        thread = threading.Thread(
+            target=run, name=f"retrasyn-synthesis-t{t}", daemon=True
+        )
+        thread.start()
+        return thread, holder, t, n_rep, eps_used, n_sig
+
+    def _join_synthesis(self, pending) -> TimestepResult:
+        thread, holder, t, n_rep, eps_used, n_sig = pending
+        thread.join()
+        if "exc" in holder:
+            raise holder["exc"]
+        return TimestepResult(
+            t=t,
+            n_reporters=n_rep,
+            epsilon_used=eps_used if n_rep else 0.0,
+            n_significant=n_sig,
+            n_live_synthetic=holder.get("n_live", self.synthesizer.n_live),
+        )
+
+    def _finish_round(
+        self, results, pending, t, collected, n_rep, eps_used, n_active
+    ):
+        """Join the in-flight synthesis, update the model, launch round t's.
+
+        The model (and the allocation context's significant-ratio signal)
+        is only ever mutated here, after the previous round's synthesis
+        has fully drained — the double-buffer handoff that keeps the
+        overlap bit-identical.
+        """
+        self.reporters_per_timestamp.append(n_rep)
+        if pending is not None:
+            results.append(self._join_synthesis(pending))
+        n_sig = self._update_model(collected, eps_used, n_rep)
+        self.significant_per_timestamp.append(n_sig)
+        return self._launch_synthesis(t, n_active, n_rep, eps_used, n_sig)
+
+    # ------------------------------------------------------------------ #
     # checkpointing (see repro.core.persistence)
     # ------------------------------------------------------------------ #
     def checkpoint_state(self) -> dict:
         """Everything needed to resume this curator bit-for-bit.
 
-        The whole attribute graph (rng, model, synthesizer, tracker,
+        The whole attribute graph (rng, model, synthesizer, shards,
         allocators, accountant, feedback context, …) is returned as one
-        dict so that shared references — e.g. the synthesizer drawing from
-        the curator's rng — survive a pickle round trip intact.
+        dict so that shared references — the synthesizer and the K=1
+        serial shard drawing from the engine's rng, that shard's tracker
+        sharing the ledger's slot table — survive a pickle round trip
+        intact.  Distributed shards live in worker memory, so they are
+        fetched over the sockets together with their shard-local
+        accountants — each ``_shards`` entry is then a ``(shard,
+        accountant)`` pair — and the pool itself (processes, sockets) is
+        never part of a checkpoint.
         """
-        return dict(self.__dict__)
+        state = {k: v for k, v in self.__dict__.items() if k != "_pool"}
+        if self._pool is not None:
+            state["_shards"] = self._pool.get_states()
+        return state
 
     def restore_state(self, state: dict) -> None:
         """Inverse of :meth:`checkpoint_state` on a freshly built curator."""
+        state = dict(state)
+        state.pop("_pool", None)
+        tracker = state.pop("_tracker", None)
+        report_phase = state.pop("_report_phase", {})
+        shards = state.pop("_shards", None)
         self.__dict__.update(state)
+        if shards is None:
+            # Written before K=1 collected through a shard: the engine then
+            # held the tracker and report phases itself.
+            shards = self._shards
+            shards[0].rng, shards[0].tracker = self.rng, tracker
+            shards[0]._report_phase = report_phase
+        if self._pool is None:
+            self._shards = shards
+        else:
+            self._pool.set_states(shards)
+            # The unpickled accountant view is frozen (no engine behind
+            # it); re-bind it so it queries the restored worker ledgers.
+            if self.accountant is not None:
+                self.accountant._engine = self
 
     # ------------------------------------------------------------------ #
     # state lifetime (see docs/ARCHITECTURE.md, "State lifetime")
     # ------------------------------------------------------------------ #
     def _collection_state(self) -> dict:
-        """Ledger/tracker plane counts; sharded engines sum their shards."""
-        return plane_state(self.accountant, self._tracker)
+        """Ledger and tracker rows summed over wherever the shards live."""
+        if self._pool is None:
+            parts = [plane_state(None, shard.tracker) for shard in self._shards]
+            parts.append(plane_state(self.accountant, None))
+        elif self._pool.alive:
+            parts = self._pool.plane_states()
+        else:  # workers gone: what close() read from them last
+            parts = list(self._final_plane_states)
+        return {
+            key: {
+                plane: sum(part[key][plane] for part in parts)
+                for plane in ("ledger", "tracker")
+            }
+            for key in ("rows", "retired")
+        }
 
     def state_summary(self) -> dict:
         """Rows resident in, and retired from, each state plane.
@@ -587,3 +928,35 @@ class OnlineRetraSyn:
             significant_per_timestamp=self.significant_per_timestamp,
             total_runtime=total_runtime or sum(self.timings.values()),
         )
+
+    # ------------------------------------------------------------------ #
+    # lifecycle
+    # ------------------------------------------------------------------ #
+    def close(self) -> None:
+        """Shut down worker processes and the synthesizer's thread slabs."""
+        if self._pool is not None:
+            # Freeze what the workers hold so state_summary() — and the
+            # distributed accountant view's audits — answer after shutdown.
+            if self._pool.alive:
+                try:
+                    self._final_plane_states = self._pool.plane_states()
+                    if getattr(self.config, "track_privacy", True):
+                        self._final_summaries = self._pool.stats()
+                except Exception:  # pragma: no cover - dead workers
+                    pass
+            self._pool.close()
+        closer = getattr(self.synthesizer, "close", None)
+        if closer is not None:
+            closer()
+
+    def __enter__(self) -> "OnlineRetraSyn":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def __del__(self) -> None:  # pragma: no cover - interpreter teardown
+        try:
+            self.close()
+        except Exception:
+            pass

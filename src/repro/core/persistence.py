@@ -5,10 +5,13 @@ A deployed curator needs to survive restarts.  Three artefact shapes:
 * **models** (npz): the learned global mobility model — frequencies plus
   the grid geometry and state-space flags needed to rebuild the space;
 * **configurations** (JSON): the full pipeline tuning;
-* **checkpoints** (pickle): a *running curator's* complete state — rng,
-  model, synthesizer (live synthetic streams), user trackers (including
-  per-shard trackers fetched from worker processes), allocator feedback
-  context and the privacy-accountant ledger.  The columnar accounting
+* **checkpoints** (pickle): the one curator engine's complete state — rng,
+  model, synthesizer (live synthetic streams), collection shards with
+  their user trackers (fetched from the worker processes under the
+  distributed executor), allocator feedback context and the
+  privacy-accountant ledger.  The stored config rebuilds the same shard
+  layout; a v4 file written while K=1 still kept its tracker on the
+  engine itself restores into the K=1 shard.  The columnar accounting
   plane checkpoints as plain numpy state: the shared
   :class:`~repro.stream.slots.UserSlotTable`, the columns hung on it (the
   accountant's swept spend ring, the tracker's statuses) and the audit
@@ -163,7 +166,7 @@ def checkpoint_exists(path: Union[str, Path]) -> bool:
 
 
 def save_checkpoint(curator, path: Union[str, Path], spec=None, keep: int = 1) -> None:
-    """Freeze a running curator (online or sharded) to ``path``.
+    """Freeze a running curator to ``path``.
 
     Captures everything :meth:`~repro.core.online.OnlineRetraSyn
     .checkpoint_state` returns, plus the grid / config / λ needed to
@@ -184,13 +187,8 @@ def save_checkpoint(curator, path: Union[str, Path], spec=None, keep: int = 1) -
     """
     import time
 
-    from repro.core.sharded import ShardedOnlineRetraSyn
-
     payload = {
         "version": _CHECKPOINT_FORMAT_VERSION,
-        "kind": (
-            "sharded" if isinstance(curator, ShardedOnlineRetraSyn) else "online"
-        ),
         "grid": curator.grid,
         "config": curator.config,
         "spec": spec if spec is not None else curator.config.to_spec(),
@@ -277,10 +275,10 @@ def _read_newest_valid(path: Union[str, Path]) -> dict:
 def load_checkpoint(path: Union[str, Path]):
     """Rebuild the curator saved by :func:`save_checkpoint`.
 
-    Returns an :class:`~repro.core.online.OnlineRetraSyn` or
-    :class:`~repro.core.sharded.ShardedOnlineRetraSyn` whose next
-    ``process_timestep`` continues exactly where the saved one stopped
-    (``curator._last_t + 1``).  Checkpoints of an older format version are
+    Returns the :class:`~repro.core.online.OnlineRetraSyn` — built from
+    the stored config, so with the same shard count and executor — whose
+    next ``process_timestep`` continues exactly where the saved one
+    stopped (``curator._last_t + 1``).  Checkpoints of an older format version are
     refused with a :class:`~repro.exceptions.DatasetError` naming it.
     Only load checkpoints you wrote: the format is pickle.
     """
@@ -295,11 +293,9 @@ def load_checkpoint_with_spec(path: Union[str, Path]):
     — the trajectory store, model and ledgers — are unpickled once.
     """
     from repro.core.online import OnlineRetraSyn
-    from repro.core.sharded import ShardedOnlineRetraSyn
 
     payload = _read_newest_valid(path)
-    cls = ShardedOnlineRetraSyn if payload["kind"] == "sharded" else OnlineRetraSyn
-    curator = cls(payload["grid"], payload["config"], lam=payload["lam"])
+    curator = OnlineRetraSyn(payload["grid"], payload["config"], lam=payload["lam"])
     curator.restore_state(payload["state"])
     return curator, payload["spec"]
 

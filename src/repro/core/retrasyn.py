@@ -66,7 +66,7 @@ class RetraSynConfig:
     engine: str = "object"  # "object" | "vectorized" synthesis engine
     compile_mode: str = "incremental"  # "incremental" | "full" | "full-loop" ref
     synthesis_shards: int = 1  # slabs for parallel vectorized generation
-    n_shards: int = 1  # >1 routes collection through ShardedOnlineRetraSyn
+    n_shards: int = 1  # hash-partitioned collection shards
     shard_executor: str = "serial"  # "serial" | "distributed"
     shard_round_timeout: float = 60.0  # distributed recv deadline (0 = none)
     round_batch: int = 1  # timestamps coalesced per shard round (pipelining)
@@ -130,8 +130,6 @@ class RetraSyn:
     def run(self, dataset: StreamDataset) -> SynthesisRun:
         """Process the full stream and return the synthetic database."""
         from repro.core.online import OnlineRetraSyn
-        from repro.core.sharded import ShardedOnlineRetraSyn
-
         from repro.stream.reports import ColumnarStreamView
 
         cfg = self.config
@@ -140,10 +138,7 @@ class RetraSyn:
             if cfg.lam is not None
             else max(1.0, average_length(dataset.trajectories))
         )
-        if cfg.n_shards > 1 or cfg.shard_executor == "distributed":
-            curator = ShardedOnlineRetraSyn(dataset.grid, cfg, lam=lam)
-        else:
-            curator = OnlineRetraSyn(dataset.grid, cfg, lam=lam)
+        curator = OnlineRetraSyn(dataset.grid, cfg, lam=lam)
 
         # The batch pipeline feeds the curator columnar ReportBatches: the
         # per-timestamp views are materialised once as index arrays instead
@@ -168,8 +163,7 @@ class RetraSyn:
                 curator.process_timesteps(group)
             total_runtime = time.perf_counter() - start
         finally:
-            if isinstance(curator, ShardedOnlineRetraSyn):
-                curator.close()
+            curator.close()
 
         return curator.result(
             dataset.n_timestamps,

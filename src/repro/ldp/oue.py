@@ -19,8 +19,8 @@ Three execution modes are provided:
   distribution stays bit-for-bit that of the sequential protocol;
 * ``mode="exact-loop"`` is the sequential reference: one
   :meth:`~OptimizedUnaryEncoding.perturb_one` call per user.  It exists so
-  the batched path can be benchmarked and property-tested against the
-  textbook formulation (``benchmarks/bench_engine_speedup.py``);
+  the batched path can be property-tested against the textbook
+  formulation (``tests/ldp/test_oue.py``);
 * ``mode="fast"`` samples the aggregated one-counts directly from the exact
   per-position binomial law, which is distribution-identical to summing
   ``n`` independent reports but orders of magnitude faster.  Statistical

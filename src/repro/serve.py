@@ -28,7 +28,6 @@ from repro.api.specs import ServiceSpec, cli_field_names
 from repro.core.online import OnlineRetraSyn
 from repro.core.persistence import checkpoint_exists, load_checkpoint
 from repro.core.retrasyn import RetraSynConfig, SynthesisRun
-from repro.core.sharded import ShardedOnlineRetraSyn
 from repro.geo.trajectory import average_length
 from repro.stream.ingest import IngestStats, dataset_reports, ingest_events
 from repro.stream.reports import ColumnarStreamView
@@ -115,14 +114,12 @@ class ServeOutcome:
 
 
 def build_curator(data: StreamDataset, config: RetraSynConfig):
-    """The same engine routing `repro run` uses, without running anything."""
+    """The same engine `repro run` builds, without running anything."""
     lam = (
         config.lam
         if config.lam is not None
         else max(1.0, average_length(data.trajectories))
     )
-    if config.n_shards > 1 or config.shard_executor == "distributed":
-        return ShardedOnlineRetraSyn(data.grid, config, lam=lam)
     return OnlineRetraSyn(data.grid, config, lam=lam)
 
 
@@ -165,8 +162,7 @@ def serve_dataset(data: StreamDataset, settings: ServeSettings) -> ServeOutcome:
             ingest_consumers=settings.ingest_consumers,
         )
     finally:
-        if isinstance(curator, ShardedOnlineRetraSyn):
-            curator.close()
+        curator.close()
     wall = time.perf_counter() - start
 
     run = curator.result(

@@ -323,7 +323,7 @@ class MultiConsumerAssembler(TimestampAssembler):
     thread that owns it — with parallel shard rounds upstream, assembly
     becomes the serial section.  This subclass hash-partitions buffering
     by user id (:func:`~repro.stream.reports.shard_of_array`, the same
-    Knuth hash the sharded engine uses), so ``n_partitions`` feeders can
+    Knuth hash collection shards use), so ``n_partitions`` feeders can
     buffer concurrently, each touching only its partition's lock.
 
     Closed output is **canonical and identical to the single-consumer
@@ -495,8 +495,8 @@ class IngestionService:
     Parameters
     ----------
     curator:
-        An :class:`~repro.core.online.OnlineRetraSyn` (or sharded
-        subclass).  Resume is automatic: ingestion starts at
+        An :class:`~repro.core.online.OnlineRetraSyn` (any shard count
+        and executor).  Resume is automatic: ingestion starts at
         ``curator._last_t + 1``.
     queue_size:
         Bound of the ingress queue; a full queue suspends ``submit``

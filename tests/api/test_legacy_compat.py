@@ -25,7 +25,7 @@ from repro.stream.reports import ColumnarStreamView
 #: The public names importable from `repro` before the unified API landed.
 #: Removing any of these is a breaking change — this list is the contract.
 LEGACY_EXPORTS = (
-    "RetraSyn", "RetraSynConfig", "OnlineRetraSyn", "ShardedOnlineRetraSyn",
+    "RetraSyn", "RetraSynConfig", "OnlineRetraSyn",
     "SynthesisRun", "Synthesizer", "VectorizedSynthesizer",
     "GlobalMobilityModel", "TrajectoryAnalyzer", "FlowAnalyzer",
     "fidelity_report", "make_retrasyn", "make_all_update", "make_no_eq",
@@ -62,6 +62,11 @@ class TestLegacyImports:
         for name in LEGACY_EXPORTS:
             assert hasattr(repro, name), f"legacy export {name} vanished"
             assert name in repro.__all__
+        # The deliberate break: OnlineRetraSyn is the one engine; sharding
+        # is configuration, not a second class.
+        with pytest.raises(ImportError):
+            from repro import ShardedOnlineRetraSyn  # noqa: F401
+        assert "ShardedOnlineRetraSyn" not in repro.__all__
 
     def test_legacy_imports_emit_no_warnings(self):
         import repro

@@ -16,7 +16,6 @@ from repro.api.session import (
 from repro.api.specs import SessionSpec
 from repro.core.online import OnlineRetraSyn
 from repro.core.retrasyn import RetraSyn, RetraSynConfig
-from repro.core.sharded import ShardedOnlineRetraSyn
 from repro.exceptions import ConfigurationError
 from repro.geo.trajectory import average_length
 from repro.stream.reports import ColumnarStreamView
@@ -51,21 +50,18 @@ class TestFactory:
     def test_three_engine_families_one_protocol(self, walk_data):
         spec = SessionSpec.from_flat(epsilon=1.0, w=10, seed=0)
         cases = [
-            (spec, DirectSession, OnlineRetraSyn),
-            (spec.replace(n_shards=3), DirectSession, ShardedOnlineRetraSyn),
-            (spec.replace(transport="ingest"), IngestSession, OnlineRetraSyn),
-            (
-                spec.replace(transport="ingest", n_shards=2),
-                IngestSession,
-                ShardedOnlineRetraSyn,
-            ),
+            (spec, DirectSession, 1),
+            (spec.replace(n_shards=3), DirectSession, 3),
+            (spec.replace(transport="ingest"), IngestSession, 1),
+            (spec.replace(transport="ingest", n_shards=2), IngestSession, 2),
         ]
-        for s, session_cls, curator_cls in cases:
+        for s, session_cls, n_shards in cases:
             session = create_session(s, walk_data.grid, lam=_lam(walk_data))
             try:
                 assert isinstance(session, CuratorSession)
                 assert isinstance(session, session_cls)
-                assert isinstance(session.curator, curator_cls)
+                assert isinstance(session.curator, OnlineRetraSyn)
+                assert len(session.curator._shards) == n_shards
                 assert session.spec == s
             finally:
                 session.close()

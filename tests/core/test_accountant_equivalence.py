@@ -14,7 +14,6 @@ import pytest
 from repro.core.online import OnlineRetraSyn
 from repro.core.persistence import load_checkpoint, save_checkpoint
 from repro.core.retrasyn import RetraSyn, RetraSynConfig
-from repro.core.sharded import ShardedOnlineRetraSyn
 from repro.datasets.synthetic import make_random_walks
 from repro.exceptions import PrivacyBudgetError
 from repro.ldp.accountant import ColumnarPrivacyAccountant, PrivacyAccountant
@@ -118,7 +117,7 @@ class TestColumnarCheckpointRoundTrip:
         assert isinstance(resumed.accountant, ColumnarPrivacyAccountant)
         # The shared slot table must be restored as ONE object for both
         # planes, not two diverging copies.
-        assert resumed.accountant._slots is resumed._tracker._table
+        assert resumed.accountant._slots is resumed._shards[0].tracker._table
         assert resumed.accountant._slots is resumed._slots
         # Ledger contents survive bit-for-bit.
         for uid, ws in pre_ws.items():
@@ -130,12 +129,12 @@ class TestColumnarCheckpointRoundTrip:
 
     def test_sharded_columnar_plane_roundtrip(self, data, tmp_path):
         cfg = RetraSynConfig(epsilon=1.0, w=4, seed=23, n_shards=3)
-        ref = ShardedOnlineRetraSyn(data.grid, cfg, lam=5.0)
+        ref = OnlineRetraSyn(data.grid, cfg, lam=5.0)
         for t in range(data.n_timestamps):
             self._step(ref, data, t)
 
         half = data.n_timestamps // 2
-        first = ShardedOnlineRetraSyn(data.grid, cfg, lam=5.0)
+        first = OnlineRetraSyn(data.grid, cfg, lam=5.0)
         for t in range(half):
             self._step(first, data, t)
         path = tmp_path / "shard.ckpt"

@@ -16,7 +16,6 @@ from repro.core.allocation import (
 )
 from repro.core.online import OnlineRetraSyn
 from repro.core.retrasyn import RetraSyn, RetraSynConfig
-from repro.core.sharded import ShardedOnlineRetraSyn
 from repro.exceptions import ConfigurationError
 from repro.geo.trajectory import average_length
 from repro.stream.reports import ColumnarStreamView
@@ -141,7 +140,7 @@ class TestEngineIntegration:
             epsilon=1.0, w=8, division="budget", allocator="adaptive-user",
             n_shards=2, seed=0,
         )
-        curator = ShardedOnlineRetraSyn(
+        curator = OnlineRetraSyn(
             walk_data.grid, config,
             lam=max(1.0, average_length(walk_data.trajectories)),
         )

@@ -24,7 +24,6 @@ from repro.core.online import (
     sample_population_reporters_batch,
 )
 from repro.core.retrasyn import RetraSynConfig
-from repro.core.sharded import ShardedOnlineRetraSyn
 from repro.datasets.synthetic import make_random_walks
 from repro.stream.ingest import dataset_reports, ingest_events
 from repro.stream.reports import ColumnarStreamView, ReportBatch
@@ -46,8 +45,6 @@ def _make(stream, n_shards, executor, **overrides):
         epsilon=1.0, w=5, seed=42, n_shards=n_shards,
         shard_executor=executor, **overrides,
     )
-    if n_shards > 1 or executor == "distributed":
-        return ShardedOnlineRetraSyn(stream.grid, cfg, lam=5.0)
     return OnlineRetraSyn(stream.grid, cfg, lam=5.0)
 
 

@@ -15,9 +15,10 @@ import pickle
 
 import pytest
 
+from repro.core.online import OnlineRetraSyn
 from repro.core.persistence import load_checkpoint, save_checkpoint
 from repro.core.retrasyn import RetraSynConfig
-from repro.core.sharded import ShardedOnlineRetraSyn
+from repro.core.sharded import CollectionShard
 from repro.datasets.synthetic import make_random_walks
 from repro.exceptions import ConfigurationError, PrivacyBudgetError
 
@@ -32,7 +33,15 @@ def _make(stream, n_shards, executor, **overrides):
         epsilon=1.0, w=5, seed=42, n_shards=n_shards,
         shard_executor=executor, **overrides,
     )
-    return ShardedOnlineRetraSyn(stream.grid, cfg, lam=5.0)
+    curator = OnlineRetraSyn(stream.grid, cfg, lam=5.0)
+    if n_shards == 1 and executor == "serial":
+        # K=1 serial collects on the engine rng.  The in-process twin of a
+        # one-worker engine runs the worker's shard instead: seeded from
+        # the engine rng where the engine draws worker seeds, rounding
+        # stochastically.
+        seed = int(curator.rng.integers(0, 2**63 - 1, size=1)[0])
+        curator._shards = [CollectionShard(stream.grid, cfg, seed)]
+    return curator
 
 
 def _drive(stream, curator):
@@ -158,7 +167,7 @@ class TestDistributedCheckpoint:
 
         resumed = load_checkpoint(path)
         try:
-            assert resumed.executor == "distributed"
+            assert resumed._pool is not None
             assert resumed._last_t == half - 1
             for t in range(half, stream.n_timestamps):
                 _step(resumed, t)
@@ -187,7 +196,7 @@ class TestWorkerErrorPropagation:
             shard_executor="distributed",
             division="budget", allocator="uniform",
         )
-        curator = ShardedOnlineRetraSyn(stream.grid, cfg, lam=5.0)
+        curator = OnlineRetraSyn(stream.grid, cfg, lam=5.0)
         try:
             parts = stream.participants_at(0)
             doubled = list(parts) + [parts[0]]

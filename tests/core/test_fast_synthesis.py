@@ -365,17 +365,20 @@ class TestShardParallelGeneration:
         assert syn._pool is not None
         assert syn.n_live == 100
 
-    def test_sharded_curator_close_shuts_synthesis_pool(self, walk_data):
-        from repro.core.sharded import ShardedOnlineRetraSyn
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_sharded_curator_close_shuts_synthesis_pool(self, walk_data, n_shards):
+        from repro.api.session import create_session
+        from repro.api.specs import SessionSpec
 
-        cfg = RetraSynConfig(
+        spec = SessionSpec.from_flat(
             epsilon=1.0, w=5, engine="vectorized", synthesis_shards=2,
-            n_shards=2, seed=0,
+            n_shards=n_shards, seed=0,
         )
-        curator = ShardedOnlineRetraSyn(walk_data.grid, cfg, lam=5.0)
-        curator.synthesizer._executor()  # force pool creation
-        curator.close()
-        assert curator.synthesizer._pool is None
+        session = create_session(spec, walk_data.grid, lam=5.0)
+        synthesizer = session.curator.synthesizer
+        synthesizer._executor()  # force pool creation
+        session.close()
+        assert synthesizer._pool is None
 
     def test_pickles_without_thread_pool(self, space4):
         import pickle

@@ -17,7 +17,6 @@ from repro.core.persistence import (
     save_model,
 )
 from repro.core.retrasyn import RetraSynConfig
-from repro.core.sharded import ShardedOnlineRetraSyn
 from repro.datasets.synthetic import make_random_walks
 from repro.exceptions import ConfigurationError, DatasetError
 
@@ -192,7 +191,7 @@ class TestCheckpointResume:
     def test_sharded_serial_roundtrip(self, data, tmp_path):
         cfg = RetraSynConfig(epsilon=1.0, w=5, seed=17, n_shards=3)
         self._run_with_interruption(
-            data, lambda: ShardedOnlineRetraSyn(data.grid, cfg, lam=5.0),
+            data, lambda: OnlineRetraSyn(data.grid, cfg, lam=5.0),
             tmp_path, half=data.n_timestamps // 2,
         )
 
@@ -222,8 +221,7 @@ class TestCheckpointResume:
         object.__setattr__(spec.sharding, "synthesis_executor", "thread")
 
         def make_curator():
-            cls = ShardedOnlineRetraSyn if sharding else OnlineRetraSyn
-            curator = cls(data.grid, cfg, lam=5.0)
+            curator = OnlineRetraSyn(data.grid, cfg, lam=5.0)
             curator.synthesizer.synthesis_executor = "thread"
             return curator
 
@@ -240,9 +238,9 @@ class TestCheckpointResume:
         """What the removed pipe-pool engine pickled names no live executor."""
         cfg = RetraSynConfig(epsilon=1.0, w=5, seed=17, n_shards=2)
         spec = cfg.to_spec()
-        curator = ShardedOnlineRetraSyn(data.grid, cfg, lam=5.0)
+        curator = OnlineRetraSyn(data.grid, cfg, lam=5.0)
         self._step(curator, data, 0)
-        cfg.shard_executor = curator.executor = "process"
+        cfg.shard_executor = "process"
         path = tmp_path / "process.ckpt"
         save_checkpoint(curator, path, spec=spec)
         with pytest.raises(ConfigurationError, match="'serial' or 'distributed'"):

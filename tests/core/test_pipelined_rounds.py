@@ -15,8 +15,8 @@ a pipeline batch in half.
 import pytest
 
 from repro.core.persistence import load_checkpoint, save_checkpoint
+from repro.core.online import OnlineRetraSyn
 from repro.core.retrasyn import RetraSynConfig
-from repro.core.sharded import ShardedOnlineRetraSyn
 from repro.datasets.synthetic import make_random_walks
 from repro.exceptions import ConfigurationError
 
@@ -33,7 +33,7 @@ def _make(stream, executor, n_shards=2, **overrides):
         epsilon=1.0, w=5, seed=42, n_shards=n_shards,
         shard_executor=executor, **overrides,
     )
-    return ShardedOnlineRetraSyn(stream.grid, cfg, lam=5.0)
+    return OnlineRetraSyn(stream.grid, cfg, lam=5.0)
 
 
 def _rounds(stream):

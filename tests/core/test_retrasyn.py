@@ -132,10 +132,14 @@ class TestTimings:
         assert avg["total"] > 0.0
 
     def test_exact_oracle_mode_runs(self, walk_data):
-        run = RetraSyn(
-            RetraSynConfig(epsilon=1.0, w=5, oracle_mode="exact", seed=0)
-        ).run(walk_data)
-        assert run.accountant.verify()
+        for n_shards in (1, 4):
+            run = RetraSyn(
+                RetraSynConfig(
+                    epsilon=1.0, w=5, oracle_mode="exact", n_shards=n_shards,
+                    seed=0,
+                )
+            ).run(walk_data)
+            assert run.accountant.verify(), n_shards
 
 
 class TestModelQuality:

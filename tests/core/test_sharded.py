@@ -1,11 +1,13 @@
-"""Tests for the sharded collection engine."""
+"""Tests for hash-sharded collection."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.online import OnlineRetraSyn
 from repro.core.retrasyn import RetraSyn, RetraSynConfig
-from repro.core.sharded import ShardedOnlineRetraSyn, shard_of
+from repro.core.sharded import shard_of
 from repro.datasets.synthetic import make_random_walks
 from repro.exceptions import ConfigurationError
 
@@ -70,8 +72,8 @@ class TestShardedCurator:
 
     def test_same_interface_as_online(self, small_stream):
         cfg = RetraSynConfig(epsilon=1.0, w=5, seed=0)
-        curator = ShardedOnlineRetraSyn(
-            small_stream.grid, cfg, lam=5.0, n_shards=4
+        curator = OnlineRetraSyn(
+            small_stream.grid, replace(cfg, n_shards=4), lam=5.0
         )
         self._drive(curator, small_stream)
         snapshot = curator.live_snapshot()
@@ -91,8 +93,8 @@ class TestShardedCurator:
     def test_each_user_reports_in_one_shard_only(self, small_stream):
         """Reports of one user always land on the same shard's tracker."""
         cfg = RetraSynConfig(epsilon=1.0, w=5, seed=0)
-        curator = ShardedOnlineRetraSyn(
-            small_stream.grid, cfg, lam=5.0, n_shards=4
+        curator = OnlineRetraSyn(
+            small_stream.grid, replace(cfg, n_shards=4), lam=5.0
         )
         self._drive(curator, small_stream)
         seen: dict[int, int] = {}
@@ -128,8 +130,8 @@ class TestShardCountInvariance:
             totals, densities = [], []
             for seed in range(3):
                 cfg = RetraSynConfig(epsilon=1.0, w=5, seed=seed)
-                curator = ShardedOnlineRetraSyn(
-                    small_stream.grid, cfg, lam=5.0, n_shards=n_shards
+                curator = OnlineRetraSyn(
+                    small_stream.grid, replace(cfg, n_shards=n_shards), lam=5.0
                 )
                 for t in range(small_stream.n_timestamps):
                     curator.process_timestep(
@@ -201,15 +203,18 @@ class TestDistributedExecutor:
 
     def test_close_is_idempotent(self, small_stream):
         cfg = RetraSynConfig(epsilon=1.0, w=5, seed=0)
-        curator = ShardedOnlineRetraSyn(
-            small_stream.grid, cfg, lam=5.0, n_shards=2, executor="distributed"
+        curator = OnlineRetraSyn(
+            small_stream.grid,
+            replace(cfg, n_shards=2, shard_executor="distributed"),
+            lam=5.0,
         )
         curator.close()
         curator.close()
 
 
 class TestK1MatchesUnsharded:
-    """ShardedOnlineRetraSyn(K=1) vs OnlineRetraSyn: same distributions."""
+    """K=2 serial (seeded shards, stochastic rounding) vs the K=1 round
+    on the engine rng: same distributions."""
 
     def test_reporters_and_densities_agree(self, small_stream):
         from repro.metrics.divergence import jensen_shannon_divergence
@@ -218,8 +223,8 @@ class TestK1MatchesUnsharded:
         densities = {"sharded": [], "online": []}
         for seed in range(3):
             cfg = RetraSynConfig(epsilon=2.0, w=5, seed=seed)
-            sharded = ShardedOnlineRetraSyn(
-                small_stream.grid, cfg, lam=5.0, n_shards=1
+            sharded = OnlineRetraSyn(
+                small_stream.grid, replace(cfg, n_shards=2), lam=5.0
             )
             online = OnlineRetraSyn(small_stream.grid, cfg, lam=5.0)
             for curator, key in ((sharded, "sharded"), (online, "online")):
@@ -260,7 +265,7 @@ class TestDMUPrefilter:
         cfg = RetraSynConfig(
             epsilon=2.0, w=5, n_shards=3, dmu_prefilter=True, seed=0
         )
-        curator = ShardedOnlineRetraSyn(data.grid, cfg, lam=5.0)
+        curator = OnlineRetraSyn(data.grid, cfg, lam=5.0)
         for t in range(data.n_timestamps):
             curator.process_timestep(
                 t,

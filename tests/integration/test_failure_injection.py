@@ -568,14 +568,14 @@ class TestHungShardWorker:
     def test_sigstop_worker_times_out_with_named_shard(self, walk_data):
         import signal
 
-        from repro.core.sharded import ShardedOnlineRetraSyn
+        from repro.core.online import OnlineRetraSyn
         from repro.exceptions import ShardWorkerError
 
         cfg = RetraSynConfig(
             epsilon=1.0, w=4, seed=0, n_shards=2,
             shard_executor="distributed", shard_round_timeout=2.0,
         )
-        curator = ShardedOnlineRetraSyn(walk_data.grid, cfg, lam=5.0)
+        curator = OnlineRetraSyn(walk_data.grid, cfg, lam=5.0)
 
         def _step(t):
             curator.process_timestep(
@@ -619,13 +619,13 @@ class TestShardWorkerDeath:
     def test_sigkill_one_worker_mid_round(self, walk_data, executor):
         import signal
 
-        from repro.core.sharded import ShardedOnlineRetraSyn
+        from repro.core.online import OnlineRetraSyn
         from repro.exceptions import ShardWorkerError
 
         cfg = RetraSynConfig(
             epsilon=1.0, w=4, seed=0, n_shards=2, shard_executor=executor
         )
-        curator = ShardedOnlineRetraSyn(walk_data.grid, cfg, lam=5.0)
+        curator = OnlineRetraSyn(walk_data.grid, cfg, lam=5.0)
 
         def _step(t):
             curator.process_timestep(

@@ -111,10 +111,7 @@ def _table_bytes(table) -> int:
 
 def _live_state_bytes(curator) -> int:
     """numpy bytes in use by ledger, tracker, slot tables and live block."""
-    trackers = (
-        [curator._tracker] if curator._tracker is not None
-        else [shard.tracker for shard in getattr(curator, "_shards", None) or []]
-    )
+    trackers = [shard.tracker for shard in curator._shards or []]
     tables = {id(curator.accountant._slots): curator.accountant._slots}
     total = 0
     for tracker in filter(None, trackers):
@@ -283,6 +280,61 @@ def test_checkpoint_in_the_previous_layout_resumes_bitwise(
     )
     assert store._block.dtype == np.int32
     assert store._chunks and all(c.dtype == np.int32 for c in store._chunks)
+
+
+def _as_the_two_engine_commit_wrote_it(path):
+    """Re-encode a checkpoint in the layout of the commit before K=1
+    collected through a shard: a ``kind`` key naming the engine class; the
+    unsharded engine kept its tracker and report phases itself and had no
+    shards; the sharded engine kept ``executor`` plus unused engine-level
+    ``_tracker``/``_report_phase`` and an idle tracker on the ledger's slot
+    table; both engines and every shard carried a ``UserSideEncoder``."""
+    from repro.stream.encoder import UserSideEncoder
+    from repro.stream.user_tracker import UserTracker
+
+    with open(path, "rb") as fh:
+        payload = pickle.load(fh)
+    state, config = payload["state"], payload["config"]
+    population = config.division == "population"
+    for key in ("n_shards", "_final_summaries", "_final_plane_states"):
+        del state[key]
+    state["encoder"] = UserSideEncoder(state["space"])
+    unsharded = config.n_shards == 1 and config.shard_executor == "serial"
+    payload["kind"] = "online" if unsharded else "sharded"
+    if unsharded:
+        (shard,) = state.pop("_shards")
+        state["_tracker"] = shard.tracker
+        if population:
+            state["_report_phase"] = shard._report_phase
+    else:
+        state.update(
+            n_shards=config.n_shards, executor=config.shard_executor,
+            _final_summaries=None, _final_plane_states=[], _tracker=None,
+        )
+        if population:
+            state["_report_phase"] = {}
+            UserTracker(config.w, slots=state["_slots"])
+        for entry in state["_shards"]:
+            shard = entry[0] if isinstance(entry, tuple) else entry
+            shard.encoder = UserSideEncoder(shard.space)
+    with open(path, "wb") as fh:
+        pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+@pytest.mark.parametrize(
+    "n_shards, executor", [(1, "serial"), (3, "serial"), (2, "distributed")]
+)
+def test_checkpoint_in_the_two_engine_layout_resumes_bitwise(
+    churn_stream, tmp_path, n_shards, executor
+):
+    """Format v4 outlives the second engine class: files written while
+    K=1 had its own collection path load through ``load_session`` and
+    resume bit for bit, whatever their shard count and executor."""
+    assert persistence._CHECKPOINT_FORMAT_VERSION == 4
+    _resume_at_cut(
+        churn_stream, tmp_path, n_shards, executor,
+        rewrite=_as_the_two_engine_commit_wrote_it,
+    )
 
 
 # ---------------------------------------------------------------------- #
