@@ -19,8 +19,8 @@ Run:  python examples/streaming_service.py
 import tempfile
 from pathlib import Path
 
-from repro import RetraSynConfig, load_dataset
-from repro.serve import ServeSettings, serve_dataset
+from repro import SessionSpec, load_dataset
+from repro.serve import serve_dataset
 
 
 def fingerprint(run) -> list:
@@ -30,12 +30,13 @@ def fingerprint(run) -> list:
 def main() -> None:
     data = load_dataset("oldenburg", scale=0.02, seed=0)
     print(f"stream: {len(data)} users, {data.n_timestamps} timestamps\n")
-    cfg = RetraSynConfig(
-        epsilon=1.0, w=10, n_shards=2, engine="vectorized", seed=0
+    spec = SessionSpec.from_flat(
+        epsilon=1.0, w=10, n_shards=2, engine="vectorized", seed=0,
+        queue_size=512,
     )
 
     # 1. plain in-order service replay
-    in_order = serve_dataset(data, ServeSettings(config=cfg, queue_size=512))
+    in_order = serve_dataset(data, spec)
     s = in_order.stats
     print(
         f"in-order : {s.n_timestamps} timestamps, {s.n_submitted} reports, "
@@ -43,12 +44,7 @@ def main() -> None:
     )
 
     # 2. out-of-order arrival within the watermark window
-    shuffled = serve_dataset(
-        data,
-        ServeSettings(
-            config=cfg, queue_size=512, max_lateness=2, shuffle=True
-        ),
-    )
+    shuffled = serve_dataset(data, spec.replace(max_lateness=2), shuffle=True)
     same = fingerprint(shuffled.run) == fingerprint(in_order.run)
     print(
         f"shuffled : {shuffled.stats.n_late_dropped} late drops, "
@@ -58,17 +54,11 @@ def main() -> None:
 
     # 3. checkpoint halfway, resume in a "fresh process"
     with tempfile.TemporaryDirectory() as tmp:
-        ckpt = str(Path(tmp) / "curator.ckpt")
-        serve_dataset(
-            data,
-            ServeSettings(
-                config=cfg, checkpoint_path=ckpt, checkpoint_every=5
-            ),
+        ckpt = spec.replace(
+            checkpoint_path=str(Path(tmp) / "curator.ckpt"), checkpoint_every=5
         )
-        resumed = serve_dataset(
-            data,
-            ServeSettings(config=cfg, checkpoint_path=ckpt, resume=True),
-        )
+        serve_dataset(data, ckpt)
+        resumed = serve_dataset(data, ckpt, resume=True)
         print(
             f"resumed  : from t={resumed.resumed_from_t}, audit "
             f"{'ok' if resumed.run.accountant.verify() else 'VIOLATED'}"

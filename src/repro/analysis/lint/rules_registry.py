@@ -185,8 +185,7 @@ class SpecDriftRule(Rule):
     severity = "error"
     description = (
         "every *Spec dataclass field carries CLI metadata or a "
-        "NON_CLI_FIELDS justification; flags stay unique; ServeSettings "
-        "mirrors every CLI-exposed ServiceSpec field"
+        "NON_CLI_FIELDS justification; flags stay unique"
     )
 
     def finalize(self, project: Project) -> Iterable[Finding]:
@@ -195,7 +194,6 @@ class SpecDriftRule(Rule):
             return
         non_cli = self._non_cli_fields(specs_mod)
         seen_flags: Dict[str, str] = {}
-        cli_fields: Dict[str, List[str]] = {}
         all_fields: Set[Tuple[str, str]] = set()
         for cls in specs_mod.tree.body:
             if not isinstance(cls, ast.ClassDef) or not cls.name.endswith("Spec"):
@@ -214,7 +212,6 @@ class SpecDriftRule(Rule):
                 all_fields.add((cls.name, fname))
                 flag = self._cli_flag(stmt.value)
                 if flag is not None:
-                    cli_fields.setdefault(cls.name, []).append(fname)
                     prior = seen_flags.get(flag)
                     if prior is not None:
                         yield specs_mod.finding(
@@ -238,37 +235,6 @@ class SpecDriftRule(Rule):
                     f"NON_CLI_FIELDS entry {fname!r} matches no *Spec "
                     "field — stale justification",
                 )
-        yield from self._check_serve_mirrors(
-            project, specs_mod, cli_fields.get("ServiceSpec", [])
-        )
-
-    def _check_serve_mirrors(
-        self,
-        project: Project,
-        specs_mod: Module,
-        cli_service_fields: List[str],
-    ) -> Iterable[Finding]:
-        serve_mod = _find_module(project, "serve.py", marker="ServeSettings")
-        if serve_mod is None or not cli_service_fields:
-            return
-        for cls in serve_mod.tree.body:
-            if not isinstance(cls, ast.ClassDef) or cls.name != "ServeSettings":
-                continue
-            declared = {
-                stmt.target.id
-                for stmt in cls.body
-                if isinstance(stmt, ast.AnnAssign)
-                and isinstance(stmt.target, ast.Name)
-            }
-            for fname in cli_service_fields:
-                if fname not in declared:
-                    yield serve_mod.finding(
-                        self, cls,
-                        f"ServiceSpec.{fname} is CLI-exposed but "
-                        "ServeSettings declares no mirror field — the "
-                        "serve flag would silently stop reaching the "
-                        "service layer",
-                    )
 
     def _cli_flag(self, value: Optional[ast.AST]) -> Optional[str]:
         """The ``--flag`` of a ``field(metadata=_cli("--flag", ...))``."""

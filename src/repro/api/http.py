@@ -230,7 +230,7 @@ class HttpIngress:
 
     async def _finish_session(self) -> None:
         async with self._lock:  # waits for the in-flight round
-            self.session.close()  # flush partitions + final checkpoint
+            self.session.close()  # flush the assembler + final checkpoint
 
     async def serve_until_shutdown(self) -> None:
         """Block until a client posts ``/v1/shutdown``, then stop."""

@@ -36,7 +36,6 @@ over the wire, so remote and in-process callers are interchangeable.
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Optional, Protocol, runtime_checkable
 
 import numpy as np
@@ -383,7 +382,7 @@ class IngestSession(_SessionBase):
     """
 
     def __init__(self, curator, spec: Optional[SessionSpec] = None) -> None:
-        from repro.stream.ingest import IngestStats, make_assembler
+        from repro.stream.ingest import IngestStats, TimestampAssembler
 
         if spec is None:
             spec = SessionSpec.from_config(
@@ -391,11 +390,10 @@ class IngestSession(_SessionBase):
             )
         super().__init__(curator, spec)
         last_t = getattr(curator, "_last_t", None)
-        self.assembler = make_assembler(
+        self.assembler = TimestampAssembler(
             curator.space,
             start_t=0 if last_t is None else last_t + 1,
             max_lateness=self.spec.service.max_lateness,
-            consumers=self.spec.service.ingest_consumers,
         )
         self.ingest_stats = IngestStats()
         self._register_ingest_metrics()
@@ -554,9 +552,8 @@ def create_session(spec, grid, *, lam: Optional[float] = None) -> CuratorSession
     ----------
     spec:
         A :class:`~repro.api.specs.SessionSpec`.  A flat
-        :class:`~repro.core.retrasyn.RetraSynConfig` is accepted for
-        compatibility (lifted via ``SessionSpec.from_config``) but
-        deprecated here — new callers should compose specs.
+        :class:`~repro.core.retrasyn.RetraSynConfig` is refused; lift it
+        with ``config.to_spec()``.
     grid:
         The discretisation grid shared with reporting users.
     lam:
@@ -568,14 +565,11 @@ def create_session(spec, grid, *, lam: Optional[float] = None) -> CuratorSession
     ingestion assembler, ``"direct"`` in the synchronous façade.
     """
     if not isinstance(spec, SessionSpec):
-        warnings.warn(
-            "passing a flat config to create_session() is deprecated; "
-            "build a SessionSpec (e.g. config.to_spec() or "
-            "SessionSpec.from_flat(...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
+        raise ConfigurationError(
+            f"create_session() needs a SessionSpec, got "
+            f"{type(spec).__name__}; lift a flat config with "
+            "config.to_spec()"
         )
-        spec = SessionSpec.from_config(spec)
     lam = lam if lam is not None else spec.engine.lam
     if lam is None:
         raise ConfigurationError(

@@ -88,9 +88,8 @@ def _cli(flag: str, help: str, *, type=None, choices=None, store_true=False):
 def _require_int(name: str, value) -> None:
     """Reject non-integers *before* any ``<`` comparison.
 
-    Callers like ``ServeSettings`` carry ``Optional[int]`` mirrors of the
-    service fields; without this, a leaked ``None`` would surface as a
-    bare ``TypeError`` from the range check instead of a typed
+    Without this, a ``None`` passed for an integer field would surface as
+    a bare ``TypeError`` from the range check instead of a typed
     :class:`ConfigurationError`.
     """
     if isinstance(value, bool) or not isinstance(value, int):
@@ -369,15 +368,6 @@ class ServiceSpec:
             type=float,
         ),
     )
-    ingest_consumers: int = field(
-        default=1,
-        metadata=_cli(
-            "--ingest-consumers",
-            "assembler partitions fed concurrently; >1 hash-partitions "
-            "buffering by user id (output stays canonical)",
-            type=int,
-        ),
-    )
     http_host: str = "127.0.0.1"
     http_port: int = 0  # 0 = bind an ephemeral port
 
@@ -388,7 +378,7 @@ class ServiceSpec:
             )
         for name in (
             "queue_size", "max_lateness", "checkpoint_every",
-            "checkpoint_keep", "ingest_consumers", "http_port",
+            "checkpoint_keep", "http_port",
         ):
             _require_int(name, getattr(self, name))
         _require_number("drain_deadline", self.drain_deadline)
@@ -411,10 +401,6 @@ class ServiceSpec:
         if self.drain_deadline < 0:
             raise ConfigurationError(
                 f"drain_deadline must be >= 0, got {self.drain_deadline}"
-            )
-        if self.ingest_consumers < 1:
-            raise ConfigurationError(
-                f"ingest_consumers must be >= 1, got {self.ingest_consumers}"
             )
         if not 0 <= self.http_port <= 65535:
             raise ConfigurationError(
@@ -562,14 +548,3 @@ def iter_cli_fields(
         for f in fields(cls):
             if "cli" in f.metadata:
                 yield cls, f
-
-
-def cli_field_names(spec_cls) -> tuple[str, ...]:
-    """Names of the CLI-exposed fields of one spec class, in field order.
-
-    Consumers that must cover *exactly* the command-line surface of a
-    spec — e.g. the flat :class:`repro.serve.ServeSettings` mirrors of
-    :class:`ServiceSpec` — derive their field lists from this registry
-    instead of maintaining a parallel tuple that can drift.
-    """
-    return tuple(f.name for f in fields(spec_cls) if "cli" in f.metadata)

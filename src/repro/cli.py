@@ -251,7 +251,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_serve(args) -> int:
     from repro.api.specs import ServiceSpec, SessionSpec
-    from repro.serve import ServeSettings, serve_dataset
+    from repro.serve import serve_dataset
 
     if args.input:
         data = load_stream_dataset(args.input)
@@ -268,14 +268,10 @@ def _cmd_serve(args) -> int:
     )
     if args.http is not None:
         return _serve_http(args, data, spec)
-    settings = ServeSettings(
-        config=spec.to_config(),
-        service=spec.service,
-        shuffle=args.shuffle,
-        shuffle_seed=args.seed,
-        resume=args.resume,
+    outcome = serve_dataset(
+        data, spec,
+        shuffle=args.shuffle, shuffle_seed=args.seed, resume=args.resume,
     )
-    outcome = serve_dataset(data, settings)
     for line in outcome.report_lines():
         print(line)
     if args.out:
@@ -292,39 +288,15 @@ def _serve_http(args, data, spec) -> int:
     until a client posts ``/v1/shutdown``, then reports and (optionally)
     writes the synthetic output.
     """
-    import dataclasses
-
     from repro.api import schema
     from repro.api.http import serve_http
-    from repro.api.session import create_session, load_session
-    from repro.core.persistence import checkpoint_exists
-    from repro.geo.trajectory import average_length
+    from repro.serve import open_session
 
-    spec = dataclasses.replace(
-        spec,
-        service=dataclasses.replace(
-            spec.service, http_host=args.host, http_port=args.http
-        ),
-    )
-    lam = spec.engine.lam or max(1.0, average_length(data.trajectories))
+    spec = spec.replace(http_host=args.host, http_port=args.http)
+    session = open_session(data, spec, resume=args.resume)
     if args.resume:
-        if not spec.service.checkpoint_path:
-            raise ValueError("--resume requires --checkpoint")
-        if not checkpoint_exists(spec.service.checkpoint_path):
-            raise FileNotFoundError(
-                f"no checkpoint to resume from: {spec.service.checkpoint_path}"
-            )
-        # Engine + privacy layers come from the checkpoint's stored spec
-        # (the flags of *this* invocation may be defaults that misdescribe
-        # the restored engine); only the service shape — lateness,
-        # cadence, binding — follows the current flags.
-        session = load_session(
-            spec.service.checkpoint_path, service=spec.service
-        )
         last_t = session.curator._last_t
         print(f"resumed at t={0 if last_t is None else last_t + 1}", flush=True)
-    else:
-        session = create_session(spec, data.grid, lam=lam)
     ingress = serve_http(
         session,
         host=spec.service.http_host,

@@ -17,20 +17,15 @@ model and synthesize before moving on.  This module is that front door:
   sorted by user id, giving the service a canonical row order that is
   independent of arrival order — so a fixed seed yields the same synthetic
   stream no matter how the network shuffled the reports.
-* :class:`MultiConsumerAssembler` — the multi-feeder variant: buffering
-  is hash-partitioned by user id behind per-partition locks, so parallel
-  producers no longer serialize behind one buffer; closed batches stay
-  bit-identical to the single-consumer reference (the canonical uid sort
-  erases partitioning from the output).  ``ServiceSpec.ingest_consumers``
-  selects it.
-* :class:`IngestionService` — the asyncio event loop around the assembler:
-  a bounded :class:`asyncio.Queue` provides backpressure (``submit``
-  suspends the producer when the curator falls behind), a single consumer
-  drains it into the assembler and drives ``curator.process_timestep`` for
-  every closed timestamp, optionally checkpointing every N timestamps via
-  :func:`repro.core.persistence.save_checkpoint`.
+* :class:`IngestionService` — the asyncio event loop around an
+  :class:`~repro.api.session.IngestSession`: a bounded
+  :class:`asyncio.Queue` provides backpressure (``submit`` suspends the
+  producer when the curator falls behind), a single consumer drains it
+  into the session's assembler and advances the session for every closed
+  timestamp; the session's ``ServiceSpec`` sets the queue bound, the
+  lateness, the checkpoint cadence and the drain deadline.
 * :func:`ingest_events` — synchronous convenience driver used by the CLI
-  (``repro serve``), tests and benchmarks.
+  (``repro serve``) and tests.
 
 The curator's round is CPU-bound and runs inline on the consumer task;
 the event loop's job here is flow control, not parallelism — collection
@@ -58,7 +53,6 @@ from repro.stream.reports import (
     KIND_OF_STATE,
     KIND_QUIT,
     ReportBatch,
-    shard_of_array,
 )
 
 
@@ -143,14 +137,14 @@ class TimestampAssembler:
         self.n_late_dropped = 0
         self._n_buffered = 0
         #: Most rows ever buffered at once — the assembler's queue-depth
-        #: high-water mark, reported by the serve load harness.
+        #: high-water mark.
         self.backlog_high_water = 0
 
     # ------------------------------------------------------------------ #
     # feeding
     # ------------------------------------------------------------------ #
     def _encode(self, report: UserReport) -> tuple[int, int, int]:
-        """``(user_id, state_idx, kind)`` of one report (pure, lock-free)."""
+        """``(user_id, state_idx, kind)`` of one report."""
         if report.state is not None:
             kind = KIND_OF_STATE[report.state.kind]
             if kind == KIND_MOVE or self.space.include_eq:
@@ -171,8 +165,13 @@ class TimestampAssembler:
         if t < self._next_t:
             self.n_late_dropped += 1
             return
-        uid, idx, kind = self._encode(report)
-        self._append_row(self._buffers.setdefault(t, []), (uid, idx, kind))
+        row = self._encode(report)
+        # Loose rows extend the timestamp's trailing row segment.
+        segments = self._buffers.setdefault(t, [])
+        if segments and isinstance(segments[-1], list):
+            segments[-1].append(row)
+        else:
+            segments.append([row])
         self._track_buffered(1)
         if t > self._max_seen:
             self._max_seen = t
@@ -257,22 +256,9 @@ class TimestampAssembler:
         """Rows currently buffered and awaiting their timestamp's close."""
         return self._n_buffered
 
-    @staticmethod
-    def _append_row(segments: list, row: tuple) -> None:
-        """Append one loose row, extending the trailing row segment."""
-        if segments and isinstance(segments[-1], list):
-            segments[-1].append(row)
-        else:
-            segments.append([row])
-
-    def _pop_segments(self, t: int) -> list:
-        """Drain timestamp ``t``'s buffered segments (hook for subclasses)."""
+    def _close(self, t: int) -> ClosedTimestamp:
         segments = self._buffers.pop(t, [])
         self._n_buffered -= sum(len(s) for s in segments)
-        return segments
-
-    def _close(self, t: int) -> ClosedTimestamp:
-        segments = self._pop_segments(t)
         uid_parts: list[np.ndarray] = []
         idx_parts: list[np.ndarray] = []
         kind_parts: list[np.ndarray] = []
@@ -316,175 +302,8 @@ class TimestampAssembler:
         )
 
 
-class MultiConsumerAssembler(TimestampAssembler):
-    """A :class:`TimestampAssembler` safe to feed from several consumers.
-
-    The single-consumer assembler serializes every ``add`` behind the one
-    thread that owns it — with parallel shard rounds upstream, assembly
-    becomes the serial section.  This subclass hash-partitions buffering
-    by user id (:func:`~repro.stream.reports.shard_of_array`, the same
-    Knuth hash collection shards use), so ``n_partitions`` feeders can
-    buffer concurrently, each touching only its partition's lock.
-
-    Closed output is **canonical and identical to the single-consumer
-    reference**: a close drains every partition and stable-sorts the
-    concatenation by user id — the same order :meth:`TimestampAssembler
-    ._close` produces — and duplicate reports of one uid hash to one
-    partition, so even their relative order survives.  The property tests
-    in ``tests/stream/test_multi_consumer.py`` pin this equivalence under
-    randomized lateness/shuffle schedules.
-
-    Correctness of the late check under concurrency: feeders take their
-    partition's lock *before* comparing ``t`` against ``next_t``, and a
-    close bumps ``next_t`` (under the state lock) *before* draining the
-    partitions — so a feeder either sees the bumped ``next_t`` and counts
-    the row late, or lands the row before the drain reaches its
-    partition.  Rows are never silently stranded in a closed timestamp's
-    buffer.
-    """
-
-    def __init__(
-        self, space, start_t: int = 0, max_lateness: int = 0,
-        n_partitions: int = 2,
-    ) -> None:
-        import threading
-
-        super().__init__(space, start_t=start_t, max_lateness=max_lateness)
-        if n_partitions < 1:
-            raise ConfigurationError(
-                f"n_partitions must be >= 1, got {n_partitions}"
-            )
-        self.n_partitions = int(n_partitions)
-        self._parts: list[dict[int, list[tuple[int, int, int]]]] = [
-            {} for _ in range(self.n_partitions)
-        ]
-        self._part_locks = [threading.Lock() for _ in range(self.n_partitions)]
-        self._state_lock = threading.Lock()
-
-    # ------------------------------------------------------------------ #
-    # feeding (concurrent)
-    # ------------------------------------------------------------------ #
-    def add(self, report: UserReport) -> None:
-        t = int(report.t)
-        uid, idx, kind = self._encode(report)  # pure: outside any lock
-        p = int(shard_of_array([uid], self.n_partitions)[0])
-        with self._part_locks[p]:
-            if t < self._next_t:
-                with self._state_lock:
-                    self.n_late_dropped += 1
-                return
-            self._append_row(self._parts[p].setdefault(t, []), (uid, idx, kind))
-            with self._state_lock:
-                self._track_buffered(1)
-                if t > self._max_seen:
-                    self._max_seen = t
-
-    def add_batch(self, t: int, batch: ReportBatch) -> int:
-        t = int(t)
-        if len(batch) == 0:
-            # Still advances the watermark clock for empty rounds.
-            with self._part_locks[0]:
-                if t < self._next_t:
-                    return 0
-                with self._state_lock:
-                    if t > self._max_seen:
-                        self._max_seen = t
-            return 0
-        pids = shard_of_array(batch.user_ids, self.n_partitions)
-        buffered = 0
-        for p in range(self.n_partitions):
-            rows_p = np.flatnonzero(pids == p)
-            if rows_p.size == 0:
-                continue
-            sub = batch.take(rows_p)
-            with self._part_locks[p]:
-                if t < self._next_t:
-                    with self._state_lock:
-                        self.n_late_dropped += len(sub)
-                    continue
-                self._parts[p].setdefault(t, []).append(sub)
-                buffered += len(sub)
-                with self._state_lock:
-                    self._track_buffered(len(sub))
-                    if t > self._max_seen:
-                        self._max_seen = t
-        return buffered
-
-    # ------------------------------------------------------------------ #
-    # closing (single closer at a time; safe against concurrent feeders)
-    # ------------------------------------------------------------------ #
-    def _claim_next(self, bound: int) -> Optional[int]:
-        with self._state_lock:
-            if self._next_t > bound:
-                return None
-            t = self._next_t
-            self._next_t += 1
-            return t
-
-    def pop_ready(self) -> list[ClosedTimestamp]:
-        out: list[ClosedTimestamp] = []
-        while True:
-            t = self._claim_next(self.watermark)
-            if t is None:
-                return out
-            out.append(self._close(t))
-
-    def flush(self) -> list[ClosedTimestamp]:
-        out: list[ClosedTimestamp] = []
-        while True:
-            t = self._claim_next(self._max_seen)
-            if t is None:
-                return out
-            out.append(self._close(t))
-
-    def _pop_segments(self, t: int) -> list:
-        segments: list = []
-        for buf, lock in zip(self._parts, self._part_locks):
-            with lock:
-                segments.extend(buf.pop(t, []))
-        with self._state_lock:
-            self._n_buffered -= sum(len(s) for s in segments)
-        return segments
-
-    # ------------------------------------------------------------------ #
-    # pickling (quiesced snapshots only)
-    # ------------------------------------------------------------------ #
-    def __getstate__(self) -> dict:
-        # Locks are process-local machinery and must never reach a pickle;
-        # buffered rows and watermark state are plain data.  Snapshots are
-        # only meaningful with no concurrent feeders (the service drains
-        # before checkpointing).
-        state = dict(self.__dict__)
-        state["_part_locks"] = None
-        state["_state_lock"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        import threading
-
-        self.__dict__.update(state)
-        self._part_locks = [
-            threading.Lock() for _ in range(self.n_partitions)
-        ]
-        self._state_lock = threading.Lock()
-
-
-def make_assembler(
-    space, start_t: int = 0, max_lateness: int = 0, consumers: int = 1
-) -> TimestampAssembler:
-    """The assembler a service should run: single- or multi-consumer."""
-    if consumers <= 1:
-        return TimestampAssembler(
-            space, start_t=start_t, max_lateness=max_lateness
-        )
-    return MultiConsumerAssembler(
-        space, start_t=start_t, max_lateness=max_lateness,
-        n_partitions=consumers,
-    )
-
-
 class IngestionService:
-    """Bounded-queue asyncio service driving a curator from raw reports.
+    """Bounded-queue asyncio service driving an ingest session from raw reports.
 
     The ordering/processing core is an
     :class:`~repro.api.session.IngestSession` — the same object the
@@ -494,59 +313,21 @@ class IngestionService:
 
     Parameters
     ----------
-    curator:
-        An :class:`~repro.core.online.OnlineRetraSyn` (any shard count
-        and executor).  Resume is automatic: ingestion starts at
-        ``curator._last_t + 1``.
-    queue_size:
-        Bound of the ingress queue; a full queue suspends ``submit``
-        callers until the consumer catches up (backpressure).
-    max_lateness:
-        Watermark slack forwarded to :class:`TimestampAssembler`.
-    checkpoint_path / checkpoint_every:
-        When ``checkpoint_path`` is set, a final checkpoint is always
-        written at end of stream; ``checkpoint_every > 0`` additionally
-        checkpoints after every that many processed timestamps.
+    session:
+        An :class:`~repro.api.session.IngestSession` (``create_session`` /
+        ``load_session`` with ``transport="ingest"``).  Its
+        ``spec.service`` sets the queue bound (``queue_size``), the
+        lateness and the checkpoint cadence.  Resume is automatic:
+        ingestion starts at ``curator._last_t + 1``.
     """
 
     _SENTINEL = None
 
-    def __init__(
-        self,
-        curator,
-        queue_size: int = 10_000,
-        max_lateness: int = 0,
-        checkpoint_path=None,
-        checkpoint_every: int = 0,
-        checkpoint_keep: int = 1,
-        ingest_consumers: int = 1,
-    ) -> None:
-        from repro.api.session import IngestSession
-        from repro.api.specs import ServiceSpec, SessionSpec
-
-        if queue_size < 1:
-            raise ConfigurationError(
-                f"queue_size must be >= 1, got {queue_size}"
-            )
-        self.curator = curator
-        self.session = IngestSession(
-            curator,
-            SessionSpec.from_config(
-                curator.config,
-                service=ServiceSpec(
-                    transport="ingest",
-                    queue_size=queue_size,
-                    max_lateness=max_lateness,
-                    checkpoint_path=(
-                        None if checkpoint_path is None else str(checkpoint_path)
-                    ),
-                    checkpoint_every=checkpoint_every,
-                    checkpoint_keep=checkpoint_keep,
-                    ingest_consumers=ingest_consumers,
-                ),
-            ),
+    def __init__(self, session) -> None:
+        self.session = session
+        self.queue: asyncio.Queue = asyncio.Queue(
+            maxsize=session.spec.service.queue_size
         )
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=queue_size)
         self._draining = False
 
     @property
@@ -607,12 +388,19 @@ async def _drive(
     loop = asyncio.get_running_loop()
     stop = asyncio.Event()
     installed: list[signal.Signals] = []
+    expiry: list[asyncio.TimerHandle] = []
 
     def _on_signal() -> None:
         # Graceful drain: the producer stops feeding, the consumer closes
         # watermark-complete rounds only and writes the final checkpoint.
+        # As in HttpIngress.drain, ``drain_deadline`` seconds (0 = no
+        # bound) cap it: the consumer is cancelled at its next await, and
+        # the run stops without the final flush and checkpoint.
         service.begin_drain()
         stop.set()
+        deadline = service.session.spec.service.drain_deadline
+        if deadline > 0 and not expiry:
+            expiry.append(loop.call_later(deadline, consumer.cancel))
 
     if handle_signals:
         for sig in (signal.SIGTERM, signal.SIGINT):
@@ -640,19 +428,21 @@ async def _drive(
     consumer = asyncio.ensure_future(service.run())
     producer = asyncio.ensure_future(_produce())
     try:
-        # FIRST_EXCEPTION: if the curator raises, stop immediately instead
-        # of leaving the producer suspended on a full queue forever.
+        # The consumer decides when the run ends — an expired drain
+        # deadline ends it with the producer still suspended on a full
+        # queue — but a failing report source must surface at once.
         done, _pending = await asyncio.wait(
-            {consumer, producer}, return_when=asyncio.FIRST_EXCEPTION
+            {consumer, producer}, return_when=asyncio.FIRST_COMPLETED
         )
-        for task in done:
-            if task.cancelled():
-                continue
-            exc = task.exception()
-            if exc is not None:
-                raise exc
-        return await consumer
+        if producer in done:
+            producer.result()
+            await asyncio.wait({consumer})
+        if consumer.cancelled():
+            return service.stats
+        return consumer.result()
     finally:
+        for handle in expiry:
+            handle.cancel()
         for task in (consumer, producer):
             if not task.done():
                 task.cancel()
@@ -660,37 +450,21 @@ async def _drive(
             loop.remove_signal_handler(sig)
 
 
-def ingest_events(
-    curator,
-    reports: Iterable[UserReport],
-    queue_size: int = 10_000,
-    max_lateness: int = 0,
-    checkpoint_path=None,
-    checkpoint_every: int = 0,
-    checkpoint_keep: int = 1,
-    ingest_consumers: int = 1,
-) -> IngestStats:
-    """Synchronously run the full ingestion loop over ``reports``.
+def ingest_events(session, reports: Iterable[UserReport]) -> IngestStats:
+    """Synchronously run ``session``'s full ingestion loop over ``reports``.
 
-    Builds an :class:`IngestionService`, feeds every report through the
-    bounded queue, flushes, and returns the stats.  This is the CLI and
-    test entry point; long-running deployments hold the service object and
+    Wraps the :class:`~repro.api.session.IngestSession` in an
+    :class:`IngestionService`, feeds every report through the bounded
+    queue, flushes, and returns the stats.  This is the CLI and test
+    entry point; long-running deployments hold the service object and
     call ``submit`` from their own event loop instead.
 
     SIGTERM/SIGINT trigger a graceful drain (when running on the main
     thread): feeding stops, watermark-complete timestamps finish, and a
-    final checkpoint is written before returning normally.
+    final checkpoint is written before returning normally — unless the
+    service's ``drain_deadline`` passes first.
     """
-    service = IngestionService(
-        curator,
-        queue_size=queue_size,
-        max_lateness=max_lateness,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-        checkpoint_keep=checkpoint_keep,
-        ingest_consumers=ingest_consumers,
-    )
-    return asyncio.run(_drive(service, reports))
+    return asyncio.run(_drive(IngestionService(session), reports))
 
 
 def dataset_reports(

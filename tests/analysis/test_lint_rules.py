@@ -349,44 +349,6 @@ class TestSpecDrift:
         assert rules_of(result) == [self.RULE]
         assert "stale" in result.findings[0].message
 
-    def test_missing_serve_mirror_flagged(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "api/specs.py": self.HEADER + (
-                "NON_CLI_FIELDS = {}\n"
-                "@dataclass\n"
-                "class ServiceSpec:\n"
-                "    queue_size: int = field(\n"
-                "        default=1, metadata=_cli('--queue-size', 'bound'))\n"
-            ),
-            "serve.py": (
-                "from dataclasses import dataclass\n"
-                "@dataclass\n"
-                "class ServeSettings:\n"
-                "    shuffle: bool = False\n"
-            ),
-        }, only=[self.RULE])
-        assert rules_of(result) == [self.RULE]
-        assert "queue_size" in result.findings[0].message
-
-    def test_mirrored_serve_field_clean(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "api/specs.py": self.HEADER + (
-                "NON_CLI_FIELDS = {}\n"
-                "@dataclass\n"
-                "class ServiceSpec:\n"
-                "    queue_size: int = field(\n"
-                "        default=1, metadata=_cli('--queue-size', 'bound'))\n"
-            ),
-            "serve.py": (
-                "from dataclasses import dataclass\n"
-                "from typing import Optional\n"
-                "@dataclass\n"
-                "class ServeSettings:\n"
-                "    queue_size: Optional[int] = None\n"
-            ),
-        }, only=[self.RULE])
-        assert result.ok
-
 
 class TestMetricNames:
     RULE = "metric-name"

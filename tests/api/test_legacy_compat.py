@@ -18,7 +18,7 @@ from repro.core.persistence import (
     save_checkpoint,
 )
 from repro.core.retrasyn import RetraSynConfig
-from repro.exceptions import DatasetError
+from repro.exceptions import ConfigurationError, DatasetError
 from repro.geo.trajectory import average_length
 from repro.stream.reports import ColumnarStreamView
 
@@ -93,10 +93,13 @@ class TestLegacyConfigKwargs:
         config = RetraSynConfig(**LEGACY_CONFIG_KWARGS)
         assert pickle.loads(pickle.dumps(config)) == config
 
-    def test_flat_config_into_factory_warns_once(self, walk_data):
+    def test_flat_config_into_factory_raises(self, walk_data):
+        """The factory refuses a flat config; the remedy it names works."""
         config = RetraSynConfig(epsilon=1.0, w=10, seed=0)
-        with pytest.warns(DeprecationWarning):
-            session = create_session(config, walk_data.grid, lam=4.0)
+        with pytest.raises(ConfigurationError):
+            create_session(config, walk_data.grid, lam=4.0)
+        session = create_session(config.to_spec(), walk_data.grid, lam=4.0)
+        assert session.spec.to_config() == config
         session.close()
 
 

@@ -75,11 +75,10 @@ class TestFactory:
         session = create_session(spec, walk_data.grid)
         assert session.curator.lam == 7.0
 
-    def test_flat_config_is_deprecated_but_works(self, walk_data):
+    def test_flat_config_is_refused(self, walk_data):
         config = RetraSynConfig(epsilon=1.0, w=10, seed=0)
-        with pytest.warns(DeprecationWarning, match="SessionSpec"):
-            session = create_session(config, walk_data.grid, lam=5.0)
-        assert isinstance(session, DirectSession)
+        with pytest.raises(ConfigurationError, match=r"config\.to_spec\(\)"):
+            create_session(config, walk_data.grid, lam=5.0)
 
 
 class TestEquivalence:

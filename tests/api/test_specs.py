@@ -58,7 +58,7 @@ class TestLayerValidation:
             (ServiceSpec, dict(checkpoint_keep=0)),
             (ServiceSpec, dict(checkpoint_keep=None)),
             (ServiceSpec, dict(drain_deadline=-1.0)),
-            (ServiceSpec, dict(ingest_consumers=0)),
+            (ServiceSpec, dict(drain_deadline="soon")),
             (ServiceSpec, dict(http_port=70000)),
             (ShardingSpec, dict(shard_executor="process")),  # pipe pool: removed
         ],
@@ -119,8 +119,11 @@ class TestConfigFacade:
     def test_from_flat_rejects_unknown_fields(self):
         with pytest.raises(ConfigurationError):
             SessionSpec.from_flat(budget=1.0)
-        with pytest.raises(ConfigurationError):  # a knob that was removed
-            SessionSpec.from_flat(synthesis_executor="thread")
+        for removed_knob in (
+            dict(synthesis_executor="thread"), dict(ingest_consumers=3),
+        ):
+            with pytest.raises(ConfigurationError):
+                SessionSpec.from_flat(**removed_knob)
 
     def test_from_flat_accepts_service_fields(self):
         spec = SessionSpec.from_flat(
@@ -193,7 +196,7 @@ class TestCliDerivation:
         }
         assert flags == {
             "--queue-size", "--lateness", "--checkpoint", "--checkpoint-every",
-            "--checkpoint-keep", "--drain-deadline", "--ingest-consumers",
+            "--checkpoint-keep", "--drain-deadline",
         }
 
     def test_choices_come_from_the_validation_vocabularies(self):

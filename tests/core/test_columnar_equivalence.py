@@ -18,6 +18,8 @@ in selection order, partitioning, or batch assembly breaks these tests.
 import numpy as np
 import pytest
 
+from repro.api.session import IngestSession
+from repro.api.specs import SessionSpec
 from repro.core.online import (
     OnlineRetraSyn,
     sample_population_reporters,
@@ -81,9 +83,10 @@ def _drive_async(stream, curator, max_lateness=2, shuffle_seed=None):
     reports = dataset_reports(
         view, shuffle_rng=rng, block=max_lateness + 1
     )
-    stats = ingest_events(
-        curator, reports, queue_size=256, max_lateness=max_lateness
+    spec = SessionSpec.from_config(curator.config).replace(
+        transport="ingest", queue_size=256, max_lateness=max_lateness
     )
+    stats = ingest_events(IngestSession(curator, spec), reports)
     assert stats.n_late_dropped == 0
     assert stats.n_timestamps == stream.n_timestamps
     return _fingerprint(curator, stream.n_timestamps)

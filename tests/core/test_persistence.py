@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api.session import load_session
 from repro.core.mobility_model import GlobalMobilityModel
 from repro.core.online import OnlineRetraSyn
 from repro.core.persistence import (
@@ -148,7 +149,8 @@ class TestCheckpointResume:
         return [(tr.start_time, list(tr.cells)) for tr in syn.trajectories]
 
     def _run_with_interruption(
-        self, data, make_curator, tmp_path, half, spec=None
+        self, data, make_curator, tmp_path, half, spec=None,
+        load=load_checkpoint,
     ):
         # Uninterrupted reference run.
         ref = make_curator()
@@ -169,7 +171,7 @@ class TestCheckpointResume:
             first.close()
         del first
 
-        resumed = load_checkpoint(path)
+        resumed = load(path)
         assert resumed._last_t == half - 1
         for t in range(half, data.n_timestamps):
             self._step(resumed, data, t)
@@ -206,12 +208,15 @@ class TestCheckpointResume:
         ],
     )
     def test_checkpoint_with_removed_knob_resumes(self, data, tmp_path, sharding):
-        """Format v4 outlives the ``synthesis_executor`` knob.
+        """Format v4 outlives the removed knobs.
 
-        Checkpoints written before the knob was removed carry it as a
-        plain attribute on the pickled sharding spec, flat config (also
-        inside every shard worker's state) and vectorized synthesizer.
-        The attribute is inert: such a file loads and resumes bitwise.
+        Checkpoints written before ``synthesis_executor`` was removed
+        carry it as a plain attribute on the pickled sharding spec, flat
+        config (also inside every shard worker's state) and vectorized
+        synthesizer; those written before ``ingest_consumers`` was
+        removed carry it on the stored service spec.  The attributes are
+        inert: such a file loads through ``load_session`` and resumes
+        bitwise.
         """
         cfg = RetraSynConfig(
             epsilon=1.0, w=5, seed=17, engine="vectorized", **sharding
@@ -219,6 +224,7 @@ class TestCheckpointResume:
         spec = cfg.to_spec()
         cfg.synthesis_executor = "thread"
         object.__setattr__(spec.sharding, "synthesis_executor", "thread")
+        object.__setattr__(spec.service, "ingest_consumers", 3)
 
         def make_curator():
             curator = OnlineRetraSyn(data.grid, cfg, lam=5.0)
@@ -227,10 +233,11 @@ class TestCheckpointResume:
 
         self._run_with_interruption(
             data, make_curator, tmp_path, half=data.n_timestamps // 2,
-            spec=spec,
+            spec=spec, load=lambda path: load_session(path).curator,
         )
         stored = peek_checkpoint_spec(tmp_path / "curator.ckpt")
         assert stored.sharding.synthesis_executor == "thread"
+        assert stored.service.ingest_consumers == 3
         assert stored == cfg.to_spec()
         assert stored.replace(w=6).privacy.w == 6
 

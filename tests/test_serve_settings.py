@@ -1,62 +1,75 @@
-"""ServeSettings ⇄ ServiceSpec wiring (and its anti-drift pins).
+"""`repro serve` settings: one ServiceSpec from the flags to the session.
 
-``ServeSettings`` used to duplicate the service-layer knobs as loose
-fields; it now *derives* them from a :class:`ServiceSpec`, so validation
-lives in one place and every CLI-exposed service flag provably reaches
-the running ingestion service.  The drift test mirrors the generated
-flag-group pins in ``tests/api/test_specs.py``: adding a CLI-exposed
-ServiceSpec field without mirroring it here fails loudly.
+Both serve paths — the dataset replay and ``--http`` — open their session
+through :func:`repro.serve.open_session`, so the parsed spec reaches the
+running session whole.  These tests pin that wiring from the outside:
+parse real ``repro serve`` flags and read ``session.spec.service`` back.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.api.specs import ServiceSpec, iter_cli_fields
-from repro.core.retrasyn import RetraSynConfig
+import repro.api.http as http_mod
+import repro.serve as serve_mod
+from repro.api.specs import ServiceSpec, SessionSpec, iter_cli_fields
+from repro.cli import main
+from repro.datasets.io import save_stream_dataset
 from repro.exceptions import ConfigurationError
-from repro.serve import ServeSettings, serve_dataset
+from repro.serve import serve_dataset
+
+
+@pytest.fixture
+def dataset_file(walk_data, tmp_path):
+    path = tmp_path / "walks.npz"
+    save_stream_dataset(walk_data, path)
+    return path
+
+
+def _service_flag(name: str) -> str:
+    (flag,) = [
+        f.metadata["cli"]["flag"]
+        for _cls, f in iter_cli_fields(spec_classes=(ServiceSpec,))
+        if f.name == name
+    ]
+    return flag
+
+
+def _serve_sessions(monkeypatch, argv):
+    """Run ``repro serve argv`` and return every session it opened."""
+    opened = []
+    real_open = serve_mod.open_session
+
+    def spy(*args, **kwargs):
+        opened.append(real_open(*args, **kwargs))
+        return opened[-1]
+
+    def no_listen(session, host, port, on_ready=None):
+        return http_mod.HttpIngress(session, host=host, port=port)
+
+    monkeypatch.setattr(serve_mod, "open_session", spy)
+    monkeypatch.setattr(http_mod, "serve_http", no_listen)
+    assert main(["serve", *argv]) == 0
+    return opened
 
 
 class TestServiceLayerWiring:
-    def test_defaults_resolve_to_an_ingest_service_spec(self):
-        settings = ServeSettings()
-        assert isinstance(settings.service, ServiceSpec)
-        assert settings.service.transport == "ingest"
-        assert settings.queue_size == ServiceSpec().queue_size
-        assert settings.ingest_consumers == 1
-
-    def test_flat_overrides_fold_into_the_spec(self):
-        settings = ServeSettings(
-            queue_size=7, max_lateness=2, checkpoint_every=3,
-            checkpoint_path="ck.pkl", ingest_consumers=4,
+    def test_defaults_resolve_to_an_ingest_service_spec(
+        self, dataset_file, monkeypatch
+    ):
+        """Without service flags, serve runs the ServiceSpec defaults."""
+        (session,) = _serve_sessions(
+            monkeypatch, ["--input", str(dataset_file), "--w", "5"]
         )
-        assert settings.service.queue_size == 7
-        assert settings.service.max_lateness == 2
-        assert settings.service.checkpoint_every == 3
-        assert settings.service.checkpoint_path == "ck.pkl"
-        assert settings.service.ingest_consumers == 4
+        assert session.spec.service == ServiceSpec(transport="ingest")
 
-    def test_spec_values_mirror_back_onto_flat_fields(self):
-        spec = ServiceSpec(
-            transport="ingest", queue_size=33, max_lateness=1,
-            ingest_consumers=2,
-        )
-        settings = ServeSettings(service=spec)
-        assert settings.queue_size == 33
-        assert settings.max_lateness == 1
-        assert settings.ingest_consumers == 2
-        assert settings.service == spec
-
-    def test_flat_override_wins_over_the_provided_spec(self):
-        spec = ServiceSpec(transport="ingest", queue_size=33)
-        settings = ServeSettings(service=spec, queue_size=44)
-        assert settings.service.queue_size == 44
-        assert settings.queue_size == 44
-
-    def test_transport_is_forced_to_ingest(self):
-        settings = ServeSettings(service=ServiceSpec(transport="direct"))
-        assert settings.service.transport == "ingest"
+    def test_transport_is_forced_to_ingest(self, walk_data):
+        """A direct-transport spec still replays through the assembler."""
+        spec = SessionSpec.from_flat(epsilon=1.0, w=5, seed=0)
+        assert spec.service.transport == "direct"
+        outcome = serve_dataset(walk_data, spec)
+        assert outcome.stats.n_timestamps == walk_data.n_timestamps
+        assert outcome.stats.n_reports_processed == outcome.stats.n_submitted > 0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -64,76 +77,48 @@ class TestServiceLayerWiring:
             dict(queue_size=0),
             dict(max_lateness=-1),
             dict(checkpoint_every=-1),
-            dict(ingest_consumers=0),
+            dict(checkpoint_keep=0),
         ],
     )
-    def test_validation_delegates_to_service_spec(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            ServeSettings(**kwargs)
+    def test_validation_delegates_to_service_spec(self, dataset_file, kwargs):
+        """Out-of-range serve flags die in ServiceSpec validation."""
+        ((name, value),) = kwargs.items()
+        with pytest.raises(ConfigurationError, match=name):
+            main([
+                "serve", "--input", str(dataset_file),
+                _service_flag(name), str(value),
+            ])
 
 
 class TestCliFlagDrift:
-    def test_every_service_cli_flag_is_representable(self):
-        """Anti-drift: each CLI-exposed ServiceSpec field must round-trip
-        through a flat ServeSettings kwarg of the same name."""
-        probes = {
-            "queue_size": 123,
-            "max_lateness": 2,
-            "checkpoint_path": "probe.pkl",
-            "checkpoint_every": 5,
-            "checkpoint_keep": 2,
-            "drain_deadline": 9.5,
-            "ingest_consumers": 3,
-        }
-        cli_fields = [
-            f.name for _cls, f in iter_cli_fields(spec_classes=(ServiceSpec,))
-        ]
-        assert set(cli_fields) == set(probes), (
-            "ServiceSpec grew/lost a CLI flag; add the matching Optional "
-            "attribute on ServeSettings (the mirror tuple is derived via "
-            "cli_field_names) and extend this probe table"
-        )
-        for name in cli_fields:
-            settings = ServeSettings(**{name: probes[name]})
-            assert getattr(settings.service, name) == probes[name], name
-            assert getattr(settings, name) == probes[name], name
-
-    def test_unset_mirrors_resolve_to_concrete_spec_values(self):
-        """``None`` is the *unset* marker of the flat mirrors, never a
-        value: after construction every mirror reads the resolved spec
-        field, so ``checkpoint_every is None`` cannot leak into the
-        service layer (where ``if checkpoint_every:`` and arithmetic on
-        it would silently misbehave)."""
-        settings = ServeSettings()
-        for name in ("queue_size", "max_lateness", "checkpoint_every",
-                     "checkpoint_keep", "drain_deadline",
-                     "ingest_consumers"):
-            mirrored = getattr(settings, name)
-            assert mirrored is not None, name
-            assert mirrored == getattr(ServiceSpec(), name), name
-
     def test_explicit_none_cannot_reach_the_spec_layer(self):
-        """A literal ``None`` passed where the spec wants an int must die
-        in ServiceSpec validation, not flow through ``replace()``."""
+        """``None`` where the service wants an int dies in ServiceSpec
+        validation, also when it arrives through a flat ``replace``."""
         with pytest.raises(ConfigurationError, match="checkpoint_every"):
-            ServeSettings(service=ServiceSpec(checkpoint_every=None))
+            ServiceSpec(checkpoint_every=None)
+        with pytest.raises(ConfigurationError, match="checkpoint_every"):
+            SessionSpec().replace(checkpoint_every=None)
 
+    def test_every_service_cli_flag_is_representable(
+        self, dataset_file, tmp_path, monkeypatch
+    ):
+        """Structural anti-drift pin: every CLI-exposed ServiceSpec field,
+        set to a non-default value on the ``repro serve`` command line,
+        reaches ``session.spec.service`` on the replay path *and* on the
+        ``--http`` path."""
+        probes, argv = {}, ["--input", str(dataset_file), "--w", "5"]
+        for _cls, f in iter_cli_fields(spec_classes=(ServiceSpec,)):
+            kind = f.metadata["cli"]["type"]
+            if kind in (int, float):
+                probes[f.name] = kind(f.default + 2)
+            else:
+                probes[f.name] = str(tmp_path / f"{f.name}.probe")
+            argv += [f.metadata["cli"]["flag"], str(probes[f.name])]
 
-class TestServeDatasetHonorsTheSpec:
-    def test_multi_consumer_serve_matches_single_consumer(self, walk_data):
-        """End to end through serve_dataset: partitioned assembly must be
-        invisible in the synthetic output."""
-
-        def run(consumers):
-            settings = ServeSettings(
-                config=RetraSynConfig(epsilon=1.0, w=5, seed=11),
-                max_lateness=1, shuffle=True, shuffle_seed=3,
-                ingest_consumers=consumers,
-            )
-            return serve_dataset(walk_data, settings)
-
-        ref, multi = run(1), run(3)
-        assert ref.stats.n_reports_processed == multi.stats.n_reports_processed
-        assert [
-            (s.start_time, list(s.cells)) for s in ref.run.synthetic
-        ] == [(s.start_time, list(s.cells)) for s in multi.run.synthetic]
+        (replayed,) = _serve_sessions(monkeypatch, argv)
+        (served,) = _serve_sessions(monkeypatch, [*argv, "--http", "0"])
+        for session in (replayed, served):
+            assert session.spec.service.transport == "ingest"
+            for name, value in probes.items():
+                assert getattr(session.spec.service, name) == value, name
+        assert served.spec.service.http_port == 0
