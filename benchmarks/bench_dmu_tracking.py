@@ -60,7 +60,7 @@ def test_dmu_tracks_distribution_shift(benchmark, bench_setting, save_artifact):
     )
     # The deviation signal must raise the allocation after the reversal
     # (reporter-rate signal; raw selection counts are noise-dominated at
-    # laptop populations, see EXPERIMENTS.md).
+    # laptop populations).
     assert rate_after > rate_steady * 1.02, (rate_steady, rate_after)
     # And the model must re-converge: the synthetic transition distribution
     # tracks the *reversed* flows in the final quarter.

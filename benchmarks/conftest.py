@@ -5,7 +5,7 @@ laptop-friendly scale, measures its wall-clock with pytest-benchmark, prints
 the formatted artefact, and writes it to ``benchmarks/results/``.
 
 Scale is controlled by the REPRO_BENCH_SCALE environment variable
-(default 0.02; the paper-shape results in EXPERIMENTS.md used 0.05+).
+(default 0.02; paper-shape results need 0.05 or more).
 """
 
 from __future__ import annotations

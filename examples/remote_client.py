@@ -1,9 +1,9 @@
-"""Remote curation over the versioned HTTP ingress.
+"""Remote curation over the HTTP ingress.
 
 A deployment runs the curator behind `repro serve --http PORT`; report
 producers anywhere on the network drive it with `repro.api.Client`,
-speaking the versioned wire schema (arrays travel in the columnar
-`ReportBatch` format, base64-encoded — no pickle on the wire).
+speaking RSF2 binary frames (arrays travel as raw little-endian buffers
+in the columnar `ReportBatch` format — no pickle on the wire).
 
 This example boots the ingress in-process (a background thread running
 the same `HttpIngress` the CLI uses), replays a dataset through a
@@ -55,7 +55,7 @@ def main() -> None:
     # --- the remote side: everything below only talks HTTP ------------- #
     client = Client(ingress.host, ingress.port)
     hello = client.hello()
-    print(f"negotiated schema v{hello['schema']}, method {hello['label']}")
+    print(f"schema v{hello['schema']}, method {hello['label']}")
 
     space = TransitionStateSpace(
         client.grid(), include_entering_quitting=hello["include_eq"]

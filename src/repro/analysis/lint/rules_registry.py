@@ -22,10 +22,7 @@ from repro.analysis.lint.engine import Finding, Module, Project, Rule
 METRIC_NAME_RE = re.compile(r"^retrasyn_[a-z_]+$")
 
 #: Calls that *decode* a verb: (callable name, position of the verb arg).
-_DECODE_CALLS = {
-    "loads": 1, "loads_any": 1, "iter_frames": 1, "_validate": 1,
-    "load_frame": 2,
-}
+_DECODE_CALLS = {"iter_frames": 1, "_validate": 1, "load_frame": 2}
 
 
 def _str_const(node: ast.AST) -> Optional[str]:

@@ -7,7 +7,7 @@ local :class:`~repro.api.session.CuratorSession` has — ``submit_batch``,
 moving a workload across the network is a one-line change::
 
     client = Client("127.0.0.1", 8731)
-    hello = client.hello()                  # negotiate + grid geometry
+    hello = client.hello()                  # server identity + grid geometry
     for t in range(T):
         client.submit_batch(t, view.batch_at(t),
                             newly_entered=view.newly_entered_at(t),
@@ -19,12 +19,10 @@ moving a workload across the network is a one-line change::
 
 Only the Python standard library is used (``http.client``).  The client
 holds ONE persistent keep-alive connection and reconnects transparently
-when the server (or an idle timeout) drops it; after :meth:`hello`
-negotiates schema v2, report batches travel as binary frames and
-:meth:`submit_batches` pipelines several timestamps into a single
-request body (the frames concatenate because each is length-prefixed).
-Against a v1-only server everything silently stays base64 JSON, one
-batch per request.
+when the server (or an idle timeout) drops it.  Every request and
+response body is RSF2 frames, and :meth:`submit_batches` pipelines
+several timestamps into a single request body (the frames concatenate
+because each is length-prefixed).
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.api import schema
+from repro.api.schema import SchemaError
 from repro.exceptions import ResponseLostError
 
 #: Exceptions that mean "the TCP peer went away mid-exchange".
@@ -49,6 +48,20 @@ _DISCONNECTS = (
 #: Chosen well under the server's 256 MiB body bound so a pipelined run
 #: never trips it, while still amortising one round-trip over many frames.
 DEFAULT_CHUNK_BYTES = 8 * 1024 * 1024
+
+
+def _load_response(payload: bytes, expect: str) -> dict:
+    """The one frame of a response body; trailing bytes are refused.
+
+    An ``error`` frame raises :class:`SchemaError` naming the server-side
+    exception, so callers never see an error message object.
+    """
+    msg, end = schema.load_frame(payload, expect=expect)
+    if end != len(payload):
+        raise SchemaError(
+            f"response holds {len(payload) - end} bytes after its frame"
+        )
+    return msg
 
 
 class Client:
@@ -76,7 +89,6 @@ class Client:
             raise ValueError(
                 f"chunk_bytes must be >= 0, got {self.chunk_bytes}"
             )
-        self.schema_version: int = schema.SCHEMA_VERSION
         self._hello: Optional[dict] = None
         self._conn: Optional[http.client.HTTPConnection] = None
 
@@ -104,11 +116,6 @@ class Client:
         instead of being blindly resent (a resent ``POST /v1/batch``
         would double-apply every report in it).
         """
-        ctype = (
-            schema.CONTENT_TYPE_FRAME
-            if schema.is_frame(body)
-            else schema.CONTENT_TYPE_JSON
-        )
         for attempt in (0, 1):
             if self._conn is None:
                 self._conn = http.client.HTTPConnection(
@@ -116,7 +123,8 @@ class Client:
                 )
             try:
                 self._conn.request(
-                    method, path, body=body, headers={"Content-Type": ctype}
+                    method, path, body=body,
+                    headers={"Content-Type": schema.CONTENT_TYPE_FRAME},
                 )
             except _DISCONNECTS:
                 # Failed before (or while) writing: nothing was applied.
@@ -153,24 +161,16 @@ class Client:
 
     def _request(self, method: str, path: str, msg: Optional[dict] = None,
                  expect: Optional[str] = None) -> dict:
-        body = schema.dumps_any(msg) if msg is not None else b""
-        payload = self._send(method, path, body)
-        # loads_any() raises SchemaError for error envelopes whenever a
-        # type is expected, so callers never see an "error" message object.
-        return schema.loads_any(payload, expect=expect)
+        body = schema.dump_frame(msg) if msg is not None else b""
+        return _load_response(self._send(method, path, body), expect=expect)
 
     # ------------------------------------------------------------------ #
     # protocol verbs
     # ------------------------------------------------------------------ #
     def hello(self) -> dict:
-        """Negotiate the schema version and fetch the server identity."""
-        versions = ",".join(str(v) for v in schema.SUPPORTED_VERSIONS)
-        msg = self._request(
-            "GET", f"/v1/hello?versions={versions}", expect="hello"
-        )
-        self.schema_version = int(msg["schema"])
-        self._hello = msg
-        return msg
+        """Fetch the server identity and grid geometry."""
+        self._hello = self._request("GET", "/v1/hello", expect="hello")
+        return self._hello
 
     def grid(self):
         """The server's discretisation grid (from the hello handshake)."""
@@ -187,8 +187,7 @@ class Client:
     ) -> dict:
         """Submit one timestamp's candidate reports; returns the ack."""
         msg = schema.report_batch_message(
-            t, batch, newly_entered, quitted, n_real_active,
-            version=self.schema_version,
+            t, batch, newly_entered, quitted, n_real_active
         )
         return self._request("POST", "/v1/batch", msg, expect="ack")
 
@@ -196,33 +195,21 @@ class Client:
         """Pipeline several timestamps' batches in one request.
 
         ``items`` holds ``(t, batch, newly_entered, quitted,
-        n_real_active)`` tuples in submission order.  On a v2 connection
-        the frames concatenate into POST bodies of at most
-        ``chunk_bytes`` bytes each (so an arbitrarily long pipeline never
-        exceeds the server's request-body bound); each body is submitted
-        in order under a single session-lock acquisition.  On a v1
-        connection this degrades to one request per batch.  Returns the
-        final ack either way.
+        n_real_active)`` tuples in submission order.  The frames
+        concatenate into POST bodies of at most ``chunk_bytes`` bytes each
+        (so an arbitrarily long pipeline never exceeds the server's
+        request-body bound); each body is submitted in order under a
+        single session-lock acquisition.  Returns the final ack.
         """
         if not items:
             raise ValueError("submit_batches needs at least one batch")
-        if self.schema_version not in schema.FRAME_VERSIONS:
-            ack = None
-            for t, batch, entered, quitted, n_active in items:
-                ack = self.submit_batch(
-                    t, batch, entered, quitted, n_real_active=n_active
-                )
-            return ack
         budget = self.chunk_bytes
         ack_payload = None
         chunk: list[bytes] = []
         chunk_len = 0
         for t, batch, entered, quitted, n_active in items:
             frame = schema.dump_frame(
-                schema.report_batch_message(
-                    t, batch, entered, quitted, n_active,
-                    version=self.schema_version,
-                )
+                schema.report_batch_message(t, batch, entered, quitted, n_active)
             )
             if chunk and budget and chunk_len + len(frame) > budget:
                 ack_payload = self._send(
@@ -233,13 +220,11 @@ class Client:
             chunk_len += len(frame)
         if chunk:
             ack_payload = self._send("POST", "/v1/batch", b"".join(chunk))
-        return schema.loads_any(ack_payload, expect="ack")
+        return _load_response(ack_payload, expect="ack")
 
     def snapshot(self) -> np.ndarray:
         """Current cells of the server's live synthetic streams."""
-        msg = self._request(
-            "GET", f"/v1/snapshot?v={self.schema_version}", expect="snapshot"
-        )
+        msg = self._request("GET", "/v1/snapshot", expect="snapshot")
         return schema.parse_snapshot(msg)
 
     def stats(self) -> dict:
@@ -260,9 +245,7 @@ class Client:
         from repro.geo.trajectory import CellTrajectory
         from repro.stream.stream import StreamDataset
 
-        msg = self._request(
-            "GET", f"/v1/result?v={self.schema_version}", expect="result"
-        )
+        msg = self._request("GET", "/v1/result", expect="result")
         births, lengths, flat, n_timestamps, remote_name, user_ids = (
             schema.parse_result(msg)
         )

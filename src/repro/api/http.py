@@ -4,12 +4,11 @@
 created by :func:`~repro.api.session.create_session`; remote clients
 (:class:`~repro.api.client.Client`) then drive the same
 ``submit_batch / advance / snapshot / result`` protocol that in-process
-callers use, speaking the versioned wire schema of
-:mod:`repro.api.schema`.  Because the schema round-trips report batches
-losslessly and the server processes them in submission order, a remote
-replay produces *bit-identical* synthetic streams to an in-process
-session with the same spec and seed (pinned by
-``tests/api/test_http_ingress.py``).
+callers use, speaking the RSF2 frames of :mod:`repro.api.schema`.
+Because frames round-trip report batches losslessly and the server
+processes them in submission order, a remote replay produces
+*bit-identical* synthetic streams to an in-process session with the same
+spec and seed (pinned by ``tests/api/test_http_ingress.py``).
 
 The server is deliberately dependency-free: a small HTTP/1.1 handler on
 ``asyncio.start_server`` (persistent connections, bounded header and
@@ -17,7 +16,7 @@ body sizes), because the container ships no web framework and the
 protocol needs only these routes:
 
 ==========================  ==========================================
-``GET  /v1/hello``          Version negotiation + grid geometry.
+``GET  /v1/hello``          Server identity + grid geometry.
 ``POST /v1/batch``          Submit one timestamp's reports; advances.
 ``GET  /v1/snapshot``       Live synthetic cells.
 ``GET  /v1/stats``          Monitoring counters.
@@ -40,24 +39,15 @@ Graceful drain: when signal handling is enabled (the ``repro serve
 closes (assembler flush + final checkpoint) and the server stops — all
 bounded by ``ServiceSpec.drain_deadline`` seconds.
 
-Transport fast paths (schema v2):
-
-* connections are **keep-alive** by default (HTTP/1.1 semantics): a
-  client replaying a stream reuses one socket for the whole run instead
-  of a connect/close cycle per timestamp;
-* ``POST /v1/batch`` accepts either a JSON v1 envelope or one-or-more
-  concatenated **binary frames** (sniffed by the ``RSF2`` magic).  A
-  multi-frame body is the client-side pipelining path: every batch is
-  submitted in frame order under one session-lock acquisition and one
-  ``advance()`` sweep, and the ack reports how many batches landed;
-* ``GET /v1/snapshot?v=2`` / ``GET /v1/result?v=2`` answer with a binary
-  frame instead of base64 JSON (``v`` defaults to 1, the reference
-  encoding, so v1-only clients never see a frame).
-
-Responses pick their encoding by content: messages carrying raw array
-columns go out as frames (``application/x-retrasyn-frame``), everything
-else — hello, acks, stats, errors — stays JSON, so the bootstrap and
-failure paths are always readable to any peer.
+Every ``/v1/*`` request and response body is RSF2 frames, errors
+included; only ``/metrics``, ``/healthz`` and ``/readyz`` answer plain
+text.  Connections are **keep-alive** by default (HTTP/1.1 semantics),
+so a client replaying a stream reuses one socket for the whole run.
+A ``POST /v1/batch`` body may concatenate several ``report-batch``
+frames — the client-side pipelining path: every frame is decoded and
+checked before any is submitted, then all are submitted in frame order
+under one session-lock acquisition and one ``advance()`` sweep, and the
+ack reports how many batches landed.
 """
 
 from __future__ import annotations
@@ -132,8 +122,8 @@ class HttpIngress:
             getattr(session.spec.service, "drain_deadline", 30.0)
         )
         # Transport counters, mirrored into the session's metrics registry
-        # by start(): report-batch messages in, frame-encoded responses
-        # out, and raw body bytes both ways.
+        # by start(): report-batch messages in, frame responses out, and
+        # raw body bytes both ways.
         self.frames_received = 0
         self.frames_sent = 0
         self.bytes_received = 0
@@ -272,10 +262,13 @@ class HttpIngress:
                 keep_alive = (
                     keep_alive and status < 400 and not self._shutdown.is_set()
                 )
-                payload, ctype = self._encode_response(msg)
-                self.bytes_sent += len(payload)
-                if ctype == schema.CONTENT_TYPE_FRAME:
+                if isinstance(msg, _Plain):
+                    payload, ctype = msg.payload, msg.ctype
+                else:
+                    payload = schema.dump_frame(msg)
+                    ctype = schema.CONTENT_TYPE_FRAME
                     self.frames_sent += 1
+                self.bytes_sent += len(payload)
                 head = (
                     f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'OK')}\r\n"
                     f"Content-Type: {ctype}\r\n"
@@ -295,19 +288,6 @@ class HttpIngress:
                 await writer.wait_closed()
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
-
-    @staticmethod
-    def _encode_response(msg):
-        """Frame when the message carries raw arrays, JSON otherwise.
-
-        Probe and metrics handlers return pre-encoded :class:`_Plain`
-        bodies, which pass through untouched.
-        """
-        if isinstance(msg, _Plain):
-            return msg.payload, msg.ctype
-        if any(isinstance(v, np.ndarray) for v in msg.values()):
-            return schema.dump_frame(msg), schema.CONTENT_TYPE_FRAME
-        return schema.dumps(msg), schema.CONTENT_TYPE_JSON
 
     @staticmethod
     async def _read_request(reader):
@@ -351,7 +331,7 @@ class HttpIngress:
     # routes
     # ------------------------------------------------------------------ #
     async def _route(self, method: str, target: str, body: bytes):
-        path, _, query = target.partition("?")
+        path = target.partition("?")[0]
         handlers = {
             ("GET", "/v1/hello"): self._hello,
             ("POST", "/v1/batch"): self._batch,
@@ -373,47 +353,18 @@ class HttpIngress:
                     SchemaError(f"method {method} not allowed for {path}")
                 )
             return 404, schema.error_message(SchemaError(f"unknown route {path}"))
-        return await handler(query, body)
+        return await handler(body)
 
-    async def _hello(self, query: str, body: bytes):
-        versions = schema.SUPPORTED_VERSIONS
-        for part in query.split("&"):
-            name, _, value = part.partition("=")
-            if name == "versions" and value:
-                versions = [v for v in value.split(",") if v]
-        negotiated = schema.negotiate(versions)
+    async def _hello(self, body: bytes):
         curator = self.session.curator
-        msg = schema.hello_message(
+        return 200, schema.hello_message(
             curator.grid,
             include_eq=curator.space.include_eq,
             label=curator.config.label,
             lam=curator.lam,
         )
-        msg["schema"] = negotiated
-        return 200, msg
 
-    @staticmethod
-    def _query_version(query: str) -> int:
-        """Response schema version from the ``v`` query parameter.
-
-        Defaults to 1 — the JSON reference encoding — so peers that never
-        negotiated see exactly the wire format v1 defined.
-        """
-        for part in query.split("&"):
-            name, _, value = part.partition("=")
-            if name == "v" and value:
-                try:
-                    version = int(value)
-                except ValueError:
-                    raise SchemaError(
-                        f"unparseable schema version {value!r}"
-                    ) from None
-                if version not in schema.SUPPORTED_VERSIONS:
-                    raise SchemaError(f"unsupported schema version {version}")
-                return version
-        return 1
-
-    async def _metrics(self, query: str, body: bytes):
+    async def _metrics(self, body: bytes):
         registry = getattr(self.session, "metrics", None)
         if registry is None:
             return 404, schema.error_message(
@@ -426,33 +377,36 @@ class HttpIngress:
             text = registry.render()
         return 200, _Plain(text.encode("utf-8"), PROMETHEUS_CONTENT_TYPE)
 
-    async def _healthz(self, query: str, body: bytes):
+    async def _healthz(self, body: bytes):
         # Liveness: the event loop answered. True even while draining —
         # a draining server is shutting down cleanly, not wedged.
         return 200, _Plain(b"ok\n")
 
-    async def _readyz(self, query: str, body: bytes):
+    async def _readyz(self, body: bytes):
         if self._ready and not self._draining and not self._shutdown.is_set():
             return 200, _Plain(b"ready\n")
         return 503, _Plain(b"draining\n" if self._draining else b"not ready\n")
 
-    async def _batch(self, query: str, body: bytes):
+    async def _batch(self, body: bytes):
         if self._draining:
             return 503, schema.error_message(
                 ReproError("server is draining; not accepting new batches")
             )
-        if schema.is_frame(body):
-            # The pipelined fast path: a body may concatenate several
-            # frames; all are submitted under ONE lock acquisition and one
-            # advance() sweep, in frame order (order is what keeps remote
-            # replays bit-identical to in-process sessions).
-            msgs = list(schema.iter_frames(body, expect="report-batch"))
-        else:
-            msgs = [schema.loads(body, expect="report-batch")]
+        # A body may concatenate several frames.  Every one is decoded and
+        # passed through the session's own admission check before any is
+        # submitted, so a bad frame refuses the whole body; then all are
+        # submitted under ONE lock acquisition and one advance() sweep, in
+        # frame order (order is what keeps remote replays bit-identical to
+        # in-process sessions).  submit_batch admits each batch again —
+        # one vectorised min/max pass, microseconds per batch — because
+        # it is the boundary every in-process caller relies on.
+        msgs = list(schema.iter_frames(body, expect="report-batch"))
         if not msgs:
             raise SchemaError("empty batch body")
         self.frames_received += len(msgs)
         parsed = [schema.parse_report_batch(m) for m in msgs]
+        for _t, batch, *_rest in parsed:
+            self.session._admit(batch)
         async with self._lock:
             for t, batch, entered, quitted, n_active in parsed:
                 self.session.submit_batch(
@@ -469,18 +423,17 @@ class HttpIngress:
             n_rounds_processed=len(results),
         )
 
-    async def _snapshot(self, query: str, body: bytes):
-        version = self._query_version(query)
+    async def _snapshot(self, body: bytes):
         async with self._lock:
             cells = self.session.snapshot()
-        return 200, schema.snapshot_message(cells, version=version)
+        return 200, schema.snapshot_message(cells)
 
-    async def _stats(self, query: str, body: bytes):
+    async def _stats(self, body: bytes):
         async with self._lock:
             stats = self.session.stats()
         return 200, schema.stats_message(stats)
 
-    async def _checkpoint(self, query: str, body: bytes):
+    async def _checkpoint(self, body: bytes):
         # Only the server-configured path is writable: remote peers must
         # not choose filesystem locations.
         async with self._lock:
@@ -489,15 +442,14 @@ class HttpIngress:
             "checkpoint", path=self.session.spec.service.checkpoint_path
         )
 
-    async def _close(self, query: str, body: bytes):
+    async def _close(self, body: bytes):
         async with self._lock:
             self.session.close()
         return 200, schema.message("ack", t=-1, n=0, n_rounds_processed=0)
 
-    async def _result(self, query: str, body: bytes):
+    async def _result(self, body: bytes):
         from repro.core.trajectory_store import StoreTrajectories
 
-        version = self._query_version(query)
         async with self._lock:
             run = self.session.result()
         synthetic = run.synthetic
@@ -526,11 +478,10 @@ class HttpIngress:
                 [t.user_id for t in trajectories], dtype=np.int64
             )
         return 200, schema.result_message(
-            births, lengths, flat, synthetic.n_timestamps, synthetic.name,
-            user_ids, version=version,
+            births, lengths, flat, synthetic.n_timestamps, synthetic.name, user_ids
         )
 
-    async def _shutdown_route(self, query: str, body: bytes):
+    async def _shutdown_route(self, body: bytes):
         async with self._lock:
             self.session.close()
         self._shutdown.set()

@@ -1,22 +1,25 @@
-"""Versioned request/response wire schema of the curator API.
+"""Request/response wire schema of the curator API: RSF2 binary frames.
 
-Every message a session exchanges with a remote peer — and, identically,
-what in-process callers see when they serialize sessions' inputs and
-outputs — is a JSON envelope::
+Every message a session exchanges with a remote peer — over the HTTP
+ingress and over the shard sockets alike — is exactly one length-prefixed
+frame::
 
-    {"schema": 1, "type": "<message type>", ...payload...}
+    b"RSF2" | u32 header_len | u32 payload_len | header JSON | payload
 
-Arrays travel in the :class:`~repro.stream.reports.ReportBatch` columnar
-format: raw little-endian buffers, base64-encoded, with the dtype pinned
-by this module (int64 ids/indices, int8 kind codes) — no pickling, no
-object graphs, so the wire format is language-agnostic and safe to parse
-from untrusted peers.
+The header is a JSON envelope ``{"schema": 2, "type": "<message type>",
+...}`` holding every scalar field plus a ``_cols`` manifest of
+``[name, element_count]`` pairs in payload order.  The payload is the
+concatenation of each array column's raw little-endian buffer, dtype
+pinned by :data:`_COLUMN_DTYPES` (int64 ids/indices, int8 kind codes) —
+no pickling, no object graphs, so the format is language-agnostic and
+safe to parse from untrusted peers.  Columns decode as zero-copy views
+over the received bytes.
 
-Message types (v1):
+Message types:
 
 ==================  ====================================================
-``hello``           Server identity: supported schema versions, grid
-                    geometry, state-space flags, session label.
+``hello``           Server identity: grid geometry, state-space flags,
+                    session label, λ.
 ``report-batch``    One timestamp's candidate reports plus the derived
                     enter/quit/active columns (client → server).
 ``ack``             Submission acknowledged; carries the rounds processed
@@ -31,68 +34,45 @@ Message types (v1):
 
 The ``shard-*`` types (submit / advance / merge / checkpoint / stats /
 exit) are the shard-RPC vocabulary of the distributed collection plane
-(:mod:`repro.core.distributed`): v2-frame-only messages exchanged between
-the coordinator and its per-shard worker processes over local sockets.
-They reuse this module's framing and column dtypes verbatim; the
-``blob`` column of ``shard-checkpoint`` carries a pickled shard state and
-is therefore only ever read from the coordinator's own workers, never
-from a network ingress.
+(:mod:`repro.core.distributed`), exchanged between the coordinator and
+its per-shard worker processes over local sockets.  The ``blob`` column
+of ``shard-checkpoint`` carries a pickled shard state and is therefore
+only ever read from the coordinator's own workers, never from a network
+ingress.
 
-Version negotiation: the client sends the versions it speaks (the
-``versions`` query parameter / ``hello`` request field); the server
-answers with :func:`negotiate`'s pick — the highest version both sides
-support — and every subsequent message carries that version in its
-``schema`` field.  Unknown versions or types raise :class:`SchemaError`.
-
-Schema **v2** adds a *binary frame* encoding of the same messages.  A
-frame is length-prefixed::
-
-    b"RSF2" | u32 header_len | u32 payload_len | header JSON | payload
-
-where the header is the JSON envelope *without* its array columns (plus a
-``_cols`` manifest of ``[name, length]`` pairs, in payload order) and the
-payload is the concatenation of each column's raw little-endian buffer,
-dtype pinned by :data:`_COLUMN_DTYPES` exactly as in v1 — so a v2 frame
-and a v1 envelope of the same message decode to bit-identical arrays (the
-differential tests pin this).  What v2 removes is the base64 inflation
-and the JSON string parse on the megabyte array columns.  Because every
-frame carries its own length, frames *concatenate*: one request body may
-pipeline several ``report-batch`` frames back-to-back
+Because every frame carries its own length, frames *concatenate*: one
+request body may pipeline several ``report-batch`` frames back-to-back
 (:func:`iter_frames` splits them), which is what the client's request
-pipelining rides on.  v1 JSON remains fully supported as the reference
-encoding and is what v1-only peers negotiate.
+pipelining rides on.  Unknown schema versions, types or columns raise
+:class:`SchemaError`.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import struct
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from repro.exceptions import ReproError
 from repro.stream.reports import ReportBatch
 
-#: Schema versions this build can speak, ascending.
-SUPPORTED_VERSIONS = (1, 2)
-#: The version this build prefers (and the default for new messages).
-SCHEMA_VERSION = SUPPORTED_VERSIONS[-1]
-#: Versions whose array columns travel as raw binary frames.
-FRAME_VERSIONS = (2,)
+#: The schema version every message carries in its ``schema`` field.
+SCHEMA_VERSION = 2
 
 #: Magic prefix of a binary frame (RetraSyn Frame, format 2).
 FRAME_MAGIC = b"RSF2"
-#: HTTP content types of the two encodings.
-CONTENT_TYPE_JSON = "application/json"
+#: HTTP content type of a frame body.
 CONTENT_TYPE_FRAME = "application/x-retrasyn-frame"
 
 _FRAME_LEN = struct.Struct("<II")
+#: Bytes of a frame's length prefix: magic, header length, payload length.
+FRAME_PREFIX_LEN = len(FRAME_MAGIC) + _FRAME_LEN.size
 #: Bound on one frame's header, mirroring the ingress header bound.
 _MAX_FRAME_HEADER = 1024 * 1024
 
-#: Message types defined by v1.
+#: The message vocabulary.
 MESSAGE_TYPES = (
     "hello",
     "report-batch",
@@ -102,9 +82,9 @@ MESSAGE_TYPES = (
     "checkpoint",
     "result",
     "error",
-    # Shard-RPC types (v2 frames only): the coordinator <-> shard-worker
-    # protocol of the distributed collection plane.  Same framing, same
-    # column dtypes — a shard worker is just another peer on the wire.
+    # Shard-RPC types: the coordinator <-> shard-worker protocol of the
+    # distributed collection plane.  Same framing, same column dtypes — a
+    # shard worker is just another peer on the wire.
     "shard-submit",
     "shard-advance",
     "shard-merge",
@@ -145,113 +125,49 @@ class SchemaError(ReproError):
     """A wire message violated the schema (bad version, type or payload)."""
 
 
-def negotiate(client_versions: Iterable[int]) -> int:
-    """Highest schema version both peers speak.
-
-    Raises :class:`SchemaError` when the intersection is empty — the
-    caller should surface the server's :data:`SUPPORTED_VERSIONS` so the
-    client can report something actionable.
-    """
-    try:
-        offered = {int(v) for v in client_versions}
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"unparseable schema versions: {client_versions!r}") from exc
-    usable = offered & set(SUPPORTED_VERSIONS)
-    if not usable:
-        raise SchemaError(
-            f"no common schema version: client speaks {sorted(offered)}, "
-            f"server speaks {list(SUPPORTED_VERSIONS)}"
-        )
-    return max(usable)
-
-
 # ---------------------------------------------------------------------- #
-# array codec
+# columns and envelopes
 # ---------------------------------------------------------------------- #
-def encode_array(name: str, values) -> str:
-    """Base64 of the little-endian raw buffer, dtype pinned per column."""
-    dtype = _COLUMN_DTYPES.get(name)
-    if dtype is None:
-        raise SchemaError(f"unknown wire column {name!r}")
-    arr = np.ascontiguousarray(np.asarray(values, dtype=dtype))
-    if arr.dtype.byteorder == ">":  # pragma: no cover - big-endian hosts
-        arr = arr.astype(arr.dtype.newbyteorder("<"))
-    return base64.b64encode(arr.tobytes()).decode("ascii")
-
-
 def decode_array(name: str, data) -> np.ndarray:
-    """Inverse of :func:`encode_array` (shape is always one-dimensional).
+    """A received column, checked against its pinned dtype.
 
-    Accepts either the v1 base64 text or — on the v2 frame path, where
-    :func:`load_frame` has already mapped the column to a typed view over
-    the request body — a numpy array, which passes through unchanged
-    (zero-copy) after a dtype check.  Every ``parse_*`` helper therefore
-    works on both encodings.
+    :func:`load_frame` maps every column to a typed view over the frame
+    payload, which passes through unchanged (zero-copy); a value that did
+    not travel in the payload is refused.
     """
     dtype = _COLUMN_DTYPES.get(name)
     if dtype is None:
         raise SchemaError(f"unknown wire column {name!r}")
-    if isinstance(data, np.ndarray):
-        if data.dtype != np.dtype(dtype):
-            raise SchemaError(
-                f"column {name!r}: expected dtype {np.dtype(dtype).name}, "
-                f"got {data.dtype.name}"
-            )
-        return np.atleast_1d(data)
-    try:
-        raw = base64.b64decode(data.encode("ascii"), validate=True)
-    except Exception as exc:
-        raise SchemaError(f"column {name!r} is not valid base64") from exc
-    width = np.dtype(dtype).itemsize
-    if len(raw) % width:
+    if not isinstance(data, np.ndarray):
+        raise SchemaError(f"column {name!r} is not a payload column")
+    if data.dtype != np.dtype(dtype):
         raise SchemaError(
-            f"column {name!r}: buffer of {len(raw)} bytes is not a "
-            f"multiple of the {width}-byte element size"
+            f"column {name!r}: expected dtype {np.dtype(dtype).name}, "
+            f"got {data.dtype.name}"
         )
-    return np.frombuffer(raw, dtype=np.dtype(dtype).newbyteorder("<")).astype(
-        dtype, copy=True
-    )
+    return np.atleast_1d(data)
 
 
-def _enc(name: str, values, version: int):
-    """Encode one column for ``version``: base64 text (v1), raw array (v2).
+def _enc(name: str, values) -> np.ndarray:
+    """One column as an array of its pinned dtype.
 
-    The v2 value is the *same* pinned-dtype little-endian buffer v1
-    base64-encodes — :func:`dump_frame` later moves it into the frame
-    payload verbatim, which is what makes the two encodings bit-identical.
+    :func:`dump_frame` later moves its little-endian bytes into the frame
+    payload verbatim.
     """
-    if version in FRAME_VERSIONS:
-        dtype = _COLUMN_DTYPES.get(name)
-        if dtype is None:
-            raise SchemaError(f"unknown wire column {name!r}")
-        arr = np.ascontiguousarray(np.asarray(values, dtype=dtype))
-        if arr.dtype.byteorder == ">":  # pragma: no cover - big-endian hosts
-            arr = arr.astype(arr.dtype.newbyteorder("<"))
-        return np.atleast_1d(arr)
-    return encode_array(name, values)
+    return np.atleast_1d(np.asarray(values, dtype=_COLUMN_DTYPES[name]))
 
 
-# ---------------------------------------------------------------------- #
-# envelopes
-# ---------------------------------------------------------------------- #
-def message(type_: str, version: int = SCHEMA_VERSION, **payload) -> dict:
+def message(type_: str, **payload) -> dict:
     """A schema-stamped message envelope."""
     if type_ not in MESSAGE_TYPES:
         raise SchemaError(f"unknown message type {type_!r}")
-    if version not in SUPPORTED_VERSIONS:
-        raise SchemaError(f"unsupported schema version {version}")
-    return {"schema": int(version), "type": type_, **payload}
-
-
-def dumps(msg: dict) -> bytes:
-    """Serialize an envelope to UTF-8 JSON bytes."""
-    return json.dumps(msg, separators=(",", ":")).encode("utf-8")
+    return {"schema": SCHEMA_VERSION, "type": type_, **payload}
 
 
 def _validate(msg: dict, expect: Optional[str]) -> dict:
-    """Shared envelope validation of both the JSON and frame decoders."""
+    """Envelope validation of every decoded frame."""
     version = msg.get("schema")
-    if version not in SUPPORTED_VERSIONS:
+    if version != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema version {version!r}")
     type_ = msg.get("type")
     if type_ not in MESSAGE_TYPES:
@@ -266,22 +182,11 @@ def _validate(msg: dict, expect: Optional[str]) -> dict:
     return msg
 
 
-def loads(data: bytes, expect: Optional[str] = None) -> dict:
-    """Parse and validate a JSON envelope; optionally pin its type."""
-    try:
-        msg = json.loads(bytes(data).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"unparseable wire message: {exc}") from exc
-    if not isinstance(msg, dict):
-        raise SchemaError(f"wire message must be a JSON object, got {type(msg)}")
-    return _validate(msg, expect)
-
-
 # ---------------------------------------------------------------------- #
-# v2 binary frames
+# binary frames
 # ---------------------------------------------------------------------- #
 def dump_frame_parts(msg: dict) -> list:
-    """Serialize a v2 envelope as a list of frame segments.
+    """Serialize an envelope as a list of frame segments.
 
     The segments, concatenated, are exactly :func:`dump_frame`'s output,
     but array columns stay as their own buffer-protocol entries so a
@@ -289,10 +194,8 @@ def dump_frame_parts(msg: dict) -> list:
     copying every column into one contiguous bytes object.
     """
     version = msg.get("schema")
-    if version not in FRAME_VERSIONS:
-        raise SchemaError(
-            f"schema version {version!r} has no frame encoding; use dumps()"
-        )
+    if version != SCHEMA_VERSION:
+        raise SchemaError(f"schema version {version!r} has no frame encoding")
     header: dict = {}
     cols: list[list] = []
     buffers: list = []
@@ -320,14 +223,38 @@ def dump_frame_parts(msg: dict) -> list:
 
 
 def dump_frame(msg: dict) -> bytes:
-    """Serialize a v2 envelope to one length-prefixed binary frame.
+    """Serialize an envelope to one length-prefixed binary frame.
 
-    Array-valued entries (what :func:`_enc` produces for frame versions)
-    move into the payload as raw little-endian buffers; everything else
-    stays in the JSON header, alongside a ``_cols`` manifest of
-    ``[name, element_count]`` pairs in payload order.
+    Array-valued entries (what the ``*_message`` builders produce for
+    columns) move into the payload as raw little-endian buffers;
+    everything else stays in the JSON header, alongside a ``_cols``
+    manifest of ``[name, element_count]`` pairs in payload order.
     """
     return b"".join(bytes(part) for part in dump_frame_parts(msg))
+
+
+def frame_length(prefix) -> int:
+    """Bytes that follow a frame's length prefix (header + payload).
+
+    Checks the magic and the header bound first, so no reader — this
+    module's :func:`load_frame` or a socket reading frame by frame —
+    trusts a declared length before both hold.
+    """
+    view = memoryview(prefix)
+    magic = bytes(view[: len(FRAME_MAGIC)])
+    if magic != FRAME_MAGIC[: len(magic)]:
+        raise SchemaError(f"not a binary frame (bad magic {magic!r})")
+    if len(view) < FRAME_PREFIX_LEN:
+        raise SchemaError("truncated frame: missing length prefix")
+    header_len, payload_len = _FRAME_LEN.unpack(
+        view[len(FRAME_MAGIC) : FRAME_PREFIX_LEN]
+    )
+    if header_len > _MAX_FRAME_HEADER:
+        raise SchemaError(
+            f"frame header of {header_len} bytes exceeds the "
+            f"{_MAX_FRAME_HEADER}-byte bound"
+        )
+    return header_len + payload_len
 
 
 def load_frame(
@@ -337,46 +264,37 @@ def load_frame(
 
     Columns come back as numpy array *views* over ``data`` (zero-copy,
     read-only); :func:`decode_array` passes them through, so the ``parse_*``
-    helpers work unchanged.  ``next_offset`` points at the byte after the
-    frame, which is how :func:`iter_frames` walks a pipelined body.
+    helpers work on them directly.  ``next_offset`` points at the byte
+    after the frame, which is how :func:`iter_frames` walks a pipelined
+    body.
     """
     view = memoryview(data)[offset:]
-    prefix = FRAME_MAGIC + b"\x00" * _FRAME_LEN.size
-    if len(view) < len(prefix):
-        raise SchemaError("truncated frame: missing length prefix")
-    if bytes(view[: len(FRAME_MAGIC)]) != FRAME_MAGIC:
-        raise SchemaError("not a binary frame (bad magic)")
-    header_len, payload_len = _FRAME_LEN.unpack(
-        view[len(FRAME_MAGIC) : len(prefix)]
-    )
-    if header_len > _MAX_FRAME_HEADER:
-        raise SchemaError(
-            f"frame header of {header_len} bytes exceeds the "
-            f"{_MAX_FRAME_HEADER}-byte bound"
-        )
-    body_start = len(prefix)
-    end = body_start + header_len + payload_len
+    end = FRAME_PREFIX_LEN + frame_length(view)
     if len(view) < end:
         raise SchemaError(
             f"truncated frame: declares {end} bytes, body holds {len(view)}"
         )
+    header_len = _FRAME_LEN.unpack_from(view, len(FRAME_MAGIC))[0]
+    payload_start = FRAME_PREFIX_LEN + header_len
     try:
-        msg = json.loads(bytes(view[body_start : body_start + header_len]))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        msg = json.loads(bytes(view[FRAME_PREFIX_LEN:payload_start]))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"unparseable frame header: {exc}") from exc
     if not isinstance(msg, dict):
         raise SchemaError("frame header must be a JSON object")
     cols = msg.pop("_cols", [])
     if not isinstance(cols, list):
         raise SchemaError("frame _cols manifest must be a list")
-    payload = view[body_start + header_len : end]
+    payload = view[payload_start:end]
     pos = 0
     for entry in cols:
         try:
             name, count = entry
             count = int(count)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"malformed _cols entry {entry!r}") from exc
+        if not isinstance(name, str):
+            raise SchemaError(f"malformed _cols entry {entry!r}")
         dtype = _COLUMN_DTYPES.get(name)
         if dtype is None:
             raise SchemaError(f"unknown wire column {name!r}")
@@ -406,43 +324,14 @@ def iter_frames(data, expect: Optional[str] = None) -> Iterator[dict]:
         yield msg
 
 
-def is_frame(data) -> bool:
-    """True when ``data`` starts with the binary-frame magic."""
-    return bytes(memoryview(data)[: len(FRAME_MAGIC)]) == FRAME_MAGIC
-
-
-def dumps_any(msg: dict) -> bytes:
-    """Serialize with the encoding the message's version implies."""
-    if msg.get("schema") in FRAME_VERSIONS:
-        return dump_frame(msg)
-    return dumps(msg)
-
-
-def loads_any(data, expect: Optional[str] = None) -> dict:
-    """Parse either encoding, sniffing the frame magic.
-
-    A body holding several concatenated frames is rejected here — use
-    :func:`iter_frames` where pipelining is expected.
-    """
-    if is_frame(data):
-        msg, end = load_frame(data, 0, expect=expect)
-        if end != len(memoryview(data)):
-            raise SchemaError(
-                "trailing bytes after frame (pipelined body? use iter_frames)"
-            )
-        return msg
-    return loads(data, expect=expect)
-
-
 # ---------------------------------------------------------------------- #
-# v1 message builders / parsers
+# message builders / parsers
 # ---------------------------------------------------------------------- #
 def hello_message(grid, include_eq: bool, label: str, lam: float) -> dict:
     """Server identity: enough for a client to encode reports correctly."""
     bbox = grid.bbox
     return message(
         "hello",
-        versions=list(SUPPORTED_VERSIONS),
         grid={
             "k": int(grid.k),
             "bbox": [
@@ -462,19 +351,17 @@ def report_batch_message(
     newly_entered,
     quitted,
     n_real_active: int,
-    version: int = SCHEMA_VERSION,
 ) -> dict:
     """One timestamp's candidate reports, columnar."""
     return message(
         "report-batch",
-        version=version,
         t=int(t),
         n=len(batch),
-        user_ids=_enc("user_ids", batch.user_ids, version),
-        state_idx=_enc("state_idx", batch.state_idx, version),
-        kinds=_enc("kinds", batch.kinds, version),
-        newly_entered=_enc("newly_entered", newly_entered, version),
-        quitted=_enc("quitted", quitted, version),
+        user_ids=_enc("user_ids", batch.user_ids),
+        state_idx=_enc("state_idx", batch.state_idx),
+        kinds=_enc("kinds", batch.kinds),
+        newly_entered=_enc("newly_entered", newly_entered),
+        quitted=_enc("quitted", quitted),
         n_real_active=int(n_real_active),
     )
 
@@ -491,20 +378,20 @@ def parse_report_batch(msg: dict) -> tuple[int, ReportBatch, np.ndarray, np.ndar
         entered = decode_array("newly_entered", msg["newly_entered"])
         quitted = decode_array("quitted", msg["quitted"])
         n_active = int(msg["n_real_active"])
-    except (KeyError, TypeError, ValueError) as exc:
+        n = int(msg.get("n", len(batch)))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed report-batch message: {exc}") from exc
-    if len(batch) != int(msg.get("n", len(batch))):
+    if len(batch) != n:
         raise SchemaError(
-            f"report-batch length {len(batch)} disagrees with n={msg.get('n')}"
+            f"report-batch length {len(batch)} disagrees with n={n}"
         )
     return t, batch, entered, quitted, n_active
 
 
-def snapshot_message(cells: np.ndarray, version: int = SCHEMA_VERSION) -> dict:
+def snapshot_message(cells: np.ndarray) -> dict:
     """Live synthetic stream cells."""
     return message(
-        "snapshot", version=version,
-        n=int(np.asarray(cells).size), cells=_enc("cells", cells, version),
+        "snapshot", n=int(np.asarray(cells).size), cells=_enc("cells", cells)
     )
 
 
@@ -512,8 +399,8 @@ def parse_snapshot(msg: dict) -> np.ndarray:
     return decode_array("cells", msg["cells"])
 
 
-def stats_message(stats: dict, version: int = SCHEMA_VERSION) -> dict:
-    return message("stats", version=version, stats=stats)
+def stats_message(stats: dict) -> dict:
+    return message("stats", stats=stats)
 
 
 def result_message(
@@ -523,7 +410,6 @@ def result_message(
     n_timestamps: int,
     name: str,
     user_ids: np.ndarray,
-    version: int = SCHEMA_VERSION,
 ) -> dict:
     """The finished synthetic stream database, columnar.
 
@@ -535,14 +421,13 @@ def result_message(
     """
     return message(
         "result",
-        version=version,
         n_streams=int(np.asarray(lengths).size),
         n_timestamps=int(n_timestamps),
         name=str(name),
-        births=_enc("births", births, version),
-        lengths=_enc("lengths", lengths, version),
-        flat_cells=_enc("flat_cells", flat_cells, version),
-        user_ids=_enc("user_ids", user_ids, version),
+        births=_enc("births", births),
+        lengths=_enc("lengths", lengths),
+        flat_cells=_enc("flat_cells", flat_cells),
+        user_ids=_enc("user_ids", user_ids),
     )
 
 
@@ -556,7 +441,7 @@ def parse_result(
         user_ids = decode_array("user_ids", msg["user_ids"])
         n_timestamps = int(msg["n_timestamps"])
         name = str(msg.get("name", "remote"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed result message: {exc}") from exc
     if births.size != lengths.size or births.size != user_ids.size:
         raise SchemaError(
@@ -567,9 +452,6 @@ def parse_result(
     return births, lengths, flat_cells, n_timestamps, name, user_ids
 
 
-def error_message(exc: BaseException, version: int = SCHEMA_VERSION) -> dict:
+def error_message(exc: BaseException) -> dict:
     """Failure envelope (class name + message, never a traceback)."""
-    return message(
-        "error", version=version,
-        error=type(exc).__name__, detail=str(exc),
-    )
+    return message("error", error=type(exc).__name__, detail=str(exc))

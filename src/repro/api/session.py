@@ -44,6 +44,7 @@ from repro.api.specs import ServiceSpec, SessionSpec
 from repro.core.online import OnlineRetraSyn, TimestepResult
 from repro.exceptions import ConfigurationError
 from repro.obs import MetricsRegistry
+from repro.stream.reports import ReportBatch, as_report_batch
 
 
 @runtime_checkable
@@ -202,6 +203,17 @@ class _SessionBase:
             pool.latency_observer = rt_hist.observe
 
     # -- shared protocol surface --------------------------------------- #
+    def _admit(self, participants) -> ReportBatch:
+        """A submitted batch in columnar form, refused before staging.
+
+        Rows outside the curator's state space would otherwise fail
+        half-way through their round, after the timestamp and the budget
+        schedule had advanced.
+        """
+        batch = as_report_batch(self.curator.space, participants)
+        batch.check_domain(self.curator.space)
+        return batch
+
     def snapshot(self) -> np.ndarray:
         """Current cells of all live synthetic streams."""
         return self.curator.live_snapshot()
@@ -322,7 +334,8 @@ class DirectSession(_SessionBase):
     ) -> None:
         """Stage one timestamp's candidate reports (processed by advance)."""
         self._staged.append(
-            (int(t), participants, newly_entered, quitted, int(n_real_active))
+            (int(t), self._admit(participants), newly_entered, quitted,
+             int(n_real_active))
         )
 
     def advance(self) -> list[TimestepResult]:
@@ -457,9 +470,7 @@ class IngestSession(_SessionBase):
         for protocol compatibility but derived from the report kinds when
         the timestamp closes — the assembler is the source of truth here.
         """
-        from repro.stream.reports import as_report_batch
-
-        batch = as_report_batch(self.curator.space, participants)
+        batch = self._admit(participants)
         self.assembler.add_batch(t, batch)
         self.ingest_stats.n_submitted += len(batch)
 

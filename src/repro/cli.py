@@ -303,7 +303,7 @@ def _serve_http(args, data, spec) -> int:
         port=spec.service.http_port,
         on_ready=lambda s: print(
             f"listening on http://{s.host}:{s.port} "
-            f"(schema v{schema.SCHEMA_VERSION}, binary frames + JSON v1); "
+            f"(schema v{schema.SCHEMA_VERSION}, RSF2 frames); "
             f"POST /v1/shutdown to stop", flush=True,
         ),
     )

@@ -17,7 +17,7 @@ The coordinator side is :class:`ShardSocketPool`; its merge contract is
 the serial executor's: per-shard one-counts come back as raw ``float64``
 columns and are summed and debiased once by the parent.
 
-Shard RPC (all messages are v2 binary frames; see ``docs/API.md``):
+Shard RPC (all messages are RSF2 binary frames; see ``docs/API.md``):
 
 ====================  ===================================================
 ``shard-submit``      One partition of a timestamp's traffic (the five
@@ -65,7 +65,6 @@ from __future__ import annotations
 import multiprocessing as mp
 import pickle
 import socket
-import struct
 import time
 from typing import Optional, Sequence
 
@@ -80,9 +79,6 @@ from repro.exceptions import (
 from repro.geo.grid import Grid
 from repro.ldp.accountant import make_accountant
 from repro.stream.reports import ReportBatch
-
-_PREFIX = struct.Struct("<II")
-_PREFIX_LEN = len(schema.FRAME_MAGIC) + _PREFIX.size
 
 
 # ---------------------------------------------------------------------- #
@@ -104,7 +100,7 @@ def _recv_exact(sock: socket.socket, n: int, allow_eof: bool = False):
 
 
 def send_frame(sock: socket.socket, msg: dict) -> int:
-    """Serialize one v2 frame and write it fully; returns bytes sent.
+    """Serialize one frame and write it fully; returns bytes sent.
 
     The frame's segments — length prefix + JSON header, then each raw
     column buffer — go out through one vectored ``sendmsg`` instead of
@@ -129,13 +125,10 @@ def send_frame(sock: socket.socket, msg: dict) -> int:
 
 def recv_frame_sized(sock: socket.socket) -> tuple[Optional[dict], int]:
     """:func:`recv_frame` plus the frame's on-wire byte count."""
-    prefix = _recv_exact(sock, _PREFIX_LEN, allow_eof=True)
+    prefix = _recv_exact(sock, schema.FRAME_PREFIX_LEN, allow_eof=True)
     if prefix is None:
         return None, 0
-    if prefix[: len(schema.FRAME_MAGIC)] != schema.FRAME_MAGIC:
-        raise schema.SchemaError("not a binary frame (bad magic)")
-    header_len, payload_len = _PREFIX.unpack(prefix[len(schema.FRAME_MAGIC):])
-    body = _recv_exact(sock, header_len + payload_len)
+    body = _recv_exact(sock, schema.frame_length(prefix))
     msg, _end = schema.load_frame(prefix + body)
     return msg, len(prefix) + len(body)
 

@@ -97,6 +97,31 @@ class ReportBatch:
     def __len__(self) -> int:
         return len(self.user_ids)
 
+    def check_domain(self, space: TransitionStateSpace) -> None:
+        """Refuse rows no round over ``space`` can take.
+
+        Kind codes must be move/enter/quit and state indices must lie in
+        ``[0, space.size)``.  Only enter/quit rows under a NoEQ space may
+        carry the ``-1`` it gives them: those rows are filtered out before
+        any oracle, while an EQ space reports them.  Vectorised min/max,
+        so a session can run it on every batch before staging anything.
+        """
+        if not len(self):
+            return
+        kinds, idx = self.kinds, self.state_idx
+        if kinds.min() < KIND_MOVE or kinds.max() > KIND_QUIT:
+            bad = kinds[(kinds < KIND_MOVE) | (kinds > KIND_QUIT)][0]
+            raise DomainError(f"unknown report kind code {int(bad)}")
+        lo, hi = int(idx.min()), int(idx.max())
+        floor = 0 if space.include_eq else -1
+        if hi >= space.size or lo < floor:
+            raise DomainError(
+                f"state indices span [{lo}, {hi}]; this space takes "
+                f"[{floor}, {space.size})"
+            )
+        if lo < 0 and (idx[kinds == KIND_MOVE] < 0).any():
+            raise DomainError("a move report carries state index -1")
+
     # ------------------------------------------------------------------ #
     # constructors
     # ------------------------------------------------------------------ #

@@ -237,7 +237,7 @@ class TestSchemaVerbs:
                 'def send(sock):\n'
                 '    sock.send(message("hello"))\n'
                 'def read(payload):\n'
-                '    return loads(payload, "hello")\n'
+                '    return iter_frames(payload, "hello")\n'
             ),
         }, only=[self.RULE])
         messages = [f.message for f in result.findings]
@@ -254,7 +254,7 @@ class TestSchemaVerbs:
                 '    sock.send(message("rogue"))\n'
                 'def read(msg, payload):\n'
                 '    if msg["type"] == "hello":\n'
-                '        return loads(payload, "hello")\n'
+                '        return iter_frames(payload, "hello")\n'
             ),
         }, only=[self.RULE])
         assert rules_of(result) == [self.RULE]
@@ -269,7 +269,7 @@ class TestSchemaVerbs:
                 '    sock.send(message("bye"))\n'
                 'def read(conn, payload):\n'
                 '    a = recv_message(conn, expect="hello")\n'
-                '    return loads(payload, "bye")\n'
+                '    return iter_frames(payload, "bye")\n'
             ),
         }, only=[self.RULE])
         assert result.ok
@@ -282,7 +282,7 @@ class TestSchemaVerbs:
                 'def send(sock):\n'
                 '    sock.send(message("hello"))\n'
                 'def read(payload):\n'
-                '    return loads(payload, "hello")\n'
+                '    return iter_frames(payload, "hello")\n'
             ),
         }, only=[self.RULE])
         assert result.ok

@@ -4,12 +4,15 @@ to in-process sessions (the acceptance bar of the unified API)."""
 from __future__ import annotations
 
 import asyncio
+import http.client
 import json
+import struct
 import threading
 
 import numpy as np
 import pytest
 
+from repro.api import schema
 from repro.api.client import Client
 from repro.api.http import HttpIngress
 from repro.api.schema import SchemaError
@@ -17,7 +20,7 @@ from repro.api.session import create_session
 from repro.api.specs import SessionSpec
 from repro.core.retrasyn import RetraSyn, RetraSynConfig
 from repro.geo.trajectory import average_length
-from repro.stream.reports import ColumnarStreamView
+from repro.stream.reports import KIND_ENTER, ColumnarStreamView, ReportBatch
 from repro.stream.state_space import TransitionStateSpace
 
 
@@ -79,12 +82,27 @@ def _streams(dataset):
     return [(t.start_time, list(t.cells)) for t in dataset]
 
 
+def _frame(t, batch) -> bytes:
+    return schema.dump_frame(
+        schema.report_batch_message(t, batch, [], [], len(batch))
+    )
+
+
+def _frame_with_cols(frame: bytes, cols) -> bytes:
+    """``frame`` with its ``_cols`` manifest replaced."""
+    header_len = struct.unpack_from("<II", frame, 4)[0]
+    header = json.loads(frame[12 : 12 + header_len])
+    header["_cols"] = cols
+    raw = json.dumps(header).encode()
+    payload = frame[12 + header_len :]
+    return b"RSF2" + struct.pack("<II", len(raw), len(payload)) + raw + payload
+
+
 class TestRemoteRoundTrip:
-    def test_hello_negotiates_and_describes_the_grid(self, served, walk_data):
+    def test_hello_describes_the_grid(self, served, walk_data):
         _server, client = served
         hello = client.hello()
-        assert hello["schema"] == 2  # both sides speak v2 binary frames
-        assert client.schema_version == 2
+        assert hello["schema"] == schema.SCHEMA_VERSION == 2
         assert hello["grid"]["k"] == walk_data.grid.k
         assert hello["include_eq"] is True
         assert client.grid().n_cells == walk_data.grid.n_cells
@@ -92,18 +110,8 @@ class TestRemoteRoundTrip:
     def test_remote_replay_is_bit_identical_to_in_process(
         self, served, walk_data
     ):
-        self._assert_replay_matches_in_process(served, walk_data, version=2)
-
-    def test_json_v1_replay_is_bit_identical_to_in_process(
-        self, served, walk_data
-    ):
-        """The base64-JSON reference encoding, end to end over HTTP."""
-        self._assert_replay_matches_in_process(served, walk_data, version=1)
-
-    def _assert_replay_matches_in_process(self, served, walk_data, version):
         server, client = served
         hello = client.hello()
-        client.schema_version = version
         space = TransitionStateSpace(
             client.grid(), include_entering_quitting=hello["include_eq"]
         )
@@ -126,7 +134,6 @@ class TestRemoteRoundTrip:
         """submit_batches (multi-frame bodies) ≡ one request per batch."""
         server, client = served
         hello = client.hello()
-        assert client.schema_version == 2
         space = TransitionStateSpace(
             client.grid(), include_entering_quitting=hello["include_eq"]
         )
@@ -171,13 +178,12 @@ class TestRemoteRoundTrip:
 
 class TestIngressErrors:
     def _raw(self, port, method, path, body=b""):
-        import http.client
-
         conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
         try:
             conn.request(method, path, body=body)
             response = conn.getresponse()
-            return response.status, json.loads(response.read())
+            assert response.getheader("Content-Type") == schema.CONTENT_TYPE_FRAME
+            return response.status, schema.load_frame(response.read())[0]
         finally:
             conn.close()
 
@@ -193,14 +199,60 @@ class TestIngressErrors:
 
     def test_malformed_body_is_400(self, served):
         server, _client = served
-        status, msg = self._raw(server.port, "POST", "/v1/batch", b"not json")
-        assert status == 400 and msg["type"] == "error"
+        for body in (b"not json", b'{"schema":2,"type":"report-batch"}'):
+            status, msg = self._raw(server.port, "POST", "/v1/batch", body)
+            assert status == 400 and msg["type"] == "error"
+            assert "bad magic" in msg["detail"]
 
     def test_version_mismatch_is_reported(self, served):
         server, _client = served
-        status, msg = self._raw(server.port, "GET", "/v1/hello?versions=99")
+        frame = bytearray(_frame(0, ReportBatch.empty()))
+        header_len = struct.unpack_from("<II", frame, 4)[0]
+        header = bytes(frame[12 : 12 + header_len]).replace(
+            b'"schema":2', b'"schema":1'
+        )
+        body = frame[:12] + header + frame[12 + header_len :]
+        status, msg = self._raw(server.port, "POST", "/v1/batch", bytes(body))
         assert status == 400
-        assert "no common schema version" in msg["detail"]
+        assert "unsupported schema version 1" in msg["detail"]
+
+    def test_every_malformed_body_class_is_a_400_frame(
+        self, served, walk_data
+    ):
+        """Hostile bodies end in a typed 400 and leave the session usable:
+        a pipelined body with one bad frame submits none of its frames."""
+        server, client = served
+        space = TransitionStateSpace(walk_data.grid)
+        batch = ColumnarStreamView(walk_data, space).batch_at(0)
+        good = _frame(0, batch)
+        bad_kind = _frame(1, ReportBatch.from_arrays([1], [0], [9]))
+        bodies = {
+            "json": b'{"schema":2,"type":"report-batch","t":0}',
+            "empty": b"",
+            "truncated": good[:-5],
+            "trailing": good + good[:7],
+            "oversized header": (
+                b"RSF2" + struct.pack("<II", 2 * 1024 * 1024, 0) + good[12:]
+            ),
+            "bad _cols": _frame_with_cols(good, [[["x"], 1]]),
+            "wrong type": schema.dump_frame(schema.snapshot_message([1])),
+            "bad kind": good + bad_kind,
+            "bad state": _frame(0, ReportBatch.from_arrays([1], [-3], [0])),
+            "bad state high": _frame(
+                0, ReportBatch.from_arrays([1], [space.size], [0])
+            ),
+            "NoEQ enter row": _frame(
+                0, ReportBatch.from_arrays([1], [-1], [KIND_ENTER])
+            ),
+        }
+        for name, body in bodies.items():
+            status, msg = self._raw(server.port, "POST", "/v1/batch", body)
+            assert status == 400, name
+            assert msg["type"] == "error", name
+            assert msg["error"] in ("SchemaError", "DomainError"), name
+        assert client.stats()["ingest"]["n_submitted"] == 0
+        ack = client.submit_batch(0, batch, n_real_active=len(batch))
+        assert ack["t"] == 0 and ack["n"] == len(batch) > 0
 
     def test_checkpoint_without_configured_path_is_rejected(self, served):
         server, _client = served

@@ -130,7 +130,7 @@ class TestRemotePipelinedRounds:
         """A tiny chunk budget forces many POSTs; output is unperturbed."""
         server, client = pipelined_server
         hello = client.hello()
-        assert client.schema_version == 2
+        assert hello["schema"] == 2
         client.chunk_bytes = 4_096  # far below one frame group
         space = TransitionStateSpace(
             client.grid(), include_entering_quitting=hello["include_eq"]

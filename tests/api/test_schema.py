@@ -1,6 +1,8 @@
-"""Wire-schema round trips, version negotiation and rejection paths."""
+"""Wire-schema round trips and rejection paths."""
 
 from __future__ import annotations
+
+import struct
 
 import numpy as np
 import pytest
@@ -19,80 +21,71 @@ def _batch(n=5, seed=0):
     )
 
 
-class TestNegotiation:
-    def test_picks_highest_common(self):
-        assert schema.negotiate([1]) == 1
-        assert schema.negotiate([1, 99]) == 1
-        assert schema.negotiate(["1"]) == 1
+def _via_frame(msg: dict, expect=None) -> dict:
+    return schema.load_frame(schema.dump_frame(msg), expect=expect)[0]
 
-    def test_no_common_version(self):
-        with pytest.raises(SchemaError, match="no common schema version"):
-            schema.negotiate([99])
 
-    def test_unparseable_versions(self):
-        with pytest.raises(SchemaError):
-            schema.negotiate(["one"])
+def _frame(header: bytes, payload: bytes = b"") -> bytes:
+    """A hand-built frame around a raw header and payload."""
+    return b"RSF2" + struct.pack("<II", len(header), len(payload)) + header + payload
 
 
 class TestArrayCodec:
     def test_round_trip_is_lossless(self):
         values = np.asarray([0, 1, -1, 2**62, -(2**62)], dtype=np.int64)
-        decoded = schema.decode_array(
-            "user_ids", schema.encode_array("user_ids", values)
-        )
+        msg = _via_frame(schema.message("snapshot", user_ids=values))
+        decoded = schema.decode_array("user_ids", msg["user_ids"])
         assert decoded.dtype == np.int64
         np.testing.assert_array_equal(decoded, values)
 
     def test_kinds_are_int8(self):
-        decoded = schema.decode_array(
-            "kinds", schema.encode_array("kinds", [0, 1, 2])
+        msg = _via_frame(
+            schema.message("snapshot", kinds=np.asarray([0, 1, 2]))
         )
-        assert decoded.dtype == np.int8
+        assert schema.decode_array("kinds", msg["kinds"]).dtype == np.int8
 
     def test_unknown_column(self):
         with pytest.raises(SchemaError):
-            schema.encode_array("payload", [1])
+            schema.dump_frame(schema.message("snapshot", payload=np.ones(1)))
         with pytest.raises(SchemaError):
-            schema.decode_array("payload", "AA==")
-
-    def test_bad_base64(self):
-        with pytest.raises(SchemaError):
-            schema.decode_array("user_ids", "!!not-base64!!")
+            schema.decode_array("payload", np.zeros(1, dtype=np.int64))
 
     def test_misaligned_buffer(self):
-        import base64
-
-        data = base64.b64encode(b"\x00" * 7).decode()
-        with pytest.raises(SchemaError, match="multiple"):
-            schema.decode_array("user_ids", data)
+        """7 payload bytes are no whole number of int64 elements."""
+        header = b'{"schema":2,"type":"snapshot","_cols":[["user_ids",1]]}'
+        with pytest.raises(SchemaError, match="overruns"):
+            schema.load_frame(_frame(header, b"\x00" * 7))
+        header = b'{"schema":2,"type":"snapshot","_cols":[["user_ids",0]]}'
+        with pytest.raises(SchemaError, match="beyond"):
+            schema.load_frame(_frame(header, b"\x00" * 7))
 
 
 class TestEnvelopes:
     def test_loads_rejects_bad_version(self):
-        msg = schema.message("ack")
-        msg["schema"] = 99
-        with pytest.raises(SchemaError, match="unsupported schema version"):
-            schema.loads(schema.dumps(msg))
+        for version in (1, 99):
+            header = b'{"schema":%d,"type":"ack","_cols":[]}' % version
+            with pytest.raises(SchemaError, match="unsupported schema version"):
+                schema.load_frame(_frame(header))
 
     def test_loads_rejects_unknown_type(self):
-        raw = b'{"schema": 1, "type": "teleport"}'
+        header = b'{"schema": 2, "type": "teleport"}'
         with pytest.raises(SchemaError, match="unknown message type"):
-            schema.loads(raw)
+            schema.load_frame(_frame(header))
 
     def test_loads_rejects_non_object(self):
         with pytest.raises(SchemaError):
-            schema.loads(b"[1, 2]")
+            schema.load_frame(_frame(b"[1, 2]"))
         with pytest.raises(SchemaError):
-            schema.loads(b"\xff\xfe")
+            schema.load_frame(_frame(b"\xff\xfe"))
 
     def test_expect_mismatch(self):
         with pytest.raises(SchemaError, match="expected"):
-            schema.loads(schema.dumps(schema.message("ack")), expect="stats")
+            _via_frame(schema.message("ack"), expect="stats")
 
     def test_expect_surfaces_error_messages(self):
         err = schema.error_message(ValueError("boom"))
         with pytest.raises(SchemaError, match="boom"):
-            schema.loads(schema.dumps(err), expect="stats")
+            _via_frame(err, expect="stats")
 
     def test_message_rejects_unknown_type(self):
         with pytest.raises(SchemaError):
@@ -103,9 +96,9 @@ class TestReportBatchMessage:
     def test_round_trip(self):
         batch = _batch(7)
         msg = schema.report_batch_message(
-            3, batch, [10, 11], [12], n_real_active=6, version=1
+            3, batch, [10, 11], [12], n_real_active=6
         )
-        parsed = schema.loads(schema.dumps(msg), expect="report-batch")
+        parsed = _via_frame(msg, expect="report-batch")
         t, decoded, entered, quitted, n_active = schema.parse_report_batch(parsed)
         assert t == 3 and n_active == 6
         np.testing.assert_array_equal(decoded.user_ids, batch.user_ids)
@@ -138,11 +131,9 @@ class TestResultMessage:
         lengths = np.asarray([3, 1, 2])
         flat = np.asarray([4, 5, 6, 7, 8, 9])
         uids = np.asarray([7, 0, 3])
-        msg = schema.result_message(
-            births, lengths, flat, 10, "syn", uids, version=1
-        )
+        msg = schema.result_message(births, lengths, flat, 10, "syn", uids)
         b, le, f, n_t, name, u = schema.parse_result(
-            schema.loads(schema.dumps(msg), expect="result")
+            _via_frame(msg, expect="result")
         )
         np.testing.assert_array_equal(b, births)
         np.testing.assert_array_equal(le, lengths)
@@ -152,22 +143,19 @@ class TestResultMessage:
 
     def test_inconsistent_lengths(self):
         msg = schema.result_message([0], [2], [1, 2], 5, "x", [0])
-        msg["flat_cells"] = schema.encode_array("flat_cells", [1])
+        msg["flat_cells"] = np.asarray([1], dtype=np.int64)
         with pytest.raises(SchemaError, match="disagrees"):
-            schema.parse_result(msg)
+            schema.parse_result(_via_frame(msg))
 
     def test_inconsistent_user_ids(self):
         msg = schema.result_message([0], [2], [1, 2], 5, "x", [0])
-        msg["user_ids"] = schema.encode_array("user_ids", [0, 1])
+        msg["user_ids"] = np.asarray([0, 1], dtype=np.int64)
         with pytest.raises(SchemaError, match="disagree"):
-            schema.parse_result(msg)
+            schema.parse_result(_via_frame(msg))
 
     def test_snapshot_round_trip(self):
         cells = np.asarray([3, 1, 4, 1, 5])
         out = schema.parse_snapshot(
-            schema.loads(
-                schema.dumps(schema.snapshot_message(cells, version=1)),
-                expect="snapshot",
-            )
+            _via_frame(schema.snapshot_message(cells), expect="snapshot")
         )
         np.testing.assert_array_equal(out, cells)

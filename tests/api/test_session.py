@@ -16,9 +16,14 @@ from repro.api.session import (
 from repro.api.specs import SessionSpec
 from repro.core.online import OnlineRetraSyn
 from repro.core.retrasyn import RetraSyn, RetraSynConfig
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.geo.trajectory import average_length
-from repro.stream.reports import ColumnarStreamView
+from repro.stream.reports import (
+    KIND_ENTER,
+    KIND_MOVE,
+    ColumnarStreamView,
+    ReportBatch,
+)
 
 
 def _lam(data):
@@ -200,6 +205,65 @@ class TestSessionSurface:
         )
         with pytest.raises(ConfigurationError, match="checkpoint"):
             session.checkpoint()
+
+
+class TestSubmitRefusesOutOfDomainRows:
+    """A batch no round can process is refused at submit, before anything
+    is staged, so the stream continues as if it had never been sent."""
+
+    @pytest.mark.parametrize("transport", ["direct", "ingest"])
+    @pytest.mark.parametrize(
+        "row_kind, column, value",
+        [(KIND_MOVE, "state_idx", 10**9), (KIND_MOVE, "state_idx", -3),
+         (KIND_MOVE, "state_idx", -1), (KIND_MOVE, "kinds", 9),
+         (KIND_MOVE, "kinds", -1),
+         # An EQ space reports enter rows, so the -1 a NoEQ space gives
+         # them is out of its domain.
+         (KIND_ENTER, "state_idx", -1)],
+    )
+    def test_refused_batch_leaves_the_stream_untouched(
+        self, walk_data, transport, row_kind, column, value
+    ):
+        spec = SessionSpec.from_flat(
+            epsilon=1.0, w=10, seed=5, transport=transport
+        )
+        reference = _drive(
+            create_session(spec, walk_data.grid, lam=_lam(walk_data)),
+            walk_data,
+        )
+        session = create_session(spec, walk_data.grid, lam=_lam(walk_data))
+        view = ColumnarStreamView(walk_data, session.curator.space)
+        for t in range(walk_data.n_timestamps):
+            if t == 2:
+                good = view.batch_at(t)
+                cols = {
+                    "user_ids": good.user_ids.copy(),
+                    "state_idx": good.state_idx.copy(),
+                    "kinds": good.kinds.copy(),
+                }
+                row = int(np.flatnonzero(good.kinds == row_kind)[0])
+                cols[column][row] = value
+                before = session.stats()
+                with pytest.raises(ReproError):
+                    session.submit_batch(
+                        t, ReportBatch.from_arrays(**cols),
+                        newly_entered=view.newly_entered_at(t),
+                        quitted=view.quitted_at(t),
+                        n_real_active=view.n_active_at(t),
+                    )
+                session.advance()
+                assert session.stats() == before
+            session.submit_batch(
+                t, view.batch_at(t),
+                newly_entered=view.newly_entered_at(t),
+                quitted=view.quitted_at(t),
+                n_real_active=view.n_active_at(t),
+            )
+            session.advance()
+        session.close()
+        run = session.result(walk_data.n_timestamps)
+        assert _streams(run.synthetic) == _streams(reference.synthetic)
+        assert run.synthetic.user_ids == reference.synthetic.user_ids
 
 
 class TestSessionCheckpointing:

@@ -90,6 +90,24 @@ class TestReportBatch:
         batch = ReportBatch.from_arrays([5, 6], [0, 1], [0, 0])
         assert batch.partition(1)[0] is batch
 
+    def test_check_domain_follows_the_space(self, space4, space4_noeq):
+        """-1 is the NoEQ marker for enter/quit rows; an EQ space reports
+        those rows, and no space takes -1 on a move row."""
+        eq_marker = ReportBatch.from_arrays([1, 2], [0, -1], [KIND_MOVE, KIND_ENTER])
+        eq_marker.check_domain(space4_noeq)
+        with pytest.raises(DomainError, match=r"\[0, "):
+            eq_marker.check_domain(space4)
+        move_marker = ReportBatch.from_arrays([1], [-1], [KIND_MOVE])
+        for space in (space4, space4_noeq):
+            with pytest.raises(DomainError):
+                move_marker.check_domain(space)
+            with pytest.raises(DomainError):
+                ReportBatch.from_arrays([1], [space.size], [KIND_MOVE]).check_domain(
+                    space
+                )
+        with pytest.raises(DomainError, match="kind code 3"):
+            ReportBatch.from_arrays([1], [0], [3]).check_domain(space4)
+
     def test_take_preserves_selection_order(self):
         batch = ReportBatch.from_arrays([10, 20, 30], [0, 1, 2], [0, 0, 0])
         sub = batch.take(np.asarray([2, 0]))
