@@ -392,28 +392,18 @@ class HttpIngress:
             return 503, schema.error_message(
                 ReproError("server is draining; not accepting new batches")
             )
-        # A body may concatenate several frames.  Every one is decoded and
-        # passed through the session's own admission check before any is
-        # submitted, so a bad frame refuses the whole body; then all are
-        # submitted under ONE lock acquisition and one advance() sweep, in
-        # frame order (order is what keeps remote replays bit-identical to
-        # in-process sessions).  submit_batch admits each batch again —
-        # one vectorised min/max pass, microseconds per batch — because
-        # it is the boundary every in-process caller relies on.
+        # A body may concatenate several frames.  All are decoded first;
+        # then, under ONE lock acquisition, submit_batches stages them in
+        # frame order (or none, if any batch fails admission) and one
+        # advance() sweep runs.  Frame order is what keeps remote replays
+        # bit-identical to in-process sessions.
         msgs = list(schema.iter_frames(body, expect="report-batch"))
         if not msgs:
             raise SchemaError("empty batch body")
         self.frames_received += len(msgs)
         parsed = [schema.parse_report_batch(m) for m in msgs]
-        for _t, batch, *_rest in parsed:
-            self.session._admit(batch)
         async with self._lock:
-            for t, batch, entered, quitted, n_active in parsed:
-                self.session.submit_batch(
-                    t, batch,
-                    newly_entered=entered, quitted=quitted,
-                    n_real_active=n_active,
-                )
+            self.session.submit_batches(parsed)
             results = self.session.advance()
         return 200, schema.message(
             "ack",

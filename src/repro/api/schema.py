@@ -91,13 +91,6 @@ MESSAGE_TYPES = (
     "shard-checkpoint",
     "shard-stats",
     "shard-exit",
-    # Fused-round variants: one frame carries up to ``round_batch`` closed
-    # timestamps (shard-submit-many), their schedule-divided advances
-    # (shard-advance-many), and the per-timestamp merge outputs back
-    # (shard-merge-many).  Depth 1 degenerates to the singular verbs.
-    "shard-submit-many",
-    "shard-advance-many",
-    "shard-merge-many",
 )
 
 #: Wire dtypes by column name; everything else is rejected.

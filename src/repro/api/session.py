@@ -8,7 +8,8 @@ now:
 
 ``submit_batch(t, reports)``
     Hand the session one timestamp's candidate reports (columnar
-    :class:`~repro.stream.reports.ReportBatch` or object pairs).
+    :class:`~repro.stream.reports.ReportBatch` or object pairs);
+    ``submit_batches(items)`` stages several, all or none.
 ``advance()``
     Run every collection → update → synthesis round that is ready, in
     timestamp order, returning the per-round
@@ -44,7 +45,7 @@ from repro.api.specs import ServiceSpec, SessionSpec
 from repro.core.online import OnlineRetraSyn, TimestepResult
 from repro.exceptions import ConfigurationError
 from repro.obs import MetricsRegistry
-from repro.stream.reports import ReportBatch, as_report_batch
+from repro.stream.reports import as_report_batch
 
 
 @runtime_checkable
@@ -57,6 +58,8 @@ class CuratorSession(Protocol):
         self, t: int, participants, newly_entered=(), quitted=(),
         n_real_active: int = 0,
     ) -> None: ...
+
+    def submit_batches(self, items) -> None: ...
 
     def advance(self) -> list[TimestepResult]: ...
 
@@ -194,25 +197,46 @@ class _SessionBase:
                 lambda: int(pool.bytes_received)
             )
             # The pool observes each submit/advance round-trip's wall
-            # seconds (fused or per-timestamp) into this histogram.
+            # seconds into this histogram.
             rt_hist = m.histogram(
                 "retrasyn_shard_roundtrip_seconds",
                 "Wall-clock seconds of one coordinator-side shard "
-                "round-trip (submit or advance, fused or per-timestamp).",
+                "round-trip (submit or advance).",
             )
             pool.latency_observer = rt_hist.observe
 
     # -- shared protocol surface --------------------------------------- #
-    def _admit(self, participants) -> ReportBatch:
-        """A submitted batch in columnar form, refused before staging.
+    def submit_batch(
+        self, t: int, participants, newly_entered=(), quitted=(),
+        n_real_active: int = 0,
+    ) -> None:
+        """Stage one timestamp's candidate reports (processed by advance)."""
+        self.submit_batches(
+            [(t, participants, newly_entered, quitted, n_real_active)]
+        )
 
-        Rows outside the curator's state space would otherwise fail
-        half-way through their round, after the timestamp and the budget
-        schedule had advanced.
+    def submit_batches(self, items) -> None:
+        """Stage several timestamps' reports, all or none.
+
+        ``items`` holds ``(t, participants, newly_entered, quitted,
+        n_real_active)`` tuples in submission order.  Every batch is
+        admitted — converted to columnar form and checked against the
+        curator's state space — before any is staged, so one bad batch
+        refuses them all.  Rows outside the state space would otherwise
+        fail half-way through their round, after the timestamp and the
+        budget schedule had advanced.
         """
-        batch = as_report_batch(self.curator.space, participants)
-        batch.check_domain(self.curator.space)
-        return batch
+        space = self.curator.space
+        admitted = []
+        for t, participants, entered, quitted, n_active in items:
+            batch = as_report_batch(space, participants)
+            batch.check_domain(space)
+            admitted.append((int(t), batch, entered, quitted, int(n_active)))
+        for item in admitted:
+            self._stage(*item)
+
+    def _stage(self, t, batch, newly_entered, quitted, n_real_active) -> None:
+        raise NotImplementedError
 
     def snapshot(self) -> np.ndarray:
         """Current cells of all live synthetic streams."""
@@ -282,21 +306,11 @@ class _SessionBase:
     def _drain_on_close(self, flush_partial: bool = True) -> None:
         pass  # overridden by IngestSession
 
-    @property
-    def _round_batch(self) -> int:
-        """Pipeline depth: timestamps handed to the curator per group."""
-        return max(1, int(getattr(self.spec.sharding, "round_batch", 1)))
-
-    def _after_timestep(self, n: int = 1) -> None:
-        """Periodic checkpointing shared by both session flavours.
-
-        ``n`` counts the rounds a pipelined group just completed: with
-        ``round_batch > 1`` at most one checkpoint is written per group
-        boundary (a checkpoint can only freeze inter-round state).
-        """
+    def _after_timestep(self) -> None:
+        """Periodic checkpointing shared by both session flavours."""
         svc = self.spec.service
         if svc.checkpoint_path is not None and svc.checkpoint_every:
-            self._since_checkpoint += n
+            self._since_checkpoint += 1
             if self._since_checkpoint >= svc.checkpoint_every:
                 self.checkpoint()
                 self._since_checkpoint = 0
@@ -328,56 +342,26 @@ class DirectSession(_SessionBase):
         # here — every staged batch is complete — so drain processes too.
         self.advance()
 
-    def submit_batch(
-        self, t: int, participants, newly_entered=(), quitted=(),
-        n_real_active: int = 0,
-    ) -> None:
-        """Stage one timestamp's candidate reports (processed by advance)."""
-        self._staged.append(
-            (int(t), self._admit(participants), newly_entered, quitted,
-             int(n_real_active))
-        )
+    def _stage(self, t, batch, newly_entered, quitted, n_real_active) -> None:
+        self._staged.append((t, batch, newly_entered, quitted, n_real_active))
 
     def advance(self) -> list[TimestepResult]:
-        """Process every staged timestamp, in submission order.
-
-        With ``sharding.round_batch > 1`` the staged timestamps are handed
-        to the curator in groups of that depth
-        (:meth:`~repro.core.online.OnlineRetraSyn.process_timesteps`), so
-        the engine can fuse shard round-trips and overlap synthesis with
-        the next round's collection.  Depth 1 is the exact per-timestamp
-        path.
-        """
+        """Process every staged timestamp, in submission order."""
         results = []
         staged, self._staged = self._staged, []
-        depth = self._round_batch
-        if depth == 1:
-            for t, participants, entered, quitted, n_active in staged:
-                tic = time.perf_counter()
-                results.append(
-                    self.curator.process_timestep(
-                        t,
-                        participants=participants,
-                        newly_entered=entered,
-                        quitted=quitted,
-                        n_real_active=n_active,
-                    )
-                )
-                self._round_hist.observe(time.perf_counter() - tic)
-                self._after_timestep()
-            return results
-        for lo in range(0, len(staged), depth):
-            group = staged[lo : lo + depth]
+        for t, participants, entered, quitted, n_active in staged:
             tic = time.perf_counter()
-            group_results = self.curator.process_timesteps(group)
-            wall = time.perf_counter() - tic
-            # Per-round share of the group's wall, so the histogram's
-            # count stays one observation per round and its sum stays the
-            # total wall-clock.
-            for r in group_results:
-                results.append(r)
-                self._round_hist.observe(wall / max(1, len(group_results)))
-            self._after_timestep(len(group_results))
+            results.append(
+                self.curator.process_timestep(
+                    t,
+                    participants=participants,
+                    newly_entered=entered,
+                    quitted=quitted,
+                    n_real_active=n_active,
+                )
+            )
+            self._round_hist.observe(time.perf_counter() - tic)
+            self._after_timestep()
         return results
 
 
@@ -460,55 +444,19 @@ class IngestSession(_SessionBase):
         self.assembler.add(report)
         self.ingest_stats.n_submitted += 1
 
-    def submit_batch(
-        self, t: int, participants, newly_entered=(), quitted=(),
-        n_real_active: int = 0,
-    ) -> None:
-        """Buffer one timestamp's reports.
-
-        ``newly_entered`` / ``quitted`` / ``n_real_active`` are accepted
-        for protocol compatibility but derived from the report kinds when
-        the timestamp closes — the assembler is the source of truth here.
-        """
-        batch = self._admit(participants)
+    def _stage(self, t, batch, newly_entered, quitted, n_real_active) -> None:
+        # newly_entered / quitted / n_real_active are derived from the
+        # report kinds when the timestamp closes: the assembler is the
+        # source of truth here.
         self.assembler.add_batch(t, batch)
         self.ingest_stats.n_submitted += len(batch)
 
     # -- processing ----------------------------------------------------- #
     def advance(self) -> list[TimestepResult]:
-        """Close and process every timestamp at or below the watermark.
-
-        With ``sharding.round_batch > 1`` the closed timestamps are handed
-        to the curator in groups of that depth so the engine can fuse
-        shard round-trips and overlap synthesis with the next round's
-        collection.  Depth 1 keeps the exact per-timestamp path.
-        """
-        ready = self.assembler.pop_ready()
-        depth = self._round_batch
-        if depth == 1:
-            results = [self._process(c) for c in ready]
-        else:
-            results = []
-            for lo in range(0, len(ready), depth):
-                results.extend(self._process_group(ready[lo : lo + depth]))
+        """Close and process every timestamp at or below the watermark."""
+        results = [self._process(c) for c in self.assembler.pop_ready()]
         self.ingest_stats.n_late_dropped = self.assembler.n_late_dropped
         return results
-
-    def _process_group(self, group) -> list[TimestepResult]:
-        tic = time.perf_counter()
-        group_results = self.curator.process_timesteps(
-            [
-                (c.t, c.batch, c.newly_entered, c.quitted, c.n_active)
-                for c in group
-            ]
-        )
-        wall = time.perf_counter() - tic
-        for closed in group:
-            self._round_hist.observe(wall / max(1, len(group_results)))
-            self.ingest_stats.n_timestamps += 1
-            self.ingest_stats.n_reports_processed += len(closed.batch)
-        self._after_timestep(len(group_results))
-        return group_results
 
     def _process(self, closed) -> TimestepResult:
         tic = time.perf_counter()

@@ -284,9 +284,8 @@ class ShardingSpec:
         default=1,
         metadata=_cli(
             "--round-batch",
-            "closed timestamps coalesced into one shard round "
-            "(pipelined collection; 1 = per-timestamp protocol, "
-            "bit-identical at every depth)",
+            "must be 1: pipelined rounds were removed and every round "
+            "runs per timestamp",
             type=int,
         ),
     )
@@ -295,13 +294,15 @@ class ShardingSpec:
         _require_number("shard_round_timeout", self.shard_round_timeout)
         if self.n_shards < 1:
             raise ConfigurationError(f"n_shards must be >= 1, got {self.n_shards}")
-        if self.round_batch < 1:
+        if self.round_batch != 1:
             raise ConfigurationError(
-                f"round_batch must be >= 1, got {self.round_batch}"
+                f"round_batch must be 1, got {self.round_batch}: pipelined "
+                "rounds were removed and every round runs per timestamp"
             )
         if self.shard_executor not in SHARD_EXECUTORS:
+            allowed = " or ".join(map(repr, SHARD_EXECUTORS))
             raise ConfigurationError(
-                f"shard_executor must be one of {SHARD_EXECUTORS}, "
+                f"shard_executor must be {allowed}, "
                 f"got {self.shard_executor!r}"
             )
         if self.synthesis_shards < 1:

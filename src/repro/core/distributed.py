@@ -158,14 +158,14 @@ class _ShardService:
             make_accountant(
                 config.epsilon,
                 config.w,
-                mode=getattr(config, "accountant_mode", "columnar"),
+                mode=config.accountant_mode,
             )
-            if getattr(config, "track_privacy", True)
+            if config.track_privacy
             else None
         )
-        # Staged rounds keyed by timestamp: a fused shard-submit-many may
-        # park several consecutive rounds before their advances arrive.
-        self._staged: dict[int, tuple] = {}
+        # The round a shard-submit staged for the next shard-advance:
+        # ``(t, batch, entered, quitted)``, or None between rounds.
+        self._staged: Optional[tuple] = None
 
     def handle(self, msg: dict) -> dict:
         type_ = msg["type"]
@@ -173,10 +173,6 @@ class _ShardService:
             return self._submit(msg)
         if type_ == "shard-advance":
             return self._advance(msg)
-        if type_ == "shard-submit-many":
-            return self._submit_many(msg)
-        if type_ == "shard-advance-many":
-            return self._advance_many(msg)
         if type_ == "shard-checkpoint":
             return self._checkpoint(msg)
         if type_ == "shard-stats":
@@ -192,7 +188,7 @@ class _ShardService:
         )
         entered = np.asarray(msg["newly_entered"])
         quitted = np.asarray(msg["quitted"])
-        self._staged[t] = (batch, entered, quitted)
+        self._staged = (t, batch, entered, quitted)
         min_remaining = None
         if msg.get("want_remaining") and self.accountant is not None and len(batch):
             min_remaining = float(
@@ -200,58 +196,14 @@ class _ShardService:
             )
         return schema.message("ack", t=t, min_remaining=min_remaining)
 
-    def _submit_many(self, msg: dict) -> dict:
-        """Stage several consecutive rounds carried by one fused frame.
-
-        The frame flattens every round's five report columns back to back;
-        the header's per-timestamp counts recover the slices.  Per-user
-        budget consultation has no fused form (the coordinator needs each
-        round's minimum *after* the previous round's spends), so
-        ``want_remaining`` is rejected here — adaptive-user configurations
-        stay on the per-timestamp verbs.
-        """
-        if msg.get("want_remaining"):
-            raise ConfigurationError(
-                "shard-submit-many does not support want_remaining; "
-                "per-user budget consultation requires per-timestamp rounds"
-            )
-        ts = [int(t) for t in msg["ts"]]
-        counts = [int(c) for c in msg["counts"]]
-        e_counts = [int(c) for c in msg["entered_counts"]]
-        q_counts = [int(c) for c in msg["quitted_counts"]]
-        if not (len(ts) == len(counts) == len(e_counts) == len(q_counts)):
-            raise ConfigurationError(
-                "shard-submit-many header lists disagree on length"
-            )
-        uids = np.asarray(msg["user_ids"])
-        states = np.asarray(msg["state_idx"])
-        kinds = np.asarray(msg["kinds"])
-        entered = np.asarray(msg["newly_entered"])
-        quitted = np.asarray(msg["quitted"])
-        pos = e_pos = q_pos = 0
-        for i, t in enumerate(ts):
-            n, ne, nq = counts[i], e_counts[i], q_counts[i]
-            batch = ReportBatch(
-                uids[pos : pos + n],
-                states[pos : pos + n],
-                kinds[pos : pos + n],
-            )
-            self._staged[t] = (
-                batch,
-                entered[e_pos : e_pos + ne],
-                quitted[q_pos : q_pos + nq],
-            )
-            pos, e_pos, q_pos = pos + n, e_pos + ne, q_pos + nq
-        return schema.message("ack", ts=ts)
-
     def _run_round(self, t: int, rate: Optional[float], eps: float):
-        """Advance one staged round; shared by both advance verbs."""
-        staged = self._staged.pop(t, None)
-        if staged is None:
+        """Advance the staged round, which must be round ``t``."""
+        staged, self._staged = self._staged, None
+        if staged is None or staged[0] != t:
             raise ConfigurationError(
                 f"shard-advance for t={t} without a matching shard-submit"
             )
-        batch, entered, quitted = staged
+        _t, batch, entered, quitted = staged
         tic = time.perf_counter()
         ones, uids, user_seconds, support = self.shard.round_batch(
             t, batch, entered, quitted, rate, eps
@@ -284,62 +236,6 @@ class _ShardService:
             reply["support"] = np.asarray(support, dtype=np.int8)
         return schema.message("shard-merge", **reply)
 
-    def _advance_many(self, msg: dict) -> dict:
-        """Run several staged rounds in timestamp order; one merged reply.
-
-        Rounds execute strictly in the order the header lists them — the
-        same shard-object call sequence the per-timestamp protocol makes —
-        so every rng draw and ledger row is identical to depth 1.
-        """
-        ts = [int(t) for t in msg["ts"]]
-        rates = msg["rates"]
-        epss = msg["eps"]
-        if not (len(ts) == len(rates) == len(epss)):
-            raise ConfigurationError(
-                "shard-advance-many header lists disagree on length"
-            )
-        ones_parts: list[np.ndarray] = []
-        uid_parts: list[np.ndarray] = []
-        support_parts: list[np.ndarray] = []
-        ns: list[int] = []
-        user_secs: list[float] = []
-        round_secs: list[float] = []
-        has_support: list[bool] = []
-        for t, rate, eps in zip(ts, rates, epss):
-            rate = None if rate is None else float(rate)
-            ones, uids, user_seconds, dt, support = self._run_round(
-                t, rate, float(eps)
-            )
-            ones_parts.append(np.asarray(ones, dtype=np.float64))
-            uid_parts.append(np.asarray(uids, dtype=np.int64))
-            ns.append(int(uids.size))
-            user_secs.append(float(user_seconds))
-            round_secs.append(float(dt))
-            has_support.append(support is not None)
-            if support is not None:
-                support_parts.append(np.asarray(support, dtype=np.int8))
-        reply = {
-            "ts": ts,
-            "ns": ns,
-            "user_seconds": user_secs,
-            "round_seconds": round_secs,
-            "has_support": has_support,
-            "ones_len": int(ones_parts[0].size) if ones_parts else 0,
-            "ones": (
-                np.concatenate(ones_parts)
-                if ones_parts
-                else np.empty(0, dtype=np.float64)
-            ),
-            "user_ids": (
-                np.concatenate(uid_parts)
-                if uid_parts
-                else np.empty(0, dtype=np.int64)
-            ),
-        }
-        if support_parts:
-            reply["support"] = np.concatenate(support_parts)
-        return schema.message("shard-merge-many", **reply)
-
     def _checkpoint(self, msg: dict) -> dict:
         if msg.get("op") == "get":
             blob = pickle.dumps(
@@ -353,7 +249,7 @@ class _ShardService:
             self.shard, self.accountant = pickle.loads(
                 np.asarray(msg["blob"]).tobytes()
             )
-            self._staged = {}
+            self._staged = None
             return schema.message("ack")
         raise ConfigurationError(
             f"shard-checkpoint op must be 'get' or 'set', got {msg.get('op')!r}"
@@ -427,17 +323,8 @@ class ShardSocketPool:
     move as raw little-endian buffers, never as pickles.
     """
 
-    def __init__(
-        self,
-        grid: Grid,
-        config,
-        seeds: Sequence[int],
-        round_timeout: Optional[float] = None,
-    ) -> None:
-        if round_timeout is None:
-            round_timeout = float(
-                getattr(config, "shard_round_timeout", 60.0) or 0.0
-            )
+    def __init__(self, grid: Grid, config, seeds: Sequence[int]) -> None:
+        round_timeout = float(config.shard_round_timeout)
         # 0 = wait forever (socket timeout None); otherwise every blocking
         # send/recv on a worker channel has a deadline, so a hung (stopped,
         # not dead) worker surfaces as a typed error instead of a freeze.
@@ -452,14 +339,10 @@ class ShardSocketPool:
         self.frames_received = 0
         self.bytes_sent = 0
         self.bytes_received = 0
-        #: Optional callback observing each round-trip's wall seconds
-        #: (submit/advance verbs, fused or not); the session binds it to
-        #: a latency histogram's ``observe``.
+        #: Optional callback observing each submit/advance round-trip's
+        #: wall seconds; the session binds it to a latency histogram's
+        #: ``observe``.
         self.latency_observer = None
-        # Reusable flat-column scratch of the fused submit path: one
-        # buffer per wire column, grown geometrically, refilled per shard
-        # instead of reallocating a concatenation every frame.
-        self._scratch: dict[str, np.ndarray] = {}
         for seed in seeds:
             parent_sock, child_sock = socket.socketpair()
             proc = ctx.Process(
@@ -629,132 +512,9 @@ class ShardSocketPool:
         self._observe(time.perf_counter() - tic)
         return outs
 
-    # -------------------------------------------------------------- #
-    # the fused (multi-timestamp) round protocol
-    # -------------------------------------------------------------- #
     def _observe(self, seconds: float) -> None:
         if self.latency_observer is not None:
             self.latency_observer(float(seconds))
-
-    def _concat(self, name: str, arrays: Sequence[np.ndarray]) -> np.ndarray:
-        """Concatenate into the reusable per-column scratch buffer.
-
-        The returned view is only valid until the next ``_concat`` on the
-        same column — safe here because each shard's frame is fully sent
-        (blocking ``sendmsg``) before the next shard's is built.
-        """
-        dtype = schema._COLUMN_DTYPES[name]
-        total = int(sum(a.size for a in arrays))
-        buf = self._scratch.get(name)
-        if buf is None or buf.size < total:
-            grown = max(total, 1024, 2 * (buf.size if buf is not None else 0))
-            buf = np.empty(grown, dtype=dtype)
-            self._scratch[name] = buf
-        out = buf[:total]
-        pos = 0
-        for a in arrays:
-            out[pos : pos + a.size] = a
-            pos += a.size
-        return out
-
-    def submit_many(self, items: Sequence[tuple]) -> None:
-        """Stage several consecutive timestamps with one frame per shard.
-
-        ``items`` holds ``(t, parts, entered, quits)`` tuples in timestamp
-        order, each carrying the usual per-shard partitions.  There is no
-        ``want_remaining`` form — per-user budget consultation needs each
-        round's minimum after the previous round's spends, which only the
-        per-timestamp protocol provides.
-        """
-        tic = time.perf_counter()
-        ts = [int(t) for (t, _, _, _) in items]
-        for k in range(len(self._socks)):
-            parts = [item[1][k] for item in items]
-            entered = [np.asarray(item[2][k]) for item in items]
-            quits = [np.asarray(item[3][k]) for item in items]
-            self._send(
-                k,
-                schema.message(
-                    "shard-submit-many",
-                    ts=ts,
-                    counts=[len(p) for p in parts],
-                    entered_counts=[int(e.size) for e in entered],
-                    quitted_counts=[int(q.size) for q in quits],
-                    user_ids=self._concat(
-                        "user_ids", [p.user_ids for p in parts]
-                    ),
-                    state_idx=self._concat(
-                        "state_idx", [p.state_idx for p in parts]
-                    ),
-                    kinds=self._concat("kinds", [p.kinds for p in parts]),
-                    newly_entered=self._concat("newly_entered", entered),
-                    quitted=self._concat("quitted", quits),
-                ),
-                "submit-many",
-            )
-        for k in range(len(self._socks)):
-            self._recv(k, "submit-many", expect="ack")
-        self._observe(time.perf_counter() - tic)
-
-    def advance_many(
-        self,
-        ts: Sequence[int],
-        rates: Sequence[Optional[float]],
-        epss: Sequence[float],
-    ) -> list[list[tuple]]:
-        """Run the staged rounds everywhere with one round-trip per shard.
-
-        Returns one merge-tuple list per *timestamp* (in ``ts`` order),
-        each holding the per-shard ``(ones, reporter_uids, user_seconds,
-        support)`` tuples the shared merge code consumes.
-        """
-        tic = time.perf_counter()
-        for k in range(len(self._socks)):
-            self._send(
-                k,
-                schema.message(
-                    "shard-advance-many",
-                    ts=[int(t) for t in ts],
-                    rates=[None if r is None else float(r) for r in rates],
-                    eps=[float(e) for e in epss],
-                ),
-                "advance-many",
-            )
-        outs: list[list[tuple]] = [[] for _ in ts]
-        for k in range(len(self._socks)):
-            rep = self._recv(k, "advance-many", expect="shard-merge-many")
-            ns = [int(n) for n in rep["ns"]]
-            user_secs = [float(s) for s in rep["user_seconds"]]
-            round_secs = [float(s) for s in rep["round_seconds"]]
-            has_support = [bool(h) for h in rep["has_support"]]
-            width = int(rep["ones_len"])
-            ones_all = np.asarray(rep["ones"], dtype=np.float64)
-            uids_all = np.asarray(rep["user_ids"], dtype=np.int64)
-            support_all = (
-                np.asarray(rep["support"], dtype=np.int8)
-                if any(has_support)
-                else None
-            )
-            self.shard_round_seconds[k] = float(sum(round_secs))
-            uid_off = sup_off = 0
-            for i in range(len(ts)):
-                support = None
-                if has_support[i]:
-                    support = np.asarray(
-                        support_all[sup_off : sup_off + width], dtype=bool
-                    ).copy()
-                    sup_off += width
-                outs[i].append(
-                    (
-                        ones_all[i * width : (i + 1) * width],
-                        uids_all[uid_off : uid_off + ns[i]],
-                        user_secs[i],
-                        support,
-                    )
-                )
-                uid_off += ns[i]
-        self._observe(time.perf_counter() - tic)
-        return outs
 
     # -------------------------------------------------------------- #
     # checkpoint / audit verbs

@@ -27,10 +27,7 @@ Collection always runs through ``config.n_shards`` hash-partitioned
 (``shard_executor="serial"``) or on worker processes (``"distributed"``) —
 whose raw one-counts are merged and debiased once per round.  K=1 serial
 is the paper's unsharded round: one in-process shard drawing from the
-engine's own rng.  Synthesis draws from that rng too, so at K=1 serial
-the rounds of a :meth:`OnlineRetraSyn.process_timesteps` group run one
-after another; every other engine overlaps synthesis of round ``t`` with
-collection of round ``t+1``.
+engine's own rng.
 
 The collection phase is *columnar*: ``participants`` may be a
 :class:`~repro.stream.reports.ReportBatch` (numpy arrays of user ids,
@@ -43,7 +40,6 @@ fixed seed (tested in ``tests/core/test_columnar_equivalence.py``).
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -267,19 +263,12 @@ class OnlineRetraSyn:
     """
 
     def __init__(self, grid: Grid, config, lam: float) -> None:
-        from repro.core.sharded import SHARD_EXECUTORS, CollectionShard
+        from repro.core.sharded import CollectionShard
 
         if lam <= 0:
             raise ConfigurationError(f"lambda must be positive, got {lam}")
-        self.n_shards = int(getattr(config, "n_shards", 1))
-        executor = getattr(config, "shard_executor", "serial")
-        if self.n_shards < 1:
-            raise ConfigurationError(f"n_shards must be >= 1, got {self.n_shards}")
-        if executor not in SHARD_EXECUTORS:
-            allowed = " or ".join(map(repr, SHARD_EXECUTORS))
-            raise ConfigurationError(
-                f"shard executor must be {allowed}, got {executor!r}"
-            )
+        self.n_shards = config.n_shards
+        executor = config.shard_executor
         self.grid = grid
         self.config = config
         self.lam = float(lam)
@@ -296,8 +285,8 @@ class OnlineRetraSyn:
                 lam=lam,
                 enable_termination=config.model_entering_quitting,
                 rng=self.rng,
-                compile_mode=getattr(config, "compile_mode", "incremental"),
-                synthesis_shards=getattr(config, "synthesis_shards", 1),
+                compile_mode=config.compile_mode,
+                synthesis_shards=config.synthesis_shards,
             )
         else:
             self.synthesizer = Synthesizer(
@@ -317,7 +306,7 @@ class OnlineRetraSyn:
             make_accountant(
                 config.epsilon,
                 config.w,
-                mode=getattr(config, "accountant_mode", "columnar"),
+                mode=config.accountant_mode,
                 slots=self._slots,
             )
             if config.track_privacy
@@ -434,115 +423,6 @@ class OnlineRetraSyn:
             n_live_synthetic=self.synthesizer.n_live,
         )
 
-    def process_timesteps(self, items) -> list[TimestepResult]:
-        """Run a group of consecutive rounds; one result per timestamp.
-
-        ``items`` is a sequence of ``(t, participants, newly_entered,
-        quitted, n_real_active)`` tuples in timestamp order.  Bit-identical
-        to running :meth:`process_timestep` per item: rounds advance in
-        timestamp order on the same shard states, the proposal sequence is
-        replayed exactly (see :meth:`_fusion_mode`), and the engine rng is
-        only ever consumed by synthesis, which runs one round at a time —
-        merely overlapped with the rng-free collection of the next round.
-        The K=1 serial shard draws from the engine rng itself, so its
-        rounds run strictly one after another.
-        """
-        items = list(items)
-        if len(items) <= 1 or (
-            self._shards is not None and self._shards[0].rng is self.rng
-        ):
-            return [self.process_timestep(*item) for item in items]
-        cfg = self.config
-
-        prepared = []
-        expect = self._last_t
-        for t, participants, entered, quitted, n_active in items:
-            t = int(t)
-            if expect is not None and t != expect + 1:
-                raise ConfigurationError(
-                    f"timestamps must be consecutive: got {t} after {expect}"
-                )
-            expect = t
-            batch = as_report_batch(self.space, participants)
-            if not cfg.model_entering_quitting:
-                batch = batch.moves_only()
-            prepared.append(
-                (
-                    t,
-                    batch,
-                    np.asarray(entered, dtype=np.int64),
-                    np.asarray(quitted, dtype=np.int64),
-                    int(n_active),
-                )
-            )
-
-        mode = self._fusion_mode()
-        results: list[TimestepResult] = []
-        pending = None
-        try:
-            if mode is None:
-                # Per-t protocol (serial executor, or distributed
-                # adaptive-user): only the synthesis overlap applies.
-                for t, batch, entered, quitted, n_active in prepared:
-                    self._last_t = t
-                    collected, n_rep, eps_used = self._collect_round(
-                        t, batch, entered, quitted
-                    )
-                    pending = self._finish_round(
-                        results, pending, t, collected, n_rep, eps_used,
-                        n_active,
-                    )
-            else:
-                groups = [
-                    (t, *self._partition(batch, entered, quitted))
-                    for t, batch, entered, quitted, _n in prepared
-                ]
-                self._pool.submit_many(groups)
-                if mode == "full":
-                    proposals = [
-                        self._propose(t, batch, None)
-                        for t, batch, _e, _q, _n in prepared
-                    ]
-                    outs_by_t = self._pool.advance_many(
-                        [t for t, *_ in prepared],
-                        [rate for rate, _eps in proposals],
-                        [eps for _rate, eps in proposals],
-                    )
-                    for i, (t, batch, _e, _q, n_active) in enumerate(prepared):
-                        self._last_t = t
-                        collected, n_rep, eps_used = self._merge_outs(
-                            t, outs_by_t[i], proposals[i][1]
-                        )
-                        pending = self._finish_round(
-                            results, pending, t, collected, n_rep, eps_used,
-                            n_active,
-                        )
-                else:  # fused submit, per-t advance
-                    for t, batch, _e, _q, n_active in prepared:
-                        self._last_t = t
-                        rate, eps_t = self._propose(t, batch, None)
-                        outs = self._pool.advance(t, rate, eps_t)
-                        collected, n_rep, eps_used = self._merge_outs(
-                            t, outs, eps_t
-                        )
-                        pending = self._finish_round(
-                            results, pending, t, collected, n_rep, eps_used,
-                            n_active,
-                        )
-            if pending is not None:
-                results.append(self._join_synthesis(pending))
-                pending = None
-        finally:
-            if pending is not None:
-                # An earlier phase raised: drain the in-flight synthesis so
-                # no background thread outlives the error (its own failure,
-                # if any, is secondary).
-                try:
-                    self._join_synthesis(pending)
-                except Exception:
-                    pass
-        return results
-
     # ------------------------------------------------------------------ #
     # the collection round
     # ------------------------------------------------------------------ #
@@ -554,9 +434,8 @@ class OnlineRetraSyn:
     def _propose(self, t, batch: ReportBatch, global_min: Optional[float]):
         """The round's globally proposed ``(rate, ε_t)``.
 
-        Exactly the per-timestamp proposal sequence — including the budget
-        allocators' ``commit`` — so the fused paths can replay it upfront
-        for schedule-division allocators without changing a single call.
+        Under budget division this also ``commit``\\ s ε_t to the
+        allocator's schedule.
         """
         cfg = self.config
         rate: Optional[float] = None
@@ -651,7 +530,7 @@ class OnlineRetraSyn:
             want_remaining = (
                 cfg.division != "population"
                 and getattr(self._budget_alloc, "consults_users", False)
-                and getattr(cfg, "track_privacy", True)
+                and cfg.track_privacy
             )
             global_min = self._pool.submit(
                 t, parts, entered, quits, want_remaining
@@ -705,99 +584,6 @@ class OnlineRetraSyn:
             target = n_real_active if cfg.model_entering_quitting else None
             self.synthesizer.step(t, target)
         self.timings["synthesis"] += time.perf_counter() - tic
-
-    # ------------------------------------------------------------------ #
-    # the pipelined multi-timestamp round
-    # ------------------------------------------------------------------ #
-    def _fusion_mode(self) -> Optional[str]:
-        """How far the distributed round protocol can be fused.
-
-        ``"full"``   — one ``shard-submit-many`` *and* one
-                       ``shard-advance-many`` per group: every per-t rate/ε
-                       is computable from the schedule alone (population
-                       uniform/sample/random; budget uniform/sample, whose
-                       proposals read only the allocator's own commit
-                       ledger, replayed here in the exact per-t order).
-        ``"submit"`` — fused submit, per-t advance: adaptive allocators
-                       read the collection feedback context, so each
-                       round's proposal must wait for the previous merge.
-        ``None``     — per-t submit *and* advance: ``adaptive-user``
-                       proposals need each round's cross-shard minimum
-                       remaining budget computed after the previous
-                       round's spends.
-        """
-        cfg = self.config
-        if self._pool is None:
-            return None
-        if cfg.division == "population":
-            if cfg.allocator in ("uniform", "sample", "random"):
-                return "full"
-            return "submit"
-        if getattr(self._budget_alloc, "consults_users", False):
-            return None
-        if cfg.allocator in ("uniform", "sample"):
-            return "full"
-        return "submit"
-
-    def _launch_synthesis(self, t, n_active, n_rep, eps_used, n_sig):
-        """Start round ``t``'s synthesis on a background thread.
-
-        Safe to overlap with the *next* round's collection when the shards
-        make no engine-rng draws (their randomness lives in the seeded
-        shard objects / workers) — :meth:`process_timesteps` checks that —
-        and collection never touches the model or the trajectory store.
-        The vectorized engine's compiled model is refreshed here, on the
-        caller's thread, so the in-flight step reads only the front buffer
-        while the caller's next merge stays off the model until
-        :meth:`_join_synthesis`.
-        """
-        compile_fn = getattr(self.synthesizer, "_compile", None)
-        if compile_fn is not None:
-            compile_fn()
-        holder: dict = {}
-
-        def run() -> None:
-            try:
-                self._synthesize(t, n_active)
-                holder["n_live"] = self.synthesizer.n_live
-            except BaseException as exc:  # propagated at join
-                holder["exc"] = exc
-
-        thread = threading.Thread(
-            target=run, name=f"retrasyn-synthesis-t{t}", daemon=True
-        )
-        thread.start()
-        return thread, holder, t, n_rep, eps_used, n_sig
-
-    def _join_synthesis(self, pending) -> TimestepResult:
-        thread, holder, t, n_rep, eps_used, n_sig = pending
-        thread.join()
-        if "exc" in holder:
-            raise holder["exc"]
-        return TimestepResult(
-            t=t,
-            n_reporters=n_rep,
-            epsilon_used=eps_used if n_rep else 0.0,
-            n_significant=n_sig,
-            n_live_synthetic=holder.get("n_live", self.synthesizer.n_live),
-        )
-
-    def _finish_round(
-        self, results, pending, t, collected, n_rep, eps_used, n_active
-    ):
-        """Join the in-flight synthesis, update the model, launch round t's.
-
-        The model (and the allocation context's significant-ratio signal)
-        is only ever mutated here, after the previous round's synthesis
-        has fully drained — the double-buffer handoff that keeps the
-        overlap bit-identical.
-        """
-        self.reporters_per_timestamp.append(n_rep)
-        if pending is not None:
-            results.append(self._join_synthesis(pending))
-        n_sig = self._update_model(collected, eps_used, n_rep)
-        self.significant_per_timestamp.append(n_sig)
-        return self._launch_synthesis(t, n_active, n_rep, eps_used, n_sig)
 
     # ------------------------------------------------------------------ #
     # checkpointing (see repro.core.persistence)
@@ -940,7 +726,7 @@ class OnlineRetraSyn:
             if self._pool.alive:
                 try:
                     self._final_plane_states = self._pool.plane_states()
-                    if getattr(self.config, "track_privacy", True):
+                    if self.config.track_privacy:
                         self._final_summaries = self._pool.stats()
                 except Exception:  # pragma: no cover - dead workers
                     pass

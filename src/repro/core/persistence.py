@@ -295,7 +295,12 @@ def load_checkpoint_with_spec(path: Union[str, Path]):
     from repro.core.online import OnlineRetraSyn
 
     payload = _read_newest_valid(path)
-    curator = OnlineRetraSyn(payload["grid"], payload["config"], lam=payload["lam"])
+    # Unpickling skips validation, so the curator is built from a
+    # re-validated copy of the stored config.  Files written while
+    # pipelined rounds existed may carry round_batch > 1; they resume one
+    # timestamp per round, which those rounds were bit-identical to.
+    config = dataclasses.replace(payload["config"], round_batch=1)
+    curator = OnlineRetraSyn(payload["grid"], config, lam=payload["lam"])
     curator.restore_state(payload["state"])
     return curator, payload["spec"]
 

@@ -69,7 +69,7 @@ class RetraSynConfig:
     n_shards: int = 1  # hash-partitioned collection shards
     shard_executor: str = "serial"  # "serial" | "distributed"
     shard_round_timeout: float = 60.0  # distributed recv deadline (0 = none)
-    round_batch: int = 1  # timestamps coalesced per shard round (pipelining)
+    round_batch: int = 1  # must be 1: pipelined rounds were removed
     dmu_prefilter: bool = False  # shard-local never-observed DMU prefilter
     track_privacy: bool = True
     accountant_mode: str = "columnar"  # "columnar" ledger | "object" reference
@@ -148,19 +148,14 @@ class RetraSyn:
         view = ColumnarStreamView(dataset, curator.space)
         try:
             start = time.perf_counter()
-            depth = max(1, int(cfg.round_batch))
-            for lo in range(0, dataset.n_timestamps, depth):
-                group = [
-                    (
-                        t,
-                        view.batch_at(t),
-                        view.newly_entered_at(t),
-                        view.quitted_at(t),
-                        view.n_active_at(t),
-                    )
-                    for t in range(lo, min(lo + depth, dataset.n_timestamps))
-                ]
-                curator.process_timesteps(group)
+            for t in range(dataset.n_timestamps):
+                curator.process_timestep(
+                    t,
+                    view.batch_at(t),
+                    view.newly_entered_at(t),
+                    view.quitted_at(t),
+                    view.n_active_at(t),
+                )
             total_runtime = time.perf_counter() - start
         finally:
             curator.close()

@@ -254,6 +254,36 @@ class TestIngressErrors:
         ack = client.submit_batch(0, batch, n_real_active=len(batch))
         assert ack["t"] == 0 and ack["n"] == len(batch) > 0
 
+    def test_one_domain_check_per_frame(self, served, walk_data, monkeypatch):
+        """A pipelined body is admitted once, by the session."""
+        server, _client = served
+        view = ColumnarStreamView(walk_data, TransitionStateSpace(walk_data.grid))
+        calls = []
+        check_domain = ReportBatch.check_domain
+
+        def spy(batch, space):
+            calls.append(len(batch))
+            return check_domain(batch, space)
+
+        monkeypatch.setattr(ReportBatch, "check_domain", spy)
+        body = b"".join(_frame(t, view.batch_at(t)) for t in range(3))
+        status, msg = self._raw(server.port, "POST", "/v1/batch", body)
+        assert status == 200 and msg["n_batches"] == 3
+        assert calls == [len(view.batch_at(t)) for t in range(3)]
+
+    def test_bad_middle_frame_submits_nothing(self, served, walk_data):
+        server, client = served
+        view = ColumnarStreamView(walk_data, TransitionStateSpace(walk_data.grid))
+        before = client.stats()
+        body = (
+            _frame(0, view.batch_at(0))
+            + _frame(1, ReportBatch.from_arrays([1], [-3], [0]))
+            + _frame(2, view.batch_at(2))
+        )
+        status, msg = self._raw(server.port, "POST", "/v1/batch", body)
+        assert status == 400 and msg["error"] == "DomainError"
+        assert client.stats() == before
+
     def test_checkpoint_without_configured_path_is_rejected(self, served):
         server, _client = served
         status, msg = self._raw(server.port, "POST", "/v1/checkpoint")
@@ -263,6 +293,100 @@ class TestIngressErrors:
         _server, client = served
         with pytest.raises(SchemaError, match="ConfigurationError"):
             client.checkpoint()
+
+
+@pytest.fixture
+def distributed_server(walk_data):
+    """An ingress over a K=2 distributed ingest session, plus a client."""
+    spec = SessionSpec.from_flat(
+        epsilon=1.0, w=10, seed=21, transport="ingest",
+        n_shards=2, shard_executor="distributed",
+    )
+    lam = max(1.0, average_length(walk_data.trajectories))
+    server = _Server(create_session(spec, walk_data.grid, lam=lam))
+    client = Client("127.0.0.1", server.port)
+    yield server, client
+    try:
+        client.shutdown_server()
+    except Exception:
+        pass
+    server.join()
+
+
+def _items(data, space, n_timestamps):
+    view = ColumnarStreamView(data, space)
+    return [
+        (
+            t,
+            view.batch_at(t),
+            view.newly_entered_at(t),
+            view.quitted_at(t),
+            view.n_active_at(t),
+        )
+        for t in range(n_timestamps)
+    ]
+
+
+def _scrape(port: int) -> str:
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        conn.request("GET", "/metrics")
+        return conn.getresponse().read().decode("utf-8")
+    finally:
+        conn.close()
+
+
+class TestDistributedRemoteRounds:
+    def test_chunked_submit_batches_bit_identical(
+        self, distributed_server, walk_data
+    ):
+        """A tiny chunk budget forces many POSTs; output is unperturbed."""
+        _server, client = distributed_server
+        hello = client.hello()
+        assert hello["schema"] == 2
+        client.chunk_bytes = 4_096  # forces many POSTs
+        space = TransitionStateSpace(
+            client.grid(), include_entering_quitting=hello["include_eq"]
+        )
+        ack = client.submit_batches(
+            _items(walk_data, space, walk_data.n_timestamps)
+        )
+        assert ack["n_batches"] >= 1  # the final chunk's ack
+        client.close()
+        remote = client.result()
+
+        reference = RetraSyn(
+            RetraSynConfig(epsilon=1.0, w=10, seed=21, n_shards=2)
+        ).run(walk_data)
+        assert _streams(remote) == _streams(reference.synthetic)
+
+    def test_transport_counters_exposed(self, distributed_server, walk_data):
+        server, client = distributed_server
+        hello = client.hello()
+        space = TransitionStateSpace(
+            client.grid(), include_entering_quitting=hello["include_eq"]
+        )
+        client.submit_batches(_items(walk_data, space, 12))
+        body = _scrape(server.port)
+        for family, kind in (
+            ("retrasyn_shard_frames_total", "counter"),
+            ("retrasyn_shard_bytes_total", "counter"),
+            ("retrasyn_shard_roundtrip_seconds", "histogram"),
+            ("retrasyn_ingress_frames_total", "counter"),
+            ("retrasyn_ingress_bytes_total", "counter"),
+        ):
+            assert f"# TYPE {family} {kind}" in body, family
+        samples = {}
+        for line in body.splitlines():
+            if line and not line.startswith("#"):
+                name, value = line.rsplit(" ", 1)
+                samples[name] = float(value)
+        for direction in ("sent", "received"):
+            assert samples[f'retrasyn_shard_frames_total{{direction="{direction}"}}'] > 0
+            assert samples[f'retrasyn_shard_bytes_total{{direction="{direction}"}}'] > 0
+            assert samples[f'retrasyn_ingress_bytes_total{{direction="{direction}"}}'] > 0
+        assert samples['retrasyn_ingress_frames_total{direction="received"}'] >= 12
+        assert samples["retrasyn_shard_roundtrip_seconds_count"] > 0
 
 
 class TestServeHttpResume:

@@ -108,6 +108,23 @@ class TestEquivalence:
         run = _drive(session, walk_data)
         assert _streams(run.synthetic) == _streams(batch_run.synthetic)
 
+    @pytest.mark.parametrize("transport", ["direct", "ingest"])
+    def test_distributed_session_matches_serial_batch(
+        self, walk_data, transport
+    ):
+        """A K=2 distributed session runs the same rounds as the K=2
+        serial batch pipeline."""
+        config = RetraSynConfig(epsilon=1.0, w=10, seed=21, n_shards=2)
+        batch_run = RetraSyn(config).run(walk_data)
+        spec = config.to_spec().replace(
+            transport=transport, shard_executor="distributed"
+        )
+        session = create_session(spec, walk_data.grid, lam=_lam(walk_data))
+        run = _drive(session, walk_data)
+        assert _streams(run.synthetic) == _streams(batch_run.synthetic)
+        assert run.reporters_per_timestamp == batch_run.reporters_per_timestamp
+        assert run.accountant.summary() == batch_run.accountant.summary()
+
     def test_ingest_session_reorders_late_reports(self, walk_data):
         """Out-of-order submission within the lateness bound is invisible."""
         from repro.stream.ingest import UserReport
@@ -308,6 +325,49 @@ class TestSessionCheckpointing:
         resumed.close()
         run = resumed.result(walk_data.n_timestamps)
         assert _streams(run.synthetic) == _streams(reference.synthetic)
+
+    def test_round_batch_checkpoint_resumes_bitwise(self, walk_data, tmp_path):
+        """A checkpoint whose config and spec carry ``round_batch=3`` —
+        written when pipelined rounds existed — resumes per timestamp."""
+        path = str(tmp_path / "pipelined.ckpt")
+        spec = SessionSpec.from_flat(
+            epsilon=1.0, w=10, seed=7, transport="ingest", checkpoint_path=path,
+            n_shards=2, shard_executor="distributed",
+        )
+        reference = _drive(
+            create_session(spec, walk_data.grid, lam=_lam(walk_data)), walk_data
+        )
+
+        first = create_session(spec, walk_data.grid, lam=_lam(walk_data))
+        view = ColumnarStreamView(walk_data, first.curator.space)
+        for t in range(walk_data.n_timestamps // 2):
+            first.submit_batch(
+                t, view.batch_at(t),
+                newly_entered=view.newly_entered_at(t),
+                quitted=view.quitted_at(t),
+                n_real_active=view.n_active_at(t),
+            )
+            first.advance()
+        object.__setattr__(first.spec.sharding, "round_batch", 3)
+        object.__setattr__(first.curator.config, "round_batch", 3)
+        first.checkpoint()
+        first.curator.close()
+
+        resumed = load_session(path)
+        assert resumed.spec.sharding.round_batch == 3
+        assert resumed.curator.config.round_batch == 3
+        for t in range(resumed.curator._last_t + 1, walk_data.n_timestamps):
+            resumed.submit_batch(
+                t, view.batch_at(t),
+                newly_entered=view.newly_entered_at(t),
+                quitted=view.quitted_at(t),
+                n_real_active=view.n_active_at(t),
+            )
+            resumed.advance()
+        resumed.close()
+        run = resumed.result(walk_data.n_timestamps)
+        assert _streams(run.synthetic) == _streams(reference.synthetic)
+        assert run.accountant.summary() == reference.accountant.summary()
 
     def test_periodic_checkpoints_written(self, walk_data, tmp_path):
         path = str(tmp_path / "cadence.ckpt")

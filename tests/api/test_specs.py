@@ -67,6 +67,14 @@ class TestLayerValidation:
         with pytest.raises(ConfigurationError):
             layer_cls(**kwargs)
 
+    @pytest.mark.parametrize("depth", [0, 2, 3])
+    def test_round_batch_only_accepts_one(self, depth):
+        assert RetraSynConfig(round_batch=1).round_batch == 1
+        with pytest.raises(ConfigurationError, match="pipelined rounds"):
+            RetraSynConfig(round_batch=depth)
+        with pytest.raises(ConfigurationError, match="pipelined rounds"):
+            ShardingSpec(round_batch=depth)
+
     def test_adaptive_user_requires_budget_division(self):
         spec = PrivacySpec(division="budget", allocator="adaptive-user")
         assert spec.allocator == "adaptive-user"

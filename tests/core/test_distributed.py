@@ -21,6 +21,7 @@ from repro.core.retrasyn import RetraSynConfig
 from repro.core.sharded import CollectionShard
 from repro.datasets.synthetic import make_random_walks
 from repro.exceptions import ConfigurationError, PrivacyBudgetError
+from repro.stream.reports import as_report_batch
 
 
 @pytest.fixture(scope="module")
@@ -74,26 +75,45 @@ class TestDistributedMatchesInProcess:
         "overrides",
         [
             pytest.param(
-                {"division": "budget", "allocator": "adaptive-user"},
-                id="budget-adaptive-user",
-            ),
+                {"division": "population", "allocator": alloc},
+                id=f"population-{alloc}",
+            )
+            for alloc in ("uniform", "sample", "random", "adaptive")
+        ]
+        + [
             pytest.param(
-                {"division": "budget", "allocator": "uniform"},
-                id="budget-uniform",
-            ),
-            pytest.param(
-                {"division": "population", "allocator": "random"},
-                id="population-random",
-            ),
-            pytest.param({"dmu_prefilter": True}, id="dmu-prefilter"),
-        ],
+                {"division": "budget", "allocator": alloc},
+                id=f"budget-{alloc}",
+            )
+            for alloc in ("uniform", "sample", "adaptive", "adaptive-user")
+        ]
+        + [pytest.param({"dmu_prefilter": True}, id="dmu-prefilter")],
     )
     def test_config_variants_identical(self, stream, overrides):
-        serial = _drive(stream, _make(stream, 4, "serial", **overrides))
+        """Every division × allocator pair, K=2 serial ≡ distributed."""
+        serial = _drive(stream, _make(stream, 2, "serial", **overrides))
         distributed = _drive(
-            stream, _make(stream, 4, "distributed", **overrides)
+            stream, _make(stream, 2, "distributed", **overrides)
         )
         assert distributed == serial
+
+    def test_round_costs_two_frames_per_shard(self, stream):
+        """A round is one shard-submit and one shard-advance per shard."""
+        n_rounds = 7
+        curator = _make(stream, 2, "distributed")
+        try:
+            for t in range(n_rounds):
+                curator.process_timestep(
+                    t,
+                    participants=stream.participants_at(t),
+                    newly_entered=stream.newly_entered_at(t),
+                    quitted=stream.quitted_at(t),
+                    n_real_active=stream.n_active_at(t),
+                )
+            assert curator._pool.frames_sent == 2 * 2 * n_rounds
+            assert curator._pool.frames_received == 2 * 2 * n_rounds
+        finally:
+            curator.close()
 
 
 class TestDistributedAccountantView:
@@ -182,6 +202,47 @@ class TestDistributedCheckpoint:
         assert result == reference
         assert summary["satisfied"]
 
+    @pytest.mark.parametrize("cut", [1, 8, 21])
+    def test_resume_after_any_round(self, stream, tmp_path, cut):
+        """A checkpoint after round ``cut - 1`` continues the same stream,
+        from the first round to the last."""
+        reference_engine = _make(stream, 2, "distributed")
+        reference = _drive(stream, reference_engine)
+
+        first = _make(stream, 2, "distributed")
+        try:
+            for t in range(cut):
+                first.process_timestep(
+                    t,
+                    participants=stream.participants_at(t),
+                    newly_entered=stream.newly_entered_at(t),
+                    quitted=stream.quitted_at(t),
+                    n_real_active=stream.n_active_at(t),
+                )
+            path = tmp_path / f"cut{cut}.ckpt"
+            save_checkpoint(first, path)
+        finally:
+            first.close()
+
+        resumed = load_checkpoint(path)
+        assert resumed._last_t == cut - 1
+        try:
+            for t in range(cut, stream.n_timestamps):
+                resumed.process_timestep(
+                    t,
+                    participants=stream.participants_at(t),
+                    newly_entered=stream.newly_entered_at(t),
+                    quitted=stream.quitted_at(t),
+                    n_real_active=stream.n_active_at(t),
+                )
+            syn = resumed.synthetic_dataset(stream.n_timestamps)
+            result = [(tr.start_time, list(tr.cells)) for tr in syn.trajectories]
+        finally:
+            resumed.close()
+
+        assert result == reference
+        assert resumed.accountant.summary() == reference_engine.accountant.summary()
+
 
 class TestWorkerErrorPropagation:
     def test_privacy_refusal_surfaces_typed(self, stream):
@@ -223,5 +284,46 @@ class TestWorkerErrorPropagation:
             # (like the in-process path, an engine is closed after a
             # protocol/refusal error, not reused).
             assert curator._pool.alive
+        finally:
+            curator.close()
+
+    @pytest.mark.parametrize("executor", ["serial", "distributed"])
+    def test_gap_refused_after_earlier_rounds(self, stream, executor):
+        """Skipping a timestamp is refused before any shard sees the round."""
+        curator = _make(stream, 2, executor)
+        try:
+            for t in range(3):
+                curator.process_timestep(
+                    t,
+                    participants=stream.participants_at(t),
+                    newly_entered=stream.newly_entered_at(t),
+                    quitted=stream.quitted_at(t),
+                    n_real_active=stream.n_active_at(t),
+                )
+            sent = curator._pool.frames_sent if curator._pool else None
+            with pytest.raises(ConfigurationError, match="consecutive"):
+                curator.process_timestep(
+                    4,
+                    participants=stream.participants_at(4),
+                    newly_entered=stream.newly_entered_at(4),
+                    quitted=stream.quitted_at(4),
+                    n_real_active=stream.n_active_at(4),
+                )
+            if curator._pool is not None:
+                assert curator._pool.frames_sent == sent
+        finally:
+            curator.close()
+
+    def test_advance_must_match_the_staged_round(self, stream):
+        """A worker stages one round; advancing any other t is refused."""
+        curator = _make(stream, 2, "distributed")
+        try:
+            batch = as_report_batch(curator.space, stream.participants_at(0))
+            parts, entered, quits = curator._partition(
+                batch, stream.newly_entered_at(0), stream.quitted_at(0)
+            )
+            curator._pool.submit(0, parts, entered, quits, False)
+            with pytest.raises(ConfigurationError, match="t=1 without"):
+                curator._pool.advance(1, None, 0.5)
         finally:
             curator.close()

@@ -106,3 +106,41 @@ class TestBatchEquivalence:
         )
         drive(curator, walk_data)
         assert batch.reporters_per_timestamp == curator.reporters_per_timestamp
+
+    @pytest.mark.parametrize(
+        "n_shards, executor",
+        [
+            pytest.param(1, "serial", id="K1-serial"),
+            pytest.param(2, "serial", id="K2-serial"),
+            pytest.param(2, "distributed", id="K2-distributed"),
+        ],
+    )
+    def test_run_is_one_process_timestep_per_round(
+        self, walk_data, n_shards, executor
+    ):
+        """Every executor's batch run is the per-timestamp round, t by t."""
+        from repro.geo.trajectory import average_length
+
+        cfg = RetraSynConfig(
+            epsilon=1.0, w=4, seed=11, n_shards=n_shards,
+            shard_executor=executor,
+        )
+        batch = RetraSyn(cfg).run(walk_data)
+
+        curator = OnlineRetraSyn(
+            walk_data.grid, cfg,
+            lam=max(1.0, average_length(walk_data.trajectories)),
+        )
+        try:
+            drive(curator, walk_data)
+        finally:
+            curator.close()
+        online = curator.result(walk_data.n_timestamps)
+        assert [(t.start_time, list(t.cells)) for t in batch.synthetic] == [
+            (t.start_time, list(t.cells)) for t in online.synthetic
+        ]
+        assert batch.reporters_per_timestamp == online.reporters_per_timestamp
+        assert (
+            batch.significant_per_timestamp == online.significant_per_timestamp
+        )
+        assert batch.accountant.summary() == online.accountant.summary()

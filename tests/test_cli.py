@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -87,6 +92,21 @@ class TestRunEvaluate:
         assert code == 0
         assert "privacy audit" not in capsys.readouterr().out
 
+    def test_run_refuses_round_batch(self, dataset_file, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "run", "--method", "RetraSyn_p",
+                "--input", str(dataset_file), "--w", "5",
+                "--round-batch", "2", "--out", str(tmp_path / "syn.npz"),
+            ],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode != 0
+        assert "pipelined rounds were removed" in proc.stderr
+        assert not (tmp_path / "syn.npz").exists()
+
     def test_evaluate(self, dataset_file, tmp_path, capsys):
         syn = tmp_path / "syn.npz"
         main([
@@ -168,3 +188,54 @@ class TestServeCommand:
         ])
         assert code == 0
         assert "resumed at t=" in capsys.readouterr().out
+
+    def test_serve_resumes_a_round_batch_checkpoint(
+        self, dataset_file, tmp_path, capsys
+    ):
+        """A checkpoint whose config and spec carry ``round_batch=3`` —
+        written when pipelined rounds existed — resumes through
+        ``repro serve --resume`` bit-identically to an uninterrupted run."""
+        from repro.api.specs import SessionSpec
+        from repro.datasets.io import load_stream_dataset
+        from repro.serve import open_session
+        from repro.stream.reports import ColumnarStreamView
+
+        reference = tmp_path / "reference.npz"
+        assert main([
+            "serve", "--input", str(dataset_file), "--w", "5",
+            "--out", str(reference),
+        ]) == 0
+
+        data = load_stream_dataset(dataset_file)
+        ckpt = tmp_path / "pipelined.ckpt"
+        spec = SessionSpec.from_flat(
+            epsilon=1.0, w=5, engine="vectorized", seed=0,
+            transport="ingest", checkpoint_path=str(ckpt),
+        )
+        session = open_session(data, spec)
+        view = ColumnarStreamView(data, session.curator.space)
+        for t in range(data.n_timestamps // 2):
+            session.submit_batch(t, view.batch_at(t))
+            session.advance()
+        object.__setattr__(session.spec.sharding, "round_batch", 3)
+        object.__setattr__(session.curator.config, "round_batch", 3)
+        session.checkpoint()
+        session.curator.close()
+        resume_t = session.curator._last_t + 1
+        assert 0 < resume_t < data.n_timestamps
+        capsys.readouterr()
+
+        resumed = tmp_path / "resumed.npz"
+        assert main([
+            "serve", "--input", str(dataset_file), "--w", "5",
+            "--checkpoint", str(ckpt), "--resume", "--out", str(resumed),
+        ]) == 0
+        assert f"resumed at t={resume_t}" in capsys.readouterr().out
+
+        def streams(path):
+            return [
+                (tr.start_time, list(tr.cells))
+                for tr in load_stream_dataset(path).trajectories
+            ]
+
+        assert streams(resumed) == streams(reference)
