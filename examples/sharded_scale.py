@@ -10,9 +10,9 @@ engines:
   collection shards whose aggregated counts merge before the global
   mobility model is built — ``shard_executor="distributed"`` runs each
   shard in its own worker process;
-* ``engine="vectorized"`` with ``compile_mode="incremental"`` runs the
-  columnar synthesis plane: DMU-dirtied model rows recompile in place and
-  streams live in the struct-of-arrays ``TrajectoryStore``
+* ``engine="vectorized"`` runs the columnar synthesis plane: DMU-dirtied
+  model rows recompile in place and streams live in the struct-of-arrays
+  ``TrajectoryStore``
   (``synthesis_shards=K`` additionally spreads generation over K threads
   on multi-core hosts).
 
@@ -35,7 +35,7 @@ def main() -> None:
     print(f"{'engine':<34} {'user_side s/t':>13} {'density':>8} {'audit':>6}")
 
     engines = [
-        ("exact-loop (per-user reference)", dict(oracle_mode="exact-loop")),
+        ("fast (binomial counts)", dict(oracle_mode="fast")),
         ("exact (batched)", dict(oracle_mode="exact")),
         ("exact + 4 shards", dict(oracle_mode="exact", n_shards=4)),
         (
@@ -43,11 +43,8 @@ def main() -> None:
             dict(oracle_mode="exact", n_shards=4, shard_executor="distributed"),
         ),
         (
-            "exact + incremental synthesis",
-            dict(
-                oracle_mode="exact", engine="vectorized",
-                compile_mode="incremental",
-            ),
+            "exact + vectorized synthesis",
+            dict(oracle_mode="exact", engine="vectorized"),
         ),
     ]
     for label, overrides in engines:

@@ -105,11 +105,10 @@ _COLUMN_DTYPES = {
     "lengths": np.int64,
     "flat_cells": np.int64,
     "rows": np.int64,
-    # Shard-RPC columns: raw per-position one-counts, the round's support
-    # mask, and the opaque checkpoint payload a worker ships through the
-    # coordinator (trusted local transport only — never an ingress format).
+    # Shard-RPC columns: raw per-position one-counts and the opaque
+    # checkpoint payload a worker ships through the coordinator (trusted
+    # local transport only — never an ingress format).
     "ones": np.float64,
-    "support": np.int8,
     "blob": np.uint8,
 }
 

@@ -1,17 +1,16 @@
 """Layered, validated configuration model for curator sessions.
 
 The flat :class:`~repro.core.retrasyn.RetraSynConfig` grew one field per
-engine knob across five PRs; by now its 19 fields span four orthogonal
-concerns.  This module is the *canonical* configuration surface, splitting
-those concerns into composable layers:
+engine knob; its 20 fields span three orthogonal concerns, and a deployed
+session adds a fourth.  This module is the *canonical* configuration
+surface, splitting those concerns into composable layers:
 
 * :class:`PrivacySpec` — the privacy contract: budget ``ε``, window ``w``,
   division style, allocation strategy and the ledger engine auditing it.
-* :class:`EngineSpec` — which reference/vectorized implementations run each
-  pipeline phase (oracle, synthesis, model compilation) and the modelling
-  switches of the paper's ablations.
+* :class:`EngineSpec` — the synthesis engine, the OUE execution mode and
+  the modelling switches of the paper's ablations.
 * :class:`ShardingSpec` — horizontal parallelism: collection shards and
-  their executor, shard-local DMU prefiltering, synthesis thread slabs.
+  their executor, synthesis thread slabs.
 * :class:`ServiceSpec` — deployment shape: direct in-process calls or the
   watermarked ingestion front-end, queue bounds, checkpoint cadence, and
   the HTTP ingress binding.
@@ -32,6 +31,7 @@ module and cannot drift from the config fields again.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional
 
@@ -45,8 +45,7 @@ DIVISIONS = ("population", "budget")
 ALLOCATORS = ("adaptive", "uniform", "sample", "random", "adaptive-user")
 UPDATE_STRATEGIES = ("dmu", "all")
 ENGINES = ("object", "vectorized")
-ORACLE_MODES = ("fast", "exact", "exact-loop")
-COMPILE_MODES = ("incremental", "full", "full-loop")
+ORACLE_MODES = ("fast", "exact")
 TRANSPORTS = ("direct", "ingest")
 
 
@@ -90,16 +89,16 @@ def _require_int(name: str, value) -> None:
 
     Without this, a ``None`` passed for an integer field would surface as
     a bare ``TypeError`` from the range check instead of a typed
-    :class:`ConfigurationError`.
+    :class:`ConfigurationError`, and a float would be silently accepted.
     """
-    if isinstance(value, bool) or not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigurationError(
             f"{name} must be an integer, got {value!r}"
         )
 
 
 def _require_number(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigurationError(
             f"{name} must be a number, got {value!r}"
         )
@@ -135,14 +134,17 @@ class PrivacySpec:
         default="columnar",
         metadata=_cli(
             "--accountant-mode",
-            "privacy-ledger engine: vectorized ring-buffer ledger or the "
-            "per-uid dict reference",
+            "privacy-ledger engine: the vectorized ring-buffer ledger",
             choices=ACCOUNTANT_MODES,
         ),
     )
     track_privacy: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("epsilon", "alpha", "p_max"):
+            _require_number(name, getattr(self, name))
+        for name in ("w", "kappa"):
+            _require_int(name, getattr(self, name))
         if self.division not in DIVISIONS:
             raise ConfigurationError(
                 f"division must be 'population' or 'budget', got {self.division!r}"
@@ -190,18 +192,8 @@ class EngineSpec:
         default="fast",
         metadata=_cli(
             "--oracle-mode",
-            "OUE execution: binomial shortcut, batched literal protocol, or "
-            "per-user reference loop",
+            "OUE execution: binomial shortcut or batched literal protocol",
             choices=ORACLE_MODES,
-        ),
-    )
-    compile_mode: str = field(
-        default="incremental",
-        metadata=_cli(
-            "--compile-mode",
-            "vectorized-engine model compilation: dirty-row recompile, "
-            "vectorized full rebuild, or the per-cell reference loop",
-            choices=COMPILE_MODES,
         ),
     )
     update_strategy: str = "dmu"  # "dmu" | "all"  ("all" = AllUpdate variant)
@@ -215,21 +207,18 @@ class EngineSpec:
             )
         if self.oracle_mode not in ORACLE_MODES:
             raise ConfigurationError(
-                f"oracle_mode must be 'fast', 'exact' or 'exact-loop', "
+                f"oracle_mode must be 'fast' or 'exact', "
                 f"got {self.oracle_mode!r}"
-            )
-        if self.compile_mode not in COMPILE_MODES:
-            raise ConfigurationError(
-                f"compile_mode must be 'incremental', 'full' or 'full-loop', "
-                f"got {self.compile_mode!r}"
             )
         if self.update_strategy not in UPDATE_STRATEGIES:
             raise ConfigurationError(
                 f"update_strategy must be 'dmu' or 'all', "
                 f"got {self.update_strategy!r}"
             )
-        if self.lam is not None and self.lam <= 0:
-            raise ConfigurationError(f"lambda must be positive, got {self.lam}")
+        if self.lam is not None:
+            _require_number("lam", self.lam)
+            if self.lam <= 0:
+                raise ConfigurationError(f"lambda must be positive, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -252,14 +241,6 @@ class ShardingSpec:
             "run shards in-process or as socket-framed worker services "
             "with shard-local privacy ledgers ('distributed')",
             choices=SHARD_EXECUTORS,
-        ),
-    )
-    dmu_prefilter: bool = field(
-        default=False,
-        metadata=_cli(
-            "--dmu-prefilter",
-            "shard-local never-observed DMU candidate pruning",
-            store_true=True,
         ),
     )
     synthesis_shards: int = field(
@@ -291,6 +272,8 @@ class ShardingSpec:
     )
 
     def __post_init__(self) -> None:
+        for name in ("n_shards", "synthesis_shards", "round_batch"):
+            _require_int(name, getattr(self, name))
         _require_number("shard_round_timeout", self.shard_round_timeout)
         if self.n_shards < 1:
             raise ConfigurationError(f"n_shards must be >= 1, got {self.n_shards}")

@@ -9,7 +9,7 @@ worker process speaking the versioned RSF2 frame protocol
 partition's
 
 * :class:`~repro.core.sharded.CollectionShard` (tracker + frequency
-  oracle + optional DMU support mask), and
+  oracle), and
 * a **shard-local privacy accountant** — per-shard spends and strict
   refusals never round-trip through the parent.
 
@@ -29,7 +29,7 @@ Shard RPC (all messages are RSF2 binary frames; see ``docs/API.md``):
                       selection, perturbation, tracker bookkeeping and
                       the shard-local budget spend.
 ``shard-merge``       The advance reply: raw one-counts, reporter ids,
-                      user-side seconds, optional DMU support mask.
+                      user-side and whole-round seconds.
 ``shard-checkpoint``  Serialize (``op="get"``) or restore (``op="set"``)
                       the shard's full state — tracker, rng, ledger — as
                       an opaque pickle ``blob`` column.  Trusted local
@@ -205,36 +205,33 @@ class _ShardService:
             )
         _t, batch, entered, quitted = staged
         tic = time.perf_counter()
-        ones, uids, user_seconds, support = self.shard.round_batch(
+        ones, uids, user_seconds = self.shard.round_batch(
             t, batch, entered, quitted, rate, eps
         )
         # The shard-local spend: same uids, same eps, same round — only
         # the ledger's location differs from the parent-accounted pools.
         if self.accountant is not None and uids.size:
             self.accountant.spend_many(uids, t, eps)
-        return ones, uids, user_seconds, time.perf_counter() - tic, support
+        return ones, uids, user_seconds, time.perf_counter() - tic
 
     def _advance(self, msg: dict) -> dict:
         t = int(msg["t"])
         rate = msg.get("rate")
         rate = None if rate is None else float(rate)
-        ones, uids, user_seconds, round_seconds, support = self._run_round(
+        ones, uids, user_seconds, round_seconds = self._run_round(
             t, rate, float(msg["eps"])
         )
-        reply = {
-            "t": t,
-            "n": int(uids.size),
-            "user_seconds": float(user_seconds),
+        return schema.message(
+            "shard-merge",
+            t=t,
+            n=int(uids.size),
+            user_seconds=float(user_seconds),
             # Wall-clock of the shard's whole round (selection, oracle,
             # ledger spend) — scraped as the per-shard /metrics gauge.
-            "round_seconds": float(round_seconds),
-            "has_support": support is not None,
-            "ones": np.asarray(ones, dtype=np.float64),
-            "user_ids": np.asarray(uids, dtype=np.int64),
-        }
-        if support is not None:
-            reply["support"] = np.asarray(support, dtype=np.int8)
-        return schema.message("shard-merge", **reply)
+            round_seconds=float(round_seconds),
+            ones=np.asarray(ones, dtype=np.float64),
+            user_ids=np.asarray(uids, dtype=np.int64),
+        )
 
     def _checkpoint(self, msg: dict) -> dict:
         if msg.get("op") == "get":
@@ -477,7 +474,7 @@ class ShardSocketPool:
         """Run the staged round everywhere; one merge tuple per shard.
 
         The tuples match ``CollectionShard.round_batch`` output —
-        ``(ones, reporter_uids, user_seconds, support)`` — so the
+        ``(ones, reporter_uids, user_seconds)`` — so the
         coordinator's merge code is shared with the serial executor.
         """
         tic = time.perf_counter()
@@ -496,17 +493,11 @@ class ShardSocketPool:
         for k in range(len(self._socks)):
             rep = self._recv(k, "advance", expect="shard-merge")
             self.shard_round_seconds[k] = float(rep.get("round_seconds", 0.0))
-            support = (
-                np.asarray(rep["support"], dtype=bool).copy()
-                if rep.get("has_support")
-                else None
-            )
             outs.append(
                 (
                     np.asarray(rep["ones"], dtype=np.float64),
                     np.asarray(rep["user_ids"], dtype=np.int64),
                     float(rep["user_seconds"]),
-                    support,
                 )
             )
         self._observe(time.perf_counter() - tic)

@@ -49,7 +49,6 @@ class DMUSelector:
         collected_freqs: np.ndarray,
         epsilon_t: float,
         n_reporters: int,
-        candidates: np.ndarray | None = None,
     ) -> DMUDecision:
         """Solve Eq. 7 exactly.
 
@@ -63,13 +62,6 @@ class DMUSelector:
             Privacy budget used for this collection round.
         n_reporters:
             Number of users whose reports back the estimates.
-        candidates:
-            Optional boolean mask restricting the scan: states outside it
-            are never selected for update and do not enter the objective.
-            Supplied by the shard-local prefilter
-            (``RetraSynConfig.dmu_prefilter``), which drops transitions no
-            shard has plausibly observed so the selector scans a much
-            smaller candidate set.
         """
         model_freqs = np.asarray(model_freqs, dtype=float)
         collected_freqs = np.asarray(collected_freqs, dtype=float)
@@ -79,23 +71,9 @@ class DMUSelector:
                 f"collected {collected_freqs.shape}"
             )
         err_upd = oue_variance(epsilon_t, n_reporters)
-        if candidates is None:
-            err_app = (model_freqs - collected_freqs) ** 2
-            mask = err_app > err_upd
-            total = float(np.where(mask, err_upd, err_app).sum())
-        else:
-            cand = np.asarray(candidates, dtype=bool)
-            if cand.shape != model_freqs.shape:
-                raise ValueError(
-                    f"candidate mask shape {cand.shape} does not match "
-                    f"state space {model_freqs.shape}"
-                )
-            rows = np.flatnonzero(cand)
-            err_app_c = (model_freqs[rows] - collected_freqs[rows]) ** 2
-            sub = err_app_c > err_upd
-            mask = np.zeros(model_freqs.shape, dtype=bool)
-            mask[rows[sub]] = True
-            total = float(np.where(sub, err_upd, err_app_c).sum())
+        err_app = (model_freqs - collected_freqs) ** 2
+        mask = err_app > err_upd
+        total = float(np.where(mask, err_upd, err_app).sum())
         return DMUDecision(
             selected=np.flatnonzero(mask),
             mask=mask,

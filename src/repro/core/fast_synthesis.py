@@ -10,9 +10,9 @@ replacement that advances *all* live streams with array operations:
   mobility model journals which origin rows each DMU round dirtied, and
   :class:`_CompiledModel` re-assembles exactly those rows with vectorized
   padded-row gathers — there is no per-cell Python loop even on a full
-  rebuild (``compile_mode="full"``); the seed implementation's per-cell
-  loop survives as the ``"full-loop"`` reference, mirroring
-  ``oracle_mode="exact-loop"``;
+  rebuild (when the journal has no provenance).  The seed implementation's
+  per-cell compile loop lives on as a test oracle under
+  ``tests/reference/``;
 * each timestamp draws one uniform vector for quits and one for moves, and
   resolves destinations with an inverse-CDF lookup that walks the CDF one
   contiguous column at a time (no streams × out-degree temporary);
@@ -28,12 +28,9 @@ The generative *distribution* is identical to the reference implementation
 (property-tested in ``tests/core/test_fast_synthesis.py``); only the order
 in which random variates are consumed differs, so per-seed outputs are not
 bit-identical across the two engines (nor across shard counts).  For a
-fixed seed and shard count the engine is fully deterministic.
-``incremental`` and ``full`` compile modes share one assembly routine and
-are bit-identical by construction; ``full-loop`` repeats the same
-arithmetic per cell (its row sums reduce in a different order, so equality
-is ulp-exact in practice — pinned by the test suite — rather than
-structural).
+fixed seed and shard count the engine is fully deterministic.  Dirty-row
+and full re-assembly share one routine, so they are bit-identical by
+construction.
 """
 
 from __future__ import annotations
@@ -47,9 +44,6 @@ from repro.core.trajectory_store import TrajectoryStore
 from repro.exceptions import ConfigurationError
 from repro.geo.trajectory import CellTrajectory
 from repro.rng import RngLike, ensure_rng
-
-#: Selectable compilation strategies (RetraSynConfig.compile_mode).
-COMPILE_MODES = ("incremental", "full", "full-loop")
 
 #: Below this many live streams a shard round trip costs more than it saves.
 _MIN_STREAMS_PER_SHARD = 2048
@@ -138,9 +132,9 @@ class _CompiledModel:
         else:
             quit_mass = np.zeros(deg.shape)
         # Two-stage normalisation in exactly the reference arithmetic
-        # (row_distribution then probs/total in the compile loop), so all
-        # compile modes produce bit-identical CDFs, not just ulp-close
-        # ones: first Eq. 6 probabilities over the row denominator
+        # (row_distribution then probs/total in the seed compile loop), so
+        # the CDFs match that loop bit for bit, not just ulp-close ones:
+        # first Eq. 6 probabilities over the row denominator
         # (uniform for massless rows), then renormalise conditional on
         # not quitting (uniform again when all mass sits on quitting).
         denom = moves.sum(axis=1) + quit_mass
@@ -165,54 +159,21 @@ class _CompiledModel:
             has_mass, quit_mass / np.where(has_mass, denom, 1.0), 0.0
         )
 
-    def update(self, model: GlobalMobilityModel, mode: str) -> None:
+    def update(self, model: GlobalMobilityModel) -> None:
         """Bring the compiled arrays up to ``model.version``.
 
-        ``mode="incremental"`` re-assembles only the rows the model's
-        dirty journal names; when provenance is unavailable (a full
-        ``set_all``, or the journal was outrun) it degrades to the same
-        vectorized full rebuild that ``mode="full"`` always performs.
+        Re-assembles only the rows the model's dirty journal names; when
+        provenance is unavailable (a full ``set_all``, or the journal was
+        outrun) it re-assembles every row.
         """
         if self.version == model.version:
             return
-        if mode == "incremental":
-            dirty = model.dirty_origins_since(self.version)
-            if dirty is not None:
-                if dirty.size:
-                    self._assemble(model, dirty)
-                self.version = model.version
-                return
-        self._assemble(model, slice(None))
+        dirty = model.dirty_origins_since(self.version)
+        if dirty is None:
+            self._assemble(model, slice(None))
+        elif dirty.size:
+            self._assemble(model, dirty)
         self.version = model.version
-
-    @classmethod
-    def reference(cls, model: GlobalMobilityModel) -> "_CompiledModel":
-        """The seed implementation's per-cell compile loop (``full-loop``).
-
-        Kept verbatim as the behavioural reference the vectorized assembly
-        is property-tested against, and as the benchmark baseline for the
-        synthesis-plane speedup gate.
-        """
-        space = model.space
-        compiled = cls.__new__(cls)
-        n = space.n_cells
-        width = max(len(space.out_destinations(c)) for c in range(n))
-        compiled.dest = np.full((n, width), 0, dtype=np.int64)
-        compiled.cum_t = np.ones((width, n), dtype=float)
-        compiled.quit_raw = np.zeros(n, dtype=float)
-        for cell in range(n):
-            probs, quit = model.row_distribution(cell)
-            dests = space.out_destinations(cell)
-            total = probs.sum()
-            norm = probs / total if total > 0 else np.full(len(dests), 1 / len(dests))
-            cum = np.cumsum(norm)
-            cum[-1] = 1.0  # guard against rounding
-            compiled.dest[cell, : len(dests)] = dests
-            compiled.dest[cell, len(dests):] = dests[-1]
-            compiled.cum_t[: len(dests), cell] = cum
-            compiled.quit_raw[cell] = quit
-        compiled.version = model.version
-        return compiled
 
 
 class VectorizedSynthesizer:
@@ -220,10 +181,6 @@ class VectorizedSynthesizer:
 
     Parameters mirror :class:`~repro.core.synthesis.Synthesizer`, plus:
 
-    compile_mode:
-        ``"incremental"`` (default) recompiles only DMU-dirtied rows;
-        ``"full"`` rebuilds every row (vectorized) per model version;
-        ``"full-loop"`` keeps the seed per-cell compile loop as reference.
     synthesis_shards:
         Live streams are split into this many slabs, each advanced by its
         own rng and merged by concatenation.  ``1`` (default) keeps the
@@ -239,16 +196,10 @@ class VectorizedSynthesizer:
         enable_termination: bool = True,
         rng: RngLike = None,
         initial_capacity: int = 1024,
-        compile_mode: str = "incremental",
         synthesis_shards: int = 1,
     ) -> None:
         if lam <= 0:
             raise ConfigurationError(f"lambda must be positive, got {lam}")
-        if compile_mode not in COMPILE_MODES:
-            raise ConfigurationError(
-                f"compile_mode must be one of {COMPILE_MODES}, "
-                f"got {compile_mode!r}"
-            )
         if synthesis_shards < 1:
             raise ConfigurationError(
                 f"synthesis_shards must be >= 1, got {synthesis_shards}"
@@ -257,7 +208,6 @@ class VectorizedSynthesizer:
         self.lam = float(lam)
         self.enable_termination = bool(enable_termination)
         self.rng = ensure_rng(rng)
-        self.compile_mode = compile_mode
         self.synthesis_shards = int(synthesis_shards)
         self.store = TrajectoryStore(
             initial_capacity=max(16, int(initial_capacity)),
@@ -335,13 +285,10 @@ class VectorizedSynthesizer:
     # the vectorized generative step
     # ------------------------------------------------------------------ #
     def _compile(self) -> _CompiledModel:
-        if self.compile_mode == "full-loop":
-            if self._compiled is None or self._compiled.version != self.model.version:
-                self._compiled = _CompiledModel.reference(self.model)
-        elif self._compiled is None:
+        if self._compiled is None:
             self._compiled = _CompiledModel(self.model)
         else:
-            self._compiled.update(self.model, self.compile_mode)
+            self._compiled.update(self.model)
         return self._compiled
 
     def step(self, t: int, target_size: Optional[int] = None) -> None:

@@ -67,27 +67,6 @@ from repro.stream.user_tracker import UserTracker
 #: Collections with less budget than this are skipped outright.
 _MIN_EPSILON = 1e-8
 
-#: z-score of the per-position one-count noise floor used by the DMU
-#: prefilter: positions whose raw one-counts never exceed
-#: ``n·q + z·sqrt(n·q(1−q))`` are treated as never observed.
-_SUPPORT_Z = 3.0
-
-
-def support_mask(ones: np.ndarray, n_reporters: int, q: float) -> np.ndarray:
-    """Which positions plausibly received a true report this round.
-
-    Pure post-processing of the perturbed one-counts (no privacy cost): a
-    position whose count is within ``_SUPPORT_Z`` standard deviations of
-    the all-noise expectation ``n·q`` is indistinguishable from never
-    reported.  Used to build the DMU candidate set when
-    ``RetraSynConfig.dmu_prefilter`` is on.
-    """
-    if n_reporters <= 0:
-        return np.zeros(np.asarray(ones).shape, dtype=bool)
-    floor = n_reporters * q + _SUPPORT_Z * np.sqrt(n_reporters * q * (1.0 - q))
-    return np.asarray(ones) > floor
-
-
 def plane_state(accountant, tracker) -> dict:
     """Resident and retired row counts of the ledger and tracker planes.
 
@@ -285,7 +264,6 @@ class OnlineRetraSyn:
                 lam=lam,
                 enable_termination=config.model_entering_quitting,
                 rng=self.rng,
-                compile_mode=config.compile_mode,
                 synthesis_shards=config.synthesis_shards,
             )
         else:
@@ -322,9 +300,6 @@ class OnlineRetraSyn:
         self.significant_per_timestamp: list[int] = []
         self._model_initialized = False
         self._last_t: Optional[int] = None
-        # Cumulative plausibly-observed support, grown by each collection
-        # round; only consulted when config.dmu_prefilter is on.
-        self._dmu_candidates = np.zeros(self.space.size, dtype=bool)
 
         if config.division == "population":
             self._pop_alloc = (
@@ -486,12 +461,10 @@ class OnlineRetraSyn:
         cfg = self.config
         ones = np.zeros(self.space.size)
         uid_parts: list[np.ndarray] = []
-        for shard_ones, uids, user_seconds, support in outs:
+        for shard_ones, uids, user_seconds in outs:
             ones += shard_ones
             uid_parts.append(uids)
             self.timings["user_side"] += user_seconds
-            if support is not None:
-                self._dmu_candidates |= support
         reporter_uids = np.concatenate(uid_parts) if uid_parts else np.empty(0, np.int64)
         n_reporters = int(reporter_uids.size)
         eps_used = eps_t
@@ -559,12 +532,8 @@ class OnlineRetraSyn:
                 n_significant = self.space.size
                 self._model_initialized = True
             else:
-                candidates = (
-                    self._dmu_candidates if self.config.dmu_prefilter else None
-                )
                 decision = self.selector.select(
-                    self.model.frequencies, collected, eps_used, n_reporters,
-                    candidates=candidates,
+                    self.model.frequencies, collected, eps_used, n_reporters
                 )
                 self.model.update_selected(decision.selected, collected)
                 n_significant = decision.n_selected
@@ -614,7 +583,11 @@ class OnlineRetraSyn:
         tracker = state.pop("_tracker", None)
         report_phase = state.pop("_report_phase", {})
         shards = state.pop("_shards", None)
-        self.__dict__.update(state)
+        # Attributes a fresh curator lacks belonged to removed features
+        # (the DMU prefilter's candidate mask); they are not restored.
+        self.__dict__.update(
+            (name, value) for name, value in state.items() if name in self.__dict__
+        )
         if shards is None:
             # Written before K=1 collected through a shard: the engine then
             # held the tracker and report phases itself.

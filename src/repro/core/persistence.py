@@ -295,6 +295,20 @@ def load_checkpoint_with_spec(path: Union[str, Path]):
     from repro.core.online import OnlineRetraSyn
 
     payload = _read_newest_valid(path)
+    # The replace below keeps only current fields.  A removed on/off
+    # switch that was on changed every round, so such a file is refused
+    # here rather than resumed without it.
+    current = {f.name for f in dataclasses.fields(RetraSynConfig)}
+    removed_on = sorted(
+        name for name, value in vars(payload["config"]).items()
+        if name not in current and value is True
+    )
+    if removed_on:
+        raise DatasetError(
+            f"checkpoint {path} was written with removed option(s) "
+            + ", ".join(f"{name}=True" for name in removed_on)
+            + "; its rounds cannot be continued"
+        )
     # Unpickling skips validation, so the curator is built from a
     # re-validated copy of the stored config.  Files written while
     # pipelined rounds existed may carry round_batch > 1; they resume one

@@ -62,17 +62,15 @@ class RetraSynConfig:
     alpha: float = 8.0
     kappa: int = 5
     p_max: float = 0.6
-    oracle_mode: str = "fast"  # "fast" | "exact" (batched) | "exact-loop"
+    oracle_mode: str = "fast"  # "fast" (binomial) | "exact" (batched protocol)
     engine: str = "object"  # "object" | "vectorized" synthesis engine
-    compile_mode: str = "incremental"  # "incremental" | "full" | "full-loop" ref
     synthesis_shards: int = 1  # slabs for parallel vectorized generation
     n_shards: int = 1  # hash-partitioned collection shards
     shard_executor: str = "serial"  # "serial" | "distributed"
     shard_round_timeout: float = 60.0  # distributed recv deadline (0 = none)
     round_batch: int = 1  # must be 1: pipelined rounds were removed
-    dmu_prefilter: bool = False  # shard-local never-observed DMU prefilter
     track_privacy: bool = True
-    accountant_mode: str = "columnar"  # "columnar" ledger | "object" reference
+    accountant_mode: str = "columnar"  # the one curator ledger engine
     seed: RngLike = None
 
     def __post_init__(self) -> None:

@@ -49,7 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.online import sample_population_reporters_batch, support_mask
+from repro.core.online import sample_population_reporters_batch
 from repro.geo.grid import Grid
 from repro.ldp.oue import OptimizedUnaryEncoding
 from repro.stream.reports import ReportBatch
@@ -109,7 +109,7 @@ class CollectionShard:
         quitted: np.ndarray,
         rate: Optional[float],
         eps_used: float,
-    ) -> tuple[np.ndarray, np.ndarray, float, Optional[np.ndarray]]:
+    ) -> tuple[np.ndarray, np.ndarray, float]:
         """One timestamp on this shard's partition (columnar).
 
         ``rate`` is the globally proposed sampling fraction ``p_t``
@@ -118,8 +118,7 @@ class CollectionShard:
         per-position one-counts, the reporter id array, the seconds spent
         in the perturbation itself (the user-side cost, excluding
         selection bookkeeping, so Table V timings stay comparable across
-        shard counts), and — when ``config.dmu_prefilter`` is on — this
-        round's plausibly-observed support mask.
+        shard counts).
 
         Selection uses :func:`~repro.core.online
         .sample_population_reporters_batch`, by default with stochastic
@@ -140,7 +139,6 @@ class CollectionShard:
             chosen = batch if eps_used > 0.0 else ReportBatch.empty()
 
         user_seconds = 0.0
-        support: Optional[np.ndarray] = None
         if len(chosen):
             oracle = OptimizedUnaryEncoding(
                 self.space.size, eps_used, rng=self.rng, mode=cfg.oracle_mode
@@ -148,11 +146,9 @@ class CollectionShard:
             tic = time.perf_counter()
             ones = oracle.simulate_ones(chosen.state_idx)
             user_seconds = time.perf_counter() - tic
-            if cfg.dmu_prefilter:
-                support = support_mask(ones, len(chosen), oracle.q)
         else:
             ones = np.zeros(self.space.size)
         if self.tracker is not None:
             self.tracker.mark_reported(chosen.user_ids, t)
             self.tracker.mark_quitted(quitted)
-        return ones, chosen.user_ids, user_seconds, support
+        return ones, chosen.user_ids, user_seconds

@@ -23,8 +23,8 @@ def run_table5(
     """``results[dataset][component] -> avg seconds per timestamp``.
 
     ``oracle_mode='exact'`` materialises per-user bit vectors (batched) so
-    the user-side figure reflects the real protocol cost;
-    ``oracle_mode='exact-loop'`` is the sequential per-user reference.
+    the user-side figure reflects the real protocol cost; ``'fast'`` draws
+    the one-counts from their binomial law instead.
     Extra keyword arguments (``engine=``, ``n_shards=``, …) are forwarded
     to :class:`~repro.core.retrasyn.RetraSynConfig`, so engine speedups are
     measured with the same harness as the paper's Table V.

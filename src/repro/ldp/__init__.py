@@ -8,13 +8,13 @@ Implements the frequency-oracle protocols the paper builds on (Section II-A):
   :class:`~repro.ldp.olh.OptimizedLocalHashing` — standard alternatives used
   for cross-validation in tests and ablation benches.
 
-plus two interchangeable privacy-ledger engines that record every user's
-per-timestamp budget spend and *verify* the w-event LDP guarantee
-(Definition 3 / Theorem 3): the dict-based
-:class:`~repro.ldp.accountant.PrivacyAccountant` reference and the
-pipeline's vectorized
-:class:`~repro.ldp.accountant.ColumnarPrivacyAccountant`, selected via
-:func:`~repro.ldp.accountant.make_accountant`.
+plus two privacy-ledger engines that record every user's per-timestamp
+budget spend and *verify* the w-event LDP guarantee (Definition 3 /
+Theorem 3): the dict-based :class:`~repro.ldp.accountant.PrivacyAccountant`
+the baselines keep, and the vectorized
+:class:`~repro.ldp.accountant.ColumnarPrivacyAccountant` that
+:func:`~repro.ldp.accountant.make_accountant` builds for the RetraSyn
+curator.
 """
 
 from repro.ldp.freq_oracle import FrequencyOracle

@@ -7,16 +7,19 @@ user's per-timestamp budget spend with an accountant, which raises
 of ``w`` consecutive timestamps would exceed ``epsilon`` for any user
 (Definition 3), and exposes audit summaries for tests and reports.
 
-Two interchangeable ledger engines implement the same surface:
+Two ledger engines implement the same surface:
 
-* :class:`PrivacyAccountant` — the **object** reference: a per-uid dict of
-  full spend histories.  Simple, order-free, able to answer any historical
-  query; cost grows per user per spend (a Python loop in ``spend_many``).
-* :class:`ColumnarPrivacyAccountant` — the **columnar** engine used by the
-  pipeline: spends live in a swept ``(n_slots, w)`` numpy ring hung on a
-  :class:`~repro.stream.slots.UserSlotTable`, so ``spend_many``,
-  ``window_spend_many``, ``remaining_many`` and the strict-mode violation
-  check are array ops over whole report batches with no per-user loop.
+* :class:`PrivacyAccountant` — a per-uid dict of full spend histories.
+  Simple, order-free, able to answer any historical query; cost grows per
+  user per spend (a Python loop in ``spend_many``).  The baselines
+  (LBD/LBA/LPD/LPA, LDPTrace) keep their ledgers in it, and the test
+  suites use it as the reference the columnar engine is checked against.
+* :class:`ColumnarPrivacyAccountant` — the **columnar** engine, the
+  RetraSyn curator's one ledger: spends live in a swept ``(n_slots, w)``
+  numpy ring hung on a :class:`~repro.stream.slots.UserSlotTable`, so
+  ``spend_many``, ``window_spend_many``, ``remaining_many`` and the
+  strict-mode violation check are array ops over whole report batches
+  with no per-user loop.
   The ledger retains exactly the live window of exactly the users who
   still have one (all the w-event guarantee needs): rows whose window has
   emptied are retired to a 16 B/user audit archive that keeps lifetime
@@ -27,8 +30,8 @@ Two interchangeable ledger engines implement the same surface:
   ``tests/ldp/test_accountant_model.py`` pin the two engines to identical
   spends, refusals, violations and window totals on randomized schedules.
 
-Select via :func:`make_accountant` /
-``RetraSynConfig(accountant_mode="columnar" | "object")``.
+The curator builds its ledger with :func:`make_accountant`
+(``RetraSynConfig.accountant_mode``, whose one value is ``"columnar"``).
 
 Both engines work for both division styles:
 
@@ -54,8 +57,8 @@ from repro.stream.slots import UserSlotTable, extend_log, find_sorted
 #: Tolerance for floating-point budget accumulation.
 _EPS_TOL = 1e-9
 
-#: The selectable ledger engines (RetraSynConfig.accountant_mode).
-ACCOUNTANT_MODES = ("columnar", "object")
+#: The curator's ledger engine (RetraSynConfig.accountant_mode).
+ACCOUNTANT_MODES = ("columnar",)
 
 #: Ring-column sentinel: "this column has never held a timestamp".
 _NEVER = np.iinfo(np.int64).min // 2
@@ -113,7 +116,7 @@ class SpendRecord:
 
 
 class PrivacyAccountant:
-    """Dict-ledger reference accountant (``accountant_mode="object"``).
+    """Dict-ledger accountant: the baselines' ledger and the test reference.
 
     Parameters
     ----------
@@ -637,17 +640,11 @@ def make_accountant(
     strict: bool = True,
     slots: Optional[UserSlotTable] = None,
 ):
-    """Build the ledger engine selected by ``mode``.
-
-    ``slots`` is honoured only by the columnar engine (the object ledger
-    keys on raw uids and needs no slot table).
-    """
+    """Build the curator's ledger engine named by ``mode``."""
     if mode not in ACCOUNTANT_MODES:
         raise ConfigurationError(
             f"accountant_mode must be one of {ACCOUNTANT_MODES}, got {mode!r}"
         )
-    if mode == "object":
-        return PrivacyAccountant(epsilon, w, strict=strict)
     return ColumnarPrivacyAccountant(epsilon, w, strict=strict, slots=slots)
 
 

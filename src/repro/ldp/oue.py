@@ -10,17 +10,16 @@ The curator counts ones per position and debiases with
 ``f̂(x) = (f'(x)/n − q) / (1/2 − q)`` where ``q = 1/(e^ε + 1)``; the estimate
 is unbiased with variance ``4 e^ε / (n (e^ε − 1)^2)`` (paper Eq. 3).
 
-Three execution modes are provided:
+Two execution modes are provided:
 
 * ``mode="exact"`` materialises every user's perturbed bit vector — the
   literal protocol, executed *batched*: all ``n`` reports are drawn as
   ``(chunk, d)`` Bernoulli arrays and aggregated with one column-sum per
-  chunk, so the per-user Python loop disappears while the sampled joint
-  distribution stays bit-for-bit that of the sequential protocol;
-* ``mode="exact-loop"`` is the sequential reference: one
-  :meth:`~OptimizedUnaryEncoding.perturb_one` call per user.  It exists so
-  the batched path can be property-tested against the textbook
-  formulation (``tests/ldp/test_oue.py``);
+  chunk, so there is no per-user Python loop while the sampled joint
+  distribution stays that of the sequential protocol (one
+  :meth:`~OptimizedUnaryEncoding.perturb_one` call per user — the test
+  oracle in ``tests/reference/`` that ``tests/ldp/test_oue.py`` pins the
+  batched path against);
 * ``mode="fast"`` samples the aggregated one-counts directly from the exact
   per-position binomial law, which is distribution-identical to summing
   ``n`` independent reports but orders of magnitude faster.  Statistical
@@ -61,9 +60,9 @@ class OptimizedUnaryEncoding(FrequencyOracle):
         mode: str = "fast",
     ) -> None:
         super().__init__(domain_size, epsilon, rng)
-        if mode not in ("exact", "exact-loop", "fast"):
+        if mode not in ("exact", "fast"):
             raise ConfigurationError(
-                f"mode must be 'exact', 'exact-loop' or 'fast', got {mode!r}"
+                f"mode must be 'exact' or 'fast', got {mode!r}"
             )
         self.mode = mode
         self._p = 0.5
@@ -121,9 +120,8 @@ class OptimizedUnaryEncoding(FrequencyOracle):
         """User-side half of the round trip: per-position one-counts.
 
         In ``exact`` mode every user's bit vector is materialised (in
-        memory-bounded batches) and column-summed; ``exact-loop`` does the
-        same one user at a time; in ``fast`` mode the sums are drawn directly
-        from the per-position binomial law
+        memory-bounded batches) and column-summed; in ``fast`` mode the sums
+        are drawn directly from the per-position binomial law
         ``Binomial(true_j, p) + Binomial(n − true_j, q)``, which has exactly
         the distribution of the exact sum.
         """
@@ -133,8 +131,6 @@ class OptimizedUnaryEncoding(FrequencyOracle):
             return np.zeros(self.domain_size)
         if self.mode == "exact":
             return self._simulate_ones_batched(arr)
-        if self.mode == "exact-loop":
-            return self._simulate_ones_loop(arr)
         true_counts = np.bincount(arr, minlength=self.domain_size)
         ones = self.rng.binomial(true_counts, self._p) + self.rng.binomial(
             n - true_counts, self._q
@@ -144,8 +140,8 @@ class OptimizedUnaryEncoding(FrequencyOracle):
     def _simulate_ones_batched(self, arr: np.ndarray) -> np.ndarray:
         """All reports as ``(chunk, d)`` Bernoulli draws + one column-sum each.
 
-        Semantically identical to :meth:`_simulate_ones_loop`: each user's
-        report is still an independent ``d``-bit vector with the exact
+        Semantically identical to one :meth:`perturb_one` call per user:
+        each report is still an independent ``d``-bit vector with the exact
         per-bit flip probabilities; only the loop moved into numpy.
         """
         ones = np.zeros(self.domain_size, dtype=np.int64)
@@ -161,13 +157,6 @@ class OptimizedUnaryEncoding(FrequencyOracle):
             bits = self.rng.random((m, self.domain_size), dtype=np.float32) < q32
             bits[np.arange(m), part] = self.rng.random(m, dtype=np.float32) < p32
             ones += bits.sum(axis=0)
-        return ones.astype(float)
-
-    def _simulate_ones_loop(self, arr: np.ndarray) -> np.ndarray:
-        """Sequential reference: one perturbed vector per user, accumulated."""
-        ones = np.zeros(self.domain_size, dtype=np.int64)
-        for value in arr:
-            ones += self.perturb_one(int(value))
         return ones.astype(float)
 
     def debias(self, ones: np.ndarray, n: int) -> np.ndarray:

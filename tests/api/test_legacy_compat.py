@@ -1,12 +1,15 @@
 """Legacy-surface compatibility: flat config kwargs and the historical
 ``from repro import ...`` names keep working; checkpoints of older format
-versions are refused by version, never migrated."""
+versions are refused by version, never migrated; v4 checkpoints written
+while the reference modes were still config knobs resume when the knob
+did not change the round and are refused with a typed error otherwise."""
 
 from __future__ import annotations
 
 import pickle
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.api.session import create_session
@@ -43,9 +46,8 @@ LEGACY_CONFIG_KWARGS = dict(
     epsilon=1.0, w=20, division="population", allocator="adaptive",
     update_strategy="dmu", model_entering_quitting=True, lam=None,
     alpha=8.0, kappa=5, p_max=0.6, oracle_mode="fast", engine="object",
-    compile_mode="incremental", synthesis_shards=1, n_shards=1,
-    shard_executor="serial", dmu_prefilter=False, track_privacy=True,
-    accountant_mode="columnar", seed=0,
+    synthesis_shards=1, n_shards=1, shard_executor="serial",
+    track_privacy=True, accountant_mode="columnar", seed=0,
 )
 
 
@@ -151,3 +153,104 @@ class TestCheckpointVersions:
                 match=f"unsupported checkpoint format version {version}",
             ):
                 load_checkpoint(path)
+
+
+class TestCheckpointsWithRemovedKnobs:
+    """v4 files whose stored config still carries a removed reference mode.
+
+    Such a file pickles the knob as a plain attribute on the flat config
+    (shared by every serial shard), on the stored spec's layer and — for
+    ``compile_mode`` — on the vectorized synthesizer; the curator state
+    also holds the DMU prefilter's candidate mask.
+    """
+
+    def _config(self, **overrides):
+        return RetraSynConfig(
+            epsilon=1.0, w=5, seed=7, engine="vectorized", **overrides
+        )
+
+    def _curator(self, data, config):
+        return OnlineRetraSyn(
+            data.grid, config, lam=max(1.0, average_length(data.trajectories))
+        )
+
+    def _steps(self, curator, data, ts):
+        view = ColumnarStreamView(data, curator.space)
+        for t in ts:
+            curator.process_timestep(
+                t,
+                participants=view.batch_at(t),
+                newly_entered=view.newly_entered_at(t),
+                quitted=view.quitted_at(t),
+                n_real_active=view.n_active_at(t),
+            )
+
+    def _fingerprint(self, curator, data):
+        syn = curator.synthetic_dataset(data.n_timestamps)
+        return [(tr.start_time, list(tr.cells)) for tr in syn.trajectories]
+
+    def _write(self, data, path, *, config_attrs, spec_attrs=(), **overrides):
+        """Half a run, saved with removed-knob attributes set as an older
+        release would have pickled them."""
+        config = self._config(**overrides)
+        spec = config.to_spec()
+        curator = self._curator(data, config)
+        self._steps(curator, data, range(data.n_timestamps // 2))
+        for name, value in config_attrs.items():
+            setattr(curator.config, name, value)
+        for layer, name, value in spec_attrs:
+            object.__setattr__(getattr(spec, layer), name, value)
+        if "compile_mode" in config_attrs:
+            curator.synthesizer.compile_mode = config_attrs["compile_mode"]
+        curator._dmu_candidates = np.zeros(curator.space.size, dtype=bool)
+        save_checkpoint(curator, path, spec=spec)
+        return config
+
+    @pytest.mark.parametrize("mode", ["incremental", "full", "full-loop"])
+    def test_any_compile_mode_resumes_bit_for_bit(self, walk_data, tmp_path, mode):
+        path = tmp_path / "compile.ckpt"
+        config = self._write(
+            walk_data, path,
+            config_attrs={"compile_mode": mode, "dmu_prefilter": False},
+            spec_attrs=[
+                ("engine", "compile_mode", mode),
+                ("sharding", "dmu_prefilter", False),
+            ],
+        )
+        reference = self._curator(walk_data, config)
+        self._steps(reference, walk_data, range(walk_data.n_timestamps))
+
+        resumed = load_checkpoint(path)
+        assert not hasattr(resumed, "_dmu_candidates")
+        self._steps(
+            resumed, walk_data,
+            range(walk_data.n_timestamps // 2, walk_data.n_timestamps),
+        )
+        assert self._fingerprint(resumed, walk_data) == self._fingerprint(
+            reference, walk_data
+        )
+        assert resumed.accountant.summary() == reference.accountant.summary()
+        assert peek_checkpoint_spec(path) == config.to_spec()
+
+    def test_dmu_prefilter_on_is_refused_by_name(self, walk_data, tmp_path):
+        path = tmp_path / "prefilter.ckpt"
+        self._write(
+            walk_data, path,
+            config_attrs={"compile_mode": "incremental", "dmu_prefilter": True},
+            spec_attrs=[("sharding", "dmu_prefilter", True)],
+            n_shards=2,
+        )
+        with pytest.raises(DatasetError, match="dmu_prefilter=True"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("accountant_mode", "object"), ("oracle_mode", "exact-loop")],
+    )
+    def test_removed_mode_values_are_refused(
+        self, walk_data, tmp_path, field, value
+    ):
+        path = tmp_path / "mode.ckpt"
+        self._write(walk_data, path, config_attrs={field: value})
+        with pytest.raises(ConfigurationError, match=field):
+            load_checkpoint(path)

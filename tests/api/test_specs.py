@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
+import numpy as np
 import pytest
 
 from repro.api.specs import (
@@ -41,7 +43,7 @@ class TestLayerValidation:
             (PrivacySpec, dict(p_max=0.0)),
             (EngineSpec, dict(engine="fpga")),
             (EngineSpec, dict(oracle_mode="psychic")),
-            (EngineSpec, dict(compile_mode="jit")),
+            (EngineSpec, dict(oracle_mode="exact-loop")),  # per-user loop: removed
             (EngineSpec, dict(update_strategy="sometimes")),
             (EngineSpec, dict(lam=0.0)),
             (ShardingSpec, dict(n_shards=0)),
@@ -61,11 +63,55 @@ class TestLayerValidation:
             (ServiceSpec, dict(drain_deadline="soon")),
             (ServiceSpec, dict(http_port=70000)),
             (ShardingSpec, dict(shard_executor="process")),  # pipe pool: removed
+            (PrivacySpec, dict(accountant_mode="object")),  # dict ledger: removed
+            # Numeric fields: a wrong type is a ConfigurationError, never a
+            # bare TypeError from a range check or a silently kept float.
+            (PrivacySpec, dict(epsilon="1")),
+            (PrivacySpec, dict(epsilon=None)),
+            (PrivacySpec, dict(w=None)),
+            (PrivacySpec, dict(w="20")),
+            (PrivacySpec, dict(w=2.5)),
+            (PrivacySpec, dict(w=True)),
+            (PrivacySpec, dict(kappa=None)),
+            (PrivacySpec, dict(p_max=None)),
+            (PrivacySpec, dict(alpha=None)),
+            (EngineSpec, dict(lam="5")),
+            (ShardingSpec, dict(n_shards=None)),
+            (ShardingSpec, dict(n_shards=1.5)),
+            (ShardingSpec, dict(synthesis_shards="2")),
+            (ShardingSpec, dict(round_batch=1.0)),
+            (RetraSynConfig, dict(w=None)),
+            (RetraSynConfig, dict(w="20")),
+            (RetraSynConfig, dict(epsilon="1")),
+            (RetraSynConfig, dict(kappa=None)),
+            (RetraSynConfig, dict(p_max=None)),
+            (RetraSynConfig, dict(n_shards=None)),
+            (RetraSynConfig, dict(synthesis_shards="2")),
         ],
     )
     def test_bad_fields_raise(self, layer_cls, kwargs):
         with pytest.raises(ConfigurationError):
             layer_cls(**kwargs)
+
+    def test_numeric_fields_accept_numpy_scalars(self):
+        spec = SessionSpec.from_flat(
+            epsilon=np.float32(0.5), w=np.int64(6), kappa=np.int32(3),
+            n_shards=np.int64(2), lam=np.float64(4.0),
+        )
+        assert spec.privacy.w == 6 and spec.sharding.n_shards == 2
+
+    @pytest.mark.parametrize(
+        "field, value", [("w", None), ("w", 2.5), ("epsilon", "1")]
+    )
+    def test_bad_json_config_is_a_configuration_error(self, tmp_path, field, value):
+        from repro.core.persistence import config_to_dict, load_config
+
+        data = config_to_dict(RetraSynConfig())
+        data[field] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigurationError, match=field):
+            load_config(path)
 
     @pytest.mark.parametrize("depth", [0, 2, 3])
     def test_round_batch_only_accepts_one(self, depth):
@@ -104,19 +150,19 @@ class TestConfigFacade:
     def test_round_trip_config_spec_config(self):
         config = RetraSynConfig(
             epsilon=2.5, w=7, division="budget", allocator="uniform",
-            engine="vectorized", compile_mode="full", oracle_mode="exact",
+            engine="vectorized", oracle_mode="exact",
             synthesis_shards=2, n_shards=3, shard_executor="serial",
-            dmu_prefilter=True, accountant_mode="object",
+            accountant_mode="columnar",
             track_privacy=False, lam=9.5, alpha=4.0, kappa=3, p_max=0.4,
             update_strategy="all", model_entering_quitting=False, seed=42,
         )
         spec = config.to_spec()
         assert spec.privacy.epsilon == 2.5
         assert spec.privacy.division == "budget"
-        assert spec.engine.compile_mode == "full"
+        assert spec.engine.oracle_mode == "exact"
         assert spec.engine.lam == 9.5
         assert spec.sharding.n_shards == 3
-        assert spec.sharding.dmu_prefilter is True
+        assert spec.sharding.synthesis_shards == 2
         assert spec.seed == 42
         assert spec.to_config() == config
 
@@ -129,6 +175,8 @@ class TestConfigFacade:
             SessionSpec.from_flat(budget=1.0)
         for removed_knob in (
             dict(synthesis_executor="thread"), dict(ingest_consumers=3),
+            dict(compile_mode="incremental"), dict(dmu_prefilter=True),
+            dict(dmu_prefilter=False),
         ):
             with pytest.raises(ConfigurationError):
                 SessionSpec.from_flat(**removed_knob)
@@ -191,9 +239,9 @@ class TestCliDerivation:
         flags = {f.metadata["cli"]["flag"] for _cls, f in iter_cli_fields()}
         assert flags == {
             "--epsilon", "--w", "--allocator", "--accountant-mode",
-            "--engine", "--oracle-mode", "--compile-mode",
+            "--engine", "--oracle-mode",
             "--shards", "--shard-executor", "--shard-round-timeout",
-            "--round-batch", "--dmu-prefilter",
+            "--round-batch",
             "--synthesis-shards",
         }
 
@@ -217,5 +265,6 @@ class TestCliDerivation:
         assert by_flag["--allocator"] == specs.ALLOCATORS
         assert by_flag["--engine"] == specs.ENGINES
         assert by_flag["--oracle-mode"] == specs.ORACLE_MODES
-        assert by_flag["--compile-mode"] == specs.COMPILE_MODES
+        assert by_flag["--accountant-mode"] == specs.ACCOUNTANT_MODES == ("columnar",)
+        assert specs.ORACLE_MODES == ("fast", "exact")
         assert by_flag["--shard-executor"] == specs.SHARD_EXECUTORS

@@ -14,6 +14,9 @@ from repro.geo.grid import Grid, unit_grid
 from repro.geo.point import BoundingBox
 from repro.stream.state_space import TransitionStateSpace
 
+# Test oracles live in tests/reference; the dict-ledger fixture is shared.
+from reference.ledger import object_ledger  # noqa: F401
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:

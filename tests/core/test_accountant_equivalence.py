@@ -1,9 +1,10 @@
-"""ISSUE 3 acceptance: both accountant modes, one pipeline behaviour.
+"""Both ledger engines, one pipeline behaviour.
 
 The ledger engines never touch the RNG, so for a fixed seed the pipeline
-must synthesize *bit-identical* streams under ``accountant_mode="object"``
-and ``"columnar"`` — across shard counts (K=1, K=4) and executors — while
-the two ledgers reach the same audit verdicts.  A second group pins the
+must synthesize *bit-identical* streams with the curator's columnar ledger
+and with the dict ledger ``tests/reference`` installs in its place —
+across shard counts (K=1, K=4) — while the two ledgers reach the same
+audit verdicts.  A second group pins the
 checkpoint round trip of the columnar accounting plane: slot table and
 ring buffer survive a save → resume with shared identity intact and the
 resumed stream continues bit-for-bit.
@@ -18,6 +19,8 @@ from repro.datasets.synthetic import make_random_walks
 from repro.exceptions import PrivacyBudgetError
 from repro.ldp.accountant import ColumnarPrivacyAccountant, PrivacyAccountant
 
+from reference.ledger import object_ledger_installed
+
 
 @pytest.fixture(scope="module")
 def stream():
@@ -28,11 +31,17 @@ def _fingerprint(run):
     return [(tr.start_time, list(tr.cells)) for tr in run.synthetic.trajectories]
 
 
-def _run(stream, mode, **overrides):
-    cfg = RetraSynConfig(
-        epsilon=1.0, w=5, seed=11, accountant_mode=mode, **overrides
-    )
+def _run(stream, **overrides):
+    cfg = RetraSynConfig(epsilon=1.0, w=5, seed=11, **overrides)
     return RetraSyn(cfg).run(stream)
+
+
+def _run_both(stream, **overrides):
+    """``(object_run, columnar_run)`` of one config: the dict ledger, then
+    the curator's own."""
+    with object_ledger_installed():
+        obj = _run(stream, **overrides)
+    return obj, _run(stream, **overrides)
 
 
 class TestPipelineEquivalence:
@@ -44,8 +53,7 @@ class TestPipelineEquivalence:
         ],
     )
     def test_bit_identical_streams_both_modes(self, stream, overrides):
-        obj = _run(stream, "object", **overrides)
-        col = _run(stream, "columnar", **overrides)
+        obj, col = _run_both(stream, **overrides)
         assert isinstance(obj.accountant, PrivacyAccountant)
         assert isinstance(col.accountant, ColumnarPrivacyAccountant)
         assert _fingerprint(obj) == _fingerprint(col)
@@ -57,8 +65,7 @@ class TestPipelineEquivalence:
         )
 
     def test_budget_division_equivalent(self, stream):
-        obj = _run(stream, "object", division="budget")
-        col = _run(stream, "columnar", division="budget")
+        obj, col = _run_both(stream, division="budget")
         assert _fingerprint(obj) == _fingerprint(col)
         so, sc = obj.accountant.summary(), col.accountant.summary()
         assert so["n_users"] == sc["n_users"]
@@ -69,8 +76,7 @@ class TestPipelineEquivalence:
         assert so["max_window_spend"] == pytest.approx(sc["max_window_spend"])
 
     def test_random_allocator_equivalent(self, stream):
-        obj = _run(stream, "object", allocator="random", n_shards=4)
-        col = _run(stream, "columnar", allocator="random", n_shards=4)
+        obj, col = _run_both(stream, allocator="random", n_shards=4)
         assert _fingerprint(obj) == _fingerprint(col)
         assert obj.accountant.summary() == col.accountant.summary()
 

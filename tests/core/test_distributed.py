@@ -86,8 +86,7 @@ class TestDistributedMatchesInProcess:
                 id=f"budget-{alloc}",
             )
             for alloc in ("uniform", "sample", "adaptive", "adaptive-user")
-        ]
-        + [pytest.param({"dmu_prefilter": True}, id="dmu-prefilter")],
+        ],
     )
     def test_config_variants_identical(self, stream, overrides):
         """Every division × allocator pair, K=2 serial ≡ distributed."""

@@ -100,36 +100,3 @@ class TestErrorMonotonicity:
         low = selector.select(model, collected, 0.3, 500)
         high = selector.select(model, collected, 3.0, 500)
         assert set(low.selected.tolist()) <= set(high.selected.tolist())
-
-
-class TestCandidatePrefilter:
-    """DMU restricted to a candidate mask (shard-local prefiltering)."""
-
-    def test_non_candidates_never_selected(self, selector):
-        model = np.array([0.5, 0.5, 0.5, 0.5])
-        collected = np.array([0.9, 0.9, 0.9, 0.9])  # all drift heavily
-        cand = np.array([True, False, True, False])
-        d = selector.select(
-            model, collected, epsilon_t=1.0, n_reporters=10_000,
-            candidates=cand,
-        )
-        assert set(d.selected.tolist()) == {0, 2}
-        assert not d.mask[1] and not d.mask[3]
-
-    def test_full_mask_matches_unrestricted(self, selector):
-        rng = np.random.default_rng(0)
-        model = rng.random(50)
-        collected = rng.random(50)
-        a = selector.select(model, collected, 1.0, 500)
-        b = selector.select(
-            model, collected, 1.0, 500, candidates=np.ones(50, dtype=bool)
-        )
-        assert np.array_equal(a.mask, b.mask)
-        assert a.total_error == pytest.approx(b.total_error)
-
-    def test_mask_shape_mismatch_rejected(self, selector):
-        with pytest.raises(ValueError):
-            selector.select(
-                np.zeros(4), np.zeros(4), 1.0, 10,
-                candidates=np.ones(3, dtype=bool),
-            )

@@ -5,6 +5,7 @@ object-based synthesizer: identical invariants, statistically identical
 generative distribution, materially faster on large populations.
 """
 
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -13,21 +14,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.fast_synthesis as fs
+from repro.api.specs import SessionSpec
 from repro.core.fast_synthesis import (
-    COMPILE_MODES,
     VectorizedSynthesizer,
     _CompiledModel,
     _draw_slab,
     _inverse_cdf,
 )
-from repro.core.mobility_model import GlobalMobilityModel
+from repro.core.mobility_model import _DIRTY_LOG_LIMIT, GlobalMobilityModel
 from repro.core.retrasyn import RetraSyn, RetraSynConfig
 from repro.core.synthesis import Synthesizer
 from repro.exceptions import ConfigurationError
 from repro.geo.grid import unit_grid
 from repro.stream.state_space import TransitionStateSpace
 
+from reference.compile import compile_loop
 from tests.core.test_synthesis import deterministic_model
+
+#: How the synthesizer obtains its compiled model each step: the engine's
+#: dirty-row recompile, a vectorized rebuild every step, or the per-cell
+#: reference loop every step.
+COMPILE_PATHS = {
+    "incremental": None,
+    "full": lambda self: _CompiledModel(self.model),
+    "loop": lambda self: compile_loop(self.model),
+}
+
+
+def _compile_path(name):
+    """Context that routes ``VectorizedSynthesizer._compile`` through ``name``."""
+    build = COMPILE_PATHS[name]
+    if build is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(VectorizedSynthesizer, "_compile", build)
 
 
 class TestInterfaceParity:
@@ -103,7 +122,7 @@ def _compiled_equal(a, b):
 
 
 class TestCompiledModel:
-    """Incremental recompile ≡ vectorized full rebuild ≡ seed loop."""
+    """Incremental recompile ≡ vectorized full rebuild ≡ per-cell loop."""
 
     def _random_update(self, model, rng):
         """One random model mutation in the shapes DMU / AllUpdate produce."""
@@ -128,9 +147,9 @@ class TestCompiledModel:
         incremental = _CompiledModel(model)
         for _ in range(12):
             self._random_update(model, rng)
-            incremental.update(model, "incremental")
+            incremental.update(model)
             _compiled_equal(incremental, _CompiledModel(model))
-            _compiled_equal(incremental, _CompiledModel.reference(model))
+            _compiled_equal(incremental, compile_loop(model))
 
     def test_vectorized_assembly_matches_reference_loop(self, space4):
         rng = np.random.default_rng(3)
@@ -142,22 +161,30 @@ class TestCompiledModel:
         f[space4.out_move_indices(9)] = 0.0
         f[space4.index_of_quit(9)] = 0.0
         model.set_all(f)
-        _compiled_equal(_CompiledModel(model), _CompiledModel.reference(model))
+        _compiled_equal(_CompiledModel(model), compile_loop(model))
 
     def test_no_eq_space(self, space4_noeq):
         rng = np.random.default_rng(4)
         model = GlobalMobilityModel(space4_noeq)
         model.set_all(rng.random(space4_noeq.size))
-        _compiled_equal(_CompiledModel(model), _CompiledModel.reference(model))
+        _compiled_equal(_CompiledModel(model), compile_loop(model))
 
-    def test_full_mode_ignores_journal(self, space4):
+    def test_update_without_provenance_rebuilds_every_row(self, space4):
+        """A ``set_all`` or an outrun journal names no rows: all are rebuilt."""
         rng = np.random.default_rng(5)
         model = GlobalMobilityModel(space4)
         model.set_all(rng.random(space4.size))
         compiled = _CompiledModel(model)
-        model.update_selected([0], rng.random(space4.size))
-        compiled.update(model, "full")
-        _compiled_equal(compiled, _CompiledModel(model))
+        model.set_all(rng.random(space4.size))
+        assert model.dirty_origins_since(compiled.version) is None
+        compiled.update(model)
+        _compiled_equal(compiled, compile_loop(model))
+        stale_version = compiled.version
+        for _ in range(_DIRTY_LOG_LIMIT + 1):
+            model.update_selected([0], rng.random(space4.size))
+        assert model.dirty_origins_since(stale_version) is None
+        compiled.update(model)
+        _compiled_equal(compiled, compile_loop(model))
 
 
 def _row_gather_inverse_cdf(cum_probs, cells, draws):
@@ -178,7 +205,7 @@ class TestInverseCdf:
 
     @given(
         st.integers(0, 2**32 - 1),
-        st.sampled_from(COMPILE_MODES),
+        st.sampled_from(sorted(COMPILE_PATHS)),
         st.sampled_from((1, 2, 4)),  # k=1: one cell, one destination, width 1
         st.sampled_from((0, 1, 7, 300)),
     )
@@ -190,15 +217,19 @@ class TestInverseCdf:
         f = rng.normal(0.3, 1.0, size=space.size)
         f[space.out_move_indices(0)] = 0.0  # a massless row: uniform fallback
         model.set_all(f)
-        if mode == "full-loop":
-            compiled = _CompiledModel.reference(model)
+        if mode == "loop":
+            compiled = compile_loop(model)
         else:
             compiled = _CompiledModel(model)
-            model.update_selected(
-                rng.choice(space.size, size=space.size // 2, replace=False),
-                rng.normal(0.3, 1.0, size=space.size),
-            )
-            compiled.update(model, mode)
+            fresh = rng.normal(0.3, 1.0, size=space.size)
+            if mode == "full":
+                model.set_all(fresh)
+            else:
+                model.update_selected(
+                    rng.choice(space.size, size=space.size // 2, replace=False),
+                    fresh,
+                )
+            compiled.update(model)
         assert compiled.cum_t.flags.c_contiguous
         assert compiled.cum_t.shape == compiled.dest.shape[::-1]
         cells = rng.integers(0, space.n_cells, size=n)
@@ -244,15 +275,13 @@ class TestInverseCdf:
 
 
 class TestCompileModes:
-    """All compile modes must yield bit-identical synthetic streams."""
+    """Every compile path must yield bit-identical synthetic streams."""
 
     def _run(self, space, mode, seed=0, **engine):
         rng = np.random.default_rng(11)
         model = GlobalMobilityModel(space)
         model.set_all(rng.random(space.size))
-        syn = VectorizedSynthesizer(
-            model, lam=8.0, rng=seed, compile_mode=mode, **engine
-        )
+        syn = VectorizedSynthesizer(model, lam=8.0, rng=seed, **engine)
         syn.spawn_from_entering(0, 200)
         for t in range(1, 10):
             # Mutate the model mid-run the way DMU rounds do.
@@ -265,22 +294,25 @@ class TestCompileModes:
 
     def test_all_modes_bit_identical(self, space4):
         for shards in (1, 2):  # the single-threaded path, then thread slabs
-            with mock.patch.object(fs, "_MIN_STREAMS_PER_SHARD", 1):
-                runs = {
-                    mode: self._run(space4, mode, synthesis_shards=shards)
-                    for mode in COMPILE_MODES
-                }
-            assert runs["incremental"] == runs["full"] == runs["full-loop"]
+            runs = {}
+            for mode in COMPILE_PATHS:
+                with mock.patch.object(fs, "_MIN_STREAMS_PER_SHARD", 1), \
+                        _compile_path(mode):
+                    runs[mode] = self._run(space4, mode, synthesis_shards=shards)
+            assert runs["incremental"] == runs["full"] == runs["loop"]
 
     def test_invalid_compile_mode(self, space4):
-        with pytest.raises(ConfigurationError):
+        """Compilation is not selectable: the removed knob is refused."""
+        with pytest.raises(TypeError):
             VectorizedSynthesizer(
-                GlobalMobilityModel(space4), lam=1.0, compile_mode="jit"
+                GlobalMobilityModel(space4), lam=1.0, compile_mode="full"
             )
 
     def test_config_validation(self):
+        with pytest.raises(TypeError):
+            RetraSynConfig(compile_mode="full")
         with pytest.raises(ConfigurationError):
-            RetraSynConfig(compile_mode="jit")
+            SessionSpec.from_flat(compile_mode="full")
         with pytest.raises(ConfigurationError):
             RetraSynConfig(synthesis_shards=0)
 
@@ -484,19 +516,17 @@ class TestPipelineIntegration:
 
     def test_pipeline_compile_modes_bit_identical(self, walk_data):
         prints = {}
-        for compile_mode in COMPILE_MODES:
-            run = RetraSyn(
-                RetraSynConfig(
-                    epsilon=1.0, w=5, engine="vectorized", seed=0,
-                    compile_mode=compile_mode,
-                )
-            ).run(walk_data)
+        for compile_mode in COMPILE_PATHS:
+            with _compile_path(compile_mode):
+                run = RetraSyn(
+                    RetraSynConfig(epsilon=1.0, w=5, engine="vectorized", seed=0)
+                ).run(walk_data)
             assert run.accountant.verify()
             prints[compile_mode] = [
                 (tr.start_time, list(tr.cells))
                 for tr in run.synthetic.trajectories
             ]
-        assert prints["incremental"] == prints["full"] == prints["full-loop"]
+        assert prints["incremental"] == prints["full"] == prints["loop"]
 
     def test_pipeline_synthesis_shards(self, walk_data):
         run = RetraSyn(

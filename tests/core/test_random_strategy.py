@@ -24,20 +24,18 @@ class TestBehaviour:
         ).run(walk_data)
         assert run.accountant.verify()
 
-    def test_report_gaps_exactly_w(self, walk_data):
+    def test_report_gaps_exactly_w(self, walk_data, object_ledger):
         """The phase rule yields per-user report gaps of exactly w.
 
-        Uses the object-mode reference ledger: only it retains full
-        per-user spend histories (the columnar ledger keeps the live
-        window plus aggregates).
+        Uses the dict reference ledger: only it retains full per-user
+        spend histories (the columnar ledger keeps the live window plus
+        aggregates).
         """
         w = 4
         run = RetraSyn(
-            RetraSynConfig(
-                epsilon=1.0, w=w, allocator="random", seed=1,
-                accountant_mode="object",
-            )
+            RetraSynConfig(epsilon=1.0, w=w, allocator="random", seed=1)
         ).run(walk_data)
+        assert isinstance(run.accountant, object_ledger)
         acc = run.accountant
         multi = 0
         for uid in range(len(walk_data)):

@@ -45,13 +45,12 @@ class TestPopulationDivision:
         assert run.accountant.verify()
         assert run.accountant.summary()["max_window_spend"] <= 1.0 + 1e-9
 
-    def test_each_user_reports_at_most_once_per_window(self, walk_data):
-        # Object-mode ledger: the per-user spend history this test walks
-        # only exists in the dict reference (columnar keeps the window).
+    def test_each_user_reports_at_most_once_per_window(self, walk_data, object_ledger):
+        # Dict ledger: the per-user spend history this test walks only
+        # exists in the reference (columnar keeps the window).
         w = 4
-        run = RetraSyn(
-            RetraSynConfig(epsilon=1.0, w=w, seed=1, accountant_mode="object")
-        ).run(walk_data)
+        run = RetraSyn(RetraSynConfig(epsilon=1.0, w=w, seed=1)).run(walk_data)
+        assert isinstance(run.accountant, object_ledger)
         acc = run.accountant
         for uid in range(len(walk_data)):
             spends = sorted(

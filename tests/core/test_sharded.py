@@ -253,62 +253,3 @@ class TestK1MatchesUnsharded:
             np.mean(densities["online"], axis=0),
         )
         assert jsd < 0.15, jsd
-
-
-class TestDMUPrefilter:
-    """Shard-local never-observed pruning of the DMU candidate set."""
-
-    def test_candidates_shrink_on_structured_flows(self):
-        from repro.datasets.synthetic import make_lane_stream
-
-        data = make_lane_stream(k=5, n_streams=200, n_timestamps=25, seed=7)
-        cfg = RetraSynConfig(
-            epsilon=2.0, w=5, n_shards=3, dmu_prefilter=True, seed=0
-        )
-        curator = OnlineRetraSyn(data.grid, cfg, lam=5.0)
-        for t in range(data.n_timestamps):
-            curator.process_timestep(
-                t,
-                participants=data.participants_at(t),
-                newly_entered=data.newly_entered_at(t),
-                quitted=data.quitted_at(t),
-                n_real_active=data.n_active_at(t),
-            )
-        n_candidates = int(curator._dmu_candidates.sum())
-        # Lane flows touch a thin slice of the transition space: the
-        # prefilter must prune a substantial share of states.
-        assert 0 < n_candidates < curator.space.size
-        assert curator.accountant.verify()
-
-    def test_prefilter_keeps_utility_close(self, small_stream):
-        from repro.metrics.divergence import jensen_shannon_divergence
-
-        densities = {}
-        for prefilter in (False, True):
-            hists = []
-            for seed in range(3):
-                cfg = RetraSynConfig(
-                    epsilon=2.0, w=5, n_shards=3,
-                    dmu_prefilter=prefilter, seed=seed,
-                )
-                run = RetraSyn(cfg).run(small_stream)
-                hist = np.zeros(small_stream.grid.n_cells)
-                for t in range(small_stream.n_timestamps):
-                    hist += np.bincount(
-                        run.synthetic.cells_at(t),
-                        minlength=small_stream.grid.n_cells,
-                    )
-                hists.append(hist / max(hist.sum(), 1.0))
-            densities[prefilter] = np.mean(hists, axis=0)
-        jsd = jensen_shannon_divergence(densities[False], densities[True])
-        assert jsd < 0.15, jsd
-
-    def test_support_mask_rule(self):
-        from repro.core.online import support_mask
-
-        ones = np.array([0.0, 10.0, 500.0])
-        # n=1000, q~0.269 at eps=1: floor ~ 269 + 3*sqrt(196) ~ 311
-        q = 1.0 / (np.exp(1.0) + 1.0)
-        mask = support_mask(ones, 1000, q)
-        assert mask.tolist() == [False, False, True]
-        assert not support_mask(ones, 0, q).any()

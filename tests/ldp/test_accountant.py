@@ -19,11 +19,13 @@ from repro.ldp.accountant import (
 
 @pytest.fixture(params=["object", "columnar"])
 def PrivacyAccountant(request):  # noqa: N802 - reads like the class it builds
-    """Both engines behind the reference constructor signature."""
-    mode = request.param
+    """Both engines behind the reference constructor signature: the dict
+    ledger itself, and the curator's ledger as ``make_accountant`` builds it."""
+    if request.param == "object":
+        return ObjectPrivacyAccountant
 
     def build(epsilon, w, strict=True):
-        return make_accountant(epsilon, w, mode=mode, strict=strict)
+        return make_accountant(epsilon, w, mode=request.param, strict=strict)
 
     return build
 

@@ -17,6 +17,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError, PrivacyBudgetError
 from repro.ldp.accountant import (
+    ACCOUNTANT_MODES,
     ColumnarPrivacyAccountant,
     PrivacyAccountant,
     make_accountant,
@@ -257,12 +258,14 @@ class TestEdgeCases:
 
 class TestFactory:
     def test_make_accountant_modes(self):
-        assert isinstance(make_accountant(1.0, 3, mode="object"), PrivacyAccountant)
+        """The curator's ledger is columnar; the dict ledger is not a mode."""
+        assert ACCOUNTANT_MODES == ("columnar",)
         assert isinstance(
             make_accountant(1.0, 3, mode="columnar"), ColumnarPrivacyAccountant
         )
-        with pytest.raises(ConfigurationError):
-            make_accountant(1.0, 3, mode="ledger-9000")
+        for mode in ("object", "ledger-9000"):
+            with pytest.raises(ConfigurationError):
+                make_accountant(1.0, 3, mode=mode)
 
     def test_shared_slots_honoured(self):
         table = UserSlotTable()

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.exceptions import ConfigurationError, DomainError
 from repro.ldp.oue import OptimizedUnaryEncoding, oue_variance
 
+from reference.oue import collect_loop, simulate_ones_loop
+
 
 class TestParameters:
     def test_flip_probabilities(self):
@@ -164,9 +166,7 @@ class TestBatchedExactMode:
             for i in range(80)
         ])
         loop = np.stack([
-            OptimizedUnaryEncoding(
-                6, 1.0, rng=5000 + i, mode="exact-loop"
-            ).collect(values)
+            collect_loop(OptimizedUnaryEncoding(6, 1.0, rng=5000 + i), values)
             for i in range(80)
         ])
         assert batched.mean(axis=0) == pytest.approx(loop.mean(axis=0), abs=60)
@@ -197,20 +197,23 @@ class TestBatchedExactMode:
         assert runs.mean(axis=0)[2] == pytest.approx(500, abs=60)
 
     def test_loop_mode_matches_perturb_one_stream(self):
-        """exact-loop is literally perturb_one per user on the same rng."""
+        """The reference loop is perturb_one per user on one rng, and its
+        debiased sum is what ``aggregate`` makes of the same reports."""
         values = [1, 0, 2, 2, 1]
-        a = OptimizedUnaryEncoding(3, 1.0, rng=11, mode="exact-loop")
-        ones = a.simulate_ones(values)
-        b = OptimizedUnaryEncoding(3, 1.0, rng=11, mode="exact-loop")
-        expected = np.zeros(3)
-        for v in values:
-            expected += b.perturb_one(v)
-        assert ones == pytest.approx(expected)
+        ones = simulate_ones_loop(OptimizedUnaryEncoding(3, 1.0, rng=11), values)
+        b = OptimizedUnaryEncoding(3, 1.0, rng=11)
+        reports = np.stack([b.perturb_one(v) for v in values])
+        assert ones == pytest.approx(reports.sum(axis=0))
+        est = collect_loop(OptimizedUnaryEncoding(3, 1.0, rng=11), values)
+        assert est == pytest.approx(b.aggregate(reports))
 
     def test_empty_input_all_modes(self):
-        for mode in ("exact", "exact-loop", "fast"):
+        for mode in ("exact", "fast"):
             oue = OptimizedUnaryEncoding(5, 1.0, rng=0, mode=mode)
             assert np.all(oue.collect([]) == 0)
+        assert np.all(collect_loop(OptimizedUnaryEncoding(5, 1.0, rng=0), []) == 0)
+        with pytest.raises(ConfigurationError):
+            OptimizedUnaryEncoding(5, 1.0, mode="exact-loop")
 
 
 class TestPrivacyProperty:

@@ -23,6 +23,30 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--out", "x.npz"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--dataset", "tdrive", "--out", "x.npz"], ["serve", "--dataset", "tdrive"]],
+        ids=["run", "serve"],
+    )
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--compile-mode", "incremental"],
+            ["--compile-mode", "full-loop"],
+            ["--dmu-prefilter"],
+            ["--oracle-mode", "exact-loop"],
+            ["--accountant-mode", "object"],
+        ],
+        ids=lambda flags: "=".join(flags).lstrip("-"),
+    )
+    def test_removed_knobs_are_usage_errors(self, argv, flags, capsys):
+        """Removed reference modes are unknown to argparse: exit status 2."""
+        build_parser().parse_args(argv)  # the rest of the line is valid
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*argv, *flags])
+        assert exc.value.code == 2
+        assert flags[-1] in capsys.readouterr().err
+
 
 class TestDatasetsCommands:
     def test_list(self, capsys):
@@ -68,7 +92,7 @@ class TestRunEvaluate:
         code = main([
             "run", "--method", "RetraSyn_p", "--input", str(dataset_file),
             "--epsilon", "1.0", "--w", "5", "--out", str(out),
-            "--engine", "vectorized", "--compile-mode", "full-loop",
+            "--engine", "vectorized", "--oracle-mode", "exact",
             "--synthesis-shards", "2",
         ])
         assert code == 0
