@@ -2,9 +2,9 @@
 
 Every scaling PR rests on contracts that are otherwise only checked
 *dynamically* — bit-identical RNG draw order across the serial and
-distributed executors, pickle-safe checkpoint state, wire-schema and
-spec↔CLI consistency.  A violation is caught (if at all) by an expensive
-differential test long after the offending line was written.  This package
+distributed executors, wire-schema and spec↔CLI consistency.  A
+violation is caught (if at all) by an expensive differential test long
+after the offending line was written.  This package
 proves those invariants over the *program structure* instead: an
 AST-walking rule engine that fails in seconds, wired into CI and into the
 tier-1 test suite (``tests/analysis/test_repo_clean.py``).
@@ -17,8 +17,7 @@ Layout:
   (``lint-baseline.json``): content-addressed entries with justifications;
 * :mod:`~repro.analysis.lint.rules_determinism` — RNG discipline,
   wall-clock reads, nondeterministic ``set`` iteration;
-* :mod:`~repro.analysis.lint.rules_concurrency` — checkpoint pickle
-  safety, lock-scope hygiene;
+* :mod:`~repro.analysis.lint.rules_concurrency` — lock-scope hygiene;
 * :mod:`~repro.analysis.lint.rules_registry` — wire-schema verb
   consistency, spec/CLI drift, metric naming/documentation;
 * :mod:`~repro.analysis.lint.cli` — the ``repro lint`` subcommand

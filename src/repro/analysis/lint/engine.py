@@ -106,28 +106,6 @@ class Module:
             if target == dotted
         }
 
-    def resolve_call(self, func: ast.AST) -> Optional[str]:
-        """Dotted origin of a call target, or ``None`` when unresolvable.
-
-        ``threading.Lock()`` resolves through the import table to
-        ``"threading.Lock"``; ``Lock()`` after ``from threading import
-        Lock`` resolves identically, so rules match on one vocabulary.
-        """
-        if isinstance(func, ast.Name):
-            return self.from_imports.get(func.id, func.id)
-        if isinstance(func, ast.Attribute):
-            parts: List[str] = []
-            node: ast.AST = func
-            while isinstance(node, ast.Attribute):
-                parts.append(node.attr)
-                node = node.value
-            if not isinstance(node, ast.Name):
-                return None
-            head = self.module_aliases.get(node.id, self.from_imports.get(node.id))
-            parts.append(head if head is not None else node.id)
-            return ".".join(reversed(parts))
-        return None
-
     # ------------------------------------------------------------------ #
     # suppressions
     # ------------------------------------------------------------------ #

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.analysis.lint.engine import Rule
-from repro.analysis.lint.rules_concurrency import LockScopeRule, PickleSafetyRule
+from repro.analysis.lint.rules_concurrency import LockScopeRule
 from repro.analysis.lint.rules_determinism import (
     RngGlobalStateRule,
     SetIterationRule,
@@ -27,7 +27,6 @@ _RULE_CLASSES = (
     RngGlobalStateRule,
     WallClockRule,
     SetIterationRule,
-    PickleSafetyRule,
     LockScopeRule,
     SchemaVerbRule,
     SpecDriftRule,

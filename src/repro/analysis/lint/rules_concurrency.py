@@ -1,117 +1,22 @@
-"""Concurrency rules: checkpoint pickle safety and lock-scope hygiene.
+"""Concurrency rule: lock-scope hygiene.
 
-Checkpoints pickle curator ``__dict__`` wholesale (PR 2), so any class in
-the checkpointed planes that stores process-local machinery — locks,
-threads, sockets, pools — must exclude it via ``__getstate__`` /
-``__reduce__`` (the PR 4 "pool excluded from pickles" pattern).  And the
-PR 8 hung-coordinator class of bug came from blocking socket reads while
-holding a lock; the sanctioned shapes are ``with lock:`` blocks that
+The PR 8 hung-coordinator class of bug came from blocking socket reads
+while holding a lock; the sanctioned shapes are ``with lock:`` blocks that
 never contain a blocking receive.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Optional
+from typing import Iterable
 
 from repro.analysis.lint.engine import Finding, Module, Rule
-from repro.analysis.lint.rules_determinism import DETERMINISTIC_PLANES
-
-#: Constructors whose instances must never reach a pickle.
-_UNPICKLABLE = frozenset(
-    {
-        "threading.Lock", "threading.RLock", "threading.Condition",
-        "threading.Event", "threading.Semaphore", "threading.BoundedSemaphore",
-        "threading.Barrier", "threading.Thread", "threading.local",
-        "socket.socket", "socket.socketpair", "socket.create_connection",
-        "concurrent.futures.ThreadPoolExecutor",
-        "concurrent.futures.ProcessPoolExecutor",
-        "concurrent.futures.thread.ThreadPoolExecutor",
-        "concurrent.futures.process.ProcessPoolExecutor",
-        "multiprocessing.Pool", "multiprocessing.pool.Pool",
-        "multiprocessing.Process", "multiprocessing.Queue",
-        "multiprocessing.Pipe", "multiprocessing.Manager",
-        "queue.Queue", "queue.SimpleQueue", "queue.LifoQueue",
-        "queue.PriorityQueue",
-    }
-)
-
-#: Dunder methods that take pickling into the class's own hands.
-_PICKLE_HOOKS = frozenset({"__getstate__", "__reduce__", "__reduce_ex__"})
 
 #: Blocking receive shapes (stdlib socket plus this repo's frame helpers).
 _BLOCKING_RECV = frozenset(
     {"recv", "recv_into", "recvfrom", "recvmsg", "accept",
-     "recv_frame", "recv_frame_sized", "_recv_exact", "_recv"}
+     "recv_frame", "recv_frame_bytes", "_recv_exact", "_recv", "_recv_frame"}
 )
-
-
-class PickleSafetyRule(Rule):
-    """Checkpointed classes must not pickle locks/threads/sockets/pools."""
-
-    name = "pickle-unsafe-state"
-    severity = "error"
-    description = (
-        "classes in the checkpointed planes (core/, ldp/, stream/) that "
-        "store locks/threads/sockets/pools on self must define "
-        "__getstate__ or __reduce__ excluding them"
-    )
-
-    def visit_module(self, module: Module) -> Iterable[Finding]:
-        if module.plane not in DETERMINISTIC_PLANES:
-            return
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ClassDef):
-                yield from self._check_class(module, node)
-
-    def _check_class(
-        self, module: Module, cls: ast.ClassDef
-    ) -> Iterable[Finding]:
-        has_hook = any(
-            isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and item.name in _PICKLE_HOOKS
-            for item in cls.body
-        )
-        if has_hook:
-            return
-        for item in cls.body:
-            if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for stmt in ast.walk(item):
-                value: Optional[ast.AST] = None
-                targets: List[ast.AST] = []
-                if isinstance(stmt, ast.Assign):
-                    value, targets = stmt.value, stmt.targets
-                elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                    value, targets = stmt.value, [stmt.target]
-                if value is None:
-                    continue
-                self_attrs = [
-                    t for t in targets
-                    if isinstance(t, ast.Attribute)
-                    and isinstance(t.value, ast.Name)
-                    and t.value.id == "self"
-                ]
-                if not self_attrs:
-                    continue
-                bad = self._unpicklable_call(module, value)
-                if bad is not None:
-                    attr = self_attrs[0].attr
-                    yield module.finding(
-                        self, stmt,
-                        f"{cls.name}.{attr} holds a {bad} but {cls.name} "
-                        "defines no __getstate__/__reduce__; checkpoints "
-                        "pickle instance state wholesale (exclude it like "
-                        "the synthesis pool does)",
-                    )
-
-    def _unpicklable_call(self, module: Module, expr: ast.AST) -> Optional[str]:
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Call):
-                origin = module.resolve_call(node.func)
-                if origin in _UNPICKLABLE:
-                    return origin
-        return None
 
 
 class LockScopeRule(Rule):

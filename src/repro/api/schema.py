@@ -26,7 +26,10 @@ Message types:
                     so far.
 ``snapshot``        Live synthetic stream cells (server → client).
 ``stats``           The session's monitoring counters.
-``checkpoint``      Request / confirm a curator checkpoint.
+``checkpoint``      Request / confirm a curator checkpoint; also a
+                    checkpoint file's header frame (version, grid, λ, spec).
+``state``           One component's ``state()`` in a checkpoint file or a
+                    ``shard-checkpoint`` exchange (:data:`STATE_COLUMNS`).
 ``result``          The finished synthetic stream database, columnar:
                     births, lengths and the flattened cell buffer.
 ``error``           Failure envelope: error class name + message.
@@ -35,10 +38,7 @@ Message types:
 The ``shard-*`` types (submit / advance / merge / checkpoint / stats /
 exit) are the shard-RPC vocabulary of the distributed collection plane
 (:mod:`repro.core.distributed`), exchanged between the coordinator and
-its per-shard worker processes over local sockets.  The ``blob`` column
-of ``shard-checkpoint`` carries a pickled shard state and is therefore
-only ever read from the coordinator's own workers, never from a network
-ingress.
+its per-shard worker processes over local sockets.
 
 Because every frame carries its own length, frames *concatenate*: one
 request body may pipeline several ``report-batch`` frames back-to-back
@@ -55,7 +55,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from repro.exceptions import ReproError
+from repro.exceptions import DatasetError, ReproError
 from repro.stream.reports import ReportBatch
 
 #: The schema version every message carries in its ``schema`` field.
@@ -82,6 +82,7 @@ MESSAGE_TYPES = (
     "checkpoint",
     "result",
     "error",
+    "state",
     # Shard-RPC types: the coordinator <-> shard-worker protocol of the
     # distributed collection plane.  Same framing, same column dtypes — a
     # shard worker is just another peer on the wire.
@@ -105,12 +106,49 @@ _COLUMN_DTYPES = {
     "lengths": np.int64,
     "flat_cells": np.int64,
     "rows": np.int64,
-    # Shard-RPC columns: raw per-position one-counts and the opaque
-    # checkpoint payload a worker ships through the coordinator (trusted
-    # local transport only — never an ingress format).
+    # Shard-RPC column: raw per-position one-counts.
     "ones": np.float64,
-    "blob": np.uint8,
 }
+
+#: Dtype marker: the trajectory store's cell dtype, which the grid decides;
+#: a frame names it in ``cell_dtype`` (one of :data:`CELL_DTYPES`).
+CELLS = None
+CELL_DTYPES = ("int8", "int16", "int32")
+
+#: Array dtypes of each component kind's ``state()`` (arrays trimmed to their
+#: used length, plus JSON scalars), which ``load_state`` reads back into an
+#: instance its constructor built; slot tables name hung columns by owner.
+STATE_COLUMNS = {
+    "engine": {"reporters": np.int64, "significant": np.int64},
+    "context": {"freqs": np.float64, "ratios": np.float64},
+    "budget": {"window": np.float64},
+    "model": {"frequencies": np.float64},
+    "synthesizer": {"live": np.int64, "finished": np.int64},
+    "store": {
+        "cells": CELLS, "archive": CELLS, "free": np.int64, "live": np.int64,
+        "birth": np.int64, "length": np.int64, "where": np.int64,
+    },
+    "slots": {
+        "uids": np.int64, "ring": np.float64, "total": np.float64,
+        "status": np.int8, "last_report": np.int64, "idle_since": np.int64,
+    },
+    "ledger": {"col_t": np.int64, "arch_uid": np.int64, "arch_total": np.float64},
+    "shard": {"phase_uids": np.int64, "phases": np.int64},
+    "tracker": {"hist_uid": np.int64, "hist_t": np.int64},
+}
+
+
+def _column_dtypes(msg: dict) -> dict:
+    """The table pinning ``msg``'s columns: the wire's or, for a ``state``
+    frame, its kind's :data:`STATE_COLUMNS` row, cells in ``cell_dtype``."""
+    if msg.get("type") != "state":
+        return _COLUMN_DTYPES
+    kind, cells = msg.get("component"), msg.get("cell_dtype")
+    if not isinstance(kind, str) or kind not in STATE_COLUMNS:
+        raise SchemaError(f"unknown state component {kind!r}")
+    cells = cells if isinstance(cells, str) and cells in CELL_DTYPES else None
+    row = STATE_COLUMNS[kind].items()
+    return {k: cells if d is CELLS else d for k, d in row if d is not CELLS or cells}
 
 
 class SchemaError(ReproError):
@@ -192,9 +230,10 @@ def dump_frame_parts(msg: dict) -> list:
     cols: list[list] = []
     buffers: list = []
     payload_len = 0
+    dtypes = _column_dtypes(msg)
     for key, value in msg.items():
         if isinstance(value, np.ndarray):
-            dtype = _COLUMN_DTYPES.get(key)
+            dtype = dtypes.get(key)
             if dtype is None:
                 raise SchemaError(f"unknown wire column {key!r}")
             arr = np.ascontiguousarray(value.astype(dtype, copy=False))
@@ -277,6 +316,7 @@ def load_frame(
     cols = msg.pop("_cols", [])
     if not isinstance(cols, list):
         raise SchemaError("frame _cols manifest must be a list")
+    dtypes = _column_dtypes(msg)
     payload = view[payload_start:end]
     pos = 0
     for entry in cols:
@@ -287,7 +327,7 @@ def load_frame(
             raise SchemaError(f"malformed _cols entry {entry!r}") from exc
         if not isinstance(name, str):
             raise SchemaError(f"malformed _cols entry {entry!r}")
-        dtype = _COLUMN_DTYPES.get(name)
+        dtype = dtypes.get(name)
         if dtype is None:
             raise SchemaError(f"unknown wire column {name!r}")
         nbytes = count * np.dtype(dtype).itemsize
@@ -442,6 +482,22 @@ def parse_result(
     if int(lengths.sum()) != flat_cells.size:
         raise SchemaError("result flat_cells length disagrees with lengths")
     return births, lengths, flat_cells, n_timestamps, name, user_ids
+
+
+def load_states(components, msgs) -> None:
+    """Fill each ``(kind, component)`` from its ``state`` frame, in order;
+    any missing, mistyped or inconsistent value is a ``DatasetError``."""
+    kinds = [kind for kind, _ in components]
+    found = [msg.get("component") for msg in msgs]
+    if found != kinds:
+        raise DatasetError(f"state frames {found} do not match components {kinds}")
+    for (kind, component), msg in zip(components, msgs):
+        try:
+            component.load_state(msg)
+        except (
+            ValueError, TypeError, IndexError, KeyError, AttributeError, OverflowError
+        ) as exc:
+            raise DatasetError(f"bad {kind} state: {exc!r}") from exc
 
 
 def error_message(exc: BaseException) -> dict:

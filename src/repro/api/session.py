@@ -86,11 +86,10 @@ class _SessionBase:
         )
         self._closed = False
         self._since_checkpoint = 0
-        # The registry lives here, never on the curator: curator
-        # checkpoint_state() pickles __dict__ and metrics must not leak
-        # into checkpoints. Most series are callbacks over state the
-        # engines already keep, so the hot path pays only one histogram
-        # observation per round.
+        # The registry lives here, never on the curator: metrics are
+        # process-local and no part of a checkpoint. Most series are
+        # callbacks over state the engines already keep, so the hot path
+        # pays only one histogram observation per round.
         self.metrics = MetricsRegistry()
         self._register_curator_metrics()
 
@@ -541,32 +540,18 @@ def create_session(spec, grid, *, lam: Optional[float] = None) -> CuratorSession
     return DirectSession(curator, spec)
 
 
-def load_session(
-    path,
-    spec: Optional[SessionSpec] = None,
-    service: Optional[ServiceSpec] = None,
-) -> CuratorSession:
+def load_session(path, service: Optional[ServiceSpec] = None) -> CuratorSession:
     """Resume the session frozen at ``path`` by :meth:`checkpoint`.
 
-    The checkpoint stores the session spec; ``spec`` replaces it
-    wholesale, while ``service`` replaces only the service layer
-    (transport, lateness, cadence, binding) and keeps the stored
-    privacy/engine/sharding layers — the right tool when a restarted
-    deployment passes fresh service flags but must not misdescribe the
-    engine the checkpoint actually restores.
+    The session runs under the spec the checkpoint stores, which describes
+    the engine it restores; ``service`` replaces only its service layer
+    (transport, lateness, cadence, binding) for a restarted deployment.
     """
     import dataclasses
 
     from repro.core.persistence import load_checkpoint_with_spec
 
-    if spec is not None and service is not None:
-        raise ConfigurationError(
-            "pass either a whole spec or a service layer to load_session, "
-            "not both"
-        )
-    curator, stored_spec = load_checkpoint_with_spec(path)
-    if spec is None:
-        spec = stored_spec
+    curator, spec = load_checkpoint_with_spec(path)
     if service is not None:
         spec = dataclasses.replace(spec, service=service)
     if spec.service.transport == "ingest":

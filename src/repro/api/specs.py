@@ -460,15 +460,10 @@ class SessionSpec:
         """Lift a flat :class:`~repro.core.retrasyn.RetraSynConfig`.
 
         ``config`` may be any object exposing the flat field names
-        (dataclass instances and plain namespaces both work); missing
-        fields keep their spec defaults, so older pickled configs lift
-        cleanly too.
+        (dataclass instances and plain namespaces both work).
         """
-        flat = {}
-        for name in _FLAT_LAYOUT:
-            if hasattr(config, name):
-                flat[name] = getattr(config, name)
-        spec = cls.from_flat(seed=getattr(config, "seed", None), **flat)
+        flat = {name: getattr(config, name) for name in _FLAT_LAYOUT}
+        spec = cls.from_flat(seed=config.seed, **flat)
         if service is not None:
             spec = dataclasses.replace(spec, service=service)
         return spec

@@ -66,6 +66,21 @@ class AllocationContext:
         self._freq_history = deque(maxlen=self.kappa + 1)
         self._ratio_history = deque(maxlen=self.kappa)
 
+    def state(self) -> dict:
+        freqs = list(self._freq_history)
+        return {
+            "n_freqs": len(freqs),
+            "freqs": np.concatenate(freqs) if freqs else np.empty(0),
+            "ratios": np.asarray(self._ratio_history, dtype=np.float64),
+        }
+
+    def load_state(self, state: dict) -> None:
+        freqs, n = state["freqs"].copy(), int(state["n_freqs"])
+        self._freq_history.clear()
+        self._freq_history.extend(freqs.reshape(n, -1) if n or freqs.size else [])
+        self._ratio_history.clear()
+        self._ratio_history.extend(state["ratios"].tolist())
+
     def record_collection(self, collected_freqs: np.ndarray) -> None:
         self._freq_history.append(np.asarray(collected_freqs, dtype=float))
 

@@ -30,10 +30,10 @@ Shard RPC (all messages are RSF2 binary frames; see ``docs/API.md``):
                       the shard-local budget spend.
 ``shard-merge``       The advance reply: raw one-counts, reporter ids,
                       user-side and whole-round seconds.
-``shard-checkpoint``  Serialize (``op="get"``) or restore (``op="set"``)
-                      the shard's full state — tracker, rng, ledger — as
-                      an opaque pickle ``blob`` column.  Trusted local
-                      transport only; never accepted from an ingress.
+``shard-checkpoint``  Return (``op="get"``) or restore (``op="set"``) the
+                      shard and shard-ledger state: ``n_frames`` component
+                      ``state`` frames follow the reply or request, moved
+                      between worker and file unchanged.
 ``shard-stats``       The shard ledger's audit summary and violations, and
                       the resident / retired row counts of the shard's
                       ledger and tracker planes.
@@ -63,7 +63,6 @@ its exit code instead of hanging the coordinator.
 from __future__ import annotations
 
 import multiprocessing as mp
-import pickle
 import socket
 import time
 from typing import Optional, Sequence
@@ -73,6 +72,7 @@ import numpy as np
 from repro.api import schema
 from repro.exceptions import (
     ConfigurationError,
+    DatasetError,
     PrivacyBudgetError,
     ShardWorkerError,
 )
@@ -123,14 +123,12 @@ def send_frame(sock: socket.socket, msg: dict) -> int:
     return total
 
 
-def recv_frame_sized(sock: socket.socket) -> tuple[Optional[dict], int]:
-    """:func:`recv_frame` plus the frame's on-wire byte count."""
+def recv_frame_bytes(sock: socket.socket) -> Optional[bytes]:
+    """One whole frame, undecoded; ``None`` when the peer closed."""
     prefix = _recv_exact(sock, schema.FRAME_PREFIX_LEN, allow_eof=True)
     if prefix is None:
-        return None, 0
-    body = _recv_exact(sock, schema.frame_length(prefix))
-    msg, _end = schema.load_frame(prefix + body)
-    return msg, len(prefix) + len(body)
+        return None
+    return prefix + _recv_exact(sock, schema.frame_length(prefix))
 
 
 def recv_frame(sock: socket.socket) -> Optional[dict]:
@@ -139,8 +137,8 @@ def recv_frame(sock: socket.socket) -> Optional[dict]:
     Raises :class:`ConnectionError` on a mid-frame EOF and
     :class:`~repro.api.schema.SchemaError` on malformed framing.
     """
-    msg, _nbytes = recv_frame_sized(sock)
-    return msg
+    frame = recv_frame_bytes(sock)
+    return None if frame is None else schema.load_frame(frame)[0]
 
 
 # ---------------------------------------------------------------------- #
@@ -167,16 +165,17 @@ class _ShardService:
         # ``(t, batch, entered, quitted)``, or None between rounds.
         self._staged: Optional[tuple] = None
 
-    def handle(self, msg: dict) -> dict:
+    def handle(self, msg: dict) -> list:
+        """Reply frames: one, plus the state frames after a checkpoint get."""
         type_ = msg["type"]
         if type_ == "shard-submit":
-            return self._submit(msg)
+            return [self._submit(msg)]
         if type_ == "shard-advance":
-            return self._advance(msg)
+            return [self._advance(msg)]
         if type_ == "shard-checkpoint":
             return self._checkpoint(msg)
         if type_ == "shard-stats":
-            return self._stats()
+            return [self._stats()]
         raise ConfigurationError(f"unexpected shard-RPC message {type_!r}")
 
     def _submit(self, msg: dict) -> dict:
@@ -233,21 +232,22 @@ class _ShardService:
             user_ids=np.asarray(uids, dtype=np.int64),
         )
 
-    def _checkpoint(self, msg: dict) -> dict:
+    def _checkpoint(self, msg: dict) -> list:
+        ledger = self.accountant.components() if self.accountant is not None else []
+        components = self.shard.components() + ledger
         if msg.get("op") == "get":
-            blob = pickle.dumps(
-                (self.shard, self.accountant), protocol=pickle.HIGHEST_PROTOCOL
-            )
-            return schema.message(
-                "shard-checkpoint", op="state",
-                blob=np.frombuffer(blob, dtype=np.uint8),
-            )
+            frames = [
+                schema.message("state", component=kind, **component.state())
+                for kind, component in components
+            ]
+            return [
+                schema.message("shard-checkpoint", op="state", n_frames=len(frames)),
+                *frames,
+            ]
         if msg.get("op") == "set":
-            self.shard, self.accountant = pickle.loads(
-                np.asarray(msg["blob"]).tobytes()
-            )
+            schema.load_states(components, msg["frames"])
             self._staged = None
-            return schema.message("ack")
+            return [schema.message("ack")]
         raise ConfigurationError(
             f"shard-checkpoint op must be 'get' or 'set', got {msg.get('op')!r}"
         )
@@ -291,16 +291,21 @@ def _socket_shard_worker(sock: socket.socket, grid: Grid, config, seed: int) -> 
         while True:
             try:
                 msg = recv_frame(sock)
+                if msg is not None and msg["type"] == "shard-checkpoint" and (
+                    msg.get("op") == "set"
+                ):  # the component frames follow the request
+                    msg["frames"] = [recv_frame(sock) for _ in range(msg["n_frames"])]
             except (ConnectionError, OSError, schema.SchemaError):
                 return
             if msg is None or msg["type"] == "shard-exit":
                 return
             try:
-                reply = service.handle(msg)
+                replies = service.handle(msg)
             except Exception as exc:
-                reply = schema.error_message(exc)
+                replies = [schema.error_message(exc)]
             try:
-                send_frame(sock, reply)
+                for reply in replies:
+                    send_frame(sock, reply)
             except OSError:
                 return
     finally:
@@ -378,9 +383,14 @@ class ShardSocketPool:
             f"{self._round_timeout}s (process alive but unresponsive)"
         )
 
-    def _send(self, k: int, msg: dict, op: str) -> None:
+    def _send(self, k: int, msg, op: str) -> None:
+        """Send a message, or an encoded frame forwarded as it is."""
         try:
-            self.bytes_sent += send_frame(self._socks[k], msg)
+            if isinstance(msg, dict):
+                self.bytes_sent += send_frame(self._socks[k], msg)
+            else:
+                self._socks[k].sendall(msg)
+                self.bytes_sent += len(msg)
             self.frames_sent += 1
         except socket.timeout as exc:
             # Must precede OSError: socket.timeout is an OSError subclass,
@@ -389,18 +399,25 @@ class ShardSocketPool:
         except OSError as exc:
             raise self._dead(k, op) from exc
 
-    def _recv(self, k: int, op: str, expect: str) -> dict:
+    def _recv_frame(self, k: int, op: str) -> bytes:
+        """One undecoded frame from shard ``k``."""
         try:
-            msg, nbytes = recv_frame_sized(self._socks[k])
-            self.bytes_received += nbytes
-            if msg is not None:
-                self.frames_received += 1
+            frame = recv_frame_bytes(self._socks[k])
         except socket.timeout as exc:
             raise self._hung(k, op) from exc
         except (OSError, schema.SchemaError) as exc:
             raise self._dead(k, op) from exc
-        if msg is None:
+        if frame is None:
             raise self._dead(k, op)
+        self.bytes_received += len(frame)
+        self.frames_received += 1
+        return frame
+
+    def _recv(self, k: int, op: str, expect: str) -> dict:
+        try:
+            msg = schema.load_frame(self._recv_frame(k, op))[0]
+        except schema.SchemaError as exc:
+            raise self._dead(k, op) from exc
         if msg["type"] == "error":
             raise self._worker_error(k, op, msg)
         if msg["type"] != expect:
@@ -424,6 +441,8 @@ class ShardSocketPool:
             return PrivacyBudgetError(detail)
         if error == "ConfigurationError":
             return ConfigurationError(detail)
+        if error == "DatasetError":
+            return DatasetError(detail)
         return RuntimeError(
             f"collection shard {k} failed ({op}):\n{error}: {detail}"
         )
@@ -511,7 +530,7 @@ class ShardSocketPool:
     # checkpoint / audit verbs
     # -------------------------------------------------------------- #
     def get_states(self) -> list:
-        """Fetch every shard's ``(CollectionShard, accountant)`` state."""
+        """Every worker's component ``state`` frames, undecoded, by shard."""
         for k in range(len(self._socks)):
             self._send(
                 k, schema.message("shard-checkpoint", op="get"), "checkpoint"
@@ -519,21 +538,21 @@ class ShardSocketPool:
         states = []
         for k in range(len(self._socks)):
             rep = self._recv(k, "checkpoint", expect="shard-checkpoint")
-            states.append(pickle.loads(np.asarray(rep["blob"]).tobytes()))
+            states.append(
+                [self._recv_frame(k, "checkpoint") for _ in range(rep["n_frames"])]
+            )
         return states
 
     def set_states(self, states: Sequence) -> None:
-        """Ship ``(CollectionShard, accountant)`` states back to workers."""
-        for k in range(len(self._socks)):
-            blob = pickle.dumps(states[k], protocol=pickle.HIGHEST_PROTOCOL)
+        """Send each worker the frames :meth:`get_states` returned for it."""
+        for k, frames in enumerate(states):
             self._send(
                 k,
-                schema.message(
-                    "shard-checkpoint", op="set",
-                    blob=np.frombuffer(blob, dtype=np.uint8),
-                ),
+                schema.message("shard-checkpoint", op="set", n_frames=len(frames)),
                 "checkpoint",
             )
+            for frame in frames:
+                self._send(k, frame, "checkpoint")
         for k in range(len(self._socks)):
             self._recv(k, "checkpoint", expect="ack")
 
@@ -591,24 +610,15 @@ class DistributedAccountantView:
     add, window maxima take the max, verdicts AND together.
     """
 
-    def __init__(self, engine=None, frozen: Optional[list] = None) -> None:
+    def __init__(self, engine) -> None:
         self._engine = engine
-        self._frozen = frozen
 
-    # -------------------------------------------------------------- #
     def _shard_stats(self) -> list[dict]:
-        eng = self._engine
-        if eng is not None:
-            pool = getattr(eng, "_pool", None)
-            if pool is not None and getattr(pool, "alive", False):
-                stats = pool.stats()
-                self._frozen = stats
-                return stats
-            final = getattr(eng, "_final_summaries", None)
-            if final is not None:
-                return final
-        if self._frozen is not None:
-            return self._frozen
+        pool = self._engine._pool
+        if pool is not None and pool.alive:
+            return pool.stats()
+        if self._engine._final_summaries is not None:
+            return self._engine._final_summaries
         raise ShardWorkerError(
             "shard ledgers unreachable: the worker pool is closed and no "
             "final summary was cached"
@@ -686,18 +696,3 @@ class DistributedAccountantView:
         """Whether every shard's ledger satisfied the w-event bound."""
         return self.summary()["satisfied"]
 
-    # -------------------------------------------------------------- #
-    # pickling: checkpoints freeze the current summaries; the engine
-    # re-binds a live view on restore.
-    # -------------------------------------------------------------- #
-    def __getstate__(self) -> dict:
-        frozen = self._frozen
-        if self._engine is not None:
-            try:
-                frozen = self._shard_stats()
-            except Exception:  # pragma: no cover - defensive
-                pass
-        return {"_engine": None, "_frozen": frozen}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)

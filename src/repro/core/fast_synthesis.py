@@ -43,7 +43,7 @@ from repro.core.mobility_model import GlobalMobilityModel
 from repro.core.trajectory_store import TrajectoryStore
 from repro.exceptions import ConfigurationError
 from repro.geo.trajectory import CellTrajectory
-from repro.rng import RngLike, ensure_rng
+from repro.rng import RngLike, ensure_rng, load_rng
 
 #: Below this many live streams a shard round trip costs more than it saves.
 _MIN_STREAMS_PER_SHARD = 2048
@@ -218,7 +218,7 @@ class VectorizedSynthesizer:
         if self.synthesis_shards > 1:
             seeds = self.rng.integers(0, 2**63 - 1, size=self.synthesis_shards)
             self._shard_rngs = [np.random.default_rng(int(s)) for s in seeds]
-        self._pool = None  # lazy ThreadPoolExecutor; never pickled
+        self._pool = None  # lazy ThreadPoolExecutor
 
     # ------------------------------------------------------------------ #
     # views
@@ -375,7 +375,7 @@ class VectorizedSynthesizer:
         self.store.kill(drop_rows)
 
     # ------------------------------------------------------------------ #
-    # lifecycle / pickling (checkpoints)
+    # lifecycle and checkpoint state
     # ------------------------------------------------------------------ #
     def close(self) -> None:
         """Release the slab thread pool (rebuilt lazily if stepped again)."""
@@ -389,15 +389,11 @@ class VectorizedSynthesizer:
         except Exception:
             pass
 
-    def __getstate__(self) -> dict:
-        # The thread pool is process-local machinery and the compiled
-        # model a pure function of ``self.model`` (rebuilt by the next
-        # step); everything else — store, shard rngs — is plain state.
-        state = dict(self.__dict__)
-        state["_pool"] = state["_compiled"] = None
-        return state
+    def state(self) -> dict:
+        """The slab rngs (the next step recompiles the model in full)."""
+        return {"shard_rngs": [rng.bit_generator.state for rng in self._shard_rngs or []]}
 
-    def __setstate__(self, state: dict) -> None:
-        # Older checkpoints pickled the compiled model, CDF row-major.
-        self.__dict__.update(state)
+    def load_state(self, state: dict) -> None:
+        for rng, value in zip(self._shard_rngs or [], state["shard_rngs"], strict=True):
+            load_rng(rng, value)
         self._compiled = None

@@ -60,6 +60,16 @@ class GlobalMobilityModel:
         """Bumped on every update; lets callers invalidate derived caches."""
         return self._version
 
+    def state(self) -> dict:
+        """Frequencies and version; derived caches are rebuilt on demand."""
+        return {"version": self._version, "frequencies": self._freqs}
+
+    def load_state(self, state: dict) -> None:
+        self._freqs = state["frequencies"].copy().reshape(self._freqs.shape)
+        self._version = int(state["version"])
+        self._cache.clear()
+        self._dirty_log.clear()
+
     def set_all(self, freqs: np.ndarray) -> None:
         """Replace the full frequency vector (AllUpdate variant / init)."""
         freqs = np.asarray(freqs, dtype=float)

@@ -46,6 +46,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.api import schema
 from repro.core.allocation import (
     AllocationContext,
     make_budget_allocator,
@@ -54,11 +55,11 @@ from repro.core.allocation import (
 from repro.core.dmu import DMUSelector
 from repro.core.mobility_model import GlobalMobilityModel
 from repro.core.synthesis import Synthesizer
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, DatasetError
 from repro.geo.grid import Grid
 from repro.ldp.accountant import make_accountant
 from repro.ldp.oue import OptimizedUnaryEncoding
-from repro.rng import ensure_rng
+from repro.rng import ensure_rng, load_rng
 from repro.stream.reports import ReportBatch, as_report_batch, shard_of_array
 from repro.stream.slots import UserSlotTable
 from repro.stream.state_space import TransitionStateSpace
@@ -555,53 +556,68 @@ class OnlineRetraSyn:
         self.timings["synthesis"] += time.perf_counter() - tic
 
     # ------------------------------------------------------------------ #
-    # checkpointing (see repro.core.persistence)
+    # checkpoint state (see repro.core.persistence)
     # ------------------------------------------------------------------ #
-    def checkpoint_state(self) -> dict:
-        """Everything needed to resume this curator bit-for-bit.
-
-        The whole attribute graph (rng, model, synthesizer, shards,
-        allocators, accountant, feedback context, …) is returned as one
-        dict so that shared references — the synthesizer and the K=1
-        serial shard drawing from the engine's rng, that shard's tracker
-        sharing the ledger's slot table — survive a pickle round trip
-        intact.  Distributed shards live in worker memory, so they are
-        fetched over the sockets together with their shard-local
-        accountants — each ``_shards`` entry is then a ``(shard,
-        accountant)`` pair — and the pool itself (processes, sockets) is
-        never part of a checkpoint.
-        """
-        state = {k: v for k, v in self.__dict__.items() if k != "_pool"}
-        if self._pool is not None:
-            state["_shards"] = self._pool.get_states()
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`checkpoint_state` on a freshly built curator."""
-        state = dict(state)
-        state.pop("_pool", None)
-        tracker = state.pop("_tracker", None)
-        report_phase = state.pop("_report_phase", {})
-        shards = state.pop("_shards", None)
-        # Attributes a fresh curator lacks belonged to removed features
-        # (the DMU prefilter's candidate mask); they are not restored.
-        self.__dict__.update(
-            (name, value) for name, value in state.items() if name in self.__dict__
-        )
-        if shards is None:
-            # Written before K=1 collected through a shard: the engine then
-            # held the tracker and report phases itself.
-            shards = self._shards
-            shards[0].rng, shards[0].tracker = self.rng, tracker
-            shards[0]._report_phase = report_phase
+    def components(self) -> list:
+        """``(kind, component)`` pairs this process checkpoints, in order:
+        engine, planes and serial shards, a shared slot table once."""
+        pairs = [
+            ("engine", self), ("context", self.context), ("model", self.model),
+            ("synthesizer", self.synthesizer), ("store", self.synthesizer.store),
+        ]
+        if self._budget_alloc is not None:
+            pairs.append(("budget", self._budget_alloc.tracker))
         if self._pool is None:
-            self._shards = shards
-        else:
-            self._pool.set_states(shards)
-            # The unpickled accountant view is frozen (no engine behind
-            # it); re-bind it so it queries the restored worker ledgers.
             if self.accountant is not None:
-                self.accountant._engine = self
+                pairs += self.accountant.components()
+            for shard in self._shards:
+                listed = {id(component) for _, component in pairs}
+                pairs += [p for p in shard.components() if id(p[1]) not in listed]
+        return pairs
+
+    def state(self) -> dict:
+        """The engine's own scalars: rng, clock, timings, per-round counts."""
+        return {
+            "rng": self.rng.bit_generator.state, "last_t": self._last_t,
+            "model_initialized": self._model_initialized, "timings": self.timings,
+            "reporters": np.asarray(self.reporters_per_timestamp, dtype=np.int64),
+            "significant": np.asarray(self.significant_per_timestamp, dtype=np.int64),
+        }
+
+    def load_state(self, state: dict) -> None:
+        load_rng(self.rng, state["rng"])
+        last_t, timings = state["last_t"], state["timings"]
+        self.timings.update((name, float(timings[name])) for name in self.timings)
+        self._last_t = None if last_t is None else int(last_t)
+        self._model_initialized = state["model_initialized"] is True
+        self.reporters_per_timestamp = state["reporters"].tolist()
+        self.significant_per_timestamp = state["significant"].tolist()
+
+    def state_frames(self) -> list:
+        """Every component's ``state`` frame, as byte segments; each
+        distributed worker's shard frames are appended as it sent them."""
+        parts = []
+        for kind, component in self.components():
+            msg = schema.message("state", component=kind, **component.state())
+            parts += schema.dump_frame_parts(msg)
+        if self._pool is not None:
+            parts += [frame for frames in self._pool.get_states() for frame in frames]
+        return parts
+
+    def load_state_frames(self, frames: list) -> None:
+        """Inverse of :meth:`state_frames` on a fresh curator, from ``(message,
+        raw bytes)`` pairs; each worker gets its frames, as read."""
+        components = self.components()
+        # Serial: every frame is this process's; distributed: workers' follow.
+        n = len(components) if self._pool is not None else len(frames)
+        schema.load_states(components, [msg for msg, _ in frames[:n]])
+        if self._pool is None:
+            return
+        starts = [i for i, (msg, _) in enumerate(frames) if msg["component"] == "shard"]
+        if starts[:1] != [n]:
+            raise DatasetError("worker state frames must open with a shard frame")
+        bounds = zip(starts, starts[1:] + [len(frames)])
+        self._pool.set_states([[raw for _, raw in frames[a:b]] for a, b in bounds])
 
     # ------------------------------------------------------------------ #
     # state lifetime (see docs/ARCHITECTURE.md, "State lifetime")

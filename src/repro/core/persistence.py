@@ -5,29 +5,18 @@ A deployed curator needs to survive restarts.  Three artefact shapes:
 * **models** (npz): the learned global mobility model — frequencies plus
   the grid geometry and state-space flags needed to rebuild the space;
 * **configurations** (JSON): the full pipeline tuning;
-* **checkpoints** (pickle): the one curator engine's complete state — rng,
-  model, synthesizer (live synthetic streams), collection shards with
-  their user trackers (fetched from the worker processes under the
-  distributed executor), allocator feedback context and the
-  privacy-accountant ledger.  The stored config rebuilds the same shard
-  layout; a v4 file written while K=1 still kept its tracker on the
-  engine itself restores into the K=1 shard.  The columnar accounting
-  plane checkpoints as plain numpy state: the shared
-  :class:`~repro.stream.slots.UserSlotTable`, the columns hung on it (the
-  accountant's swept spend ring, the tracker's statuses) and the audit
-  archive are ordinary arrays, and pickle's reference sharing keeps the
-  tracker and accountant pointing at the *same* table after a restore.
-  The synthesis plane checkpoints the same way: the
-  :class:`~repro.core.trajectory_store.TrajectoryStore` live block and
-  archive and per-shard generation rngs are plain state
-  (the vectorized synthesizer drops its process-local thread pool and its
-  compiled model, both rebuilt lazily on the next step).  A curator restored from a checkpoint continues the stream
-  bit-for-bit identically to one that was never interrupted; the
-  ingestion service (:mod:`repro.stream.ingest`) checkpoints on this API.
+* **checkpoints** (format v5): RSF2 frames (:mod:`repro.api.schema`) — a
+  ``checkpoint`` header with the version, grid, λ and the session spec's
+  flat dict, then one ``state`` frame per stateful component (under the
+  distributed executor, the frames each worker returns for its shard).
 
-Checkpoints use :mod:`pickle` because they capture an arbitrary live
-object graph; load them only from paths you wrote yourself (same trust
-model as any process state file).  Restoring any artefact is pure
+Loading validates the header through ``SessionSpec.from_flat``, builds the
+curator with its normal constructor and calls ``load_state`` on each
+component, so shared references — the K=1 shard drawing from the engine
+rng, its tracker on the ledger's slot table — come from the constructor;
+the resumed curator continues bit for bit.  Nothing in a checkpoint is
+executable: a file without the RSF2 magic (a pickle checkpoint of format
+4 or older) is refused unread.  Restoring any artefact is pure
 post-processing of already-released statistics (paper Theorem 2), so
 persistence never touches the privacy budget.
 """
@@ -35,36 +24,26 @@ persistence never touches the privacy budget.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
-import pickle
 import warnings
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
+from repro.api import schema
 from repro.core.mobility_model import GlobalMobilityModel
 from repro.core.retrasyn import RetraSynConfig
-from repro.exceptions import ConfigurationError, DatasetError
+from repro.exceptions import ConfigurationError, DatasetError, ReproError
 from repro.geo.grid import Grid
 from repro.geo.point import BoundingBox
 from repro.stream.state_space import TransitionStateSpace
 
 _MODEL_FORMAT_VERSION = 1
-# v2: synthesizers keep their streams in a columnar TrajectoryStore (plus
-# ordered row-id lists for the object engine) instead of CellTrajectory
-# object lists; v1 checkpoints would restore a pre-store attribute layout
-# and are refused.
-# v3: the payload additionally carries the layered SessionSpec (the
-# canonical config surface since the unified curator API), so a resumed
-# service restores its deployment shape — transport, lateness bound,
-# checkpoint cadence — not just the engine state.
-# v4: live-window state layouts — the ledger is a swept ring on columns
-# owned by a self-compacting slot table (plus an audit archive of retired
-# rows), the tracker's columns live on the same table, and the trajectory
-# store is a live block plus a CSR archive.  Older checkpoints describe
-# attribute layouts that no longer exist and are refused by version.
-_CHECKPOINT_FORMAT_VERSION = 4
+# v5: RSF2 frames — a header, then one state frame per component.  v4 and
+# older were pickles of the curator's attribute graph; they are refused.
+_CHECKPOINT_FORMAT_VERSION = 5
 
 
 def save_model(model: GlobalMobilityModel, path: Union[str, Path]) -> None:
@@ -165,14 +144,25 @@ def checkpoint_exists(path: Union[str, Path]) -> bool:
     return bool(checkpoint_candidates(path))
 
 
+def _header(curator, spec) -> dict:
+    """The header frame: version, grid, λ and the spec's flat dict."""
+    flat = {**spec.flat(), **dataclasses.asdict(spec.service)}
+    if not isinstance(flat["seed"], int):
+        flat["seed"] = None  # generators are process-local state
+    bbox = list(map(float, dataclasses.astuple(curator.grid.bbox)))
+    return schema.message(
+        "checkpoint", version=_CHECKPOINT_FORMAT_VERSION, lam=float(curator.lam),
+        spec={k: v.item() if isinstance(v, np.generic) else v for k, v in flat.items()},
+        grid={"k": curator.grid.k, "bbox": bbox},
+    )
+
+
 def save_checkpoint(curator, path: Union[str, Path], spec=None, keep: int = 1) -> None:
     """Freeze a running curator to ``path``.
 
-    Captures everything :meth:`~repro.core.online.OnlineRetraSyn
-    .checkpoint_state` returns, plus the grid / config / λ needed to
-    rebuild the curator object itself.  For the distributed shard executor
-    the per-shard states are fetched from the worker processes first, so
-    the checkpoint is complete even though the workers hold the trackers.
+    Writes the header frame, then every component's ``state`` frame
+    (:meth:`~repro.core.online.OnlineRetraSyn.state_frames`), fetching the
+    distributed executor's shard frames from its workers.
 
     ``spec`` is the session's :class:`~repro.api.specs.SessionSpec`; when
     omitted it is lifted from the curator's flat config (losing only the
@@ -183,18 +173,13 @@ def save_checkpoint(curator, path: Union[str, Path], spec=None, keep: int = 1) -
     beyond ``keep``, so a checkpoint torn by a crash mid-write — or
     corrupted afterwards — still leaves the previous generation for
     :func:`load_checkpoint` to fall back to.  Every write remains atomic
-    (tmp file + rename) in both layouts.
+    (tmp file + rename) in both layouts; a successful save also removes
+    the temp files a crashed save left behind.
     """
     import time
 
-    payload = {
-        "version": _CHECKPOINT_FORMAT_VERSION,
-        "grid": curator.grid,
-        "config": curator.config,
-        "spec": spec if spec is not None else curator.config.to_spec(),
-        "lam": curator.lam,
-        "state": curator.checkpoint_state(),
-    }
+    spec = spec if spec is not None else curator.config.to_spec()
+    parts = schema.dump_frame_parts(_header(curator, spec)) + curator.state_frames()
     path = Path(path)
     if keep <= 1:
         target = path
@@ -210,40 +195,77 @@ def save_checkpoint(curator, path: Union[str, Path], spec=None, keep: int = 1) -
         target = path.with_name(f"{path.name}.g{stamp:020d}")
     tmp = Path(str(target) + ".tmp")
     with open(tmp, "wb") as fh:
-        pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        for part in parts:
+            fh.write(part)
     tmp.replace(target)  # atomic: a crash mid-write never corrupts
-    if keep > 1:
-        for stale in _generation_files(path)[keep:]:
-            try:
-                stale.unlink()
-            except OSError:  # pragma: no cover - concurrent cleanup
-                pass
+    # Prune old generations and whatever temp files crashed saves left.
+    stale = list(path.parent.glob(path.name + ".g*.tmp")) + [Path(str(path) + ".tmp")]
+    for old in stale + (_generation_files(path)[keep:] if keep > 1 else []):
+        try:
+            old.unlink()
+        except OSError:  # already gone, or concurrent cleanup
+            pass
 
 
-def _read_checkpoint_payload(path: Union[str, Path]) -> dict:
-    """Load and version-check one checkpoint file.
-
-    Callers resolving a rotated set use :func:`_read_newest_valid` — this
-    reads exactly the file it is given.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise DatasetError(f"checkpoint file not found: {path}")
-    with open(path, "rb") as fh:
-        payload = pickle.load(fh)
-    if not isinstance(payload, dict):
-        raise DatasetError(f"checkpoint {path} does not contain a payload dict")
-    version = int(payload.get("version", -1))
-    if version != _CHECKPOINT_FORMAT_VERSION:
+def _check_magic(path: Path, head) -> None:
+    """Refuse, unread, any file that does not open with the RSF2 magic."""
+    if bytes(head[: len(schema.FRAME_MAGIC)]) != schema.FRAME_MAGIC:
         raise DatasetError(
-            f"unsupported checkpoint format version {version} "
+            f"checkpoint {path} is not an RSF2 checkpoint; pickle checkpoints "
+            "(format <= 4) are no longer read"
+        )
+
+
+def _parse_header(path: Path, header: dict, nbytes: int, shards=None):
+    """``(spec, grid, lam)`` from a header frame, once the file's ``nbytes``
+    and (unless ``None``) ``shards`` shard frames are seen to back its sizes."""
+    from repro.api.specs import SessionSpec
+
+    if header.get("version") != _CHECKPOINT_FORMAT_VERSION:
+        raise DatasetError(
+            f"unsupported checkpoint format version {header.get('version')!r} "
             f"(expected {_CHECKPOINT_FORMAT_VERSION})"
         )
-    return payload
+    try:
+        k, bbox = int(header["grid"]["k"]), map(float, header["grid"]["bbox"])
+        spec = SessionSpec.from_flat(**header["spec"])
+        sizes = (k * k, 8 * spec.privacy.w, 100 * spec.sharding.synthesis_shards)
+        if k < 1 or max(sizes) > nbytes or shards not in (None, spec.sharding.n_shards):
+            raise ValueError(f"sizes {sizes} and {shards} shard frames do not fit")
+        return spec, Grid(BoundingBox(*bbox), k), float(header["lam"])
+    except (ReproError, ValueError, TypeError, KeyError, OverflowError) as exc:
+        raise DatasetError(f"checkpoint {path}: bad header: {exc!r}") from exc
 
 
-def _read_newest_valid(path: Union[str, Path]) -> dict:
-    """Payload of the newest *readable* checkpoint for ``path``.
+def _read_checkpoint(path: Path, header_only: bool = False):
+    """``((spec, grid, lam), frames)`` of one file, ``frames`` holding each
+    decoded component frame and its raw bytes (none with ``header_only``)."""
+    if not path.exists():
+        raise DatasetError(f"checkpoint file not found: {path}")
+    nbytes, frames = path.stat().st_size, []
+    with open(path, "rb") as fh:
+        if header_only:
+            data = fh.read(schema.FRAME_PREFIX_LEN)
+        else:  # a writable buffer (a bytearray without its zero fill)
+            data = np.empty(nbytes, dtype=np.uint8)
+            data = data[: fh.readinto(memoryview(data))]
+        _check_magic(path, data)
+        try:
+            if header_only:
+                data += fh.read(schema.frame_length(data))
+            header, offset = schema.load_frame(data, 0, expect="checkpoint")
+            while offset < len(data) and not header_only:
+                msg, end = schema.load_frame(data, offset, expect="state")
+                frames.append((msg, memoryview(data)[offset:end]))
+                offset = end
+        except schema.SchemaError as exc:
+            raise DatasetError(f"checkpoint {path}: {exc}") from exc
+    shards = None if header_only else sum(m["component"] == "shard" for m, _ in frames)
+    return _parse_header(path, header, nbytes, shards), frames
+
+
+def _read_newest_valid(path: Union[str, Path], read=_read_checkpoint):
+    """``read`` of the newest *readable* checkpoint for ``path``.
 
     Walks the rotated generations newest-first (then the bare path), so a
     torn or corrupted newest file — the crash-mid-rotation case — falls
@@ -256,8 +278,8 @@ def _read_newest_valid(path: Union[str, Path]) -> dict:
     failures = []
     for candidate in candidates:
         try:
-            return _read_checkpoint_payload(candidate)
-        except Exception as exc:  # torn write, truncation, bad version...
+            return read(candidate)
+        except (ReproError, OSError) as exc:  # torn write, truncation, bad version...
             failures.append(f"{candidate.name}: {exc}")
             if len(candidates) > 1:
                 warnings.warn(
@@ -276,11 +298,11 @@ def load_checkpoint(path: Union[str, Path]):
     """Rebuild the curator saved by :func:`save_checkpoint`.
 
     Returns the :class:`~repro.core.online.OnlineRetraSyn` — built from
-    the stored config, so with the same shard count and executor — whose
+    the stored spec, so with the same shard count and executor — whose
     next ``process_timestep`` continues exactly where the saved one
-    stopped (``curator._last_t + 1``).  Checkpoints of an older format version are
-    refused with a :class:`~repro.exceptions.DatasetError` naming it.
-    Only load checkpoints you wrote: the format is pickle.
+    stopped (``curator._last_t + 1``).  Files of another format version,
+    pickle checkpoints included, and malformed files are refused with a
+    :class:`~repro.exceptions.DatasetError`.
     """
     return load_checkpoint_with_spec(path)[0]
 
@@ -288,40 +310,29 @@ def load_checkpoint(path: Union[str, Path]):
 def load_checkpoint_with_spec(path: Union[str, Path]):
     """One-read variant of :func:`load_checkpoint` + :func:`peek_checkpoint_spec`.
 
-    Returns ``(curator, spec)``.  Session resume
-    (:func:`repro.api.session.load_session`) uses this so large payloads
-    — the trajectory store, model and ledgers — are unpickled once.
+    Returns ``(curator, spec)``; session resume
+    (:func:`repro.api.session.load_session`) uses this.
     """
     from repro.core.online import OnlineRetraSyn
 
-    payload = _read_newest_valid(path)
-    # The replace below keeps only current fields.  A removed on/off
-    # switch that was on changed every round, so such a file is refused
-    # here rather than resumed without it.
-    current = {f.name for f in dataclasses.fields(RetraSynConfig)}
-    removed_on = sorted(
-        name for name, value in vars(payload["config"]).items()
-        if name not in current and value is True
-    )
-    if removed_on:
-        raise DatasetError(
-            f"checkpoint {path} was written with removed option(s) "
-            + ", ".join(f"{name}=True" for name in removed_on)
-            + "; its rounds cannot be continued"
-        )
-    # Unpickling skips validation, so the curator is built from a
-    # re-validated copy of the stored config.  Files written while
-    # pipelined rounds existed may carry round_batch > 1; they resume one
-    # timestamp per round, which those rounds were bit-identical to.
-    config = dataclasses.replace(payload["config"], round_batch=1)
-    curator = OnlineRetraSyn(payload["grid"], config, lam=payload["lam"])
-    curator.restore_state(payload["state"])
-    return curator, payload["spec"]
+    (spec, grid, lam), frames = _read_newest_valid(path)
+    try:
+        curator = OnlineRetraSyn(grid, spec.to_config(), lam=lam)
+    except (ReproError, ValueError, TypeError, OverflowError) as exc:  # e.g. a bad seed
+        raise DatasetError(f"checkpoint {path}: {exc}") from exc
+    try:
+        curator.load_state_frames(frames)
+    except BaseException:
+        curator.close()
+        raise
+    return curator, spec
 
 
 def peek_checkpoint_spec(path: Union[str, Path]):
-    """The :class:`~repro.api.specs.SessionSpec` stored in a checkpoint."""
-    return _read_newest_valid(path)["spec"]
+    """The stored :class:`~repro.api.specs.SessionSpec` of the newest
+    readable checkpoint, from its header frame alone."""
+    read = functools.partial(_read_checkpoint, header_only=True)
+    return _read_newest_valid(path, read=read)[0][0]
 
 
 def save_config(config: RetraSynConfig, path: Union[str, Path]) -> None:

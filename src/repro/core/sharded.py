@@ -52,6 +52,7 @@ import numpy as np
 from repro.core.online import sample_population_reporters_batch
 from repro.geo.grid import Grid
 from repro.ldp.oue import OptimizedUnaryEncoding
+from repro.rng import load_rng
 from repro.stream.reports import ReportBatch
 from repro.stream.state_space import TransitionStateSpace
 from repro.stream.user_tracker import UserTracker
@@ -100,6 +101,24 @@ class CollectionShard:
             UserTracker(config.w) if config.division == "population" else None
         )
         self._report_phase: dict[int, int] = {}
+
+    def components(self) -> list:
+        tracker = self.tracker.components() if self.tracker is not None else []
+        return [("shard", self), *tracker]
+
+    def state(self) -> dict:
+        """rng and the "random"-strategy phases, in insertion order."""
+        phases = self._report_phase
+        return {
+            "rng": self.rng.bit_generator.state,
+            "phase_uids": np.fromiter(phases, dtype=np.int64, count=len(phases)),
+            "phases": np.fromiter(phases.values(), dtype=np.int64, count=len(phases)),
+        }
+
+    def load_state(self, state: dict) -> None:
+        load_rng(self.rng, state["rng"])
+        uids, phases = state["phase_uids"].tolist(), state["phases"].tolist()
+        self._report_phase = dict(zip(uids, phases, strict=True))
 
     def round_batch(
         self,

@@ -80,6 +80,16 @@ class Synthesizer:
         self._live: list[int] = []
         self._finished: list[int] = []
 
+    def state(self) -> dict:
+        """Row-id lists; the store and rng are components of their own."""
+        return {
+            "live": np.asarray(self._live, dtype=np.int64),
+            "finished": np.asarray(self._finished, dtype=np.int64),
+        }
+
+    def load_state(self, state: dict) -> None:
+        self._live, self._finished = state["live"].tolist(), state["finished"].tolist()
+
     # ------------------------------------------------------------------ #
     # views
     # ------------------------------------------------------------------ #

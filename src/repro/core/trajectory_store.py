@@ -35,9 +35,10 @@ the evaluation plane use the array accessors (:meth:`cells_at`,
 :meth:`lengths`, :meth:`counts_by_cell`, :meth:`counts_matrix`) and never
 touch objects.
 
-The store is plain numpy state, so it pickles into curator checkpoints
-unchanged and is shared safely by the thread-sharded generation path
-(workers read disjoint row slabs; all writes happen in the merge step).
+A checkpoint holds :meth:`TrajectoryStore.state`: live cells, archive and
+per-row columns, trimmed to what is used.  The store is shared safely by
+the thread-sharded generation path (workers read disjoint row slabs; all
+writes happen in the merge step).
 """
 
 from __future__ import annotations
@@ -128,18 +129,48 @@ class TrajectoryStore:
         self._tail = 0
         self._n_archived_cells = 0
 
-    def __getstate__(self) -> dict:
-        # Checkpoints carry the archive and live list trimmed to what is used.
-        state = dict(self.__dict__)
-        if self._chunks:
-            state["_chunks"] = self._chunks[:-1] + [self._chunks[-1][: self._tail]]
-        state["_live"] = self.live_rows()
-        del state["_n_live"]
-        return state
+    def state(self) -> dict:
+        """Live cells (row order), archive and per-row columns, trimmed."""
+        n, live = self._n, self.live_rows()
+        return {
+            "cell_dtype": self._block.dtype.name,
+            "cells": self._block_cells(self._where[live], self._length[live]),
+            "archive": self._archive()[: self._n_archived_cells],
+            "free": self._free[: self._n_free], "live": live,
+            "birth": self._birth[:n], "length": self._length[:n], "where": self._where[:n],
+        }
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._n_live = self._live.size
+    def load_state(self, state: dict) -> None:
+        """Fill this store from :meth:`state`, rebuilding the live block."""
+        dtype = self._block.dtype
+        if state["cell_dtype"] != dtype.name:  # the grid decides the dtype
+            raise ValueError(f"cells are {state['cell_dtype']!r}, not {dtype.name}")
+        birth, length, where = state["birth"], state["length"], state["where"]
+        live, free, cells, archive = (
+            state[key] for key in ("live", "free", "cells", "archive")
+        )
+        n, n_slots = birth.size, live.size + free.size
+        slots, lengths = where[live], length[live]
+        done = np.flatnonzero(where < 0)
+        starts = ~where[done]
+        if (
+            length.size != n or where.size != n or done.size + live.size != n
+            or (live.size and (live[0] < 0 or (np.diff(live) <= 0).any()))
+            or not np.array_equal(np.sort(np.concatenate([slots, free])), np.arange(n_slots))
+            or (length < 1).any() or lengths.sum() != cells.size
+            or (done.size and (starts + length[done]).max() > archive.size)
+        ):
+            raise ValueError(f"inconsistent rows ({n}, {live.size}, {free.size})")
+        width = max(int(lengths.max(initial=1)), self._block.shape[1])
+        self._current = np.zeros(max(n_slots, self._current.size), dtype=np.int64)
+        self._block = np.full((self._current.size, width), ABSENT, dtype=dtype)
+        self._block.reshape(-1)[_ranges(slots * width, lengths)] = cells
+        self._current[slots] = self._block[slots, lengths - 1]
+        self._n_slots, self._n_live, self._n_free, self._n = n_slots, live.size, free.size, n
+        self._free, self._live = free.copy(), live.copy()
+        self._birth, self._length, self._where = birth.copy(), length.copy(), where.copy()
+        self._chunks = [archive.copy()] if archive.size else []
+        self._tail = self._n_archived_cells = archive.size
 
     # ------------------------------------------------------------------ #
     # sizes / row sets

@@ -316,8 +316,8 @@ class ColumnarPrivacyAccountant:
         self.w = int(w)
         self.strict = bool(strict)
         self._slots = slots if slots is not None else UserSlotTable()
-        self._ring = self._slots.add_column(np.float64, 0.0, depth=self.w)
-        self._total = self._slots.add_column(np.float64, 0.0)
+        self._ring = self._slots.add_column("ring", np.float64, 0.0, depth=self.w)
+        self._total = self._slots.add_column("total", np.float64, 0.0)
         self._slots.attach(self)
         # Timestamp each ring column currently holds (swept columns only).
         self._col_t = np.full(self.w, _NEVER, dtype=np.int64)
@@ -586,6 +586,34 @@ class ColumnarPrivacyAccountant:
         """Rows the slot table has retired (every owner released them)."""
         return self._slots.n_retired
 
+    def components(self) -> list:
+        return [("slots", self._slots), ("ledger", self)]
+
+    def state(self) -> dict:
+        """Everything but the ring and totals, which are the table's."""
+        n = self._arch_n
+        return {
+            "frontier": self._frontier, "max_window": self._max_window,
+            "violations": self._violations, "arch_sorted": self._arch_sorted,
+            "n_spend_events": self.n_spend_events, "n_refusals": self.n_refusals,
+            "col_t": self._col_t, "arch_uid": self._arch_uid[:n],
+            "arch_total": self._arch_total[:n],
+        }
+
+    def load_state(self, state: dict) -> None:
+        frontier = state["frontier"]
+        self._col_t = state["col_t"].copy().reshape(self.w)
+        self._frontier = None if frontier is None else int(frontier)
+        self._max_window = float(state["max_window"])
+        self._violations = [(int(u), int(t), float(v)) for u, t, v in state["violations"]]
+        self._arch_uid, self._arch_total = state["arch_uid"].copy(), state["arch_total"].copy()
+        self._arch_n, self._arch_sorted = self._arch_uid.size, state["arch_sorted"] is True
+        unsorted = self._arch_sorted and (np.diff(self._arch_uid) <= 0).any()
+        if unsorted or self._arch_total.size != self._arch_n:
+            raise ValueError("audit archive columns disagree")
+        self.n_spend_events = int(state["n_spend_events"])
+        self.n_refusals = int(state["n_refusals"])
+
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
@@ -665,6 +693,12 @@ class SlidingBudgetTracker:
         self.epsilon = float(epsilon)
         self.w = int(w)
         self._window: deque[float] = deque([0.0] * self.w, maxlen=self.w)
+
+    def state(self) -> dict:
+        return {"window": np.asarray(self._window, dtype=np.float64)}
+
+    def load_state(self, state: dict) -> None:
+        self._window = deque(state["window"].reshape(self.w).tolist(), maxlen=self.w)
 
     @property
     def remaining(self) -> float:

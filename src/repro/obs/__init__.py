@@ -1,7 +1,7 @@
 """Observability: the internal metrics registry behind ``GET /metrics``.
 
-Stdlib-only. The registry is owned by the session layer (never pickled
-into checkpoints) and rendered in the Prometheus text exposition format
+Stdlib-only. The registry is owned by the session layer (never part of a
+checkpoint) and rendered in the Prometheus text exposition format
 by the HTTP ingress.
 """
 

@@ -9,9 +9,9 @@ engines already do (``IngestStats``, accountant ledgers, curator phase
 timings). A callback that raises drops only its own sample from the
 scrape — a dead shard pool must not take ``/metrics`` down with it.
 
-The registry lives on the session object, never on the curator: curator
-``checkpoint_state()`` pickles ``__dict__`` wholesale and metrics must
-not leak into checkpoints.
+The registry lives on the session object, never on the curator: metrics
+are process-local, and a checkpoint holds only the curator's declared
+component state.
 """
 
 from __future__ import annotations

@@ -12,6 +12,8 @@ from typing import Union
 
 import numpy as np
 
+from repro.exceptions import DatasetError
+
 RngLike = Union[int, np.random.Generator, None]
 
 
@@ -45,3 +47,13 @@ def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
         raise ValueError(f"cannot spawn a negative number of generators: {n}")
     seeds = rng.integers(0, 2**63 - 1, size=n, dtype=np.int64)
     return [np.random.default_rng(int(s)) for s in seeds]
+
+
+def load_rng(rng: np.random.Generator, value) -> None:
+    """Set ``rng`` to a PCG64 ``bit_generator.state`` read from a checkpoint."""
+    try:
+        if not (isinstance(value, dict) and value.get("bit_generator") == "PCG64"):
+            raise ValueError("not a PCG64 state")
+        rng.bit_generator.state = value
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        raise DatasetError(f"bad checkpoint rng state: {repr(value)[:80]}") from exc

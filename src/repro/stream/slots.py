@@ -39,9 +39,9 @@ that mapping, fully vectorized, and it *owns the rows*:
   extended by an amortised append whenever new uids sort after its tail
   (the shape every replay generates).
 
-The table pickles as plain arrays, so curator checkpoints restore shared
-instances with identity intact (both components point at one object
-again after :func:`~repro.core.persistence.load_checkpoint`).
+The table's ``state()`` is its resident uids and hung columns, named by
+their owners; ``load_state`` fills a table whose owners the curator's
+constructor attached, so a shared table is shared again by construction.
 """
 
 from __future__ import annotations
@@ -139,10 +139,11 @@ class SlotColumn:
     over the slots).  ``data`` is capacity-padded (entries at or beyond
     ``n_slots`` hold ``fill``) and is *replaced* when the table grows, so
     owners index ``column.data`` afresh after every ``intern`` instead of
-    caching it.
+    caching it.  ``name`` labels the column in the table's ``state()``.
     """
 
-    def __init__(self, data: np.ndarray, fill) -> None:
+    def __init__(self, name: str, data: np.ndarray, fill) -> None:
+        self.name = name
         self.data = data
         self.fill = fill
 
@@ -187,10 +188,12 @@ class UserSlotTable:
     # ------------------------------------------------------------------ #
     # columns and release rules
     # ------------------------------------------------------------------ #
-    def add_column(self, dtype, fill=0, depth: Optional[int] = None) -> SlotColumn:
+    def add_column(
+        self, name: str, dtype, fill=0, depth: Optional[int] = None
+    ) -> SlotColumn:
         """Hang a per-slot column (``depth`` layers deep, if given) on the table."""
         shape = (len(self._uids),) if depth is None else (depth, len(self._uids))
-        column = SlotColumn(np.full(shape, fill, dtype=dtype), fill)
+        column = SlotColumn(name, np.full(shape, fill, dtype=dtype), fill)
         self._columns.append(column)
         return column
 
@@ -272,6 +275,32 @@ class UserSlotTable:
         Returns the slots, like :meth:`intern`.
         """
         return self.intern(user_ids)
+
+    def state(self) -> dict:
+        """uids and hung columns (registration order) of the resident rows."""
+        n = self._n
+        columns = {c.name: c.data[..., :n].ravel() for c in self._columns}
+        return {
+            "n_retired": self.n_retired, "identity": self._identity,
+            "compact_at": self._compact_at, "uids": self._uids[:n], **columns,
+        }
+
+    def load_state(self, state: dict) -> None:
+        """Fill this table, its owners attached, from :meth:`state`."""
+        self._uids, self._identity = state["uids"].copy(), state["identity"] is True
+        self._n = n = self._uids.size
+        self._sorted_uids = self._sorted_slots = None
+        if self._identity:
+            bad = (self._uids != np.arange(n)).any()
+        else:
+            self._build_index()  # sorted, so a repeated uid sits beside itself
+            bad = (self._sorted_uids[1:] == self._sorted_uids[:-1]).any()
+        if bad:
+            raise ValueError("slot uids repeat, or break the identity flag")
+        for column in self._columns:
+            shape = column.data.shape[:-1] + (n,)
+            column.data = np.array(state[column.name].reshape(shape), column.data.dtype)
+        self._compact_at, self.n_retired = int(state["compact_at"]), int(state["n_retired"])
 
     # ------------------------------------------------------------------ #
     # internals

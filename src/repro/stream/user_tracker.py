@@ -88,10 +88,10 @@ class UserTracker:
             raise ConfigurationError(f"window size w must be >= 1, got {w}")
         self.w = int(w)
         self._table = slots if slots is not None else UserSlotTable()
-        self._status = self._table.add_column(np.int8, _UNKNOWN)
-        self._last_report = self._table.add_column(np.int64, _NEVER)
+        self._status = self._table.add_column("status", np.int8, _UNKNOWN)
+        self._last_report = self._table.add_column("last_report", np.int64, _NEVER)
         # QUITTED rows only: when the user was last seen (see _forgotten).
-        self._idle_since = self._table.add_column(np.int64, _NEVER)
+        self._idle_since = self._table.add_column("idle_since", np.int64, _NEVER)
         self._table.attach(self)
         # Latest timestamp shown to recycle()/mark_reported(); sightings
         # are stamped with it (mark_quitted carries no timestamp itself).
@@ -101,6 +101,20 @@ class UserTracker:
         self._hist_uid = np.empty(0, dtype=np.int64)
         self._hist_t = np.empty(0, dtype=np.int64)
         self._hist_n = 0
+
+    def components(self) -> list:
+        return [("slots", self._table), ("tracker", self)]
+
+    def state(self) -> dict:
+        """The clock and report history; the columns are the table's."""
+        n = self._hist_n
+        return {"clock": self._clock, "hist_uid": self._hist_uid[:n], "hist_t": self._hist_t[:n]}
+
+    def load_state(self, state: dict) -> None:
+        self._clock, self._hist_n = int(state["clock"]), state["hist_uid"].size
+        self._hist_uid, self._hist_t = state["hist_uid"].copy(), state["hist_t"].copy()
+        if self._hist_t.size != self._hist_n:
+            raise ValueError("report history columns differ in length")
 
     def _slots_of(self, user_ids: Iterable[int]) -> np.ndarray:
         """Dense slots for ``user_ids``, interning unseen ids — vectorized.

@@ -72,7 +72,7 @@ def test_list_rules_prints_catalog(capsys):
     out = capsys.readouterr().out
     for name in (
         "rng-global-state", "wall-clock", "set-iteration",
-        "pickle-unsafe-state", "lock-scope", "schema-orphan-verb",
+        "lock-scope", "schema-orphan-verb",
         "spec-flag-drift", "metric-name",
     ):
         assert name in out

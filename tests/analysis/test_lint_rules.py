@@ -139,53 +139,6 @@ class TestSetIteration:
         assert result.ok
 
 
-class TestPickleSafety:
-    RULE = "pickle-unsafe-state"
-
-    BAD = (
-        "import threading\n"
-        "class Curator:\n"
-        "    def __init__(self):\n"
-        "        self._lock = threading.Lock()\n"
-    )
-
-    def test_lock_on_self_without_hooks_flagged(self, tmp_path):
-        result = lint_tree(
-            tmp_path, {"core/curator.py": self.BAD}, only=[self.RULE]
-        )
-        assert rules_of(result) == [self.RULE]
-        assert "Curator._lock" in result.findings[0].message
-
-    def test_pool_on_self_without_hooks_flagged(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "stream/pool.py": (
-                "from concurrent.futures import ThreadPoolExecutor\n"
-                "class Engine:\n"
-                "    def start(self):\n"
-                "        self._pool = ThreadPoolExecutor(4)\n"
-            ),
-        }, only=[self.RULE])
-        assert rules_of(result) == [self.RULE]
-
-    def test_getstate_hook_makes_it_clean(self, tmp_path):
-        fixed = self.BAD + (
-            "    def __getstate__(self):\n"
-            "        state = dict(self.__dict__)\n"
-            "        state['_lock'] = None\n"
-            "        return state\n"
-        )
-        result = lint_tree(
-            tmp_path, {"core/curator.py": fixed}, only=[self.RULE]
-        )
-        assert result.ok
-
-    def test_non_checkpointed_plane_exempt(self, tmp_path):
-        result = lint_tree(
-            tmp_path, {"obs/curator.py": self.BAD}, only=[self.RULE]
-        )
-        assert result.ok
-
-
 class TestLockScope:
     RULE = "lock-scope"
 

@@ -2,13 +2,14 @@
 
 This is the test that makes ``repro lint`` part of the repo's contract:
 every rule runs over ``src/repro`` with the committed baseline, and any
-new violation — a global RNG draw in ``core/``, a lock pickled into a
-checkpoint, an orphan wire verb — fails the default pytest tier, not
-just the separate CI job.
+new violation — a global RNG draw in ``core/``, an orphan wire verb —
+fails the default pytest tier, not just the separate CI job.  One plain
+AST check rides along: nothing under ``src/repro`` imports ``pickle``.
 """
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -52,3 +53,22 @@ def test_every_baseline_entry_is_justified():
 def test_whole_tree_was_scanned(result):
     # Guards against the scan silently narrowing (path typo, glob change).
     assert result.n_files > 80
+
+
+def test_no_module_imports_pickle():
+    """Checkpoints and the shard handoff are declared RSF2 frames, so no
+    decoder can run code from a file or a peer."""
+    if not SRC.is_dir():
+        pytest.skip("source tree not available")
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = (
+                [alias.name for alias in node.names]
+                if isinstance(node, ast.Import)
+                else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                else []
+            )
+            if any(name.split(".")[0] in ("pickle", "cPickle") for name in names):
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not offenders, offenders

@@ -366,7 +366,12 @@ _MUTATIONS = (
 @st.composite
 def _hostile_bodies(draw, mutation):
     """A valid report-batch frame, then one ``mutation`` of it."""
-    blob = draw(_valid_frames())
+    return _mutate(draw, draw(_valid_frames()), mutation)
+
+
+def _mutate(draw, blob: bytes, mutation: str) -> bytes:
+    """One ``mutation`` of the valid frame ``blob`` (the ``cols_*`` classes
+    need a frame with at least one column)."""
     if mutation == "truncate":
         return blob[: draw(st.integers(0, len(blob) - 1))]
     if mutation == "flip":

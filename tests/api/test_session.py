@@ -16,7 +16,7 @@ from repro.api.session import (
 from repro.api.specs import SessionSpec
 from repro.core.online import OnlineRetraSyn
 from repro.core.retrasyn import RetraSyn, RetraSynConfig
-from repro.exceptions import ConfigurationError, ReproError
+from repro.exceptions import ConfigurationError, DatasetError, ReproError
 from repro.geo.trajectory import average_length
 from repro.stream.reports import (
     KIND_ENTER,
@@ -326,21 +326,17 @@ class TestSessionCheckpointing:
         run = resumed.result(walk_data.n_timestamps)
         assert _streams(run.synthetic) == _streams(reference.synthetic)
 
-    def test_round_batch_checkpoint_resumes_bitwise(self, walk_data, tmp_path):
-        """A checkpoint whose config and spec carry ``round_batch=3`` —
-        written when pipelined rounds existed — resumes per timestamp."""
+    def test_round_batch_checkpoint_is_refused(self, walk_data, tmp_path):
+        """A header whose spec carries ``round_batch=3`` fails the spec's
+        own validation: a typed error, no curator, no worker left over."""
         path = str(tmp_path / "pipelined.ckpt")
         spec = SessionSpec.from_flat(
             epsilon=1.0, w=10, seed=7, transport="ingest", checkpoint_path=path,
             n_shards=2, shard_executor="distributed",
         )
-        reference = _drive(
-            create_session(spec, walk_data.grid, lam=_lam(walk_data)), walk_data
-        )
-
         first = create_session(spec, walk_data.grid, lam=_lam(walk_data))
         view = ColumnarStreamView(walk_data, first.curator.space)
-        for t in range(walk_data.n_timestamps // 2):
+        for t in range(3):
             first.submit_batch(
                 t, view.batch_at(t),
                 newly_entered=view.newly_entered_at(t),
@@ -349,25 +345,10 @@ class TestSessionCheckpointing:
             )
             first.advance()
         object.__setattr__(first.spec.sharding, "round_batch", 3)
-        object.__setattr__(first.curator.config, "round_batch", 3)
         first.checkpoint()
         first.curator.close()
-
-        resumed = load_session(path)
-        assert resumed.spec.sharding.round_batch == 3
-        assert resumed.curator.config.round_batch == 3
-        for t in range(resumed.curator._last_t + 1, walk_data.n_timestamps):
-            resumed.submit_batch(
-                t, view.batch_at(t),
-                newly_entered=view.newly_entered_at(t),
-                quitted=view.quitted_at(t),
-                n_real_active=view.n_active_at(t),
-            )
-            resumed.advance()
-        resumed.close()
-        run = resumed.result(walk_data.n_timestamps)
-        assert _streams(run.synthetic) == _streams(reference.synthetic)
-        assert run.accountant.summary() == reference.accountant.summary()
+        with pytest.raises(DatasetError, match="round_batch must be 1"):
+            load_session(path)
 
     def test_periodic_checkpoints_written(self, walk_data, tmp_path):
         path = str(tmp_path / "cadence.ckpt")

@@ -412,17 +412,25 @@ class TestShardParallelGeneration:
         session.close()
         assert synthesizer._pool is None
 
-    def test_pickles_without_thread_pool(self, space4):
-        import pickle
-
+    def test_state_round_trip_without_thread_pool(self, space4):
         syn = self._run_sharded(space4, shards=2)
         assert syn._pool is not None
-        clone = pickle.loads(pickle.dumps(syn))
+        state = syn.state()
+        assert set(state) == {"shard_rngs"}  # no pool, no compiled model
+        clone = VectorizedSynthesizer(
+            syn.model, lam=syn.lam, rng=0, synthesis_shards=2
+        )
+        clone.load_state(state)
+        clone.store.load_state(syn.store.state())
+        clone.rng.bit_generator.state = syn.rng.bit_generator.state
         assert clone._pool is None
         assert clone.store.n_total == syn.store.n_total
-        # The clone keeps working (pool is rebuilt lazily on demand).
+        # The clone keeps working (pool is rebuilt lazily on demand), and
+        # draws exactly what the original draws.
         clone.step(10, target_size=100)
+        syn.step(10, target_size=100)
         assert clone.n_live == 100
+        np.testing.assert_array_equal(clone.live_last_cells(), syn.live_last_cells())
 
     def test_invalid_shards(self, space4):
         with pytest.raises(ConfigurationError):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.api.session import load_session
 from repro.core.mobility_model import GlobalMobilityModel
 from repro.core.online import OnlineRetraSyn
 from repro.core.persistence import (
@@ -197,61 +196,23 @@ class TestCheckpointResume:
             tmp_path, half=data.n_timestamps // 2,
         )
 
-    @pytest.mark.parametrize(
-        "sharding",
-        [
-            pytest.param({}, id="K1"),
-            pytest.param(
-                {"n_shards": 2, "shard_executor": "distributed"},
-                id="K2-distributed",
-            ),
-        ],
-    )
-    def test_checkpoint_with_removed_knob_resumes(self, data, tmp_path, sharding):
-        """Format v4 outlives the removed knobs.
-
-        Checkpoints written before ``synthesis_executor`` was removed
-        carry it as a plain attribute on the pickled sharding spec, flat
-        config (also inside every shard worker's state) and vectorized
-        synthesizer; those written before ``ingest_consumers`` was
-        removed carry it on the stored service spec.  The attributes are
-        inert: such a file loads through ``load_session`` and resumes
-        bitwise.
-        """
-        cfg = RetraSynConfig(
-            epsilon=1.0, w=5, seed=17, engine="vectorized", **sharding
-        )
-        spec = cfg.to_spec()
-        cfg.synthesis_executor = "thread"
-        object.__setattr__(spec.sharding, "synthesis_executor", "thread")
-        object.__setattr__(spec.service, "ingest_consumers", 3)
-
-        def make_curator():
-            curator = OnlineRetraSyn(data.grid, cfg, lam=5.0)
-            curator.synthesizer.synthesis_executor = "thread"
-            return curator
-
-        self._run_with_interruption(
-            data, make_curator, tmp_path, half=data.n_timestamps // 2,
-            spec=spec, load=lambda path: load_session(path).curator,
-        )
-        stored = peek_checkpoint_spec(tmp_path / "curator.ckpt")
-        assert stored.sharding.synthesis_executor == "thread"
-        assert stored.service.ingest_consumers == 3
-        assert stored == cfg.to_spec()
-        assert stored.replace(w=6).privacy.w == 6
-
-    def test_process_executor_checkpoint_refused(self, data, tmp_path):
-        """What the removed pipe-pool engine pickled names no live executor."""
-        cfg = RetraSynConfig(epsilon=1.0, w=5, seed=17, n_shards=2)
-        spec = cfg.to_spec()
-        curator = OnlineRetraSyn(data.grid, cfg, lam=5.0)
-        self._step(curator, data, 0)
-        cfg.shard_executor = "process"
-        path = tmp_path / "process.ckpt"
-        save_checkpoint(curator, path, spec=spec)
-        with pytest.raises(ConfigurationError, match="'serial' or 'distributed'"):
-            load_checkpoint(path)
+    def test_untracked_curator_roundtrip(self, data, tmp_path):
+        """Without a ledger the K=1 tracker owns the engine's slot table
+        alone; the table is still checkpointed, once."""
+        cfg = RetraSynConfig(epsilon=1.0, w=5, seed=17, track_privacy=False)
+        whole = OnlineRetraSyn(data.grid, cfg, lam=5.0)
+        first = OnlineRetraSyn(data.grid, cfg, lam=5.0)
+        half = data.n_timestamps // 2
+        for t in range(half):
+            self._step(first, data, t)
+        assert [kind for kind, _ in first.components()].count("slots") == 1
+        save_checkpoint(first, tmp_path / "c.ckpt")
+        resumed = load_checkpoint(tmp_path / "c.ckpt")
+        for t in range(data.n_timestamps):
+            self._step(whole, data, t)
+            if t >= half:
+                self._step(resumed, data, t)
+        assert self._fingerprint(resumed, data) == self._fingerprint(whole, data)
 
     def test_resumed_accountant_keeps_enforcing(self, data, tmp_path):
         """The restored ledger still refuses over-budget spends."""
@@ -388,3 +349,37 @@ class TestCheckpointRotation:
             ]
         assert fp(resumed) == fp(reference)
         assert resumed.accountant.summary() == reference.accountant.summary()
+
+    def test_successful_save_removes_stale_temp_files(self, data, tmp_path):
+        """A save that died between write and rename leaves a whole
+        checkpoint as ``<path>.g<stamp>.tmp``; the next good save removes
+        it and leaves the kept generations alone."""
+        from repro.core.persistence import checkpoint_candidates
+
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(self._curator_at(data, 2), path, keep=2)
+        save_checkpoint(self._curator_at(data, 3), path, keep=2)
+        newest = checkpoint_candidates(path)[0]
+        kept = newest.read_bytes()
+        stale = [path.with_name(f"{path.name}.g{1:020d}.tmp"), tmp_path / "c.ckpt.tmp"]
+        for leftover in stale:
+            leftover.write_bytes(b"a save that crashed before its rename")
+        save_checkpoint(self._curator_at(data, 4), path, keep=2)
+        assert not any(leftover.exists() for leftover in stale)
+        candidates = checkpoint_candidates(path)
+        assert len(candidates) == 2 and candidates[1] == newest
+        assert newest.read_bytes() == kept
+        assert load_checkpoint(path)._last_t == 3
+
+    def test_peek_reads_only_the_header_frame(self, data, tmp_path):
+        from repro.api import schema
+
+        curator = self._curator_at(data, 3)
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(curator, path)
+        blob = path.read_bytes()
+        _header, end = schema.load_frame(blob, expect="checkpoint")
+        path.write_bytes(blob[:end])  # the header frame, nothing after it
+        assert peek_checkpoint_spec(path) == curator.config.to_spec()
+        with pytest.raises(DatasetError):
+            load_checkpoint(path)

@@ -7,7 +7,6 @@ with object-side computations — wherever a stream's cells currently live
 (the live block, or the archive of finished streams).
 """
 
-import pickle
 from unittest import mock
 
 import numpy as np
@@ -179,10 +178,17 @@ class TestGrowthAndGuards:
         assert store.all_views() == []
 
 
-class TestPickling:
-    def test_pickle_round_trip(self):
+def _reloaded(store, **kwargs):
+    """A fresh store (built with ``kwargs``) filled from ``store.state()``."""
+    clone = TrajectoryStore(**kwargs)
+    clone.load_state(store.state())
+    return clone
+
+
+class TestState:
+    def test_state_round_trip(self):
         store, ref = _random_walk(7)
-        clone = pickle.loads(pickle.dumps(store))
+        clone = _reloaded(store)
         assert clone.n_total == store.n_total
         for row in range(store.n_total):
             a, b = store.view(row), clone.view(row)
@@ -345,7 +351,7 @@ def test_store_matches_list_of_lists_oracle(steps, capacity, horizon, n_cells):
         store.counts_matrix(horizon_t, _N_CELLS),
     ):
         assert cells.dtype == np.int64
-    clone = pickle.loads(pickle.dumps(store))
+    clone = _reloaded(store, initial_capacity=capacity, n_cells=n_cells)
     assert clone.flat_cells(rows).tolist() == store.flat_cells(rows).tolist()
     assert clone.live_rows().tolist() == live
     _assert_cell_storage(clone, _CELL_DTYPES[n_cells])
@@ -416,10 +422,11 @@ class TestLiveBlockAndArchive:
         store.kill(store.append_streams(9, [6]))  # and appends continue after it
         assert store.view(store.n_total - 1).cells == [6]
 
-    def test_pickle_drops_the_unwritten_tail_of_the_archive(self):
+    def test_state_drops_the_unwritten_tail_of_the_archive(self):
         store = TrajectoryStore()
         store.kill(store.append_streams(0, [1, 2, 3]))
-        clone = pickle.loads(pickle.dumps(store))
+        assert store.state()["archive"].size == 3
+        clone = _reloaded(store)
         assert sum(c.size for c in clone._chunks) == 3
         clone.kill(clone.append_streams(1, [4]))
         assert clone.flat_cells(np.arange(4)).tolist() == [1, 2, 3, 4]

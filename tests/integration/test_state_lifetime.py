@@ -10,8 +10,6 @@ two compactions resumes bit for bit, and the session reports its planes.
 
 from __future__ import annotations
 
-import copyreg
-import pickle
 import time
 from unittest import mock
 
@@ -22,9 +20,6 @@ from hypothesis import strategies as st
 
 from repro.api.session import create_session, load_session
 from repro.api.specs import SessionSpec
-from repro.core import persistence
-from repro.core.fast_synthesis import VectorizedSynthesizer, _CompiledModel
-from repro.core.trajectory_store import TrajectoryStore
 from repro.geo.grid import unit_grid
 from repro.ldp.accountant import PrivacyAccountant
 from repro.stream import slots as slots_module
@@ -167,13 +162,18 @@ def test_state_stays_bounded_over_forty_windows(churn_stream, division, n_shards
 # ---------------------------------------------------------------------- #
 # checkpoints: cut between two compactions, resume bit for bit
 # ---------------------------------------------------------------------- #
-def _resume_at_cut(churn_stream, tmp_path, n_shards, executor, rewrite=None):
+#: The default cut falls between two slot-table compactions.
+_BETWEEN_COMPACTIONS = 20
+
+
+def _resume_at_cut(churn_stream, tmp_path, n_shards, executor, cut=_BETWEEN_COMPACTIONS):
     """Run whole vs. checkpoint-at-cut-and-resume; assert them bit-identical.
 
-    ``rewrite(path)`` may re-encode the checkpoint file before it is
-    loaded.  Returns the resumed session's trajectory store.
+    A cut before the default one falls before any slot table compacted, a
+    later one after both planes did (asserted).  Returns the resumed
+    session's trajectory store.
     """
-    w, cut, horizon = 3, 20, 44
+    w, horizon = 3, 44
 
     def fresh():
         session = _session("population", w, seed=9, n_shards=n_shards, executor=executor)
@@ -195,19 +195,20 @@ def _resume_at_cut(churn_stream, tmp_path, n_shards, executor, rewrite=None):
     path = tmp_path / "cut.ckpt"
     first.checkpoint(str(path))
     first.close()
-    if rewrite is not None:
-        rewrite(path)
     resumed = load_session(str(path))
     tail = _drive(resumed, stream, range(cut, horizon))
     stats = resumed.stats()
     result = resumed.result()
     resumed.close()
 
-    # The cut really sits between compactions, and uids came back after it.
     retired = stats["state"]["retired"]
     for plane in ("ledger", "tracker"):
-        assert 0 < retired_at_cut[plane] < retired[plane], plane
-    assert any(t >= cut for _uid, t in stream.returns)
+        if cut == _BETWEEN_COMPACTIONS:  # the cut really sits between compactions
+            assert 0 < retired_at_cut[plane] < retired[plane], plane
+        else:
+            assert (retired_at_cut[plane] > 0) == (cut > _BETWEEN_COMPACTIONS), plane
+    if cut == _BETWEEN_COMPACTIONS:  # and uids came back after it
+        assert any(t >= cut for _uid, t in stream.returns)
     assert head + tail == reference
     assert stats["privacy"] == reference_stats["privacy"]
     assert stats["state"] == reference_stats["state"]
@@ -234,107 +235,16 @@ def test_resume_between_two_compactions_is_bitwise(
     assert store._block.dtype == np.int8  # 16 cells: one byte per point
 
 
-def _as_the_previous_commit_wrote_it(path):
-    """Re-encode a checkpoint in the attribute layout of the commit before
-    compact cell storage: an ``int32`` block and archive, an exact-size
-    live list, and a pickled compiled model holding a row-major CDF."""
-
-    def store_state(store):
-        state = store.__getstate__()
-        state["_block"] = state["_block"].astype(np.int32)
-        state["_chunks"] = [chunk.astype(np.int32) for chunk in state["_chunks"]]
-        return state
-
-    def synthesizer_state(synthesizer):
-        state = synthesizer.__getstate__()
-        compiled = _CompiledModel(synthesizer.model)
-        layout = vars(compiled)
-        layout["cum_probs"] = np.ascontiguousarray(layout.pop("cum_t").T)
-        state["_compiled"] = compiled
-        return state
-
-    states = {TrajectoryStore: store_state, VectorizedSynthesizer: synthesizer_state}
-
-    class Pickler(pickle.Pickler):
-        def reducer_override(self, obj):
-            if type(obj) in states:
-                return copyreg.__newobj__, (type(obj),), states[type(obj)](obj)
-            return NotImplemented
-
-    with open(path, "rb") as fh:
-        payload = pickle.load(fh)
-    with open(path, "wb") as fh:
-        Pickler(fh, protocol=pickle.HIGHEST_PROTOCOL).dump(payload)
-
-
-@_RESUME_SHAPES
-def test_checkpoint_in_the_previous_layout_resumes_bitwise(
-    churn_stream, tmp_path, n_shards, executor
-):
-    """No format bump: a v4 file written before this layout still loads,
-    resumes bit for bit, and keeps appending in the dtype it carries."""
-    assert persistence._CHECKPOINT_FORMAT_VERSION == 4
-    store = _resume_at_cut(
-        churn_stream, tmp_path, n_shards, executor,
-        rewrite=_as_the_previous_commit_wrote_it,
-    )
-    assert store._block.dtype == np.int32
-    assert store._chunks and all(c.dtype == np.int32 for c in store._chunks)
-
-
-def _as_the_two_engine_commit_wrote_it(path):
-    """Re-encode a checkpoint in the layout of the commit before K=1
-    collected through a shard: a ``kind`` key naming the engine class; the
-    unsharded engine kept its tracker and report phases itself and had no
-    shards; the sharded engine kept ``executor`` plus unused engine-level
-    ``_tracker``/``_report_phase`` and an idle tracker on the ledger's slot
-    table; both engines and every shard carried a ``UserSideEncoder``."""
-    from repro.stream.encoder import UserSideEncoder
-    from repro.stream.user_tracker import UserTracker
-
-    with open(path, "rb") as fh:
-        payload = pickle.load(fh)
-    state, config = payload["state"], payload["config"]
-    population = config.division == "population"
-    for key in ("n_shards", "_final_summaries", "_final_plane_states"):
-        del state[key]
-    state["encoder"] = UserSideEncoder(state["space"])
-    unsharded = config.n_shards == 1 and config.shard_executor == "serial"
-    payload["kind"] = "online" if unsharded else "sharded"
-    if unsharded:
-        (shard,) = state.pop("_shards")
-        state["_tracker"] = shard.tracker
-        if population:
-            state["_report_phase"] = shard._report_phase
-    else:
-        state.update(
-            n_shards=config.n_shards, executor=config.shard_executor,
-            _final_summaries=None, _final_plane_states=[], _tracker=None,
-        )
-        if population:
-            state["_report_phase"] = {}
-            UserTracker(config.w, slots=state["_slots"])
-        for entry in state["_shards"]:
-            shard = entry[0] if isinstance(entry, tuple) else entry
-            shard.encoder = UserSideEncoder(shard.space)
-    with open(path, "wb") as fh:
-        pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-
-
+@pytest.mark.parametrize(
+    "cut", [2, _BETWEEN_COMPACTIONS, 41], ids=["early", "between", "late"]
+)
 @pytest.mark.parametrize(
     "n_shards, executor", [(1, "serial"), (3, "serial"), (2, "distributed")]
 )
-def test_checkpoint_in_the_two_engine_layout_resumes_bitwise(
-    churn_stream, tmp_path, n_shards, executor
-):
-    """Format v4 outlives the second engine class: files written while
-    K=1 had its own collection path load through ``load_session`` and
-    resume bit for bit, whatever their shard count and executor."""
-    assert persistence._CHECKPOINT_FORMAT_VERSION == 4
-    _resume_at_cut(
-        churn_stream, tmp_path, n_shards, executor,
-        rewrite=_as_the_two_engine_commit_wrote_it,
-    )
+def test_resume_at_any_cut_is_bitwise(churn_stream, tmp_path, n_shards, executor, cut):
+    """Early (before any row retires), between two compactions, and late:
+    each resume equals the uninterrupted run, whatever the executor."""
+    _resume_at_cut(churn_stream, tmp_path, n_shards, executor, cut=cut)
 
 
 # ---------------------------------------------------------------------- #

@@ -1,7 +1,5 @@
 """Tests for the shared uid → dense-slot table."""
 
-import pickle
-
 import numpy as np
 import pytest
 
@@ -141,12 +139,19 @@ class TestIdentityFastPath:
             probe = rng.integers(-10, 1_200, size=500)
             np.testing.assert_array_equal(fast.lookup(probe), slow.lookup(probe))
 
-    def test_pickle_preserves_the_flag(self):
+    def test_state_preserves_the_flag(self):
         table = UserSlotTable()
         table.preregister(np.arange(8))
-        assert pickle.loads(pickle.dumps(table)).is_identity
+        assert _reloaded(table).is_identity
         table.intern([99])
-        assert not pickle.loads(pickle.dumps(table)).is_identity
+        assert not _reloaded(table).is_identity
+
+
+def _reloaded(table):
+    """A fresh table filled from ``table.state()``."""
+    clone = UserSlotTable()
+    clone.load_state(table.state())
+    return clone
 
 
 class TestSharingAndPersistence:
@@ -158,22 +163,41 @@ class TestSharingAndPersistence:
         assert a.tolist() == [0, 1]
         assert b.tolist() == [1, 2]
 
-    def test_pickle_round_trip_preserves_mapping(self):
+    def test_state_round_trip_preserves_mapping(self):
         table = UserSlotTable()
         table.intern([5, 3, 8])
-        restored = pickle.loads(pickle.dumps(table))
+        restored = _reloaded(table)
         assert restored.uids.tolist() == [5, 3, 8]
         assert restored.lookup([3, 8, 5]).tolist() == [1, 2, 0]
         # And it keeps interning correctly after restore.
         assert restored.intern([99]).tolist() == [3]
 
-    def test_pickle_preserves_shared_identity(self):
-        """Pickling a graph holding the table twice restores ONE table."""
-        table = UserSlotTable()
-        table.intern([1])
-        graph = {"tracker_table": table, "accountant_table": table}
-        restored = pickle.loads(pickle.dumps(graph))
-        assert restored["tracker_table"] is restored["accountant_table"]
+    def test_state_restores_shared_identity(self):
+        """The K=1 curator's tracker and ledger share one table: its state
+        is listed once and restores into ONE table, the one the fresh
+        curator's constructor shared."""
+        from repro.core.online import OnlineRetraSyn
+        from repro.core.retrasyn import RetraSynConfig
+        from repro.geo.grid import unit_grid
+
+        def curator():
+            return OnlineRetraSyn(unit_grid(3), RetraSynConfig(w=3, seed=1), lam=2.0)
+
+        first = curator()
+        tracker = first._shards[0].tracker
+        tracker.register([1, 2])
+        first.accountant.spend_many([2, 5], 0, 0.5)
+        tracker.mark_reported([2], 0)
+        pairs = first.components()
+        assert [kind for kind, _ in pairs].count("slots") == 1
+        fresh = curator()
+        for (_, part), (_, into) in zip(pairs, fresh.components()):
+            into.load_state(part.state())
+        fresh_tracker = fresh._shards[0].tracker
+        assert fresh_tracker._table is fresh.accountant._slots
+        assert fresh_tracker._table.uids.tolist() == [1, 2, 5]
+        assert fresh_tracker.status(2).value == "inactive"
+        assert fresh.accountant.window_spend(2, 0) == 0.5
 
 
 class TestSortedIndexIsLazy:
@@ -221,8 +245,8 @@ class _Owner:
 
     def __init__(self, table):
         self.table = table
-        self.column = table.add_column(np.int64, -1)
-        self.deep = table.add_column(np.float64, 0.0, depth=3)
+        self.column = table.add_column("column", np.int64, -1)
+        self.deep = table.add_column("deep", np.float64, 0.0, depth=3)
         self.release: set[int] = set()
         self.retired: list[int] = []
         table.attach(self)
@@ -296,14 +320,19 @@ class TestCompaction:
             table.intern([uid])
         assert calls == [4, 8, 16, 32]
 
-    def test_compacted_table_pickles_with_columns_and_owners(self):
+    def test_compacted_table_state_restores_columns_and_owners(self):
         table = UserSlotTable()
         owner = _Owner(table)
         table.intern(np.arange(10, 16))
+        owner.column.data[: table.n_slots] = np.arange(6)
         owner.release = {11, 14}
         table.intern([3])
-        clone = pickle.loads(pickle.dumps(owner))
+        clone = _Owner(UserSlotTable())
+        clone.table.load_state(table.state())
         assert clone.table.uids.tolist() == [10, 12, 13, 15, 3]
+        assert clone.column.data[:5].tolist() == [0, 2, 3, 5, -1]
+        assert clone.deep.data.shape == (3, 5)
+        assert clone.table.n_retired == 2
         assert clone.table._owners == [clone]
         assert clone.table._columns[0] is clone.column
         assert clone.table.lookup([3, 11]).tolist() == [4, -1]

@@ -213,22 +213,14 @@ class TestServeCommand:
         assert code == 0
         assert "resumed at t=" in capsys.readouterr().out
 
-    def test_serve_resumes_a_round_batch_checkpoint(
-        self, dataset_file, tmp_path, capsys
-    ):
-        """A checkpoint whose config and spec carry ``round_batch=3`` —
-        written when pipelined rounds existed — resumes through
-        ``repro serve --resume`` bit-identically to an uninterrupted run."""
+    def test_serve_refuses_a_round_batch_checkpoint(self, dataset_file, tmp_path):
+        """A checkpoint whose header spec carries ``round_batch=3`` fails the
+        spec's validation on ``repro serve --resume``, with a typed error."""
         from repro.api.specs import SessionSpec
         from repro.datasets.io import load_stream_dataset
+        from repro.exceptions import DatasetError
         from repro.serve import open_session
         from repro.stream.reports import ColumnarStreamView
-
-        reference = tmp_path / "reference.npz"
-        assert main([
-            "serve", "--input", str(dataset_file), "--w", "5",
-            "--out", str(reference),
-        ]) == 0
 
         data = load_stream_dataset(dataset_file)
         ckpt = tmp_path / "pipelined.ckpt"
@@ -242,24 +234,11 @@ class TestServeCommand:
             session.submit_batch(t, view.batch_at(t))
             session.advance()
         object.__setattr__(session.spec.sharding, "round_batch", 3)
-        object.__setattr__(session.curator.config, "round_batch", 3)
         session.checkpoint()
         session.curator.close()
-        resume_t = session.curator._last_t + 1
-        assert 0 < resume_t < data.n_timestamps
-        capsys.readouterr()
-
-        resumed = tmp_path / "resumed.npz"
-        assert main([
-            "serve", "--input", str(dataset_file), "--w", "5",
-            "--checkpoint", str(ckpt), "--resume", "--out", str(resumed),
-        ]) == 0
-        assert f"resumed at t={resume_t}" in capsys.readouterr().out
-
-        def streams(path):
-            return [
-                (tr.start_time, list(tr.cells))
-                for tr in load_stream_dataset(path).trajectories
-            ]
-
-        assert streams(resumed) == streams(reference)
+        with pytest.raises(DatasetError, match="round_batch must be 1"):
+            main([
+                "serve", "--input", str(dataset_file), "--w", "5",
+                "--checkpoint", str(ckpt), "--resume",
+                "--out", str(tmp_path / "resumed.npz"),
+            ])
