@@ -132,7 +132,12 @@ STATE_COLUMNS = {
         "uids": np.int64, "ring": np.float64, "total": np.float64,
         "status": np.int8, "last_report": np.int64, "idle_since": np.int64,
     },
-    "ledger": {"col_t": np.int64, "arch_uid": np.int64, "arch_total": np.float64},
+    # Per-user ledger: column stamps + audit archive (its ring is the
+    # slot table's); schedule ledger: its own w-long ring + column stamps.
+    "ledger": {
+        "col_t": np.int64, "arch_uid": np.int64, "arch_total": np.float64,
+        "ring": np.float64,
+    },
     "shard": {"phase_uids": np.int64, "phases": np.int64},
     "tracker": {"hist_uid": np.int64, "hist_t": np.int64},
 }

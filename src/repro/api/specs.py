@@ -134,7 +134,8 @@ class PrivacySpec:
         default="columnar",
         metadata=_cli(
             "--accountant-mode",
-            "privacy-ledger engine: the vectorized ring-buffer ledger",
+            "per-user privacy-ledger engine (population division, "
+            "adaptive-user): the vectorized ring-buffer ledger",
             choices=ACCOUNTANT_MODES,
         ),
     )

@@ -200,7 +200,13 @@ class AdaptiveUserBudgetAllocator(AdaptiveBudgetAllocator):
     schedule-level window cap does not apply (different rounds may bill
     different populations), so commits bypass the
     :class:`~repro.ldp.accountant.SlidingBudgetTracker` check while still
-    recording the schedule for the feedback signal.
+    recording the schedule for the feedback signal.  For the same reason
+    this is the one budget-division allocator whose curator keeps the
+    per-user :class:`~repro.ldp.accountant.ColumnarPrivacyAccountant`:
+    the others' schedules are window-checked, so their curators account
+    per round with the O(w) :class:`~repro.ldp.accountant.ScheduleLedger`
+    (see :func:`~repro.ldp.accountant.make_ledger`), which has no
+    ``remaining_many``.
 
     Select via ``RetraSynConfig(division="budget", allocator="adaptive-user")``.
     """

@@ -54,6 +54,9 @@ identical to the parent-ledger layout.  The one observable difference is
 post-refusal ledger state: a strict refusal aborts the parent ledger
 mid-batch, while shard ledgers beyond the offending shard still record
 their rounds — the refusal itself (type, first offending shard) matches.
+Budget-division rounds under the schedule ledger never get that far: the
+coordinator admits them (distinct uids, checked allocator commit) before
+any worker draws.
 
 Dead workers are detected on every send/recv: a broken or EOF'd channel
 raises :class:`~repro.exceptions.ShardWorkerError` naming the shard and
@@ -77,7 +80,7 @@ from repro.exceptions import (
     ShardWorkerError,
 )
 from repro.geo.grid import Grid
-from repro.ldp.accountant import make_accountant
+from repro.ldp.accountant import make_ledger
 from repro.stream.reports import ReportBatch
 
 
@@ -144,6 +147,11 @@ def recv_frame(sock: socket.socket) -> Optional[dict]:
 # ---------------------------------------------------------------------- #
 # the worker service
 # ---------------------------------------------------------------------- #
+#: The count a ledger's summary carries: ``n_users`` (per-user ledgers) or
+#: ``n_reports`` (the schedule ledger).
+_COUNT_KEYS = ("n_users", "n_reports")
+
+
 class _ShardService:
     """One worker's state machine: a shard plus its local privacy ledger."""
 
@@ -152,15 +160,7 @@ class _ShardService:
 
         self.config = config
         self.shard = CollectionShard(grid, config, seed)
-        self.accountant = (
-            make_accountant(
-                config.epsilon,
-                config.w,
-                mode=config.accountant_mode,
-            )
-            if config.track_privacy
-            else None
-        )
+        self.accountant = make_ledger(config) if config.track_privacy else None
         # The round a shard-submit staged for the next shard-advance:
         # ``(t, batch, entered, quitted)``, or None between rounds.
         self._staged: Optional[tuple] = None
@@ -260,7 +260,8 @@ class _ShardService:
             summary = {
                 "epsilon": float(s["epsilon"]),
                 "w": int(s["w"]),
-                "n_users": int(s["n_users"]),
+                # Per-user ledgers count users, the schedule ledger reports.
+                **{key: int(s[key]) for key in _COUNT_KEYS if key in s},
                 "max_window_spend": float(s["max_window_spend"]),
                 "n_violations": int(s["n_violations"]),
                 "satisfied": bool(s["satisfied"]),
@@ -606,8 +607,8 @@ class DistributedAccountantView:
     the CLI audit exit code — works unchanged.  Queries go to the live
     workers while the pool is open; the engine caches final summaries at
     ``close()`` so a finished run stays auditable.  Shard populations
-    are disjoint (hash partition), so the merge is exact: user counts
-    add, window maxima take the max, verdicts AND together.
+    are disjoint (hash partition), so the merge is exact: user (or
+    report) counts add, window maxima take the max, verdicts AND together.
     """
 
     def __init__(self, engine) -> None:
@@ -645,13 +646,16 @@ class DistributedAccountantView:
         summaries = [e["summary"] for e in stats if e.get("summary")]
         if not summaries:
             return {
-                "epsilon": 0.0, "w": 0, "n_users": 0,
-                "max_window_spend": 0.0, "n_violations": 0, "satisfied": True,
+                "epsilon": 0.0, "w": 0, "max_window_spend": 0.0,
+                "n_violations": 0, "satisfied": True,
             }
         return {
             "epsilon": float(summaries[0]["epsilon"]),
             "w": int(summaries[0]["w"]),
-            "n_users": int(sum(s["n_users"] for s in summaries)),
+            **{
+                key: int(sum(s[key] for s in summaries))
+                for key in _COUNT_KEYS if key in summaries[0]
+            },
             "max_window_spend": float(
                 max(s["max_window_spend"] for s in summaries)
             ),

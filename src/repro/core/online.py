@@ -57,7 +57,7 @@ from repro.core.mobility_model import GlobalMobilityModel
 from repro.core.synthesis import Synthesizer
 from repro.exceptions import ConfigurationError, DatasetError
 from repro.geo.grid import Grid
-from repro.ldp.accountant import make_accountant
+from repro.ldp.accountant import make_ledger, require_distinct, uses_schedule_ledger
 from repro.ldp.oue import OptimizedUnaryEncoding
 from repro.rng import ensure_rng, load_rng
 from repro.stream.reports import ReportBatch, as_report_batch, shard_of_array
@@ -276,21 +276,18 @@ class OnlineRetraSyn:
             )
         self.selector = DMUSelector()
         self.context = AllocationContext(kappa=config.kappa)
-        # The ledger's uid -> slot table.  At K=1 serial it backs both
-        # columnar user-state planes: the shard's tracker columns and the
-        # accountant's spend ring hang on it, and it retires a row once
-        # both have released it.
-        self._slots = UserSlotTable()
+        # The per-user ledger's uid -> slot table.  At K=1 serial it backs
+        # both columnar user-state planes: the shard's tracker columns and
+        # the accountant's spend ring hang on it, and it retires a row once
+        # both have released it.  A schedule ledger keeps no per-user rows
+        # and budget division no tracker, so neither needs a table.
+        schedule = uses_schedule_ledger(config)
+        self._slots = None if schedule else UserSlotTable()
         self.accountant = (
-            make_accountant(
-                config.epsilon,
-                config.w,
-                mode=config.accountant_mode,
-                slots=self._slots,
-            )
-            if config.track_privacy
-            else None
+            make_ledger(config, slots=self._slots) if config.track_privacy else None
         )
+        #: Budget-division rounds are admitted before they change anything.
+        self._admits = schedule and config.track_privacy
         self.timings = {
             "user_side": 0.0,
             "model_construction": 0.0,
@@ -374,8 +371,6 @@ class OnlineRetraSyn:
             raise ConfigurationError(
                 f"timestamps must be consecutive: got {t} after {self._last_t}"
             )
-        self._last_t = t
-
         batch = as_report_batch(self.space, participants)
         if not cfg.model_entering_quitting:
             batch = batch.moves_only()
@@ -408,11 +403,7 @@ class OnlineRetraSyn:
         return batch.partition(K), _split_ids(newly_entered, K), _split_ids(quitted, K)
 
     def _propose(self, t, batch: ReportBatch, global_min: Optional[float]):
-        """The round's globally proposed ``(rate, ε_t)``.
-
-        Under budget division this also ``commit``\\ s ε_t to the
-        allocator's schedule.
-        """
+        """The round's globally proposed ``(rate, ε_t)``; changes nothing."""
         cfg = self.config
         rate: Optional[float] = None
         if cfg.division == "population":
@@ -433,8 +424,30 @@ class OnlineRetraSyn:
                 eps_t = self._propose_budget(t, batch)
             if eps_t < _MIN_EPSILON:
                 eps_t = 0.0
-            self._budget_alloc.commit(eps_t)
         return rate, eps_t
+
+    def _admit(self, t, batch: ReportBatch, eps_t: float) -> None:
+        """Refuse a budget-division round before it changes anything.
+
+        Under the schedule ledger every reporter is charged ``ε_t`` once,
+        which bounds a user's spend only if the round's reporters are
+        distinct.  So a round is checked — distinct uids, and the window
+        total with the proposed ``ε_t`` — before the clock, the
+        allocator's schedule, any shard draw or the store move: a refused
+        ``t`` may be resubmitted and continues as if it had never been
+        seen.  The in-process ledger checks both itself; distributed
+        workers' ledgers sit behind the round, so the coordinator checks
+        distinctness and the allocator's checked ``commit`` the window.
+        Population division and ``adaptive-user`` are not admitted: their
+        per-user ledgers refuse at spend time, after the round has drawn.
+        """
+        if not self._admits or eps_t == 0.0:
+            return
+        admit = getattr(self.accountant, "admit", None)
+        if admit is not None:
+            admit(batch.user_ids, t, eps_t)
+        else:
+            require_distinct(batch.user_ids, t)
 
     def _propose_budget(self, t, batch: ReportBatch) -> float:
         """The round's ε_t under budget division.
@@ -512,6 +525,11 @@ class OnlineRetraSyn:
 
         # Globally proposed rate / budget, from the merged feedback context.
         rate, eps_t = self._propose(t, batch, global_min)
+        self._admit(t, batch, eps_t)
+        # Admitted: from here on the round changes state.
+        if self._budget_alloc is not None:
+            self._budget_alloc.commit(eps_t)
+        self._last_t = t
 
         if self._pool is not None:
             # Phase 2: run the staged round everywhere; workers spend

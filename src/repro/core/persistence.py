@@ -5,10 +5,12 @@ A deployed curator needs to survive restarts.  Three artefact shapes:
 * **models** (npz): the learned global mobility model — frequencies plus
   the grid geometry and state-space flags needed to rebuild the space;
 * **configurations** (JSON): the full pipeline tuning;
-* **checkpoints** (format v5): RSF2 frames (:mod:`repro.api.schema`) — a
+* **checkpoints** (format v6): RSF2 frames (:mod:`repro.api.schema`) — a
   ``checkpoint`` header with the version, grid, λ and the session spec's
   flat dict, then one ``state`` frame per stateful component (under the
   distributed executor, the frames each worker returns for its shard).
+  A budget-division curator's ``ledger`` frame holds its O(w) schedule
+  ledger and no slot table.
 
 Loading validates the header through ``SessionSpec.from_flat``, builds the
 curator with its normal constructor and calls ``load_state`` on each
@@ -41,9 +43,11 @@ from repro.geo.point import BoundingBox
 from repro.stream.state_space import TransitionStateSpace
 
 _MODEL_FORMAT_VERSION = 1
-# v5: RSF2 frames — a header, then one state frame per component.  v4 and
-# older were pickles of the curator's attribute graph; they are refused.
-_CHECKPOINT_FORMAT_VERSION = 5
+# v6: RSF2 frames — a header, then one state frame per component; budget
+# division's ledger frame is the schedule ledger.  v5 carried a per-user
+# ledger there and is refused, as are v4 and older, which were pickles of
+# the curator's attribute graph.
+_CHECKPOINT_FORMAT_VERSION = 6
 
 
 def save_model(model: GlobalMobilityModel, path: Union[str, Path]) -> None:

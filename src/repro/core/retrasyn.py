@@ -34,7 +34,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.geo.trajectory import average_length
-from repro.ldp.accountant import ColumnarPrivacyAccountant, PrivacyAccountant
+from repro.ldp.accountant import (
+    ColumnarPrivacyAccountant,
+    PrivacyAccountant,
+    ScheduleLedger,
+)
 from repro.rng import RngLike
 from repro.stream.stream import StreamDataset
 
@@ -70,7 +74,7 @@ class RetraSynConfig:
     shard_round_timeout: float = 60.0  # distributed recv deadline (0 = none)
     round_batch: int = 1  # must be 1: pipelined rounds were removed
     track_privacy: bool = True
-    accountant_mode: str = "columnar"  # the one curator ledger engine
+    accountant_mode: str = "columnar"  # the one per-user ledger engine
     seed: RngLike = None
 
     def __post_init__(self) -> None:
@@ -101,7 +105,9 @@ class SynthesisRun:
 
     synthetic: StreamDataset
     config: RetraSynConfig
-    accountant: Optional["PrivacyAccountant | ColumnarPrivacyAccountant"]
+    accountant: Optional[
+        "PrivacyAccountant | ColumnarPrivacyAccountant | ScheduleLedger"
+    ]
     timings: dict[str, float] = field(default_factory=dict)
     reporters_per_timestamp: list[int] = field(default_factory=list)
     significant_per_timestamp: list[int] = field(default_factory=list)

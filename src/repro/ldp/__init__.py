@@ -8,13 +8,16 @@ Implements the frequency-oracle protocols the paper builds on (Section II-A):
   :class:`~repro.ldp.olh.OptimizedLocalHashing` — standard alternatives used
   for cross-validation in tests and ablation benches.
 
-plus two privacy-ledger engines that record every user's per-timestamp
-budget spend and *verify* the w-event LDP guarantee (Definition 3 /
-Theorem 3): the dict-based :class:`~repro.ldp.accountant.PrivacyAccountant`
-the baselines keep, and the vectorized
-:class:`~repro.ldp.accountant.ColumnarPrivacyAccountant` that
-:func:`~repro.ldp.accountant.make_accountant` builds for the RetraSyn
-curator.
+plus the privacy ledgers that record budget spends and *verify* the
+w-event LDP guarantee (Definition 3 / Theorem 3): the dict-based
+:class:`~repro.ldp.accountant.PrivacyAccountant` the baselines keep, and
+the two the RetraSyn curator picks between with
+:func:`~repro.ldp.accountant.make_ledger` — the O(w)
+:class:`~repro.ldp.accountant.ScheduleLedger` under budget division, whose
+reporters all spend the same ε_t once per round, and the per-user
+:class:`~repro.ldp.accountant.ColumnarPrivacyAccountant` (built by
+:func:`~repro.ldp.accountant.make_accountant`) under population division
+and the ``adaptive-user`` allocator.
 """
 
 from repro.ldp.freq_oracle import FrequencyOracle
@@ -25,7 +28,9 @@ from repro.ldp.accountant import (
     ACCOUNTANT_MODES,
     ColumnarPrivacyAccountant,
     PrivacyAccountant,
+    ScheduleLedger,
     make_accountant,
+    make_ledger,
 )
 
 __all__ = [
@@ -36,6 +41,8 @@ __all__ = [
     "OptimizedLocalHashing",
     "PrivacyAccountant",
     "ColumnarPrivacyAccountant",
+    "ScheduleLedger",
     "ACCOUNTANT_MODES",
     "make_accountant",
+    "make_ledger",
 ]

@@ -7,19 +7,20 @@ user's per-timestamp budget spend with an accountant, which raises
 of ``w`` consecutive timestamps would exceed ``epsilon`` for any user
 (Definition 3), and exposes audit summaries for tests and reports.
 
-Two ledger engines implement the same surface:
+Three ledger engines share the ``spend_many`` / ``summary`` surface:
 
 * :class:`PrivacyAccountant` — a per-uid dict of full spend histories.
   Simple, order-free, able to answer any historical query; cost grows per
   user per spend (a Python loop in ``spend_many``).  The baselines
   (LBD/LBA/LPD/LPA, LDPTrace) keep their ledgers in it, and the test
-  suites use it as the reference the columnar engine is checked against.
-* :class:`ColumnarPrivacyAccountant` — the **columnar** engine, the
-  RetraSyn curator's one ledger: spends live in a swept ``(n_slots, w)``
-  numpy ring hung on a :class:`~repro.stream.slots.UserSlotTable`, so
-  ``spend_many``, ``window_spend_many``, ``remaining_many`` and the
-  strict-mode violation check are array ops over whole report batches
-  with no per-user loop.
+  suites use it as the reference the other two are checked against.
+* :class:`ColumnarPrivacyAccountant` — the **per-user** columnar engine,
+  the RetraSyn curator's ledger under population division and under the
+  ``adaptive-user`` budget allocator: spends live in a swept
+  ``(n_slots, w)`` numpy ring hung on a
+  :class:`~repro.stream.slots.UserSlotTable`, so ``spend_many``,
+  ``window_spend_many``, ``remaining_many`` and the strict-mode violation
+  check are array ops over whole report batches with no per-user loop.
   The ledger retains exactly the live window of exactly the users who
   still have one (all the w-event guarantee needs): rows whose window has
   emptied are retired to a 16 B/user audit archive that keeps lifetime
@@ -29,11 +30,22 @@ Two ledger engines implement the same surface:
   ``tests/ldp/test_accountant_differential.py`` and the model-based
   ``tests/ldp/test_accountant_model.py`` pin the two engines to identical
   spends, refusals, violations and window totals on randomized schedules.
+* :class:`ScheduleLedger` — the **schedule** ledger, the RetraSyn
+  curator's ledger under budget division with a schedule-checked
+  allocator (``uniform``, ``sample``, ``adaptive``).  There every reporter
+  at ``t`` spends the same ``ε_t``, once, so a round's charge is one
+  number: if a round's reporters are distinct and every ``w`` consecutive
+  rounds sum to at most ``ε``, no user can exceed ``ε`` in any window.
+  Its state is ``O(w)`` — a ring of per-round ε — and
+  ``tests/ldp/test_schedule_ledger.py`` checks its bound against the dict
+  ledger.
 
-The curator builds its ledger with :func:`make_accountant`
-(``RetraSynConfig.accountant_mode``, whose one value is ``"columnar"``).
+The curator builds its ledger with :func:`make_ledger`, which picks one of
+the last two from the configuration; :func:`make_accountant` builds the
+per-user columnar engine (``RetraSynConfig.accountant_mode``, whose one
+value is ``"columnar"``).
 
-Both engines work for both division styles:
+Both division styles are covered:
 
 * budget division — every active user reports each timestamp with a small
   ``ε_t``; the accountant checks ``Σ ε_t over any window ≤ ε``;
@@ -661,6 +673,191 @@ class ColumnarPrivacyAccountant:
         return occ
 
 
+def require_distinct(user_ids: np.ndarray, timestamp: int) -> None:
+    """Refuse a round in which some user reports more than once.
+
+    A strictly increasing batch — what the ingest assembler emits — is
+    distinct after one O(n) compare; any other batch is checked on a
+    sorted copy.
+    """
+    if user_ids.size < 2 or (user_ids[1:] > user_ids[:-1]).all():
+        return
+    ordered = np.sort(user_ids)
+    repeated = np.flatnonzero(ordered[1:] == ordered[:-1])
+    if repeated.size:
+        raise PrivacyBudgetError(
+            f"user {int(ordered[repeated[0]])} reports more than once "
+            f"at t={timestamp}"
+        )
+
+
+class ScheduleLedger:
+    """Strict w-event ledger of a budget-division *schedule*: O(w) state.
+
+    Under budget division every reporter at ``t`` spends the same ``ε_t``
+    once, so the round's charge is one number.  If a round's reporters are
+    distinct and the ``ε_t`` of any ``w`` consecutive rounds sum to at
+    most ``ε``, then no user — whichever rounds they joined — spends more
+    than ``ε`` in any window: their window spend is a sub-sum of the
+    schedule's.  The ledger keeps exactly that: one ring of per-round ε
+    (``ring[t % w]``), the timestamp each column holds, the frontier, the
+    running maximum window total and the counters.
+
+    :meth:`spend_many` has the per-user ledgers' signature and checks.  It
+    refuses with :class:`PrivacyBudgetError`, recording nothing, when a
+    uid repeats in the batch or when the window total including ``ε_t``
+    would exceed ``ε``.  Two batches at one timestamp both charge that
+    round, which stays an upper bound for a user in both.
+
+    Window totals add the ring columns in column order, then ``ε_t``, as
+    :meth:`ColumnarPrivacyAccountant._ring_totals` does, so
+    :meth:`max_window_spend` — an upper bound on every user's window
+    spend — equals the per-user ledgers' value to the bit whenever some
+    user reported in every round of the maximising window.
+
+    The ledger keeps no per-user state, so it has no ``n_users``,
+    ``window_spend`` or ``remaining_many``; a curator whose allocator reads
+    per-user budgets (``adaptive-user``) keeps the per-user ledger.  It is
+    always strict, so it records no violations.
+    """
+
+    #: No per-user rows, resident or retired.
+    n_rows = 0
+    n_retired = 0
+
+    def __init__(self, epsilon: float, w: int) -> None:
+        if epsilon <= 0:
+            raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
+        if w < 1:
+            raise ConfigurationError(f"window size w must be >= 1, got {w}")
+        self.epsilon = float(epsilon)
+        self.w = int(w)
+        # Python lists: w is small, and a scalar loop adds in column order.
+        self._ring = [0.0] * self.w
+        self._col_t = [int(_NEVER)] * self.w
+        self._frontier: Optional[int] = None
+        self._max_window = 0.0
+        self.n_spend_events = 0
+        self.n_refusals = 0
+
+    # ------------------------------------------------------------------ #
+    # recording
+    # ------------------------------------------------------------------ #
+    def spend_many(self, user_ids, timestamp: int, epsilon: float) -> None:
+        """Charge round ``timestamp`` ``epsilon`` for a batch of reporters."""
+        admitted = self.admit(user_ids, timestamp, epsilon)
+        if admitted is None:
+            return
+        n, t, epsilon, total = admitted
+        self._sweep_to(t)
+        self._ring[t % self.w] += epsilon
+        self.n_spend_events += n
+        self._max_window = max(self._max_window, total)
+
+    def admit(self, user_ids, timestamp: int, epsilon: float):
+        """Raise exactly when :meth:`spend_many` would, recording nothing.
+
+        Returns ``(n, t, ε, window total)`` of an admissible spend and
+        ``None`` for a free one (``ε = 0`` or no reporters).
+        """
+        epsilon = _checked_spend(epsilon)
+        ids = _as_uid_array(user_ids)
+        if epsilon == 0 or ids.size == 0:
+            return None
+        t = int(timestamp)
+        if self._frontier is not None and t < self._frontier:
+            raise ConfigurationError(
+                f"schedule ledger requires non-decreasing spend timestamps: "
+                f"got t={t} after t={self._frontier}"
+            )
+        try:
+            require_distinct(ids, t)
+        except PrivacyBudgetError:
+            self.n_refusals += 1
+            raise
+        total = self._window_total(t) + epsilon
+        if total > self.epsilon + _EPS_TOL:
+            self.n_refusals += 1
+            raise PrivacyBudgetError(
+                f"round t={t} would charge {total:.6f} > epsilon={self.epsilon} "
+                f"in the window ending at t={t}"
+            )
+        return ids.size, t, epsilon, total
+
+    def _window_total(self, t: int) -> float:
+        """Σ of the ring columns holding a timestamp in ``[t-w+1, t]``."""
+        total, lo = 0.0, t - self.w
+        for ts, eps in zip(self._col_t, self._ring):
+            if lo < ts <= t:
+                total += eps
+        return total
+
+    def _sweep_to(self, t: int) -> None:
+        """Advance the frontier to ``t``, zeroing every column that left."""
+        frontier = self._frontier
+        if frontier == t:
+            return
+        lo = t - self.w + 1 if frontier is None else max(frontier + 1, t - self.w + 1)
+        for ts in range(lo, t + 1):
+            self._ring[ts % self.w] = 0.0
+            self._col_t[ts % self.w] = ts
+        self._frontier = t
+
+    # ------------------------------------------------------------------ #
+    # queries
+    # ------------------------------------------------------------------ #
+    @property
+    def n_reports(self) -> int:
+        """Reports charged so far (one per reporter per round)."""
+        return self.n_spend_events
+
+    def max_window_spend(self) -> float:
+        """The largest schedule window total charged so far — an upper
+        bound on every user's window spend."""
+        return self._max_window
+
+    def verify(self) -> bool:
+        """Whether every window of the schedule stayed within ``ε``."""
+        return self._max_window <= self.epsilon + _EPS_TOL
+
+    @property
+    def violations(self) -> list:
+        """Always empty: a refused round is never recorded."""
+        return []
+
+    def summary(self) -> dict:
+        """Audit summary; ``n_reports`` stands where per-user ledgers
+        report ``n_users``."""
+        return {
+            "epsilon": self.epsilon,
+            "w": self.w,
+            "n_reports": self.n_reports,
+            "max_window_spend": self.max_window_spend(),
+            "n_violations": 0,
+            "satisfied": self.verify(),
+        }
+
+    def components(self) -> list:
+        return [("ledger", self)]
+
+    def state(self) -> dict:
+        return {
+            "frontier": self._frontier, "max_window": self._max_window,
+            "n_spend_events": self.n_spend_events, "n_refusals": self.n_refusals,
+            "ring": np.asarray(self._ring, dtype=np.float64),
+            "col_t": np.asarray(self._col_t, dtype=np.int64),
+        }
+
+    def load_state(self, state: dict) -> None:
+        frontier = state["frontier"]
+        self._ring = state["ring"].reshape(self.w).tolist()
+        self._col_t = state["col_t"].reshape(self.w).tolist()
+        self._frontier = None if frontier is None else int(frontier)
+        self._max_window = float(state["max_window"])
+        self.n_spend_events = int(state["n_spend_events"])
+        self.n_refusals = int(state["n_refusals"])
+
+
 def make_accountant(
     epsilon: float,
     w: int,
@@ -674,6 +871,32 @@ def make_accountant(
             f"accountant_mode must be one of {ACCOUNTANT_MODES}, got {mode!r}"
         )
     return ColumnarPrivacyAccountant(epsilon, w, strict=strict, slots=slots)
+
+
+#: Budget allocators whose ε_t schedule is window-checked at commit; the
+#: curator accounts them per round (:class:`ScheduleLedger`).
+SCHEDULE_ALLOCATORS = ("uniform", "sample", "adaptive")
+
+
+def uses_schedule_ledger(config) -> bool:
+    """Whether ``config``'s curator keeps a :class:`ScheduleLedger`."""
+    return config.division == "budget" and config.allocator in SCHEDULE_ALLOCATORS
+
+
+def make_ledger(config, slots: Optional[UserSlotTable] = None):
+    """The curator's ledger for ``config``.
+
+    Budget division with a schedule-checked allocator gets the O(w)
+    :class:`ScheduleLedger`.  Population division and ``adaptive-user`` —
+    which reads per-user remaining budgets and commits its schedule
+    unchecked — get the per-user ledger of :func:`make_accountant`, hung
+    on ``slots`` when given.
+    """
+    if uses_schedule_ledger(config):
+        return ScheduleLedger(config.epsilon, config.w)
+    return make_accountant(
+        config.epsilon, config.w, mode=config.accountant_mode, slots=slots
+    )
 
 
 class SlidingBudgetTracker:

@@ -1,4 +1,4 @@
-"""Checkpoint files (format v5): a fuzzed loader and a never-unpickled past.
+"""Checkpoint files (format v6): a fuzzed loader and a never-unpickled past.
 
 A checkpoint is RSF2 frames — a header, then one ``state`` frame per
 component — so the loader is a decoder like the ingress's, and gets the
@@ -32,8 +32,9 @@ from repro.datasets.synthetic import make_random_walks
 from repro.exceptions import DatasetError, ReproError
 
 #: Between them the two shapes write every component kind: report phases
-#: and trackers (population, "random"), the budget window (budget
-#: division), object and vectorized synthesizers, per-shard frames.
+#: and trackers (population, "random"), the budget window and the schedule
+#: ledger (budget division), object and vectorized synthesizers, per-shard
+#: frames.
 _SHAPES = {
     "K1": dict(n_shards=1, allocator="random", engine="object"),
     "K2": dict(

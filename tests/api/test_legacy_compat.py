@@ -126,7 +126,7 @@ class TestCheckpointVersions:
         path = tmp_path / "current.ckpt"
         save_checkpoint(curator, path)
         header, _end = schema.load_frame(path.read_bytes(), expect="checkpoint")
-        assert header["version"] == 5
+        assert header["version"] == 6
         spec = peek_checkpoint_spec(path)
         assert isinstance(spec, SessionSpec)
         assert spec == curator.config.to_spec()
@@ -145,7 +145,7 @@ class TestCheckpointVersions:
             ):
                 load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [4, 6])
+    @pytest.mark.parametrize("version", [4, 5, 7])
     def test_other_frame_versions_are_refused_by_version(
         self, walk_data, tmp_path, version
     ):

@@ -1,9 +1,10 @@
 """Both ledger engines, one pipeline behaviour.
 
 The ledger engines never touch the RNG, so for a fixed seed the pipeline
-must synthesize *bit-identical* streams with the curator's columnar ledger
-and with the dict ledger ``tests/reference`` installs in its place —
-across shard counts (K=1, K=4) — while the two ledgers reach the same
+must synthesize *bit-identical* streams with the curator's own ledger —
+columnar under population division, the schedule ledger under budget
+division — and with the dict ledger ``tests/reference`` installs in its
+place, across shard counts (K=1, K=4), while the ledgers reach the same
 audit verdicts.  A second group pins the
 checkpoint round trip of the columnar accounting plane: slot table and
 ring buffer survive a save → resume with shared identity intact and the
@@ -17,7 +18,11 @@ from repro.core.persistence import load_checkpoint, save_checkpoint
 from repro.core.retrasyn import RetraSyn, RetraSynConfig
 from repro.datasets.synthetic import make_random_walks
 from repro.exceptions import PrivacyBudgetError
-from repro.ldp.accountant import ColumnarPrivacyAccountant, PrivacyAccountant
+from repro.ldp.accountant import (
+    ColumnarPrivacyAccountant,
+    PrivacyAccountant,
+    ScheduleLedger,
+)
 
 from reference.ledger import object_ledger_installed
 
@@ -65,15 +70,17 @@ class TestPipelineEquivalence:
         )
 
     def test_budget_division_equivalent(self, stream):
+        """The schedule ledger against the dict ledger: same stream, both
+        satisfied, the schedule's bound above the per-user one, and one
+        charged report per recorded spend."""
         obj, col = _run_both(stream, division="budget")
+        assert isinstance(obj.accountant, PrivacyAccountant)
+        assert isinstance(col.accountant, ScheduleLedger)
         assert _fingerprint(obj) == _fingerprint(col)
         so, sc = obj.accountant.summary(), col.accountant.summary()
-        assert so["n_users"] == sc["n_users"]
-        assert so["n_violations"] == sc["n_violations"] == 0
         assert so["satisfied"] and sc["satisfied"]
-        # Budget division accumulates many small ε_t per window; summation
-        # order differs between the ledgers, so compare to float tolerance.
-        assert so["max_window_spend"] == pytest.approx(sc["max_window_spend"])
+        assert sc["max_window_spend"] >= so["max_window_spend"]
+        assert sc["n_reports"] == obj.accountant.n_spend_events
 
     def test_random_allocator_equivalent(self, stream):
         obj, col = _run_both(stream, allocator="random", n_shards=4)

@@ -11,16 +11,22 @@ coordinator, and worker-side failures must surface as the same typed
 exceptions the in-process path raises.
 """
 
+import hashlib
 
+import numpy as np
 import pytest
 
+from repro.api import schema
+from repro.api.session import create_session, load_session
+from repro.api.specs import SessionSpec
 from repro.core.online import OnlineRetraSyn
 from repro.core.persistence import load_checkpoint, save_checkpoint
 from repro.core.retrasyn import RetraSynConfig
 from repro.core.sharded import CollectionShard
 from repro.datasets.synthetic import make_random_walks
 from repro.exceptions import ConfigurationError, PrivacyBudgetError
-from repro.stream.reports import as_report_batch
+from repro.ldp.accountant import ScheduleLedger
+from repro.stream.reports import ColumnarStreamView, as_report_batch
 
 
 @pytest.fixture(scope="module")
@@ -253,12 +259,15 @@ class TestWorkerErrorPropagation:
         PrivacyBudgetError the in-process path raises.
 
         Budget division makes every participant a reporter; with w=1 a
-        duplicated user id in one batch double-spends its window.
+        duplicated user id in one batch double-spends its window.  The
+        ``adaptive-user`` allocator keeps per-user worker ledgers, which
+        refuse at spend time (schedule ledgers refuse at the coordinator,
+        see ``TestBudgetDivisionLedger``).
         """
         cfg = RetraSynConfig(
             epsilon=1.0, w=1, seed=0, n_shards=2,
             shard_executor="distributed",
-            division="budget", allocator="uniform",
+            division="budget", allocator="adaptive-user",
         )
         curator = OnlineRetraSyn(stream.grid, cfg, lam=5.0)
         try:
@@ -330,3 +339,176 @@ class TestWorkerErrorPropagation:
                 curator._pool.advance(1, None, 0.5)
         finally:
             curator.close()
+
+
+# ---------------------------------------------------------------------- #
+# budget division: the schedule ledger, in process and in the workers
+# ---------------------------------------------------------------------- #
+_BUDGET_SHAPES = [
+    pytest.param(1, "serial", id="K1-serial"),
+    pytest.param(2, "serial", id="K2-serial"),
+    pytest.param(2, "distributed", id="K2-distributed"),
+]
+
+
+def _budget_curator(data, n_shards, executor):
+    cfg = RetraSynConfig(
+        epsilon=1.0, w=3, seed=7, division="budget", allocator="uniform",
+        engine="vectorized", n_shards=n_shards, shard_executor=executor,
+    )
+    return OnlineRetraSyn(data.grid, cfg, lam=5.0)
+
+
+def _round(curator, data, t, participants=None):
+    curator.process_timestep(
+        t,
+        participants=data.participants_at(t) if participants is None else participants,
+        newly_entered=data.newly_entered_at(t),
+        quitted=data.quitted_at(t),
+        n_real_active=data.n_active_at(t),
+    )
+
+
+def _state(curator) -> list:
+    """Every checkpointed state, as frames, but the ledger's refusal count
+    (an operational counter); distributed workers' frames as sent."""
+    frames = []
+    for kind, component in curator.components():
+        state = dict(component.state())
+        if kind == "ledger":
+            state.pop("n_refusals")
+        frames.append(schema.dump_frame(schema.message("state", component=kind, **state)))
+    if curator._pool is not None:
+        frames += [bytes(f) for worker in curator._pool.get_states() for f in worker]
+    return frames
+
+
+def _store_digest(curator) -> str:
+    store = curator.synthesizer.store
+    rows = np.arange(store.n_total)
+    digest = hashlib.sha256(store.flat_cells(rows).tobytes())
+    digest.update(store.births_of(rows).tobytes())
+    return digest.hexdigest()
+
+
+class TestBudgetDivisionLedger:
+    """Budget division keeps an O(w) schedule ledger: a round is admitted
+    before it changes anything, and checkpoints carry the schedule."""
+
+    @pytest.fixture(scope="class")
+    def walks(self):
+        return make_random_walks(k=4, n_streams=60, n_timestamps=12, seed=9)
+
+    @pytest.mark.parametrize("copies", [1, 3], ids=["twice", "four-times"])
+    @pytest.mark.parametrize("n_shards, executor", _BUDGET_SHAPES)
+    def test_a_duplicated_report_is_refused_before_the_round_starts(
+        self, walks, n_shards, executor, copies
+    ):
+        reference = _budget_curator(walks, n_shards, executor)
+        curator = _budget_curator(walks, n_shards, executor)
+        try:
+            for t in range(walks.n_timestamps):
+                _round(reference, walks, t)
+            for t in range(4):
+                _round(curator, walks, t)
+            before, digest = _state(curator), _store_digest(curator)
+            honest = walks.participants_at(4)
+            with pytest.raises(PrivacyBudgetError, match="more than once at t=4"):
+                _round(curator, walks, 4, list(honest) + [honest[0]] * copies)
+            # Nothing moved: rng, allocator window, clock, store, ledger.
+            assert curator._last_t == 3
+            assert _store_digest(curator) == digest
+            assert _state(curator) == before
+            # The honest t=4 is accepted, and the run continues as if the
+            # duplicate had never been submitted.
+            for t in range(4, walks.n_timestamps):
+                _round(curator, walks, t)
+            assert _store_digest(curator) == _store_digest(reference)
+            assert curator.accountant.summary() == reference.accountant.summary()
+        finally:
+            reference.close()
+            curator.close()
+
+    @pytest.mark.parametrize("n_shards, executor", _BUDGET_SHAPES)
+    def test_every_shape_keeps_schedule_ledgers(self, walks, n_shards, executor):
+        curator = _budget_curator(walks, n_shards, executor)
+        try:
+            for t in range(walks.n_timestamps):
+                _round(curator, walks, t)
+            if curator._pool is None:
+                assert isinstance(curator.accountant, ScheduleLedger)
+                assert curator._slots is None  # no per-user rows anywhere
+            summary = curator.accountant.summary()
+            assert "n_users" not in summary and summary["n_reports"] > 0
+            assert summary["satisfied"]
+            assert curator.state_summary()["rows"]["ledger"] == 0
+        finally:
+            curator.close()
+
+    def test_workers_merge_to_the_in_process_schedule(self, walks):
+        serial = _budget_curator(walks, 2, "serial")
+        distributed = _budget_curator(walks, 2, "distributed")
+        try:
+            for t in range(walks.n_timestamps):
+                _round(serial, walks, t)
+                _round(distributed, walks, t)
+            assert _store_digest(serial) == _store_digest(distributed)
+            merged, one = distributed.accountant.summary(), serial.accountant.summary()
+            assert merged["n_reports"] == one["n_reports"]
+            # A worker's schedule holds the rounds its partition reported
+            # in: a sub-schedule of the engine's, so never above it.
+            assert merged["max_window_spend"] <= one["max_window_spend"]
+            assert merged["satisfied"] and merged["n_reports"] > 0
+        finally:
+            serial.close()
+            distributed.close()
+
+    @pytest.mark.parametrize("cut", [1, 6, 11], ids=["early", "mid", "late"])
+    @pytest.mark.parametrize(
+        "n_shards, executor",
+        [pytest.param(1, "serial", id="K1-serial"),
+         pytest.param(2, "distributed", id="K2-distributed")],
+    )
+    def test_resume_at_any_cut_equals_the_uninterrupted_run(
+        self, walks, tmp_path, n_shards, executor, cut
+    ):
+        spec = SessionSpec.from_flat(
+            epsilon=1.0, w=3, seed=7, division="budget", engine="vectorized",
+            n_shards=n_shards, shard_executor=executor,
+        )
+
+        def drive(session, rounds):
+            view = ColumnarStreamView(walks, session.curator.space)
+            snapshots = []
+            for t in rounds:
+                session.submit_batch(
+                    t, view.batch_at(t), newly_entered=view.newly_entered_at(t),
+                    quitted=view.quitted_at(t), n_real_active=view.n_active_at(t),
+                )
+                session.advance()
+                snapshots.append(session.snapshot().astype(np.int64).tobytes())
+            return snapshots
+
+        def finish(session):
+            out = (session.stats(), _store_digest(session.curator))
+            session.close()
+            return out
+
+        whole = create_session(spec, walks.grid, lam=5.0)
+        reference = drive(whole, range(walks.n_timestamps))
+        ref_stats, ref_digest = finish(whole)
+
+        first = create_session(spec, walks.grid, lam=5.0)
+        head = drive(first, range(cut))
+        path = tmp_path / "budget.ckpt"
+        first.checkpoint(str(path))
+        first.close()
+        resumed = load_session(str(path))
+        tail = drive(resumed, range(cut, walks.n_timestamps))
+        stats, digest = finish(resumed)
+
+        assert head + tail == reference
+        assert digest == ref_digest
+        assert stats["privacy"] == ref_stats["privacy"]
+        assert stats["state"] == ref_stats["state"]
+        assert "n_reports" in stats["privacy"] and stats["privacy"]["satisfied"]

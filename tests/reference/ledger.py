@@ -10,14 +10,15 @@ import repro.core.online as online
 from repro.ldp.accountant import PrivacyAccountant
 
 
-def _object_accountant(epsilon, w, mode="columnar", strict=True, slots=None):
-    """``make_accountant``'s signature, building the dict ledger.
+def _object_accountant(config, slots=None):
+    """``make_ledger``'s signature, building the dict ledger for any
+    division.
 
     The dict ledger keys on raw uids, so the shared slot table is left to
     the tracker alone.
     """
-    del mode, slots
-    return PrivacyAccountant(epsilon, w, strict=strict)
+    del slots
+    return PrivacyAccountant(config.epsilon, config.w)
 
 
 @contextlib.contextmanager
@@ -31,7 +32,7 @@ def object_ledger_installed():
     and are not affected.
     """
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(online, "make_accountant", _object_accountant)
+        mp.setattr(online, "make_ledger", _object_accountant)
         yield PrivacyAccountant
 
 
