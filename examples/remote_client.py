@@ -48,7 +48,7 @@ def main() -> None:
     lam = max(1.0, average_length(data.trajectories))
     print(f"stream: {len(data)} users, {data.n_timestamps} timestamps")
 
-    spec = SessionSpec.from_flat(epsilon=1.0, w=10, seed=0, transport="ingest")
+    spec = SessionSpec(epsilon=1.0, w=10, seed=0, transport="ingest")
     ingress = start_server(create_session(spec, data.grid, lam=lam))
     print(f"ingress listening on http://{ingress.host}:{ingress.port}\n")
 

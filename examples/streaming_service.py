@@ -17,6 +17,7 @@ Run:  python examples/streaming_service.py
 """
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from repro import SessionSpec, load_dataset
@@ -30,7 +31,7 @@ def fingerprint(run) -> list:
 def main() -> None:
     data = load_dataset("oldenburg", scale=0.02, seed=0)
     print(f"stream: {len(data)} users, {data.n_timestamps} timestamps\n")
-    spec = SessionSpec.from_flat(
+    spec = SessionSpec(
         epsilon=1.0, w=10, n_shards=2, engine="vectorized", seed=0,
         queue_size=512,
     )
@@ -44,7 +45,7 @@ def main() -> None:
     )
 
     # 2. out-of-order arrival within the watermark window
-    shuffled = serve_dataset(data, spec.replace(max_lateness=2), shuffle=True)
+    shuffled = serve_dataset(data, replace(spec, max_lateness=2), shuffle=True)
     same = fingerprint(shuffled.run) == fingerprint(in_order.run)
     print(
         f"shuffled : {shuffled.stats.n_late_dropped} late drops, "
@@ -54,8 +55,9 @@ def main() -> None:
 
     # 3. checkpoint halfway, resume in a "fresh process"
     with tempfile.TemporaryDirectory() as tmp:
-        ckpt = spec.replace(
-            checkpoint_path=str(Path(tmp) / "curator.ckpt"), checkpoint_every=5
+        ckpt = replace(
+            spec, checkpoint_path=str(Path(tmp) / "curator.ckpt"),
+            checkpoint_every=5,
         )
         serve_dataset(data, ckpt)
         resumed = serve_dataset(data, ckpt, resume=True)

@@ -18,7 +18,7 @@ Session API (engine-agnostic; see ``docs/API.md``)::
 
     from repro import SessionSpec, create_session
 
-    spec = SessionSpec.from_flat(epsilon=1.0, w=20, seed=0, n_shards=4)
+    spec = SessionSpec(epsilon=1.0, w=20, seed=0, n_shards=4)
     session = create_session(spec, data.grid, lam=14.0)
 """
 
@@ -31,13 +31,7 @@ from repro.api.session import (
     create_session,
     load_session,
 )
-from repro.api.specs import (
-    EngineSpec,
-    PrivacySpec,
-    ServiceSpec,
-    SessionSpec,
-    ShardingSpec,
-)
+from repro.api.specs import SessionSpec
 from repro.core import (
     GlobalMobilityModel,
     OnlineRetraSyn,
@@ -66,10 +60,6 @@ from repro.stream import StreamDataset, TransitionStateSpace
 __version__ = "1.0.0"
 
 __all__ = [
-    "PrivacySpec",
-    "EngineSpec",
-    "ShardingSpec",
-    "ServiceSpec",
     "SessionSpec",
     "CuratorSession",
     "DirectSession",

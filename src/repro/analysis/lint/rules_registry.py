@@ -201,11 +201,6 @@ class SpecDriftRule(Rule):
                 ):
                     continue
                 fname = stmt.target.id
-                ann = ast.unparse(stmt.annotation)
-                # Layer-composition fields (SessionSpec.privacy etc.) are
-                # specs themselves, not knobs.
-                if ann.rstrip('"').endswith("Spec"):
-                    continue
                 all_fields.add((cls.name, fname))
                 flag = self._cli_flag(stmt.value)
                 if flag is not None:

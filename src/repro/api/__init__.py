@@ -1,9 +1,8 @@
 """Unified curator API: the single front door to every engine family.
 
-* :mod:`repro.api.specs` — the layered, validated configuration model
-  (``PrivacySpec`` / ``EngineSpec`` / ``ShardingSpec`` / ``ServiceSpec``
-  composed into ``SessionSpec``); ``RetraSynConfig`` is a flat façade
-  over it.
+* :mod:`repro.api.specs` — ``SessionSpec``, the one flat, validated
+  configuration class (``RetraSynConfig`` is the same class); its service
+  fields (``SERVICE_FIELDS``) shape a deployment.
 * :mod:`repro.api.session` — the engine-agnostic :class:`CuratorSession`
   protocol (``submit_batch / advance / snapshot / result / checkpoint /
   close``) and the :func:`create_session` factory that returns any of the
@@ -16,8 +15,8 @@
 * :mod:`repro.api.client` — :class:`Client`, the remote twin of a local
   session, for submission and querying over the ingress.
 
-The submodules are imported lazily so that ``repro.core`` (which lifts
-configs into specs during validation) can import :mod:`repro.api.specs`
+The submodules are imported lazily so that ``repro.core`` (whose
+``RetraSynConfig`` is ``SessionSpec``) can import :mod:`repro.api.specs`
 without dragging the whole session/transport stack into every import.
 """
 
@@ -27,10 +26,6 @@ from typing import TYPE_CHECKING
 
 _EXPORTS = {
     # specs
-    "PrivacySpec": "repro.api.specs",
-    "EngineSpec": "repro.api.specs",
-    "ShardingSpec": "repro.api.specs",
-    "ServiceSpec": "repro.api.specs",
     "SessionSpec": "repro.api.specs",
     # sessions
     "CuratorSession": "repro.api.session",
@@ -58,13 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers
         create_session,
         load_session,
     )
-    from repro.api.specs import (
-        EngineSpec,
-        PrivacySpec,
-        ServiceSpec,
-        SessionSpec,
-        ShardingSpec,
-    )
+    from repro.api.specs import SessionSpec
 
 
 def __getattr__(name: str):

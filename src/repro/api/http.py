@@ -37,7 +37,7 @@ Graceful drain: when signal handling is enabled (the ``repro serve
 ``/readyz`` answers 503, new ``/v1/batch`` submissions are refused with
 503, the in-flight round finishes under the session lock, the session
 closes (assembler flush + final checkpoint) and the server stops — all
-bounded by ``ServiceSpec.drain_deadline`` seconds.
+bounded by the spec's ``drain_deadline`` seconds.
 
 Every ``/v1/*`` request and response body is RSF2 frames, errors
 included; only ``/metrics``, ``/healthz`` and ``/readyz`` answer plain
@@ -119,7 +119,7 @@ class HttpIngress:
         self._drain_task: asyncio.Task | None = None
         self._handle_signals = bool(handle_signals)
         self.drain_deadline = float(
-            getattr(session.spec.service, "drain_deadline", 30.0)
+            getattr(session.spec, "drain_deadline", 30.0)
         )
         # Transport counters, mirrored into the session's metrics registry
         # by start(): report-batch messages in, frame responses out, and
@@ -429,7 +429,7 @@ class HttpIngress:
         async with self._lock:
             self.session.checkpoint()
         return 200, schema.message(
-            "checkpoint", path=self.session.spec.service.checkpoint_path
+            "checkpoint", path=self.session.spec.checkpoint_path
         )
 
     async def _close(self, body: bytes):

@@ -26,22 +26,23 @@ now:
 
 :func:`create_session` is the factory: it reads a
 :class:`~repro.api.specs.SessionSpec`, builds the one curator engine
-(which picks its collection shards and executor from the ``sharding``
-layer itself; K=1 serial is one in-process shard on the engine's rng) and
-wraps it in the synchronous façade or the watermarked ingestion front-end
-(``service.transport="ingest"``).
+(which picks its collection shards and executor from ``n_shards`` and
+``shard_executor`` itself; K=1 serial is one in-process shard on the
+engine's rng) and wraps it in the synchronous façade or the watermarked
+ingestion front-end (``transport="ingest"``).
 The HTTP ingress (:mod:`repro.api.http`) serves exactly this protocol
 over the wire, so remote and in-process callers are interchangeable.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from typing import Optional, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.api.specs import ServiceSpec, SessionSpec
+from repro.api.specs import SERVICE_FIELDS, SessionSpec
 from repro.core.online import OnlineRetraSyn, TimestepResult
 from repro.exceptions import ConfigurationError
 from repro.obs import MetricsRegistry
@@ -77,13 +78,9 @@ class CuratorSession(Protocol):
 class _SessionBase:
     """State and behaviour shared by the in-process session flavours."""
 
-    def __init__(self, curator, spec: Optional[SessionSpec] = None) -> None:
+    def __init__(self, curator, spec: SessionSpec) -> None:
         self.curator = curator
-        self.spec = (
-            spec
-            if spec is not None
-            else SessionSpec.from_config(curator.config)
-        )
+        self.spec = spec
         self._closed = False
         self._since_checkpoint = 0
         # The registry lives here, never on the curator: metrics are
@@ -273,17 +270,17 @@ class _SessionBase:
         """Freeze the curator to ``path`` (default: the spec's path)."""
         from repro.core.persistence import save_checkpoint
 
-        path = path if path is not None else self.spec.service.checkpoint_path
+        path = path if path is not None else self.spec.checkpoint_path
         if path is None:
             raise ConfigurationError(
                 "checkpoint() needs a path: pass one or set "
-                "ServiceSpec.checkpoint_path"
+                "the spec's checkpoint_path"
             )
         save_checkpoint(
             self.curator,
             path,
             spec=self.spec,
-            keep=self.spec.service.checkpoint_keep,
+            keep=self.spec.checkpoint_keep,
         )
 
     def close(self, *, flush_partial: bool = True) -> None:
@@ -298,7 +295,7 @@ class _SessionBase:
             return
         self._closed = True
         self._drain_on_close(flush_partial)
-        if self.spec.service.checkpoint_path is not None:
+        if self.spec.checkpoint_path is not None:
             self.checkpoint()
         self.curator.close()
 
@@ -307,10 +304,10 @@ class _SessionBase:
 
     def _after_timestep(self) -> None:
         """Periodic checkpointing shared by both session flavours."""
-        svc = self.spec.service
-        if svc.checkpoint_path is not None and svc.checkpoint_every:
+        spec = self.spec
+        if spec.checkpoint_path is not None and spec.checkpoint_every:
             self._since_checkpoint += 1
-            if self._since_checkpoint >= svc.checkpoint_every:
+            if self._since_checkpoint >= spec.checkpoint_every:
                 self.checkpoint()
                 self._since_checkpoint = 0
 
@@ -330,7 +327,7 @@ class DirectSession(_SessionBase):
     whatever shard count and executor the engine runs.
     """
 
-    def __init__(self, curator, spec: Optional[SessionSpec] = None) -> None:
+    def __init__(self, curator, spec: SessionSpec) -> None:
         super().__init__(curator, spec)
         self._staged: list[tuple] = []
 
@@ -368,7 +365,7 @@ class IngestSession(_SessionBase):
     """Session over the watermarked ingestion front-end.
 
     Reports may arrive out of order (within the
-    ``ServiceSpec.max_lateness`` bound) and as loose per-user events
+    spec's ``max_lateness`` bound) and as loose per-user events
     (:meth:`submit_report`) or whole batches; a
     :class:`~repro.stream.ingest.TimestampAssembler` reorders them into
     canonical closed timestamps, and ``advance`` processes everything at
@@ -377,19 +374,15 @@ class IngestSession(_SessionBase):
     session plus a bounded backpressure queue.
     """
 
-    def __init__(self, curator, spec: Optional[SessionSpec] = None) -> None:
+    def __init__(self, curator, spec: SessionSpec) -> None:
         from repro.stream.ingest import IngestStats, TimestampAssembler
 
-        if spec is None:
-            spec = SessionSpec.from_config(
-                curator.config, service=ServiceSpec(transport="ingest")
-            )
         super().__init__(curator, spec)
         last_t = getattr(curator, "_last_t", None)
         self.assembler = TimestampAssembler(
             curator.space,
             start_t=0 if last_t is None else last_t + 1,
-            max_lateness=self.spec.service.max_lateness,
+            max_lateness=self.spec.max_lateness,
         )
         self.ingest_stats = IngestStats()
         self._register_ingest_metrics()
@@ -509,51 +502,53 @@ def create_session(spec, grid, *, lam: Optional[float] = None) -> CuratorSession
     Parameters
     ----------
     spec:
-        A :class:`~repro.api.specs.SessionSpec`.  A flat
-        :class:`~repro.core.retrasyn.RetraSynConfig` is refused; lift it
-        with ``config.to_spec()``.
+        A :class:`~repro.api.specs.SessionSpec` (``RetraSynConfig`` is the
+        same class).
     grid:
         The discretisation grid shared with reporting users.
     lam:
         Termination restriction factor λ (Eq. 8); overrides
-        ``spec.engine.lam``.  One of the two must be set: a session has no
+        ``spec.lam``.  One of the two must be set: a session has no
         dataset to derive it from.
 
-    ``service.transport="ingest"`` wraps the curator in the watermarked
+    ``transport="ingest"`` wraps the curator in the watermarked
     ingestion assembler, ``"direct"`` in the synchronous façade.
     """
-    if not isinstance(spec, SessionSpec):
-        raise ConfigurationError(
-            f"create_session() needs a SessionSpec, got "
-            f"{type(spec).__name__}; lift a flat config with "
-            "config.to_spec()"
-        )
-    lam = lam if lam is not None else spec.engine.lam
+    lam = lam if lam is not None else spec.lam
     if lam is None:
         raise ConfigurationError(
             "create_session() needs the termination factor lambda: set "
-            "EngineSpec.lam or pass lam="
+            "the spec's lam or pass lam="
         )
-    curator = OnlineRetraSyn(grid, spec.to_config(), lam=lam)
-    if spec.service.transport == "ingest":
+    curator = OnlineRetraSyn(grid, spec, lam=lam)
+    if spec.transport == "ingest":
         return IngestSession(curator, spec)
     return DirectSession(curator, spec)
 
 
-def load_session(path, service: Optional[ServiceSpec] = None) -> CuratorSession:
+def load_session(path, **service) -> CuratorSession:
     """Resume the session frozen at ``path`` by :meth:`checkpoint`.
 
     The session runs under the spec the checkpoint stores, which describes
-    the engine it restores; ``service`` replaces only its service layer
-    (transport, lateness, cadence, binding) for a restarted deployment.
+    the engine it restores; ``service`` replaces only the named
+    :data:`~repro.api.specs.SERVICE_FIELDS` (transport, lateness, cadence,
+    binding, …) for a restarted deployment.  Any other name is refused
+    with :class:`~repro.exceptions.ConfigurationError`.
     """
-    import dataclasses
-
     from repro.core.persistence import load_checkpoint_with_spec
 
+    stored = sorted(set(service) - set(SERVICE_FIELDS))
+    if stored:
+        raise ConfigurationError(
+            f"load_session() overrides only service fields; {stored} come "
+            "from the checkpoint"
+        )
     curator, spec = load_checkpoint_with_spec(path)
-    if service is not None:
-        spec = dataclasses.replace(spec, service=service)
-    if spec.service.transport == "ingest":
+    try:
+        spec = dataclasses.replace(spec, **service)
+    except BaseException:
+        curator.close()
+        raise
+    if spec.transport == "ingest":
         return IngestSession(curator, spec)
     return DirectSession(curator, spec)

@@ -1,28 +1,28 @@
-"""Layered, validated configuration model for curator sessions.
+"""The one validated configuration class for curator sessions.
 
-The flat :class:`~repro.core.retrasyn.RetraSynConfig` grew one field per
-engine knob; its 20 fields span three orthogonal concerns, and a deployed
-session adds a fourth.  This module is the *canonical* configuration
-surface, splitting those concerns into composable layers:
+:class:`SessionSpec` is a frozen, flat dataclass holding every tunable of
+a session, each field defined once:
 
-* :class:`PrivacySpec` — the privacy contract: budget ``ε``, window ``w``,
-  division style, allocation strategy and the ledger engine auditing it.
-* :class:`EngineSpec` — the synthesis engine, the OUE execution mode and
-  the modelling switches of the paper's ablations.
-* :class:`ShardingSpec` — horizontal parallelism: collection shards and
-  their executor, synthesis thread slabs.
-* :class:`ServiceSpec` — deployment shape: direct in-process calls or the
-  watermarked ingestion front-end, queue bounds, checkpoint cadence, and
-  the HTTP ingress binding.
-* :class:`SessionSpec` — the four layers plus the seed; the one argument
-  of :func:`repro.api.session.create_session`.
+* the privacy contract — budget ``ε``, window ``w``, division style,
+  allocation strategy, Eq. 10's ``α``/``κ``/``p_max``, and the ledger
+  auditing them;
+* the engine — the synthesis engine, the OUE execution mode and the
+  modelling switches of the paper's ablations, plus λ;
+* sharding — collection shards and their executor, synthesis slabs;
+* the seed;
+* the **service fields** (:data:`SERVICE_FIELDS`) — deployment shape:
+  direct in-process calls or the watermarked ingestion front-end, queue
+  bound, lateness, checkpoint path and cadence, drain deadline and the
+  HTTP binding.  The batch pipeline ignores them; ``repro serve`` adds
+  their flag group, and a resumed session takes them from its caller
+  rather than from the checkpoint.
 
-``RetraSynConfig`` remains fully supported as a thin *compatibility
-façade*: its ``__post_init__`` builds a :class:`SessionSpec` (so every
-validation rule lives here, once), and :meth:`SessionSpec.from_config` /
-:meth:`SessionSpec.to_config` convert losslessly in both directions.
+``RetraSynConfig`` (:mod:`repro.core.retrasyn`) is this same class, so
+the flat keyword surface, :func:`dataclasses.replace` (which validates
+again), pickling and the JSON config files all speak one shape.
+``__post_init__`` holds every validation rule.
 
-Every spec field that is exposed on the command line carries its argparse
+Every field that is exposed on the command line carries its argparse
 definition in the dataclass field metadata (``metadata["cli"]``), so the
 ``repro run`` and ``repro serve`` flag groups are *generated* from this
 module and cannot drift from the config fields again.
@@ -30,12 +30,13 @@ module and cannot drift from the config fields again.
 
 from __future__ import annotations
 
-import dataclasses
+import math
 import numbers
 from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional
 
-from repro.core.sharded import SHARD_EXECUTORS
+import numpy as np
+
 from repro.exceptions import ConfigurationError
 from repro.ldp.accountant import ACCOUNTANT_MODES
 from repro.rng import RngLike
@@ -47,6 +48,19 @@ UPDATE_STRATEGIES = ("dmu", "all")
 ENGINES = ("object", "vectorized")
 ORACLE_MODES = ("fast", "exact")
 TRANSPORTS = ("direct", "ingest")
+#: Where collection shards can run (``shard_executor``; see
+#: :mod:`repro.core.sharded`).
+SHARD_EXECUTORS = ("serial", "distributed")
+
+#: The deployment-shape fields.  ``repro serve`` adds their flag group
+#: (``repro run`` does not), and :func:`repro.api.session.load_session`
+#: takes them from its caller while every other field comes from the
+#: checkpoint.
+SERVICE_FIELDS = (
+    "transport", "queue_size", "max_lateness", "checkpoint_path",
+    "checkpoint_every", "checkpoint_keep", "drain_deadline",
+    "http_host", "http_port",
+)
 
 
 #: Machine-readable registry of spec fields that deliberately carry no
@@ -84,30 +98,49 @@ def _cli(flag: str, help: str, *, type=None, choices=None, store_true=False):
     }
 
 
-def _require_int(name: str, value) -> None:
-    """Reject non-integers *before* any ``<`` comparison.
+def _require_int(name: str, value, minimum: int) -> None:
+    """An integer (never a bool or a float) of at least ``minimum``.
 
-    Without this, a ``None`` passed for an integer field would surface as
-    a bare ``TypeError`` from the range check instead of a typed
-    :class:`ConfigurationError`, and a float would be silently accepted.
+    The type check runs *before* the range check, so a ``None`` surfaces
+    as a typed :class:`ConfigurationError`, not a bare ``TypeError``.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigurationError(
-            f"{name} must be an integer, got {value!r}"
-        )
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
 
 
-def _require_number(name: str, value) -> None:
+def _require_number(name: str, value, *, positive: bool) -> None:
+    """A finite real number that is ``> 0`` (``positive``) or ``>= 0``.
+
+    ``nan`` fails every comparison, so the range is checked as a positive
+    condition rather than by refusing its complement.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+    in_range = value > 0 if positive else value >= 0
+    finite = isinstance(value, numbers.Integral) or math.isfinite(value)
+    if not (finite and in_range):
+        bound = "positive" if positive else ">= 0"
+        raise ConfigurationError(f"{name} must be finite and {bound}, got {value}")
+
+
+def _require_choice(name: str, value, choices) -> None:
+    if value not in choices:
         raise ConfigurationError(
-            f"{name} must be a number, got {value!r}"
+            f"{name} must be one of {choices}, got {value!r}"
         )
 
 
 @dataclass(frozen=True)
-class PrivacySpec:
-    """The privacy contract: what is protected, and how it is spent."""
+class SessionSpec:
+    """A complete, validated description of one curator session.
 
+    Defaults follow Table II / Section V-A.  The field order is the order
+    of the checkpoint header's ``spec`` dict and of the generated flags.
+    """
+
+    # -- privacy contract ------------------------------------------------
     epsilon: float = field(
         default=1.0,
         metadata=_cli("--epsilon", "w-event privacy budget ε", type=float),
@@ -140,47 +173,7 @@ class PrivacySpec:
         ),
     )
     track_privacy: bool = True
-
-    def __post_init__(self) -> None:
-        for name in ("epsilon", "alpha", "p_max"):
-            _require_number(name, getattr(self, name))
-        for name in ("w", "kappa"):
-            _require_int(name, getattr(self, name))
-        if self.division not in DIVISIONS:
-            raise ConfigurationError(
-                f"division must be 'population' or 'budget', got {self.division!r}"
-            )
-        if self.allocator not in ALLOCATORS:
-            raise ConfigurationError(f"unknown allocator {self.allocator!r}")
-        if self.allocator == "random" and self.division != "population":
-            raise ConfigurationError(
-                "the 'random' strategy is user-driven and only defined for "
-                "population division (paper Section III-E)"
-            )
-        if self.allocator == "adaptive-user" and self.division != "budget":
-            raise ConfigurationError(
-                "the 'adaptive-user' strategy scales per-timestamp budgets "
-                "and is only defined for budget division"
-            )
-        if self.accountant_mode not in ACCOUNTANT_MODES:
-            raise ConfigurationError(
-                f"accountant_mode must be one of {ACCOUNTANT_MODES}, "
-                f"got {self.accountant_mode!r}"
-            )
-        if self.epsilon <= 0:
-            raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
-        if self.w < 1:
-            raise ConfigurationError(f"w must be >= 1, got {self.w}")
-        if self.kappa < 1:
-            raise ConfigurationError(f"kappa must be >= 1, got {self.kappa}")
-        if not 0.0 < self.p_max <= 1.0:
-            raise ConfigurationError(f"p_max must be in (0, 1], got {self.p_max}")
-
-
-@dataclass(frozen=True)
-class EngineSpec:
-    """Which implementation runs each pipeline phase, plus model switches."""
-
+    # -- engine ----------------------------------------------------------
     engine: str = field(
         default="object",
         metadata=_cli(
@@ -200,32 +193,7 @@ class EngineSpec:
     update_strategy: str = "dmu"  # "dmu" | "all"  ("all" = AllUpdate variant)
     model_entering_quitting: bool = True  # False = NoEQ variant
     lam: Optional[float] = None  # λ of Eq. 8; None => dataset average length
-
-    def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
-            raise ConfigurationError(
-                f"engine must be 'object' or 'vectorized', got {self.engine!r}"
-            )
-        if self.oracle_mode not in ORACLE_MODES:
-            raise ConfigurationError(
-                f"oracle_mode must be 'fast' or 'exact', "
-                f"got {self.oracle_mode!r}"
-            )
-        if self.update_strategy not in UPDATE_STRATEGIES:
-            raise ConfigurationError(
-                f"update_strategy must be 'dmu' or 'all', "
-                f"got {self.update_strategy!r}"
-            )
-        if self.lam is not None:
-            _require_number("lam", self.lam)
-            if self.lam <= 0:
-                raise ConfigurationError(f"lambda must be positive, got {self.lam}")
-
-
-@dataclass(frozen=True)
-class ShardingSpec:
-    """Horizontal parallelism across collection and synthesis."""
-
+    # -- sharding --------------------------------------------------------
     n_shards: int = field(
         default=1,
         metadata=_cli(
@@ -271,39 +239,8 @@ class ShardingSpec:
             type=int,
         ),
     )
-
-    def __post_init__(self) -> None:
-        for name in ("n_shards", "synthesis_shards", "round_batch"):
-            _require_int(name, getattr(self, name))
-        _require_number("shard_round_timeout", self.shard_round_timeout)
-        if self.n_shards < 1:
-            raise ConfigurationError(f"n_shards must be >= 1, got {self.n_shards}")
-        if self.round_batch != 1:
-            raise ConfigurationError(
-                f"round_batch must be 1, got {self.round_batch}: pipelined "
-                "rounds were removed and every round runs per timestamp"
-            )
-        if self.shard_executor not in SHARD_EXECUTORS:
-            allowed = " or ".join(map(repr, SHARD_EXECUTORS))
-            raise ConfigurationError(
-                f"shard_executor must be {allowed}, "
-                f"got {self.shard_executor!r}"
-            )
-        if self.synthesis_shards < 1:
-            raise ConfigurationError(
-                f"synthesis_shards must be >= 1, got {self.synthesis_shards}"
-            )
-        if self.shard_round_timeout < 0:
-            raise ConfigurationError(
-                f"shard_round_timeout must be >= 0, "
-                f"got {self.shard_round_timeout}"
-            )
-
-
-@dataclass(frozen=True)
-class ServiceSpec:
-    """Deployment shape of the session (ignored by the batch pipeline)."""
-
+    seed: RngLike = None
+    # -- service (SERVICE_FIELDS; ignored by the batch pipeline) ---------
     transport: str = "direct"  # "direct" | "ingest" (watermarked assembler)
     queue_size: int = field(
         default=10_000,
@@ -357,174 +294,100 @@ class ServiceSpec:
     http_port: int = 0  # 0 = bind an ephemeral port
 
     def __post_init__(self) -> None:
-        if self.transport not in TRANSPORTS:
+        if self.round_batch != 1:
             raise ConfigurationError(
-                f"transport must be one of {TRANSPORTS}, got {self.transport!r}"
+                f"round_batch must be 1, got {self.round_batch!r}: pipelined "
+                "rounds were removed and every round runs per timestamp"
             )
-        for name in (
-            "queue_size", "max_lateness", "checkpoint_every",
-            "checkpoint_keep", "http_port",
+        for name, minimum in (
+            ("w", 1), ("kappa", 1), ("n_shards", 1), ("synthesis_shards", 1),
+            ("round_batch", 1), ("queue_size", 1), ("max_lateness", 0),
+            ("checkpoint_every", 0), ("checkpoint_keep", 1), ("http_port", 0),
         ):
-            _require_int(name, getattr(self, name))
-        _require_number("drain_deadline", self.drain_deadline)
-        if self.queue_size < 1:
-            raise ConfigurationError(
-                f"queue_size must be >= 1, got {self.queue_size}"
-            )
-        if self.max_lateness < 0:
-            raise ConfigurationError(
-                f"max_lateness must be >= 0, got {self.max_lateness}"
-            )
-        if self.checkpoint_every < 0:
-            raise ConfigurationError(
-                f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
-            )
-        if self.checkpoint_keep < 1:
-            raise ConfigurationError(
-                f"checkpoint_keep must be >= 1, got {self.checkpoint_keep}"
-            )
-        if self.drain_deadline < 0:
-            raise ConfigurationError(
-                f"drain_deadline must be >= 0, got {self.drain_deadline}"
-            )
-        if not 0 <= self.http_port <= 65535:
+            _require_int(name, getattr(self, name), minimum)
+        for name, positive in (
+            ("epsilon", True), ("alpha", True), ("p_max", True),
+            ("shard_round_timeout", False), ("drain_deadline", False),
+        ):
+            _require_number(name, getattr(self, name), positive=positive)
+        if self.lam is not None:
+            _require_number("lam", self.lam, positive=True)
+        if self.p_max > 1.0:
+            raise ConfigurationError(f"p_max must be in (0, 1], got {self.p_max}")
+        if self.http_port > 65535:
             raise ConfigurationError(
                 f"http_port must be in [0, 65535], got {self.http_port}"
             )
-
-
-#: Flat RetraSynConfig field name -> (layer attribute, spec class).
-_FLAT_LAYOUT = {
-    **{f.name: ("privacy", PrivacySpec) for f in fields(PrivacySpec)},
-    **{f.name: ("engine", EngineSpec) for f in fields(EngineSpec)},
-    **{f.name: ("sharding", ShardingSpec) for f in fields(ShardingSpec)},
-}
-_SERVICE_FIELDS = {f.name for f in fields(ServiceSpec)}
-
-
-@dataclass(frozen=True)
-class SessionSpec:
-    """A complete, validated description of one curator session."""
-
-    privacy: PrivacySpec = field(default_factory=PrivacySpec)
-    engine: EngineSpec = field(default_factory=EngineSpec)
-    sharding: ShardingSpec = field(default_factory=ShardingSpec)
-    service: ServiceSpec = field(default_factory=ServiceSpec)
-    seed: RngLike = None
-
-    def __post_init__(self) -> None:
-        for name, cls in (
-            ("privacy", PrivacySpec),
-            ("engine", EngineSpec),
-            ("sharding", ShardingSpec),
-            ("service", ServiceSpec),
-        ):
-            if not isinstance(getattr(self, name), cls):
+        for name in ("track_privacy", "model_entering_quitting"):
+            if not isinstance(getattr(self, name), bool):
                 raise ConfigurationError(
-                    f"SessionSpec.{name} must be a {cls.__name__}, "
-                    f"got {type(getattr(self, name)).__name__}"
+                    f"{name} must be a bool, got {getattr(self, name)!r}"
                 )
+        seed = self.seed
+        if not (
+            seed is None
+            or isinstance(seed, np.random.Generator)
+            or (isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
+                and seed >= 0)
+        ):
+            raise ConfigurationError(
+                "seed must be None, an integer >= 0 or a numpy Generator, "
+                f"got {seed!r}"
+            )
+        for name, choices in (
+            ("division", DIVISIONS), ("allocator", ALLOCATORS),
+            ("accountant_mode", ACCOUNTANT_MODES), ("engine", ENGINES),
+            ("oracle_mode", ORACLE_MODES),
+            ("update_strategy", UPDATE_STRATEGIES),
+            ("shard_executor", SHARD_EXECUTORS), ("transport", TRANSPORTS),
+        ):
+            _require_choice(name, getattr(self, name), choices)
+        if self.allocator == "random" and self.division != "population":
+            raise ConfigurationError(
+                "allocator 'random' is user-driven and only defined for "
+                "population division (paper Section III-E)"
+            )
+        if self.allocator == "adaptive-user" and self.division != "budget":
+            raise ConfigurationError(
+                "allocator 'adaptive-user' scales per-timestamp budgets "
+                "and is only defined for budget division"
+            )
 
-    # ------------------------------------------------------------------ #
-    # conversions
-    # ------------------------------------------------------------------ #
     @classmethod
     def from_flat(cls, **kwargs) -> "SessionSpec":
-        """Build a spec from flat ``RetraSynConfig``-style keyword arguments.
+        """Same as ``SessionSpec(**kwargs)``.
 
-        Service-layer fields (``transport``, ``queue_size``, …) are accepted
-        alongside the engine fields, so one kwargs dict can describe a whole
-        deployment.  Unknown names raise :class:`ConfigurationError`.
+        Kept only because the round-cost benchmark (``benchmarks/round``)
+        calls it; it goes once that benchmark stops calling it.
         """
-        seed = kwargs.pop("seed", None)
-        layers: dict[str, dict] = {
-            "privacy": {}, "engine": {}, "sharding": {}, "service": {}
-        }
-        for name, value in kwargs.items():
-            if name in _FLAT_LAYOUT:
-                layer, _ = _FLAT_LAYOUT[name]
-                layers[layer][name] = value
-            elif name in _SERVICE_FIELDS:
-                layers["service"][name] = value
-            else:
-                raise ConfigurationError(f"unknown session field {name!r}")
-        return cls(
-            privacy=PrivacySpec(**layers["privacy"]),
-            engine=EngineSpec(**layers["engine"]),
-            sharding=ShardingSpec(**layers["sharding"]),
-            service=ServiceSpec(**layers["service"]),
-            seed=seed,
-        )
+        return cls(**kwargs)
 
-    @classmethod
-    def from_config(cls, config, service: Optional[ServiceSpec] = None) -> "SessionSpec":
-        """Lift a flat :class:`~repro.core.retrasyn.RetraSynConfig`.
+    def to_config(self) -> "SessionSpec":
+        """Returns ``self``: the spec *is* the ``RetraSynConfig``.
 
-        ``config`` may be any object exposing the flat field names
-        (dataclass instances and plain namespaces both work).
+        Kept only because the round-cost benchmark (``benchmarks/round``)
+        calls it; it goes once that benchmark stops calling it.
         """
-        flat = {name: getattr(config, name) for name in _FLAT_LAYOUT}
-        spec = cls.from_flat(seed=config.seed, **flat)
-        if service is not None:
-            spec = dataclasses.replace(spec, service=service)
-        return spec
-
-    def to_config(self):
-        """Flatten back to the :class:`RetraSynConfig` compatibility façade."""
-        from repro.core.retrasyn import RetraSynConfig
-
-        return RetraSynConfig(**self.flat())
-
-    def flat(self) -> dict:
-        """The flat (``RetraSynConfig``-shaped) field dict, service excluded."""
-        out = {}
-        for name, (layer, _) in _FLAT_LAYOUT.items():
-            out[name] = getattr(getattr(self, layer), name)
-        out["seed"] = self.seed
-        return out
-
-    def replace(self, **kwargs) -> "SessionSpec":
-        """A copy with flat or layer fields replaced (validated again)."""
-        layer_names = {"privacy", "engine", "sharding", "service", "seed"}
-        if set(kwargs) <= layer_names:
-            return dataclasses.replace(self, **kwargs)
-        merged = self.flat()
-        service = {
-            name: getattr(self.service, name) for name in _SERVICE_FIELDS
-        }
-        for name, value in kwargs.items():
-            if name in _FLAT_LAYOUT or name == "seed":
-                merged[name] = value
-            elif name in _SERVICE_FIELDS:
-                service[name] = value
-            elif name in layer_names:
-                raise ConfigurationError(
-                    "cannot mix layer objects and flat fields in replace()"
-                )
-            else:
-                raise ConfigurationError(f"unknown session field {name!r}")
-        return SessionSpec.from_flat(**merged, **service)
+        return self
 
     @property
     def label(self) -> str:
         """Human-readable method name in the paper's notation."""
-        suffix = "p" if self.privacy.division == "population" else "b"
-        if self.engine.update_strategy == "all":
+        suffix = "p" if self.division == "population" else "b"
+        if self.update_strategy == "all":
             return f"AllUpdate_{suffix}"
-        if not self.engine.model_entering_quitting:
+        if not self.model_entering_quitting:
             return f"NoEQ_{suffix}"
         return f"RetraSyn_{suffix}"
 
 
-def iter_cli_fields(
-    spec_classes=(PrivacySpec, EngineSpec, ShardingSpec),
-) -> Iterator[tuple[type, dataclasses.Field]]:
-    """Yield ``(spec_class, field)`` for every CLI-exposed spec field.
+def iter_cli_fields(service: bool = False) -> Iterator:
+    """Every CLI-exposed field: the engine group, or with ``service`` the
+    :data:`SERVICE_FIELDS` group.
 
     The shared flag-group builder in :mod:`repro.cli` iterates this to
     generate identical ``repro run`` / ``repro serve`` flag blocks.
     """
-    for cls in spec_classes:
-        for f in fields(cls):
-            if "cli" in f.metadata:
-                yield cls, f
+    for f in fields(SessionSpec):
+        if "cli" in f.metadata and (f.name in SERVICE_FIELDS) == service:
+            yield f

@@ -15,6 +15,7 @@ Every command is deterministic under ``--seed``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Optional, Sequence
 
@@ -47,14 +48,15 @@ def _flag_dest(flag: str) -> str:
     return flag.lstrip("-").replace("-", "_")
 
 
-def _add_spec_flag_group(parser, spec_classes=None, defaults=None) -> None:
-    """One shared engine/service flag block, generated from the specs.
+def _add_spec_flag_group(parser, service=False, defaults=None) -> None:
+    """One shared engine (or, with ``service``, service) flag block,
+    generated from the spec.
 
-    Every flag is derived from the ``metadata["cli"]`` entry of a spec
-    field in :mod:`repro.api.specs`, so ``repro run`` and ``repro serve``
-    expose the *same* block and a new config field cannot silently miss
-    (or drift from) its CLI flag.  ``defaults`` overrides per-command
-    defaults (e.g. serve prefers the vectorized engine).
+    Every flag is derived from the ``metadata["cli"]`` entry of a
+    :class:`~repro.api.specs.SessionSpec` field, so ``repro run`` and
+    ``repro serve`` expose the *same* block and a new config field cannot
+    silently miss (or drift from) its CLI flag.  ``defaults`` overrides
+    per-command defaults (e.g. serve prefers the vectorized engine).
     """
     from repro.api.specs import iter_cli_fields
 
@@ -62,8 +64,7 @@ def _add_spec_flag_group(parser, spec_classes=None, defaults=None) -> None:
     group = parser.add_argument_group(
         "session configuration (generated from repro.api.specs)"
     )
-    kwargs = {"spec_classes": spec_classes} if spec_classes is not None else {}
-    for _cls, f in iter_cli_fields(**kwargs):
+    for f in iter_cli_fields(service):
         meta = f.metadata["cli"]
         default = defaults.get(f.name, f.default)
         if meta["store_true"]:
@@ -78,14 +79,13 @@ def _add_spec_flag_group(parser, spec_classes=None, defaults=None) -> None:
         group.add_argument(meta["flag"], **add_kwargs)
 
 
-def _spec_kwargs_from_args(args, spec_classes=None) -> dict:
-    """Flat spec-field dict collected from a parsed spec flag group."""
+def _spec_kwargs_from_args(args, service=False) -> dict:
+    """Spec-field dict collected from a parsed spec flag group."""
     from repro.api.specs import iter_cli_fields
 
-    kwargs = {"spec_classes": spec_classes} if spec_classes is not None else {}
     return {
         f.name: getattr(args, _flag_dest(f.metadata["cli"]["flag"]))
-        for _cls, f in iter_cli_fields(**kwargs)
+        for f in iter_cli_fields(service)
     }
 
 
@@ -108,8 +108,6 @@ def _add_run_parser(sub) -> None:
 
 
 def _add_serve_parser(sub) -> None:
-    from repro.api.specs import ServiceSpec
-
     p = sub.add_parser(
         "serve",
         help="replay a dataset through the async ingestion service "
@@ -125,7 +123,7 @@ def _add_serve_parser(sub) -> None:
                    help="privacy division style (run derives this from "
                         "--method; serve takes it directly)")
     _add_spec_flag_group(p, defaults={"engine": "vectorized"})
-    _add_spec_flag_group(p, spec_classes=(ServiceSpec,))
+    _add_spec_flag_group(p, service=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--shuffle", action="store_true",
                    help="shuffle arrival order inside the lateness window")
@@ -232,7 +230,7 @@ def _cmd_run(args) -> int:
     allocator = flat.pop("allocator")
     overrides = {"track_privacy": not args.no_audit}
     if args.method.lower() not in ("lbd", "lba", "lpd", "lpa"):
-        # Baselines take only the shared privacy knobs; engine-layer flags
+        # Baselines take only the shared privacy knobs; engine and sharding flags
         # apply to the RetraSyn variants.
         overrides.update(flat)
     algo = make_method(
@@ -250,17 +248,16 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.api.specs import ServiceSpec, SessionSpec
+    from repro.api.specs import SessionSpec
     from repro.serve import serve_dataset
 
     if args.input:
         data = load_stream_dataset(args.input)
     else:
         data = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    service = _spec_kwargs_from_args(args, spec_classes=(ServiceSpec,))
-    spec = SessionSpec.from_flat(
+    spec = SessionSpec(
         **_spec_kwargs_from_args(args),
-        **service,
+        **_spec_kwargs_from_args(args, service=True),
         division=args.division,
         track_privacy=not args.no_audit,
         seed=args.seed,
@@ -292,15 +289,15 @@ def _serve_http(args, data, spec) -> int:
     from repro.api.http import serve_http
     from repro.serve import open_session
 
-    spec = spec.replace(http_host=args.host, http_port=args.http)
+    spec = dataclasses.replace(spec, http_host=args.host, http_port=args.http)
     session = open_session(data, spec, resume=args.resume)
     if args.resume:
         last_t = session.curator._last_t
         print(f"resumed at t={0 if last_t is None else last_t + 1}", flush=True)
     ingress = serve_http(
         session,
-        host=spec.service.http_host,
-        port=spec.service.http_port,
+        host=spec.http_host,
+        port=spec.http_port,
         on_ready=lambda s: print(
             f"listening on http://{s.host}:{s.port} "
             f"(schema v{schema.SCHEMA_VERSION}, RSF2 frames); "

@@ -12,9 +12,9 @@ A deployed curator needs to survive restarts.  Three artefact shapes:
   A budget-division curator's ``ledger`` frame holds its O(w) schedule
   ledger and no slot table.
 
-Loading validates the header through ``SessionSpec.from_flat``, builds the
-curator with its normal constructor and calls ``load_state`` on each
-component, so shared references — the K=1 shard drawing from the engine
+Loading validates the header through the ``SessionSpec`` constructor,
+builds the curator with its normal constructor and calls ``load_state`` on
+each component, so shared references — the K=1 shard drawing from the engine
 rng, its tracker on the ledger's slot table — come from the constructor;
 the resumed curator continues bit for bit.  Nothing in a checkpoint is
 executable: a file without the RSF2 magic (a pickle checkpoint of format
@@ -107,7 +107,15 @@ def config_to_dict(config: RetraSynConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> RetraSynConfig:
-    """Inverse of :func:`config_to_dict` (validates via the dataclass)."""
+    """Inverse of :func:`config_to_dict` (validates via the dataclass).
+
+    A dict written before the service fields joined the config (20 keys)
+    loads too: absent fields take their defaults.
+    """
+    if not isinstance(data, dict):
+        raise ConfigurationError(
+            f"a config must be a JSON object, got {type(data).__name__}"
+        )
     known = {f.name for f in dataclasses.fields(RetraSynConfig)}
     unknown = set(data) - known
     if unknown:
@@ -149,8 +157,8 @@ def checkpoint_exists(path: Union[str, Path]) -> bool:
 
 
 def _header(curator, spec) -> dict:
-    """The header frame: version, grid, λ and the spec's flat dict."""
-    flat = {**spec.flat(), **dataclasses.asdict(spec.service)}
+    """The header frame: version, grid, λ and the spec's field dict."""
+    flat = dataclasses.asdict(spec)
     if not isinstance(flat["seed"], int):
         flat["seed"] = None  # generators are process-local state
     bbox = list(map(float, dataclasses.astuple(curator.grid.bbox)))
@@ -168,9 +176,8 @@ def save_checkpoint(curator, path: Union[str, Path], spec=None, keep: int = 1) -
     (:meth:`~repro.core.online.OnlineRetraSyn.state_frames`), fetching the
     distributed executor's shard frames from its workers.
 
-    ``spec`` is the session's :class:`~repro.api.specs.SessionSpec`; when
-    omitted it is lifted from the curator's flat config (losing only the
-    service layer, which defaults).
+    ``spec`` is the session's :class:`~repro.api.specs.SessionSpec`; it
+    defaults to the curator's own config.
 
     ``keep`` enables rotation: with ``keep > 1`` each save writes a new
     timestamped generation (``<path>.g<stamp>``) and prunes the oldest
@@ -182,7 +189,7 @@ def save_checkpoint(curator, path: Union[str, Path], spec=None, keep: int = 1) -
     """
     import time
 
-    spec = spec if spec is not None else curator.config.to_spec()
+    spec = spec if spec is not None else curator.config
     parts = schema.dump_frame_parts(_header(curator, spec)) + curator.state_frames()
     path = Path(path)
     if keep <= 1:
@@ -232,9 +239,9 @@ def _parse_header(path: Path, header: dict, nbytes: int, shards=None):
         )
     try:
         k, bbox = int(header["grid"]["k"]), map(float, header["grid"]["bbox"])
-        spec = SessionSpec.from_flat(**header["spec"])
-        sizes = (k * k, 8 * spec.privacy.w, 100 * spec.sharding.synthesis_shards)
-        if k < 1 or max(sizes) > nbytes or shards not in (None, spec.sharding.n_shards):
+        spec = SessionSpec(**header["spec"])
+        sizes = (k * k, 8 * spec.w, 100 * spec.synthesis_shards)
+        if k < 1 or max(sizes) > nbytes or shards not in (None, spec.n_shards):
             raise ValueError(f"sizes {sizes} and {shards} shard frames do not fit")
         return spec, Grid(BoundingBox(*bbox), k), float(header["lam"])
     except (ReproError, ValueError, TypeError, KeyError, OverflowError) as exc:
@@ -321,7 +328,7 @@ def load_checkpoint_with_spec(path: Union[str, Path]):
 
     (spec, grid, lam), frames = _read_newest_valid(path)
     try:
-        curator = OnlineRetraSyn(grid, spec.to_config(), lam=lam)
+        curator = OnlineRetraSyn(grid, spec, lam=lam)
     except (ReproError, ValueError, TypeError, OverflowError) as exc:  # e.g. a bad seed
         raise DatasetError(f"checkpoint {path}: {exc}") from exc
     try:
@@ -345,8 +352,16 @@ def save_config(config: RetraSynConfig, path: Union[str, Path]) -> None:
 
 
 def load_config(path: Union[str, Path]) -> RetraSynConfig:
-    """Read a configuration written by :func:`save_config`."""
+    """Read a configuration written by :func:`save_config`.
+
+    A file that is not a JSON object of config fields is refused with a
+    :class:`~repro.exceptions.ConfigurationError`.
+    """
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"config file not found: {path}")
-    return config_from_dict(json.loads(path.read_text()))
+    try:
+        data = json.loads(path.read_text())
+    except ValueError as exc:  # JSONDecodeError, and undecodable bytes
+        raise ConfigurationError(f"config file {path} is not JSON: {exc}") from exc
+    return config_from_dict(data)

@@ -33,70 +33,19 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.api.specs import SessionSpec
 from repro.geo.trajectory import average_length
 from repro.ldp.accountant import (
     ColumnarPrivacyAccountant,
     PrivacyAccountant,
     ScheduleLedger,
 )
-from repro.rng import RngLike
 from repro.stream.stream import StreamDataset
 
 
-@dataclass
-class RetraSynConfig:
-    """Flat compatibility façade over the layered session specs.
-
-    All tunables of the pipeline; defaults follow Table II / Section V-A.
-    The canonical, layered configuration model lives in
-    :mod:`repro.api.specs` (``PrivacySpec`` / ``EngineSpec`` /
-    ``ShardingSpec`` composed into ``SessionSpec``); this dataclass keeps
-    the historical flat keyword surface, and every validation rule is
-    enforced by lifting into a :class:`~repro.api.specs.SessionSpec` at
-    construction time — so the two surfaces cannot disagree.
-    """
-
-    epsilon: float = 1.0
-    w: int = 20
-    division: str = "population"  # "population" (RetraSyn_p) | "budget" (RetraSyn_b)
-    allocator: str = "adaptive"  # "adaptive(-user)" | "uniform" | "sample" | "random"
-    update_strategy: str = "dmu"  # "dmu" | "all"  ("all" = AllUpdate variant)
-    model_entering_quitting: bool = True  # False = NoEQ variant
-    lam: Optional[float] = None  # λ of Eq. 8; None => dataset average length
-    alpha: float = 8.0
-    kappa: int = 5
-    p_max: float = 0.6
-    oracle_mode: str = "fast"  # "fast" (binomial) | "exact" (batched protocol)
-    engine: str = "object"  # "object" | "vectorized" synthesis engine
-    synthesis_shards: int = 1  # slabs for parallel vectorized generation
-    n_shards: int = 1  # hash-partitioned collection shards
-    shard_executor: str = "serial"  # "serial" | "distributed"
-    shard_round_timeout: float = 60.0  # distributed recv deadline (0 = none)
-    round_batch: int = 1  # must be 1: pipelined rounds were removed
-    track_privacy: bool = True
-    accountant_mode: str = "columnar"  # the one per-user ledger engine
-    seed: RngLike = None
-
-    def __post_init__(self) -> None:
-        # Validation lives in the layered spec model: lifting raises
-        # ConfigurationError for any bad field or combination.
-        self.to_spec()
-
-    def to_spec(self):
-        """Lift to the canonical :class:`~repro.api.specs.SessionSpec`."""
-        from repro.api.specs import SessionSpec
-
-        return SessionSpec.from_config(self)
-
-    @property
-    def label(self) -> str:
-        """Human-readable method name in the paper's notation."""
-        suffix = "p" if self.division == "population" else "b"
-        if self.update_strategy == "all":
-            return f"AllUpdate_{suffix}"
-        if not self.model_entering_quitting:
-            return f"NoEQ_{suffix}"
-        return f"RetraSyn_{suffix}"
+#: The pipeline's configuration: the one flat, validated spec class.  All
+#: tunables; defaults follow Table II / Section V-A.
+RetraSynConfig = SessionSpec
 
 
 @dataclass

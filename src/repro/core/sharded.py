@@ -26,7 +26,8 @@ Why K shards are statistically equivalent to one:
 * the sampling rate ``p_t`` (population division) or budget ``ε_t`` (budget
   division) is proposed *globally* from the merged collection feedback.
 
-Shards run on one of :data:`SHARD_EXECUTORS` (``config.shard_executor``):
+Shards run on one of :data:`~repro.api.specs.SHARD_EXECUTORS`
+(``config.shard_executor``):
 
 * ``"serial"`` — in-process, one shard after another.  K=1 serial is the
   paper's unsharded round: its one shard draws from the engine's own rng,
@@ -56,9 +57,6 @@ from repro.rng import load_rng
 from repro.stream.reports import ReportBatch
 from repro.stream.state_space import TransitionStateSpace
 from repro.stream.user_tracker import UserTracker
-
-#: Where collection shards can run (``config.shard_executor``).
-SHARD_EXECUTORS = ("serial", "distributed")
 
 #: Knuth multiplicative hash, so shard assignment is uncorrelated with any
 #: arithmetic structure in the user-id space (parity, contiguous ranges, …).

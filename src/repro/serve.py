@@ -10,7 +10,7 @@ or restarted service resumes from bit-for-bit.
 
 Programmatic use::
 
-    spec = SessionSpec.from_flat(epsilon=1.0, w=20, max_lateness=2, seed=0)
+    spec = SessionSpec(epsilon=1.0, w=20, max_lateness=2, seed=0)
     outcome = serve_dataset(data, spec, shuffle=True)
     outcome.run.synthetic     # same SynthesisRun a batch run produces
     outcome.stats             # ingestion counters (lateness, backpressure)
@@ -19,13 +19,13 @@ Programmatic use::
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from repro.api.session import CuratorSession, create_session, load_session
-from repro.api.specs import SessionSpec
+from repro.api.specs import SERVICE_FIELDS, SessionSpec
 from repro.core.persistence import checkpoint_exists
 from repro.core.retrasyn import SynthesisRun
 from repro.geo.trajectory import average_length
@@ -69,24 +69,26 @@ def open_session(
 ) -> CuratorSession:
     """The session `repro serve` runs, replayed or behind ``--http``.
 
-    ``data`` supplies the grid and, unless ``spec.engine.lam`` is set, λ
-    (its average trajectory length).  ``resume`` reopens the checkpoint at
-    ``spec.service.checkpoint_path`` instead of starting fresh.
+    ``data`` supplies the grid and, unless ``spec.lam`` is set, λ (its
+    average trajectory length).  ``resume`` reopens the checkpoint at
+    ``spec.checkpoint_path`` instead of starting fresh.
     """
     if not resume:
-        lam = spec.engine.lam
+        lam = spec.lam
         if lam is None:
             lam = max(1.0, average_length(data.trajectories))
         return create_session(spec, data.grid, lam=lam)
-    path = spec.service.checkpoint_path
+    path = spec.checkpoint_path
     if not path:
         raise ValueError("--resume requires --checkpoint")
     if not checkpoint_exists(path):
         raise FileNotFoundError(f"no checkpoint to resume from: {path}")
-    # Engine + privacy layers come from the checkpoint's stored spec (the
+    # Every other field comes from the checkpoint's stored spec (the
     # flags of *this* invocation may be defaults that misdescribe the
-    # restored engine); only the service shape follows the current flags.
-    return load_session(path, service=spec.service)
+    # restored engine); only the service fields follow the current flags.
+    return load_session(
+        path, **{name: getattr(spec, name) for name in SERVICE_FIELDS}
+    )
 
 
 def serve_dataset(
@@ -99,11 +101,11 @@ def serve_dataset(
 ) -> ServeOutcome:
     """Replay ``data`` through the ingestion service and package the run.
 
-    ``spec.service`` shapes the service (its transport is forced to
+    The spec's service fields shape the service (its transport is forced to
     ``"ingest"``); ``shuffle`` permutes arrival order inside the lateness
     window, and ``resume`` continues from the spec's checkpoint.
     """
-    spec = spec.replace(transport="ingest")
+    spec = replace(spec, transport="ingest")
     session = open_session(data, spec, resume=resume)
     curator = session.curator
     resumed_from_t = curator._last_t + 1 if resume else None
@@ -114,7 +116,7 @@ def serve_dataset(
         view,
         start_t=resumed_from_t or 0,
         shuffle_rng=shuffle_rng,
-        block=spec.service.max_lateness + 1,
+        block=spec.max_lateness + 1,
     )
 
     start = time.perf_counter()

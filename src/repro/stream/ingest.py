@@ -22,7 +22,7 @@ model and synthesize before moving on.  This module is that front door:
   :class:`asyncio.Queue` provides backpressure (``submit`` suspends the
   producer when the curator falls behind), a single consumer drains it
   into the session's assembler and advances the session for every closed
-  timestamp; the session's ``ServiceSpec`` sets the queue bound, the
+  timestamp; the session spec's service fields set the queue bound, the
   lateness, the checkpoint cadence and the drain deadline.
 * :func:`ingest_events` — synchronous convenience driver used by the CLI
   (``repro serve``) and tests.
@@ -316,7 +316,7 @@ class IngestionService:
     session:
         An :class:`~repro.api.session.IngestSession` (``create_session`` /
         ``load_session`` with ``transport="ingest"``).  Its
-        ``spec.service`` sets the queue bound (``queue_size``), the
+        ``spec`` sets the queue bound (``queue_size``), the
         lateness and the checkpoint cadence.  Resume is automatic:
         ingestion starts at ``curator._last_t + 1``.
     """
@@ -326,7 +326,7 @@ class IngestionService:
     def __init__(self, session) -> None:
         self.session = session
         self.queue: asyncio.Queue = asyncio.Queue(
-            maxsize=session.spec.service.queue_size
+            maxsize=session.spec.queue_size
         )
         self._draining = False
 
@@ -398,7 +398,7 @@ async def _drive(
         # the run stops without the final flush and checkpoint.
         service.begin_drain()
         stop.set()
-        deadline = service.session.spec.service.drain_deadline
+        deadline = service.session.spec.drain_deadline
         if deadline > 0 and not expiry:
             expiry.append(loop.call_later(deadline, consumer.cancel))
 

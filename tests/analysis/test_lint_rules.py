@@ -290,6 +290,20 @@ class TestSpecDrift:
         assert rules_of(result) == [self.RULE]
         assert "collides" in result.findings[0].message
 
+    def test_spec_typed_field_is_a_knob_too(self, tmp_path):
+        """A field annotated with another spec class gets no pass: the
+        config is one flat class, so every field is a knob."""
+        result = lint_tree(tmp_path, {
+            "api/specs.py": self.HEADER + (
+                "NON_CLI_FIELDS = {}\n"
+                "@dataclass\n"
+                "class FooSpec:\n"
+                "    inner: 'BarSpec' = None\n"
+            ),
+        }, only=[self.RULE])
+        assert rules_of(result) == [self.RULE]
+        assert "FooSpec.inner" in result.findings[0].message
+
     def test_stale_non_cli_entry_flagged(self, tmp_path):
         result = lint_tree(tmp_path, {
             "api/specs.py": self.HEADER + (

@@ -74,8 +74,8 @@ def checkpoints(tmp_path_factory):
     data = make_random_walks(k=4, n_streams=40, n_timestamps=8, seed=2)
     out = {}
     for label, shape in _SHAPES.items():
-        spec = SessionSpec.from_flat(epsilon=1.0, w=3, seed=5, **shape)
-        curator = OnlineRetraSyn(data.grid, spec.to_config(), lam=4.0)
+        spec = SessionSpec(epsilon=1.0, w=3, seed=5, **shape)
+        curator = OnlineRetraSyn(data.grid, spec, lam=4.0)
         for t in range(6):
             curator.process_timestep(
                 t,

@@ -4,6 +4,7 @@ to in-process sessions (the acceptance bar of the unified API)."""
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import http.client
 import json
 import struct
@@ -54,7 +55,7 @@ class _Server:
 @pytest.fixture
 def served(walk_data):
     """A live ingress over an ingest session, plus a connected client."""
-    spec = SessionSpec.from_flat(epsilon=1.0, w=10, seed=21, transport="ingest")
+    spec = SessionSpec(epsilon=1.0, w=10, seed=21, transport="ingest")
     lam = max(1.0, average_length(walk_data.trajectories))
     server = _Server(create_session(spec, walk_data.grid, lam=lam))
     client = Client("127.0.0.1", server.port)
@@ -298,7 +299,7 @@ class TestIngressErrors:
 @pytest.fixture
 def distributed_server(walk_data):
     """An ingress over a K=2 distributed ingest session, plus a client."""
-    spec = SessionSpec.from_flat(
+    spec = SessionSpec(
         epsilon=1.0, w=10, seed=21, transport="ingest",
         n_shards=2, shard_executor="distributed",
     )
@@ -401,7 +402,7 @@ class TestServeHttpResume:
         from repro.cli import _serve_http
 
         path = str(tmp_path / "serve.ckpt")
-        spec = SessionSpec.from_flat(
+        spec = SessionSpec(
             epsilon=1.0, w=10, seed=1, transport="ingest", checkpoint_path=path
         )
         session = create_session(
@@ -433,18 +434,18 @@ class TestServeHttpResume:
         assert _serve_http(args, walk_data, spec) == 0
         resumed = served["session"]
         assert resumed.curator._last_t == last_t
-        assert resumed.spec.service.checkpoint_path == path
+        assert resumed.spec.checkpoint_path == path
 
     def test_cli_http_resume_requires_a_checkpoint(self, walk_data):
         import argparse
 
         from repro.cli import _serve_http
 
-        spec = SessionSpec.from_flat(epsilon=1.0, w=10, transport="ingest")
+        spec = SessionSpec(epsilon=1.0, w=10, transport="ingest")
         args = argparse.Namespace(resume=True, host="127.0.0.1", http=0, out=None)
         with pytest.raises(ValueError, match="--resume requires"):
             _serve_http(args, walk_data, spec)
-        spec = spec.replace(checkpoint_path="/nonexistent/x.ckpt")
+        spec = dataclasses.replace(spec, checkpoint_path="/nonexistent/x.ckpt")
         with pytest.raises(FileNotFoundError):
             _serve_http(args, walk_data, spec)
 
@@ -454,7 +455,7 @@ class TestIngressCheckpointing:
         self, walk_data, tmp_path
     ):
         path = str(tmp_path / "remote.ckpt")
-        spec = SessionSpec.from_flat(
+        spec = SessionSpec(
             epsilon=1.0, w=10, seed=2, transport="ingest", checkpoint_path=path
         )
         lam = max(1.0, average_length(walk_data.trajectories))

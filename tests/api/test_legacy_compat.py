@@ -5,13 +5,13 @@ missing RSF2 magic, without being unpickled."""
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import warnings
 
 import pytest
 
 from repro.api import schema
-from repro.api.session import create_session
 from repro.api.specs import SessionSpec
 from repro.core.online import OnlineRetraSyn
 from repro.core.persistence import (
@@ -47,6 +47,20 @@ LEGACY_CONFIG_KWARGS = dict(
     alpha=8.0, kappa=5, p_max=0.6, oracle_mode="fast", engine="object",
     synthesis_shards=1, n_shards=1, shard_executor="serial",
     track_privacy=True, accountant_mode="columnar", seed=0,
+)
+
+
+#: The ``spec`` keys of a v6 checkpoint header, as first written.
+V6_HEADER_SPEC_KEYS = (
+    "epsilon", "w", "division", "allocator", "alpha", "kappa", "p_max",
+    "accountant_mode", "track_privacy",
+    "engine", "oracle_mode", "update_strategy", "model_entering_quitting", "lam",
+    "n_shards", "shard_executor", "synthesis_shards", "shard_round_timeout",
+    "round_batch",
+    "seed",
+    "transport", "queue_size", "max_lateness", "checkpoint_path",
+    "checkpoint_every", "checkpoint_keep", "drain_deadline", "http_host",
+    "http_port",
 )
 
 
@@ -86,22 +100,15 @@ class TestLegacyConfigKwargs:
         for name, value in LEGACY_CONFIG_KWARGS.items():
             assert getattr(config, name) == value
 
-    def test_legacy_config_round_trips_through_spec(self):
-        config = RetraSynConfig(**LEGACY_CONFIG_KWARGS)
-        assert config.to_spec().to_config() == config
-
     def test_legacy_config_pickles(self):
         config = RetraSynConfig(**LEGACY_CONFIG_KWARGS)
         assert pickle.loads(pickle.dumps(config)) == config
 
-    def test_flat_config_into_factory_raises(self, walk_data):
-        """The factory refuses a flat config; the remedy it names works."""
-        config = RetraSynConfig(epsilon=1.0, w=10, seed=0)
+    def test_legacy_config_replaces_and_revalidates(self):
+        config = RetraSynConfig(**LEGACY_CONFIG_KWARGS)
+        assert dataclasses.replace(config, n_shards=4).n_shards == 4
         with pytest.raises(ConfigurationError):
-            create_session(config, walk_data.grid, lam=4.0)
-        session = create_session(config.to_spec(), walk_data.grid, lam=4.0)
-        assert session.spec.to_config() == config
-        session.close()
+            dataclasses.replace(config, n_shards=0)
 
 
 class TestCheckpointVersions:
@@ -129,8 +136,11 @@ class TestCheckpointVersions:
         assert header["version"] == 6
         spec = peek_checkpoint_spec(path)
         assert isinstance(spec, SessionSpec)
-        assert spec == curator.config.to_spec()
-        assert SessionSpec.from_flat(**header["spec"]) == spec
+        assert spec == curator.config
+        assert SessionSpec(**header["spec"]) == spec
+        # The header's spec keys are the format: exactly the 29 names the
+        # v6 format has always written, in this order.
+        assert list(header["spec"]) == list(V6_HEADER_SPEC_KEYS)
 
     @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_pickle_formats_are_refused_unread(self, tmp_path, version):

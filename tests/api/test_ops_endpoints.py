@@ -70,7 +70,7 @@ def _get(port: int, path: str):
 
 @pytest.fixture
 def served(walk_data):
-    spec = SessionSpec.from_flat(
+    spec = SessionSpec(
         epsilon=1.0, w=10, seed=21, transport="ingest"
     )
     lam = max(1.0, average_length(walk_data.trajectories))
@@ -188,7 +188,7 @@ class TestMetricsEndpoint:
     def test_distributed_executor_exposes_per_shard_round_gauges(
         self, walk_data
     ):
-        spec = SessionSpec.from_flat(
+        spec = SessionSpec(
             epsilon=1.0, w=10, seed=21, transport="ingest",
             n_shards=2, shard_executor="distributed",
         )
@@ -227,7 +227,7 @@ class TestGracefulDrain:
         self, walk_data, tmp_path
     ):
         ck = tmp_path / "drain.pkl"
-        spec = SessionSpec.from_flat(
+        spec = SessionSpec(
             epsilon=1.0, w=10, seed=21, transport="ingest",
             checkpoint_path=str(ck), drain_deadline=15.0,
         )

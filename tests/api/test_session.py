@@ -3,6 +3,8 @@ session/batch-pipeline equivalence."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -53,12 +55,12 @@ def _streams(dataset):
 
 class TestFactory:
     def test_three_engine_families_one_protocol(self, walk_data):
-        spec = SessionSpec.from_flat(epsilon=1.0, w=10, seed=0)
+        spec = SessionSpec(epsilon=1.0, w=10, seed=0)
         cases = [
             (spec, DirectSession, 1),
-            (spec.replace(n_shards=3), DirectSession, 3),
-            (spec.replace(transport="ingest"), IngestSession, 1),
-            (spec.replace(transport="ingest", n_shards=2), IngestSession, 2),
+            (replace(spec, n_shards=3), DirectSession, 3),
+            (replace(spec, transport="ingest"), IngestSession, 1),
+            (replace(spec, transport="ingest", n_shards=2), IngestSession, 2),
         ]
         for s, session_cls, n_shards in cases:
             session = create_session(s, walk_data.grid, lam=_lam(walk_data))
@@ -76,14 +78,19 @@ class TestFactory:
             create_session(SessionSpec(), walk_data.grid)
 
     def test_lam_from_engine_spec(self, walk_data):
-        spec = SessionSpec.from_flat(lam=7.0)
+        spec = SessionSpec(lam=7.0)
         session = create_session(spec, walk_data.grid)
         assert session.curator.lam == 7.0
 
-    def test_flat_config_is_refused(self, walk_data):
+    def test_flat_config_is_the_spec(self, walk_data):
+        """``RetraSynConfig`` is ``SessionSpec``: the factory takes it as is."""
         config = RetraSynConfig(epsilon=1.0, w=10, seed=0)
-        with pytest.raises(ConfigurationError, match=r"config\.to_spec\(\)"):
-            create_session(config, walk_data.grid, lam=5.0)
+        session = create_session(config, walk_data.grid, lam=5.0)
+        try:
+            assert session.spec is config
+            assert session.curator.config is config
+        finally:
+            session.close()
 
 
 class TestEquivalence:
@@ -94,7 +101,7 @@ class TestEquivalence:
     def test_session_matches_batch_pipeline(self, walk_data, transport):
         config = RetraSynConfig(epsilon=1.0, w=10, seed=123)
         batch_run = RetraSyn(config).run(walk_data)
-        spec = config.to_spec().replace(transport=transport)
+        spec = replace(config, transport=transport)
         session = create_session(spec, walk_data.grid, lam=_lam(walk_data))
         run = _drive(session, walk_data)
         assert _streams(run.synthetic) == _streams(batch_run.synthetic)
@@ -102,9 +109,7 @@ class TestEquivalence:
     def test_sharded_session_matches_sharded_batch(self, walk_data):
         config = RetraSynConfig(epsilon=1.0, w=10, seed=9, n_shards=3)
         batch_run = RetraSyn(config).run(walk_data)
-        session = create_session(
-            config.to_spec(), walk_data.grid, lam=_lam(walk_data)
-        )
+        session = create_session(config, walk_data.grid, lam=_lam(walk_data))
         run = _drive(session, walk_data)
         assert _streams(run.synthetic) == _streams(batch_run.synthetic)
 
@@ -116,9 +121,7 @@ class TestEquivalence:
         serial batch pipeline."""
         config = RetraSynConfig(epsilon=1.0, w=10, seed=21, n_shards=2)
         batch_run = RetraSyn(config).run(walk_data)
-        spec = config.to_spec().replace(
-            transport=transport, shard_executor="distributed"
-        )
+        spec = replace(config, transport=transport, shard_executor="distributed")
         session = create_session(spec, walk_data.grid, lam=_lam(walk_data))
         run = _drive(session, walk_data)
         assert _streams(run.synthetic) == _streams(batch_run.synthetic)
@@ -132,7 +135,7 @@ class TestEquivalence:
         config = RetraSynConfig(epsilon=1.0, w=10, seed=5)
         reference = RetraSyn(config).run(walk_data)
 
-        spec = config.to_spec().replace(transport="ingest", max_lateness=1)
+        spec = replace(config, transport="ingest", max_lateness=1)
         session = create_session(spec, walk_data.grid, lam=_lam(walk_data))
         view = ColumnarStreamView(walk_data, session.curator.space)
         rng = np.random.default_rng(0)
@@ -157,7 +160,7 @@ class TestEquivalence:
 
 class TestSessionSurface:
     def test_snapshot_and_stats(self, walk_data):
-        spec = SessionSpec.from_flat(epsilon=1.0, w=10, seed=0)
+        spec = SessionSpec(epsilon=1.0, w=10, seed=0)
         session = create_session(spec, walk_data.grid, lam=_lam(walk_data))
         _drive(session, walk_data, close=False)
         snap = session.snapshot()
@@ -170,7 +173,7 @@ class TestSessionSurface:
         session.close()
 
     def test_ingest_stats_section(self, walk_data):
-        spec = SessionSpec.from_flat(epsilon=1.0, w=10, seed=0, transport="ingest")
+        spec = SessionSpec(epsilon=1.0, w=10, seed=0, transport="ingest")
         session = create_session(spec, walk_data.grid, lam=_lam(walk_data))
         _drive(session, walk_data, close=False)
         stats = session.stats()
@@ -179,7 +182,7 @@ class TestSessionSurface:
         assert session.stats()["n_timestamps"] == walk_data.n_timestamps
 
     def test_result_defaults_to_processed_horizon(self, walk_data):
-        spec = SessionSpec.from_flat(epsilon=1.0, w=10, seed=0)
+        spec = SessionSpec(epsilon=1.0, w=10, seed=0)
         session = create_session(spec, walk_data.grid, lam=_lam(walk_data))
         view = ColumnarStreamView(walk_data, session.curator.space)
         for t in range(4):
@@ -197,7 +200,7 @@ class TestSessionSurface:
     def test_direct_close_drains_staged_batches(self, walk_data):
         """close() is end-of-stream for every transport: staged-but-not-
         advanced batches must be processed, like the ingest flush."""
-        spec = SessionSpec.from_flat(epsilon=1.0, w=10, seed=0)
+        spec = SessionSpec(epsilon=1.0, w=10, seed=0)
         session = create_session(spec, walk_data.grid, lam=_lam(walk_data))
         view = ColumnarStreamView(walk_data, session.curator.space)
         for t in range(walk_data.n_timestamps):
@@ -211,14 +214,14 @@ class TestSessionSurface:
         assert session.stats()["n_timestamps"] == walk_data.n_timestamps
 
     def test_close_is_idempotent(self, walk_data):
-        spec = SessionSpec.from_flat(epsilon=1.0, w=10, seed=0)
+        spec = SessionSpec(epsilon=1.0, w=10, seed=0)
         session = create_session(spec, walk_data.grid, lam=_lam(walk_data))
         session.close()
         session.close()
 
     def test_checkpoint_without_path_raises(self, walk_data):
         session = create_session(
-            SessionSpec.from_flat(seed=0), walk_data.grid, lam=5.0
+            SessionSpec(seed=0), walk_data.grid, lam=5.0
         )
         with pytest.raises(ConfigurationError, match="checkpoint"):
             session.checkpoint()
@@ -241,7 +244,7 @@ class TestSubmitRefusesOutOfDomainRows:
     def test_refused_batch_leaves_the_stream_untouched(
         self, walk_data, transport, row_kind, column, value
     ):
-        spec = SessionSpec.from_flat(
+        spec = SessionSpec(
             epsilon=1.0, w=10, seed=5, transport=transport
         )
         reference = _drive(
@@ -284,11 +287,21 @@ class TestSubmitRefusesOutOfDomainRows:
 
 
 class TestSessionCheckpointing:
-    @pytest.mark.parametrize("transport", ["direct", "ingest"])
-    def test_resume_is_bitwise(self, walk_data, tmp_path, transport):
+    @pytest.mark.parametrize(
+        "transport, n_shards, executor",
+        [
+            ("direct", 1, "serial"),
+            ("ingest", 1, "serial"),
+            ("direct", 2, "distributed"),
+        ],
+    )
+    def test_resume_is_bitwise(
+        self, walk_data, tmp_path, transport, n_shards, executor
+    ):
         path = str(tmp_path / "session.ckpt")
-        spec = SessionSpec.from_flat(
-            epsilon=1.0, w=10, seed=7, transport=transport, checkpoint_path=path
+        spec = SessionSpec(
+            epsilon=1.0, w=10, seed=7, transport=transport, checkpoint_path=path,
+            n_shards=n_shards, shard_executor=executor,
         )
         uninterrupted = create_session(
             spec, walk_data.grid, lam=_lam(walk_data)
@@ -307,6 +320,7 @@ class TestSessionCheckpointing:
             )
             first.advance()
         first.checkpoint()
+        first.curator.close()
 
         resumed = load_session(path)
         assert resumed.spec == spec
@@ -325,12 +339,54 @@ class TestSessionCheckpointing:
         resumed.close()
         run = resumed.result(walk_data.n_timestamps)
         assert _streams(run.synthetic) == _streams(reference.synthetic)
+        assert run.accountant.summary() == reference.accountant.summary()
 
-    def test_round_batch_checkpoint_is_refused(self, walk_data, tmp_path):
-        """A header whose spec carries ``round_batch=3`` fails the spec's
-        own validation: a typed error, no curator, no worker left over."""
+    def test_resume_takes_only_service_fields_from_the_caller(
+        self, walk_data, tmp_path
+    ):
+        """Every stored field but the service group survives the resume;
+        the caller's service fields replace the stored ones, and naming any
+        other field is refused before the checkpoint is read."""
+        path = str(tmp_path / "service.ckpt")
+        spec = SessionSpec(
+            epsilon=0.5, w=6, seed=3, division="budget", allocator="uniform",
+            engine="vectorized", checkpoint_path=path,
+        )
+        first = create_session(spec, walk_data.grid, lam=_lam(walk_data))
+        _drive(first, walk_data)  # close() writes the final checkpoint
+
+        resumed = load_session(
+            path, transport="ingest", max_lateness=2, checkpoint_every=4
+        )
+        try:
+            assert isinstance(resumed, IngestSession)
+            assert resumed.spec == replace(
+                spec, transport="ingest", max_lateness=2, checkpoint_every=4
+            )
+            assert resumed.assembler.max_lateness == 2
+        finally:
+            resumed.close()
+        for stored in (dict(epsilon=2.0), dict(n_shards=2), dict(seed=1),
+                       dict(warp_factor=9)):
+            with pytest.raises(ConfigurationError, match="service fields"):
+                load_session(path, **stored)
+        with pytest.raises(ConfigurationError, match="queue_size"):
+            load_session(path, queue_size=0)
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("round_batch", 3, "round_batch must be 1"),
+            ("epsilon", float("nan"), "epsilon must be finite"),
+        ],
+    )
+    def test_bad_header_spec_is_refused(
+        self, walk_data, tmp_path, field, value, error
+    ):
+        """A header whose spec carries a value the spec's own validation
+        refuses: a typed error, no curator, no worker left over."""
         path = str(tmp_path / "pipelined.ckpt")
-        spec = SessionSpec.from_flat(
+        spec = SessionSpec(
             epsilon=1.0, w=10, seed=7, transport="ingest", checkpoint_path=path,
             n_shards=2, shard_executor="distributed",
         )
@@ -344,15 +400,16 @@ class TestSessionCheckpointing:
                 n_real_active=view.n_active_at(t),
             )
             first.advance()
-        object.__setattr__(first.spec.sharding, "round_batch", 3)
+        first.spec = replace(first.spec)  # a copy: the curator keeps its own
+        object.__setattr__(first.spec, field, value)
         first.checkpoint()
         first.curator.close()
-        with pytest.raises(DatasetError, match="round_batch must be 1"):
+        with pytest.raises(DatasetError, match=error):
             load_session(path)
 
     def test_periodic_checkpoints_written(self, walk_data, tmp_path):
         path = str(tmp_path / "cadence.ckpt")
-        spec = SessionSpec.from_flat(
+        spec = SessionSpec(
             epsilon=1.0, w=10, seed=0, transport="ingest",
             checkpoint_path=path, checkpoint_every=5,
         )

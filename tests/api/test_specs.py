@@ -1,4 +1,5 @@
-"""The layered spec model and its equivalence with the flat config façade."""
+"""The one flat configuration class: validation, the service-field
+group, and the CLI flags generated from it."""
 
 from __future__ import annotations
 
@@ -8,97 +9,103 @@ import json
 import numpy as np
 import pytest
 
-from repro.api.specs import (
-    EngineSpec,
-    PrivacySpec,
-    ServiceSpec,
-    SessionSpec,
-    ShardingSpec,
-    iter_cli_fields,
-)
+from repro.api.specs import SERVICE_FIELDS, SessionSpec, iter_cli_fields
 from repro.core.retrasyn import RetraSynConfig
 from repro.exceptions import ConfigurationError
 
+NAN, INF = float("nan"), float("inf")
 
-class TestLayerValidation:
+
+class TestValidation:
     def test_defaults_are_valid(self):
         spec = SessionSpec()
-        assert spec.privacy.epsilon == 1.0
-        assert spec.engine.engine == "object"
-        assert spec.sharding.n_shards == 1
-        assert spec.service.transport == "direct"
+        assert spec.epsilon == 1.0
+        assert spec.engine == "object"
+        assert spec.n_shards == 1
+        assert spec.transport == "direct"
 
     @pytest.mark.parametrize(
-        "layer_cls, kwargs",
+        "kwargs",
         [
-            (PrivacySpec, dict(epsilon=0.0)),
-            (PrivacySpec, dict(epsilon=-1.0)),
-            (PrivacySpec, dict(w=0)),
-            (PrivacySpec, dict(division="weekly")),
-            (PrivacySpec, dict(allocator="greedy")),
-            (PrivacySpec, dict(allocator="random", division="budget")),
-            (PrivacySpec, dict(allocator="adaptive-user")),  # population
-            (PrivacySpec, dict(accountant_mode="quantum")),
-            (PrivacySpec, dict(kappa=0)),
-            (PrivacySpec, dict(p_max=0.0)),
-            (EngineSpec, dict(engine="fpga")),
-            (EngineSpec, dict(oracle_mode="psychic")),
-            (EngineSpec, dict(oracle_mode="exact-loop")),  # per-user loop: removed
-            (EngineSpec, dict(update_strategy="sometimes")),
-            (EngineSpec, dict(lam=0.0)),
-            (ShardingSpec, dict(n_shards=0)),
-            (ShardingSpec, dict(shard_executor="thread")),
-            (ShardingSpec, dict(synthesis_shards=0)),
-            (ShardingSpec, dict(shard_round_timeout=-1.0)),
-            (ShardingSpec, dict(shard_round_timeout="soon")),
-            (ServiceSpec, dict(transport="carrier-pigeon")),
-            (ServiceSpec, dict(queue_size=0)),
-            (ServiceSpec, dict(max_lateness=-1)),
-            (ServiceSpec, dict(checkpoint_every=-1)),
-            (ServiceSpec, dict(checkpoint_every=None)),  # None must not leak
-            (ServiceSpec, dict(checkpoint_every=True)),  # bool is not an int
-            (ServiceSpec, dict(checkpoint_keep=0)),
-            (ServiceSpec, dict(checkpoint_keep=None)),
-            (ServiceSpec, dict(drain_deadline=-1.0)),
-            (ServiceSpec, dict(drain_deadline="soon")),
-            (ServiceSpec, dict(http_port=70000)),
-            (ShardingSpec, dict(shard_executor="process")),  # pipe pool: removed
-            (PrivacySpec, dict(accountant_mode="object")),  # dict ledger: removed
+            dict(epsilon=0.0),
+            dict(epsilon=-1.0),
+            dict(w=0),
+            dict(division="weekly"),
+            dict(allocator="greedy"),
+            dict(allocator="random", division="budget"),
+            dict(allocator="adaptive-user"),  # population
+            dict(accountant_mode="quantum"),
+            dict(kappa=0),
+            dict(p_max=0.0),
+            dict(engine="fpga"),
+            dict(oracle_mode="psychic"),
+            dict(oracle_mode="exact-loop"),  # per-user loop: removed
+            dict(update_strategy="sometimes"),
+            dict(lam=0.0),
+            dict(n_shards=0),
+            dict(shard_executor="thread"),
+            dict(synthesis_shards=0),
+            dict(shard_round_timeout=-1.0),
+            dict(shard_round_timeout="soon"),
+            dict(transport="carrier-pigeon"),
+            dict(queue_size=0),
+            dict(max_lateness=-1),
+            dict(checkpoint_every=-1),
+            dict(checkpoint_every=None),  # None must not leak
+            dict(checkpoint_every=True),  # bool is not an int
+            dict(checkpoint_keep=0),
+            dict(checkpoint_keep=None),
+            dict(drain_deadline=-1.0),
+            dict(drain_deadline="soon"),
+            dict(http_port=70000),
+            dict(shard_executor="process"),  # pipe pool: removed
+            dict(accountant_mode="object"),  # dict ledger: removed
             # Numeric fields: a wrong type is a ConfigurationError, never a
             # bare TypeError from a range check or a silently kept float.
-            (PrivacySpec, dict(epsilon="1")),
-            (PrivacySpec, dict(epsilon=None)),
-            (PrivacySpec, dict(w=None)),
-            (PrivacySpec, dict(w="20")),
-            (PrivacySpec, dict(w=2.5)),
-            (PrivacySpec, dict(w=True)),
-            (PrivacySpec, dict(kappa=None)),
-            (PrivacySpec, dict(p_max=None)),
-            (PrivacySpec, dict(alpha=None)),
-            (EngineSpec, dict(lam="5")),
-            (ShardingSpec, dict(n_shards=None)),
-            (ShardingSpec, dict(n_shards=1.5)),
-            (ShardingSpec, dict(synthesis_shards="2")),
-            (ShardingSpec, dict(round_batch=1.0)),
-            (RetraSynConfig, dict(w=None)),
-            (RetraSynConfig, dict(w="20")),
-            (RetraSynConfig, dict(epsilon="1")),
-            (RetraSynConfig, dict(kappa=None)),
-            (RetraSynConfig, dict(p_max=None)),
-            (RetraSynConfig, dict(n_shards=None)),
-            (RetraSynConfig, dict(synthesis_shards="2")),
+            dict(epsilon="1"),
+            dict(epsilon=None),
+            dict(w=None),
+            dict(w="20"),
+            dict(w=2.5),
+            dict(w=True),
+            dict(kappa=None),
+            dict(p_max=None),
+            dict(alpha=None),
+            dict(lam="5"),
+            dict(n_shards=None),
+            dict(n_shards=1.5),
+            dict(synthesis_shards="2"),
+            dict(round_batch=1.0),
+            # Values the pipeline cannot run: nan passes every `<= 0`
+            # refusal, and a truthy string is not a bool.
+            dict(epsilon=NAN),
+            dict(epsilon=INF),
+            dict(lam=NAN),
+            dict(alpha=-1.0),
+            dict(alpha=0.0),
+            dict(alpha=NAN),
+            dict(p_max=NAN),
+            dict(shard_round_timeout=NAN),
+            dict(drain_deadline=NAN),
+            dict(track_privacy="no"),
+            dict(model_entering_quitting="False"),
+            dict(seed="abc"),
+            dict(seed=1.5),
+            dict(seed=[1, 2]),
+            dict(seed=-1),
+            dict(seed=True),
         ],
     )
-    def test_bad_fields_raise(self, layer_cls, kwargs):
-        with pytest.raises(ConfigurationError):
-            layer_cls(**kwargs)
+    def test_bad_fields_raise(self, kwargs):
+        with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
+            SessionSpec(**kwargs)
 
     def test_numeric_fields_accept_numpy_scalars(self):
-        spec = SessionSpec.from_flat(
+        spec = SessionSpec(
             epsilon=np.float32(0.5), w=np.int64(6), kappa=np.int32(3),
             n_shards=np.int64(2), lam=np.float64(4.0),
         )
-        assert spec.privacy.w == 6 and spec.sharding.n_shards == 2
+        assert spec.w == 6 and spec.n_shards == 2
 
     @pytest.mark.parametrize(
         "field, value", [("w", None), ("w", 2.5), ("epsilon", "1")]
@@ -118,21 +125,27 @@ class TestLayerValidation:
         assert RetraSynConfig(round_batch=1).round_batch == 1
         with pytest.raises(ConfigurationError, match="pipelined rounds"):
             RetraSynConfig(round_batch=depth)
-        with pytest.raises(ConfigurationError, match="pipelined rounds"):
-            ShardingSpec(round_batch=depth)
 
     def test_adaptive_user_requires_budget_division(self):
-        spec = PrivacySpec(division="budget", allocator="adaptive-user")
+        spec = SessionSpec(division="budget", allocator="adaptive-user")
         assert spec.allocator == "adaptive-user"
         with pytest.raises(ConfigurationError):
-            PrivacySpec(division="population", allocator="adaptive-user")
+            SessionSpec(division="population", allocator="adaptive-user")
 
-    def test_layers_must_be_spec_instances(self):
-        with pytest.raises(ConfigurationError):
-            SessionSpec(privacy={"epsilon": 1.0})
+    def test_unknown_fields_rejected(self):
+        """A name that is no field — a typo or a removed knob — is refused
+        by the constructor like any unexpected keyword."""
+        for unknown in (
+            dict(budget=1.0), dict(synthesis_executor="thread"),
+            dict(ingest_consumers=3), dict(compile_mode="incremental"),
+            dict(dmu_prefilter=True), dict(dmu_prefilter=False),
+            dict(privacy={"epsilon": 1.0}),  # the layer specs are gone
+        ):
+            with pytest.raises(TypeError):
+                SessionSpec(**unknown)
 
 
-class TestConfigFacade:
+class TestOneConfigClass:
     def test_config_validation_delegates_to_specs(self):
         for bad in (
             dict(division="x"),
@@ -147,96 +160,62 @@ class TestConfigFacade:
             with pytest.raises(ConfigurationError):
                 RetraSynConfig(**bad)
 
-    def test_round_trip_config_spec_config(self):
-        config = RetraSynConfig(
-            epsilon=2.5, w=7, division="budget", allocator="uniform",
-            engine="vectorized", oracle_mode="exact",
-            synthesis_shards=2, n_shards=3, shard_executor="serial",
-            accountant_mode="columnar",
-            track_privacy=False, lam=9.5, alpha=4.0, kappa=3, p_max=0.4,
-            update_strategy="all", model_entering_quitting=False, seed=42,
-        )
-        spec = config.to_spec()
-        assert spec.privacy.epsilon == 2.5
-        assert spec.privacy.division == "budget"
-        assert spec.engine.oracle_mode == "exact"
-        assert spec.engine.lam == 9.5
-        assert spec.sharding.n_shards == 3
-        assert spec.sharding.synthesis_shards == 2
-        assert spec.seed == 42
-        assert spec.to_config() == config
+    def test_retrasyn_config_is_the_spec(self):
+        import repro
+        import repro.api
 
-    def test_from_flat_matches_from_config(self):
-        config = RetraSynConfig(epsilon=0.5, w=5, n_shards=2, seed=1)
-        assert SessionSpec.from_flat(**config.to_spec().flat()) == config.to_spec()
+        assert RetraSynConfig is SessionSpec
+        assert repro.RetraSynConfig is repro.SessionSpec is repro.api.SessionSpec
+        for removed in ("PrivacySpec", "EngineSpec", "ShardingSpec", "ServiceSpec"):
+            assert not hasattr(repro, removed)
+            assert removed not in repro.api.__all__
+        assert len(dataclasses.fields(SessionSpec)) == 29
 
-    def test_from_flat_rejects_unknown_fields(self):
-        with pytest.raises(ConfigurationError):
-            SessionSpec.from_flat(budget=1.0)
-        for removed_knob in (
-            dict(synthesis_executor="thread"), dict(ingest_consumers=3),
-            dict(compile_mode="incremental"), dict(dmu_prefilter=True),
-            dict(dmu_prefilter=False),
+    def test_benchmark_aliases(self):
+        """``from_flat`` is the constructor and ``to_config`` the identity."""
+        kwargs = dict(epsilon=0.5, w=5, n_shards=2, seed=1, transport="ingest")
+        spec = SessionSpec.from_flat(**kwargs)
+        assert spec == SessionSpec(**kwargs)
+        assert spec.to_config() is spec
+
+    def test_label_names_the_paper_variant(self):
+        for kwargs, label in (
+            (dict(), "RetraSyn_p"),
+            (dict(division="budget"), "RetraSyn_b"),
+            (dict(update_strategy="all"), "AllUpdate_p"),
+            (dict(model_entering_quitting=False, division="budget"), "NoEQ_b"),
         ):
-            with pytest.raises(ConfigurationError):
-                SessionSpec.from_flat(**removed_knob)
-
-    def test_from_flat_accepts_service_fields(self):
-        spec = SessionSpec.from_flat(
-            epsilon=1.0, transport="ingest", queue_size=5, max_lateness=2
-        )
-        assert spec.service.transport == "ingest"
-        assert spec.service.queue_size == 5
-
-    def test_label_matches_config_label(self):
-        for kwargs in (
-            dict(),
-            dict(division="budget"),
-            dict(update_strategy="all"),
-            dict(model_entering_quitting=False, division="budget"),
-        ):
-            config = RetraSynConfig(**kwargs)
-            assert config.to_spec().label == config.label
+            assert SessionSpec(**kwargs).label == label
 
 
 class TestReplace:
     def test_flat_replace_revalidates(self):
         spec = SessionSpec()
-        assert spec.replace(epsilon=3.0).privacy.epsilon == 3.0
+        assert dataclasses.replace(spec, epsilon=3.0).epsilon == 3.0
         with pytest.raises(ConfigurationError):
-            spec.replace(epsilon=-1.0)
+            dataclasses.replace(spec, epsilon=-1.0)
 
     def test_replace_service_field(self):
-        spec = SessionSpec().replace(transport="ingest", checkpoint_every=4)
-        assert spec.service.transport == "ingest"
-        assert spec.service.checkpoint_every == 4
-
-    def test_replace_layer_object(self):
-        spec = SessionSpec().replace(privacy=PrivacySpec(epsilon=2.0))
-        assert spec.privacy.epsilon == 2.0
-
-    def test_replace_unknown_field(self):
-        with pytest.raises(ConfigurationError):
-            SessionSpec().replace(warp_factor=9)
+        spec = dataclasses.replace(
+            SessionSpec(), transport="ingest", checkpoint_every=4
+        )
+        assert spec.transport == "ingest"
+        assert spec.checkpoint_every == 4
 
 
 class TestCliDerivation:
-    """The flag group is generated from the specs — drift is structurally
+    """The flag group is generated from the spec — drift is structurally
     impossible, and these tests pin the invariants that make it so."""
 
-    def test_every_config_field_is_owned_by_exactly_one_layer(self):
-        spec_fields: dict[str, int] = {}
-        for cls in (PrivacySpec, EngineSpec, ShardingSpec):
-            for f in dataclasses.fields(cls):
-                spec_fields[f.name] = spec_fields.get(f.name, 0) + 1
-        config_fields = {
-            f.name for f in dataclasses.fields(RetraSynConfig)
-        } - {"seed"}
-        assert set(spec_fields) == config_fields
-        assert all(count == 1 for count in spec_fields.values())
+    def test_service_fields_are_spec_fields(self):
+        names = [f.name for f in dataclasses.fields(SessionSpec)]
+        assert set(SERVICE_FIELDS) <= set(names)
+        # The service group is the tail of the field order, as in the
+        # checkpoint header.
+        assert tuple(names[-len(SERVICE_FIELDS):]) == SERVICE_FIELDS
 
     def test_cli_fields_cover_the_historical_flags(self):
-        flags = {f.metadata["cli"]["flag"] for _cls, f in iter_cli_fields()}
+        flags = {f.metadata["cli"]["flag"] for f in iter_cli_fields()}
         assert flags == {
             "--epsilon", "--w", "--allocator", "--accountant-mode",
             "--engine", "--oracle-mode",
@@ -248,7 +227,7 @@ class TestCliDerivation:
     def test_service_cli_fields(self):
         flags = {
             f.metadata["cli"]["flag"]
-            for _cls, f in iter_cli_fields(spec_classes=(ServiceSpec,))
+            for f in iter_cli_fields(service=True)
         }
         assert flags == {
             "--queue-size", "--lateness", "--checkpoint", "--checkpoint-every",
@@ -258,7 +237,7 @@ class TestCliDerivation:
     def test_choices_come_from_the_validation_vocabularies(self):
         by_flag = {
             f.metadata["cli"]["flag"]: f.metadata["cli"]["choices"]
-            for _cls, f in iter_cli_fields()
+            for f in iter_cli_fields()
         }
         from repro.api import specs
 

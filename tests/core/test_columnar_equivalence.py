@@ -15,11 +15,12 @@ across shard counts (K=1, K=4) and executors (serial, distributed).  Any drift
 in selection order, partitioning, or batch assembly breaks these tests.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.api.session import IngestSession
-from repro.api.specs import SessionSpec
 from repro.core.online import (
     OnlineRetraSyn,
     sample_population_reporters,
@@ -83,8 +84,9 @@ def _drive_async(stream, curator, max_lateness=2, shuffle_seed=None):
     reports = dataset_reports(
         view, shuffle_rng=rng, block=max_lateness + 1
     )
-    spec = SessionSpec.from_config(curator.config).replace(
-        transport="ingest", queue_size=256, max_lateness=max_lateness
+    spec = dataclasses.replace(
+        curator.config, transport="ingest", queue_size=256,
+        max_lateness=max_lateness,
     )
     stats = ingest_events(IngestSession(curator, spec), reports)
     assert stats.n_late_dropped == 0

@@ -472,7 +472,7 @@ class TestBudgetDivisionLedger:
     def test_resume_at_any_cut_equals_the_uninterrupted_run(
         self, walks, tmp_path, n_shards, executor, cut
     ):
-        spec = SessionSpec.from_flat(
+        spec = SessionSpec(
             epsilon=1.0, w=3, seed=7, division="budget", engine="vectorized",
             n_shards=n_shards, shard_executor=executor,
         )

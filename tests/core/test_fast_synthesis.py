@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.fast_synthesis as fs
-from repro.api.specs import SessionSpec
 from repro.core.fast_synthesis import (
     VectorizedSynthesizer,
     _CompiledModel,
@@ -312,8 +311,6 @@ class TestCompileModes:
         with pytest.raises(TypeError):
             RetraSynConfig(compile_mode="full")
         with pytest.raises(ConfigurationError):
-            SessionSpec.from_flat(compile_mode="full")
-        with pytest.raises(ConfigurationError):
             RetraSynConfig(synthesis_shards=0)
 
 
@@ -402,7 +399,7 @@ class TestShardParallelGeneration:
         from repro.api.session import create_session
         from repro.api.specs import SessionSpec
 
-        spec = SessionSpec.from_flat(
+        spec = SessionSpec(
             epsilon=1.0, w=5, engine="vectorized", synthesis_shards=2,
             n_shards=n_shards, seed=0,
         )

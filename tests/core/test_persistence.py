@@ -1,5 +1,7 @@
 """Tests for model/config persistence and curator checkpoint/resume."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,18 @@ class TestModelRoundTrip:
         assert simulate(model, 7) == simulate(loaded, 7)
 
 
+#: A config file as written before the service fields joined the config.
+PRE_SERVICE_CONFIG_FILE = {
+    "epsilon": 0.5, "w": 12, "division": "budget", "allocator": "uniform",
+    "update_strategy": "dmu", "model_entering_quitting": True, "lam": None,
+    "alpha": 8.0, "kappa": 5, "p_max": 0.6, "oracle_mode": "fast",
+    "engine": "vectorized", "synthesis_shards": 1, "n_shards": 2,
+    "shard_executor": "serial", "shard_round_timeout": 60.0,
+    "round_batch": 1, "track_privacy": True, "accountant_mode": "columnar",
+    "seed": 7,
+}
+
+
 class TestConfigRoundTrip:
     def test_dict_round_trip(self):
         cfg = RetraSynConfig(
@@ -117,6 +131,45 @@ class TestConfigRoundTrip:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError):
             load_config(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize(
+        "text", ["[]", "null", '"x"', "3", "{not json", "\udcff"]
+    )
+    def test_malformed_file_is_a_configuration_error(self, tmp_path, text):
+        """Anything but a JSON object is refused with a typed error — not a
+        bare TypeError, a JSONDecodeError, or a string iterated as keys."""
+        path = tmp_path / "bad.json"
+        path.write_text(text, errors="surrogateescape")
+        with pytest.raises(ConfigurationError):
+            load_config(path)
+
+    def test_twenty_field_file_loads_unchanged(self, tmp_path):
+        """A file written before the service fields joined the config (its
+        20 keys verbatim) loads, the service fields at their defaults."""
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(PRE_SERVICE_CONFIG_FILE))
+        cfg = load_config(path)
+        assert {k: getattr(cfg, k) for k in PRE_SERVICE_CONFIG_FILE} == (
+            PRE_SERVICE_CONFIG_FILE
+        )
+        assert cfg == RetraSynConfig(**PRE_SERVICE_CONFIG_FILE)
+
+    def test_file_round_trips_every_field(self, tmp_path):
+        cfg = RetraSynConfig(
+            epsilon=2.5, w=7, division="budget", allocator="adaptive-user",
+            alpha=4.0, kappa=3, p_max=0.4, track_privacy=False,
+            engine="vectorized", oracle_mode="exact", update_strategy="all",
+            model_entering_quitting=False, lam=9.5, n_shards=3,
+            shard_executor="distributed", synthesis_shards=2,
+            shard_round_timeout=5.0, seed=42, transport="ingest",
+            queue_size=64, max_lateness=2, checkpoint_path="c.ckpt",
+            checkpoint_every=4, checkpoint_keep=3, drain_deadline=1.5,
+            http_host="0.0.0.0", http_port=8731,
+        )
+        path = tmp_path / "cfg.json"
+        save_config(cfg, path)
+        assert len(json.loads(path.read_text())) == 29
+        assert load_config(path) == cfg
 
 
 class TestCheckpointResume:
@@ -380,6 +433,6 @@ class TestCheckpointRotation:
         blob = path.read_bytes()
         _header, end = schema.load_frame(blob, expect="checkpoint")
         path.write_bytes(blob[:end])  # the header frame, nothing after it
-        assert peek_checkpoint_spec(path) == curator.config.to_spec()
+        assert peek_checkpoint_spec(path) == curator.config
         with pytest.raises(DatasetError):
             load_checkpoint(path)

@@ -30,7 +30,7 @@ EPSILON = 1.0
 
 
 def _session(division, w, seed, n_shards=1, executor="serial", **service):
-    spec = SessionSpec.from_flat(
+    spec = SessionSpec(
         epsilon=EPSILON, w=w, division=division, engine="vectorized",
         n_shards=n_shards, shard_executor=executor, seed=seed, **service,
     )

@@ -143,7 +143,7 @@ class TestTimestampAssembler:
 
 class TestIngestionService:
     def _session(self, walks, **service):
-        spec = SessionSpec.from_flat(
+        spec = SessionSpec(
             epsilon=1.0, w=5, seed=0, transport="ingest", **service
         )
         return create_session(spec, walks.grid, lam=5.0)
@@ -208,7 +208,7 @@ class TestDrainDeadline:
 
     def _drain(self, walks, tmp_path, deadline):
         path = tmp_path / "drain.ckpt"
-        spec = SessionSpec.from_flat(
+        spec = SessionSpec(
             epsilon=1.0, w=5, seed=0, transport="ingest", queue_size=64,
             checkpoint_path=str(path), drain_deadline=deadline,
         )

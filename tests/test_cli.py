@@ -224,7 +224,7 @@ class TestServeCommand:
 
         data = load_stream_dataset(dataset_file)
         ckpt = tmp_path / "pipelined.ckpt"
-        spec = SessionSpec.from_flat(
+        spec = SessionSpec(
             epsilon=1.0, w=5, engine="vectorized", seed=0,
             transport="ingest", checkpoint_path=str(ckpt),
         )
@@ -233,7 +233,7 @@ class TestServeCommand:
         for t in range(data.n_timestamps // 2):
             session.submit_batch(t, view.batch_at(t))
             session.advance()
-        object.__setattr__(session.spec.sharding, "round_batch", 3)
+        object.__setattr__(session.spec, "round_batch", 3)
         session.checkpoint()
         session.curator.close()
         with pytest.raises(DatasetError, match="round_batch must be 1"):
