@@ -118,9 +118,7 @@ class HttpIngress:
         self._draining = False
         self._drain_task: asyncio.Task | None = None
         self._handle_signals = bool(handle_signals)
-        self.drain_deadline = float(
-            getattr(session.spec, "drain_deadline", 30.0)
-        )
+        self.drain_deadline = float(session.spec.drain_deadline)
         # Transport counters, mirrored into the session's metrics registry
         # by start(): report-batch messages in, frame responses out, and
         # raw body bytes both ways.

@@ -1,10 +1,8 @@
-"""Engine-agnostic curator sessions.
+"""Curator sessions: the one protocol every caller of the curator speaks.
 
-Before this module, callers hard-coded front-ends: experiments drove
-:class:`~repro.core.online.OnlineRetraSyn` directly and deployments built
-:class:`~repro.stream.ingest.IngestionService` — overlapping surfaces for
-one curator.  A :class:`CuratorSession` is the one protocol they all speak
-now:
+Experiments, the ``repro serve`` replay, the HTTP ingress and the round
+benchmark all drive :class:`~repro.core.online.OnlineRetraSyn` through a
+:class:`CuratorSession`:
 
 ``submit_batch(t, reports)``
     Hand the session one timestamp's candidate reports (columnar
@@ -51,7 +49,7 @@ from repro.stream.reports import as_report_batch
 
 @runtime_checkable
 class CuratorSession(Protocol):
-    """The protocol every engine family implements (structural typing)."""
+    """The protocol both session flavours implement (structural typing)."""
 
     spec: SessionSpec
 
@@ -105,11 +103,7 @@ class _SessionBase:
         m.gauge(
             "retrasyn_store_rows",
             "Total rows (live + archived) in the columnar trajectory store.",
-        ).set_function(
-            lambda: int(getattr(getattr(c, "synthesizer", None), "store").n_total)
-            if getattr(getattr(c, "synthesizer", None), "store", None) is not None
-            else 0
-        )
+        ).set_function(lambda: int(c.synthesizer.store.n_total))
         # State lifetime: what each plane holds now and has let go so far
         # (worker-side planes ride the shard-stats reply).
         state_rows = m.gauge(
@@ -135,15 +129,15 @@ class _SessionBase:
             "Cumulative seconds spent per pipeline phase.",
             labelnames=("phase",),
         )
-        for phase in getattr(c, "timings", {}):
+        for phase in c.timings:
             phases.labels(phase).set_function(
-                lambda p=phase: float(getattr(c, "timings", {}).get(p, 0.0))
+                lambda p=phase: float(c.timings[p])
             )
         m.counter(
             "retrasyn_privacy_spend_events_total",
             "Per-user budget spends recorded by the privacy ledger(s).",
         ).set_function(
-            lambda: int(getattr(c.accountant, "n_spend_events", 0))
+            lambda: int(c.accountant.n_spend_events)
             if c.accountant is not None else 0
         )
         m.counter(
@@ -151,7 +145,7 @@ class _SessionBase:
             "Spends refused (strict) or flagged for breaching the w-event "
             "window bound.",
         ).set_function(
-            lambda: int(getattr(c.accountant, "n_refusals", 0))
+            lambda: int(c.accountant.n_refusals)
             if c.accountant is not None else 0
         )
         m.gauge(
@@ -161,8 +155,8 @@ class _SessionBase:
             lambda: float(c.accountant.max_window_spend())
             if c.accountant is not None else 0.0
         )
-        pool = getattr(c, "_pool", None)
-        if pool is not None and hasattr(pool, "shard_round_seconds"):
+        pool = c._pool
+        if pool is not None:
             shard_gauge = m.gauge(
                 "retrasyn_shard_round_seconds",
                 "Wall-clock seconds of each distributed shard's last "
@@ -173,7 +167,6 @@ class _SessionBase:
                 shard_gauge.labels(str(k)).set_function(
                     lambda k=k: float(pool.shard_round_seconds.get(k, 0.0))
                 )
-        if pool is not None and hasattr(pool, "frames_sent"):
             frames = m.counter(
                 "retrasyn_shard_frames_total",
                 "RSF2 frames exchanged with the shard workers.",
@@ -294,10 +287,14 @@ class _SessionBase:
         if self._closed:
             return
         self._closed = True
-        self._drain_on_close(flush_partial)
-        if self.spec.checkpoint_path is not None:
-            self.checkpoint()
-        self.curator.close()
+        try:
+            self._drain_on_close(flush_partial)
+            if self.spec.checkpoint_path is not None:
+                self.checkpoint()
+        finally:
+            # A failing final round or checkpoint must still release the
+            # engine: distributed shard workers outlive a skipped close().
+            self.curator.close()
 
     def _drain_on_close(self, flush_partial: bool = True) -> None:
         pass  # overridden by IngestSession
@@ -364,21 +361,19 @@ class DirectSession(_SessionBase):
 class IngestSession(_SessionBase):
     """Session over the watermarked ingestion front-end.
 
-    Reports may arrive out of order (within the
-    spec's ``max_lateness`` bound) and as loose per-user events
-    (:meth:`submit_report`) or whole batches; a
+    Batches may arrive out of order (within the spec's ``max_lateness``
+    bound) and a timestamp's reports may come in several batches; a
     :class:`~repro.stream.ingest.TimestampAssembler` reorders them into
     canonical closed timestamps, and ``advance`` processes everything at
     or below the watermark.  ``close`` flushes the tail of the stream.
-    The asyncio :class:`~repro.stream.ingest.IngestionService` is this
-    session plus a bounded backpressure queue.
+    The HTTP ingress and the ``repro serve`` replay both drive this class.
     """
 
     def __init__(self, curator, spec: SessionSpec) -> None:
         from repro.stream.ingest import IngestStats, TimestampAssembler
 
         super().__init__(curator, spec)
-        last_t = getattr(curator, "_last_t", None)
+        last_t = curator._last_t
         self.assembler = TimestampAssembler(
             curator.space,
             start_t=0 if last_t is None else last_t + 1,
@@ -401,10 +396,6 @@ class IngestSession(_SessionBase):
             "retrasyn_ingest_late_dropped_total",
             "Reports dropped for arriving beyond the lateness bound.",
         ).set_function(lambda: int(asm.n_late_dropped))
-        m.counter(
-            "retrasyn_ingest_backpressure_waits_total",
-            "Producer waits on the bounded ingestion queue.",
-        ).set_function(lambda: s.backpressure_waits)
         m.counter(
             "retrasyn_checkpoints_written_total",
             "Checkpoints written (periodic and final).",
@@ -431,11 +422,6 @@ class IngestSession(_SessionBase):
         ).set_function(lambda: int(asm.next_t))
 
     # -- feeding -------------------------------------------------------- #
-    def submit_report(self, report) -> None:
-        """Buffer one loose :class:`~repro.stream.ingest.UserReport`."""
-        self.assembler.add(report)
-        self.ingest_stats.n_submitted += 1
-
     def _stage(self, t, batch, newly_entered, quitted, n_real_active) -> None:
         # newly_entered / quitted / n_real_active are derived from the
         # report kinds when the timestamp closes: the assembler is the
@@ -486,7 +472,6 @@ class IngestSession(_SessionBase):
             "n_submitted": s.n_submitted,
             "n_late_dropped": s.n_late_dropped,
             "n_reports_processed": s.n_reports_processed,
-            "backpressure_waits": s.backpressure_waits,
             "checkpoints_written": s.checkpoints_written,
             "watermark": int(self.assembler.watermark),
             "next_t": int(self.assembler.next_t),

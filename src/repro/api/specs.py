@@ -11,9 +11,9 @@ a session, each field defined once:
 * sharding — collection shards and their executor, synthesis slabs;
 * the seed;
 * the **service fields** (:data:`SERVICE_FIELDS`) — deployment shape:
-  direct in-process calls or the watermarked ingestion front-end, queue
-  bound, lateness, checkpoint path and cadence, drain deadline and the
-  HTTP binding.  The batch pipeline ignores them; ``repro serve`` adds
+  direct in-process calls or the watermarked ingestion front-end,
+  lateness, checkpoint path and cadence, drain deadline and the HTTP
+  binding.  The batch pipeline ignores them; ``repro serve`` adds
   their flag group, and a resumed session takes them from its caller
   rather than from the checkpoint.
 
@@ -57,7 +57,7 @@ SHARD_EXECUTORS = ("serial", "distributed")
 #: takes them from its caller while every other field comes from the
 #: checkpoint.
 SERVICE_FIELDS = (
-    "transport", "queue_size", "max_lateness", "checkpoint_path",
+    "transport", "max_lateness", "checkpoint_path",
     "checkpoint_every", "checkpoint_keep", "drain_deadline",
     "http_host", "http_port",
 )
@@ -242,14 +242,6 @@ class SessionSpec:
     seed: RngLike = None
     # -- service (SERVICE_FIELDS; ignored by the batch pipeline) ---------
     transport: str = "direct"  # "direct" | "ingest" (watermarked assembler)
-    queue_size: int = field(
-        default=10_000,
-        metadata=_cli(
-            "--queue-size",
-            "ingress queue bound (backpressure threshold)",
-            type=int,
-        ),
-    )
     max_lateness: int = field(
         default=0,
         metadata=_cli(
@@ -285,8 +277,9 @@ class SessionSpec:
         default=30.0,
         metadata=_cli(
             "--drain-deadline",
-            "seconds SIGTERM/SIGINT drain may spend flushing in-flight "
-            "rounds and the final checkpoint (0 = no deadline)",
+            "seconds the --http ingress's SIGTERM/SIGINT drain may spend "
+            "flushing in-flight rounds and the final checkpoint "
+            "(0 = no deadline)",
             type=float,
         ),
     )
@@ -301,7 +294,7 @@ class SessionSpec:
             )
         for name, minimum in (
             ("w", 1), ("kappa", 1), ("n_shards", 1), ("synthesis_shards", 1),
-            ("round_batch", 1), ("queue_size", 1), ("max_lateness", 0),
+            ("round_batch", 1), ("max_lateness", 0),
             ("checkpoint_every", 0), ("checkpoint_keep", 1), ("http_port", 0),
         ):
             _require_int(name, getattr(self, name), minimum)

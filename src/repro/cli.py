@@ -110,8 +110,8 @@ def _add_run_parser(sub) -> None:
 def _add_serve_parser(sub) -> None:
     p = sub.add_parser(
         "serve",
-        help="replay a dataset through the async ingestion service "
-             "(bounded queue, watermarks, checkpoints), or — with --http — "
+        help="replay a dataset through the ingestion service "
+             "(watermarks, checkpoints), or — with --http — "
              "listen for remote repro.api.Client submissions",
     )
     src = p.add_mutually_exclusive_group(required=True)

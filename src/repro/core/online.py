@@ -97,61 +97,6 @@ def _forget_retired_phases(tracker, report_phase: dict) -> None:
         del report_phase[uid]
 
 
-def sample_population_reporters(
-    tracker,
-    report_phase: dict,
-    rng,
-    cfg,
-    t: int,
-    participants,
-    newly_entered,
-    rate: Optional[float],
-    stochastic_round: bool = False,
-) -> list:
-    """Algorithm 1's per-timestamp reporter selection over one user set.
-
-    Registers arrivals, recycles the ``t − w`` cohort, then either applies
-    the user-driven "random" phase rule or samples a ``rate`` fraction of
-    the eligible set.  The object-path reference of
-    :func:`sample_population_reporters_batch`, which every
-    :class:`~repro.core.sharded.CollectionShard` runs over its partition
-    (the whole population on the engine's K=1 serial shard).
-
-    ``stochastic_round=True`` rounds the sample size probabilistically so
-    that its *expectation* is exactly ``rate * len(eligible)`` — required
-    when the population is split into many small partitions, where
-    deterministic rounding would systematically under- or over-sample.
-    """
-    tracker.register(newly_entered)
-    if cfg.allocator == "random":
-        for uid in newly_entered:
-            report_phase[uid] = int(rng.integers(0, cfg.w))
-        _forget_retired_phases(tracker, report_phase)
-    tracker.recycle(t)
-    eligible = [
-        (uid, s)
-        for uid, s in participants
-        if tracker.status(uid).value == "active"
-    ]
-    if cfg.allocator == "random":
-        return [
-            (uid, s)
-            for uid, s in eligible
-            if report_phase.get(uid, 0) == t % cfg.w
-        ]
-    target = (rate or 0.0) * len(eligible)
-    if stochastic_round:
-        n_sample = int(target) + int(rng.random() < (target - int(target)))
-    else:
-        n_sample = int(round(target))
-    if n_sample <= 0 or not eligible:
-        return []
-    idx = rng.choice(
-        len(eligible), size=min(n_sample, len(eligible)), replace=False
-    )
-    return [eligible[int(i)] for i in np.atleast_1d(idx)]
-
-
 def sample_population_reporters_batch(
     tracker,
     report_phase: dict,
@@ -163,14 +108,26 @@ def sample_population_reporters_batch(
     rate: Optional[float],
     stochastic_round: bool = False,
 ) -> np.ndarray:
-    """Columnar twin of :func:`sample_population_reporters`.
+    """Algorithm 1's per-timestamp reporter selection over one user set.
 
+    Registers arrivals, recycles the ``t − w`` cohort, then either applies
+    the user-driven "random" phase rule or samples a ``rate`` fraction of
+    the eligible rows.  Every
+    :class:`~repro.core.sharded.CollectionShard` runs it over its
+    partition (the whole population on the engine's K=1 serial shard).
     Returns the selected *row indices* into ``batch`` (in selection order).
-    Draws from ``rng`` in exactly the same sequence as the object version —
-    one ``integers`` call per arrival under the "random" strategy, one
-    ``random`` call for stochastic rounding, one ``choice`` call over the
-    eligible set — so for a fixed seed both samplers select the same users
-    in the same order (pinned by ``tests/core/test_columnar_equivalence``).
+
+    ``stochastic_round=True`` rounds the sample size probabilistically so
+    that its *expectation* is exactly ``rate * len(eligible)`` — required
+    when the population is split into many small partitions, where
+    deterministic rounding would systematically under- or over-sample.
+
+    Draws from ``rng`` in a fixed sequence — one ``integers`` call per
+    arrival under the "random" strategy, one ``random`` call for
+    stochastic rounding, one ``choice`` call over the eligible set — the
+    same as the per-pair loop in ``tests/reference/sampler.py``, so both
+    select the same users in the same order for a fixed seed (pinned by
+    ``tests/core/test_columnar_equivalence.py``).
     """
     entered = [int(u) for u in newly_entered]
     tracker.register(entered)

@@ -12,11 +12,12 @@ A deployed curator needs to survive restarts.  Three artefact shapes:
   A budget-division curator's ``ledger`` frame holds its O(w) schedule
   ledger and no slot table.
 
-Loading validates the header through the ``SessionSpec`` constructor,
-builds the curator with its normal constructor and calls ``load_state`` on
-each component, so shared references — the K=1 shard drawing from the engine
-rng, its tracker on the ledger's slot table — come from the constructor;
-the resumed curator continues bit for bit.  Nothing in a checkpoint is
+Loading reads the header's spec with :func:`config_from_dict`, the one
+reader of stored specs (JSON config files use it too), builds the curator
+with its normal constructor and calls ``load_state`` on each component,
+so shared references — the K=1 shard drawing from the engine rng, its
+tracker on the ledger's slot table — come from the constructor; the
+resumed curator continues bit for bit.  Nothing in a checkpoint is
 executable: a file without the RSF2 magic (a pickle checkpoint of format
 4 or older) is refused unread.  Restoring any artefact is pure
 post-processing of already-released statistics (paper Theorem 2), so
@@ -48,6 +49,12 @@ _MODEL_FORMAT_VERSION = 1
 # ledger there and is refused, as are v4 and older, which were pickles of
 # the curator's attribute graph.
 _CHECKPOINT_FORMAT_VERSION = 6
+
+#: Fields stored specs may still carry that the spec no longer has.  All
+#: were service fields, which a resumed session takes from its caller, so
+#: the reader drops them: ``queue_size`` bounded the replay's asyncio
+#: queue, which is gone.
+_REMOVED_FIELDS = frozenset({"queue_size"})
 
 
 def save_model(model: GlobalMobilityModel, path: Union[str, Path]) -> None:
@@ -109,13 +116,17 @@ def config_to_dict(config: RetraSynConfig) -> dict:
 def config_from_dict(data: dict) -> RetraSynConfig:
     """Inverse of :func:`config_to_dict` (validates via the dataclass).
 
-    A dict written before the service fields joined the config (20 keys)
-    loads too: absent fields take their defaults.
+    The one reader of stored specs: JSON config files and checkpoint
+    headers both come through here.  A dict written before the service
+    fields joined the config (20 keys) loads too — absent fields take
+    their defaults — and so does one carrying a removed service field
+    (:data:`_REMOVED_FIELDS`), which is dropped.
     """
     if not isinstance(data, dict):
         raise ConfigurationError(
             f"a config must be a JSON object, got {type(data).__name__}"
         )
+    data = {k: v for k, v in data.items() if k not in _REMOVED_FIELDS}
     known = {f.name for f in dataclasses.fields(RetraSynConfig)}
     unknown = set(data) - known
     if unknown:
@@ -230,8 +241,6 @@ def _check_magic(path: Path, head) -> None:
 def _parse_header(path: Path, header: dict, nbytes: int, shards=None):
     """``(spec, grid, lam)`` from a header frame, once the file's ``nbytes``
     and (unless ``None``) ``shards`` shard frames are seen to back its sizes."""
-    from repro.api.specs import SessionSpec
-
     if header.get("version") != _CHECKPOINT_FORMAT_VERSION:
         raise DatasetError(
             f"unsupported checkpoint format version {header.get('version')!r} "
@@ -239,7 +248,7 @@ def _parse_header(path: Path, header: dict, nbytes: int, shards=None):
         )
     try:
         k, bbox = int(header["grid"]["k"]), map(float, header["grid"]["bbox"])
-        spec = SessionSpec(**header["spec"])
+        spec = config_from_dict(header["spec"])
         sizes = (k * k, 8 * spec.w, 100 * spec.synthesis_shards)
         if k < 1 or max(sizes) > nbytes or shards not in (None, spec.n_shards):
             raise ValueError(f"sizes {sizes} and {shards} shard frames do not fit")

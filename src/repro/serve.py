@@ -1,36 +1,45 @@
 """`repro serve`: run the curator as an ingestion service over a dataset.
 
 The batch path (`repro run`) hands the curator a finished dataset.  This
-module instead *replays* the dataset as a live report stream through the
-async ingestion front-end (:mod:`repro.stream.ingest`), which is the shape
-of a real deployment: a bounded ingress queue with backpressure,
-out-of-order arrival (optional shuffling inside the watermark window),
-watermark-based timestamp closing, and periodic checkpoints that a crashed
-or restarted service resumes from bit-for-bit.
+module instead *replays* the dataset as a report stream through an
+:class:`~repro.api.session.IngestSession` — the session the HTTP ingress
+(`repro serve --http`) drives from remote clients — which is the shape of
+a real deployment: one report batch per timestamp, out-of-order arrival
+(optional shuffling inside the watermark window), watermark-based
+timestamp closing, and periodic checkpoints that a crashed or restarted
+service resumes from bit for bit.
 
 Programmatic use::
 
     spec = SessionSpec(epsilon=1.0, w=20, max_lateness=2, seed=0)
     outcome = serve_dataset(data, spec, shuffle=True)
     outcome.run.synthetic     # same SynthesisRun a batch run produces
-    outcome.stats             # ingestion counters (lateness, backpressure)
+    outcome.stats             # ingestion counters (lateness, checkpoints)
 """
 
 from __future__ import annotations
 
+import contextlib
+import signal
+import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
-from repro.api.session import CuratorSession, create_session, load_session
+from repro.api.session import (
+    CuratorSession,
+    IngestSession,
+    create_session,
+    load_session,
+)
 from repro.api.specs import SERVICE_FIELDS, SessionSpec
 from repro.core.persistence import checkpoint_exists
 from repro.core.retrasyn import SynthesisRun
 from repro.geo.trajectory import average_length
-from repro.stream.ingest import IngestStats, dataset_reports, ingest_events
-from repro.stream.reports import ColumnarStreamView
+from repro.stream.ingest import IngestStats
+from repro.stream.reports import ColumnarStreamView, ReportBatch
 from repro.stream.stream import StreamDataset
 
 
@@ -50,7 +59,6 @@ class ServeOutcome:
             f"reports ingested       {s.n_submitted}",
             f"reports processed      {s.n_reports_processed}",
             f"late reports dropped   {s.n_late_dropped}",
-            f"backpressure waits     {s.backpressure_waits}",
             f"checkpoints written    {s.checkpoints_written}",
             f"wall seconds           {self.wall_seconds:.3f}",
         ]
@@ -91,6 +99,85 @@ def open_session(
     )
 
 
+@contextlib.contextmanager
+def _stop_on_signals() -> Iterator[threading.Event]:
+    """An event that SIGTERM/SIGINT set while the block runs.
+
+    Handlers can only be installed from the main thread; elsewhere the
+    event is never set.  The previous handlers come back on exit.
+    """
+    stopped = threading.Event()
+    previous = {}
+    if threading.current_thread() is threading.main_thread():
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            previous[sig] = signal.signal(sig, lambda *_: stopped.set())
+    try:
+        yield stopped
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, signal.SIG_DFL if handler is None else handler)
+
+
+def _arrivals(
+    view: ColumnarStreamView,
+    start_t: int,
+    block: int,
+    shuffle_rng: Optional[np.random.Generator],
+) -> Iterator[tuple[int, ReportBatch]]:
+    """``(t, batch)`` for every non-empty timestamp from ``start_t`` on.
+
+    ``shuffle_rng`` permutes the timestamp order inside each block of
+    ``block`` timestamps and the rows of each batch.  A quiet timestamp
+    sends nothing; it closes as an empty round once a later one arrives.
+    """
+    end = view.n_timestamps
+    for t0 in range(start_t, end, block):
+        ts = np.arange(t0, min(t0 + block, end))
+        if shuffle_rng is not None:
+            ts = shuffle_rng.permutation(ts)
+        for t in ts.tolist():
+            batch = view.batch_at(t)
+            if shuffle_rng is not None:
+                batch = batch.take(shuffle_rng.permutation(len(batch)))
+            if len(batch):
+                yield t, batch
+
+
+def replay(
+    session: IngestSession,
+    view: ColumnarStreamView,
+    *,
+    shuffle_rng: Optional[np.random.Generator] = None,
+) -> IngestStats:
+    """Feed ``view`` through an ingest ``session`` and close it.
+
+    Starts at the session's next open timestamp (0, or where a resumed
+    checkpoint stopped).  Each timestamp's batch goes in through
+    ``submit_batch``, followed by ``advance``.  ``shuffle_rng`` permutes
+    arrivals inside blocks of ``max_lateness + 1`` timestamps, so every
+    batch lands inside the lateness window: nothing is dropped, and the
+    assembler's canonical row order makes the output identical to an
+    in-order replay.
+
+    SIGTERM/SIGINT (on the main thread) stop the feed after the in-flight
+    round.  The session then closes only watermark-complete timestamps,
+    so its final checkpoint lands on a timestamp boundary and a resumed
+    replay, which re-reads the tail from the dataset, is bit-identical
+    to an uninterrupted one.  Otherwise ``close`` flushes everything fed.
+    """
+    arrivals = _arrivals(
+        view, session.assembler.next_t, session.spec.max_lateness + 1, shuffle_rng
+    )
+    with _stop_on_signals() as stopped:
+        for t, batch in arrivals:
+            session.submit_batch(t, batch)
+            session.advance()
+            if stopped.is_set():
+                break
+        session.close(flush_partial=not stopped.is_set())
+    return session.ingest_stats
+
+
 def serve_dataset(
     data: StreamDataset,
     spec: SessionSpec,
@@ -99,7 +186,7 @@ def serve_dataset(
     shuffle_seed: int = 0,
     resume: bool = False,
 ) -> ServeOutcome:
-    """Replay ``data`` through the ingestion service and package the run.
+    """Replay ``data`` through an ingest session and package the run.
 
     The spec's service fields shape the service (its transport is forced to
     ``"ingest"``); ``shuffle`` permutes arrival order inside the lateness
@@ -108,20 +195,13 @@ def serve_dataset(
     spec = replace(spec, transport="ingest")
     session = open_session(data, spec, resume=resume)
     curator = session.curator
-    resumed_from_t = curator._last_t + 1 if resume else None
+    resumed_from_t = session.assembler.next_t if resume else None
 
     view = ColumnarStreamView(data, curator.space)
     shuffle_rng = np.random.default_rng(shuffle_seed) if shuffle else None
-    reports = dataset_reports(
-        view,
-        start_t=resumed_from_t or 0,
-        shuffle_rng=shuffle_rng,
-        block=spec.max_lateness + 1,
-    )
-
     start = time.perf_counter()
     try:
-        stats = ingest_events(session, reports)
+        stats = replay(session, view, shuffle_rng=shuffle_rng)
     finally:
         curator.close()
     wall = time.perf_counter() - start

@@ -18,19 +18,13 @@ Models the paper's streaming setting (Sections II-B and III-B):
 * :class:`~repro.stream.reports.ReportBatch` — the columnar report plane:
   per-timestamp batches as numpy index arrays, the wire format the whole
   collection pipeline (shards included) speaks.
-* :mod:`~repro.stream.ingest` — the async ingestion front-end: out-of-order
-  reports assembled into per-timestamp batches under a watermark, behind a
-  bounded backpressure queue.
+* :mod:`~repro.stream.ingest` — the ingestion front-end: out-of-order
+  report batches assembled into closed, canonically ordered timestamps
+  under a watermark.
 """
 
 from repro.stream.events import StateKind, TransitionState
-from repro.stream.ingest import (
-    IngestionService,
-    IngestStats,
-    TimestampAssembler,
-    UserReport,
-    ingest_events,
-)
+from repro.stream.ingest import IngestStats, TimestampAssembler
 from repro.stream.reports import (
     ColumnarStreamView,
     ReportBatch,
@@ -54,9 +48,6 @@ __all__ = [
     "ReportBatch",
     "ColumnarStreamView",
     "shard_of_array",
-    "UserReport",
     "TimestampAssembler",
-    "IngestionService",
     "IngestStats",
-    "ingest_events",
 ]

@@ -6,23 +6,34 @@ missing RSF2 magic, without being unpickled."""
 from __future__ import annotations
 
 import dataclasses
+import json
 import pickle
+import shutil
 import warnings
+from pathlib import Path
 
 import pytest
 
 from repro.api import schema
+from repro.api.session import create_session, load_session
 from repro.api.specs import SessionSpec
 from repro.core.online import OnlineRetraSyn
 from repro.core.persistence import (
+    config_from_dict,
     load_checkpoint,
+    load_config,
     peek_checkpoint_spec,
     save_checkpoint,
 )
 from repro.core.retrasyn import RetraSynConfig
+from repro.datasets.synthetic import make_random_walks
 from repro.exceptions import ConfigurationError, DatasetError
 from repro.geo.trajectory import average_length
+from repro.serve import replay
 from repro.stream.reports import ColumnarStreamView
+
+#: Files written by the v6 writer while the spec still had ``queue_size``.
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 #: The public names importable from `repro` before the unified API landed.
 #: Removing any of these is a breaking change — this list is the contract.
@@ -50,7 +61,9 @@ LEGACY_CONFIG_KWARGS = dict(
 )
 
 
-#: The ``spec`` keys of a v6 checkpoint header, as first written.
+#: The ``spec`` keys a v6 checkpoint header carries now.  Headers written
+#: while the spec still had ``queue_size`` carry it too, after
+#: ``transport`` (see ``TestRemovedServiceField``).
 V6_HEADER_SPEC_KEYS = (
     "epsilon", "w", "division", "allocator", "alpha", "kappa", "p_max",
     "accountant_mode", "track_privacy",
@@ -58,7 +71,7 @@ V6_HEADER_SPEC_KEYS = (
     "n_shards", "shard_executor", "synthesis_shards", "shard_round_timeout",
     "round_batch",
     "seed",
-    "transport", "queue_size", "max_lateness", "checkpoint_path",
+    "transport", "max_lateness", "checkpoint_path",
     "checkpoint_every", "checkpoint_keep", "drain_deadline", "http_host",
     "http_port",
 )
@@ -138,8 +151,8 @@ class TestCheckpointVersions:
         assert isinstance(spec, SessionSpec)
         assert spec == curator.config
         assert SessionSpec(**header["spec"]) == spec
-        # The header's spec keys are the format: exactly the 29 names the
-        # v6 format has always written, in this order.
+        # The header's spec keys are the format: exactly these 28 names,
+        # in this order.
         assert list(header["spec"]) == list(V6_HEADER_SPEC_KEYS)
 
     @pytest.mark.parametrize("version", [1, 2, 3, 4])
@@ -169,3 +182,59 @@ class TestCheckpointVersions:
             DatasetError, match=f"unsupported checkpoint format version {version}"
         ):
             load_checkpoint(path)
+
+
+class TestRemovedServiceField:
+    """Stored specs from before ``queue_size`` left the spec: 29 keys.
+
+    ``tests/data`` holds a v6 checkpoint and a JSON config written then:
+    a session over ``make_random_walks(k=4, n_streams=40, n_timestamps=12,
+    seed=6)`` with ``w=4, seed=9, transport="ingest", queue_size=64,
+    max_lateness=1``, fed timestamps 0-5 and drained, so its checkpoint
+    stops at t=4.  The reader drops the removed field.
+    """
+
+    SPEC = SessionSpec(
+        epsilon=1.0, w=4, seed=9, transport="ingest", max_lateness=1,
+        checkpoint_path="v6_queue_size.ckpt",
+    )
+
+    def test_v6_checkpoint_with_queue_size_resumes(self, tmp_path):
+        path = tmp_path / "old.ckpt"
+        shutil.copy(DATA / "v6_queue_size.ckpt", path)
+        header, _end = schema.load_frame(path.read_bytes(), expect="checkpoint")
+        assert len(header["spec"]) == 29
+        assert header["spec"]["queue_size"] == 64
+        assert peek_checkpoint_spec(path) == self.SPEC
+
+        data = make_random_walks(k=4, n_streams=40, n_timestamps=12, seed=6)
+        resumed = load_session(
+            path, transport="ingest", max_lateness=1, checkpoint_path=None
+        )
+        assert resumed.assembler.next_t == 4
+        replay(resumed, ColumnarStreamView(data, resumed.curator.space))
+
+        spec = dataclasses.replace(self.SPEC, checkpoint_path=None)
+        whole = create_session(spec, data.grid, lam=header["lam"])
+        replay(whole, ColumnarStreamView(data, whole.curator.space))
+        streams = [
+            [(tr.start_time, list(tr.cells)) for tr in s.result(12).synthetic.trajectories]
+            for s in (resumed, whole)
+        ]
+        assert streams[0] == streams[1]
+        assert resumed.curator.accountant.summary() == (
+            whole.curator.accountant.summary()
+        )
+
+    def test_config_file_with_queue_size_loads(self):
+        path = DATA / "config_queue_size.json"
+        stored = json.loads(path.read_text())
+        assert len(stored) == 29
+        assert stored["queue_size"] == 64
+        assert load_config(path) == self.SPEC
+
+    def test_only_the_removed_field_is_forgiven(self):
+        flat = dataclasses.asdict(self.SPEC)
+        assert config_from_dict({**flat, "queue_size": 0}) == self.SPEC
+        with pytest.raises(ConfigurationError, match="backlog_size"):
+            config_from_dict({**flat, "backlog_size": 64})

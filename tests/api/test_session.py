@@ -129,9 +129,8 @@ class TestEquivalence:
         assert run.accountant.summary() == batch_run.accountant.summary()
 
     def test_ingest_session_reorders_late_reports(self, walk_data):
-        """Out-of-order submission within the lateness bound is invisible."""
-        from repro.stream.ingest import UserReport
-
+        """Out-of-order submission within the lateness bound is invisible,
+        also when a timestamp's reports come in several batches."""
         config = RetraSynConfig(epsilon=1.0, w=10, seed=5)
         reference = RetraSyn(config).run(walk_data)
 
@@ -140,18 +139,14 @@ class TestEquivalence:
         view = ColumnarStreamView(walk_data, session.curator.space)
         rng = np.random.default_rng(0)
         for t0 in range(0, walk_data.n_timestamps, 2):
-            rows = []
+            parts = []
             for t in range(t0, min(t0 + 2, walk_data.n_timestamps)):
                 b = view.batch_at(t)
-                rows.extend(
-                    UserReport.encoded(uid, t, idx, kind)
-                    for uid, idx, kind in zip(
-                        b.user_ids.tolist(), b.state_idx.tolist(),
-                        b.kinds.tolist(),
-                    )
-                )
-            for i in rng.permutation(len(rows)):
-                session.submit_report(rows[int(i)])
+                rows = rng.permutation(len(b))
+                half = len(rows) // 2
+                parts += [(t, b.take(rows[:half])), (t, b.take(rows[half:]))]
+            for i in rng.permutation(len(parts)):
+                session.submit_batch(*parts[int(i)])
             session.advance()
         session.close()
         run = session.result(walk_data.n_timestamps)
@@ -218,6 +213,23 @@ class TestSessionSurface:
         session = create_session(spec, walk_data.grid, lam=_lam(walk_data))
         session.close()
         session.close()
+
+    def test_close_releases_workers_when_the_final_checkpoint_fails(
+        self, walk_data, tmp_path
+    ):
+        """A final checkpoint that raises still shuts the shard workers
+        down, and the error reaches the caller."""
+        spec = SessionSpec(
+            epsilon=1.0, w=10, seed=0, n_shards=2,
+            shard_executor="distributed",
+            checkpoint_path=str(tmp_path / "missing" / "c.ckpt"),
+        )
+        session = create_session(spec, walk_data.grid, lam=_lam(walk_data))
+        pool = session.curator._pool
+        assert pool.alive
+        with pytest.raises(FileNotFoundError):
+            session.close()
+        assert not pool.alive
 
     def test_checkpoint_without_path_raises(self, walk_data):
         session = create_session(
@@ -370,8 +382,8 @@ class TestSessionCheckpointing:
                        dict(warp_factor=9)):
             with pytest.raises(ConfigurationError, match="service fields"):
                 load_session(path, **stored)
-        with pytest.raises(ConfigurationError, match="queue_size"):
-            load_session(path, queue_size=0)
+        with pytest.raises(ConfigurationError, match="checkpoint_keep"):
+            load_session(path, checkpoint_keep=0)
 
     @pytest.mark.parametrize(
         "field, value, error",

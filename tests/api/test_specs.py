@@ -48,7 +48,6 @@ class TestValidation:
             dict(shard_round_timeout=-1.0),
             dict(shard_round_timeout="soon"),
             dict(transport="carrier-pigeon"),
-            dict(queue_size=0),
             dict(max_lateness=-1),
             dict(checkpoint_every=-1),
             dict(checkpoint_every=None),  # None must not leak
@@ -169,7 +168,7 @@ class TestOneConfigClass:
         for removed in ("PrivacySpec", "EngineSpec", "ShardingSpec", "ServiceSpec"):
             assert not hasattr(repro, removed)
             assert removed not in repro.api.__all__
-        assert len(dataclasses.fields(SessionSpec)) == 29
+        assert len(dataclasses.fields(SessionSpec)) == 28
 
     def test_benchmark_aliases(self):
         """``from_flat`` is the constructor and ``to_config`` the identity."""
@@ -230,7 +229,7 @@ class TestCliDerivation:
             for f in iter_cli_fields(service=True)
         }
         assert flags == {
-            "--queue-size", "--lateness", "--checkpoint", "--checkpoint-every",
+            "--lateness", "--checkpoint", "--checkpoint-every",
             "--checkpoint-keep", "--drain-deadline",
         }
 

@@ -1,4 +1,4 @@
-"""ISSUE 2 acceptance: columnar + async paths ≡ object path, bit for bit.
+"""Columnar and ingest paths ≡ object path, bit for bit.
 
 Three entry points feed the same curator code:
 
@@ -7,8 +7,8 @@ Three entry points feed the same curator code:
 * the **columnar path** — ``process_timestep`` with
   :class:`~repro.stream.reports.ReportBatch` index arrays from a
   :class:`~repro.stream.reports.ColumnarStreamView`;
-* the **async path** — the full ingestion service, including out-of-order
-  arrival within the watermark window.
+* the **ingest path** — the ``repro serve`` replay through an ingest
+  session, including out-of-order arrival within the watermark window.
 
 For a fixed RNG seed all three must synthesize the *identical* stream —
 across shard counts (K=1, K=4) and executors (serial, distributed).  Any drift
@@ -21,16 +21,14 @@ import numpy as np
 import pytest
 
 from repro.api.session import IngestSession
-from repro.core.online import (
-    OnlineRetraSyn,
-    sample_population_reporters,
-    sample_population_reporters_batch,
-)
+from repro.core.online import OnlineRetraSyn, sample_population_reporters_batch
 from repro.core.retrasyn import RetraSynConfig
 from repro.datasets.synthetic import make_random_walks
-from repro.stream.ingest import dataset_reports, ingest_events
+from repro.serve import replay
 from repro.stream.reports import ColumnarStreamView, ReportBatch
 from repro.stream.user_tracker import UserTracker
+
+from reference.sampler import sample_population_reporters
 
 
 @pytest.fixture(scope="module")
@@ -76,19 +74,15 @@ def _drive_columnar(stream, curator):
     return _fingerprint(curator, stream.n_timestamps)
 
 
-def _drive_async(stream, curator, max_lateness=2, shuffle_seed=None):
+def _drive_ingest(stream, curator, max_lateness=2, shuffle_seed=None):
     view = ColumnarStreamView(stream, curator.space)
     rng = (
         np.random.default_rng(shuffle_seed) if shuffle_seed is not None else None
     )
-    reports = dataset_reports(
-        view, shuffle_rng=rng, block=max_lateness + 1
-    )
     spec = dataclasses.replace(
-        curator.config, transport="ingest", queue_size=256,
-        max_lateness=max_lateness,
+        curator.config, transport="ingest", max_lateness=max_lateness
     )
-    stats = ingest_events(IngestSession(curator, spec), reports)
+    stats = replay(IngestSession(curator, spec), view, shuffle_rng=rng)
     assert stats.n_late_dropped == 0
     assert stats.n_timestamps == stream.n_timestamps
     return _fingerprint(curator, stream.n_timestamps)
@@ -129,24 +123,27 @@ class TestColumnarMatchesObject:
         assert a == b
 
 
-class TestAsyncMatchesObject:
+class TestIngestMatchesObject:
     @pytest.mark.parametrize("n_shards,executor", CONFIGS)
     def test_in_order_ingestion_identical(self, stream, n_shards, executor):
         a = _drive_object(stream, _make(stream, n_shards, executor))
-        b = _drive_async(stream, _make(stream, n_shards, executor))
+        b = _drive_ingest(stream, _make(stream, n_shards, executor))
         assert a == b
 
-    def test_shuffled_arrival_identical(self, stream):
+    @pytest.mark.parametrize("max_lateness", [0, 1, 3])
+    def test_shuffled_arrival_identical(self, stream, max_lateness):
         """Out-of-order delivery within the watermark changes nothing."""
         a = _drive_object(stream, _make(stream, 4, "serial"))
-        b = _drive_async(
-            stream, _make(stream, 4, "serial"), max_lateness=3, shuffle_seed=7
+        b = _drive_ingest(
+            stream, _make(stream, 4, "serial"), max_lateness=max_lateness,
+            shuffle_seed=7,
         )
         assert a == b
 
 
 class TestSamplerEquivalence:
-    """The two reporter samplers must draw the same users in the same order."""
+    """The reference loop and the production sampler must draw the same
+    users in the same order."""
 
     def test_object_and_batch_samplers_agree(self, stream):
         cfg = RetraSynConfig(epsilon=1.0, w=4, seed=0)

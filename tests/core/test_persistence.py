@@ -162,13 +162,13 @@ class TestConfigRoundTrip:
             model_entering_quitting=False, lam=9.5, n_shards=3,
             shard_executor="distributed", synthesis_shards=2,
             shard_round_timeout=5.0, seed=42, transport="ingest",
-            queue_size=64, max_lateness=2, checkpoint_path="c.ckpt",
+            max_lateness=2, checkpoint_path="c.ckpt",
             checkpoint_every=4, checkpoint_keep=3, drain_deadline=1.5,
             http_host="0.0.0.0", http_port=8731,
         )
         path = tmp_path / "cfg.json"
         save_config(cfg, path)
-        assert len(json.loads(path.read_text())) == 29
+        assert len(json.loads(path.read_text())) == 28
         assert load_config(path) == cfg
 
 

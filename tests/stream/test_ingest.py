@@ -1,27 +1,20 @@
-"""Tests for the async ingestion front-end (assembler + service)."""
+"""Tests for the ingestion front-end: the assembler and the serve replay."""
 
 import signal
-import time
+import threading
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from repro.api.session import create_session
+from repro.api.session import create_session, load_session
 from repro.api.specs import SessionSpec
 from repro.datasets.synthetic import make_random_walks
 from repro.exceptions import ConfigurationError
+from repro.serve import replay
 from repro.stream.events import TransitionState
-from repro.stream.ingest import (
-    TimestampAssembler,
-    UserReport,
-    dataset_reports,
-    ingest_events,
-)
-from repro.stream.reports import (
-    KIND_ENTER,
-    KIND_MOVE,
-    ColumnarStreamView,
-    ReportBatch,
-)
+from repro.stream.ingest import TimestampAssembler
+from repro.stream.reports import KIND_MOVE, ColumnarStreamView, ReportBatch
 from repro.stream.state_space import TransitionStateSpace
 
 
@@ -35,13 +28,26 @@ def space(walks):
     return TransitionStateSpace(walks.grid)
 
 
+def _batch(space, *pairs):
+    """A ReportBatch of ``(uid, TransitionState)`` pairs, in this order."""
+    return ReportBatch.from_participants(space, pairs)
+
+
+def _moves(uids, idx):
+    return ReportBatch.from_arrays(uids, idx, [KIND_MOVE] * len(uids))
+
+
+def _streams(run):
+    return [(t.start_time, list(t.cells)) for t in run.synthetic.trajectories]
+
+
 class TestTimestampAssembler:
     def test_in_order_closing(self, space):
         asm = TimestampAssembler(space)
-        asm.add(UserReport(1, 0, TransitionState.enter(0)))
-        asm.add(UserReport(2, 0, TransitionState.enter(1)))
+        asm.add_batch(0, _batch(space, (2, TransitionState.enter(1))))
+        asm.add_batch(0, _batch(space, (1, TransitionState.enter(0))))
         assert asm.pop_ready() == []  # t=0 may still receive reports
-        asm.add(UserReport(1, 1, TransitionState.move(0, 1)))
+        asm.add_batch(1, _batch(space, (1, TransitionState.move(0, 1))))
         closed = asm.pop_ready()
         assert [c.t for c in closed] == [0]
         assert closed[0].batch.user_ids.tolist() == [1, 2]
@@ -50,38 +56,38 @@ class TestTimestampAssembler:
 
     def test_out_of_order_within_lateness(self, space):
         asm = TimestampAssembler(space, max_lateness=2)
-        asm.add(UserReport(1, 2, TransitionState.move(1, 2)))
-        asm.add(UserReport(1, 0, TransitionState.enter(0)))  # 2 behind max
-        asm.add(UserReport(1, 1, TransitionState.move(0, 1)))
+        asm.add_batch(2, _batch(space, (1, TransitionState.move(1, 2))))
+        asm.add_batch(0, _batch(space, (1, TransitionState.enter(0))))
+        asm.add_batch(1, _batch(space, (1, TransitionState.move(0, 1))))
         assert asm.pop_ready() == []  # watermark = 2 - 2 - 1 < 0
-        asm.add(UserReport(2, 4, TransitionState.enter(2)))
+        asm.add_batch(4, _batch(space, (2, TransitionState.enter(2))))
         closed = asm.pop_ready()
         assert [c.t for c in closed] == [0, 1]
         assert asm.n_late_dropped == 0
 
-    def test_late_report_dropped_and_counted(self, space):
+    def test_late_batch_dropped_and_counted(self, space):
         asm = TimestampAssembler(space)
-        asm.add(UserReport(1, 0, TransitionState.enter(0)))
-        asm.add(UserReport(1, 1, TransitionState.move(0, 1)))
+        asm.add_batch(0, _batch(space, (1, TransitionState.enter(0))))
+        asm.add_batch(1, _batch(space, (1, TransitionState.move(0, 1))))
         asm.pop_ready()  # closes t=0
-        asm.add(UserReport(9, 0, TransitionState.enter(3)))  # too late
+        late = _batch(space, (9, TransitionState.enter(3)))
+        assert asm.add_batch(0, late) == 0  # too late
         assert asm.n_late_dropped == 1
 
     def test_late_batch_drop_counting(self, space):
-        """Late single reports and late batch rows share one counter."""
+        """Every row of every late batch is counted."""
         asm = TimestampAssembler(space, max_lateness=0)
-        asm.add(UserReport.encoded(1, 0, 5, KIND_MOVE))
-        asm.add(UserReport.encoded(2, 3, 5, KIND_MOVE))
+        asm.add_batch(0, _moves([1], [5]))
+        asm.add_batch(3, _moves([2], [5]))
         asm.pop_ready()  # closes t<=2
-        asm.add(UserReport.encoded(9, 0, 5, KIND_MOVE))  # late
-        late_batch = ReportBatch.from_arrays([4, 5], [1, 2], [0, 0])
-        assert asm.add_batch(1, late_batch) == 0  # the whole batch is late
+        assert asm.add_batch(0, _moves([9], [5])) == 0
+        assert asm.add_batch(1, _moves([4, 5], [1, 2])) == 0
         assert asm.n_late_dropped == 3
 
     def test_gap_timestamps_close_empty(self, space):
         asm = TimestampAssembler(space)
-        asm.add(UserReport(1, 0, TransitionState.enter(0)))
-        asm.add(UserReport(2, 5, TransitionState.enter(1)))
+        asm.add_batch(0, _batch(space, (1, TransitionState.enter(0))))
+        asm.add_batch(5, _batch(space, (2, TransitionState.enter(1))))
         closed = asm.pop_ready()
         assert [c.t for c in closed] == [0, 1, 2, 3, 4]
         assert all(len(c.batch) == 0 for c in closed[1:])
@@ -97,146 +103,156 @@ class TestTimestampAssembler:
     def test_duplicate_uid_rows_keep_arrival_order(self, space):
         """Same uid, same t: the stable uid sort keeps arrival order."""
         asm = TimestampAssembler(space)
-        asm.add(UserReport.encoded(7, 0, 11, KIND_MOVE))
-        asm.add(UserReport.encoded(3, 0, 22, KIND_MOVE))
-        asm.add_batch(0, ReportBatch.from_arrays([7], [33], [KIND_MOVE]))
-        asm.add(UserReport.encoded(7, 0, 44, KIND_MOVE))
-        asm.add(UserReport.encoded(7, 1, 55, KIND_MOVE))  # opens t=1
+        asm.add_batch(0, _moves([7], [11]))
+        asm.add_batch(0, _moves([3, 7], [22, 33]))
+        asm.add_batch(0, _moves([7], [44]))
+        asm.add_batch(1, _moves([7], [55]))  # opens t=1
         (closed,) = asm.pop_ready()
         assert closed.batch.user_ids.tolist() == [3, 7, 7, 7]
         assert closed.batch.state_idx.tolist() == [22, 11, 33, 44]
 
     def test_canonical_order_is_arrival_independent(self, space):
-        def close_one(order):
+        def close_one(order, split):
             asm = TimestampAssembler(space)
-            for uid in order:
-                asm.add(UserReport(uid, 0, TransitionState.enter(uid % 4)))
+            pairs = [(uid, TransitionState.enter(uid % 4)) for uid in order]
+            asm.add_batch(0, _batch(space, *pairs[:split]))
+            asm.add_batch(0, _batch(space, *pairs[split:]))
             return asm.flush()[0].batch
 
-        a = close_one([5, 1, 9, 3])
-        b = close_one([3, 9, 1, 5])
+        a = close_one([5, 1, 9, 3], split=1)
+        b = close_one([3, 9, 1, 5], split=3)
         assert a.user_ids.tolist() == b.user_ids.tolist() == [1, 3, 5, 9]
         assert a.state_idx.tolist() == b.state_idx.tolist()
 
+    def test_backlog_tracks_buffered_rows(self, space):
+        asm = TimestampAssembler(space, max_lateness=1)
+        asm.add_batch(0, _moves([1, 2], [3, 4]))
+        asm.add_batch(1, _moves([1], [5]))
+        assert (asm.backlog, asm.backlog_high_water) == (3, 3)
+        asm.add_batch(2, _moves([1], [6]))  # closes t=0
+        asm.pop_ready()
+        assert (asm.backlog, asm.backlog_high_water) == (2, 4)
+
     def test_flush_closes_everything(self, space):
         asm = TimestampAssembler(space, max_lateness=3)
-        asm.add(UserReport(1, 0, TransitionState.enter(0)))
-        asm.add(UserReport(1, 1, TransitionState.move(0, 1)))
+        asm.add_batch(0, _batch(space, (1, TransitionState.enter(0))))
+        asm.add_batch(1, _batch(space, (1, TransitionState.move(0, 1))))
         assert asm.pop_ready() == []
         assert [c.t for c in asm.flush()] == [0, 1]
-
-    def test_encoded_reports(self, space):
-        asm = TimestampAssembler(space)
-        asm.add(UserReport.encoded(4, 0, space.index_of_enter(1), KIND_ENTER))
-        closed = asm.flush()
-        assert closed[0].batch.state_idx.tolist() == [space.index_of_enter(1)]
-
-    def test_invalid_report_rejected(self, space):
-        asm = TimestampAssembler(space)
-        with pytest.raises(ConfigurationError):
-            asm.add(UserReport(1, 0))  # neither state nor encoded form
 
     def test_negative_lateness_rejected(self, space):
         with pytest.raises(ConfigurationError):
             TimestampAssembler(space, max_lateness=-1)
 
 
-class TestIngestionService:
-    def _session(self, walks, **service):
-        spec = SessionSpec(
-            epsilon=1.0, w=5, seed=0, transport="ingest", **service
-        )
-        return create_session(spec, walks.grid, lam=5.0)
+def _session(walks, **service):
+    spec = SessionSpec(epsilon=1.0, w=5, seed=0, transport="ingest", **service)
+    return create_session(spec, walks.grid, lam=5.0)
 
+
+class TestReplay:
     def test_full_replay_processes_everything(self, walks):
-        session = self._session(walks)
+        session = _session(walks)
         view = ColumnarStreamView(walks, session.curator.space)
-        stats = ingest_events(session, dataset_reports(view))
+        stats = replay(session, view)
         assert stats.n_timestamps == walks.n_timestamps
         assert stats.n_late_dropped == 0
         assert stats.n_reports_processed == stats.n_submitted
         assert session.curator.accountant.verify()
 
-    def test_backpressure_with_tiny_queue(self, walks):
-        session = self._session(walks, queue_size=8)
+    def test_curator_error_propagates(self, walks, monkeypatch):
+        session = _session(walks)
         view = ColumnarStreamView(walks, session.curator.space)
-        stats = ingest_events(session, dataset_reports(view))
-        assert stats.backpressure_waits > 0
-        assert stats.n_timestamps == walks.n_timestamps
+        batch_at = view.batch_at
 
-    def test_curator_error_propagates_not_deadlocks(self, walks):
-        session = self._session(walks, queue_size=4)
-        view = ColumnarStreamView(walks, session.curator.space)
-        # Unknown user 999 moves without ever entering: the tracker must
-        # reject it and the error must surface through ingest_events.
-        bad = [UserReport(999, 0, TransitionState.move(0, 1))] + list(
-            dataset_reports(view)
-        )
-        with pytest.raises(ConfigurationError):
-            ingest_events(session, bad)
+        def with_stranger(t):
+            # Unknown user 999 moves without ever entering: the tracker
+            # must reject it and the error must surface through replay.
+            b = batch_at(t)
+            return ReportBatch.from_arrays(
+                np.append(b.user_ids, 999), np.append(b.state_idx, 0),
+                np.append(b.kinds, KIND_MOVE),
+            )
 
-    def test_invalid_queue_size(self, walks):
+        monkeypatch.setattr(view, "batch_at", with_stranger)
         with pytest.raises(ConfigurationError):
-            self._session(walks, queue_size=0)
+            replay(session, view)
+        session.curator.close()
 
     def test_final_checkpoint_written_without_interval(self, walks, tmp_path):
         """checkpoint_path alone means 'checkpoint at end of stream'."""
         path = tmp_path / "c.ckpt"
-        session = self._session(
-            walks, checkpoint_path=str(path), checkpoint_every=0
-        )
+        session = _session(walks, checkpoint_path=str(path), checkpoint_every=0)
         view = ColumnarStreamView(walks, session.curator.space)
-        stats = ingest_events(session, dataset_reports(view))
+        stats = replay(session, view)
         assert path.exists()
         assert stats.checkpoints_written == 1
 
     def test_periodic_checkpoints(self, walks, tmp_path):
         path = tmp_path / "c.ckpt"
-        session = self._session(
-            walks, checkpoint_path=str(path), checkpoint_every=4
-        )
+        session = _session(walks, checkpoint_path=str(path), checkpoint_every=4)
         view = ColumnarStreamView(walks, session.curator.space)
-        stats = ingest_events(session, dataset_reports(view))
+        stats = replay(session, view)
         # 16 timestamps / every 4 => 4 periodic + the final one
         assert stats.checkpoints_written == 5
 
+    def test_worker_thread_replays_without_signal_handlers(self, walks):
+        session = _session(walks)
+        view = ColumnarStreamView(walks, session.curator.space)
+        before = signal.getsignal(signal.SIGTERM)
+        out = []
+        worker = threading.Thread(target=lambda: out.append(replay(session, view)))
+        worker.start()
+        worker.join()
+        assert out[0].n_timestamps == walks.n_timestamps
+        assert signal.getsignal(signal.SIGTERM) is before
 
-class TestDrainDeadline:
-    """SIGTERM mid-replay: the drain is bounded by ``drain_deadline``."""
 
-    ROUND_DELAY = 0.02  # seconds each (slowed) advance takes
+class TestReplayDrain:
+    """SIGTERM mid-replay: the feed stops after the in-flight round, the
+    final checkpoint lands on a timestamp boundary, and a resumed replay
+    equals the uninterrupted run."""
 
-    def _drain(self, walks, tmp_path, deadline):
+    K = 6  # the signal is raised after this many rounds
+
+    @pytest.mark.parametrize("lateness", [0, 1])
+    def test_sigterm_drains_to_a_resumable_boundary(
+        self, walks, tmp_path, lateness
+    ):
         path = tmp_path / "drain.ckpt"
         spec = SessionSpec(
-            epsilon=1.0, w=5, seed=0, transport="ingest", queue_size=64,
-            checkpoint_path=str(path), drain_deadline=deadline,
+            epsilon=1.0, w=5, seed=0, transport="ingest",
+            max_lateness=lateness, checkpoint_path=str(path),
         )
+        whole = create_session(
+            replace(spec, checkpoint_path=None), walks.grid, lam=5.0
+        )
+        replay(
+            whole, ColumnarStreamView(walks, whole.curator.space),
+            shuffle_rng=np.random.default_rng(3),
+        )
+
         session = create_session(spec, walks.grid, lam=5.0)
-        advance = session.advance
-
-        def slow_advance():
-            time.sleep(self.ROUND_DELAY)
-            return advance()
-
-        session.advance = slow_advance
         view = ColumnarStreamView(walks, session.curator.space)
+        curator = session.curator
+        process_timestep = curator.process_timestep
+        at_signal = []
 
-        def reports():
-            # The signal lands while the producer fills the queue, so the
-            # drain starts with a backlog of queued reports to advance.
-            signal.raise_signal(signal.SIGTERM)
-            yield from dataset_reports(view)
+        def process_then_signal(*args, **kwargs):
+            result = process_timestep(*args, **kwargs)
+            if len(curator.reporters_per_timestamp) == self.K:
+                at_signal.append(self.K)
+                signal.raise_signal(signal.SIGTERM)
+            return result
 
-        stats = ingest_events(session, reports())
-        session.curator.close()
-        return stats, path
+        curator.process_timestep = process_then_signal
+        stats = replay(session, view, shuffle_rng=np.random.default_rng(3))
+        assert at_signal == [self.K]
+        assert self.K <= stats.n_timestamps <= self.K + 1
+        assert stats.checkpoints_written == 1
 
-    def test_deadline_stops_a_slow_drain(self, walks, tmp_path):
-        bounded, path = self._drain(walks, tmp_path, deadline=0.05)
-        assert bounded.checkpoints_written == 0
-        assert not path.exists()  # stopped before the final checkpoint
-        unbounded, path = self._drain(walks, tmp_path, deadline=0)
-        assert unbounded.checkpoints_written == 1  # 0 = no bound
-        assert path.exists()
-        assert bounded.n_timestamps < unbounded.n_timestamps
+        resumed = load_session(path)
+        assert resumed.assembler.next_t == stats.n_timestamps
+        replay(resumed, view, shuffle_rng=np.random.default_rng(4))
+        n = walks.n_timestamps
+        assert _streams(resumed.result(n)) == _streams(whole.result(n))

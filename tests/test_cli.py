@@ -191,7 +191,6 @@ class TestServeCommand:
         code = main([
             "serve", "--input", str(dataset_file), "--w", "5",
             "--shards", "2", "--shuffle", "--lateness", "2",
-            "--queue-size", "64",
             "--checkpoint", str(ckpt), "--checkpoint-every", "5",
         ])
         assert code == 0

@@ -79,7 +79,6 @@ class TestServiceLayerWiring:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(queue_size=0),
             dict(max_lateness=-1),
             dict(checkpoint_every=-1),
             dict(checkpoint_keep=0),
