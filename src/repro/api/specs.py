@@ -43,7 +43,7 @@ from repro.rng import RngLike
 
 #: Closed vocabularies shared by validation and the generated CLI flags.
 DIVISIONS = ("population", "budget")
-ALLOCATORS = ("adaptive", "uniform", "sample", "random", "adaptive-user")
+ALLOCATORS = ("adaptive", "uniform", "sample", "random")
 UPDATE_STRATEGIES = ("dmu", "all")
 ENGINES = ("object", "vectorized")
 ORACLE_MODES = ("fast", "exact")
@@ -154,9 +154,7 @@ class SessionSpec:
         default="adaptive",
         metadata=_cli(
             "--allocator",
-            "budget/population allocation strategy; 'adaptive-user' "
-            "(budget division) scales spends by the participants' minimum "
-            "remaining window budget from the privacy ledger",
+            "budget/population allocation strategy",
             choices=ALLOCATORS,
         ),
     )
@@ -167,8 +165,8 @@ class SessionSpec:
         default="columnar",
         metadata=_cli(
             "--accountant-mode",
-            "per-user privacy-ledger engine (population division, "
-            "adaptive-user): the vectorized ring-buffer ledger",
+            "per-user privacy-ledger engine (population division): "
+            "the vectorized ring-buffer ledger",
             choices=ACCOUNTANT_MODES,
         ),
     )
@@ -339,11 +337,6 @@ class SessionSpec:
             raise ConfigurationError(
                 "allocator 'random' is user-driven and only defined for "
                 "population division (paper Section III-E)"
-            )
-        if self.allocator == "adaptive-user" and self.division != "budget":
-            raise ConfigurationError(
-                "allocator 'adaptive-user' scales per-timestamp budgets "
-                "and is only defined for budget division"
             )
 
     @classmethod

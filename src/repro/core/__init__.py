@@ -29,7 +29,6 @@ from repro.core.trajectory_store import StoreTrajectories, TrajectoryStore
 from repro.core.allocation import (
     AdaptiveBudgetAllocator,
     AdaptivePopulationAllocator,
-    AdaptiveUserBudgetAllocator,
     AllocationContext,
     BudgetAllocator,
     PopulationAllocator,
@@ -63,7 +62,6 @@ __all__ = [
     "BudgetAllocator",
     "PopulationAllocator",
     "AdaptiveBudgetAllocator",
-    "AdaptiveUserBudgetAllocator",
     "AdaptivePopulationAllocator",
     "UniformBudgetAllocator",
     "UniformPopulationAllocator",

@@ -139,20 +139,22 @@ class BudgetAllocator(abc.ABC):
     name = "base"
 
     def __init__(self, epsilon: float, w: int) -> None:
-        if epsilon <= 0:
-            raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
-        if w < 1:
-            raise ConfigurationError(f"window size w must be >= 1, got {w}")
-        self.epsilon = float(epsilon)
-        self.w = int(w)
+        # The tracker validates the window contract (finite ε > 0, w >= 1).
         self.tracker = SlidingBudgetTracker(epsilon, w)
+        self.epsilon, self.w = self.tracker.epsilon, self.tracker.w
 
     @abc.abstractmethod
     def propose(self, t: int, context: AllocationContext) -> float:
         """Budget to spend at timestamp ``t`` (0 means skip the collection)."""
 
     def commit(self, epsilon_t: float) -> None:
-        """Record the actually spent budget and slide the window."""
+        """Record the actually spent budget and slide the window.
+
+        The tracker refuses an ``ε_t`` that would overrun the window, so
+        every budget schedule is window-checked — which is what lets the
+        curator account budget division per round
+        (:class:`~repro.ldp.accountant.ScheduleLedger`).
+        """
         self.tracker.commit(epsilon_t)
 
 
@@ -180,72 +182,6 @@ class AdaptiveBudgetAllocator(BudgetAllocator):
             return self.epsilon / self.w
         p = adaptive_portion(context, self.w, self.alpha, self.p_max, self.p_floor)
         return p * self.tracker.remaining
-
-
-class AdaptiveUserBudgetAllocator(AdaptiveBudgetAllocator):
-    """Adaptive allocation over the *participants'* remaining budgets.
-
-    The plain adaptive allocator scales the Eq. 10 portion by the curator's
-    schedule-level remaining window budget — which assumes every user
-    participated in every collection of the window.  Under churn that is
-    pessimistic: a user who entered mid-window has spent nothing in the
-    rounds before their arrival.  This allocator instead consults the
-    privacy ledger's :meth:`~repro.ldp.accountant.ColumnarPrivacyAccountant
-    .remaining_many` for the current participant batch and scales the
-    portion by the batch's *minimum* per-user remaining budget.
-
-    Safety: every spend is capped at ``p ≤ p_max < 1`` times the tightest
-    participant's remaining window budget, so no user's w-event bound can
-    be exceeded — the strict accountant double-checks each round.  The
-    schedule-level window cap does not apply (different rounds may bill
-    different populations), so commits bypass the
-    :class:`~repro.ldp.accountant.SlidingBudgetTracker` check while still
-    recording the schedule for the feedback signal.  For the same reason
-    this is the one budget-division allocator whose curator keeps the
-    per-user :class:`~repro.ldp.accountant.ColumnarPrivacyAccountant`:
-    the others' schedules are window-checked, so their curators account
-    per round with the O(w) :class:`~repro.ldp.accountant.ScheduleLedger`
-    (see :func:`~repro.ldp.accountant.make_ledger`), which has no
-    ``remaining_many``.
-
-    Select via ``RetraSynConfig(division="budget", allocator="adaptive-user")``.
-    """
-
-    name = "adaptive-user"
-    #: The engine passes ``accountant.remaining_many`` over the candidate
-    #: batch to :meth:`propose_for` when this is set.
-    consults_users = True
-
-    def propose(self, t: int, context: AllocationContext) -> float:
-        return self.propose_for(t, context, None)
-
-    def propose_for(
-        self,
-        t: int,
-        context: AllocationContext,
-        remaining: Optional[np.ndarray],
-    ) -> float:
-        """Budget for ``t`` given the participants' remaining window budgets.
-
-        ``remaining`` is ``accountant.remaining_many(batch.user_ids, t)``
-        (or ``None`` when auditing is off / the batch is empty), computed
-        *before* this round's spend.  Falls back to the schedule-level
-        remaining budget exactly like the plain adaptive allocator when no
-        per-user information is available.
-        """
-        if t == 0:
-            # Initialisation round mirrors Algorithm 1: spend 1/w of ε.
-            return self.epsilon / self.w
-        p = adaptive_portion(context, self.w, self.alpha, self.p_max, self.p_floor)
-        if remaining is None or remaining.size == 0:
-            return p * self.tracker.remaining
-        return p * float(np.min(remaining))
-
-    def commit(self, epsilon_t: float) -> None:
-        # Record the schedule (the Dev_t feedback loop reads it) without the
-        # schedule-level window check: per-user safety is enforced by the
-        # proposal cap above plus the strict accountant.
-        self.tracker.commit(epsilon_t, checked=False)
 
 
 class UniformBudgetAllocator(BudgetAllocator):
@@ -336,13 +272,12 @@ def make_budget_allocator(
     """Factory for budget-division allocators by name."""
     table = {
         "adaptive": AdaptiveBudgetAllocator,
-        "adaptive-user": AdaptiveUserBudgetAllocator,
         "uniform": UniformBudgetAllocator,
         "sample": SampleBudgetAllocator,
     }
     if name not in table:
         raise ConfigurationError(f"unknown budget allocator {name!r}")
-    if name not in ("adaptive", "adaptive-user"):
+    if name != "adaptive":
         kwargs = {}
     return table[name](epsilon, w, **kwargs)
 

@@ -22,9 +22,7 @@ Shard RPC (all messages are RSF2 binary frames; see ``docs/API.md``):
 ====================  ===================================================
 ``shard-submit``      One partition of a timestamp's traffic (the five
                       report columns).  The worker stages it and acks
-                      with its partition's minimum remaining window
-                      budget (when asked), which is all the per-user
-                      budget allocator needs from the whole batch.
+                      with the round ``t`` alone.
 ``shard-advance``     ``(t, rate, eps)`` — run the staged round:
                       selection, perturbation, tracker bookkeeping and
                       the shard-local budget spend.
@@ -48,12 +46,12 @@ consumes its rng in exactly the same sequence as the serial executor's
 shard object, and accountant operations never touch any rng.  Moving the
 spend into the worker changes *where* the ledger rows live, not a single
 random draw — and because the hash partition is a disjoint cover of the
-user population, per-user window totals (and therefore audit verdicts and
-``adaptive-user`` budget proposals, which reduce to a batch-wide min) are
-identical to the parent-ledger layout.  The one observable difference is
-post-refusal ledger state: a strict refusal aborts the parent ledger
-mid-batch, while shard ledgers beyond the offending shard still record
-their rounds — the refusal itself (type, first offending shard) matches.
+user population, per-user window totals (and therefore audit verdicts)
+are identical to the parent-ledger layout.  The one observable
+difference is post-refusal ledger state: a strict refusal aborts the
+parent ledger mid-batch, while shard ledgers beyond the offending shard
+still record their rounds — the refusal itself (type, first offending
+shard) matches.
 Budget-division rounds under the schedule ledger never get that far: the
 coordinator admits them (distinct uids, checked allocator commit) before
 any worker draws.
@@ -188,12 +186,7 @@ class _ShardService:
         entered = np.asarray(msg["newly_entered"])
         quitted = np.asarray(msg["quitted"])
         self._staged = (t, batch, entered, quitted)
-        min_remaining = None
-        if msg.get("want_remaining") and self.accountant is not None and len(batch):
-            min_remaining = float(
-                np.min(self.accountant.remaining_many(batch.user_ids, t))
-            )
-        return schema.message("ack", t=t, min_remaining=min_remaining)
+        return schema.message("ack", t=t)
 
     def _run_round(self, t: int, rate: Optional[float], eps: float):
         """Advance the staged round, which must be round ``t``."""
@@ -320,10 +313,10 @@ class ShardSocketPool:
     """Persistent shard worker services, one socket per shard.
 
     Lifecycle surface ``get_states`` / ``set_states`` / ``close``; a
-    round is the two-phase ``submit`` / ``advance`` protocol, so the
-    budget proposal can consult the shard-local ledgers between the
-    phases.  All traffic is RSF2 binary frames: the round's columns
-    move as raw little-endian buffers, never as pickles.
+    round is the two-phase ``submit`` / ``advance`` protocol: the
+    coordinator proposes and admits the round between the phases, from
+    its own state alone.  All traffic is RSF2 binary frames: the round's
+    columns move as raw little-endian buffers, never as pickles.
     """
 
     def __init__(self, grid: Grid, config, seeds: Sequence[int]) -> None:
@@ -457,14 +450,13 @@ class ShardSocketPool:
         parts: Sequence[ReportBatch],
         entered: Sequence[np.ndarray],
         quits: Sequence[np.ndarray],
-        want_remaining: bool,
-    ) -> Optional[float]:
+        _unused: bool = False,
+    ) -> None:
         """Stage one timestamp's partitions on every shard.
 
-        Returns the global minimum remaining window budget over all
-        staged participants (``None`` when not requested or no shard has
-        participants) — sufficient for ``adaptive-user`` proposals, which
-        reduce the whole remaining vector to its minimum.
+        ``_unused`` is ignored.  It is kept only because the round-cost
+        benchmark (``benchmarks/round``) still passes it; it goes once that
+        benchmark stops passing it.
         """
         tic = time.perf_counter()
         for k in range(len(self._socks)):
@@ -473,7 +465,6 @@ class ShardSocketPool:
                 schema.message(
                     "shard-submit",
                     t=int(t),
-                    want_remaining=bool(want_remaining),
                     user_ids=np.asarray(parts[k].user_ids),
                     state_idx=np.asarray(parts[k].state_idx),
                     kinds=np.asarray(parts[k].kinds),
@@ -482,13 +473,9 @@ class ShardSocketPool:
                 ),
                 "submit",
             )
-        mins = []
         for k in range(len(self._socks)):
-            ack = self._recv(k, "submit", expect="ack")
-            if ack.get("min_remaining") is not None:
-                mins.append(float(ack["min_remaining"]))
+            self._recv(k, "submit", expect="ack")
         self._observe(time.perf_counter() - tic)
-        return min(mins) if mins else None
 
     def advance(self, t: int, rate: Optional[float], eps: float) -> list:
         """Run the staged round everywhere; one merge tuple per shard.

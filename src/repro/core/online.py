@@ -29,6 +29,12 @@ whose raw one-counts are merged and debiased once per round.  K=1 serial
 is the paper's unsharded round: one in-process shard drawing from the
 engine's own rng.
 
+Privacy is accounted by the ledger
+:func:`~repro.ldp.accountant.make_ledger` picks from the division: budget
+division admits each round, then charges its ``ε_t`` once to the O(w)
+schedule ledger; population division spends per reporter in the columnar
+per-user ledger.
+
 The collection phase is *columnar*: ``participants`` may be a
 :class:`~repro.stream.reports.ReportBatch` (numpy arrays of user ids,
 encoded state indices, and transition-kind codes) and object-path inputs —
@@ -359,7 +365,7 @@ class OnlineRetraSyn:
         K = self.n_shards
         return batch.partition(K), _split_ids(newly_entered, K), _split_ids(quitted, K)
 
-    def _propose(self, t, batch: ReportBatch, global_min: Optional[float]):
+    def _propose(self, t):
         """The round's globally proposed ``(rate, ε_t)``; changes nothing."""
         cfg = self.config
         rate: Optional[float] = None
@@ -368,17 +374,7 @@ class OnlineRetraSyn:
             if cfg.allocator != "random":
                 rate = self._pop_alloc.propose(t, self.context)
         else:
-            if self._pool is not None and getattr(
-                self._budget_alloc, "consults_users", False
-            ):
-                remaining = (
-                    None if global_min is None else np.asarray([global_min])
-                )
-                eps_t = self._budget_alloc.propose_for(
-                    t, self.context, remaining
-                )
-            else:
-                eps_t = self._propose_budget(t, batch)
+            eps_t = self._budget_alloc.propose(t, self.context)
             if eps_t < _MIN_EPSILON:
                 eps_t = 0.0
         return rate, eps_t
@@ -395,8 +391,8 @@ class OnlineRetraSyn:
         seen.  The in-process ledger checks both itself; distributed
         workers' ledgers sit behind the round, so the coordinator checks
         distinctness and the allocator's checked ``commit`` the window.
-        Population division and ``adaptive-user`` are not admitted: their
-        per-user ledgers refuse at spend time, after the round has drawn.
+        Population division is not admitted: its per-user ledgers refuse
+        at spend time, after the round has drawn.
         """
         if not self._admits or eps_t == 0.0:
             return
@@ -405,22 +401,6 @@ class OnlineRetraSyn:
             admit(batch.user_ids, t, eps_t)
         else:
             require_distinct(batch.user_ids, t)
-
-    def _propose_budget(self, t, batch: ReportBatch) -> float:
-        """The round's ε_t under budget division.
-
-        Per-user allocators (``allocator="adaptive-user"``) additionally
-        receive the candidate batch's remaining window budgets from the
-        privacy ledger, so spends adapt to the tightest participant rather
-        than the schedule-level worst case.
-        """
-        alloc = self._budget_alloc
-        if getattr(alloc, "consults_users", False):
-            remaining = None
-            if self.accountant is not None and len(batch):
-                remaining = self.accountant.remaining_many(batch.user_ids, t)
-            return alloc.propose_for(t, self.context, remaining)
-        return alloc.propose(t, self.context)
 
     def _merge_outs(self, t, outs, eps_t):
         """Merge per-shard round outputs into one debiased collection.
@@ -460,28 +440,14 @@ class OnlineRetraSyn:
         Returns ``(collected, n_reporters, eps_used)``; the model-update
         and synthesis phases downstream are executor-independent.
         """
-        cfg = self.config
         parts, entered, quits = self._partition(batch, newly_entered, quitted)
 
-        # Distributed phase 1: stage the partitions on every shard and,
-        # when a per-user allocator needs ledger feedback, collect the
-        # global minimum remaining window budget from the shard-local
-        # accountants.  ``propose_for`` reduces the whole remaining vector
-        # to its minimum, so a min-of-shard-mins is an exact substitute
-        # for the engine-ledger query the serial executor makes.
-        global_min: Optional[float] = None
+        # Distributed phase 1: stage the partitions on every shard.
         if self._pool is not None:
-            want_remaining = (
-                cfg.division != "population"
-                and getattr(self._budget_alloc, "consults_users", False)
-                and cfg.track_privacy
-            )
-            global_min = self._pool.submit(
-                t, parts, entered, quits, want_remaining
-            )
+            self._pool.submit(t, parts, entered, quits)
 
         # Globally proposed rate / budget, from the merged feedback context.
-        rate, eps_t = self._propose(t, batch, global_min)
+        rate, eps_t = self._propose(t)
         self._admit(t, batch, eps_t)
         # Admitted: from here on the round changes state.
         if self._budget_alloc is not None:

@@ -5,8 +5,8 @@ Implements the frequency-oracle protocols the paper builds on (Section II-A):
 * :class:`~repro.ldp.oue.OptimizedUnaryEncoding` — the paper's FO of choice
   (optimal variance, Wang et al. USENIX Security 2017).
 * :class:`~repro.ldp.grr.GeneralizedRandomizedResponse` and
-  :class:`~repro.ldp.olh.OptimizedLocalHashing` — standard alternatives used
-  for cross-validation in tests and ablation benches.
+  :class:`~repro.ldp.olh.OptimizedLocalHashing` — standard alternatives
+  that only the test suite uses, to cross-validate the oracle interface.
 
 plus the privacy ledgers that record budget spends and *verify* the
 w-event LDP guarantee (Definition 3 / Theorem 3): the dict-based
@@ -16,8 +16,7 @@ the two the RetraSyn curator picks between with
 :class:`~repro.ldp.accountant.ScheduleLedger` under budget division, whose
 reporters all spend the same ε_t once per round, and the per-user
 :class:`~repro.ldp.accountant.ColumnarPrivacyAccountant` (built by
-:func:`~repro.ldp.accountant.make_accountant`) under population division
-and the ``adaptive-user`` allocator.
+:func:`~repro.ldp.accountant.make_accountant`) under population division.
 """
 
 from repro.ldp.freq_oracle import FrequencyOracle

@@ -15,12 +15,11 @@ Three ledger engines share the ``spend_many`` / ``summary`` surface:
   (LBD/LBA/LPD/LPA, LDPTrace) keep their ledgers in it, and the test
   suites use it as the reference the other two are checked against.
 * :class:`ColumnarPrivacyAccountant` — the **per-user** columnar engine,
-  the RetraSyn curator's ledger under population division and under the
-  ``adaptive-user`` budget allocator: spends live in a swept
-  ``(n_slots, w)`` numpy ring hung on a
+  the RetraSyn curator's ledger under population division: spends live
+  in a swept ``(n_slots, w)`` numpy ring hung on a
   :class:`~repro.stream.slots.UserSlotTable`, so ``spend_many``,
-  ``window_spend_many``, ``remaining_many`` and the strict-mode violation
-  check are array ops over whole report batches with no per-user loop.
+  ``window_spend_many`` and the strict-mode violation check are array
+  ops over whole report batches with no per-user loop.
   The ledger retains exactly the live window of exactly the users who
   still have one (all the w-event guarantee needs): rows whose window has
   emptied are retired to a 16 B/user audit archive that keeps lifetime
@@ -31,8 +30,7 @@ Three ledger engines share the ``spend_many`` / ``summary`` surface:
   ``tests/ldp/test_accountant_model.py`` pin the two engines to identical
   spends, refusals, violations and window totals on randomized schedules.
 * :class:`ScheduleLedger` — the **schedule** ledger, the RetraSyn
-  curator's ledger under budget division with a schedule-checked
-  allocator (``uniform``, ``sample``, ``adaptive``).  There every reporter
+  curator's ledger under budget division.  There every reporter
   at ``t`` spends the same ``ε_t``, once, so a round's charge is one
   number: if a round's reporters are distinct and every ``w`` consecutive
   rounds sum to at most ``ε``, no user can exceed ``ε`` in any window.
@@ -41,9 +39,11 @@ Three ledger engines share the ``spend_many`` / ``summary`` surface:
   ledger.
 
 The curator builds its ledger with :func:`make_ledger`, which picks one of
-the last two from the configuration; :func:`make_accountant` builds the
-per-user columnar engine (``RetraSynConfig.accountant_mode``, whose one
-value is ``"columnar"``).
+the last two by the division; :func:`make_accountant` builds the per-user
+columnar engine (``RetraSynConfig.accountant_mode``, whose one value is
+``"columnar"``).  Every ledger refuses a non-finite or non-positive ``ε``,
+a ``w`` that is not an integer ``>= 1`` and any spend that is not finite
+and ``>= 0`` with :class:`~repro.exceptions.ConfigurationError`.
 
 Both division styles are covered:
 
@@ -56,6 +56,8 @@ Both division styles are covered:
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from collections import defaultdict, deque
 from dataclasses import dataclass
@@ -113,10 +115,26 @@ def _as_uid_array(user_ids) -> np.ndarray:
     return np.atleast_1d(ids.astype(np.int64, copy=False))
 
 
+def _checked_contract(epsilon, w) -> tuple[float, int]:
+    """A ledger's ``(ε, w)``: a finite ``ε > 0`` and an integer ``w >= 1``.
+
+    ``nan`` fails every comparison, so ``ε`` is checked by a positive
+    condition rather than by refusing its complement.
+    """
+    real = isinstance(epsilon, numbers.Real) and not isinstance(epsilon, bool)
+    if not (real and math.isfinite(epsilon) and epsilon > 0):
+        raise ConfigurationError(f"epsilon must be finite and positive, got {epsilon!r}")
+    if isinstance(w, bool) or not isinstance(w, numbers.Integral) or w < 1:
+        raise ConfigurationError(f"window size w must be an integer >= 1, got {w!r}")
+    return float(epsilon), int(w)
+
+
 def _checked_spend(epsilon) -> float:
-    if epsilon < 0:
-        raise ConfigurationError(f"cannot spend negative budget: {epsilon}")
-    return float(epsilon)
+    """A spend's ``ε``: finite and ``>= 0``, else a ConfigurationError."""
+    epsilon = float(epsilon)
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ConfigurationError(f"budget spends must be finite and >= 0, got {epsilon}")
+    return epsilon
 
 
 @dataclass(frozen=True)
@@ -143,12 +161,7 @@ class PrivacyAccountant:
     """
 
     def __init__(self, epsilon: float, w: int, strict: bool = True) -> None:
-        if epsilon <= 0:
-            raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
-        if w < 1:
-            raise ConfigurationError(f"window size w must be >= 1, got {w}")
-        self.epsilon = float(epsilon)
-        self.w = int(w)
+        self.epsilon, self.w = _checked_contract(epsilon, w)
         self.strict = bool(strict)
         self._spends: Dict[int, list[SpendRecord]] = defaultdict(list)
         self._violations: list[tuple[int, int, float]] = []
@@ -215,10 +228,6 @@ class PrivacyAccountant:
             [self.window_spend(int(u), timestamp) for u in ids], dtype=float
         )
 
-    def remaining_many(self, user_ids, timestamp: int) -> np.ndarray:
-        """Per-user budget still spendable in the window ending at ``timestamp``."""
-        return np.maximum(0.0, self.epsilon - self.window_spend_many(user_ids, timestamp))
-
     def total_spend(self, user_id: int) -> float:
         """Lifetime budget spent by one user (for audit output only)."""
         return sum(r.epsilon for r in self._spends.get(user_id, ()))
@@ -276,8 +285,8 @@ class ColumnarPrivacyAccountant:
     zeroed once, so at the frontier a window total is a plain sum of the
     ``w`` columns; a ``w``-vector of column timestamps answers queries
     about later windows without touching the ring.  All batch operations
-    — recording, the strict refusal check, violation detection, window and
-    remaining-budget queries — are numpy array ops over the whole batch.
+    — recording, the strict refusal check, violation detection and window
+    queries — are numpy array ops over the whole batch.
 
     The ledger holds exactly the users who can still influence a live
     window.  A row whose window is all zero is *released* to the table's
@@ -320,12 +329,7 @@ class ColumnarPrivacyAccountant:
         strict: bool = True,
         slots: Optional[UserSlotTable] = None,
     ) -> None:
-        if epsilon <= 0:
-            raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
-        if w < 1:
-            raise ConfigurationError(f"window size w must be >= 1, got {w}")
-        self.epsilon = float(epsilon)
-        self.w = int(w)
+        self.epsilon, self.w = _checked_contract(epsilon, w)
         self.strict = bool(strict)
         self._slots = slots if slots is not None else UserSlotTable()
         self._ring = self._slots.add_column("ring", np.float64, 0.0, depth=self.w)
@@ -527,10 +531,6 @@ class ColumnarPrivacyAccountant:
             out[known] = self._ring_totals(slots[known], int(timestamp))
         return out
 
-    def remaining_many(self, user_ids, timestamp: int) -> np.ndarray:
-        """Per-user budget still spendable in the window ending at ``timestamp``."""
-        return np.maximum(0.0, self.epsilon - self.window_spend_many(user_ids, timestamp))
-
     def total_spend(self, user_id: int) -> float:
         """Lifetime budget spent by one user (for audit output only)."""
         uid = np.asarray([_as_uid(user_id)], dtype=np.int64)
@@ -715,10 +715,8 @@ class ScheduleLedger:
     spend — equals the per-user ledgers' value to the bit whenever some
     user reported in every round of the maximising window.
 
-    The ledger keeps no per-user state, so it has no ``n_users``,
-    ``window_spend`` or ``remaining_many``; a curator whose allocator reads
-    per-user budgets (``adaptive-user``) keeps the per-user ledger.  It is
-    always strict, so it records no violations.
+    The ledger keeps no per-user state, so it has no ``n_users`` or
+    ``window_spend``.  It is always strict, so it records no violations.
     """
 
     #: No per-user rows, resident or retired.
@@ -726,12 +724,7 @@ class ScheduleLedger:
     n_retired = 0
 
     def __init__(self, epsilon: float, w: int) -> None:
-        if epsilon <= 0:
-            raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
-        if w < 1:
-            raise ConfigurationError(f"window size w must be >= 1, got {w}")
-        self.epsilon = float(epsilon)
-        self.w = int(w)
+        self.epsilon, self.w = _checked_contract(epsilon, w)
         # Python lists: w is small, and a scalar loop adds in column order.
         self._ring = [0.0] * self.w
         self._col_t = [int(_NEVER)] * self.w
@@ -873,24 +866,18 @@ def make_accountant(
     return ColumnarPrivacyAccountant(epsilon, w, strict=strict, slots=slots)
 
 
-#: Budget allocators whose ε_t schedule is window-checked at commit; the
-#: curator accounts them per round (:class:`ScheduleLedger`).
-SCHEDULE_ALLOCATORS = ("uniform", "sample", "adaptive")
-
-
 def uses_schedule_ledger(config) -> bool:
-    """Whether ``config``'s curator keeps a :class:`ScheduleLedger`."""
-    return config.division == "budget" and config.allocator in SCHEDULE_ALLOCATORS
+    """Whether ``config``'s curator keeps a :class:`ScheduleLedger`: under
+    budget division, whose allocators all window-check their schedule."""
+    return config.division == "budget"
 
 
 def make_ledger(config, slots: Optional[UserSlotTable] = None):
     """The curator's ledger for ``config``.
 
-    Budget division with a schedule-checked allocator gets the O(w)
-    :class:`ScheduleLedger`.  Population division and ``adaptive-user`` —
-    which reads per-user remaining budgets and commits its schedule
-    unchecked — get the per-user ledger of :func:`make_accountant`, hung
-    on ``slots`` when given.
+    Budget division gets the O(w) :class:`ScheduleLedger`; population
+    division gets the per-user ledger of :func:`make_accountant`, hung on
+    ``slots`` when given.
     """
     if uses_schedule_ledger(config):
         return ScheduleLedger(config.epsilon, config.w)
@@ -909,12 +896,7 @@ class SlidingBudgetTracker:
     """
 
     def __init__(self, epsilon: float, w: int) -> None:
-        if epsilon <= 0:
-            raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
-        if w < 1:
-            raise ConfigurationError(f"window size w must be >= 1, got {w}")
-        self.epsilon = float(epsilon)
-        self.w = int(w)
+        self.epsilon, self.w = _checked_contract(epsilon, w)
         self._window: deque[float] = deque([0.0] * self.w, maxlen=self.w)
 
     def state(self) -> dict:
@@ -928,22 +910,16 @@ class SlidingBudgetTracker:
         """Budget still available for the next timestamp's report."""
         return max(0.0, self.epsilon - sum(list(self._window)[1:]))
 
-    def commit(self, epsilon_t: float, checked: bool = True) -> None:
-        """Record the budget used at the current timestamp and advance.
-
-        ``checked=False`` skips the schedule-level window bound — used by
-        per-user allocators (``allocator="adaptive-user"``) whose safety
-        invariant is enforced against each participant's own ledger row
-        rather than the curator's global schedule.
-        """
-        if epsilon_t < 0:
-            raise ConfigurationError(f"cannot commit negative budget: {epsilon_t}")
-        if checked and epsilon_t > self.remaining + _EPS_TOL:
+    def commit(self, epsilon_t: float) -> None:
+        """Record the budget used at the current timestamp and advance,
+        refusing one that would overrun the window's remaining budget."""
+        epsilon_t = _checked_spend(epsilon_t)
+        if epsilon_t > self.remaining + _EPS_TOL:
             raise PrivacyBudgetError(
                 f"committing {epsilon_t:.6f} exceeds remaining window budget "
                 f"{self.remaining:.6f}"
             )
-        self._window.append(float(epsilon_t))
+        self._window.append(epsilon_t)
 
     def window_history(self) -> list[float]:
         """Budgets of the last ``w`` timestamps, oldest first."""

@@ -32,7 +32,8 @@ from repro.geo.trajectory import average_length
 from repro.serve import replay
 from repro.stream.reports import ColumnarStreamView
 
-#: Files written by the v6 writer while the spec still had ``queue_size``.
+#: Files the v6 writer wrote while the spec still had ``queue_size`` or
+#: accepted ``allocator="adaptive-user"``.
 DATA = Path(__file__).resolve().parents[1] / "data"
 
 #: The public names importable from `repro` before the unified API landed.
@@ -238,3 +239,37 @@ class TestRemovedServiceField:
         assert config_from_dict({**flat, "queue_size": 0}) == self.SPEC
         with pytest.raises(ConfigurationError, match="backlog_size"):
             config_from_dict({**flat, "backlog_size": 64})
+
+
+class TestRemovedAllocator:
+    """Stored specs naming the removed ``allocator="adaptive-user"``.
+
+    ``tests/data`` holds a v6 checkpoint and a JSON config written while
+    the allocator existed: ``RetraSynConfig(epsilon=1.0, w=4,
+    division="budget", allocator="adaptive-user", seed=9)`` over
+    ``make_random_walks(k=4, n_streams=40, n_timestamps=12, seed=6)``,
+    fed timestamps 0-5.  Both are refused with a typed error naming the
+    allocator; nothing migrates them.
+    """
+
+    def test_v6_checkpoint_with_adaptive_user_is_refused(self, tmp_path):
+        path = tmp_path / "old.ckpt"
+        shutil.copy(DATA / "v6_adaptive_user.ckpt", path)
+        header, _end = schema.load_frame(path.read_bytes(), expect="checkpoint")
+        assert header["version"] == 6
+        assert header["spec"]["allocator"] == "adaptive-user"
+        for read in (peek_checkpoint_spec, load_checkpoint):
+            with pytest.raises(DatasetError, match="adaptive-user"):
+                read(path)
+        with pytest.raises(DatasetError, match="adaptive-user"):
+            load_session(path, checkpoint_path=None)
+
+    def test_config_file_with_adaptive_user_is_refused(self):
+        path = DATA / "config_adaptive_user.json"
+        stored = json.loads(path.read_text())
+        assert stored["allocator"] == "adaptive-user"
+        assert stored["division"] == "budget"
+        with pytest.raises(ConfigurationError, match="adaptive-user"):
+            load_config(path)
+        with pytest.raises(ConfigurationError, match="adaptive-user"):
+            config_from_dict(stored)

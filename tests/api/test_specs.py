@@ -33,7 +33,8 @@ class TestValidation:
             dict(division="weekly"),
             dict(allocator="greedy"),
             dict(allocator="random", division="budget"),
-            dict(allocator="adaptive-user"),  # population
+            dict(allocator="adaptive-user"),  # removed, under either division
+            dict(allocator="adaptive-user", division="budget"),
             dict(accountant_mode="quantum"),
             dict(kappa=0),
             dict(p_max=0.0),
@@ -125,11 +126,12 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="pipelined rounds"):
             RetraSynConfig(round_batch=depth)
 
-    def test_adaptive_user_requires_budget_division(self):
-        spec = SessionSpec(division="budget", allocator="adaptive-user")
-        assert spec.allocator == "adaptive-user"
-        with pytest.raises(ConfigurationError):
-            SessionSpec(division="population", allocator="adaptive-user")
+    @pytest.mark.parametrize("division", ["budget", "population"])
+    def test_adaptive_user_is_refused(self, division):
+        """The per-user budget allocator is gone; its name is refused
+        like any unknown allocator, under either division."""
+        with pytest.raises(ConfigurationError, match="adaptive-user"):
+            SessionSpec(division=division, allocator="adaptive-user")
 
     def test_unknown_fields_rejected(self):
         """A name that is no field — a typo or a removed knob — is refused
@@ -154,7 +156,7 @@ class TestOneConfigClass:
             dict(engine="gpu"),
             dict(n_shards=0),
             dict(shard_executor="fiber"),
-            dict(allocator="adaptive-user"),  # needs budget division
+            dict(allocator="adaptive-user", division="budget"),  # removed
         ):
             with pytest.raises(ConfigurationError):
                 RetraSynConfig(**bad)

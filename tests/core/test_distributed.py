@@ -90,7 +90,7 @@ class TestDistributedMatchesInProcess:
                 {"division": "budget", "allocator": alloc},
                 id=f"budget-{alloc}",
             )
-            for alloc in ("uniform", "sample", "adaptive", "adaptive-user")
+            for alloc in ("uniform", "sample", "adaptive")
         ],
     )
     def test_config_variants_identical(self, stream, overrides):
@@ -258,31 +258,38 @@ class TestWorkerErrorPropagation:
         """A worker-side ledger refusal crosses the socket as the same
         PrivacyBudgetError the in-process path raises.
 
-        Budget division makes every participant a reporter; with w=1 a
-        duplicated user id in one batch double-spends its window.  The
-        ``adaptive-user`` allocator keeps per-user worker ledgers, which
-        refuse at spend time (schedule ledgers refuse at the coordinator,
-        see ``TestBudgetDivisionLedger``).
+        The ``sample`` population allocator makes every eligible
+        participant a reporter at t=0; with w=1 a duplicated user id in
+        one batch double-spends its window.  Population division keeps
+        per-user worker ledgers, which refuse at spend time (schedule
+        ledgers refuse at the coordinator, see
+        ``TestBudgetDivisionLedger``).
         """
-        cfg = RetraSynConfig(
-            epsilon=1.0, w=1, seed=0, n_shards=2,
-            shard_executor="distributed",
-            division="budget", allocator="adaptive-user",
-        )
-        curator = OnlineRetraSyn(stream.grid, cfg, lam=5.0)
-        try:
-            parts = stream.participants_at(0)
-            doubled = list(parts) + [parts[0]]
-            with pytest.raises(PrivacyBudgetError):
-                curator.process_timestep(
-                    0,
-                    participants=doubled,
-                    newly_entered=stream.newly_entered_at(0),
-                    quitted=stream.quitted_at(0),
-                    n_real_active=stream.n_active_at(0),
-                )
-        finally:
-            curator.close()
+        parts = stream.participants_at(0)
+        doubled = list(parts) + [parts[0]]
+        messages = []
+        for executor in ("serial", "distributed"):
+            cfg = RetraSynConfig(
+                epsilon=1.0, w=1, seed=0, n_shards=2,
+                shard_executor=executor,
+                division="population", allocator="sample",
+            )
+            curator = OnlineRetraSyn(stream.grid, cfg, lam=5.0)
+            try:
+                with pytest.raises(
+                    PrivacyBudgetError, match=r"would spend 2\.000000 > epsilon=1\.0"
+                ) as refused:
+                    curator.process_timestep(
+                        0,
+                        participants=doubled,
+                        newly_entered=stream.newly_entered_at(0),
+                        quitted=stream.quitted_at(0),
+                        n_real_active=stream.n_active_at(0),
+                    )
+                messages.append(str(refused.value))
+            finally:
+                curator.close()
+        assert messages[0] == messages[1]
 
     def test_protocol_error_surfaces_typed(self, stream):
         """Advancing a timestamp that was never staged is a worker-side

@@ -156,7 +156,7 @@ class TestConfigRoundTrip:
 
     def test_file_round_trips_every_field(self, tmp_path):
         cfg = RetraSynConfig(
-            epsilon=2.5, w=7, division="budget", allocator="adaptive-user",
+            epsilon=2.5, w=7, division="budget", allocator="sample",
             alpha=4.0, kappa=3, p_max=0.4, track_privacy=False,
             engine="vectorized", oracle_mode="exact", update_strategy="all",
             model_entering_quitting=False, lam=9.5, n_shards=3,

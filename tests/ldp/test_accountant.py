@@ -11,10 +11,15 @@ import pytest
 
 from repro.exceptions import ConfigurationError, PrivacyBudgetError
 from repro.ldp.accountant import (
+    ColumnarPrivacyAccountant,
     PrivacyAccountant as ObjectPrivacyAccountant,
+    ScheduleLedger,
     SlidingBudgetTracker,
     make_accountant,
 )
+
+NAN, INF = float("nan"), float("inf")
+LEDGERS = (ObjectPrivacyAccountant, ColumnarPrivacyAccountant, ScheduleLedger)
 
 
 @pytest.fixture(params=["object", "columnar"])
@@ -235,3 +240,39 @@ class TestSlidingBudgetTracker:
         tr.commit(0.1)
         tr.commit(0.2)
         assert tr.window_history() == [0.0, 0.1, 0.2]
+
+
+def _ledger_cases():
+    """``(id, call)`` pairs, each of which must raise ConfigurationError.
+
+    ``nan`` fails every comparison, so a range check written as a refused
+    complement (``epsilon <= 0``) lets it through, and a ledger whose ε is
+    ``nan`` refuses no spend at all.
+    """
+    for cls in LEDGERS + (SlidingBudgetTracker,):
+        name = cls.__name__
+        for eps in (NAN, INF, 0.0):
+            yield f"{name}(eps={eps})", lambda cls=cls, eps=eps: cls(eps, 3)
+        for w in (0, 2.5, None):
+            yield f"{name}(w={w})", lambda cls=cls, w=w: cls(1.0, w)
+    for cls in LEDGERS:
+        for eps in (NAN, INF, -0.5):
+            yield (
+                f"{cls.__name__}.spend_many({eps})",
+                lambda cls=cls, eps=eps: cls(1.0, 3).spend_many(
+                    np.arange(3, dtype=np.int64), 0, eps
+                ),
+            )
+    for eps in (NAN, INF, -0.1):
+        yield (
+            f"SlidingBudgetTracker.commit({eps})",
+            lambda eps=eps: SlidingBudgetTracker(1.0, 3).commit(eps),
+        )
+
+
+@pytest.mark.parametrize(
+    "call", [pytest.param(call, id=name) for name, call in _ledger_cases()]
+)
+def test_ledgers_refuse_a_non_finite_or_out_of_range_budget(call):
+    with pytest.raises(ConfigurationError):
+        call()

@@ -38,7 +38,6 @@ def _assert_same_state(obj, col, pool, t):
     ws_obj = obj.window_spend_many(pool, t)
     ws_col = col.window_spend_many(pool, t)
     assert ws_obj.tolist() == ws_col.tolist()
-    assert obj.remaining_many(pool, t).tolist() == col.remaining_many(pool, t).tolist()
     for uid in pool:
         assert obj.window_spend(uid, t) == col.window_spend(uid, t)
         assert obj.total_spend(uid) == col.total_spend(uid)
@@ -253,7 +252,7 @@ class TestEdgeCases:
         for acc in (obj, col):
             assert acc.window_spend(12345, 0) == 0.0
             assert acc.total_spend(12345) == 0.0
-            assert acc.remaining_many(np.asarray([12345]), 0).tolist() == [1.0]
+            assert acc.window_spend_many(np.asarray([12345]), 0).tolist() == [0.0]
 
 
 class TestFactory:

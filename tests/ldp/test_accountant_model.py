@@ -81,9 +81,6 @@ def test_ledger_matches_dict_model_through_retirement(schedule):
                     ledger.window_spend_many(probe, at),
                     model.window_spend_many(probe, at),
                 )
-            np.testing.assert_array_equal(
-                ledger.remaining_many(probe, t), model.remaining_many(probe, t)
-            )
             assert ledger.max_window_spend() == model.max_window_spend()
             assert ledger.n_users == model.n_users
             assert ledger.n_spend_events == model.n_spend_events

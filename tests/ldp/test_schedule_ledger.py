@@ -150,7 +150,6 @@ class TestFactory:
             ("budget", "uniform", True),
             ("budget", "sample", True),
             ("budget", "adaptive", True),
-            ("budget", "adaptive-user", False),
             ("population", "adaptive", False),
         ],
     )

@@ -36,11 +36,13 @@ class TestParser:
             ["--dmu-prefilter"],
             ["--oracle-mode", "exact-loop"],
             ["--accountant-mode", "object"],
+            ["--allocator", "adaptive-user"],
         ],
         ids=lambda flags: "=".join(flags).lstrip("-"),
     )
     def test_removed_knobs_are_usage_errors(self, argv, flags, capsys):
-        """Removed reference modes are unknown to argparse: exit status 2."""
+        """Removed reference modes and allocators are unknown to argparse:
+        exit status 2."""
         build_parser().parse_args(argv)  # the rest of the line is valid
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args([*argv, *flags])
