@@ -16,13 +16,17 @@ replacement that advances *all* live streams with array operations:
 * each timestamp draws one uniform vector for quits and one for moves, and
   resolves destinations with an inverse-CDF lookup that walks the CDF one
   contiguous column at a time (no streams × out-degree temporary);
-* live streams can be partitioned into ``synthesis_shards`` slabs advanced
-  concurrently on a thread pool (the heavy numpy kernels release the GIL);
-  slab results are merged back by array concatenation, so the store is
-  written from one thread only;
-* trajectories live in a :class:`~repro.core.trajectory_store
-  .TrajectoryStore`; ``CellTrajectory`` objects are materialised only at
-  API boundaries.
+* live streams can be partitioned into ``synthesis_shards`` slabs of
+  consecutive live positions, advanced concurrently on a thread pool (the
+  heavy numpy kernels release the GIL); slab results are merged back by
+  array concatenation, so the store is written from one thread only;
+* trajectories live in a round-major :class:`~repro.core.trajectory_store
+  .TrajectoryStore`.  A step reads the store's live vectors (current cell,
+  length) in place and hands back position masks —
+  ``advance(t, quit_mask, new_cells)``, then ``drop(mask)`` when the
+  population shrinks — so a round appends one contiguous column to the
+  store's log and compacts the live vectors once.  ``CellTrajectory``
+  objects are materialised only at API boundaries.
 
 The generative *distribution* is identical to the reference implementation
 (property-tested in ``tests/core/test_fast_synthesis.py``); only the order
@@ -40,6 +44,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.mobility_model import GlobalMobilityModel
+from repro.core.synthesis import start_distribution
 from repro.core.trajectory_store import TrajectoryStore
 from repro.exceptions import ConfigurationError
 from repro.geo.trajectory import CellTrajectory
@@ -241,7 +246,7 @@ class VectorizedSynthesizer:
 
     def live_last_cells(self) -> np.ndarray:
         """Current cell of every live stream — no object materialisation."""
-        return self.store.last_cells(self.store.live_rows())
+        return self.store.live_cells().copy()
 
     # ------------------------------------------------------------------ #
     # stream creation
@@ -267,19 +272,11 @@ class VectorizedSynthesizer:
         """Streams seeded from an explicit start-cell distribution."""
         if count <= 0:
             return
-        probs = np.asarray(probs, dtype=float)
-        if probs.size != self.model.space.n_cells:
-            raise ConfigurationError(
-                f"expected {self.model.space.n_cells} start-cell probabilities, "
-                f"got {probs.size}"
-            )
-        total = probs.sum()
-        if total <= 0:
+        probs = start_distribution(probs, self.model.space.n_cells)
+        if probs is None:
             self.spawn_uniform(t, count)
             return
-        self.store.append_streams(
-            t, self.rng.choice(probs.size, size=count, p=probs / total)
-        )
+        self.store.append_streams(t, self.rng.choice(probs.size, size=count, p=probs))
 
     # ------------------------------------------------------------------ #
     # the vectorized generative step
@@ -297,20 +294,6 @@ class VectorizedSynthesizer:
         if target_size is not None:
             self._adjust_size(t, int(target_size))
 
-    def _slab_args(
-        self, compiled: _CompiledModel, rows: np.ndarray, rng: np.random.Generator
-    ) -> tuple:
-        """:func:`_draw_slab` arguments for one slab of live rows."""
-        return (
-            self.lam,
-            self.store.lengths_of(rows) if self.enable_termination else None,
-            self.store.last_cells(rows),
-            compiled.cum_t,
-            compiled.dest,
-            compiled.quit_raw,
-            rng,
-        )
-
     def _executor(self):
         if self._pool is None:
             from concurrent.futures import ThreadPoolExecutor
@@ -322,23 +305,28 @@ class VectorizedSynthesizer:
         return self._pool
 
     def _generate(self, t: int) -> None:
-        rows = self.store.live_rows()
-        if rows.size == 0:
+        store = self.store
+        cells = store.live_cells()
+        if cells.size == 0:
             return
         compiled = self._compile()
+        lengths = store.live_lengths() if self.enable_termination else None
+        args = (compiled.cum_t, compiled.dest, compiled.quit_raw)
         if (
             self.synthesis_shards > 1
-            and rows.size >= self.synthesis_shards * _MIN_STREAMS_PER_SHARD
+            and cells.size >= self.synthesis_shards * _MIN_STREAMS_PER_SHARD
         ):
-            # Slabs are consecutive runs of ``rows``, so their results
-            # concatenate back into ``rows`` order; all store writes
-            # happen here, on one thread.
+            # Slabs are consecutive runs of live positions, so their results
+            # concatenate back into live order; the store is written here,
+            # on one thread.
+            shards = self.synthesis_shards
+            length_slabs = (
+                [None] * shards if lengths is None else np.array_split(lengths, shards)
+            )
             futures = [
-                self._executor().submit(
-                    _draw_slab, *self._slab_args(compiled, slab, rng)
-                )
-                for slab, rng in zip(
-                    np.array_split(rows, self.synthesis_shards), self._shard_rngs
+                self._executor().submit(_draw_slab, self.lam, slab_lengths, slab, *args, rng)
+                for slab_lengths, slab, rng in zip(
+                    length_slabs, np.array_split(cells, shards), self._shard_rngs
                 )
             ]
             parts = [future.result() for future in futures]
@@ -346,16 +334,14 @@ class VectorizedSynthesizer:
             new_cells = np.concatenate([part[1] for part in parts])
         else:
             rng = self._shard_rngs[0] if self._shard_rngs else self.rng
-            quit_mask, new_cells = _draw_slab(*self._slab_args(compiled, rows, rng))
-        quit_rows, stay_rows = rows[quit_mask], rows[~quit_mask]
-        self.store.kill(quit_rows)
-        self.store.append_cells(stay_rows, new_cells)
+            quit_mask, new_cells = _draw_slab(self.lam, lengths, cells, *args, rng)
+        store.advance(t, quit_mask, new_cells)
 
     def _adjust_size(self, t: int, target: int) -> None:
         if target < 0:
             raise ConfigurationError(f"target size must be >= 0, got {target}")
-        live_rows = self.store.live_rows()
-        deficit = target - live_rows.size
+        n_live = self.store.n_live
+        deficit = target - n_live
         if deficit > 0:
             self.spawn_from_entering(t, deficit)
             return
@@ -363,16 +349,14 @@ class VectorizedSynthesizer:
             return
         n_drop = -deficit
         quit_dist = self.model.quit_distribution()
-        weights = quit_dist[self.store.last_cells(live_rows)] + 1e-9
+        weights = quit_dist[self.store.live_cells()] + 1e-9
         weights = weights / weights.sum()
-        drop = self.rng.choice(live_rows.size, size=n_drop, replace=False, p=weights)
-        drop_rows = live_rows[np.atleast_1d(drop)]
-        # Withdraw the cell generated for t: quitting means the final
-        # report was at t-1 (matches the reference synthesizer).
-        lengths = self.store.lengths_of(drop_rows)
-        fresh = (self.store.births_of(drop_rows) + lengths - 1 == t) & (lengths > 1)
-        self.store.pop_last(drop_rows[fresh])
-        self.store.kill(drop_rows)
+        drop = self.rng.choice(n_live, size=n_drop, replace=False, p=weights)
+        # Dropped streams give back the cell generated for t: quitting means
+        # the final report was at t-1 (matches the reference synthesizer).
+        mask = np.zeros(n_live, dtype=bool)
+        mask[drop] = True
+        self.store.drop(mask)
 
     # ------------------------------------------------------------------ #
     # lifecycle and checkpoint state

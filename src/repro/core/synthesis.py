@@ -44,6 +44,25 @@ from repro.geo.trajectory import CellTrajectory
 from repro.rng import RngLike, ensure_rng
 
 
+def start_distribution(probs, n_cells: int) -> Optional[np.ndarray]:
+    """``probs`` normalised to sum to one, or ``None`` when it has no mass
+    (callers then seed uniformly).  A wrong size, or an entry that is NaN,
+    infinite or negative, is a :class:`ConfigurationError`."""
+    probs = np.asarray(probs, dtype=float)
+    if probs.size != n_cells:
+        raise ConfigurationError(
+            f"expected {n_cells} start-cell probabilities, got {probs.size}"
+        )
+    bad = np.flatnonzero(~np.isfinite(probs) | (probs < 0))
+    if bad.size:
+        raise ConfigurationError(
+            f"start-cell probability {bad[0]} is {probs[bad[0]]}; "
+            "entries must be finite and >= 0"
+        )
+    total = probs.sum()
+    return probs / total if total > 0 else None
+
+
 class Synthesizer:
     """Maintains the evolving synthetic database ``T_syn``.
 
@@ -142,19 +161,11 @@ class Synthesizer:
         """
         if count <= 0:
             return
-        probs = np.asarray(probs, dtype=float)
-        if probs.size != self.model.space.n_cells:
-            raise ConfigurationError(
-                f"expected {self.model.space.n_cells} start-cell probabilities, "
-                f"got {probs.size}"
-            )
-        total = probs.sum()
-        if total <= 0:
+        probs = start_distribution(probs, self.model.space.n_cells)
+        if probs is None:
             self.spawn_uniform(t, count)
             return
-        self._new_streams(
-            t, self.rng.choice(probs.size, size=count, p=probs / total)
-        )
+        self._new_streams(t, self.rng.choice(probs.size, size=count, p=probs))
 
     # ------------------------------------------------------------------ #
     # the per-timestamp generative step

@@ -1,48 +1,58 @@
-"""Columnar (struct-of-arrays) storage for synthetic trajectory streams.
+"""Round-major storage for synthetic trajectory streams.
 
-Both synthesis engines used to keep one Python ``CellTrajectory`` object per
-synthetic stream (the object engine in ``_live`` / ``_finished`` lists, the
-vectorized engine in private padded arrays).  At production populations the
-object churn — allocation, append, list reshuffling, and re-materialisation
-for every metrics pass — dominates the per-timestamp synthesis cost that
-Table V of the paper identifies as the bottleneck.
+RetraSyn advances every live synthetic stream once per timestamp, and
+Table V of the paper names that step the per-timestamp bottleneck.  The
+store therefore keeps what one round touches dense and contiguous, and
+treats everything else as a view derived from an append-only round log
+(change-data capture: the log is the source of truth):
 
-:class:`TrajectoryStore` replaces both with one columnar layout that
-follows the streams' lifetime — a terminated stream is never read by
-synthesis again, so only live streams occupy the structures the hot path
-touches:
+* the **live vectors** — row id, current cell, length and birth of every
+  live stream, dense and in creation order.  The vectorized engine reads
+  them whole and hands back position masks; a round compacts them once;
+* the **round log** — one sealed record per timestamp, appended to
+  chunked buffers that never copy on growth: the round's *column* (the
+  cell at ``t`` of every stream active at ``t``, in creation order), the
+  positions of the previous column whose streams ended before ``t``, and
+  the number of streams born at ``t``;
+* per-row ``birth`` and final ``length`` columns, in creation order.
 
-* the **live block** — ``_block``, a compact ``(live slots, width)`` cell
-  matrix holding exactly the live streams (slots are recycled through a
-  free list), plus ``_current``, the current cell of every slot, so
-  ``last_cells`` is a 1-D read, and ``_live``, the live row ids in
-  creation order, maintained incrementally;
-* the **archive** — finished streams' cells in CSR form: one flat,
-  append-only cell log grown chunk by chunk (no copy on growth), with each
-  finished row's start offset kept beside its birth and length;
-* block and archive hold cells in the smallest signed dtype that fits the
-  declared cell count and ``ABSENT`` (1 byte per point up to 127 cells, 2
-  up to 32,767, else — or undeclared — 4); accessors return ``int64``;
-* ``_birth`` / ``_length`` / ``_where`` — per-stream entering timestamp,
-  length and location (live slot, or archive offset), dense arrays indexed
-  by the stream's creation-order row id.
+Cells are held in the smallest signed dtype that fits the declared cell
+count (1 byte per point up to 127 cells, 2 up to 32,767, else — or
+undeclared — 4); accessors return ``int64``.  Beyond its cells, a row
+costs 8 B of birth, 8 B of length and 4 B for the log entry that retires
+it.
 
-A stream moves from the block to the archive when it is killed.  Row ids
-are creation-order and stable for life; ``CellTrajectory`` objects are
-*views*, materialised only when a caller crosses an API boundary that
-genuinely needs objects (:meth:`view` / :meth:`views`); the hot path and
-the evaluation plane use the array accessors (:meth:`cells_at`,
-:meth:`lengths`, :meth:`counts_by_cell`, :meth:`counts_matrix`) and never
-touch objects.
+**Rounds.**  The newest round stays *open* until a later one opens, so
+births, drops and withdrawals of the round's cell can still land in it.
+Row ids are creation-order and stable for life.  The row-id methods
+(:meth:`~TrajectoryStore.append_streams`,
+:meth:`~TrajectoryStore.append_cells`, :meth:`~TrajectoryStore.pop_last`,
+:meth:`~TrajectoryStore.kill`) stage into the open round under one
+contract, which both engines keep: every live stream gets exactly one
+cell per round, and only the open round's cell can be withdrawn.  A round
+that would seal with a live stream lacking its cell is refused with a
+:class:`~repro.exceptions.DatasetError`, as are cells outside
+``[0, n_cells)``.
 
-A checkpoint holds :meth:`TrajectoryStore.state`: live cells, archive and
-per-row columns, trimmed to what is used.  The store is shared safely by
-the thread-sharded generation path (workers read disjoint row slabs; all
-writes happen in the merge step).
+**Views.**  :meth:`~TrajectoryStore.cells_at`,
+:meth:`~TrajectoryStore.counts_by_cell` and
+:meth:`~TrajectoryStore.counts_matrix` read log columns directly.
+Per-stream reads (:meth:`~TrajectoryStore.view`,
+:meth:`~TrajectoryStore.flat_cells`, and :class:`StoreTrajectories` on top
+of them) read the log's transpose — every row's cells, row after row —
+which one replay of the log's compactions builds in O(points).  It is
+cached until the store next changes, so a lazy view costs O(its length).
+
+A checkpoint holds :meth:`TrajectoryStore.state`: the row-major frame
+(live cells, archive of finished streams, per-row columns) derived from
+the log; :meth:`TrajectoryStore.load_state` rebuilds the live vectors and
+the open round at once and transposes the sealed rounds back into the
+log on their first read.
 """
 
 from __future__ import annotations
 
+import bisect
 from typing import Optional
 
 import numpy as np
@@ -51,22 +61,34 @@ from repro.exceptions import ConfigurationError, DatasetError
 from repro.geo.trajectory import CellTrajectory
 from repro.stream.slots import extend_log, reserve
 
-#: Padding value for never-written cells of the live block.
-ABSENT = -1
+#: Bounds on one log chunk: at least this many entries, at most this many
+#: bytes.  Chunks grow with the log up to the cap, after which growth is
+#: linear and never copies.
+_MIN_CHUNK, _MAX_CHUNK_BYTES = 1 << 12, 1 << 20
 
-#: Bounds on one archive chunk, in cells: chunks grow with the archive up
-#: to the cap, after which growth is linear and never copies.
-_MIN_CHUNK, _MAX_CHUNK = 1 << 12, 1 << 20
+#: Points histogrammed per step of :meth:`TrajectoryStore.counts_matrix`.
+_COUNT_BLOCK = 1 << 18
 
-#: Streams histogrammed per step of :meth:`TrajectoryStore.counts_matrix`.
-_COUNT_BLOCK = 1 << 14
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 def _cell_dtype(n_cells: Optional[int]) -> type:
-    """Smallest signed dtype holding ``n_cells`` and :data:`ABSENT`."""
+    """Smallest signed dtype holding cell ids below ``n_cells``."""
     if n_cells is None:
         return np.int32
     return np.int8 if n_cells <= 127 else np.int16 if n_cells <= 32767 else np.int32
+
+
+def _next_column(rows, removed, first_row: int, n_births: int) -> np.ndarray:
+    """A column's rows from the previous column's: the ``removed`` positions
+    dropped, then ``n_births`` new rows from ``first_row`` on appended."""
+    if removed.size:
+        keep = np.ones(rows.size, dtype=bool)
+        keep[removed] = False
+        rows = rows[keep]
+    if n_births:
+        rows = np.concatenate([rows, np.arange(first_row, first_row + n_births)])
+    return rows
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -77,18 +99,73 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     )
 
 
+class _AppendLog:
+    """An append-only 1-D buffer kept in chunks that never move."""
+
+    def __init__(self, dtype) -> None:
+        self.dtype = np.dtype(dtype)
+        self._chunks: list[np.ndarray] = []
+        self._starts: list[int] = []  # log offset of each chunk's first entry
+        self._tail = 0  # entries written in the last chunk
+        self.size = 0
+
+    def _open_chunk(self, size: int) -> np.ndarray:
+        chunk = np.empty(size, dtype=self.dtype)
+        self._chunks.append(chunk)
+        self._starts.append(self.size)
+        self._tail = 0
+        return chunk
+
+    def append(self, values: np.ndarray) -> None:
+        """Append ``values`` (cast to the log's dtype)."""
+        done, count = 0, values.size
+        while done < count:
+            if not self._chunks or self._tail == self._chunks[-1].size:
+                cap = max(_MAX_CHUNK_BYTES // self.dtype.itemsize, _MIN_CHUNK)
+                size = min(max(self.size, _MIN_CHUNK), cap)
+                self._open_chunk(max(size, count - done))
+            chunk = self._chunks[-1]
+            take = min(count - done, chunk.size - self._tail)
+            chunk[self._tail : self._tail + take] = values[done : done + take]
+            self._tail += take
+            self.size += take
+            done += take
+
+    def append_unwritten(self, count: int) -> np.ndarray:
+        """Append ``count`` entries for the caller to fill in; returns them."""
+        chunk = self._open_chunk(int(count))
+        self._tail = chunk.size
+        self.size += chunk.size
+        return chunk
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """Entries ``[lo, hi)``: a view inside one chunk, else a copy."""
+        i = bisect.bisect_right(self._starts, lo) - 1
+        parts = []
+        while lo < hi:
+            start, chunk = self._starts[i], self._chunks[i]
+            part = chunk[lo - start : min(hi - start, chunk.size)]
+            parts.append(part)
+            lo += part.size
+            i += 1
+        if len(parts) == 1:
+            return parts[0]
+        return np.concatenate(parts) if parts else np.empty(0, dtype=self.dtype)
+
+
 class TrajectoryStore:
-    """Trajectory database keyed by creation order: live block + archive.
+    """Trajectory database keyed by creation order: live vectors + round log.
 
     Parameters
     ----------
     initial_capacity:
-        Live slots allocated up front (grown geometrically).
+        Live streams the live vectors hold before they grow.
     initial_horizon:
-        Cells-per-live-stream allocated up front (grown geometrically).
+        Rounds the per-round index holds before it grows.
     n_cells:
-        Cell ids are promised to lie in ``[0, n_cells)``, which lets the
-        store pick a narrower cell dtype than the ``int32`` default.
+        Cell ids lie in ``[0, n_cells)``: writes outside are refused, and a
+        small declared count narrows the cell dtype from the ``int32``
+        default.
     """
 
     def __init__(
@@ -102,47 +179,81 @@ class TrajectoryStore:
                 f"store capacities must be >= 1, got "
                 f"({initial_capacity}, {initial_horizon})"
             )
-        # Live block: rows are slots, recycled through the free stack.  A
-        # grown block and every archive chunk copy its dtype, so a restored
-        # store keeps appending in the dtype it was written with.
-        self._block = np.full(
-            (int(initial_capacity), int(initial_horizon)),
-            ABSENT,
-            dtype=_cell_dtype(n_cells),
-        )
-        self._current = np.zeros(int(initial_capacity), dtype=np.int64)
-        self._n_slots = 0  # slots ever handed out (high-water mark)
-        self._free = np.empty(0, dtype=np.int64)
-        self._n_free = 0
-        # Live row ids, ascending: the first _n_live entries of a buffer
-        # appended to in place and *replaced* by kill(), so views stay valid.
-        self._live = np.empty(0, dtype=np.int64)
+        dtype = np.dtype(_cell_dtype(n_cells))
+        self._n_cells = np.iinfo(dtype).max if n_cells is None else int(n_cells)
+        # Live vectors, creation order: the first _n_live entries are used.
+        # Compaction writes fresh arrays, so a view handed out stays valid.
+        capacity = int(initial_capacity)
+        self._rows = np.zeros(capacity, dtype=np.int64)
+        self._cur = np.zeros(capacity, dtype=np.int64)
+        self._len = np.zeros(capacity, dtype=np.int64)
+        self._born = np.zeros(capacity, dtype=np.int64)
         self._n_live = 0
-        # Per-row columns, creation order.  _where >= 0 is the live slot;
-        # a finished row holds ~offset of its first cell in the archive.
+        # Per-row columns, creation order; length 0 marks a live row.
         self._birth = np.zeros(0, dtype=np.int64)
         self._length = np.zeros(0, dtype=np.int64)
-        self._where = np.zeros(0, dtype=np.int64)
         self._n = 0
-        # Archive: cell chunks, all full except the last (filled to _tail).
-        self._chunks: list[np.ndarray] = []
-        self._tail = 0
-        self._n_archived_cells = 0
+        # The round log: sealed round k (timestamp t0 + k) is the column
+        # cells[col_start[k]:col_start[k+1]], the positions
+        # removed[rm_start[k]:rm_start[k+1]] of column k-1 that it drops,
+        # and round_births[k] new rows appended after them.
+        self._cells = _AppendLog(dtype)
+        self._removed = _AppendLog(np.int32)
+        self._col_start = np.zeros(int(initial_horizon) + 1, dtype=np.int64)
+        self._rm_start = np.zeros(int(initial_horizon) + 1, dtype=np.int64)
+        self._round_births = np.zeros(int(initial_horizon), dtype=np.int64)
+        self._n_rounds = 0
+        self._t0 = 0
+        self._t: Optional[int] = None  # the open round's timestamp
+        self._reset_open_round(_EMPTY)
+        # Sealed rounds a checkpoint restored but the log does not hold yet.
+        self._pending: Optional[tuple] = None
+        self._by_row_cache: Optional[tuple] = None
 
+    def _reset_open_round(self, ghost_pos: np.ndarray) -> None:
+        """Open a round after the newest column.
+
+        ``_skip`` holds the positions of that column whose streams left the
+        live vectors (so an older live stream at position p sat at
+        ``_src(p)`` there); ``_gone`` the subset absent from the open
+        column.  Streams ended while holding a cell of the open round are
+        its *ghosts*: still in its column, dropped by the next one.
+        ``_n_behind`` counts live streams still lacking the round's cell.
+        """
+        self._skip = self._gone = ghost_pos
+        self._ghost_rows = self._ghost_cells = _EMPTY
+        self._n_behind = self._n_live
+        self._n_born = 0
+
+    # ------------------------------------------------------------------ #
+    # checkpoint state
+    # ------------------------------------------------------------------ #
     def state(self) -> dict:
-        """Live cells (row order), archive and per-row columns, trimmed."""
-        n, live = self._n, self.live_rows()
+        """Live cells (row order), archive (row order) and per-row columns."""
+        flat, _ = self._by_row()
+        n, live = self._n, self.live_rows().copy()
+        lengths = self.lengths()
+        done = self._length[:n] > 0
+        on_live = np.repeat(~done, lengths)
+        where = np.empty(n, dtype=np.int64)
+        where[live] = np.arange(live.size)
+        done_lengths = lengths[done]
+        where[done] = ~(np.cumsum(done_lengths) - done_lengths)
         return {
-            "cell_dtype": self._block.dtype.name,
-            "cells": self._block_cells(self._where[live], self._length[live]),
-            "archive": self._archive()[: self._n_archived_cells],
-            "free": self._free[: self._n_free], "live": live,
-            "birth": self._birth[:n], "length": self._length[:n], "where": self._where[:n],
+            "cell_dtype": self._cells.dtype.name,
+            "cells": flat[on_live], "archive": flat[~on_live],
+            "free": _EMPTY, "live": live,
+            "birth": self._birth[:n], "length": lengths, "where": where,
         }
 
     def load_state(self, state: dict) -> None:
-        """Fill this store from :meth:`state`, rebuilding the live block."""
-        dtype = self._block.dtype
+        """Fill this store from :meth:`state`.
+
+        The frame is checked whole before anything changes.  The live
+        vectors and the open round are rebuilt here; the sealed rounds are
+        transposed into the log on their first read.
+        """
+        dtype = self._cells.dtype
         if state["cell_dtype"] != dtype.name:  # the grid decides the dtype
             raise ValueError(f"cells are {state['cell_dtype']!r}, not {dtype.name}")
         birth, length, where = state["birth"], state["length"], state["where"]
@@ -150,27 +261,94 @@ class TrajectoryStore:
             state[key] for key in ("live", "free", "cells", "archive")
         )
         n, n_slots = birth.size, live.size + free.size
-        slots, lengths = where[live], length[live]
+        lengths = length[live]
         done = np.flatnonzero(where < 0)
         starts = ~where[done]
         if (
             length.size != n or where.size != n or done.size + live.size != n
             or (live.size and (live[0] < 0 or (np.diff(live) <= 0).any()))
-            or not np.array_equal(np.sort(np.concatenate([slots, free])), np.arange(n_slots))
+            or not np.array_equal(
+                np.sort(np.concatenate([where[live], free])), np.arange(n_slots)
+            )
             or (length < 1).any() or lengths.sum() != cells.size
             or (done.size and (starts + length[done]).max() > archive.size)
         ):
             raise ValueError(f"inconsistent rows ({n}, {live.size}, {free.size})")
-        width = max(int(lengths.max(initial=1)), self._block.shape[1])
-        self._current = np.zeros(max(n_slots, self._current.size), dtype=np.int64)
-        self._block = np.full((self._current.size, width), ABSENT, dtype=dtype)
-        self._block.reshape(-1)[_ranges(slots * width, lengths)] = cells
-        self._current[slots] = self._block[slots, lengths - 1]
-        self._n_slots, self._n_live, self._n_free, self._n = n_slots, live.size, free.size, n
-        self._free, self._live = free.copy(), live.copy()
-        self._birth, self._length, self._where = birth.copy(), length.copy(), where.copy()
-        self._chunks = [archive.copy()] if archive.size else []
-        self._tail = self._n_archived_cells = archive.size
+        for column in (cells, archive):
+            self._check_cells(column)
+        ends = birth + length
+        last = int(ends.max()) - 1 if n else 0
+        if live.size:
+            last = int(ends[live[0]]) - 1
+        if n and (
+            (np.diff(birth) < 0).any() or (ends[live] != last + 1).any()
+            or ends.max() > last + 1
+        ):
+            raise DatasetError(
+                "stored streams are not round-shaped: births must not decrease "
+                "and every live stream must end at the newest timestamp"
+            )
+        # Row r's cells start at source[src[r]]: live cells, then archive.
+        source = np.concatenate([cells, archive])
+        src = np.empty(n, dtype=np.int64)
+        src[live] = np.cumsum(lengths) - lengths
+        src[done] = cells.size + starts
+        alive = np.zeros(n, dtype=bool)
+        alive[live] = True
+        t0 = int(birth[0]) if n else 0
+        n_sealed = last - t0  # the rounds before the open one
+        born_at = np.bincount(birth - t0, minlength=n_sealed + 1)
+        ends_at = np.bincount(ends - t0, minlength=n_sealed + 2)
+        sizes = np.cumsum(born_at[:n_sealed] - ends_at[:n_sealed])
+        # The open round: its column's predecessor, what it dropped from
+        # there, and the ghosts it holds (streams ended at ``last``).
+        prev = np.flatnonzero((birth < last) & (ends >= last))
+        ghosts = np.flatnonzero(~alive & (ends == last + 1))
+
+        self._n, self._n_live = n, 0
+        self._birth, self._length = birth.copy(), np.where(alive, 0, length)
+        self._rows, self._cur, self._len, self._born = (
+            np.zeros(max(live.size, self._rows.size), dtype=np.int64)
+            for _ in range(4)
+        )
+        self._place(live, source[src[live] + lengths - 1], lengths, birth[live])
+        self._cells, self._removed = _AppendLog(dtype), _AppendLog(np.int32)
+        self._col_start = np.concatenate([[0], sizes.cumsum()])
+        self._rm_start = np.concatenate([[0], ends_at[:n_sealed].cumsum()])
+        self._round_births = born_at[:n_sealed].copy()
+        self._n_rounds, self._t0 = n_sealed, t0
+        self._t = last if n else None
+        self._pending = None
+        if n_sealed:
+            self._pending = (
+                n_sealed, source, src - birth, ends,
+                self._cells.append_unwritten(self._col_start[n_sealed]),
+                self._removed.append_unwritten(self._rm_start[n_sealed]),
+            )
+        self._skip = np.flatnonzero(~alive[prev])
+        self._gone = np.flatnonzero(ends[prev] == last)
+        self._ghost_rows = ghosts
+        self._ghost_cells = source[src[ghosts] + length[ghosts] - 1].astype(np.int64)
+        self._n_born = int(born_at[n_sealed])
+        self._n_behind = 0
+        self._by_row_cache = None
+
+    def _restore(self) -> None:
+        """Transpose the rounds a checkpoint restored into the log."""
+        if self._pending is None:
+            return
+        n_rounds, source, q, ends, cells_out, removed_out = self._pending
+        self._pending = None
+        rows, n_rows = _EMPTY, 0
+        for k in range(n_rounds):
+            t, n_births = self._t0 + k, int(self._round_births[k])
+            removed = np.flatnonzero(ends.take(rows) == t)
+            rows = _next_column(rows, removed, n_rows, n_births)
+            n_rows += n_births
+            removed_out[self._rm_start[k] : self._rm_start[k + 1]] = removed
+            cells_out[self._col_start[k] : self._col_start[k + 1]] = source.take(
+                q.take(rows) + t
+            )
 
     # ------------------------------------------------------------------ #
     # sizes / row sets
@@ -189,249 +367,356 @@ class TrajectoryStore:
 
     @property
     def n_archived(self) -> int:
-        """Finished streams, whose cells live in the archive."""
+        """Finished streams."""
         return self._n - self._n_live
 
     def live_rows(self) -> np.ndarray:
         """Row ids of live streams, in creation order (do not mutate)."""
-        return self._live[: self._n_live]
+        return self._rows[: self._n_live]
+
+    def live_cells(self) -> np.ndarray:
+        """Current cell of each live stream, live order (do not mutate)."""
+        return self._cur[: self._n_live]
+
+    def live_lengths(self) -> np.ndarray:
+        """Length of each live stream, live order (do not mutate)."""
+        return self._len[: self._n_live]
 
     def alive_mask(self) -> np.ndarray:
         """Boolean liveness over all created rows."""
-        return self._where[: self._n] >= 0
+        return self._length[: self._n] == 0
 
     # ------------------------------------------------------------------ #
-    # live-block plumbing
+    # the open round
     # ------------------------------------------------------------------ #
-    def _take_slots(self, count: int) -> np.ndarray:
-        """``count`` free live slots: recycled ones first, then fresh."""
-        reuse = min(count, self._n_free)
-        self._n_free -= reuse
-        fresh = count - reuse
-        if self._n_slots + fresh > self._block.shape[0]:
-            self._current = reserve(
-                self._current, self._n_slots, self._n_slots + fresh
+    def _check_cells(self, cells: np.ndarray) -> None:
+        """Refuse cells outside ``[0, n_cells)`` (two contiguous passes)."""
+        if cells.size and (cells.min() < 0 or cells.max() >= self._n_cells):
+            bad = cells[(cells < 0) | (cells >= self._n_cells)][0]
+            raise DatasetError(f"cell {bad} outside [0, {self._n_cells})")
+
+    def _src(self, pos: np.ndarray) -> np.ndarray:
+        """Positions in the previous column of older live streams at ``pos``."""
+        if not self._skip.size:
+            return pos
+        shift = self._skip - np.arange(self._skip.size)
+        return pos + np.searchsorted(shift, pos, side="right")
+
+    def _advance_to(self, t: int) -> None:
+        """Seal rounds until ``t`` is the open one (the first call starts)."""
+        if self._t is None:
+            self._t0 = self._t = t
+            return
+        if t < self._t:
+            raise DatasetError(f"round {t} is sealed; the open round is {self._t}")
+        if t > self._t + 1 and self._n_live:
+            raise DatasetError(
+                f"live streams cannot skip rounds {self._t + 1}..{t - 1}"
             )
-            self._resize_block(self._current.size, self._block.shape[1])
-        slots = np.concatenate(
-            [
-                self._free[self._n_free : self._n_free + reuse],
-                np.arange(self._n_slots, self._n_slots + fresh, dtype=np.int64),
-            ]
-        )
-        self._n_slots += fresh
-        return slots
+        while self._t < t:
+            self._seal()
 
-    def _resize_block(self, n_slots: int, width: int) -> None:
-        """Reallocate the live block; copies the slots in use only."""
-        grown = np.full((n_slots, width), ABSENT, dtype=self._block.dtype)
-        used = self._block[: self._n_slots]
-        grown[: self._n_slots, : used.shape[1]] = used
-        self._block = grown
+    def _open_record(self) -> tuple:
+        """The open round so far: its column, the previous column's
+        positions it drops, and its ghosts' positions in the column."""
+        n = self._n_live
+        rows, cells, removed = self._rows[:n], self._cur[:n], self._gone
+        if self._n_behind:  # mid-round: who has no cell yet is not in it
+            behind = self._born[:n] + self._len[:n] <= self._t
+            removed = np.union1d(removed, self._src(np.flatnonzero(behind)))
+            rows, cells = rows[~behind], cells[~behind]
+        if not self._ghost_rows.size:
+            return cells, removed, _EMPTY
+        at = np.searchsorted(rows, self._ghost_rows)
+        ghost_pos = at + np.arange(at.size)
+        return np.insert(cells, at, self._ghost_cells), removed, ghost_pos
 
-    def _block_cells(self, slots: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """The written cells of the given live slots, concatenated."""
-        return self._block.reshape(-1).take(
-            _ranges(slots * self._block.shape[1], lengths)
-        )
+    def _seal(self) -> None:
+        """Append the open round to the log and open the next timestamp."""
+        if self._n_behind:
+            raise DatasetError(
+                f"round {self._t} cannot seal: {self._n_behind} live streams "
+                "hold no cell there"
+            )
+        column, removed, ghost_pos = self._open_record()
+        k = self._n_rounds
+        self._col_start = extend_log(self._col_start, k + 1, k + 2)
+        self._rm_start = extend_log(self._rm_start, k + 1, k + 2)
+        self._round_births = extend_log(self._round_births, k, k + 1)
+        self._cells.append(column)
+        self._removed.append(removed)
+        self._col_start[k + 1] = self._cells.size
+        self._rm_start[k + 1] = self._removed.size
+        self._round_births[k] = self._n_born
+        self._n_rounds, self._t = k + 1, self._t + 1
+        self._reset_open_round(ghost_pos)
 
-    def _live_slots(self, rows: np.ndarray, doing: str) -> np.ndarray:
-        slots = self._where[rows]
-        if (slots < 0).any():
+    def _place(self, rows, cells, lengths, births) -> None:
+        """Append streams to the live vectors."""
+        m, count = self._n_live, rows.size
+        for name in ("_rows", "_cur", "_len", "_born"):
+            setattr(self, name, reserve(getattr(self, name), m, m + count))
+        self._rows[m : m + count] = rows
+        self._cur[m : m + count] = cells
+        self._len[m : m + count] = lengths
+        self._born[m : m + count] = births
+        self._n_live = m + count
+
+    def _compact(self, keep: np.ndarray) -> None:
+        """Keep the live positions where ``keep`` is set (fresh arrays)."""
+        m = int(np.count_nonzero(keep))
+        for name in ("_rows", "_cur", "_len", "_born"):
+            old = getattr(self, name)
+            new = np.empty(old.size, dtype=old.dtype)
+            np.compress(keep, old[: self._n_live], out=new[:m])
+            setattr(self, name, new)
+        self._n_live = m
+
+    def _retire(self, pos: np.ndarray) -> None:
+        """End the live streams at ``pos`` (ascending, distinct)."""
+        if not pos.size:
+            return
+        self._by_row_cache = None
+        lengths = self._len[pos]
+        self._length[self._rows[pos]] = lengths
+        # A stream holding a cell of the open round stays in its column (a
+        # ghost); one whose last cell is older leaves the column.
+        holding = self._born[pos] + lengths - 1 == self._t
+        old = self._born[pos] < self._t  # in the previous column too
+        src = self._src(pos[old])
+        self._skip = np.union1d(self._skip, src)
+        self._gone = np.union1d(self._gone, src[~holding[old]])
+        if holding.any():
+            rows = np.concatenate([self._ghost_rows, self._rows[pos[holding]]])
+            cells = np.concatenate([self._ghost_cells, self._cur[pos[holding]]])
+            order = np.argsort(rows)
+            self._ghost_rows, self._ghost_cells = rows[order], cells[order]
+        self._n_behind -= int(pos.size - np.count_nonzero(holding))
+        keep = np.ones(self._n_live, dtype=bool)
+        keep[pos] = False
+        self._compact(keep)
+
+    # ------------------------------------------------------------------ #
+    # the vectorized engine's round: position masks over the live vectors
+    # ------------------------------------------------------------------ #
+    def advance(self, t: int, quit_mask: np.ndarray, new_cells: np.ndarray) -> None:
+        """Open round ``t``: the live streams at ``quit_mask`` end with
+        their cell at ``t - 1``; every other one, in live order, takes the
+        next entry of ``new_cells`` as its cell at ``t``."""
+        t, n = int(t), self._n_live
+        quits = np.flatnonzero(quit_mask)
+        if self._t is None or t != self._t + 1 or quit_mask.size != n:
+            raise DatasetError(f"cannot advance {n} live streams to round {t}")
+        if new_cells.size != n - quits.size:
+            raise DatasetError(
+                f"{new_cells.size} cells for {n - quits.size} staying streams"
+            )
+        self._seal()
+        self._by_row_cache = None
+        if quits.size:
+            self._length[self._rows[quits]] = self._len[quits]
+            src = self._src(quits)
+            self._skip = np.union1d(self._skip, src) if self._skip.size else src
+            self._gone = np.union1d(self._gone, src) if self._gone.size else src
+            self._compact(~quit_mask)
+        m = self._n_live
+        self._cur[:m] = new_cells
+        self._len[:m] += 1
+        self._n_behind = 0
+
+    def drop(self, mask: np.ndarray) -> None:
+        """Retire the live streams at ``mask`` in the open round.
+
+        Each gives back the cell it holds there, unless that is its only
+        cell, so its final cell is the previous round's.
+        """
+        pos = np.flatnonzero(mask)
+        lengths = self._len[pos]
+        fresh = (self._born[pos] + lengths - 1 == self._t) & (lengths > 1)
+        self._len[pos[fresh]] -= 1
+        self._n_behind += int(np.count_nonzero(fresh))
+        self._retire(pos)
+
+    # ------------------------------------------------------------------ #
+    # row-id mutation (the object engine, baselines, tests)
+    # ------------------------------------------------------------------ #
+    def _positions(self, rows: np.ndarray, doing: str) -> np.ndarray:
+        """Live positions of ``rows``, which must be live and distinct."""
+        n = self._n_live
+        pos = np.searchsorted(self._rows[:n], rows)
+        if not n or (self._rows[np.minimum(pos, n - 1)] != rows).any():
             raise DatasetError(f"cannot {doing} a finished stream")
-        return slots
+        if pos.size > 1 and np.unique(pos).size != pos.size:
+            raise DatasetError(f"cannot {doing} a stream twice in one call")
+        return pos
 
-    def _archive(self) -> np.ndarray:
-        """The archive's cell log as one array (chunks are merged)."""
-        if len(self._chunks) > 1:
-            merged = np.concatenate(
-                self._chunks[:-1] + [self._chunks[-1][: self._tail]]
-            )
-            self._chunks, self._tail = [merged], merged.size
-        return self._chunks[0] if self._chunks else self._block[:0, 0]
-
-    def _archive_cells(self, cells: np.ndarray) -> None:
-        """Append ``cells`` to the log, opening new chunks as needed."""
-        done = 0
-        while done < cells.size:
-            if not self._chunks or self._tail == self._chunks[-1].size:
-                size = min(max(self._n_archived_cells, _MIN_CHUNK), _MAX_CHUNK)
-                self._chunks.append(
-                    np.empty(max(size, cells.size - done), dtype=self._block.dtype)
-                )
-                self._tail = 0
-            chunk = self._chunks[-1]
-            take = min(cells.size - done, chunk.size - self._tail)
-            chunk[self._tail : self._tail + take] = cells[done : done + take]
-            self._tail += take
-            done += take
-        self._n_archived_cells += int(cells.size)
-
-    # ------------------------------------------------------------------ #
-    # mutation (the synthesizer hot path)
-    # ------------------------------------------------------------------ #
     def append_streams(self, t: int, cells) -> np.ndarray:
-        """Create one fresh live stream per entry of ``cells``; return rows."""
+        """Create one live stream born at ``t`` per entry of ``cells``.
+
+        ``t`` is the open round, or a later one once every live stream
+        holds its cell.  Returns the new rows.
+        """
         cells = np.atleast_1d(np.asarray(cells, dtype=np.int64))
-        count = cells.size
-        if count == 0:
+        if cells.size == 0:
             return np.empty(0, dtype=np.int64)
-        n, need = self._n, self._n + count
+        self._check_cells(cells)
+        self._advance_to(int(t))
+        self._by_row_cache = None
+        n, need = self._n, self._n + cells.size
         self._birth = extend_log(self._birth, n, need)
         self._length = extend_log(self._length, n, need)
-        self._where = extend_log(self._where, n, need)
         rows = np.arange(n, need, dtype=np.int64)
-        slots = self._take_slots(count)
-        self._block[slots, 0] = cells
-        self._current[slots] = cells
-        self._birth[rows] = int(t)
-        self._length[rows] = 1
-        self._where[rows] = slots
-        self._live = reserve(self._live, self._n_live, self._n_live + count)
-        self._live[self._n_live : self._n_live + count] = rows
-        self._n_live += count
+        self._birth[n:need] = self._t
+        self._length[n:need] = 0
+        self._place(rows, cells, 1, self._t)
         self._n = need
+        self._n_born += cells.size
         return rows
 
     def append_cells(self, rows: np.ndarray, cells: np.ndarray) -> None:
-        """Extend each of ``rows`` by one cell (its next timestamp)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            return
-        slots = self._live_slots(rows, "extend")
-        lengths = self._length[rows]
-        width = int(lengths.max()) + 1
-        if width > self._block.shape[1]:
-            self._resize_block(
-                self._block.shape[0], max(width, 2 * self._block.shape[1])
-            )
-        self._block[slots, lengths] = cells
-        self._current[slots] = cells
-        self._length[rows] = lengths + 1
+        """Give each of ``rows`` its next cell.
 
-    def pop_last(self, rows: np.ndarray) -> None:
-        """Withdraw the most recent cell of each row (length stays >= 1)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            return
-        slots = self._live_slots(rows, "shorten")
-        lengths = self._length[rows] - 1
-        if (lengths < 1).any():
-            raise DatasetError("cannot pop the only cell of a stream")
-        self._length[rows] = lengths
-        self._current[slots] = self._block[slots, lengths - 1]
-
-    def kill(self, rows: np.ndarray) -> None:
-        """Terminate the given streams (idempotent).
-
-        Their cells move from the live block to the archive and their
-        slots return to the free stack.
+        Streams lacking the open round's cell get it; when every named
+        stream holds it already, the next round opens.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        slots = self._where[rows]
-        # The synthesizer hands over ascending distinct live rows; anything
-        # else (repeats, finished rows, any order) is normalised first.
-        if (slots < 0).any() or (rows[1:] <= rows[:-1]).any():
-            rows = np.unique(rows[slots >= 0])
-            slots = self._where[rows]
+        cells = np.asarray(cells, dtype=np.int64)
         if rows.size == 0:
             return
-        lengths = self._length[rows]
-        starts = self._n_archived_cells + np.cumsum(lengths) - lengths
-        self._archive_cells(self._block_cells(slots, lengths))
-        self._where[rows] = ~starts
-        live = self.live_rows()
-        keep = np.ones(live.size, dtype=bool)
-        keep[np.searchsorted(live, rows)] = False
-        self._n_live -= int(rows.size)
-        self._live = np.empty_like(self._live)
-        self._live[: self._n_live] = live[keep]
-        self._free = reserve(self._free, self._n_free, self._n_free + slots.size)
-        self._free[self._n_free : self._n_free + slots.size] = slots
-        self._n_free += int(slots.size)
+        if cells.shape != rows.shape:
+            raise DatasetError(f"{cells.size} cells for {rows.size} streams")
+        self._check_cells(cells)
+        pos = self._positions(rows, "extend")
+        holding = self._born[pos] + self._len[pos] - 1 == self._t
+        if holding.all():
+            self._advance_to(self._t + 1)
+        elif holding.any():
+            raise DatasetError("one call cannot extend streams into two rounds")
+        self._by_row_cache = None
+        self._cur[pos] = cells
+        self._len[pos] += 1
+        self._n_behind -= pos.size
+
+    def pop_last(self, rows: np.ndarray) -> None:
+        """Withdraw the open round's cell of each row (length stays >= 1)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.size == 0:
+            return
+        pos = self._positions(rows, "shorten")
+        lengths = self._len[pos]
+        if (lengths < 2).any():
+            raise DatasetError("cannot pop the only cell of a stream")
+        if (self._born[pos] + lengths - 1 != self._t).any():
+            raise DatasetError(f"only a cell of the open round {self._t} can be popped")
+        k = self._n_rounds - 1
+        self._restore()
+        previous = self._cells.read(*self._col_start[k : k + 2])
+        self._by_row_cache = None
+        self._cur[pos] = previous[self._src(pos)]
+        self._len[pos] = lengths - 1
+        self._n_behind += pos.size
+
+    def kill(self, rows: np.ndarray) -> None:
+        """Terminate the given streams (idempotent, any order)."""
+        rows = np.unique(np.asarray(rows, dtype=np.int64))
+        if rows.size and (rows[0] < 0 or rows[-1] >= self._n):
+            raise DatasetError(f"stream rows outside [0, {self._n})")
+        rows = rows[self._length[rows] == 0]
+        self._retire(np.searchsorted(self._rows[: self._n_live], rows))
 
     # ------------------------------------------------------------------ #
     # per-row array accessors
     # ------------------------------------------------------------------ #
+    def _live_positions(self, rows: np.ndarray, live: np.ndarray) -> np.ndarray:
+        return np.searchsorted(self._rows[: self._n_live], rows[live])
+
     def last_cells(self, rows: np.ndarray) -> np.ndarray:
         """Current (latest) cell of each requested row."""
         rows = np.asarray(rows, dtype=np.int64)
-        where = self._where[rows]
-        done = where < 0
-        if not done.any():
-            return self._current[where]
+        live = self._length[rows] == 0
         out = np.empty(rows.size, dtype=np.int64)
-        out[~done] = self._current[where[~done]]
-        out[done] = self._archive()[~where[done] + self._length[rows[done]] - 1]
+        out[live] = self._cur[self._live_positions(rows, live)]
+        if not live.all():
+            flat, starts = self._by_row()
+            done = rows[~live]
+            out[~live] = flat[starts[done] + self._length[done] - 1]
         return out
 
     def lengths_of(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.int64)
-        return self._length[rows]
+        out = self._length[rows]
+        live = out == 0
+        if live.any():
+            out[live] = self._len[self._live_positions(rows, live)]
+        return out
 
     def births_of(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.int64)
         return self._birth[rows]
 
-    def _gather(self, rows: np.ndarray, at=None) -> np.ndarray:
-        """Cells of ``rows`` from wherever they live.
-
-        ``at=None`` concatenates every row's whole stream in row order;
-        otherwise ``at`` holds one position per row and one cell per row
-        comes back.
-        """
-        where = self._where[rows]
-        live = where >= 0
-        if at is None:
-            lengths = self._length[rows]
-            out = np.empty(int(lengths.sum()), dtype=np.int64)
-            dest = np.cumsum(lengths) - lengths
-            if live.any():
-                out[_ranges(dest[live], lengths[live])] = self._block_cells(
-                    where[live], lengths[live]
-                )
-            if not live.all():
-                done = ~live
-                out[_ranges(dest[done], lengths[done])] = self._archive()[
-                    _ranges(~where[done], lengths[done])
-                ]
-            return out
-        out = np.empty(rows.size, dtype=np.int64)
-        out[live] = self._block[where[live], at[live]]
-        if not live.all():
-            done = ~live
-            out[done] = self._archive()[~where[done] + at[done]]
+    def lengths(self) -> np.ndarray:
+        """Length of every stream ever created, in creation order."""
+        out = self._length[: self._n].copy()
+        out[self.live_rows()] = self.live_lengths()
         return out
+
+    # ------------------------------------------------------------------ #
+    # the log and its transpose
+    # ------------------------------------------------------------------ #
+    def _by_row(self) -> tuple:
+        """Every stream's cells, row after row in creation order, and each
+        row's start offset there: the log's transpose, built by replaying
+        its compactions and cached until the store next changes."""
+        if self._by_row_cache is None:
+            self._restore()
+            lengths = self.lengths()
+            starts = np.cumsum(lengths) - lengths
+            flat = np.empty(int(lengths.sum()), dtype=self._cells.dtype)
+            q = starts - self._birth[: self._n]  # row r's cell at t: q[r] + t
+            rows, n_rows = _EMPTY, 0
+            for k in range(self._n_rounds + (self._t is not None)):
+                if k < self._n_rounds:
+                    removed = self._removed.read(*self._rm_start[k : k + 2])
+                    column = self._cells.read(*self._col_start[k : k + 2])
+                    n_births = int(self._round_births[k])
+                else:
+                    column, removed, _ = self._open_record()
+                    n_births = self._n_born
+                rows = _next_column(rows, removed, n_rows, n_births)
+                n_rows += n_births
+                flat[q.take(rows) + self._t0 + k] = column
+            self._by_row_cache = (flat, starts)
+        return self._by_row_cache
 
     def flat_cells(self, rows) -> np.ndarray:
         """The requested rows' cells concatenated in row order.
 
-        The wire format of result messages (and the dataset npz layout):
-        masked gathers over the live block and the archive, no per-stream
-        object or list construction.
+        The wire format of result messages (and the dataset npz layout),
+        gathered from the log's transpose.
         """
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size == 0:
             return np.zeros(0, dtype=np.int64)
-        return self._gather(rows)
+        flat, starts = self._by_row()
+        if rows.size == self._n and (rows == np.arange(self._n)).all():
+            return flat.astype(np.int64)
+        return flat[_ranges(starts[rows], self.lengths_of(rows))].astype(np.int64)
 
     # ------------------------------------------------------------------ #
     # whole-store array accessors (the evaluation plane)
     # ------------------------------------------------------------------ #
-    def lengths(self) -> np.ndarray:
-        """Length of every stream ever created, in creation order."""
-        return self._length[: self._n].copy()
-
     def cells_at(self, t: int) -> np.ndarray:
         """Cells of every stream (live or finished) active at ``t``.
 
         Row order is creation order, matching :meth:`all views <views>`.
         """
-        t = int(t)
-        birth = self._birth[: self._n]
-        active = (birth <= t) & (t < birth + self._length[: self._n])
-        rows = np.flatnonzero(active)
-        return self._gather(rows, at=t - birth[rows])
+        k = int(t) - self._t0
+        if self._t is None or not 0 <= k <= self._n_rounds:
+            return np.zeros(0, dtype=np.int64)
+        if k == self._n_rounds:
+            return self._open_record()[0].astype(np.int64)
+        self._restore()
+        return self._cells.read(*self._col_start[k : k + 2]).astype(np.int64)
 
     def counts_by_cell(self, t: int, n_cells: int) -> np.ndarray:
         """Histogram of :meth:`cells_at` over ``[0, n_cells)``."""
@@ -441,28 +726,33 @@ class TrajectoryStore:
         """``(n_timestamps, n_cells)`` point-count matrix over all streams.
 
         Vectorized twin of ``StreamDataset.cell_counts_matrix``'s
-        per-trajectory loop: a gather of the streams' cells beside their
-        timestamps plus a ``bincount``, one block of streams at a time.  Points outside
-        ``[0, n_timestamps)`` are clipped, matching the object
-        implementation.
+        per-trajectory loop: one ``bincount`` per block of log columns.
+        Points outside ``[0, n_timestamps)`` are clipped, matching the
+        object implementation.
         """
-        n_timestamps = int(n_timestamps)
-        n_cells = int(n_cells)
-        n = self._n
-        if n == 0 or n_timestamps == 0:
-            return np.zeros((n_timestamps, n_cells), dtype=np.int64)
-        counts = np.zeros(n_timestamps * n_cells, dtype=np.int64)
-        # Row blocks keep the transient (timestamp, cell) arrays a few MB
-        # however many points the archive holds.
-        for lo in range(0, n, _COUNT_BLOCK):
-            rows = np.arange(lo, min(n, lo + _COUNT_BLOCK), dtype=np.int64)
-            ts = _ranges(self._birth[rows], self._length[rows])
-            cells = self._gather(rows)
-            valid = (ts >= 0) & (ts < n_timestamps)
-            counts += np.bincount(
-                ts[valid] * n_cells + cells[valid], minlength=counts.size
+        n_timestamps, n_cells = int(n_timestamps), int(n_cells)
+        counts = np.zeros((n_timestamps, n_cells), dtype=np.int64)
+        if self._t is None:
+            return counts
+        self._restore()
+        k, stop = max(0, -self._t0), min(self._n_rounds, n_timestamps - self._t0)
+        starts = self._col_start[: self._n_rounds + 1]
+        while k < stop:
+            # Rounds [k, end) hold at most _COUNT_BLOCK points (or one round).
+            end = int(np.searchsorted(starts, starts[k] + _COUNT_BLOCK, side="right"))
+            end = min(max(end - 1, k + 1), stop)
+            cells = self._cells.read(starts[k], starts[end])
+            keys = np.repeat(np.arange(end - k) * n_cells, np.diff(starts[k : end + 1]))
+            t = self._t0 + k
+            counts[t : t + end - k] += np.bincount(
+                keys + cells, minlength=(end - k) * n_cells
+            ).reshape(end - k, n_cells)
+            k = end
+        if 0 <= self._t < n_timestamps:
+            counts[self._t] += np.bincount(
+                self._open_record()[0], minlength=n_cells
             )
-        return counts.reshape(n_timestamps, n_cells)
+        return counts
 
     # ------------------------------------------------------------------ #
     # object views (API boundaries only)
@@ -477,12 +767,13 @@ class TrajectoryStore:
         row = int(row)
         if not 0 <= row < self._n:
             raise DatasetError(f"stream row {row} outside [0, {self._n})")
+        flat, starts = self._by_row()
+        start = int(starts[row])
+        length = int(self.lengths_of(np.asarray([row]))[0])
         traj = CellTrajectory(
-            int(self._birth[row]),
-            self._gather(np.asarray([row], dtype=np.int64)).tolist(),
-            user_id=row,
+            int(self._birth[row]), flat[start : start + length].tolist(), user_id=row
         )
-        traj.terminated = bool(self._where[row] < 0)
+        traj.terminated = bool(self._length[row] > 0)
         return traj
 
     def views(self, rows) -> list[CellTrajectory]:

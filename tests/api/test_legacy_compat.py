@@ -6,12 +6,14 @@ missing RSF2 magic, without being unpickled."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import pickle
 import shutil
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.api import schema
@@ -33,7 +35,8 @@ from repro.serve import replay
 from repro.stream.reports import ColumnarStreamView
 
 #: Files the v6 writer wrote while the spec still had ``queue_size`` or
-#: accepted ``allocator="adaptive-user"``.
+#: accepted ``allocator="adaptive-user"``, and while the trajectory store
+#: kept a slot block and a kill-order archive.
 DATA = Path(__file__).resolve().parents[1] / "data"
 
 #: The public names importable from `repro` before the unified API landed.
@@ -273,3 +276,55 @@ class TestRemovedAllocator:
             load_config(path)
         with pytest.raises(ConfigurationError, match="adaptive-user"):
             config_from_dict(stored)
+
+
+def _result_digest(session, n_timestamps: int) -> str:
+    """SHA-256 over a session's ``result()``: rows, births, lengths, cells
+    and the per-timestamp count matrix."""
+    synthetic = session.result(n_timestamps).synthetic
+    store, rows = synthetic.trajectories.store, synthetic.trajectories.rows
+    digest = hashlib.sha256(rows.tobytes())
+    for column in (
+        store.births_of(rows), store.lengths_of(rows), store.flat_cells(rows),
+        synthetic.cell_counts_matrix(),
+    ):
+        digest.update(np.ascontiguousarray(column).tobytes())
+    return digest.hexdigest()
+
+
+class TestSlotBlockStoreCheckpoint:
+    """A v6 checkpoint whose ``store`` frame the slot-block store wrote.
+
+    ``tests/data`` holds one written before the store became a round log:
+    ``SessionSpec(epsilon=1.0, w=4, seed=9, division="budget",
+    engine="vectorized", transport="ingest")`` over
+    ``make_random_walks(k=4, n_streams=80, n_timestamps=20, seed=6)``, fed
+    timestamps 0-10 and checkpointed, so it stops at t=10 with 13 finished
+    streams archived in kill order and 36 live ones in recycled slots.  The round log rebuilds
+    from it and resumes to the uninterrupted run's result.
+    """
+
+    SPEC = SessionSpec(
+        epsilon=1.0, w=4, seed=9, division="budget", engine="vectorized",
+        transport="ingest", checkpoint_path="v6_vectorized_store.ckpt",
+    )
+
+    def test_resumes_to_the_uninterrupted_result(self, tmp_path):
+        path = tmp_path / "old.ckpt"
+        shutil.copy(DATA / "v6_vectorized_store.ckpt", path)
+        header, _end = schema.load_frame(path.read_bytes(), expect="checkpoint")
+        assert header["version"] == 6
+        assert peek_checkpoint_spec(path) == self.SPEC
+
+        data = make_random_walks(k=4, n_streams=80, n_timestamps=20, seed=6)
+        resumed = load_session(path, checkpoint_path=None)
+        store = resumed.curator.synthesizer.store
+        assert resumed.assembler.next_t == 11
+        assert (store.n_live, store.n_archived) == (36, 13)
+        replay(resumed, ColumnarStreamView(data, resumed.curator.space))
+
+        spec = dataclasses.replace(self.SPEC, checkpoint_path=None)
+        whole = create_session(spec, data.grid, lam=header["lam"])
+        replay(whole, ColumnarStreamView(data, whole.curator.space))
+        assert _result_digest(resumed, 20) == _result_digest(whole, 20)
+        assert resumed.stats()["state"] == whole.stats()["state"]

@@ -106,9 +106,9 @@ class TestInterfaceParity:
         model = deterministic_model(space4, {0: 0}, enter_cell=0)
         syn = VectorizedSynthesizer(model, lam=100.0, rng=0, initial_capacity=16)
         for t in range(0, 30):
-            syn.spawn_from_entering(t, 10)
             if t > 0:
                 syn.step(t)
+            syn.spawn_from_entering(t, 10)  # births land in the open round
         assert syn.store.n_total == 300
         assert all(len(tr) >= 1 for tr in syn.all_trajectories())
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.mobility_model import GlobalMobilityModel
+from repro.core.fast_synthesis import VectorizedSynthesizer
 from repro.core.synthesis import Synthesizer
 from repro.exceptions import ConfigurationError
 
@@ -49,6 +50,18 @@ class TestSpawning:
         syn = Synthesizer(GlobalMobilityModel(space4), lam=10.0, rng=0)
         with pytest.raises(ConfigurationError):
             syn.spawn_from_distribution(0, 5, np.ones(3))
+
+    @pytest.mark.parametrize("engine", [Synthesizer, VectorizedSynthesizer])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    def test_spawn_from_distribution_refuses_bad_entries(self, space4, engine, bad):
+        syn = engine(GlobalMobilityModel(space4), lam=10.0, rng=0)
+        probs = np.ones(16)
+        probs[5] = bad
+        before = syn.rng.bit_generator.state
+        with pytest.raises(ConfigurationError, match=r"probability 5 is"):
+            syn.spawn_from_distribution(0, 4, probs)
+        assert syn.rng.bit_generator.state == before  # refused before any draw
+        assert syn.n_live == 0
 
     def test_spawn_zero_count_noop(self, space4):
         syn = Synthesizer(GlobalMobilityModel(space4), lam=10.0, rng=0)

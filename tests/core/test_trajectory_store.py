@@ -1,12 +1,14 @@
-"""Tests for the columnar trajectory store.
+"""Tests for the round-major trajectory store.
 
 The store must round-trip bit-identical ``CellTrajectory`` views against a
-plain object reference driven by the same operation sequence, grow
-transparently in both dimensions, and serve array accessors that agree
-with object-side computations — wherever a stream's cells currently live
-(the live block, or the archive of finished streams).
+plain object reference driven by the same round-shaped operation sequence,
+grow transparently, serve array accessors that agree with object-side
+computations, and refuse every write outside its round contract with a
+typed error — whether a round came in through the row-id methods or the
+vectorized engine's position masks, and before or after a checkpoint.
 """
 
+import random
 from unittest import mock
 
 import numpy as np
@@ -49,35 +51,58 @@ class _ObjectReference:
             self.trajs[r].terminated = True
 
 
+def _play_round(store, ref, rnd, t, live, n_cells, masks):
+    """One round-shaped step on ``store`` and ``ref``: a kill set, one cell
+    for every other live row, a drop (pop of the open cell, then kill), a
+    few ghosts (killed holding the open cell) and births.  With ``masks``
+    the first two and the drop go through the engine's position masks.
+    Returns the live rows afterwards, in creation order."""
+    quits = [r for r in live if rnd.random() < 0.2]
+    stay = [r for r in live if r not in quits]
+    cells = [rnd.randrange(n_cells) for _ in stay]
+    if masks and live:
+        store.advance(
+            t, np.isin(live, quits), np.asarray(cells, dtype=np.int64)
+        )
+    else:
+        store.kill(np.asarray(quits, dtype=np.int64))
+        half = len(stay) // 2  # two calls: the first opens the round
+        for part in (slice(0, half), slice(half, None)):
+            store.append_cells(
+                np.asarray(stay[part], dtype=np.int64),
+                np.asarray(cells[part], dtype=np.int64),
+            )
+    ref.kill(quits)
+    ref.append_cells(stay, cells)
+    dropped = [r for r in stay if rnd.random() < 0.1]
+    popped = [r for r in dropped if len(ref.trajs[r].cells) > 1]
+    if masks:
+        store.drop(np.isin(stay, dropped))
+    else:
+        store.pop_last(np.asarray(popped, dtype=np.int64))
+        store.kill(np.asarray(dropped, dtype=np.int64))
+    ref.pop_last(popped)
+    ref.kill(dropped)
+    ghosts = [r for r in stay if r not in dropped and rnd.random() < 0.05]
+    store.kill(np.asarray(ghosts, dtype=np.int64))
+    ref.kill(ghosts)
+    new = [rnd.randrange(n_cells) for _ in range(rnd.randint(0, 5))]
+    born = store.append_streams(t, np.asarray(new, dtype=np.int64)).tolist()
+    assert ref.append_streams(t, new) == born
+    if born and rnd.random() < 0.2:  # a newborn that ends where it began
+        store.kill(np.asarray(born[:1], dtype=np.int64))
+        ref.kill(born[:1])
+    return [r for r, tr in enumerate(ref.trajs) if not tr.terminated]
+
+
 def _random_walk(seed, n_rounds=40, n_cells=25):
-    """Drive store and reference through one random operation sequence."""
-    rng = np.random.default_rng(seed)
+    """Drive store and reference through one random round sequence."""
+    rnd = random.Random(seed)
     store = TrajectoryStore(initial_capacity=4, initial_horizon=2)
     ref = _ObjectReference()
     live: list[int] = []
     for t in range(n_rounds):
-        n_new = int(rng.integers(0, 6))
-        cells = rng.integers(0, n_cells, size=n_new)
-        rows = store.append_streams(t, cells)
-        assert ref.append_streams(t, cells) == rows.tolist()
-        live.extend(rows.tolist())
-        if live:
-            advance = np.asarray(
-                [r for r in live if rng.random() < 0.8], dtype=np.int64
-            )
-            new_cells = rng.integers(0, n_cells, size=advance.size)
-            store.append_cells(advance, new_cells)
-            ref.append_cells(advance, new_cells)
-            lengths = store.lengths_of(np.asarray(live, dtype=np.int64))
-            droppable = [
-                r for r, ln in zip(live, lengths) if ln > 1 and rng.random() < 0.1
-            ]
-            store.pop_last(np.asarray(droppable, dtype=np.int64))
-            ref.pop_last(droppable)
-            dead = [r for r in live if rng.random() < 0.15]
-            store.kill(np.asarray(dead, dtype=np.int64))
-            ref.kill(dead)
-            live = [r for r in live if r not in set(dead)]
+        live = _play_round(store, ref, rnd, t, live, n_cells, rnd.random() < 0.5)
     return store, ref
 
 
@@ -224,27 +249,13 @@ class TestEngineIntegration:
 
 
 # ---------------------------------------------------------------------- #
-# model-based: live block + archive against a list-of-lists oracle
+# model-based: live vectors + round log against a list-of-lists oracle
 # ---------------------------------------------------------------------- #
 _N_CELLS = 7
 
-#: One step of a random store history; ``args`` are resolved against the
-#: oracle's current live set so every operation is legal.
-_steps = st.lists(
-    st.tuples(
-        st.sampled_from(("spawn", "extend", "extend", "pop", "kill", "kill")),
-        st.integers(0, 2**31 - 1),
-    ),
-    min_size=1,
-    max_size=60,
-)
-
-
-def _pick(rnd, live, k_max):
-    if not live:
-        return []
-    return rnd.sample(live, rnd.randint(0, min(k_max, len(live))))
-
+#: One seed per round; each round's operations are drawn from it and
+#: resolved against the oracle's live set, so every round keeps the contract.
+_rounds = st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=40)
 
 #: Declared cell count -> the store's cell dtype (None: not declared).
 _CELL_DTYPES = {
@@ -253,58 +264,37 @@ _CELL_DTYPES = {
 
 
 def _assert_cell_storage(store, dtype):
-    """Block and archive hold ``dtype``; ABSENT pads, and only pads."""
-    assert store._block.dtype == dtype
-    assert all(chunk.dtype == dtype for chunk in store._chunks)
-    live = store.live_rows()
-    written = np.arange(store._block.shape[1]) < store.lengths_of(live)[:, None]
-    assert (store._block[store._where[live]][written] >= 0).all()
-    assert (store._block[store._n_slots:] == store_module.ABSENT).all()
+    """The log holds ``dtype``, and each sealed column holds one in-range
+    cell per stream active at its timestamp."""
+    assert store._cells.dtype == dtype
+    assert all(chunk.dtype == dtype for chunk in store._cells._chunks)
+    lengths, births = store.lengths(), store.births_of(np.arange(store.n_total))
+    for k in range(store._n_rounds):
+        t = store._t0 + k
+        column = store._cells.read(*store._col_start[k : k + 2])
+        assert column.size == np.count_nonzero((births <= t) & (t < births + lengths))
+        assert column.size == 0 or column.min() >= 0
 
 
 @given(
-    _steps, st.integers(1, 4), st.integers(1, 3), st.sampled_from(list(_CELL_DTYPES))
+    _rounds, st.integers(1, 4), st.integers(1, 3), st.sampled_from(list(_CELL_DTYPES))
 )
 @settings(max_examples=120, deadline=None)
-def test_store_matches_list_of_lists_oracle(steps, capacity, horizon, n_cells):
-    import random
-
+def test_store_matches_list_of_lists_oracle(rounds, capacity, horizon, n_cells):
     store = TrajectoryStore(
         initial_capacity=capacity, initial_horizon=horizon, n_cells=n_cells
     )
-    births: list[int] = []
-    streams: list[list[int]] = []
-    alive: list[bool] = []
-    for t, (op, seed) in enumerate(steps):
+    ref = _ObjectReference()
+    live: list[int] = []
+    for t, seed in enumerate(rounds):
         rnd = random.Random(seed)
-        live = [r for r, a in enumerate(alive) if a]
-        if op == "spawn":
-            cells = [rnd.randrange(_N_CELLS) for _ in range(rnd.randint(0, 5))]
-            rows = store.append_streams(t, np.asarray(cells, dtype=np.int64))
-            assert rows.tolist() == list(range(len(streams), len(streams) + len(cells)))
-            births += [t] * len(cells)
-            streams += [[c] for c in cells]
-            alive += [True] * len(cells)
-        elif op == "extend":
-            rows = _pick(rnd, live, 6)
-            cells = [rnd.randrange(_N_CELLS) for _ in rows]
-            store.append_cells(np.asarray(rows, dtype=np.int64), np.asarray(cells))
-            for r, c in zip(rows, cells):
-                streams[r].append(c)
-        elif op == "pop":
-            rows = [r for r in _pick(rnd, live, 4) if len(streams[r]) > 1]
-            store.pop_last(np.asarray(rows, dtype=np.int64))
-            for r in rows:
-                streams[r].pop()
-        else:
-            rows = _pick(rnd, live, 4)
-            # kill is idempotent: re-killing finished rows changes nothing.
-            dead = [r for r, a in enumerate(alive) if not a][:2]
-            store.kill(np.asarray(rows + dead + rows[:1], dtype=np.int64))
-            for r in rows:
-                alive[r] = False
+        live = _play_round(store, ref, rnd, t, live, _N_CELLS, rnd.random() < 0.5)
+        if rnd.random() < 0.1:  # resume from a checkpoint mid-sequence
+            store = _reloaded(store, initial_capacity=capacity, n_cells=n_cells)
 
-        live = [r for r, a in enumerate(alive) if a]
+        streams = [tr.cells for tr in ref.trajs]
+        births = [tr.start_time for tr in ref.trajs]
+        alive = [not tr.terminated for tr in ref.trajs]
         everyone = list(range(len(streams)))
         assert store.n_total == len(streams)
         assert store.n_live == len(live) and store.n_archived == len(streams) - len(live)
@@ -316,7 +306,7 @@ def test_store_matches_list_of_lists_oracle(steps, capacity, horizon, n_cells):
         ]
         _assert_cell_storage(store, _CELL_DTYPES[n_cells])
     # Read surfaces over the final state, in a scrambled row order too.
-    rnd = random.Random(len(steps))
+    rnd = random.Random(len(rounds))
     order = rnd.sample(everyone, len(everyone)) if streams else []
     rows = np.asarray(order, dtype=np.int64)
     assert store.flat_cells(rows).tolist() == [c for r in order for c in streams[r]]
@@ -327,7 +317,7 @@ def test_store_matches_list_of_lists_oracle(steps, capacity, horizon, n_cells):
         assert (view.start_time, view.cells, view.terminated) == (
             births[r], streams[r], not alive[r]
         )
-    horizon_t = len(steps) + 2
+    horizon_t = len(rounds) + 2
     expected = np.zeros((horizon_t, _N_CELLS), dtype=np.int64)
     for t in range(horizon_t):
         at_t = [
@@ -354,9 +344,12 @@ def test_store_matches_list_of_lists_oracle(steps, capacity, horizon, n_cells):
     clone = _reloaded(store, initial_capacity=capacity, n_cells=n_cells)
     assert clone.flat_cells(rows).tolist() == store.flat_cells(rows).tolist()
     assert clone.live_rows().tolist() == live
+    for t in range(horizon_t):
+        assert clone.cells_at(t).tolist() == store.cells_at(t).tolist()
     _assert_cell_storage(clone, _CELL_DTYPES[n_cells])
     # A restored store keeps appending, in the dtype it was written with.
-    fresh = clone.append_streams(horizon_t, [3])
+    clone.append_cells(np.asarray(live, dtype=np.int64), np.full(len(live), 4))
+    fresh = clone.append_streams(len(rounds), [3])
     clone.append_cells(fresh, [4])
     clone.kill(fresh)
     assert clone.view(int(fresh[0])).cells == [3, 4]
@@ -364,15 +357,117 @@ def test_store_matches_list_of_lists_oracle(steps, capacity, horizon, n_cells):
     _assert_cell_storage(clone, _CELL_DTYPES[n_cells])
 
 
+class TestRoundContract:
+    """Writes outside the round contract are refused with a typed error,
+    and leave the store as it was."""
+
+    @staticmethod
+    def _store():
+        store = TrajectoryStore(n_cells=10)
+        rows = store.append_streams(0, [1, 2, 3])
+        store.append_cells(rows, [4, 5, 6])  # round 1: every stream has a cell
+        return store, rows
+
+    @staticmethod
+    def _snapshot(store):
+        return [(v.start_time, v.cells, v.terminated) for v in store.all_views()]
+
+    def test_a_stream_left_without_a_cell_blocks_the_next_round(self):
+        store, rows = self._store()
+        store.append_cells(rows[:2], [7, 8])  # round 2 opens; row 2 lacks its cell
+        before = self._snapshot(store)
+        for write in (
+            lambda: store.append_cells(rows[:1], [9]),
+            lambda: store.append_streams(3, [1]),
+            lambda: store.advance(3, np.zeros(3, dtype=bool), np.zeros(3, dtype=np.int64)),
+        ):
+            with pytest.raises(DatasetError, match="hold no cell"):
+                write()
+            assert self._snapshot(store) == before
+        store.append_cells(rows[2:], [9])  # the missing cell repairs the round
+        store.append_streams(3, [1])
+
+    @pytest.mark.parametrize(
+        "write, match",
+        [
+            (lambda s, rows: s.append_streams(0, [1]), "sealed"),
+            (lambda s, rows: s.append_streams(3, [1]), "skip rounds"),
+            (lambda s, rows: s.append_cells(rows[[0, 0]], [7, 8]), "twice"),
+            (
+                lambda s, rows: s.append_cells(rows, [7, 8, 9])
+                or s.pop_last(rows[:1]) or s.pop_last(rows[:1]),
+                "open round",
+            ),
+            (lambda s, rows: s.advance(1, np.zeros(3, dtype=bool), np.zeros(3)), "round 1"),
+            (lambda s, rows: s.advance(2, np.zeros(2, dtype=bool), np.zeros(2)), "advance"),
+            (lambda s, rows: s.advance(2, np.zeros(3, dtype=bool), np.zeros(2)), "cells for"),
+        ],
+        ids=[
+            "birth-in-sealed-round", "live-streams-skip-a-round", "row-named-twice",
+            "pop-of-a-sealed-cell", "advance-to-open-round", "mask-size",
+            "cell-count",
+        ],
+    )
+    def test_off_contract_writes_are_refused(self, write, match):
+        store, rows = self._store()
+        before = self._snapshot(store)
+        with pytest.raises(DatasetError, match=match):
+            write(store, rows)
+        if match != "open round":  # the writes before that second pop are legal
+            assert self._snapshot(store) == before
+
+    def test_one_call_cannot_span_two_rounds(self):
+        store, rows = self._store()
+        store.append_cells(rows[:1], [7])  # round 2 opens for row 0 only
+        with pytest.raises(DatasetError, match="two rounds"):
+            store.append_cells(rows, [7, 8, 9])
+
+    def test_a_duplicated_row_does_not_lose_a_cell(self):
+        store = TrajectoryStore()
+        rows = store.append_streams(0, [1])
+        with pytest.raises(DatasetError, match="twice"):
+            store.append_cells(np.concatenate([rows, rows]), [3, 4])
+        assert store.view(0).cells == [1]
+        assert store.lengths_of(rows).tolist() == [1]
+
+    @pytest.mark.parametrize("cell", [-1, 36, 300])
+    def test_out_of_range_cells_are_refused(self, cell):
+        store = TrajectoryStore(n_cells=36)  # int8 storage
+        with pytest.raises(DatasetError, match=f"cell {cell} outside"):
+            store.append_streams(0, [3, cell])
+        assert store.n_total == 0
+        rows = store.append_streams(0, [3])
+        with pytest.raises(DatasetError, match="outside"):
+            store.append_cells(rows, [cell])
+        assert store.view(0).cells == [3]
+
+    @pytest.mark.parametrize("column", ["cells", "archive"])
+    @pytest.mark.parametrize("cell", [-1, 100])
+    def test_load_state_refuses_out_of_range_cells(self, column, cell):
+        store = TrajectoryStore(n_cells=36)
+        rows = store.append_streams(0, [1, 2])
+        store.append_cells(rows, [3, 4])
+        store.kill(rows[:1])
+        state = store.state()
+        state[column] = state[column].copy()
+        state[column][0] = cell
+        target = TrajectoryStore(n_cells=36)
+        target.append_streams(0, [5])
+        with pytest.raises(DatasetError, match="outside"):
+            target.load_state(state)
+        assert target.n_total == 1 and target.view(0).cells == [5]
+
+
 @pytest.mark.parametrize("n_cells", [127, 128, 32767, 32768])
 def test_largest_cell_id_survives_every_dtype_boundary(n_cells):
-    """``n_cells - 1`` must read back unwrapped from block and archive."""
+    """``n_cells - 1`` must read back unwrapped from the live vectors, the
+    open round, sealed columns and the log's transpose."""
     top = n_cells - 1
     store = TrajectoryStore(initial_capacity=2, initial_horizon=1, n_cells=n_cells)
-    rows = store.append_streams(0, [top, 0, top])  # grows the slot axis
-    store.append_cells(rows, [0, top, top])  # grows the width axis
+    rows = store.append_streams(0, [top, 0, top])  # grows the live vectors
+    store.append_cells(rows, [0, top, top])  # grows the round index
     store.append_cells(rows[:2], [top, top])
-    store.kill(rows[1:2])  # one stream in the archive, two in the block
+    store.kill(rows[1:2])  # a ghost of round 2; row 2 has no cell there yet
     _assert_cell_storage(store, _CELL_DTYPES[n_cells])
     assert store.flat_cells(rows).tolist() == [top, 0, top, 0, top, top, top, top]
     assert [store.view(r).cells for r in rows] == [
@@ -387,7 +482,7 @@ def test_largest_cell_id_survives_every_dtype_boundary(n_cells):
     assert store.last_cells(rows[:1]).tolist() == [0]
 
 
-class TestLiveBlockAndArchive:
+class TestLiveVectorsAndLog:
     def test_finished_streams_are_immutable(self):
         store = TrajectoryStore()
         rows = store.append_streams(0, [1, 2])
@@ -399,34 +494,38 @@ class TestLiveBlockAndArchive:
             store.pop_last(rows[:1])
         assert store.view(0).cells == [1, 3]
 
-    def test_live_slots_are_recycled_so_the_block_tracks_the_live_set(self):
+    def test_live_vectors_track_the_live_set(self):
         store = TrajectoryStore(initial_capacity=8, initial_horizon=4)
         for t in range(200):
             rows = store.append_streams(t, np.arange(8) % 5)
             store.append_cells(rows, np.arange(8) % 3)
             store.kill(rows)
         assert store.n_total == 1600 and store.n_live == 0
-        assert store._block.shape == (8, 4)  # never grew past the live set
+        assert store.live_cells().size == 0
+        assert store._rows.size == 8  # never grew past the live set
         assert store.view(1599).cells == [2, 1]
 
-    def test_archive_grows_by_chunks_and_merges_only_on_read(self):
+    def test_log_grows_by_chunks_and_reads_copy_nothing(self):
         store = TrajectoryStore(initial_capacity=4, initial_horizon=4)
         per_round = store_module._MIN_CHUNK // 2 + 1
         for t in range(6):
-            rows = store.append_streams(t, np.full(per_round, t))
-            store.kill(rows)
-        assert len(store._chunks) > 1  # appends opened chunks, copied nothing
-        first = store._chunks[0]
-        assert store.cells_at(3).tolist() == [3] * per_round  # a read merges
-        assert len(store._chunks) == 1 and store._chunks[0] is not first
+            store.kill(store.append_streams(t, np.full(per_round, t)))
+        chunks = list(store._cells._chunks)
+        assert len(chunks) > 1  # appends opened chunks, copied nothing
+        assert store.cells_at(3).tolist() == [3] * per_round
+        assert store.flat_cells(np.arange(store.n_total)).size == 6 * per_round
+        assert all(a is b for a, b in zip(store._cells._chunks, chunks))
         store.kill(store.append_streams(9, [6]))  # and appends continue after it
         assert store.view(store.n_total - 1).cells == [6]
+        assert store.cells_at(7).size == 0  # the rounds skipped are empty
 
-    def test_state_drops_the_unwritten_tail_of_the_archive(self):
+    def test_state_holds_exactly_the_written_cells(self):
         store = TrajectoryStore()
         store.kill(store.append_streams(0, [1, 2, 3]))
         assert store.state()["archive"].size == 3
         clone = _reloaded(store)
-        assert sum(c.size for c in clone._chunks) == 3
+        assert clone.cells_at(0).tolist() == [1, 2, 3]
         clone.kill(clone.append_streams(1, [4]))
         assert clone.flat_cells(np.arange(4)).tolist() == [1, 2, 3, 4]
+        assert clone._cells.size == 3  # round 0 sealed; round 1 is open
+        assert clone.state()["archive"].size == 4

@@ -110,7 +110,8 @@ def _table_bytes(table) -> int:
 
 
 def _live_state_bytes(curator) -> int:
-    """numpy bytes in use by ledger, tracker, slot tables and live block."""
+    """numpy bytes in use by ledger, tracker, slot tables and the store's
+    live vectors (row id, current cell, length, birth)."""
     trackers = [shard.tracker for shard in curator._shards or []]
     ledger_table = getattr(curator.accountant, "_slots", None)  # none: schedule
     tables = {id(ledger_table): ledger_table} if ledger_table is not None else {}
@@ -120,7 +121,8 @@ def _live_state_bytes(curator) -> int:
         total += tracker._hist_n * 16
     total += sum(_table_bytes(table) for table in tables.values())
     store = curator.synthesizer.store
-    return total + store._n_slots * (store._block[0].nbytes + 8) + store.n_live * 8
+    live = (store._rows, store._cur, store._len, store._born)
+    return total + sum(vector.nbytes for vector in live)
 
 
 @pytest.mark.parametrize("division", ["population", "budget"])
@@ -242,7 +244,7 @@ def test_resume_between_two_compactions_is_bitwise(
     churn_stream, tmp_path, n_shards, executor
 ):
     store = _resume_at_cut(churn_stream, tmp_path, n_shards, executor)
-    assert store._block.dtype == np.int8  # 16 cells: one byte per point
+    assert store._cells.dtype == np.int8  # 16 cells: one byte per point
 
 
 @pytest.mark.parametrize(
