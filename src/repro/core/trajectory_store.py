@@ -24,13 +24,16 @@ it.
 
 **Rounds.**  The newest round stays *open* until a later one opens, so
 births, drops and withdrawals of the round's cell can still land in it.
-Row ids are creation-order and stable for life.  The row-id methods
-(:meth:`~TrajectoryStore.append_streams`,
-:meth:`~TrajectoryStore.append_cells`, :meth:`~TrajectoryStore.pop_last`,
-:meth:`~TrajectoryStore.kill`) stage into the open round under one
-contract, which both engines keep: every live stream gets exactly one
-cell per round, and only the open round's cell can be withdrawn.  A round
-that would seal with a live stream lacking its cell is refused with a
+Row ids are creation-order and stable for life.  Both engines write a
+round through position masks over the live vectors
+(:meth:`~TrajectoryStore.advance`, :meth:`~TrajectoryStore.drop`) and
+create streams with :meth:`~TrajectoryStore.append_streams`; the row-id
+methods (:meth:`~TrajectoryStore.append_cells`,
+:meth:`~TrajectoryStore.pop_last`, :meth:`~TrajectoryStore.kill`) stage
+into the open round for tests and scripts.  Every write keeps one
+contract: every live stream gets exactly one cell per round, and only the
+open round's cell can be withdrawn.  A round that would seal with a live
+stream lacking its cell is refused with a
 :class:`~repro.exceptions.DatasetError`, as are cells outside
 ``[0, n_cells)``.
 
@@ -45,9 +48,11 @@ cached until the store next changes, so a lazy view costs O(its length).
 
 A checkpoint holds :meth:`TrajectoryStore.state`: the row-major frame
 (live cells, archive of finished streams, per-row columns) derived from
-the log; :meth:`TrajectoryStore.load_state` rebuilds the live vectors and
-the open round at once and transposes the sealed rounds back into the
-log on their first read.
+the log; :meth:`TrajectoryStore.load_state` rebuilds at once what a
+round reads (the live vectors, the open round and the newest sealed
+column) and transposes the older rounds back into the log on the first
+read of history, so a resumed session's first round does not wait for
+that transpose.
 """
 
 from __future__ import annotations
@@ -182,7 +187,8 @@ class TrajectoryStore:
         dtype = np.dtype(_cell_dtype(n_cells))
         self._n_cells = np.iinfo(dtype).max if n_cells is None else int(n_cells)
         # Live vectors, creation order: the first _n_live entries are used.
-        # Compaction writes fresh arrays, so a view handed out stays valid.
+        # Views of them (live_cells(), live_lengths()) are valid only until
+        # the next write.
         capacity = int(initial_capacity)
         self._rows = np.zeros(capacity, dtype=np.int64)
         self._cur = np.zeros(capacity, dtype=np.int64)
@@ -250,8 +256,9 @@ class TrajectoryStore:
         """Fill this store from :meth:`state`.
 
         The frame is checked whole before anything changes.  The live
-        vectors and the open round are rebuilt here; the sealed rounds are
-        transposed into the log on their first read.
+        vectors, the open round and the newest sealed column (all a round
+        reads) are rebuilt here; the older sealed rounds are transposed
+        into the log on the first read of history.
         """
         dtype = self._cells.dtype
         if state["cell_dtype"] != dtype.name:  # the grid decides the dtype
@@ -320,9 +327,12 @@ class TrajectoryStore:
         self._t = last if n else None
         self._pending = None
         if n_sealed:
+            q = src - birth
+            cells_out = self._cells.append_unwritten(self._col_start[n_sealed])
+            # pop_last reads the newest sealed column: write it now.
+            cells_out[self._col_start[n_sealed - 1] :] = source.take(q[prev] + last - 1)
             self._pending = (
-                n_sealed, source, src - birth, ends,
-                self._cells.append_unwritten(self._col_start[n_sealed]),
+                n_sealed, source, q, ends, cells_out,
                 self._removed.append_unwritten(self._rm_start[n_sealed]),
             )
         self._skip = np.flatnonzero(~alive[prev])
@@ -497,7 +507,7 @@ class TrajectoryStore:
         self._compact(keep)
 
     # ------------------------------------------------------------------ #
-    # the vectorized engine's round: position masks over the live vectors
+    # the engines' round: position masks over the live vectors
     # ------------------------------------------------------------------ #
     def advance(self, t: int, quit_mask: np.ndarray, new_cells: np.ndarray) -> None:
         """Open round ``t``: the live streams at ``quit_mask`` end with
@@ -538,7 +548,7 @@ class TrajectoryStore:
         self._retire(pos)
 
     # ------------------------------------------------------------------ #
-    # row-id mutation (the object engine, baselines, tests)
+    # row-id mutation (tests, scripts)
     # ------------------------------------------------------------------ #
     def _positions(self, rows: np.ndarray, doing: str) -> np.ndarray:
         """Live positions of ``rows``, which must be live and distinct."""
@@ -608,8 +618,7 @@ class TrajectoryStore:
             raise DatasetError("cannot pop the only cell of a stream")
         if (self._born[pos] + lengths - 1 != self._t).any():
             raise DatasetError(f"only a cell of the open round {self._t} can be popped")
-        k = self._n_rounds - 1
-        self._restore()
+        k = self._n_rounds - 1  # written, even before _restore
         previous = self._cells.read(*self._col_start[k : k + 2])
         self._by_row_cache = None
         self._cur[pos] = previous[self._src(pos)]

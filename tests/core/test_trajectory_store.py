@@ -51,12 +51,24 @@ class _ObjectReference:
             self.trajs[r].terminated = True
 
 
+def _kill(store, ref, rnd, rows):
+    """Kill ``rows`` on both sides the way callers may: shuffled, one row
+    named twice and up to two finished rows added (kill is idempotent)."""
+    rows = list(rows)
+    finished = [r for r, tr in enumerate(ref.trajs) if tr.terminated]
+    messy = rows + rows[:1] + rnd.sample(finished, min(2, len(finished)))
+    rnd.shuffle(messy)
+    store.kill(np.asarray(messy, dtype=np.int64))
+    ref.kill(messy)
+
+
 def _play_round(store, ref, rnd, t, live, n_cells, masks):
     """One round-shaped step on ``store`` and ``ref``: a kill set, one cell
     for every other live row, a drop (pop of the open cell, then kill), a
     few ghosts (killed holding the open cell) and births.  With ``masks``
     the first two and the drop go through the engine's position masks.
-    Returns the live rows afterwards, in creation order."""
+    Every row-id kill goes through :func:`_kill`.  Returns the live rows
+    afterwards, in creation order."""
     quits = [r for r in live if rnd.random() < 0.2]
     stay = [r for r in live if r not in quits]
     cells = [rnd.randrange(n_cells) for _ in stay]
@@ -64,34 +76,33 @@ def _play_round(store, ref, rnd, t, live, n_cells, masks):
         store.advance(
             t, np.isin(live, quits), np.asarray(cells, dtype=np.int64)
         )
+        ref.kill(quits)
     else:
-        store.kill(np.asarray(quits, dtype=np.int64))
+        _kill(store, ref, rnd, quits)
         half = len(stay) // 2  # two calls: the first opens the round
         for part in (slice(0, half), slice(half, None)):
             store.append_cells(
                 np.asarray(stay[part], dtype=np.int64),
                 np.asarray(cells[part], dtype=np.int64),
             )
-    ref.kill(quits)
     ref.append_cells(stay, cells)
     dropped = [r for r in stay if rnd.random() < 0.1]
     popped = [r for r in dropped if len(ref.trajs[r].cells) > 1]
     if masks:
         store.drop(np.isin(stay, dropped))
+        ref.pop_last(popped)
+        ref.kill(dropped)
     else:
         store.pop_last(np.asarray(popped, dtype=np.int64))
-        store.kill(np.asarray(dropped, dtype=np.int64))
-    ref.pop_last(popped)
-    ref.kill(dropped)
+        ref.pop_last(popped)
+        _kill(store, ref, rnd, dropped)
     ghosts = [r for r in stay if r not in dropped and rnd.random() < 0.05]
-    store.kill(np.asarray(ghosts, dtype=np.int64))
-    ref.kill(ghosts)
+    _kill(store, ref, rnd, ghosts)
     new = [rnd.randrange(n_cells) for _ in range(rnd.randint(0, 5))]
     born = store.append_streams(t, np.asarray(new, dtype=np.int64)).tolist()
     assert ref.append_streams(t, new) == born
     if born and rnd.random() < 0.2:  # a newborn that ends where it began
-        store.kill(np.asarray(born[:1], dtype=np.int64))
-        ref.kill(born[:1])
+        _kill(store, ref, rnd, born[:1])
     return [r for r, tr in enumerate(ref.trajs) if not tr.terminated]
 
 
@@ -222,6 +233,26 @@ class TestState:
                 b.cells,
                 b.terminated,
             )
+
+    def test_a_store_restored_mid_round_pops_without_reading_history(self):
+        store = TrajectoryStore()
+        a, b, c, d = store.append_streams(0, [0, 1, 2, 3])
+        store.append_cells(np.asarray([a, b, c, d]), np.asarray([1, 2, 3, 4]))
+        store.kill(np.asarray([b]))
+        store.append_cells(np.asarray([a, c, d]), np.asarray([2, 3, 4]))
+        store.append_cells(np.asarray([a, c, d]), np.asarray([3, 4, 5]))
+        store.kill(np.asarray([a]))  # ends holding its cell of the open round
+        clone = _reloaded(store)
+        clone.pop_last(np.asarray([c, d]))  # reads the newest sealed column
+        assert clone._pending is not None  # older rounds not transposed yet
+        assert clone.last_cells(np.asarray([c, d])).tolist() == [3, 4]
+        clone.kill(np.asarray([d]))
+        clone.append_cells(np.asarray([c]), np.asarray([6]))
+        assert [clone.view(r).cells for r in (a, b, c, d)] == [
+            [0, 1, 2, 3], [1, 2], [2, 3, 3, 6], [3, 4, 4]
+        ]
+        assert clone.cells_at(2).tolist() == [2, 3, 4]
+        assert clone.cells_at(3).tolist() == [3, 6]
 
 
 class TestEngineIntegration:
