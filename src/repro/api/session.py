@@ -462,6 +462,13 @@ class IngestSession(_SessionBase):
         self.ingest_stats.n_late_dropped = self.assembler.n_late_dropped
 
     def checkpoint(self, path=None) -> None:
+        """Freeze the curator to ``path`` (default: the spec's path).
+
+        Timestamps the assembler still holds open are not in the
+        checkpoint — at ``max_lateness=0``, the newest one submitted.  A
+        resumed session must be fed again from its
+        ``stats()["ingest"]["next_t"]``.
+        """
         super().checkpoint(path)
         self.ingest_stats.checkpoints_written += 1
 
@@ -519,6 +526,13 @@ def load_session(path, **service) -> CuratorSession:
     :data:`~repro.api.specs.SERVICE_FIELDS` (transport, lateness, cadence,
     binding, …) for a restarted deployment.  Any other name is refused
     with :class:`~repro.exceptions.ConfigurationError`.
+
+    An ingest session resumes at the checkpoint's ``last_t + 1``, which
+    its ``stats()["ingest"]["next_t"]`` reports: resubmit every timestamp
+    from there on, including ones sent before the cut that the watermark
+    had not yet closed.  Skipping them refuses reports of unknown users
+    (population division) or closes them as empty rounds (budget
+    division).
     """
     from repro.core.persistence import load_checkpoint_with_spec
 

@@ -6,8 +6,8 @@ store therefore keeps what one round touches dense and contiguous, and
 treats everything else as a view derived from an append-only round log
 (change-data capture: the log is the source of truth):
 
-* the **live vectors** — row id, current cell, length and birth of every
-  live stream, dense and in creation order.  The vectorized engine reads
+* the **live vectors** — row id, current cell and length of every live
+  stream, dense and in creation order.  The vectorized engine reads
   them whole and hands back position masks; a round compacts them once;
 * the **round log** — one sealed record per timestamp, appended to
   chunked buffers that never copy on growth: the round's *column* (the
@@ -23,22 +23,19 @@ costs 8 B of birth, 8 B of length and 4 B for the log entry that retires
 it.
 
 **Rounds.**  The newest round stays *open* until a later one opens, so
-births, drops and withdrawals of the round's cell can still land in it.
-Row ids are creation-order and stable for life.  Both engines write a
-round through position masks over the live vectors
-(:meth:`~TrajectoryStore.advance`, :meth:`~TrajectoryStore.drop`) and
-create streams with :meth:`~TrajectoryStore.append_streams`; the row-id
-methods (:meth:`~TrajectoryStore.append_cells`,
-:meth:`~TrajectoryStore.pop_last`, :meth:`~TrajectoryStore.kill`) stage
-into the open round for tests and scripts.  Every write keeps one
-contract: every live stream gets exactly one cell per round, and only the
-open round's cell can be withdrawn.  A round that would seal with a live
-stream lacking its cell is refused with a
-:class:`~repro.exceptions.DatasetError`, as are cells outside
-``[0, n_cells)``.
+births and drops can still land in it.  Row ids are creation-order and
+stable for life.  A round has three writes, all position masks over the
+live vectors or new streams: :meth:`~TrajectoryStore.advance` opens the
+next round, ending some streams and giving every other one its cell
+there; :meth:`~TrajectoryStore.drop` ends live streams in the open round;
+:meth:`~TrajectoryStore.append_streams` creates streams in it.  Together
+they keep one invariant: every live stream holds the open round's cell.
+Writes that would break it — opening a later round for live streams by
+any other call than ``advance``, or a birth in a sealed round — are
+refused with a :class:`~repro.exceptions.DatasetError`, as are cells
+outside ``[0, n_cells)``.
 
-**Views.**  :meth:`~TrajectoryStore.cells_at`,
-:meth:`~TrajectoryStore.counts_by_cell` and
+**Views.**  :meth:`~TrajectoryStore.cells_at` and
 :meth:`~TrajectoryStore.counts_matrix` read log columns directly.
 Per-stream reads (:meth:`~TrajectoryStore.view`,
 :meth:`~TrajectoryStore.flat_cells`, and :class:`StoreTrajectories` on top
@@ -49,10 +46,9 @@ cached until the store next changes, so a lazy view costs O(its length).
 A checkpoint holds :meth:`TrajectoryStore.state`: the row-major frame
 (live cells, archive of finished streams, per-row columns) derived from
 the log; :meth:`TrajectoryStore.load_state` rebuilds at once what a
-round reads (the live vectors, the open round and the newest sealed
-column) and transposes the older rounds back into the log on the first
-read of history, so a resumed session's first round does not wait for
-that transpose.
+round reads (the live vectors and the open round) and transposes the
+sealed rounds back into the log on the first read of history, so a
+resumed session's first round does not wait for that transpose.
 """
 
 from __future__ import annotations
@@ -193,7 +189,6 @@ class TrajectoryStore:
         self._rows = np.zeros(capacity, dtype=np.int64)
         self._cur = np.zeros(capacity, dtype=np.int64)
         self._len = np.zeros(capacity, dtype=np.int64)
-        self._born = np.zeros(capacity, dtype=np.int64)
         self._n_live = 0
         # Per-row columns, creation order; length 0 marks a live row.
         self._birth = np.zeros(0, dtype=np.int64)
@@ -224,11 +219,9 @@ class TrajectoryStore:
         ``_src(p)`` there); ``_gone`` the subset absent from the open
         column.  Streams ended while holding a cell of the open round are
         its *ghosts*: still in its column, dropped by the next one.
-        ``_n_behind`` counts live streams still lacking the round's cell.
         """
         self._skip = self._gone = ghost_pos
         self._ghost_rows = self._ghost_cells = _EMPTY
-        self._n_behind = self._n_live
         self._n_born = 0
 
     # ------------------------------------------------------------------ #
@@ -256,9 +249,9 @@ class TrajectoryStore:
         """Fill this store from :meth:`state`.
 
         The frame is checked whole before anything changes.  The live
-        vectors, the open round and the newest sealed column (all a round
-        reads) are rebuilt here; the older sealed rounds are transposed
-        into the log on the first read of history.
+        vectors and the open round (all a round reads) are rebuilt here;
+        the sealed rounds are transposed into the log on the first read of
+        history.
         """
         dtype = self._cells.dtype
         if state["cell_dtype"] != dtype.name:  # the grid decides the dtype
@@ -314,11 +307,11 @@ class TrajectoryStore:
 
         self._n, self._n_live = n, 0
         self._birth, self._length = birth.copy(), np.where(alive, 0, length)
-        self._rows, self._cur, self._len, self._born = (
+        self._rows, self._cur, self._len = (
             np.zeros(max(live.size, self._rows.size), dtype=np.int64)
-            for _ in range(4)
+            for _ in range(3)
         )
-        self._place(live, source[src[live] + lengths - 1], lengths, birth[live])
+        self._place(live, source[src[live] + lengths - 1], lengths)
         self._cells, self._removed = _AppendLog(dtype), _AppendLog(np.int32)
         self._col_start = np.concatenate([[0], sizes.cumsum()])
         self._rm_start = np.concatenate([[0], ends_at[:n_sealed].cumsum()])
@@ -327,12 +320,9 @@ class TrajectoryStore:
         self._t = last if n else None
         self._pending = None
         if n_sealed:
-            q = src - birth
-            cells_out = self._cells.append_unwritten(self._col_start[n_sealed])
-            # pop_last reads the newest sealed column: write it now.
-            cells_out[self._col_start[n_sealed - 1] :] = source.take(q[prev] + last - 1)
             self._pending = (
-                n_sealed, source, q, ends, cells_out,
+                n_sealed, source, src - birth, ends,
+                self._cells.append_unwritten(self._col_start[n_sealed]),
                 self._removed.append_unwritten(self._rm_start[n_sealed]),
             )
         self._skip = np.flatnonzero(~alive[prev])
@@ -340,7 +330,6 @@ class TrajectoryStore:
         self._ghost_rows = ghosts
         self._ghost_cells = source[src[ghosts] + length[ghosts] - 1].astype(np.int64)
         self._n_born = int(born_at[n_sealed])
-        self._n_behind = 0
         self._by_row_cache = None
 
     def _restore(self) -> None:
@@ -392,10 +381,6 @@ class TrajectoryStore:
         """Length of each live stream, live order (do not mutate)."""
         return self._len[: self._n_live]
 
-    def alive_mask(self) -> np.ndarray:
-        """Boolean liveness over all created rows."""
-        return self._length[: self._n] == 0
-
     # ------------------------------------------------------------------ #
     # the open round
     # ------------------------------------------------------------------ #
@@ -413,41 +398,36 @@ class TrajectoryStore:
         return pos + np.searchsorted(shift, pos, side="right")
 
     def _advance_to(self, t: int) -> None:
-        """Seal rounds until ``t`` is the open one (the first call starts)."""
+        """Seal rounds until ``t`` is the open one (the first call starts).
+
+        Only :meth:`advance` moves live streams on, so a later round opens
+        here only once no stream is live."""
         if self._t is None:
             self._t0 = self._t = t
             return
         if t < self._t:
             raise DatasetError(f"round {t} is sealed; the open round is {self._t}")
-        if t > self._t + 1 and self._n_live:
+        if t > self._t and self._n_live:
             raise DatasetError(
-                f"live streams cannot skip rounds {self._t + 1}..{t - 1}"
+                f"live streams cannot skip rounds: only advance moves them "
+                f"from round {self._t} to {t}"
             )
         while self._t < t:
             self._seal()
 
     def _open_record(self) -> tuple:
-        """The open round so far: its column, the previous column's
-        positions it drops, and its ghosts' positions in the column."""
+        """The open round: its column, the previous column's positions it
+        drops, and its ghosts' positions in the column."""
         n = self._n_live
-        rows, cells, removed = self._rows[:n], self._cur[:n], self._gone
-        if self._n_behind:  # mid-round: who has no cell yet is not in it
-            behind = self._born[:n] + self._len[:n] <= self._t
-            removed = np.union1d(removed, self._src(np.flatnonzero(behind)))
-            rows, cells = rows[~behind], cells[~behind]
+        cells = self._cur[:n]
         if not self._ghost_rows.size:
-            return cells, removed, _EMPTY
-        at = np.searchsorted(rows, self._ghost_rows)
+            return cells, self._gone, _EMPTY
+        at = np.searchsorted(self._rows[:n], self._ghost_rows)
         ghost_pos = at + np.arange(at.size)
-        return np.insert(cells, at, self._ghost_cells), removed, ghost_pos
+        return np.insert(cells, at, self._ghost_cells), self._gone, ghost_pos
 
     def _seal(self) -> None:
         """Append the open round to the log and open the next timestamp."""
-        if self._n_behind:
-            raise DatasetError(
-                f"round {self._t} cannot seal: {self._n_behind} live streams "
-                "hold no cell there"
-            )
         column, removed, ghost_pos = self._open_record()
         k = self._n_rounds
         self._col_start = extend_log(self._col_start, k + 1, k + 2)
@@ -461,53 +441,28 @@ class TrajectoryStore:
         self._n_rounds, self._t = k + 1, self._t + 1
         self._reset_open_round(ghost_pos)
 
-    def _place(self, rows, cells, lengths, births) -> None:
+    def _place(self, rows, cells, lengths) -> None:
         """Append streams to the live vectors."""
         m, count = self._n_live, rows.size
-        for name in ("_rows", "_cur", "_len", "_born"):
+        for name in ("_rows", "_cur", "_len"):
             setattr(self, name, reserve(getattr(self, name), m, m + count))
         self._rows[m : m + count] = rows
         self._cur[m : m + count] = cells
         self._len[m : m + count] = lengths
-        self._born[m : m + count] = births
         self._n_live = m + count
 
     def _compact(self, keep: np.ndarray) -> None:
         """Keep the live positions where ``keep`` is set (fresh arrays)."""
         m = int(np.count_nonzero(keep))
-        for name in ("_rows", "_cur", "_len", "_born"):
+        for name in ("_rows", "_cur", "_len"):
             old = getattr(self, name)
             new = np.empty(old.size, dtype=old.dtype)
             np.compress(keep, old[: self._n_live], out=new[:m])
             setattr(self, name, new)
         self._n_live = m
 
-    def _retire(self, pos: np.ndarray) -> None:
-        """End the live streams at ``pos`` (ascending, distinct)."""
-        if not pos.size:
-            return
-        self._by_row_cache = None
-        lengths = self._len[pos]
-        self._length[self._rows[pos]] = lengths
-        # A stream holding a cell of the open round stays in its column (a
-        # ghost); one whose last cell is older leaves the column.
-        holding = self._born[pos] + lengths - 1 == self._t
-        old = self._born[pos] < self._t  # in the previous column too
-        src = self._src(pos[old])
-        self._skip = np.union1d(self._skip, src)
-        self._gone = np.union1d(self._gone, src[~holding[old]])
-        if holding.any():
-            rows = np.concatenate([self._ghost_rows, self._rows[pos[holding]]])
-            cells = np.concatenate([self._ghost_cells, self._cur[pos[holding]]])
-            order = np.argsort(rows)
-            self._ghost_rows, self._ghost_cells = rows[order], cells[order]
-        self._n_behind -= int(pos.size - np.count_nonzero(holding))
-        keep = np.ones(self._n_live, dtype=bool)
-        keep[pos] = False
-        self._compact(keep)
-
     # ------------------------------------------------------------------ #
-    # the engines' round: position masks over the live vectors
+    # the round's writes: position masks over the live vectors
     # ------------------------------------------------------------------ #
     def advance(self, t: int, quit_mask: np.ndarray, new_cells: np.ndarray) -> None:
         """Open round ``t``: the live streams at ``quit_mask`` end with
@@ -532,39 +487,41 @@ class TrajectoryStore:
         m = self._n_live
         self._cur[:m] = new_cells
         self._len[:m] += 1
-        self._n_behind = 0
 
     def drop(self, mask: np.ndarray) -> None:
-        """Retire the live streams at ``mask`` in the open round.
+        """End the live streams at ``mask`` in the open round.
 
-        Each gives back the cell it holds there, unless that is its only
-        cell, so its final cell is the previous round's.
+        Each gives back its cell there and leaves the round's column, so
+        its final cell is the previous round's — unless that is its only
+        cell: a newborn keeps it and stays in the column as a *ghost*.
         """
+        if mask.size != self._n_live:
+            raise DatasetError(
+                f"cannot drop with a mask of {mask.size} over {self._n_live} "
+                "live streams"
+            )
         pos = np.flatnonzero(mask)
+        if not pos.size:
+            return
+        self._by_row_cache = None
         lengths = self._len[pos]
-        fresh = (self._born[pos] + lengths - 1 == self._t) & (lengths > 1)
-        self._len[pos[fresh]] -= 1
-        self._n_behind += int(np.count_nonzero(fresh))
-        self._retire(pos)
-
-    # ------------------------------------------------------------------ #
-    # row-id mutation (tests, scripts)
-    # ------------------------------------------------------------------ #
-    def _positions(self, rows: np.ndarray, doing: str) -> np.ndarray:
-        """Live positions of ``rows``, which must be live and distinct."""
-        n = self._n_live
-        pos = np.searchsorted(self._rows[:n], rows)
-        if not n or (self._rows[np.minimum(pos, n - 1)] != rows).any():
-            raise DatasetError(f"cannot {doing} a finished stream")
-        if pos.size > 1 and np.unique(pos).size != pos.size:
-            raise DatasetError(f"cannot {doing} a stream twice in one call")
-        return pos
+        newborn = lengths == 1
+        self._length[self._rows[pos]] = np.maximum(lengths - 1, 1)
+        src = self._src(pos[~newborn])
+        self._skip = np.union1d(self._skip, src)
+        self._gone = np.union1d(self._gone, src)
+        if newborn.any():
+            rows = np.concatenate([self._ghost_rows, self._rows[pos[newborn]]])
+            cells = np.concatenate([self._ghost_cells, self._cur[pos[newborn]]])
+            order = np.argsort(rows)
+            self._ghost_rows, self._ghost_cells = rows[order], cells[order]
+        self._compact(~mask)
 
     def append_streams(self, t: int, cells) -> np.ndarray:
         """Create one live stream born at ``t`` per entry of ``cells``.
 
-        ``t`` is the open round, or a later one once every live stream
-        holds its cell.  Returns the new rows.
+        ``t`` is the open round, or a later one while no stream is live.
+        Returns the new rows.
         """
         cells = np.atleast_1d(np.asarray(cells, dtype=np.int64))
         if cells.size == 0:
@@ -578,85 +535,20 @@ class TrajectoryStore:
         rows = np.arange(n, need, dtype=np.int64)
         self._birth[n:need] = self._t
         self._length[n:need] = 0
-        self._place(rows, cells, 1, self._t)
+        self._place(rows, cells, 1)
         self._n = need
         self._n_born += cells.size
         return rows
 
-    def append_cells(self, rows: np.ndarray, cells: np.ndarray) -> None:
-        """Give each of ``rows`` its next cell.
-
-        Streams lacking the open round's cell get it; when every named
-        stream holds it already, the next round opens.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        cells = np.asarray(cells, dtype=np.int64)
-        if rows.size == 0:
-            return
-        if cells.shape != rows.shape:
-            raise DatasetError(f"{cells.size} cells for {rows.size} streams")
-        self._check_cells(cells)
-        pos = self._positions(rows, "extend")
-        holding = self._born[pos] + self._len[pos] - 1 == self._t
-        if holding.all():
-            self._advance_to(self._t + 1)
-        elif holding.any():
-            raise DatasetError("one call cannot extend streams into two rounds")
-        self._by_row_cache = None
-        self._cur[pos] = cells
-        self._len[pos] += 1
-        self._n_behind -= pos.size
-
-    def pop_last(self, rows: np.ndarray) -> None:
-        """Withdraw the open round's cell of each row (length stays >= 1)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            return
-        pos = self._positions(rows, "shorten")
-        lengths = self._len[pos]
-        if (lengths < 2).any():
-            raise DatasetError("cannot pop the only cell of a stream")
-        if (self._born[pos] + lengths - 1 != self._t).any():
-            raise DatasetError(f"only a cell of the open round {self._t} can be popped")
-        k = self._n_rounds - 1  # written, even before _restore
-        previous = self._cells.read(*self._col_start[k : k + 2])
-        self._by_row_cache = None
-        self._cur[pos] = previous[self._src(pos)]
-        self._len[pos] = lengths - 1
-        self._n_behind += pos.size
-
-    def kill(self, rows: np.ndarray) -> None:
-        """Terminate the given streams (idempotent, any order)."""
-        rows = np.unique(np.asarray(rows, dtype=np.int64))
-        if rows.size and (rows[0] < 0 or rows[-1] >= self._n):
-            raise DatasetError(f"stream rows outside [0, {self._n})")
-        rows = rows[self._length[rows] == 0]
-        self._retire(np.searchsorted(self._rows[: self._n_live], rows))
-
     # ------------------------------------------------------------------ #
     # per-row array accessors
     # ------------------------------------------------------------------ #
-    def _live_positions(self, rows: np.ndarray, live: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self._rows[: self._n_live], rows[live])
-
-    def last_cells(self, rows: np.ndarray) -> np.ndarray:
-        """Current (latest) cell of each requested row."""
-        rows = np.asarray(rows, dtype=np.int64)
-        live = self._length[rows] == 0
-        out = np.empty(rows.size, dtype=np.int64)
-        out[live] = self._cur[self._live_positions(rows, live)]
-        if not live.all():
-            flat, starts = self._by_row()
-            done = rows[~live]
-            out[~live] = flat[starts[done] + self._length[done] - 1]
-        return out
-
     def lengths_of(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.int64)
         out = self._length[rows]
         live = out == 0
         if live.any():
-            out[live] = self._len[self._live_positions(rows, live)]
+            out[live] = self._len[np.searchsorted(self.live_rows(), rows[live])]
         return out
 
     def births_of(self, rows: np.ndarray) -> np.ndarray:
@@ -726,10 +618,6 @@ class TrajectoryStore:
             return self._open_record()[0].astype(np.int64)
         self._restore()
         return self._cells.read(*self._col_start[k : k + 2]).astype(np.int64)
-
-    def counts_by_cell(self, t: int, n_cells: int) -> np.ndarray:
-        """Histogram of :meth:`cells_at` over ``[0, n_cells)``."""
-        return np.bincount(self.cells_at(t), minlength=int(n_cells))
 
     def counts_matrix(self, n_timestamps: int, n_cells: int) -> np.ndarray:
         """``(n_timestamps, n_cells)`` point-count matrix over all streams.

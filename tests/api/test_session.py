@@ -305,6 +305,7 @@ class TestSessionCheckpointing:
             ("direct", 1, "serial"),
             ("ingest", 1, "serial"),
             ("direct", 2, "distributed"),
+            ("ingest", 2, "distributed"),
         ],
     )
     def test_resume_is_bitwise(
@@ -338,9 +339,13 @@ class TestSessionCheckpointing:
         assert resumed.spec == spec
         view2 = ColumnarStreamView(walk_data, resumed.curator.space)
         # Replay from the curator's frontier: with the ingest transport the
-        # assembler may have held back still-open timestamps at checkpoint
-        # time (watermarking), and producers resend from _last_t + 1.
-        for t in range(resumed.curator._last_t + 1, walk_data.n_timestamps):
+        # assembler holds back still-open timestamps at checkpoint time (at
+        # lateness 0, the newest one submitted), and producers resend from
+        # stats()["ingest"]["next_t"] = _last_t + 1.
+        start = resumed.curator._last_t + 1
+        if transport == "ingest":
+            assert resumed.stats()["ingest"]["next_t"] == start < cut
+        for t in range(start, walk_data.n_timestamps):
             resumed.submit_batch(
                 t, view2.batch_at(t),
                 newly_entered=view2.newly_entered_at(t),

@@ -71,6 +71,7 @@ class TestSpawning:
     def test_unique_user_ids(self, space4):
         syn = Synthesizer(GlobalMobilityModel(space4), lam=10.0, rng=0)
         syn.spawn_uniform(0, 50)
+        syn.step(1)  # only a step moves live streams into round 1
         syn.spawn_uniform(1, 50)
         ids = [tr.user_id for tr in syn.all_trajectories()]
         assert len(set(ids)) == 100

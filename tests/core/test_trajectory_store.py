@@ -4,8 +4,9 @@ The store must round-trip bit-identical ``CellTrajectory`` views against a
 plain object reference driven by the same round-shaped operation sequence,
 grow transparently, serve array accessors that agree with object-side
 computations, and refuse every write outside its round contract with a
-typed error — whether a round came in through the row-id methods or the
-vectorized engine's position masks, and before or after a checkpoint.
+typed error, before or after a checkpoint.  Every round is written the way
+the engines write it: ``advance``, ``drop`` and ``append_streams`` with
+position masks over ``live_rows()``.
 """
 
 import random
@@ -24,7 +25,7 @@ from repro.geo.trajectory import CellTrajectory
 
 
 class _ObjectReference:
-    """List-of-objects twin driven by the same operations as the store."""
+    """List-of-objects twin of the store, written row by row."""
 
     def __init__(self):
         self.trajs: list[CellTrajectory] = []
@@ -51,58 +52,36 @@ class _ObjectReference:
             self.trajs[r].terminated = True
 
 
-def _kill(store, ref, rnd, rows):
-    """Kill ``rows`` on both sides the way callers may: shuffled, one row
-    named twice and up to two finished rows added (kill is idempotent)."""
-    rows = list(rows)
-    finished = [r for r, tr in enumerate(ref.trajs) if tr.terminated]
-    messy = rows + rows[:1] + rnd.sample(finished, min(2, len(finished)))
-    rnd.shuffle(messy)
-    store.kill(np.asarray(messy, dtype=np.int64))
-    ref.kill(messy)
+def _drop(store, ref, rows):
+    """Drop ``rows`` on both sides: each gives back its open cell, unless
+    that is its only one (a newborn stays in the round as a ghost)."""
+    store.drop(np.isin(store.live_rows(), rows))
+    ref.pop_last([r for r in rows if len(ref.trajs[r].cells) > 1])
+    ref.kill(rows)
 
 
-def _play_round(store, ref, rnd, t, live, n_cells, masks):
-    """One round-shaped step on ``store`` and ``ref``: a kill set, one cell
-    for every other live row, a drop (pop of the open cell, then kill), a
-    few ghosts (killed holding the open cell) and births.  With ``masks``
-    the first two and the drop go through the engine's position masks.
-    Every row-id kill goes through :func:`_kill`.  Returns the live rows
-    afterwards, in creation order."""
-    quits = [r for r in live if rnd.random() < 0.2]
-    stay = [r for r in live if r not in quits]
-    cells = [rnd.randrange(n_cells) for _ in stay]
-    if masks and live:
+def _play_round(store, ref, rnd, t, live, n_cells):
+    """One round-shaped step on ``store`` and ``ref``: an advance (a quit
+    set, one cell for every other live row), then up to three drops and
+    births in any order.  A drop may name old streams and newborns alike.
+    Returns the live rows afterwards, in creation order."""
+    if live:
+        quits = [r for r in live if rnd.random() < 0.2]
+        stay = [r for r in live if r not in quits]
+        cells = [rnd.randrange(n_cells) for _ in stay]
         store.advance(
-            t, np.isin(live, quits), np.asarray(cells, dtype=np.int64)
+            t, np.isin(store.live_rows(), quits), np.asarray(cells, dtype=np.int64)
         )
         ref.kill(quits)
-    else:
-        _kill(store, ref, rnd, quits)
-        half = len(stay) // 2  # two calls: the first opens the round
-        for part in (slice(0, half), slice(half, None)):
-            store.append_cells(
-                np.asarray(stay[part], dtype=np.int64),
-                np.asarray(cells[part], dtype=np.int64),
-            )
-    ref.append_cells(stay, cells)
-    dropped = [r for r in stay if rnd.random() < 0.1]
-    popped = [r for r in dropped if len(ref.trajs[r].cells) > 1]
-    if masks:
-        store.drop(np.isin(stay, dropped))
-        ref.pop_last(popped)
-        ref.kill(dropped)
-    else:
-        store.pop_last(np.asarray(popped, dtype=np.int64))
-        ref.pop_last(popped)
-        _kill(store, ref, rnd, dropped)
-    ghosts = [r for r in stay if r not in dropped and rnd.random() < 0.05]
-    _kill(store, ref, rnd, ghosts)
-    new = [rnd.randrange(n_cells) for _ in range(rnd.randint(0, 5))]
-    born = store.append_streams(t, np.asarray(new, dtype=np.int64)).tolist()
-    assert ref.append_streams(t, new) == born
-    if born and rnd.random() < 0.2:  # a newborn that ends where it began
-        _kill(store, ref, rnd, born[:1])
+        ref.append_cells(stay, cells)
+    for _ in range(rnd.randint(0, 3)):
+        live = [r for r, tr in enumerate(ref.trajs) if not tr.terminated]
+        if rnd.random() < 0.5:
+            _drop(store, ref, [r for r in live if rnd.random() < 0.15])
+        else:
+            new = [rnd.randrange(n_cells) for _ in range(rnd.randint(0, 5))]
+            born = store.append_streams(t, np.asarray(new, dtype=np.int64)).tolist()
+            assert ref.append_streams(t, new) == born
     return [r for r, tr in enumerate(ref.trajs) if not tr.terminated]
 
 
@@ -113,8 +92,12 @@ def _random_walk(seed, n_rounds=40, n_cells=25):
     ref = _ObjectReference()
     live: list[int] = []
     for t in range(n_rounds):
-        live = _play_round(store, ref, rnd, t, live, n_cells, rnd.random() < 0.5)
+        live = _play_round(store, ref, rnd, t, live, n_cells)
     return store, ref
+
+
+def _drop_all(store):
+    store.drop(np.ones(store.n_live, dtype=bool))
 
 
 class TestRoundTrip:
@@ -144,8 +127,6 @@ class TestRoundTrip:
         for t in range(horizon):
             expected = [tr.cell_at(t) for tr in ref.trajs if tr.active_at(t)]
             assert store.cells_at(t).tolist() == expected
-            counts = np.bincount(expected, minlength=25)
-            np.testing.assert_array_equal(store.counts_by_cell(t, 25), counts)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_counts_matrix_matches_stream_dataset_loop(self, seed):
@@ -175,18 +156,20 @@ class TestRoundTrip:
 class TestGrowthAndGuards:
     def test_row_and_horizon_doubling(self):
         store = TrajectoryStore(initial_capacity=2, initial_horizon=2)
-        rows = store.append_streams(0, np.zeros(9, dtype=np.int64))
-        for _ in range(10):
-            store.append_cells(rows, np.ones(rows.size, dtype=np.int64))
+        store.append_streams(0, np.zeros(9, dtype=np.int64))
+        for t in range(1, 11):
+            store.advance(t, np.zeros(9, dtype=bool), np.ones(9, dtype=np.int64))
         assert store.n_total == 9
         assert (store.lengths() == 11).all()
         assert store.view(4).cells == [0] + [1] * 10
 
-    def test_pop_last_refuses_single_cell_streams(self):
+    def test_a_dropped_newborn_keeps_its_only_cell(self):
         store = TrajectoryStore()
-        rows = store.append_streams(0, [1, 2])
-        with pytest.raises(DatasetError):
-            store.pop_last(rows)
+        store.append_streams(0, [1, 2])
+        store.drop(np.asarray([False, True]))
+        assert store.live_rows().tolist() == [0]
+        assert store.view(1).cells == [2] and store.view(1).terminated
+        assert store.cells_at(0).tolist() == [1, 2]
 
     def test_view_bounds(self):
         store = TrajectoryStore()
@@ -197,13 +180,42 @@ class TestGrowthAndGuards:
         with pytest.raises(ConfigurationError):
             TrajectoryStore(initial_capacity=0)
 
-    def test_kill_is_idempotent(self):
+    def test_ghosts_keep_creation_order_in_the_column(self):
         store = TrajectoryStore()
-        rows = store.append_streams(0, [1])
-        store.kill(rows)
-        store.kill(rows)
+        store.append_streams(0, [1, 2])
+        store.advance(1, np.zeros(2, dtype=bool), np.asarray([3, 4]))
+        store.append_streams(1, [5, 6, 7])  # rows 2, 3, 4
+        store.drop(np.asarray([False, False, False, True, False]))  # row 3 first
+        store.drop(np.asarray([True, False, True, False]))  # then rows 0 and 2
+        assert store.live_rows().tolist() == [1, 4]
+        assert store.cells_at(1).tolist() == [4, 5, 6, 7]  # rows 1, 2, 3, 4
+        store.advance(2, np.zeros(2, dtype=bool), np.asarray([8, 9]))
+        assert store.cells_at(1).tolist() == [4, 5, 6, 7]
+        assert store.cells_at(2).tolist() == [8, 9]
+        assert [store.view(r).cells for r in range(5)] == [[1], [2, 4, 8], [5], [6], [7, 9]]
+
+    def test_a_ghost_survives_a_checkpoint_and_leaves_at_the_next_round(self):
+        store = TrajectoryStore()
+        store.append_streams(0, [1, 2])
+        store.advance(1, np.zeros(2, dtype=bool), np.asarray([3, 4]))
+        store.append_streams(1, [5])
+        store.drop(np.asarray([False, True, True]))  # row 1 gives back 4; row 2: a ghost
+        clone = _reloaded(store)
+        for s in (store, clone):
+            s.advance(2, np.zeros(1, dtype=bool), np.asarray([6]))
+        for s in (store, clone):
+            assert s.cells_at(1).tolist() == [3, 5]
+            assert s.cells_at(2).tolist() == [6]
+            assert [s.view(r).cells for r in range(3)] == [[1, 3, 6], [2], [5]]
+
+    def test_an_empty_drop_changes_nothing(self):
+        store = TrajectoryStore()
+        store.append_streams(0, [1])
+        store.drop(np.zeros(1, dtype=bool))
+        _drop_all(store)
+        _drop_all(store)  # nothing live: nothing to drop
         assert store.n_live == 0
-        assert store.view(0).terminated
+        assert store.view(0).terminated and store.view(0).cells == [1]
 
     def test_empty_store_accessors(self):
         store = TrajectoryStore()
@@ -234,25 +246,27 @@ class TestState:
                 b.terminated,
             )
 
-    def test_a_store_restored_mid_round_pops_without_reading_history(self):
+    def test_a_restored_store_plays_a_round_without_reading_history(self):
         store = TrajectoryStore()
         a, b, c, d = store.append_streams(0, [0, 1, 2, 3])
-        store.append_cells(np.asarray([a, b, c, d]), np.asarray([1, 2, 3, 4]))
-        store.kill(np.asarray([b]))
-        store.append_cells(np.asarray([a, c, d]), np.asarray([2, 3, 4]))
-        store.append_cells(np.asarray([a, c, d]), np.asarray([3, 4, 5]))
-        store.kill(np.asarray([a]))  # ends holding its cell of the open round
+        store.advance(1, np.zeros(4, dtype=bool), np.asarray([1, 2, 3, 4]))
+        store.advance(2, np.asarray([False, True, False, False]), np.asarray([2, 3, 4]))
+        store.advance(3, np.zeros(3, dtype=bool), np.asarray([3, 4, 5]))
+        (e,) = store.append_streams(3, [6])
+        store.drop(np.asarray([False, False, False, True]))  # e: a ghost of round 3
         clone = _reloaded(store)
-        clone.pop_last(np.asarray([c, d]))  # reads the newest sealed column
-        assert clone._pending is not None  # older rounds not transposed yet
-        assert clone.last_cells(np.asarray([c, d])).tolist() == [3, 4]
-        clone.kill(np.asarray([d]))
-        clone.append_cells(np.asarray([c]), np.asarray([6]))
-        assert [clone.view(r).cells for r in (a, b, c, d)] == [
-            [0, 1, 2, 3], [1, 2], [2, 3, 3, 6], [3, 4, 4]
+        clone.advance(4, np.asarray([True, False, False]), np.asarray([6, 7]))
+        (f,) = clone.append_streams(4, [8])
+        clone.drop(np.asarray([False, True, True]))  # d gives back 7; f is a ghost
+        (g,) = clone.append_streams(4, [9])
+        assert clone._pending is not None  # the sealed rounds wait for a read
+        assert [clone.view(r).cells for r in (a, b, c, d, e, f, g)] == [
+            [0, 1, 2, 3], [1, 2], [2, 3, 3, 4, 6], [3, 4, 4, 5], [6], [8], [9]
         ]
+        assert clone._pending is None
         assert clone.cells_at(2).tolist() == [2, 3, 4]
-        assert clone.cells_at(3).tolist() == [3, 6]
+        assert clone.cells_at(3).tolist() == [3, 4, 5, 6]
+        assert clone.cells_at(4).tolist() == [6, 8, 9]
 
 
 class TestEngineIntegration:
@@ -319,9 +333,9 @@ def test_store_matches_list_of_lists_oracle(rounds, capacity, horizon, n_cells):
     live: list[int] = []
     for t, seed in enumerate(rounds):
         rnd = random.Random(seed)
-        live = _play_round(store, ref, rnd, t, live, _N_CELLS, rnd.random() < 0.5)
         if rnd.random() < 0.1:  # resume from a checkpoint mid-sequence
             store = _reloaded(store, initial_capacity=capacity, n_cells=n_cells)
+        live = _play_round(store, ref, rnd, t, live, _N_CELLS)
 
         streams = [tr.cells for tr in ref.trajs]
         births = [tr.start_time for tr in ref.trajs]
@@ -330,10 +344,10 @@ def test_store_matches_list_of_lists_oracle(rounds, capacity, horizon, n_cells):
         assert store.n_total == len(streams)
         assert store.n_live == len(live) and store.n_archived == len(streams) - len(live)
         assert store.live_rows().tolist() == live  # creation order
-        assert store.alive_mask().tolist() == alive
         assert store.lengths().tolist() == [len(s) for s in streams]
-        assert store.last_cells(np.asarray(everyone, dtype=np.int64)).tolist() == [
-            s[-1] for s in streams
+        assert store.live_cells().tolist() == [streams[r][-1] for r in live]
+        assert store.flat_cells(np.asarray(everyone, dtype=np.int64)).tolist() == [
+            c for s in streams for c in s
         ]
         _assert_cell_storage(store, _CELL_DTYPES[n_cells])
     # Read surfaces over the final state, in a scrambled row order too.
@@ -368,7 +382,7 @@ def test_store_matches_list_of_lists_oracle(rounds, capacity, horizon, n_cells):
     # Accessors hand out int64 whatever the storage dtype.
     everyone = np.asarray(everyone, dtype=np.int64)
     for cells in (
-        store.flat_cells(rows), store.cells_at(1), store.last_cells(everyone),
+        store.flat_cells(rows), store.cells_at(1), store.flat_cells(everyone),
         store.counts_matrix(horizon_t, _N_CELLS),
     ):
         assert cells.dtype == np.int64
@@ -379,12 +393,15 @@ def test_store_matches_list_of_lists_oracle(rounds, capacity, horizon, n_cells):
         assert clone.cells_at(t).tolist() == store.cells_at(t).tolist()
     _assert_cell_storage(clone, _CELL_DTYPES[n_cells])
     # A restored store keeps appending, in the dtype it was written with.
-    clone.append_cells(np.asarray(live, dtype=np.int64), np.full(len(live), 4))
-    fresh = clone.append_streams(len(rounds), [3])
-    clone.append_cells(fresh, [4])
-    clone.kill(fresh)
-    assert clone.view(int(fresh[0])).cells == [3, 4]
+    t = len(rounds)
+    if live:
+        clone.advance(t, np.zeros(len(live), dtype=bool), np.full(len(live), 4))
+    (fresh,) = clone.append_streams(t, [3])
+    clone.advance(t + 1, np.zeros(len(live) + 1, dtype=bool), np.full(len(live) + 1, 4))
+    clone.drop(np.isin(clone.live_rows(), fresh))
+    assert clone.view(int(fresh)).cells == [3]
     assert clone.live_rows().tolist() == live
+    assert clone.cells_at(t + 1).tolist() == [4] * len(live)
     _assert_cell_storage(clone, _CELL_DTYPES[n_cells])
 
 
@@ -396,47 +413,28 @@ class TestRoundContract:
     def _store():
         store = TrajectoryStore(n_cells=10)
         rows = store.append_streams(0, [1, 2, 3])
-        store.append_cells(rows, [4, 5, 6])  # round 1: every stream has a cell
+        store.advance(1, np.zeros(3, dtype=bool), np.asarray([4, 5, 6]))
         return store, rows
 
     @staticmethod
     def _snapshot(store):
         return [(v.start_time, v.cells, v.terminated) for v in store.all_views()]
 
-    def test_a_stream_left_without_a_cell_blocks_the_next_round(self):
-        store, rows = self._store()
-        store.append_cells(rows[:2], [7, 8])  # round 2 opens; row 2 lacks its cell
-        before = self._snapshot(store)
-        for write in (
-            lambda: store.append_cells(rows[:1], [9]),
-            lambda: store.append_streams(3, [1]),
-            lambda: store.advance(3, np.zeros(3, dtype=bool), np.zeros(3, dtype=np.int64)),
-        ):
-            with pytest.raises(DatasetError, match="hold no cell"):
-                write()
-            assert self._snapshot(store) == before
-        store.append_cells(rows[2:], [9])  # the missing cell repairs the round
-        store.append_streams(3, [1])
-
     @pytest.mark.parametrize(
         "write, match",
         [
             (lambda s, rows: s.append_streams(0, [1]), "sealed"),
+            (lambda s, rows: s.append_streams(2, [1]), "only advance"),
             (lambda s, rows: s.append_streams(3, [1]), "skip rounds"),
-            (lambda s, rows: s.append_cells(rows[[0, 0]], [7, 8]), "twice"),
-            (
-                lambda s, rows: s.append_cells(rows, [7, 8, 9])
-                or s.pop_last(rows[:1]) or s.pop_last(rows[:1]),
-                "open round",
-            ),
             (lambda s, rows: s.advance(1, np.zeros(3, dtype=bool), np.zeros(3)), "round 1"),
             (lambda s, rows: s.advance(2, np.zeros(2, dtype=bool), np.zeros(2)), "advance"),
             (lambda s, rows: s.advance(2, np.zeros(3, dtype=bool), np.zeros(2)), "cells for"),
+            (lambda s, rows: s.drop(np.ones(2, dtype=bool)), "cannot drop"),
         ],
         ids=[
-            "birth-in-sealed-round", "live-streams-skip-a-round", "row-named-twice",
-            "pop-of-a-sealed-cell", "advance-to-open-round", "mask-size",
-            "cell-count",
+            "birth-in-sealed-round", "birth-in-the-next-round-while-live",
+            "live-streams-skip-a-round", "advance-to-open-round", "mask-size",
+            "cell-count", "drop-mask-size",
         ],
     )
     def test_off_contract_writes_are_refused(self, write, match):
@@ -444,22 +442,14 @@ class TestRoundContract:
         before = self._snapshot(store)
         with pytest.raises(DatasetError, match=match):
             write(store, rows)
-        if match != "open round":  # the writes before that second pop are legal
-            assert self._snapshot(store) == before
+        assert self._snapshot(store) == before
 
-    def test_one_call_cannot_span_two_rounds(self):
-        store, rows = self._store()
-        store.append_cells(rows[:1], [7])  # round 2 opens for row 0 only
-        with pytest.raises(DatasetError, match="two rounds"):
-            store.append_cells(rows, [7, 8, 9])
-
-    def test_a_duplicated_row_does_not_lose_a_cell(self):
+    def test_advance_needs_a_started_store(self):
         store = TrajectoryStore()
-        rows = store.append_streams(0, [1])
-        with pytest.raises(DatasetError, match="twice"):
-            store.append_cells(np.concatenate([rows, rows]), [3, 4])
-        assert store.view(0).cells == [1]
-        assert store.lengths_of(rows).tolist() == [1]
+        empty = np.zeros(0, dtype=np.int64)
+        with pytest.raises(DatasetError, match="cannot advance"):
+            store.advance(0, empty.astype(bool), empty)
+        assert store.n_total == 0 and store.cells_at(0).size == 0
 
     @pytest.mark.parametrize("cell", [-1, 36, 300])
     def test_out_of_range_cells_are_refused(self, cell):
@@ -467,18 +457,17 @@ class TestRoundContract:
         with pytest.raises(DatasetError, match=f"cell {cell} outside"):
             store.append_streams(0, [3, cell])
         assert store.n_total == 0
-        rows = store.append_streams(0, [3])
+        store.append_streams(0, [3])
         with pytest.raises(DatasetError, match="outside"):
-            store.append_cells(rows, [cell])
-        assert store.view(0).cells == [3]
+            store.append_streams(0, [cell])
+        assert store.n_total == 1 and store.view(0).cells == [3]
 
     @pytest.mark.parametrize("column", ["cells", "archive"])
     @pytest.mark.parametrize("cell", [-1, 100])
     def test_load_state_refuses_out_of_range_cells(self, column, cell):
         store = TrajectoryStore(n_cells=36)
-        rows = store.append_streams(0, [1, 2])
-        store.append_cells(rows, [3, 4])
-        store.kill(rows[:1])
+        store.append_streams(0, [1, 2])
+        store.advance(1, np.asarray([True, False]), np.asarray([4]))
         state = store.state()
         state[column] = state[column].copy()
         state[column][0] = cell
@@ -495,42 +484,45 @@ def test_largest_cell_id_survives_every_dtype_boundary(n_cells):
     open round, sealed columns and the log's transpose."""
     top = n_cells - 1
     store = TrajectoryStore(initial_capacity=2, initial_horizon=1, n_cells=n_cells)
-    rows = store.append_streams(0, [top, 0, top])  # grows the live vectors
-    store.append_cells(rows, [0, top, top])  # grows the round index
-    store.append_cells(rows[:2], [top, top])
-    store.kill(rows[1:2])  # a ghost of round 2; row 2 has no cell there yet
+    store.append_streams(0, [top, 0, top])  # grows the live vectors
+    store.advance(1, np.zeros(3, dtype=bool), np.asarray([0, top, top]))  # grows the round index
+    store.advance(2, np.asarray([False, False, True]), np.asarray([top, top]))
+    store.append_streams(2, [top])
+    store.drop(np.asarray([False, True, True]))  # row 1 gives back top; row 3: a ghost
     _assert_cell_storage(store, _CELL_DTYPES[n_cells])
-    assert store.flat_cells(rows).tolist() == [top, 0, top, 0, top, top, top, top]
-    assert [store.view(r).cells for r in rows] == [
-        [top, 0, top], [0, top, top], [top, top]
+    assert store.flat_cells(np.arange(4)).tolist() == [top, 0, top, 0, top, top, top, top]
+    assert [store.view(r).cells for r in range(4)] == [
+        [top, 0, top], [0, top], [top, top], [top]
     ]
-    assert store.last_cells(rows).tolist() == [top, top, top]
+    assert store.live_cells().tolist() == [top]
     assert store.cells_at(1).tolist() == [0, top, top]
-    assert store.counts_by_cell(2, n_cells)[top] == 2
+    assert store.cells_at(2).tolist() == [top, top]  # the open round
     counts = store.counts_matrix(3, n_cells)
     assert counts.dtype == np.int64 and counts[:, top].tolist() == [2, 2, 2]
-    store.pop_last(rows[:1])
-    assert store.last_cells(rows[:1]).tolist() == [0]
+    store.advance(3, np.zeros(1, dtype=bool), np.asarray([top]))
+    assert store.cells_at(2).tolist() == [top, top]  # sealed
+    assert store.view(0).cells == [top, 0, top, top]
 
 
 class TestLiveVectorsAndLog:
     def test_finished_streams_are_immutable(self):
         store = TrajectoryStore()
-        rows = store.append_streams(0, [1, 2])
-        store.append_cells(rows, np.asarray([3, 4]))
-        store.kill(rows[:1])
-        with pytest.raises(DatasetError, match="finished stream"):
-            store.append_cells(rows, np.asarray([5, 6]))
-        with pytest.raises(DatasetError, match="finished stream"):
-            store.pop_last(rows[:1])
-        assert store.view(0).cells == [1, 3]
+        store.append_streams(0, [1, 2])
+        store.advance(1, np.zeros(2, dtype=bool), np.asarray([3, 4]))
+        store.advance(2, np.asarray([True, False]), np.asarray([5]))
+        with pytest.raises(DatasetError, match="cannot advance"):
+            store.advance(3, np.zeros(2, dtype=bool), np.asarray([6, 7]))
+        store.advance(3, np.zeros(1, dtype=bool), np.asarray([6]))
+        store.drop(np.ones(1, dtype=bool))
+        assert store.view(0).cells == [1, 3] and store.view(0).terminated
+        assert store.view(1).cells == [2, 4, 5]
 
     def test_live_vectors_track_the_live_set(self):
         store = TrajectoryStore(initial_capacity=8, initial_horizon=4)
-        for t in range(200):
-            rows = store.append_streams(t, np.arange(8) % 5)
-            store.append_cells(rows, np.arange(8) % 3)
-            store.kill(rows)
+        for t in range(0, 400, 2):
+            store.append_streams(t, np.arange(8) % 5)
+            store.advance(t + 1, np.zeros(8, dtype=bool), np.arange(8) % 3)
+            store.advance(t + 2, np.ones(8, dtype=bool), np.zeros(0, dtype=np.int64))
         assert store.n_total == 1600 and store.n_live == 0
         assert store.live_cells().size == 0
         assert store._rows.size == 8  # never grew past the live set
@@ -540,23 +532,27 @@ class TestLiveVectorsAndLog:
         store = TrajectoryStore(initial_capacity=4, initial_horizon=4)
         per_round = store_module._MIN_CHUNK // 2 + 1
         for t in range(6):
-            store.kill(store.append_streams(t, np.full(per_round, t)))
+            store.append_streams(t, np.full(per_round, t))
+            _drop_all(store)
         chunks = list(store._cells._chunks)
         assert len(chunks) > 1  # appends opened chunks, copied nothing
         assert store.cells_at(3).tolist() == [3] * per_round
         assert store.flat_cells(np.arange(store.n_total)).size == 6 * per_round
         assert all(a is b for a, b in zip(store._cells._chunks, chunks))
-        store.kill(store.append_streams(9, [6]))  # and appends continue after it
+        store.append_streams(9, [6])  # and appends continue after it
+        _drop_all(store)
         assert store.view(store.n_total - 1).cells == [6]
         assert store.cells_at(7).size == 0  # the rounds skipped are empty
 
     def test_state_holds_exactly_the_written_cells(self):
         store = TrajectoryStore()
-        store.kill(store.append_streams(0, [1, 2, 3]))
+        store.append_streams(0, [1, 2, 3])
+        _drop_all(store)
         assert store.state()["archive"].size == 3
         clone = _reloaded(store)
         assert clone.cells_at(0).tolist() == [1, 2, 3]
-        clone.kill(clone.append_streams(1, [4]))
+        clone.append_streams(1, [4])
+        _drop_all(clone)
         assert clone.flat_cells(np.arange(4)).tolist() == [1, 2, 3, 4]
         assert clone._cells.size == 3  # round 0 sealed; round 1 is open
         assert clone.state()["archive"].size == 4

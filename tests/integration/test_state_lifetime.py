@@ -111,7 +111,7 @@ def _table_bytes(table) -> int:
 
 def _live_state_bytes(curator) -> int:
     """numpy bytes in use by ledger, tracker, slot tables and the store's
-    live vectors (row id, current cell, length, birth)."""
+    live vectors (row id, current cell, length)."""
     trackers = [shard.tracker for shard in curator._shards or []]
     ledger_table = getattr(curator.accountant, "_slots", None)  # none: schedule
     tables = {id(ledger_table): ledger_table} if ledger_table is not None else {}
@@ -121,7 +121,7 @@ def _live_state_bytes(curator) -> int:
         total += tracker._hist_n * 16
     total += sum(_table_bytes(table) for table in tables.values())
     store = curator.synthesizer.store
-    live = (store._rows, store._cur, store._len, store._born)
+    live = (store._rows, store._cur, store._len)
     return total + sum(vector.nbytes for vector in live)
 
 

@@ -16,10 +16,9 @@ from repro.stream.stream import StreamDataset
 @pytest.fixture
 def store():
     s = TrajectoryStore(initial_capacity=4, initial_horizon=4)
-    rows0 = s.append_streams(0, [3, 5])          # two streams born at t=0
-    s.append_cells(rows0, np.asarray([4, 6]))
-    s.append_cells(rows0[:1], np.asarray([5]))   # stream 0 has length 3
-    s.kill(rows0[1:])                            # stream 1 finished
+    s.append_streams(0, [3, 5])                  # two streams born at t=0
+    s.advance(1, np.zeros(2, dtype=bool), np.asarray([4, 6]))
+    s.advance(2, np.asarray([False, True]), np.asarray([5]))  # stream 1 ends
     s.append_streams(2, [7])                     # stream 2 born at t=2
     return s
 
