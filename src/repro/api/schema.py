@@ -86,8 +86,7 @@ MESSAGE_TYPES = (
     # Shard-RPC types: the coordinator <-> shard-worker protocol of the
     # distributed collection plane.  Same framing, same column dtypes — a
     # shard worker is just another peer on the wire.
-    "shard-submit",
-    "shard-advance",
+    "shard-round",
     "shard-merge",
     "shard-checkpoint",
     "shard-stats",

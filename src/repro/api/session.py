@@ -185,12 +185,12 @@ class _SessionBase:
             sbytes.labels("received").set_function(
                 lambda: int(pool.bytes_received)
             )
-            # The pool observes each submit/advance round-trip's wall
-            # seconds into this histogram.
+            # The pool observes each round's exchange wall seconds into
+            # this histogram: one observation per round.
             rt_hist = m.histogram(
                 "retrasyn_shard_roundtrip_seconds",
-                "Wall-clock seconds of one coordinator-side shard "
-                "round-trip (submit or advance).",
+                "Wall-clock seconds of one round's exchange with the shard "
+                "workers (one shard-round out, one shard-merge back each).",
             )
             pool.latency_observer = rt_hist.observe
 

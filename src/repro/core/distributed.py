@@ -20,13 +20,12 @@ columns and are summed and debiased once by the parent.
 Shard RPC (all messages are RSF2 binary frames; see ``docs/API.md``):
 
 ====================  ===================================================
-``shard-submit``      One partition of a timestamp's traffic (the five
-                      report columns).  The worker stages it and acks
-                      with the round ``t`` alone.
-``shard-advance``     ``(t, rate, eps)`` — run the staged round:
+``shard-round``       One timestamp for one shard, in one frame: the
+                      partition's five report columns plus the globally
+                      proposed ``(t, rate, eps)``.  The worker runs
                       selection, perturbation, tracker bookkeeping and
                       the shard-local budget spend.
-``shard-merge``       The advance reply: raw one-counts, reporter ids,
+``shard-merge``       The round reply: raw one-counts, reporter ids,
                       user-side and whole-round seconds.
 ``shard-checkpoint``  Return (``op="get"``) or restore (``op="set"``) the
                       shard and shard-ledger state: ``n_frames`` component
@@ -37,6 +36,17 @@ Shard RPC (all messages are RSF2 binary frames; see ``docs/API.md``):
                       ledger and tracker planes.
 ``shard-exit``        Orderly shutdown.
 ====================  ===================================================
+
+A round is one ``shard-round`` out and one ``shard-merge`` back per
+shard.  ``submit`` only stages the partitions on the coordinator, which
+proposes and admits the round before ``advance`` sends anything, so a
+refused round costs no traffic.
+
+Placement: with ``2 <= K <= CPUs`` each worker is pinned to a CPU of its
+own (the coordinator's affinity set, in order).  Left to the scheduler,
+both freshly woken workers of a K=2 round often land on one CPU and run
+one after the other, so a round costs two shard rounds instead of one.
+At K=1, or with more workers than CPUs, nothing is pinned.
 
 Why the output is bit-identical to the serial executor at the same
 shard count K > 1 (the K=1 serial shard draws from the engine rng
@@ -64,6 +74,7 @@ its exit code instead of hanging the coordinator.
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import socket
 import time
 from typing import Optional, Sequence
@@ -74,6 +85,7 @@ from repro.api import schema
 from repro.exceptions import (
     ConfigurationError,
     DatasetError,
+    DomainError,
     PrivacyBudgetError,
     ShardWorkerError,
 )
@@ -85,19 +97,17 @@ from repro.stream.reports import ReportBatch
 # ---------------------------------------------------------------------- #
 # socket framing
 # ---------------------------------------------------------------------- #
-def _recv_exact(sock: socket.socket, n: int, allow_eof: bool = False):
-    """Read exactly ``n`` bytes; ``None`` on a clean EOF at a boundary."""
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            if allow_eof and not buf:
-                return None
-            raise ConnectionError(
-                f"peer closed mid-frame ({len(buf)}/{n} bytes)"
-            )
-        buf += chunk
-    return bytes(buf)
+def _recv_exact(sock: socket.socket, view, allow_eof: bool = False) -> bool:
+    """Fill ``view`` from the socket; ``False`` on a clean EOF at a boundary."""
+    got = 0
+    while got < len(view):
+        n = sock.recv_into(view[got:])
+        if not n:
+            if allow_eof and not got:
+                return False
+            raise ConnectionError(f"peer closed mid-frame ({got}/{len(view)} bytes)")
+        got += n
+    return True
 
 
 def send_frame(sock: socket.socket, msg: dict) -> int:
@@ -124,12 +134,22 @@ def send_frame(sock: socket.socket, msg: dict) -> int:
     return total
 
 
-def recv_frame_bytes(sock: socket.socket) -> Optional[bytes]:
-    """One whole frame, undecoded; ``None`` when the peer closed."""
-    prefix = _recv_exact(sock, schema.FRAME_PREFIX_LEN, allow_eof=True)
-    if prefix is None:
+def recv_frame_bytes(sock: socket.socket) -> Optional[memoryview]:
+    """One whole frame, undecoded and read-only; ``None`` when the peer closed.
+
+    The prefix gives the frame's length; the rest is received straight
+    into one buffer of that size, so each byte is copied once.  The view
+    is read-only, so the columns :func:`~repro.api.schema.load_frame`
+    decodes over it are too.
+    """
+    prefix = memoryview(bytearray(schema.FRAME_PREFIX_LEN))
+    if not _recv_exact(sock, prefix, allow_eof=True):
         return None
-    return prefix + _recv_exact(sock, schema.frame_length(prefix))
+    size = schema.FRAME_PREFIX_LEN + schema.frame_length(prefix)
+    frame = memoryview(bytearray(size))
+    frame[: schema.FRAME_PREFIX_LEN] = prefix
+    _recv_exact(sock, frame[schema.FRAME_PREFIX_LEN :])
+    return frame.toreadonly()
 
 
 def recv_frame(sock: socket.socket) -> Optional[dict]:
@@ -149,6 +169,12 @@ def recv_frame(sock: socket.socket) -> Optional[dict]:
 #: ``n_reports`` (the schedule ledger).
 _COUNT_KEYS = ("n_users", "n_reports")
 
+#: Worker-side failures the coordinator re-raises with their own class.
+_TYPED_WORKER_ERRORS = {
+    cls.__name__: cls
+    for cls in (PrivacyBudgetError, ConfigurationError, DatasetError, DomainError)
+}
+
 
 class _ShardService:
     """One worker's state machine: a shard plus its local privacy ledger."""
@@ -159,60 +185,30 @@ class _ShardService:
         self.config = config
         self.shard = CollectionShard(grid, config, seed)
         self.accountant = make_ledger(config) if config.track_privacy else None
-        # The round a shard-submit staged for the next shard-advance:
-        # ``(t, batch, entered, quitted)``, or None between rounds.
-        self._staged: Optional[tuple] = None
 
     def handle(self, msg: dict) -> list:
         """Reply frames: one, plus the state frames after a checkpoint get."""
         type_ = msg["type"]
-        if type_ == "shard-submit":
-            return [self._submit(msg)]
-        if type_ == "shard-advance":
-            return [self._advance(msg)]
+        if type_ == "shard-round":
+            return [self._round(msg)]
         if type_ == "shard-checkpoint":
             return self._checkpoint(msg)
         if type_ == "shard-stats":
             return [self._stats()]
         raise ConfigurationError(f"unexpected shard-RPC message {type_!r}")
 
-    def _submit(self, msg: dict) -> dict:
-        t = int(msg["t"])
-        batch = ReportBatch(
-            np.asarray(msg["user_ids"]),
-            np.asarray(msg["state_idx"]),
-            np.asarray(msg["kinds"]),
-        )
-        entered = np.asarray(msg["newly_entered"])
-        quitted = np.asarray(msg["quitted"])
-        self._staged = (t, batch, entered, quitted)
-        return schema.message("ack", t=t)
-
-    def _run_round(self, t: int, rate: Optional[float], eps: float):
-        """Advance the staged round, which must be round ``t``."""
-        staged, self._staged = self._staged, None
-        if staged is None or staged[0] != t:
-            raise ConfigurationError(
-                f"shard-advance for t={t} without a matching shard-submit"
-            )
-        _t, batch, entered, quitted = staged
+    def _round(self, msg: dict) -> dict:
+        t, rate, eps = int(msg["t"]), msg.get("rate"), float(msg["eps"])
+        batch = ReportBatch(msg["user_ids"], msg["state_idx"], msg["kinds"])
         tic = time.perf_counter()
         ones, uids, user_seconds = self.shard.round_batch(
-            t, batch, entered, quitted, rate, eps
+            t, batch, msg["newly_entered"], msg["quitted"],
+            None if rate is None else float(rate), eps,
         )
         # The shard-local spend: same uids, same eps, same round — only
         # the ledger's location differs from the parent-accounted pools.
         if self.accountant is not None and uids.size:
             self.accountant.spend_many(uids, t, eps)
-        return ones, uids, user_seconds, time.perf_counter() - tic
-
-    def _advance(self, msg: dict) -> dict:
-        t = int(msg["t"])
-        rate = msg.get("rate")
-        rate = None if rate is None else float(rate)
-        ones, uids, user_seconds, round_seconds = self._run_round(
-            t, rate, float(msg["eps"])
-        )
         return schema.message(
             "shard-merge",
             t=t,
@@ -220,7 +216,7 @@ class _ShardService:
             user_seconds=float(user_seconds),
             # Wall-clock of the shard's whole round (selection, oracle,
             # ledger spend) — scraped as the per-shard /metrics gauge.
-            round_seconds=float(round_seconds),
+            round_seconds=time.perf_counter() - tic,
             ones=np.asarray(ones, dtype=np.float64),
             user_ids=np.asarray(uids, dtype=np.int64),
         )
@@ -239,7 +235,6 @@ class _ShardService:
             ]
         if msg.get("op") == "set":
             schema.load_states(components, msg["frames"])
-            self._staged = None
             return [schema.message("ack")]
         raise ConfigurationError(
             f"shard-checkpoint op must be 'get' or 'set', got {msg.get('op')!r}"
@@ -313,10 +308,11 @@ class ShardSocketPool:
     """Persistent shard worker services, one socket per shard.
 
     Lifecycle surface ``get_states`` / ``set_states`` / ``close``; a
-    round is the two-phase ``submit`` / ``advance`` protocol: the
-    coordinator proposes and admits the round between the phases, from
-    its own state alone.  All traffic is RSF2 binary frames: the round's
-    columns move as raw little-endian buffers, never as pickles.
+    round is ``submit`` then ``advance``: the coordinator proposes and
+    admits the round between the two calls, from its own state alone,
+    and ``advance`` makes the round's one exchange with every worker.
+    All traffic is RSF2 binary frames: the round's columns move as raw
+    little-endian buffers, never as pickles.
     """
 
     def __init__(self, grid: Grid, config, seeds: Sequence[int]) -> None:
@@ -328,6 +324,9 @@ class ShardSocketPool:
         ctx = mp.get_context()
         self._procs: list = []
         self._socks: list[socket.socket] = []
+        #: The round ``submit`` staged for ``advance``: ``(t, parts,
+        #: entered, quits)``, or None between rounds.
+        self._staged: Optional[tuple] = None
         #: Last advance's per-shard wall-clock seconds (metrics surface).
         self.shard_round_seconds: dict[int, float] = {}
         #: Frame-level transport counters (scraped by /metrics).
@@ -335,11 +334,13 @@ class ShardSocketPool:
         self.frames_received = 0
         self.bytes_sent = 0
         self.bytes_received = 0
-        #: Optional callback observing each submit/advance round-trip's
-        #: wall seconds; the session binds it to a latency histogram's
-        #: ``observe``.
+        #: Optional callback observing each round's exchange wall seconds;
+        #: the session binds it to a latency histogram's ``observe``.
         self.latency_observer = None
-        for seed in seeds:
+        getaffinity = getattr(os, "sched_getaffinity", None)
+        cpus = sorted(getaffinity(0)) if getaffinity is not None else []
+        pin = 2 <= len(seeds) <= len(cpus)
+        for k, seed in enumerate(seeds):
             parent_sock, child_sock = socket.socketpair()
             proc = ctx.Process(
                 target=_socket_shard_worker,
@@ -347,6 +348,11 @@ class ShardSocketPool:
                 daemon=True,
             )
             proc.start()
+            if pin:
+                try:
+                    os.sched_setaffinity(proc.pid, {cpus[k]})
+                except OSError:  # this worker stays unpinned
+                    pass
             child_sock.close()
             parent_sock.settimeout(self._round_timeout)
             self._socks.append(parent_sock)
@@ -425,18 +431,15 @@ class ShardSocketPool:
     def _worker_error(k: int, op: str, msg: dict) -> Exception:
         """Re-raise a worker-reported failure with its original type.
 
-        Privacy refusals and configuration errors keep their classes so
-        callers' ``except`` clauses behave exactly as with the in-process
-        executors; anything else surfaces as the pools' usual
-        ``RuntimeError`` with shard context.
+        Privacy refusals, configuration, domain and dataset errors keep
+        their classes so callers' ``except`` clauses behave exactly as
+        with the in-process executors; anything else surfaces as the
+        pools' usual ``RuntimeError`` with shard context.
         """
         error, detail = msg.get("error", "Exception"), msg.get("detail", "")
-        if error == "PrivacyBudgetError":
-            return PrivacyBudgetError(detail)
-        if error == "ConfigurationError":
-            return ConfigurationError(detail)
-        if error == "DatasetError":
-            return DatasetError(detail)
+        typed = _TYPED_WORKER_ERRORS.get(error)
+        if typed is not None:
+            return typed(detail)
         return RuntimeError(
             f"collection shard {k} failed ({op}):\n{error}: {detail}"
         )
@@ -452,53 +455,48 @@ class ShardSocketPool:
         quits: Sequence[np.ndarray],
         _unused: bool = False,
     ) -> None:
-        """Stage one timestamp's partitions on every shard.
+        """Stage one timestamp's partitions for :meth:`advance` (no I/O).
 
         ``_unused`` is ignored.  It is kept only because the round-cost
         benchmark (``benchmarks/round``) still passes it; it goes once that
         benchmark stops passing it.
         """
+        self._staged = (int(t), parts, entered, quits)
+
+    def advance(self, t: int, rate: Optional[float], eps: float) -> list:
+        """Run the staged round everywhere; one merge tuple per shard.
+
+        Each shard gets one ``shard-round`` frame and answers with one
+        ``shard-merge``.  The tuples match ``CollectionShard.round_batch``
+        output — ``(ones, reporter_uids, user_seconds)`` — so the
+        coordinator's merge code is shared with the serial executor.
+        """
+        staged, self._staged = self._staged, None
+        if staged is None or staged[0] != t:
+            raise ConfigurationError(
+                f"shard round t={t} without a matching submit"
+            )
+        _t, parts, entered, quits = staged
         tic = time.perf_counter()
         for k in range(len(self._socks)):
             self._send(
                 k,
                 schema.message(
-                    "shard-submit",
+                    "shard-round",
                     t=int(t),
+                    rate=None if rate is None else float(rate),
+                    eps=float(eps),
                     user_ids=np.asarray(parts[k].user_ids),
                     state_idx=np.asarray(parts[k].state_idx),
                     kinds=np.asarray(parts[k].kinds),
                     newly_entered=np.asarray(entered[k]),
                     quitted=np.asarray(quits[k]),
                 ),
-                "submit",
-            )
-        for k in range(len(self._socks)):
-            self._recv(k, "submit", expect="ack")
-        self._observe(time.perf_counter() - tic)
-
-    def advance(self, t: int, rate: Optional[float], eps: float) -> list:
-        """Run the staged round everywhere; one merge tuple per shard.
-
-        The tuples match ``CollectionShard.round_batch`` output —
-        ``(ones, reporter_uids, user_seconds)`` — so the
-        coordinator's merge code is shared with the serial executor.
-        """
-        tic = time.perf_counter()
-        for k in range(len(self._socks)):
-            self._send(
-                k,
-                schema.message(
-                    "shard-advance",
-                    t=int(t),
-                    rate=None if rate is None else float(rate),
-                    eps=float(eps),
-                ),
-                "advance",
+                "round",
             )
         outs = []
         for k in range(len(self._socks)):
-            rep = self._recv(k, "advance", expect="shard-merge")
+            rep = self._recv(k, "round", expect="shard-merge")
             self.shard_round_seconds[k] = float(rep.get("round_seconds", 0.0))
             outs.append(
                 (

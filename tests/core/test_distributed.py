@@ -12,6 +12,9 @@ exceptions the in-process path raises.
 """
 
 import hashlib
+import os
+import socket
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,11 +23,12 @@ from repro.api import schema
 from repro.api.session import create_session, load_session
 from repro.api.specs import SessionSpec
 from repro.core.online import OnlineRetraSyn
+from repro.core.distributed import recv_frame, send_frame
 from repro.core.persistence import load_checkpoint, save_checkpoint
 from repro.core.retrasyn import RetraSynConfig
 from repro.core.sharded import CollectionShard
 from repro.datasets.synthetic import make_random_walks
-from repro.exceptions import ConfigurationError, PrivacyBudgetError
+from repro.exceptions import ConfigurationError, DomainError, PrivacyBudgetError
 from repro.ldp.accountant import ScheduleLedger
 from repro.stream.reports import ColumnarStreamView, as_report_batch
 
@@ -101,8 +105,9 @@ class TestDistributedMatchesInProcess:
         )
         assert distributed == serial
 
-    def test_round_costs_two_frames_per_shard(self, stream):
-        """A round is one shard-submit and one shard-advance per shard."""
+    def test_round_costs_one_frame_each_way_per_shard(self, stream):
+        """A round is one shard-round out and one shard-merge back per
+        shard: ``submit`` stages on the coordinator and sends nothing."""
         n_rounds = 7
         curator = _make(stream, 2, "distributed")
         try:
@@ -114,8 +119,93 @@ class TestDistributedMatchesInProcess:
                     quitted=stream.quitted_at(t),
                     n_real_active=stream.n_active_at(t),
                 )
-            assert curator._pool.frames_sent == 2 * 2 * n_rounds
-            assert curator._pool.frames_received == 2 * 2 * n_rounds
+            assert curator._pool.frames_sent == 2 * n_rounds
+            assert curator._pool.frames_received == 2 * n_rounds
+        finally:
+            curator.close()
+
+    def test_roundtrip_histogram_observes_one_exchange_per_round(self, stream):
+        n_rounds = 5
+        session = create_session(
+            SessionSpec(epsilon=1.0, w=5, seed=42, n_shards=2,
+                        shard_executor="distributed"),
+            stream.grid, lam=5.0,
+        )
+        try:
+            view = ColumnarStreamView(stream, session.curator.space)
+            for t in range(n_rounds):
+                session.submit_batch(
+                    t, view.batch_at(t), newly_entered=view.newly_entered_at(t),
+                    quitted=view.quitted_at(t), n_real_active=view.n_active_at(t),
+                )
+                session.advance()
+            lines = session.metrics.render().splitlines()
+            assert f"retrasyn_rounds_total {n_rounds}" in lines
+            assert f"retrasyn_shard_roundtrip_seconds_count {n_rounds}" in lines
+        finally:
+            session.close()
+
+
+class TestPlacement:
+    """Workers get a CPU each when there is one for each, else none."""
+
+    pytestmark = pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity")
+        or len(os.sched_getaffinity(0)) < 2,
+        reason="needs sched_getaffinity and at least 2 allowed CPUs",
+    )
+
+    @staticmethod
+    def _affinities(stream, n_shards):
+        parent = os.sched_getaffinity(0)
+        curator = _make(stream, n_shards, "distributed")
+        try:
+            workers = [os.sched_getaffinity(p.pid) for p in curator._pool._procs]
+        finally:
+            curator.close()
+        assert os.sched_getaffinity(0) == parent
+        return parent, workers
+
+    def test_two_workers_get_distinct_cpus(self, stream):
+        parent, workers = self._affinities(stream, 2)
+        assert all(len(cpus) == 1 and cpus <= parent for cpus in workers)
+        assert workers[0] != workers[1]
+
+    @pytest.mark.parametrize("oversubscribed", [False, True], ids=["K1", "CPUs+1"])
+    def test_unpinned_without_a_cpu_each(self, stream, oversubscribed):
+        n_shards = len(os.sched_getaffinity(0)) + 1 if oversubscribed else 1
+        parent, workers = self._affinities(stream, n_shards)
+        assert len(workers) == n_shards
+        assert all(cpus == parent for cpus in workers)
+
+
+class TestFraming:
+    def test_received_columns_are_read_only(self):
+        ours, theirs = socket.socketpair()
+        try:
+            send_frame(ours, schema.message("shard-merge", user_ids=np.arange(5)))
+            msg = recv_frame(theirs)
+        finally:
+            ours.close()
+            theirs.close()
+        assert msg["user_ids"].tolist() == list(range(5))
+        assert msg["user_ids"].flags.writeable is False
+
+    def test_state_frames_round_trip_unchanged(self, stream):
+        curator = _make(stream, 2, "distributed")
+        try:
+            for t in range(4):
+                curator.process_timestep(
+                    t,
+                    participants=stream.participants_at(t),
+                    newly_entered=stream.newly_entered_at(t),
+                    quitted=stream.quitted_at(t),
+                    n_real_active=stream.n_active_at(t),
+                )
+            states = [[bytes(f) for f in worker] for worker in curator._pool.get_states()]
+            curator._pool.set_states(states)
+            again = curator._pool.get_states()
+            assert [[bytes(f) for f in worker] for worker in again] == states
         finally:
             curator.close()
 
@@ -292,12 +382,18 @@ class TestWorkerErrorPropagation:
         assert messages[0] == messages[1]
 
     def test_protocol_error_surfaces_typed(self, stream):
-        """Advancing a timestamp that was never staged is a worker-side
-        ConfigurationError and must arrive as one (workers stay alive)."""
+        """A shard-round whose columns disagree in length is a worker-side
+        DomainError and must arrive as one (workers stay alive)."""
         curator = _make(stream, 2, "distributed")
         try:
-            with pytest.raises(ConfigurationError, match="shard-advance"):
-                curator._pool.advance(99, None, 0.5)
+            ragged = SimpleNamespace(
+                user_ids=np.arange(3), state_idx=np.arange(2),
+                kinds=np.zeros(3, dtype=np.int8),
+            )
+            empty = np.empty(0, dtype=np.int64)
+            curator._pool.submit(0, [ragged] * 2, [empty] * 2, [empty] * 2)
+            with pytest.raises(DomainError, match="disagree on length"):
+                curator._pool.advance(0, None, 0.5)
             # The workers replied with the error rather than dying; the
             # coordinator can still shut the pool down in an orderly way
             # (like the in-process path, an engine is closed after a
@@ -344,6 +440,8 @@ class TestWorkerErrorPropagation:
             curator._pool.submit(0, parts, entered, quits, False)
             with pytest.raises(ConfigurationError, match="t=1 without"):
                 curator._pool.advance(1, None, 0.5)
+            # Refused on the coordinator, before any frame left it.
+            assert curator._pool.frames_sent == 0
         finally:
             curator.close()
 
