@@ -42,11 +42,12 @@ shard.  ``submit`` only stages the partitions on the coordinator, which
 proposes and admits the round before ``advance`` sends anything, so a
 refused round costs no traffic.
 
-Placement: with ``2 <= K <= CPUs`` each worker is pinned to a CPU of its
-own (the coordinator's affinity set, in order).  Left to the scheduler,
-both freshly woken workers of a K=2 round often land on one CPU and run
-one after the other, so a round costs two shard rounds instead of one.
-At K=1, or with more workers than CPUs, nothing is pinned.
+Placement: with ``2 <= K == CPUs`` (the coordinator's affinity set) worker
+k is pinned to the k-th CPU of that set.  Left to the scheduler, both
+freshly woken workers of a K=2 round on a 2-CPU host often land on one CPU
+and run one after the other, so a round costs two shard rounds instead of
+one.  That is the only configuration measured; at K=1, with idle CPUs to
+spare (K < CPUs) or with more workers than CPUs, nothing is pinned.
 
 Why the output is bit-identical to the serial executor at the same
 shard count K > 1 (the K=1 serial shard draws from the engine rng
@@ -339,7 +340,7 @@ class ShardSocketPool:
         self.latency_observer = None
         getaffinity = getattr(os, "sched_getaffinity", None)
         cpus = sorted(getaffinity(0)) if getaffinity is not None else []
-        pin = 2 <= len(seeds) <= len(cpus)
+        pin = 2 <= len(seeds) == len(cpus)
         for k, seed in enumerate(seeds):
             parent_sock, child_sock = socket.socketpair()
             proc = ctx.Process(
@@ -473,9 +474,7 @@ class ShardSocketPool:
         """
         staged, self._staged = self._staged, None
         if staged is None or staged[0] != t:
-            raise ConfigurationError(
-                f"shard round t={t} without a matching submit"
-            )
+            raise ConfigurationError(f"shard round t={t} without a matching submit")
         _t, parts, entered, quits = staged
         tic = time.perf_counter()
         for k in range(len(self._socks)):
@@ -495,22 +494,29 @@ class ShardSocketPool:
                 "round",
             )
         outs = []
-        for k in range(len(self._socks)):
-            rep = self._recv(k, "round", expect="shard-merge")
+        for k, rep in enumerate(self._gather("round", expect="shard-merge")):
             self.shard_round_seconds[k] = float(rep.get("round_seconds", 0.0))
-            outs.append(
-                (
-                    np.asarray(rep["ones"], dtype=np.float64),
-                    np.asarray(rep["user_ids"], dtype=np.int64),
-                    float(rep["user_seconds"]),
-                )
-            )
-        self._observe(time.perf_counter() - tic)
+            ones = np.asarray(rep["ones"], dtype=np.float64)
+            uids = np.asarray(rep["user_ids"], dtype=np.int64)
+            outs.append((ones, uids, float(rep["user_seconds"])))
+        if self.latency_observer is not None:
+            self.latency_observer(time.perf_counter() - tic)
         return outs
 
-    def _observe(self, seconds: float) -> None:
-        if self.latency_observer is not None:
-            self.latency_observer(float(seconds))
+    def _gather(self, op: str, expect: str, follow=None) -> list:
+        """One ``expect`` reply from every shard (``follow(k, rep)`` reads
+        what trails it), raising the first failure only once every shard
+        has been read, so no reply is left for the next exchange to take."""
+        out, first = [], None
+        for k in range(len(self._socks)):
+            try:
+                rep = self._recv(k, op, expect)
+                out.append(follow(k, rep) if follow else rep)
+            except Exception as exc:  # re-raised below
+                first = exc if first is None else first
+        if first is not None:
+            raise first
+        return out
 
     # -------------------------------------------------------------- #
     # checkpoint / audit verbs
@@ -518,16 +524,14 @@ class ShardSocketPool:
     def get_states(self) -> list:
         """Every worker's component ``state`` frames, undecoded, by shard."""
         for k in range(len(self._socks)):
-            self._send(
-                k, schema.message("shard-checkpoint", op="get"), "checkpoint"
-            )
-        states = []
-        for k in range(len(self._socks)):
-            rep = self._recv(k, "checkpoint", expect="shard-checkpoint")
-            states.append(
-                [self._recv_frame(k, "checkpoint") for _ in range(rep["n_frames"])]
-            )
-        return states
+            self._send(k, schema.message("shard-checkpoint", op="get"), "checkpoint")
+        return self._gather(
+            "checkpoint",
+            expect="shard-checkpoint",
+            follow=lambda k, rep: [
+                self._recv_frame(k, "checkpoint") for _ in range(rep["n_frames"])
+            ],
+        )
 
     def set_states(self, states: Sequence) -> None:
         """Send each worker the frames :meth:`get_states` returned for it."""
@@ -539,8 +543,7 @@ class ShardSocketPool:
             )
             for frame in frames:
                 self._send(k, frame, "checkpoint")
-        for k in range(len(self._socks)):
-            self._recv(k, "checkpoint", expect="ack")
+        self._gather("checkpoint", expect="ack")
 
     def stats(self) -> list[dict]:
         """Per-shard ledger ``summary`` + ``violations`` and plane ``state``."""
@@ -554,10 +557,7 @@ class ShardSocketPool:
                 ],
                 "state": rep.get("state"),
             }
-            for rep in (
-                self._recv(k, "stats", expect="shard-stats")
-                for k in range(len(self._socks))
-            )
+            for rep in self._gather("stats", expect="shard-stats")
         ]
 
     def plane_states(self) -> list[dict]:

@@ -442,7 +442,7 @@ class OnlineRetraSyn:
         """
         parts, entered, quits = self._partition(batch, newly_entered, quitted)
 
-        # Distributed phase 1: stage the partitions on every shard.
+        # Distributed: stage the partitions on the coordinator (no I/O).
         if self._pool is not None:
             self._pool.submit(t, parts, entered, quits)
 
@@ -455,8 +455,8 @@ class OnlineRetraSyn:
         self._last_t = t
 
         if self._pool is not None:
-            # Phase 2: run the staged round everywhere; workers spend
-            # their reporters' budget locally before replying.
+            # Send each shard the round's one shard-round frame; workers
+            # spend their reporters' budget locally before replying.
             outs = self._pool.advance(t, rate, eps_t)
         else:
             outs = [

@@ -26,7 +26,7 @@ from repro.core.online import OnlineRetraSyn
 from repro.core.distributed import recv_frame, send_frame
 from repro.core.persistence import load_checkpoint, save_checkpoint
 from repro.core.retrasyn import RetraSynConfig
-from repro.core.sharded import CollectionShard
+from repro.core.sharded import CollectionShard, shard_of
 from repro.datasets.synthetic import make_random_walks
 from repro.exceptions import ConfigurationError, DomainError, PrivacyBudgetError
 from repro.ldp.accountant import ScheduleLedger
@@ -147,7 +147,12 @@ class TestDistributedMatchesInProcess:
 
 
 class TestPlacement:
-    """Workers get a CPU each when there is one for each, else none."""
+    """Workers get a CPU each only when there are exactly K >= 2 CPUs.
+
+    The coordinator's CPU set is faked (the first CPUs of the real one,
+    or a made-up extra id that is never pinned to), so every case starts
+    at most two workers whatever the host's size.
+    """
 
     pytestmark = pytest.mark.skipif(
         not hasattr(os, "sched_getaffinity")
@@ -156,26 +161,34 @@ class TestPlacement:
     )
 
     @staticmethod
-    def _affinities(stream, n_shards):
-        parent = os.sched_getaffinity(0)
+    def _affinities(stream, monkeypatch, n_shards, n_cpus):
+        real = os.sched_getaffinity
+        parent = real(0)
+        ids = sorted(parent)
+        cpus = set((ids + [ids[-1] + 1])[:n_cpus])
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(cpus) if pid == 0 else real(pid)
+        )
         curator = _make(stream, n_shards, "distributed")
         try:
-            workers = [os.sched_getaffinity(p.pid) for p in curator._pool._procs]
+            workers = [real(p.pid) for p in curator._pool._procs]
         finally:
             curator.close()
-        assert os.sched_getaffinity(0) == parent
+        assert real(0) == parent
+        assert len(workers) == n_shards
         return parent, workers
 
-    def test_two_workers_get_distinct_cpus(self, stream):
-        parent, workers = self._affinities(stream, 2)
-        assert all(len(cpus) == 1 and cpus <= parent for cpus in workers)
-        assert workers[0] != workers[1]
+    def test_two_workers_on_two_cpus_get_one_each(self, stream, monkeypatch):
+        parent, workers = self._affinities(stream, monkeypatch, 2, 2)
+        assert workers == [{cpu} for cpu in sorted(parent)[:2]]
 
-    @pytest.mark.parametrize("oversubscribed", [False, True], ids=["K1", "CPUs+1"])
-    def test_unpinned_without_a_cpu_each(self, stream, oversubscribed):
-        n_shards = len(os.sched_getaffinity(0)) + 1 if oversubscribed else 1
-        parent, workers = self._affinities(stream, n_shards)
-        assert len(workers) == n_shards
+    @pytest.mark.parametrize(
+        "n_shards, n_cpus",
+        [(1, 1), (2, 3), (2, 1)],
+        ids=["K1-of-1", "K2-of-3", "K2-of-1"],
+    )
+    def test_unpinned_unless_k_equals_cpus(self, stream, monkeypatch, n_shards, n_cpus):
+        parent, workers = self._affinities(stream, monkeypatch, n_shards, n_cpus)
         assert all(cpus == parent for cpus in workers)
 
 
@@ -381,9 +394,11 @@ class TestWorkerErrorPropagation:
                 curator.close()
         assert messages[0] == messages[1]
 
-    def test_protocol_error_surfaces_typed(self, stream):
+    @pytest.mark.parametrize("ragged_shards", [(0, 1), (0,)], ids=["both", "first"])
+    def test_protocol_error_surfaces_typed(self, stream, ragged_shards):
         """A shard-round whose columns disagree in length is a worker-side
-        DomainError and must arrive as one (workers stay alive)."""
+        DomainError and must arrive as one (workers stay alive), with every
+        shard's reply read so the next exchange is answered in step."""
         curator = _make(stream, 2, "distributed")
         try:
             ragged = SimpleNamespace(
@@ -391,14 +406,37 @@ class TestWorkerErrorPropagation:
                 kinds=np.zeros(3, dtype=np.int8),
             )
             empty = np.empty(0, dtype=np.int64)
-            curator._pool.submit(0, [ragged] * 2, [empty] * 2, [empty] * 2)
+            fine = SimpleNamespace(
+                user_ids=empty, state_idx=empty, kinds=np.zeros(0, dtype=np.int8)
+            )
+            parts = [ragged if k in ragged_shards else fine for k in range(2)]
+            curator._pool.submit(0, parts, [empty] * 2, [empty] * 2)
             with pytest.raises(DomainError, match="disagree on length"):
                 curator._pool.advance(0, None, 0.5)
-            # The workers replied with the error rather than dying; the
-            # coordinator can still shut the pool down in an orderly way
-            # (like the in-process path, an engine is closed after a
-            # protocol/refusal error, not reused).
+            # The workers replied with the error rather than dying, and no
+            # reply is left unread: the next verb gets its own answers.
             assert curator._pool.alive
+            assert len(curator._pool.stats()) == 2
+            assert len(curator._pool.get_states()) == 2
+        finally:
+            curator.close()
+
+    def test_refused_round_leaves_the_ledger_view_answering(self):
+        """A uid reported twice on shard 0 is refused there; shard 1's merge
+        of the same round is read too, so the ledger view still answers."""
+        data = make_random_walks(k=4, n_streams=130, n_timestamps=22, seed=1)
+        parts = list(data.participants_at(0))
+        twice = next(p for p in parts if shard_of(p[0], 2) == 0)
+        cfg = RetraSynConfig(
+            epsilon=1.0, w=1, seed=0, n_shards=2, shard_executor="distributed",
+            division="population", allocator="sample",
+        )
+        curator = OnlineRetraSyn(data.grid, cfg, lam=5.0)
+        try:
+            with pytest.raises(PrivacyBudgetError):
+                _round(curator, data, 0, participants=parts + [twice])
+            # Shard 1 admitted and spent its reporters of the round.
+            assert curator.accountant.summary()["n_users"] > 0
         finally:
             curator.close()
 
@@ -430,7 +468,8 @@ class TestWorkerErrorPropagation:
             curator.close()
 
     def test_advance_must_match_the_staged_round(self, stream):
-        """A worker stages one round; advancing any other t is refused."""
+        """``submit`` stages one round on the coordinator; advancing any
+        other t is refused there, before ``shard-round`` is sent."""
         curator = _make(stream, 2, "distributed")
         try:
             batch = as_report_batch(curator.space, stream.participants_at(0))
