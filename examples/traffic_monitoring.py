@@ -20,7 +20,6 @@ import numpy as np
 
 from repro import RetraSyn, RetraSynConfig, load_dataset
 from repro.geo.point import BoundingBox
-from repro.viz import density_heatmap, side_by_side
 
 
 def top_cells(counts: np.ndarray, n: int = 3) -> list[int]:
@@ -38,14 +37,6 @@ def main() -> None:
 
     real_counts = data.cell_counts_matrix()
     syn_counts = syn.cell_counts_matrix()
-
-    # --- a live density snapshot, real vs synthetic -------------------- #
-    t_view = data.n_timestamps // 2
-    print(f"\ndensity at t={t_view} (left: real, right: synthetic):")
-    print(side_by_side(
-        density_heatmap(data.grid, real_counts[t_view]),
-        density_heatmap(data.grid, syn_counts[t_view]),
-    ))
 
     # --- live hotspot detection -------------------------------------- #
     print("\nlive congestion hotspots (synthetic vs real, every 10th t):")

@@ -22,7 +22,7 @@ Session API (engine-agnostic; see ``docs/API.md``)::
     session = create_session(spec, data.grid, lam=14.0)
 """
 
-from repro.analysis import FlowAnalyzer, TrajectoryAnalyzer, fidelity_report
+from repro.analysis import fidelity_report
 from repro.api.client import Client
 from repro.api.session import (
     CuratorSession,
@@ -74,8 +74,6 @@ __all__ = [
     "Synthesizer",
     "VectorizedSynthesizer",
     "GlobalMobilityModel",
-    "TrajectoryAnalyzer",
-    "FlowAnalyzer",
     "fidelity_report",
     "make_retrasyn",
     "make_all_update",

@@ -2,24 +2,17 @@
 
 The whole point of synthesis-based release (paper Section I, Challenge I)
 is that the curator can answer *arbitrary* location-based analyses on the
-synthetic database without further privacy cost.  This package provides the
-query surface those applications use:
-
-* :class:`~repro.analysis.queries.TrajectoryAnalyzer` — range counts,
-  top-k hotspots, OD flow matrices, visit shares, per-timestamp densities;
-* :class:`~repro.analysis.flows.FlowAnalyzer` — cell-to-cell and
-  region-to-region flow analysis over time windows;
-* :mod:`~repro.analysis.comparison` — side-by-side fidelity reports between
-  a real and a synthetic database.
+synthetic database without further privacy cost.  The analyses themselves
+are the utility metrics of :mod:`repro.metrics` (range queries, hotspots,
+transitions, ...); this package holds :mod:`~repro.analysis.comparison`,
+the side-by-side fidelity report between a real and a synthetic database
+that ``repro evaluate`` prints, and the repo's own static analyzer
+(:mod:`repro.analysis.lint`).
 """
 
-from repro.analysis.queries import TrajectoryAnalyzer
-from repro.analysis.flows import FlowAnalyzer
 from repro.analysis.comparison import fidelity_report, format_fidelity_report
 
 __all__ = [
-    "TrajectoryAnalyzer",
-    "FlowAnalyzer",
     "fidelity_report",
     "format_fidelity_report",
 ]

@@ -17,7 +17,6 @@ Four strategies:
 * :class:`~repro.baselines.ldp_ids.LPA` — population analogue of LBA.
 """
 
-from repro.baselines.histogram import HistogramStreamPublisher
 from repro.baselines.ldp_ids import LBA, LBD, LPA, LPD, LdpIdsConfig, make_baseline
 from repro.baselines.ldptrace import LDPTraceConfig, LDPTraceSynthesizer
 
@@ -28,7 +27,6 @@ __all__ = [
     "LPA",
     "LdpIdsConfig",
     "make_baseline",
-    "HistogramStreamPublisher",
     "LDPTraceConfig",
     "LDPTraceSynthesizer",
 ]

@@ -42,11 +42,24 @@ from repro.core.mobility_model import GlobalMobilityModel
 from repro.exceptions import ConfigurationError
 from repro.geo.trajectory import CellTrajectory
 from repro.ldp.accountant import PrivacyAccountant
-from repro.ldp.freq_oracle import clip_and_normalize
 from repro.ldp.oue import OptimizedUnaryEncoding
 from repro.rng import RngLike, ensure_rng
 from repro.stream.state_space import TransitionStateSpace
 from repro.stream.stream import StreamDataset
+
+
+def clip_and_normalize(estimates: np.ndarray) -> np.ndarray:
+    """Standard post-processing: clip negatives to 0 and renormalise.
+
+    Post-processing never costs privacy (paper Theorem 2).  When all mass is
+    clipped away the uniform distribution is returned, which is the usual
+    convention for empty noisy histograms.
+    """
+    clipped = np.clip(np.asarray(estimates, dtype=float), 0.0, None)
+    total = clipped.sum()
+    if total <= 0.0:
+        return np.full(clipped.shape, 1.0 / clipped.size)
+    return clipped / total
 
 
 @dataclass

@@ -25,9 +25,7 @@ exactly as in Table I.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Optional
 
 from repro.exceptions import ConfigurationError
 from repro.geo.grid import Grid
@@ -35,6 +33,9 @@ from repro.geo.point import BoundingBox
 from repro.geo.trajectory import CellTrajectory
 from repro.rng import RngLike, ensure_rng
 from repro.stream.stream import StreamDataset
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass
@@ -111,6 +112,10 @@ class NetworkGenerator:
     # road network construction
     # ------------------------------------------------------------------ #
     def _build_network(self) -> nx.Graph:
+        # networkx is imported where it is used, so importing the package
+        # (every served process does) does not pay for it.
+        import networkx as nx
+
         cfg = self.config
         m = cfg.graph_size
         g = nx.grid_2d_graph(m, m)
@@ -157,6 +162,8 @@ class NetworkGenerator:
     def _shortest_path(self, a, b) -> Optional[list]:
         key = (a, b)
         if key not in self._path_cache:
+            import networkx as nx
+
             try:
                 self._path_cache[key] = nx.shortest_path(self.graph, a, b)
             except nx.NetworkXNoPath:

@@ -1,16 +1,11 @@
 """Local differential privacy substrate.
 
-Implements the frequency-oracle protocols the paper builds on (Section II-A):
-
-* :class:`~repro.ldp.oue.OptimizedUnaryEncoding` — the paper's FO of choice
-  (optimal variance, Wang et al. USENIX Security 2017).
-* :class:`~repro.ldp.grr.GeneralizedRandomizedResponse` and
-  :class:`~repro.ldp.olh.OptimizedLocalHashing` — standard alternatives
-  that only the test suite uses, to cross-validate the oracle interface.
-
-plus the privacy ledgers that record budget spends and *verify* the
-w-event LDP guarantee (Definition 3 / Theorem 3): the dict-based
-:class:`~repro.ldp.accountant.PrivacyAccountant` the baselines keep, and
+Implements the frequency oracle the paper builds on (Section II-A),
+:class:`~repro.ldp.oue.OptimizedUnaryEncoding` (optimal variance, Wang et
+al. USENIX Security 2017), plus the privacy ledgers that record budget
+spends and *verify* the w-event LDP guarantee (Definition 3 / Theorem 3):
+the dict-based :class:`~repro.ldp.accountant.PrivacyAccountant` the
+baselines keep, and
 the two the RetraSyn curator picks between with
 :func:`~repro.ldp.accountant.make_ledger` — the O(w)
 :class:`~repro.ldp.accountant.ScheduleLedger` under budget division, whose
@@ -19,10 +14,7 @@ reporters all spend the same ε_t once per round, and the per-user
 :func:`~repro.ldp.accountant.make_accountant`) under population division.
 """
 
-from repro.ldp.freq_oracle import FrequencyOracle
 from repro.ldp.oue import OptimizedUnaryEncoding, oue_variance
-from repro.ldp.grr import GeneralizedRandomizedResponse
-from repro.ldp.olh import OptimizedLocalHashing
 from repro.ldp.accountant import (
     ACCOUNTANT_MODES,
     ColumnarPrivacyAccountant,
@@ -33,11 +25,8 @@ from repro.ldp.accountant import (
 )
 
 __all__ = [
-    "FrequencyOracle",
     "OptimizedUnaryEncoding",
     "oue_variance",
-    "GeneralizedRandomizedResponse",
-    "OptimizedLocalHashing",
     "PrivacyAccountant",
     "ColumnarPrivacyAccountant",
     "ScheduleLedger",

@@ -32,9 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError
-from repro.ldp.freq_oracle import FrequencyOracle
-from repro.rng import RngLike
+from repro.exceptions import ConfigurationError, DomainError
+from repro.rng import RngLike, ensure_rng
 
 #: Bound on ``chunk_users * domain_size`` for the batched exact path, so the
 #: perturbed-bit working set stays ~tens of MB regardless of population size.
@@ -49,8 +48,21 @@ def oue_variance(epsilon: float, n: int) -> float:
     return float(4.0 * e / (n * (e - 1.0) ** 2))
 
 
-class OptimizedUnaryEncoding(FrequencyOracle):
-    """OUE frequency oracle (Wang et al. 2017), see module docstring."""
+class OptimizedUnaryEncoding:
+    """OUE frequency oracle (Wang et al. 2017), see module docstring.
+
+    Parameters
+    ----------
+    domain_size:
+        Cardinality ``d`` of the value domain ``{0, ..., d-1}``.
+    epsilon:
+        Per-report privacy budget (must be positive).
+    rng:
+        Seed / generator used for all perturbation randomness.
+    mode:
+        ``"fast"`` (binomial aggregate draws) or ``"exact"`` (batched
+        per-user bit vectors).
+    """
 
     def __init__(
         self,
@@ -59,7 +71,13 @@ class OptimizedUnaryEncoding(FrequencyOracle):
         rng: RngLike = None,
         mode: str = "fast",
     ) -> None:
-        super().__init__(domain_size, epsilon, rng)
+        if domain_size < 1:
+            raise ConfigurationError(f"domain_size must be >= 1, got {domain_size}")
+        if not (epsilon > 0.0) or not np.isfinite(epsilon):
+            raise ConfigurationError(f"epsilon must be a positive finite float, got {epsilon}")
+        self.domain_size = int(domain_size)
+        self.epsilon = float(epsilon)
+        self.rng = ensure_rng(rng)
         if mode not in ("exact", "fast"):
             raise ConfigurationError(
                 f"mode must be 'exact' or 'fast', got {mode!r}"
@@ -77,6 +95,17 @@ class OptimizedUnaryEncoding(FrequencyOracle):
     def q(self) -> float:
         """Probability a true 0-bit flips to 1."""
         return self._q
+
+    def _check_values(self, values: Sequence[int]) -> np.ndarray:
+        arr = np.asarray(values, dtype=np.int64)
+        if arr.ndim != 1:
+            raise DomainError(f"values must be one-dimensional, got shape {arr.shape}")
+        if arr.size and (arr.min() < 0 or arr.max() >= self.domain_size):
+            raise DomainError(
+                f"values must lie in [0, {self.domain_size}), got range "
+                f"[{arr.min()}, {arr.max()}]"
+            )
+        return arr
 
     # ------------------------------------------------------------------ #
     # user side
@@ -164,7 +193,11 @@ class OptimizedUnaryEncoding(FrequencyOracle):
         return self._debias(np.asarray(ones, dtype=float), n)
 
     def collect(self, values: Sequence[int]) -> np.ndarray:
-        """Full round trip: perturb all users' values, debias counts."""
+        """Full round trip: perturb all users' values, debias counts.
+
+        Returns the curator's unbiased estimated counts per domain element,
+        shape ``(domain_size,)``; estimates may be negative or non-integral.
+        """
         arr = self._check_values(values)
         n = arr.size
         if n == 0:
@@ -172,4 +205,5 @@ class OptimizedUnaryEncoding(FrequencyOracle):
         return self._debias(self.simulate_ones(arr), n)
 
     def variance(self, n: int) -> float:
+        """Per-element estimation variance of the frequency (count / n)."""
         return oue_variance(self.epsilon, n)

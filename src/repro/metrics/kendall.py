@@ -9,13 +9,14 @@ the ranking is destroyed — the signature of the NoEQ ablation in Table IV.
 
 from __future__ import annotations
 
-from scipy import stats
-
 from repro.stream.stream import StreamDataset
 
 
 def kendall_tau(real: StreamDataset, syn: StreamDataset) -> float:
     """Kendall-tau correlation of per-cell total visit counts."""
+    # Imported here so serving processes, which never evaluate, skip scipy.
+    from scipy import stats
+
     real_counts = real.cell_counts_matrix().sum(axis=0)
     syn_counts = syn.cell_counts_matrix().sum(axis=0)
     if real_counts.std() == 0 or syn_counts.std() == 0:

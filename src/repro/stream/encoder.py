@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.ldp.freq_oracle import FrequencyOracle
+from repro.ldp.oue import OptimizedUnaryEncoding
 from repro.stream.events import TransitionState
 from repro.stream.reports import ReportBatch
 from repro.stream.state_space import TransitionStateSpace
@@ -43,7 +43,7 @@ class UserSideEncoder:
         return vec
 
     def collect_counts(
-        self, oracle: FrequencyOracle, states: Sequence[TransitionState]
+        self, oracle: OptimizedUnaryEncoding, states: Sequence[TransitionState]
     ) -> np.ndarray:
         """Full private collection: returns estimated counts over ``S``.
 

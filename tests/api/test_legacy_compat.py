@@ -40,11 +40,13 @@ from repro.stream.reports import ColumnarStreamView
 DATA = Path(__file__).resolve().parents[1] / "data"
 
 #: The public names importable from `repro` before the unified API landed.
-#: Removing any of these is a breaking change — this list is the contract.
+#: Removing any of these is a breaking change — this list is the contract
+#: (``TrajectoryAnalyzer`` and ``FlowAnalyzer`` were dropped from it on
+#: purpose, see ``test_every_legacy_name_still_importable``).
 LEGACY_EXPORTS = (
     "RetraSyn", "RetraSynConfig", "OnlineRetraSyn",
     "SynthesisRun", "Synthesizer", "VectorizedSynthesizer",
-    "GlobalMobilityModel", "TrajectoryAnalyzer", "FlowAnalyzer",
+    "GlobalMobilityModel",
     "fidelity_report", "make_retrasyn", "make_all_update", "make_no_eq",
     "LBD", "LBA", "LPD", "LPA", "make_baseline",
     "load_dataset", "make_tdrive", "make_oldenburg", "make_sanjoaquin",
@@ -99,6 +101,33 @@ class TestLegacyImports:
         with pytest.raises(ImportError):
             from repro import ShardedOnlineRetraSyn  # noqa: F401
         assert "ShardedOnlineRetraSyn" not in repro.__all__
+        # The analysis helpers no round, CLI command or paper table used
+        # were removed; the utility metrics in ``repro.metrics`` cover them.
+        for name in ("TrajectoryAnalyzer", "FlowAnalyzer"):
+            assert not hasattr(repro, name)
+            assert name not in repro.__all__
+
+    @pytest.mark.parametrize(
+        "package, name",
+        [
+            ("repro", "TrajectoryAnalyzer"),
+            ("repro", "FlowAnalyzer"),
+            ("repro.analysis", "TrajectoryAnalyzer"),
+            ("repro.analysis", "FlowAnalyzer"),
+            ("repro.baselines", "HistogramStreamPublisher"),
+            ("repro.ldp", "FrequencyOracle"),
+            ("repro.ldp", "GeneralizedRandomizedResponse"),
+            ("repro.ldp", "OptimizedLocalHashing"),
+        ],
+    )
+    def test_removed_name_leaves_the_package_surface(self, package, name):
+        """Deliberately narrowed: these names served no round, paper table,
+        CLI command or served path, so no package re-exports them."""
+        import importlib
+
+        module = importlib.import_module(package)
+        assert name not in module.__all__
+        assert not hasattr(module, name)
 
     def test_legacy_imports_emit_no_warnings(self):
         import repro

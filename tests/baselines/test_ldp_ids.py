@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from repro.baselines.ldp_ids import LBA, LBD, LPA, LPD, LdpIdsConfig, make_baseline
+from repro.datasets.synthetic import make_lane_stream
 from repro.exceptions import ConfigurationError
 from repro.metrics.length import length_error
 from repro.metrics.divergence import LN2
+from repro.stream.events import StateKind
+
+
+def movers_at(dataset, t):
+    return sum(1 for _u, s in dataset.participants_at(t) if s.kind is StateKind.MOVE)
 
 
 class TestConfig:
@@ -76,6 +82,25 @@ class TestAllStrategies:
         r2 = algo.run(walk_data)
         assert r2.accountant.verify()
         assert len(r1.synthetic) == len(r2.synthetic)
+
+
+@pytest.mark.parametrize("strategy", ["lbd", "lba", "lpd", "lpa"])
+class TestQuietTimestamps:
+    def test_quiet_tail_survives(self, strategy):
+        """Timestamps nobody reports at still advance the synthetic streams."""
+        lanes = make_lane_stream(k=4, n_streams=60, n_timestamps=6, seed=1)
+        data = type(lanes)(lanes.grid, lanes.trajectories, n_timestamps=12)
+        run = make_baseline(strategy, epsilon=1.0, w=3, seed=0).run(data)
+        assert run.synthetic.n_timestamps == 12
+        assert run.reporters_per_timestamp[6:] == [0] * 6
+        assert np.all(run.synthetic.active_counts()[6:] == data.n_active_at(0))
+        assert run.accountant.verify(), run.accountant.summary()
+
+    def test_only_movers_report(self, walk_data, strategy):
+        run = make_baseline(strategy, epsilon=1.0, w=4, seed=0).run(walk_data)
+        assert len(run.reporters_per_timestamp) == walk_data.n_timestamps
+        for t, n in enumerate(run.reporters_per_timestamp):
+            assert 0 <= n <= movers_at(walk_data, t)
 
 
 class TestBudgetSplit:

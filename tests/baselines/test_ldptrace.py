@@ -1,13 +1,41 @@
 """Tests for the LDPTrace-style historical synthesizer."""
 
+import numpy as np
 import pytest
 
 from repro.baselines.ldptrace import (
     HistoricalRelease,
     LDPTraceConfig,
     LDPTraceSynthesizer,
+    clip_and_normalize,
 )
 from repro.exceptions import ConfigurationError
+
+
+class TestClipAndNormalize:
+    def test_negatives_clipped_then_renormalised(self):
+        out = clip_and_normalize([3.0, -1.0, 1.0, -5.0])
+        assert out.tolist() == pytest.approx([0.75, 0.0, 0.25, 0.0])
+
+    def test_proportions_of_non_negative_input_kept(self):
+        est = np.array([2.0, 6.0, 0.0, 2.0])
+        assert clip_and_normalize(est) == pytest.approx(est / est.sum())
+
+    @pytest.mark.parametrize(
+        "est", [[0.0, 0.0, 0.0, 0.0], [-1.0, -2.0, 0.0, -0.5]], ids=["zeros", "negative"]
+    )
+    def test_no_mass_left_gives_uniform(self, est):
+        assert clip_and_normalize(est) == pytest.approx(np.full(4, 0.25))
+
+    def test_input_left_unchanged(self):
+        est = np.array([1.0, -1.0, 2.0])
+        clip_and_normalize(est)
+        assert est.tolist() == [1.0, -1.0, 2.0]
+
+    def test_integer_counts_accepted(self):
+        out = clip_and_normalize(np.array([1, 3], dtype=np.int64))
+        assert out.dtype == float
+        assert out.tolist() == pytest.approx([0.25, 0.75])
 
 
 class TestConfig:

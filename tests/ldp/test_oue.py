@@ -135,11 +135,6 @@ class TestCuratorSide:
         oue = OptimizedUnaryEncoding(5, 1.0, rng=0)
         assert np.all(oue.collect([]) == 0)
 
-    def test_estimate_frequencies_sums_near_one(self):
-        oue = OptimizedUnaryEncoding(5, 4.0, rng=0)
-        freqs = oue.estimate_frequencies([0, 1, 2, 3, 4] * 200)
-        assert freqs.sum() == pytest.approx(1.0, abs=0.2)
-
     def test_aggregate_rejects_bad_shape(self):
         oue = OptimizedUnaryEncoding(5, 1.0, rng=0)
         with pytest.raises(ConfigurationError):
@@ -227,3 +222,59 @@ class TestPrivacyProperty:
         ratio_zero = (1 - oue.q) / (1 - oue.p)
         assert ratio_one <= np.exp(eps) * (1 + 1e-9)
         assert ratio_zero <= np.exp(eps) * (1 + 1e-9)
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize(
+        "eps", [0.0, -1.0, float("inf"), float("-inf"), float("nan")]
+    )
+    def test_rejects_epsilon(self, eps):
+        with pytest.raises(ConfigurationError):
+            OptimizedUnaryEncoding(10, eps)
+
+    @pytest.mark.parametrize("d", [0, -1, -10])
+    def test_rejects_domain_size(self, d):
+        with pytest.raises(ConfigurationError):
+            OptimizedUnaryEncoding(d, 1.0)
+
+    @pytest.mark.parametrize("bad", [-1, 8])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda o, v: o.perturb_one(v),
+            lambda o, v: o.perturb_many([0, v]),
+            lambda o, v: o.simulate_ones([0, v]),
+            lambda o, v: o.collect([0, v]),
+        ],
+        ids=["perturb_one", "perturb_many", "simulate_ones", "collect"],
+    )
+    def test_every_entry_checks_the_domain(self, call, bad):
+        with pytest.raises(DomainError):
+            call(OptimizedUnaryEncoding(8, 1.0, rng=0), bad)
+
+    @pytest.mark.parametrize("method", ["perturb_many", "simulate_ones", "collect"])
+    def test_rejects_two_dimensional_values(self, method):
+        oue = OptimizedUnaryEncoding(8, 1.0, rng=0)
+        with pytest.raises(DomainError):
+            getattr(oue, method)([[0, 1], [2, 3]])
+
+
+class TestEstimates:
+    @pytest.mark.parametrize("mode", ["exact", "fast"])
+    def test_singleton_domain(self, mode):
+        est = OptimizedUnaryEncoding(1, 1.0, rng=0, mode=mode).collect([0, 0, 0])
+        assert est.shape == (1,)
+
+    @pytest.mark.parametrize("mode", ["exact", "fast"])
+    def test_estimated_frequencies_sum_near_one(self, mode):
+        values = [0, 1, 2, 3, 4] * 200
+        est = OptimizedUnaryEncoding(5, 4.0, rng=0, mode=mode).collect(values)
+        assert est.sum() / len(values) == pytest.approx(1.0, abs=0.2)
+
+    @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0, 4.0])
+    def test_odds_ratio_is_exactly_e_to_epsilon(self, eps):
+        """OUE spends the whole budget: the worst-case likelihood ratio of
+        two inputs, over the two bits they differ in, equals e^eps."""
+        oue = OptimizedUnaryEncoding(4, eps, rng=0)
+        ratio = (oue.p / oue.q) * ((1 - oue.q) / (1 - oue.p))
+        assert ratio == pytest.approx(np.exp(eps))
