@@ -16,7 +16,7 @@ import numpy as np
 
 from repro import RetraSyn, RetraSynConfig, load_dataset
 from repro.exceptions import PrivacyBudgetError
-from repro.ldp.accountant import PrivacyAccountant
+from repro.ldp.accountant import ColumnarPrivacyAccountant
 from repro.ldp.oue import OptimizedUnaryEncoding
 
 EPSILON = 1.0
@@ -61,7 +61,7 @@ def mechanism_indistinguishability() -> None:
 
 def overspend_rejected() -> None:
     print("\n== 3. overspending is rejected, not logged ==")
-    acc = PrivacyAccountant(epsilon=EPSILON, w=W)
+    acc = ColumnarPrivacyAccountant(epsilon=EPSILON, w=W)
     acc.spend(user_id=0, timestamp=5, epsilon=0.7)
     print(f"  user 0 spent 0.7 at t=5; window total {acc.window_spend(0, 5):.1f}")
     try:

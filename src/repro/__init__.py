@@ -52,7 +52,7 @@ from repro.datasets import (
     make_tdrive,
 )
 from repro.geo import BoundingBox, Grid, Point, Trajectory, CellTrajectory
-from repro.ldp import OptimizedUnaryEncoding, PrivacyAccountant
+from repro.ldp import OptimizedUnaryEncoding
 from repro.metrics import ALL_METRICS, evaluate_all
 from repro.planning import DeploymentPlan, plan_report, recommend_k
 from repro.stream import StreamDataset, TransitionStateSpace
@@ -93,7 +93,6 @@ __all__ = [
     "Trajectory",
     "CellTrajectory",
     "OptimizedUnaryEncoding",
-    "PrivacyAccountant",
     "ALL_METRICS",
     "evaluate_all",
     "DeploymentPlan",

@@ -5,7 +5,10 @@ Following Section V-A, it is adapted to trajectory publishing by letting it
 collect transition states with its two-step private mechanism and feeding
 the released statistics into the same Markov generator as RetraSyn — but
 without entering/quitting modelling, dynamic user tracking, or size
-adjustment.
+adjustment.  They read their reports from the same columnar plane
+(:class:`~repro.stream.reports.ColumnarStreamView`) and spend into the
+same per-user ledger
+(:class:`~repro.ldp.accountant.ColumnarPrivacyAccountant`) as RetraSyn.
 
 Four strategies:
 

@@ -34,11 +34,10 @@ from repro.core.mobility_model import GlobalMobilityModel
 from repro.core.retrasyn import SynthesisRun
 from repro.core.synthesis import Synthesizer
 from repro.exceptions import ConfigurationError
-from repro.ldp.accountant import PrivacyAccountant
+from repro.ldp.accountant import make_accountant
 from repro.ldp.oue import OptimizedUnaryEncoding, oue_variance
 from repro.rng import RngLike, ensure_rng
-from repro.stream.encoder import UserSideEncoder
-from repro.stream.events import StateKind
+from repro.stream.reports import ColumnarStreamView, ReportBatch
 from repro.stream.state_space import TransitionStateSpace
 from repro.stream.stream import StreamDataset
 
@@ -117,12 +116,10 @@ class _LdpIds:
         cfg = self.config
         rng = ensure_rng(cfg.seed)
         space = TransitionStateSpace(dataset.grid, include_entering_quitting=False)
-        encoder = UserSideEncoder(space)
+        view = ColumnarStreamView(dataset, space)
         model = GlobalMobilityModel(space)
         synthesizer = Synthesizer(model, lam=1.0, enable_termination=False, rng=rng)
-        accountant = (
-            PrivacyAccountant(cfg.epsilon, cfg.w) if cfg.track_privacy else None
-        )
+        accountant = make_accountant(cfg.epsilon, cfg.w) if cfg.track_privacy else None
 
         release = np.zeros(space.size)  # r_{t-1}, the last published stats
         have_release = False
@@ -144,26 +141,18 @@ class _LdpIds:
 
         start = time.perf_counter()
         for t in range(dataset.n_timestamps):
-            moves = [
-                (uid, s)
-                for uid, s in dataset.participants_at(t)
-                if s.kind is StateKind.MOVE
-            ]
-            n_reporters_t = 0
-
+            moves = view.batch_at(t).moves_only()
             if cfg.division == "budget":
-                release, have_release, published, n_rep = self._budget_step(
-                    t, moves, release, have_release, space, encoder, rng,
+                release, have_release, n_reporters = self._budget_step(
+                    t, moves, release, have_release, space, rng,
                     eps_dissim, pub_spends, accountant,
                 )
-                n_reporters_t = n_rep
             else:
-                release, have_release, published, n_rep = self._population_step(
-                    t, moves, release, have_release, space, encoder, rng,
+                release, have_release, n_reporters = self._population_step(
+                    t, moves, release, have_release, space, rng,
                     n0, m_dissim, pub_users_spent, last_report, accountant,
                 )
-                n_reporters_t = n_rep
-            reporters_per_t.append(n_reporters_t)
+            reporters_per_t.append(n_reporters)
 
             # Model: the released stats fully define the current model.
             if have_release:
@@ -198,25 +187,22 @@ class _LdpIds:
     # budget division (LBD / LBA)
     # ------------------------------------------------------------------ #
     def _budget_step(
-        self, t, moves, release, have_release, space, encoder, rng,
+        self, t, moves: ReportBatch, release, have_release, space, rng,
         eps_dissim, pub_spends, accountant,
     ):
         cfg = self.config
         n = len(moves)
-        reported = 0
         if n == 0:
             pub_spends.append(0.0)
-            return release, have_release, False, 0
+            return release, have_release, 0
 
         # Step 1: dissimilarity estimate with ε/(2w).
-        states = [s for _u, s in moves]
         oracle1 = OptimizedUnaryEncoding(
             space.size, eps_dissim, rng=rng, mode=cfg.oracle_mode
         )
-        est = encoder.collect_counts(oracle1, states) / n
+        est = oracle1.collect(moves.state_idx) / n
         if accountant is not None:
-            accountant.spend_many((u for u, _s in moves), t, eps_dissim)
-        reported = n
+            accountant.spend_many(moves.user_ids, t, eps_dissim)
         dis = max(
             0.0,
             float(np.mean((est - release) ** 2)) - oue_variance(eps_dissim, n),
@@ -241,48 +227,46 @@ class _LdpIds:
             oracle2 = OptimizedUnaryEncoding(
                 space.size, candidate, rng=rng, mode=cfg.oracle_mode
             )
-            est2 = encoder.collect_counts(oracle2, states) / n
+            release = oracle2.collect(moves.state_idx) / n
             if accountant is not None:
-                accountant.spend_many((u for u, _s in moves), t, candidate)
-            release = est2
+                accountant.spend_many(moves.user_ids, t, candidate)
             have_release = True
             pub_spends.append(candidate)
             if cfg.strategy == "lba":
                 self._lba.publish()
         else:
             pub_spends.append(0.0)
-        return release, have_release, publish, reported
+        return release, have_release, n
 
     # ------------------------------------------------------------------ #
     # population division (LPD / LPA)
     # ------------------------------------------------------------------ #
     def _population_step(
-        self, t, moves, release, have_release, space, encoder, rng,
+        self, t, moves: ReportBatch, release, have_release, space, rng,
         n0, m_dissim, pub_users_spent, last_report, accountant,
     ):
         cfg = self.config
-        available = [
-            (u, s)
-            for u, s in moves
-            if u not in last_report or t - last_report[u] >= cfg.w
-        ]
-        if not available:
+        # A user is available once w timestamps have passed since their
+        # last report (never-reported users default to exactly w ago).
+        available = np.flatnonzero(np.fromiter(
+            (t - last_report.get(u, t - cfg.w) >= cfg.w
+             for u in moves.user_ids.tolist()),
+            dtype=bool, count=len(moves),
+        ))
+        if not available.size:
             pub_users_spent.append(0)
-            return release, have_release, False, 0
+            return release, have_release, 0
         rng.shuffle(available)
 
         # Step 1: dissimilarity with a small full-ε group.
-        m1 = min(m_dissim, len(available))
+        m1 = min(m_dissim, available.size)
         dissim_group = available[:m1]
         rest = available[m1:]
         oracle = OptimizedUnaryEncoding(
             space.size, cfg.epsilon, rng=rng, mode=cfg.oracle_mode
         )
-        est = encoder.collect_counts(oracle, [s for _u, s in dissim_group]) / m1
-        for u, _s in dissim_group:
-            last_report[u] = t
-            if accountant is not None:
-                accountant.spend(u, t, cfg.epsilon)
+        est = oracle.collect(moves.state_idx[dissim_group]) / m1
+        self._report(moves.user_ids[dissim_group], t, last_report, accountant)
         reported = m1
         dis = max(
             0.0,
@@ -306,25 +290,27 @@ class _LdpIds:
             oue_variance(cfg.epsilon, candidate) if candidate >= 1 else float("inf")
         )
         publish = not have_release or dis > err_pub
-        if publish and candidate >= 1 and rest:
-            group = rest[: min(candidate, len(rest))]
+        if publish and candidate >= 1 and rest.size:
+            group = rest[:candidate]
             oracle2 = OptimizedUnaryEncoding(
                 space.size, cfg.epsilon, rng=rng, mode=cfg.oracle_mode
             )
-            est2 = encoder.collect_counts(oracle2, [s for _u, s in group]) / len(group)
-            for u, _s in group:
-                last_report[u] = t
-                if accountant is not None:
-                    accountant.spend(u, t, cfg.epsilon)
-            reported += len(group)
-            release = est2
+            release = oracle2.collect(moves.state_idx[group]) / group.size
+            self._report(moves.user_ids[group], t, last_report, accountant)
+            reported += group.size
             have_release = True
-            pub_users_spent.append(len(group))
+            pub_users_spent.append(group.size)
             if cfg.strategy == "lpa":
                 self._lpa.publish()
         else:
             pub_users_spent.append(0)
-        return release, have_release, publish, reported
+        return release, have_release, reported
+
+    def _report(self, user_ids, t, last_report, accountant) -> None:
+        """A population-division group reports at ``t`` with the full ε."""
+        last_report.update(dict.fromkeys(user_ids.tolist(), t))
+        if accountant is not None:
+            accountant.spend_many(user_ids, t, self.config.epsilon)
 
     # ------------------------------------------------------------------ #
     @staticmethod

@@ -41,7 +41,7 @@ import numpy as np
 from repro.core.mobility_model import GlobalMobilityModel
 from repro.exceptions import ConfigurationError
 from repro.geo.trajectory import CellTrajectory
-from repro.ldp.accountant import PrivacyAccountant
+from repro.ldp.accountant import ColumnarPrivacyAccountant, make_accountant
 from repro.ldp.oue import OptimizedUnaryEncoding
 from repro.rng import RngLike, ensure_rng
 from repro.stream.state_space import TransitionStateSpace
@@ -92,7 +92,7 @@ class HistoricalRelease:
 
     synthetic: StreamDataset
     config: LDPTraceConfig
-    accountant: Optional[PrivacyAccountant]
+    accountant: Optional[ColumnarPrivacyAccountant]
     model: GlobalMobilityModel
     length_distribution: np.ndarray
 
@@ -114,9 +114,7 @@ class LDPTraceSynthesizer:
             (len(t) for t in dataset.trajectories), default=1
         )
         # A single "window": one report per user ever => user-level LDP.
-        accountant = (
-            PrivacyAccountant(cfg.epsilon, w=1) if cfg.track_privacy else None
-        )
+        accountant = make_accountant(cfg.epsilon, w=1) if cfg.track_privacy else None
 
         groups = self._assign_groups(dataset, rng)
         trans_freq = self._collect_transitions(groups["transition"], space, rng, accountant)
@@ -208,10 +206,9 @@ class LDPTraceSynthesizer:
 
     @staticmethod
     def _spend(accountant, trajs) -> None:
-        if accountant is None:
-            return
-        for tr in trajs:
-            accountant.spend(tr.user_id, 0, accountant.epsilon)
+        if accountant is not None:
+            uids = np.fromiter((tr.user_id for tr in trajs), np.int64, len(trajs))
+            accountant.spend_many(uids, 0, accountant.epsilon)
 
     # ------------------------------------------------------------------ #
     # synthesis

@@ -35,11 +35,7 @@ from typing import Optional
 
 from repro.api.specs import SessionSpec
 from repro.geo.trajectory import average_length
-from repro.ldp.accountant import (
-    ColumnarPrivacyAccountant,
-    PrivacyAccountant,
-    ScheduleLedger,
-)
+from repro.ldp.accountant import ColumnarPrivacyAccountant, ScheduleLedger
 from repro.stream.stream import StreamDataset
 
 
@@ -54,9 +50,7 @@ class SynthesisRun:
 
     synthetic: StreamDataset
     config: RetraSynConfig
-    accountant: Optional[
-        "PrivacyAccountant | ColumnarPrivacyAccountant | ScheduleLedger"
-    ]
+    accountant: Optional["ColumnarPrivacyAccountant | ScheduleLedger"]
     timings: dict[str, float] = field(default_factory=dict)
     reporters_per_timestamp: list[int] = field(default_factory=list)
     significant_per_timestamp: list[int] = field(default_factory=list)

@@ -19,7 +19,7 @@ class ConfigurationError(ReproError):
 class PrivacyBudgetError(ReproError):
     """A privacy-budget invariant was violated.
 
-    Raised by the :class:`repro.ldp.accountant.PrivacyAccountant` when a
+    Raised by the privacy ledgers of :mod:`repro.ldp.accountant` when a
     report would cause some user's spend inside a sliding window of ``w``
     timestamps to exceed the total budget ``epsilon``.
     """

@@ -3,22 +3,21 @@
 Implements the frequency oracle the paper builds on (Section II-A),
 :class:`~repro.ldp.oue.OptimizedUnaryEncoding` (optimal variance, Wang et
 al. USENIX Security 2017), plus the privacy ledgers that record budget
-spends and *verify* the w-event LDP guarantee (Definition 3 / Theorem 3):
-the dict-based :class:`~repro.ldp.accountant.PrivacyAccountant` the
-baselines keep, and
-the two the RetraSyn curator picks between with
+spends and *verify* the w-event LDP guarantee (Definition 3 / Theorem 3).
+The RetraSyn curator picks between two with
 :func:`~repro.ldp.accountant.make_ledger` — the O(w)
 :class:`~repro.ldp.accountant.ScheduleLedger` under budget division, whose
 reporters all spend the same ε_t once per round, and the per-user
 :class:`~repro.ldp.accountant.ColumnarPrivacyAccountant` (built by
 :func:`~repro.ldp.accountant.make_accountant`) under population division.
+The baselines keep the per-user columnar ledger too; the dict ledger the
+two are checked against is a test oracle (``tests/reference/ledger.py``).
 """
 
 from repro.ldp.oue import OptimizedUnaryEncoding, oue_variance
 from repro.ldp.accountant import (
     ACCOUNTANT_MODES,
     ColumnarPrivacyAccountant,
-    PrivacyAccountant,
     ScheduleLedger,
     make_accountant,
     make_ledger,
@@ -27,7 +26,6 @@ from repro.ldp.accountant import (
 __all__ = [
     "OptimizedUnaryEncoding",
     "oue_variance",
-    "PrivacyAccountant",
     "ColumnarPrivacyAccountant",
     "ScheduleLedger",
     "ACCOUNTANT_MODES",

@@ -7,16 +7,13 @@ user's per-timestamp budget spend with an accountant, which raises
 of ``w`` consecutive timestamps would exceed ``epsilon`` for any user
 (Definition 3), and exposes audit summaries for tests and reports.
 
-Three ledger engines share the ``spend_many`` / ``summary`` surface:
+Two ledger engines share the ``spend_many`` / ``summary`` surface, and a
+third, the test oracle, pins them:
 
-* :class:`PrivacyAccountant` — a per-uid dict of full spend histories.
-  Simple, order-free, able to answer any historical query; cost grows per
-  user per spend (a Python loop in ``spend_many``).  The baselines
-  (LBD/LBA/LPD/LPA, LDPTrace) keep their ledgers in it, and the test
-  suites use it as the reference the other two are checked against.
-* :class:`ColumnarPrivacyAccountant` — the **per-user** columnar engine,
-  the RetraSyn curator's ledger under population division: spends live
-  in a swept ``(n_slots, w)`` numpy ring hung on a
+* :class:`ColumnarPrivacyAccountant` — the **per-user** columnar engine:
+  the RetraSyn curator's ledger under population division and the
+  baselines' ledger (LBD/LBA/LPD/LPA, and LDPTrace with ``w=1``).  Spends
+  live in a swept ``(n_slots, w)`` numpy ring hung on a
   :class:`~repro.stream.slots.UserSlotTable`, so ``spend_many``,
   ``window_spend_many`` and the strict-mode violation check are array
   ops over whole report batches with no per-user loop.
@@ -26,17 +23,20 @@ Three ledger engines share the ``spend_many`` / ``summary`` surface:
   totals, and the running maximum window spend covers everyone ever
   seen.  It therefore requires spend timestamps to be non-decreasing —
   which the curator's consecutive-timestamp protocol guarantees.
-  ``tests/ldp/test_accountant_differential.py`` and the model-based
-  ``tests/ldp/test_accountant_model.py`` pin the two engines to identical
-  spends, refusals, violations and window totals on randomized schedules.
 * :class:`ScheduleLedger` — the **schedule** ledger, the RetraSyn
   curator's ledger under budget division.  There every reporter
   at ``t`` spends the same ``ε_t``, once, so a round's charge is one
   number: if a round's reporters are distinct and every ``w`` consecutive
   rounds sum to at most ``ε``, no user can exceed ``ε`` in any window.
-  Its state is ``O(w)`` — a ring of per-round ε — and
-  ``tests/ldp/test_schedule_ledger.py`` checks its bound against the dict
-  ledger.
+  Its state is ``O(w)`` — a ring of per-round ε.
+
+The oracle is the dict ledger ``PrivacyAccountant`` in
+``tests/reference/ledger.py``: per-uid full spend histories, rescanned on
+every spend.  ``tests/ldp/test_accountant_differential.py`` and the
+model-based ``tests/ldp/test_accountant_model.py`` pin the columnar engine
+to identical spends, refusals, violations and window totals on randomized
+schedules, and ``tests/ldp/test_schedule_ledger.py`` checks the schedule
+ledger's bound against it.
 
 The curator builds its ledger with :func:`make_ledger`, which picks one of
 the last two by the division; :func:`make_accountant` builds the per-user
@@ -59,9 +59,8 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from collections import defaultdict, deque
-from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from collections import deque
+from typing import Optional
 
 import numpy as np
 
@@ -137,143 +136,6 @@ def _checked_spend(epsilon) -> float:
     return epsilon
 
 
-@dataclass(frozen=True)
-class SpendRecord:
-    """One user's budget spend at one timestamp."""
-
-    timestamp: int
-    epsilon: float
-
-
-class PrivacyAccountant:
-    """Dict-ledger accountant: the baselines' ledger and the test reference.
-
-    Parameters
-    ----------
-    epsilon:
-        Total budget ε available inside any window of ``w`` timestamps.
-    w:
-        Sliding-window length (``w >= 1``).
-    strict:
-        When ``True`` (default) a violating spend raises
-        :class:`PrivacyBudgetError` *before* being recorded; when ``False``
-        violations are recorded and merely reported by :meth:`verify`.
-    """
-
-    def __init__(self, epsilon: float, w: int, strict: bool = True) -> None:
-        self.epsilon, self.w = _checked_contract(epsilon, w)
-        self.strict = bool(strict)
-        self._spends: Dict[int, list[SpendRecord]] = defaultdict(list)
-        self._violations: list[tuple[int, int, float]] = []
-        # Operational counters (scraped by /metrics, never part of the
-        # audit summary): spends actually recorded, and spends refused or
-        # flagged for breaching the window bound.
-        self.n_spend_events = 0
-        self.n_refusals = 0
-
-    # ------------------------------------------------------------------ #
-    # recording
-    # ------------------------------------------------------------------ #
-    def spend(self, user_id: int, timestamp: int, epsilon: float) -> None:
-        """Record that ``user_id`` consumed ``epsilon`` at ``timestamp``."""
-        epsilon = _checked_spend(epsilon)
-        # Validate the uid even for free spends, so the two engines reject
-        # bad ids identically regardless of epsilon.
-        user_id = _as_uid(user_id)
-        if epsilon == 0:
-            return
-        timestamp = int(timestamp)
-        window_total = self.window_spend(user_id, timestamp) + epsilon
-        if window_total > self.epsilon + _EPS_TOL:
-            self.n_refusals += 1
-            if self.strict:
-                # The spend is refused outright, so no violation is recorded:
-                # the ledger still describes only what actually happened.
-                raise PrivacyBudgetError(
-                    f"user {user_id} would spend {window_total:.6f} > "
-                    f"epsilon={self.epsilon} in window ending at t={timestamp}"
-                )
-            self._violations.append((user_id, timestamp, window_total))
-        self._spends[user_id].append(SpendRecord(timestamp, epsilon))
-        self.n_spend_events += 1
-
-    def spend_many(self, user_ids: Iterable[int], timestamp: int, epsilon: float) -> None:
-        """Record an identical spend for a batch of users.
-
-        Numpy integer arrays are accepted directly; float or object arrays
-        raise :class:`~repro.exceptions.ConfigurationError` instead of
-        silently creating non-int ledger keys.
-        """
-        if isinstance(user_ids, np.ndarray):
-            user_ids = _as_uid_array(user_ids).tolist()
-        for uid in user_ids:
-            self.spend(uid, timestamp, epsilon)
-
-    # ------------------------------------------------------------------ #
-    # queries
-    # ------------------------------------------------------------------ #
-    def window_spend(self, user_id: int, timestamp: int) -> float:
-        """Budget spent by ``user_id`` within ``[timestamp-w+1, timestamp]``."""
-        lo = timestamp - self.w + 1
-        return sum(
-            r.epsilon
-            for r in self._spends.get(user_id, ())
-            if lo <= r.timestamp <= timestamp
-        )
-
-    def window_spend_many(self, user_ids, timestamp: int) -> np.ndarray:
-        """Vectorized-signature twin of :meth:`window_spend` (still a loop)."""
-        ids = _as_uid_array(user_ids)
-        return np.asarray(
-            [self.window_spend(int(u), timestamp) for u in ids], dtype=float
-        )
-
-    def total_spend(self, user_id: int) -> float:
-        """Lifetime budget spent by one user (for audit output only)."""
-        return sum(r.epsilon for r in self._spends.get(user_id, ()))
-
-    def max_window_spend(self) -> float:
-        """The largest any-user any-window spend observed so far."""
-        best = 0.0
-        for uid, records in self._spends.items():
-            timestamps = sorted({r.timestamp for r in records})
-            for t in timestamps:
-                best = max(best, self.window_spend(uid, t + self.w - 1))
-        return best
-
-    def verify(self) -> bool:
-        """Whether every user satisfied the w-event bound at all times."""
-        return not self._violations and self.max_window_spend() <= self.epsilon + _EPS_TOL
-
-    @property
-    def violations(self) -> list[tuple[int, int, float]]:
-        """Recorded ``(user_id, timestamp, window_total)`` violations."""
-        return list(self._violations)
-
-    @property
-    def n_users(self) -> int:
-        return len(self._spends)
-
-    #: The dict ledger keeps every user resident and retires nobody.
-    n_rows = n_users
-    n_retired = 0
-
-    def user_ids(self) -> list[int]:
-        """Every user with at least one recorded spend (audit surface)."""
-        return list(self._spends)
-
-    def summary(self) -> dict:
-        """Audit summary suitable for experiment reports."""
-        return {
-            "epsilon": self.epsilon,
-            "w": self.w,
-            "n_users": self.n_users,
-            "max_window_spend": self.max_window_spend(),
-            "n_violations": len(self._violations),
-            "satisfied": self.verify(),
-        }
-
-
 class ColumnarPrivacyAccountant:
     """Swept ring-buffer ledger over a self-compacting slot table.
 
@@ -298,7 +160,7 @@ class ColumnarPrivacyAccountant:
     seen.  A retired uid that spends again is a fresh row — safe, because
     its window is empty by construction.
 
-    Semantics match :class:`PrivacyAccountant` exactly (including partial
+    Semantics match the dict reference ledger exactly (including partial
     recording of a batch prefix before a strict refusal, and per-row
     violation entries under ``strict=False``), with two documented
     restrictions that follow from keeping only the live window:
@@ -314,8 +176,14 @@ class ColumnarPrivacyAccountant:
 
     Parameters
     ----------
-    epsilon, w, strict:
-        As for :class:`PrivacyAccountant`.
+    epsilon:
+        Total budget ε available inside any window of ``w`` timestamps.
+    w:
+        Sliding-window length (``w >= 1``).
+    strict:
+        When ``True`` (default) a violating spend raises
+        :class:`PrivacyBudgetError` *before* being recorded; when ``False``
+        violations are recorded and merely reported by :meth:`verify`.
     slots:
         Optional shared :class:`~repro.stream.slots.UserSlotTable`; the
         unsharded curator passes the same table to its user tracker so a
@@ -347,7 +215,7 @@ class ColumnarPrivacyAccountant:
         self._arch_n = 0
         self._arch_sorted = True
         # Operational counters (scraped by /metrics, never part of the
-        # audit summary); counted identically to the object ledger's loop.
+        # audit summary); counted identically to the dict reference ledger.
         self.n_spend_events = 0
         self.n_refusals = 0
 
@@ -364,7 +232,7 @@ class ColumnarPrivacyAccountant:
 
         Duplicate ids inside one batch are handled with sequential
         semantics: the k-th occurrence sees the window total left by the
-        first k−1, exactly as the object ledger's loop would.
+        first k−1, exactly as the dict reference ledger's loop would.
         """
         epsilon = _checked_spend(epsilon)
         ids = _as_uid_array(user_ids)
@@ -390,7 +258,7 @@ class ColumnarPrivacyAccountant:
         offender = -1
         if over.any():
             if self.strict:
-                # Rows before the first offender really happened (the object
+                # Rows before the first offender really happened (the dict
                 # ledger records them one by one before raising); keep them.
                 offender = int(np.argmax(over))
                 n_record = offender
@@ -545,7 +413,7 @@ class ColumnarPrivacyAccountant:
         window totals its rows were checked at, and any window's maximum
         is attained at a window ending on its last contained spend — so
         the running maximum over "windows ending at spend time" equals the
-        object ledger's full-history scan, retired rows included.
+        dict reference ledger's full-history scan, retired rows included.
         """
         return self._max_window
 
@@ -858,7 +726,8 @@ def make_accountant(
     strict: bool = True,
     slots: Optional[UserSlotTable] = None,
 ):
-    """Build the curator's ledger engine named by ``mode``."""
+    """Build the per-user ledger engine named by ``mode``: the curator's
+    under population division, and the baselines'."""
     if mode not in ACCOUNTANT_MODES:
         raise ConfigurationError(
             f"accountant_mode must be one of {ACCOUNTANT_MODES}, got {mode!r}"
@@ -891,7 +760,7 @@ class SlidingBudgetTracker:
 
     Used by budget-division allocators to compute the remaining budget
     ``ε_rm = ε − Σ_{i=t-w+1}^{t-1} ε_i`` (Section III-E).  This is separate
-    from :class:`PrivacyAccountant` because the allocator needs only the
+    from the per-user ledgers because the allocator needs only the
     curator's own schedule, not per-user histories.
     """
 

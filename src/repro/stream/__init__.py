@@ -17,7 +17,9 @@ Models the paper's streaming setting (Sections II-B and III-B):
   privacy accountant's spend ring buffer.
 * :class:`~repro.stream.reports.ReportBatch` — the columnar report plane:
   per-timestamp batches as numpy index arrays, the wire format the whole
-  collection pipeline (shards included) speaks.
+  collection pipeline (shards included) speaks;
+  :class:`~repro.stream.reports.ColumnarStreamView` replays a finished
+  dataset as those batches, for RetraSyn and the baselines alike.
 * :mod:`~repro.stream.ingest` — the ingestion front-end: out-of-order
   report batches assembled into closed, canonically ordered timestamps
   under a watermark.
@@ -34,7 +36,6 @@ from repro.stream.slots import UserSlotTable
 from repro.stream.state_space import TransitionStateSpace
 from repro.stream.stream import StreamDataset
 from repro.stream.user_tracker import UserStatus, UserTracker
-from repro.stream.encoder import UserSideEncoder
 
 __all__ = [
     "StateKind",
@@ -44,7 +45,6 @@ __all__ = [
     "UserStatus",
     "UserTracker",
     "UserSlotTable",
-    "UserSideEncoder",
     "ReportBatch",
     "ColumnarStreamView",
     "shard_of_array",

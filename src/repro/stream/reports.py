@@ -194,23 +194,6 @@ class ReportBatch:
         sid = shard_of_array(self.user_ids, n_shards)
         return [self.take(np.flatnonzero(sid == k)) for k in range(n_shards)]
 
-    def to_participants(
-        self, space: TransitionStateSpace
-    ) -> list[tuple[int, TransitionState]]:
-        """Back-convert to the object representation (tests, debugging)."""
-        out: list[tuple[int, TransitionState]] = []
-        for uid, idx, kind in zip(
-            self.user_ids.tolist(), self.state_idx.tolist(), self.kinds.tolist()
-        ):
-            if idx >= 0:
-                state = space.state_of(idx)
-            elif kind == KIND_ENTER:
-                state = TransitionState.enter(0)  # cell unknown without idx
-            else:
-                state = TransitionState.quit(0)
-            out.append((uid, state))
-        return out
-
 
 def as_report_batch(
     space: TransitionStateSpace,

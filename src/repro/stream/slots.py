@@ -29,11 +29,12 @@ that mapping, fully vectorized, and it *owns the rows*:
   relative (first-appearance) order; a retired uid that shows up again is
   simply interned as a fresh arrival.  A round therefore costs what the
   live rows cost, not what every uid ever seen costs;
-* steady-state admission has a **pre-registered fast path**: while every
+* steady-state admission has an **identity fast path**: while every
   interned uid equals its own slot (the table is an *identity* mapping —
-  the shape :meth:`UserSlotTable.preregister` of a dense uid population
-  produces), lookups are a pure bounds check with **no** ``searchsorted``
-  and the sorted index is not even built.  The flag degrades
+  the shape :meth:`UserSlotTable.intern` produces for a dense uid
+  population, uids ``0..n-1`` interned in order), lookups are a pure
+  bounds check with **no** ``searchsorted`` and the sorted index is not
+  even built.  The flag degrades
   automatically (and permanently) the first time a non-dense uid arrives
   or a row is retired; the index is then built on the next lookup and
   extended by an amortised append whenever new uids sort after its tail
@@ -263,18 +264,6 @@ class UserSlotTable:
             slots[missing] = base + rank[inverse]
             self._append(uniq[order])
         return slots
-
-    def preregister(self, user_ids) -> np.ndarray:
-        """Intern a whole population ahead of its first report.
-
-        Admission of an already-interned uid never touches the append
-        path, so a service that pre-registers its expected users keeps
-        every steady-state round on the read-only lookup — and when the
-        population is dense (uids ``0..n-1`` in order), on the
-        no-``searchsorted`` identity fast path.
-        Returns the slots, like :meth:`intern`.
-        """
-        return self.intern(user_ids)
 
     def state(self) -> dict:
         """uids and hung columns (registration order) of the resident rows."""

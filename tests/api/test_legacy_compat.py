@@ -41,8 +41,8 @@ DATA = Path(__file__).resolve().parents[1] / "data"
 
 #: The public names importable from `repro` before the unified API landed.
 #: Removing any of these is a breaking change — this list is the contract
-#: (``TrajectoryAnalyzer`` and ``FlowAnalyzer`` were dropped from it on
-#: purpose, see ``test_every_legacy_name_still_importable``).
+#: (``TrajectoryAnalyzer``, ``FlowAnalyzer`` and ``PrivacyAccountant`` were
+#: dropped from it on purpose, see ``test_every_legacy_name_still_importable``).
 LEGACY_EXPORTS = (
     "RetraSyn", "RetraSynConfig", "OnlineRetraSyn",
     "SynthesisRun", "Synthesizer", "VectorizedSynthesizer",
@@ -51,7 +51,7 @@ LEGACY_EXPORTS = (
     "LBD", "LBA", "LPD", "LPA", "make_baseline",
     "load_dataset", "make_tdrive", "make_oldenburg", "make_sanjoaquin",
     "Grid", "Point", "BoundingBox", "Trajectory", "CellTrajectory",
-    "OptimizedUnaryEncoding", "PrivacyAccountant",
+    "OptimizedUnaryEncoding",
     "ALL_METRICS", "evaluate_all",
     "DeploymentPlan", "plan_report", "recommend_k",
     "StreamDataset", "TransitionStateSpace",
@@ -103,7 +103,9 @@ class TestLegacyImports:
         assert "ShardedOnlineRetraSyn" not in repro.__all__
         # The analysis helpers no round, CLI command or paper table used
         # were removed; the utility metrics in ``repro.metrics`` cover them.
-        for name in ("TrajectoryAnalyzer", "FlowAnalyzer"):
+        # The dict ledger is a test oracle: every engine ledger and every
+        # baseline spends into the columnar or schedule ledger.
+        for name in ("TrajectoryAnalyzer", "FlowAnalyzer", "PrivacyAccountant"):
             assert not hasattr(repro, name)
             assert name not in repro.__all__
 
@@ -118,11 +120,16 @@ class TestLegacyImports:
             ("repro.ldp", "FrequencyOracle"),
             ("repro.ldp", "GeneralizedRandomizedResponse"),
             ("repro.ldp", "OptimizedLocalHashing"),
+            ("repro", "PrivacyAccountant"),
+            ("repro.ldp", "PrivacyAccountant"),
+            ("repro.stream", "UserSideEncoder"),
         ],
     )
     def test_removed_name_leaves_the_package_surface(self, package, name):
         """Deliberately narrowed: these names served no round, paper table,
-        CLI command or served path, so no package re-exports them."""
+        CLI command or served path (the dict ledger and the object-path
+        encoder only served the baselines, which now run on the columnar
+        plane), so no package re-exports them."""
         import importlib
 
         module = importlib.import_module(package)

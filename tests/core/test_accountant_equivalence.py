@@ -18,13 +18,9 @@ from repro.core.persistence import load_checkpoint, save_checkpoint
 from repro.core.retrasyn import RetraSyn, RetraSynConfig
 from repro.datasets.synthetic import make_random_walks
 from repro.exceptions import PrivacyBudgetError
-from repro.ldp.accountant import (
-    ColumnarPrivacyAccountant,
-    PrivacyAccountant,
-    ScheduleLedger,
-)
+from repro.ldp.accountant import ColumnarPrivacyAccountant, ScheduleLedger
 
-from reference.ledger import object_ledger_installed
+from reference.ledger import PrivacyAccountant, object_ledger_installed
 
 
 @pytest.fixture(scope="module")

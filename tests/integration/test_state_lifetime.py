@@ -21,9 +21,10 @@ from hypothesis import strategies as st
 from repro.api.session import create_session, load_session
 from repro.api.specs import SessionSpec
 from repro.geo.grid import unit_grid
-from repro.ldp.accountant import PrivacyAccountant
 from repro.stream import slots as slots_module
 from repro.stream.state_space import TransitionStateSpace
+
+from reference.ledger import PrivacyAccountant
 
 GRID = unit_grid(4)
 EPSILON = 1.0

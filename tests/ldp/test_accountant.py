@@ -12,11 +12,12 @@ import pytest
 from repro.exceptions import ConfigurationError, PrivacyBudgetError
 from repro.ldp.accountant import (
     ColumnarPrivacyAccountant,
-    PrivacyAccountant as ObjectPrivacyAccountant,
     ScheduleLedger,
     SlidingBudgetTracker,
     make_accountant,
 )
+
+from reference.ledger import PrivacyAccountant as ObjectPrivacyAccountant
 
 NAN, INF = float("nan"), float("inf")
 LEDGERS = (ObjectPrivacyAccountant, ColumnarPrivacyAccountant, ScheduleLedger)

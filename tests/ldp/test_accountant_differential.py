@@ -19,11 +19,12 @@ from repro.exceptions import ConfigurationError, PrivacyBudgetError
 from repro.ldp.accountant import (
     ACCOUNTANT_MODES,
     ColumnarPrivacyAccountant,
-    PrivacyAccountant,
     make_accountant,
 )
 from repro.stream.slots import UserSlotTable
 from repro.stream.user_tracker import UserTracker
+
+from reference.ledger import PrivacyAccountant
 
 
 def _pair(epsilon, w, strict=True):

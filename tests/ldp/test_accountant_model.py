@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 
 from repro.exceptions import PrivacyBudgetError
 from repro.ldp import accountant as accountant_module
-from repro.ldp.accountant import ColumnarPrivacyAccountant, PrivacyAccountant
+from repro.ldp.accountant import ColumnarPrivacyAccountant
 from repro.stream import slots as slots_module
+
+from reference.ledger import PrivacyAccountant
 
 #: Dyadic spends: window sums stay exact in binary floating point.
 SPENDS = (0.125, 0.25, 0.5)

@@ -20,12 +20,13 @@ from repro.core.retrasyn import RetraSynConfig
 from repro.exceptions import ConfigurationError, PrivacyBudgetError
 from repro.ldp.accountant import (
     ColumnarPrivacyAccountant,
-    PrivacyAccountant,
     ScheduleLedger,
     make_ledger,
     require_distinct,
     uses_schedule_ledger,
 )
+
+from reference.ledger import PrivacyAccountant
 
 
 def _spend(ledger, uids, t, eps):

@@ -10,7 +10,7 @@ privacy ledger — to a loop anyone can read.
 * :mod:`reference.oue` — OUE one-counts as one ``perturb_one`` per user;
 * :mod:`reference.sampler` — reporter selection as a loop over
   ``(uid, TransitionState)`` pairs;
-* :mod:`reference.ledger` — the ``object_ledger`` fixture, which installs
-  the dict-based :class:`~repro.ldp.accountant.PrivacyAccountant` as the
-  curator's ledger.
+* :mod:`reference.ledger` — the dict ledger ``PrivacyAccountant`` (full
+  per-user spend histories) and the ``object_ledger`` fixture, which
+  installs it as the ledger of the curator and of the baselines.
 """

@@ -88,11 +88,11 @@ class TestLookupIntern:
 
 
 class TestIdentityFastPath:
-    """Pre-registered dense populations skip searchsorted entirely."""
+    """Dense uid populations interned in order skip searchsorted entirely."""
 
     def test_dense_population_arms_the_fast_path(self):
         table = UserSlotTable()
-        table.preregister(np.arange(10_000))
+        table.intern(np.arange(10_000))
         assert table.is_identity
         assert table.lookup([0, 9_999, 10_000]).tolist() == [0, 9_999, -1]
 
@@ -130,7 +130,7 @@ class TestIdentityFastPath:
         rng = np.random.default_rng(7)
         uids = np.arange(1_000)
         fast = UserSlotTable()
-        fast.preregister(uids)
+        fast.intern(uids)
         slow = UserSlotTable()
         slow.intern(uids)
         slow._identity = False  # force the searchsorted path on one twin
@@ -141,7 +141,7 @@ class TestIdentityFastPath:
 
     def test_state_preserves_the_flag(self):
         table = UserSlotTable()
-        table.preregister(np.arange(8))
+        table.intern(np.arange(8))
         assert _reloaded(table).is_identity
         table.intern([99])
         assert not _reloaded(table).is_identity
