@@ -114,6 +114,24 @@ def sample_population_reporters_batch(
     rate: Optional[float],
     stochastic_round: bool = False,
 ) -> np.ndarray:
+    """:func:`select_population_reporters`'s row indices, without the slots."""
+    return select_population_reporters(
+        tracker, report_phase, rng, cfg, t, batch, newly_entered, rate,
+        stochastic_round,
+    )[0]
+
+
+def select_population_reporters(
+    tracker,
+    report_phase: dict,
+    rng,
+    cfg,
+    t: int,
+    batch: ReportBatch,
+    newly_entered,
+    rate: Optional[float],
+    stochastic_round: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
     """Algorithm 1's per-timestamp reporter selection over one user set.
 
     Registers arrivals, recycles the ``t − w`` cohort, then either applies
@@ -121,7 +139,10 @@ def sample_population_reporters_batch(
     the eligible rows.  Every
     :class:`~repro.core.sharded.CollectionShard` runs it over its
     partition (the whole population on the engine's K=1 serial shard).
-    Returns the selected *row indices* into ``batch`` (in selection order).
+    Returns the selected *row indices* into ``batch`` (in selection order)
+    and the tracker slots of those rows: the batch's ids are resolved once,
+    here, and the round marks its reporters by slot
+    (:meth:`~repro.stream.user_tracker.UserTracker.mark_reported_slots`).
 
     ``stochastic_round=True`` rounds the sample size probabilistically so
     that its *expectation* is exactly ``rate * len(eligible)`` — required
@@ -135,14 +156,15 @@ def sample_population_reporters_batch(
     select the same users in the same order for a fixed seed (pinned by
     ``tests/core/test_columnar_equivalence.py``).
     """
-    entered = [int(u) for u in newly_entered]
+    entered = np.asarray(newly_entered, dtype=np.int64)
     tracker.register(entered)
     if cfg.allocator == "random":
-        for uid in entered:
+        for uid in entered.tolist():
             report_phase[uid] = int(rng.integers(0, cfg.w))
         _forget_retired_phases(tracker, report_phase)
     tracker.recycle(t)
-    eligible_rows = np.flatnonzero(tracker.active_mask(batch.user_ids))
+    active, slots = tracker.active_slots(batch.user_ids)
+    eligible_rows = np.flatnonzero(active)
     if cfg.allocator == "random":
         phase = t % cfg.w
         keep = [
@@ -152,7 +174,8 @@ def sample_population_reporters_batch(
             )
             if report_phase.get(uid, 0) == phase
         ]
-        return np.asarray(keep, dtype=np.int64)
+        rows = np.asarray(keep, dtype=np.int64)
+        return rows, slots[rows]
     n_eligible = int(eligible_rows.size)
     target = (rate or 0.0) * n_eligible
     if stochastic_round:
@@ -160,9 +183,10 @@ def sample_population_reporters_batch(
     else:
         n_sample = int(round(target))
     if n_sample <= 0 or n_eligible == 0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     idx = rng.choice(n_eligible, size=min(n_sample, n_eligible), replace=False)
-    return eligible_rows[np.atleast_1d(idx)]
+    rows = eligible_rows[np.atleast_1d(idx)]
+    return rows, slots[rows]
 
 
 def _split_ids(ids, n_shards: int) -> list[np.ndarray]:

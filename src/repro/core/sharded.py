@@ -50,7 +50,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.online import sample_population_reporters_batch
+from repro.core.online import select_population_reporters
 from repro.geo.grid import Grid
 from repro.ldp.oue import OptimizedUnaryEncoding
 from repro.rng import load_rng
@@ -138,7 +138,7 @@ class CollectionShard:
         shard counts).
 
         Selection uses :func:`~repro.core.online
-        .sample_population_reporters_batch`, by default with stochastic
+        .select_population_reporters`, by default with stochastic
         rounding: each partition samples ``rate``·eligible in
         *expectation*, so the total reporter volume is unbiased for any
         shard count (deterministic per-shard rounding would collapse to
@@ -146,7 +146,7 @@ class CollectionShard:
         """
         cfg = self.config
         if cfg.division == "population":
-            rows = sample_population_reporters_batch(
+            rows, slots = select_population_reporters(
                 self.tracker, self._report_phase, self.rng, cfg,
                 t, batch, newly_entered, rate,
                 stochastic_round=self.stochastic_round,
@@ -166,6 +166,8 @@ class CollectionShard:
         else:
             ones = np.zeros(self.space.size)
         if self.tracker is not None:
-            self.tracker.mark_reported(chosen.user_ids, t)
+            # The slots selection resolved (population division keeps
+            # the only trackers); no intern has run since.
+            self.tracker.mark_reported_slots(slots, t)
             self.tracker.mark_quitted(quitted)
         return ones, chosen.user_ids, user_seconds

@@ -28,12 +28,13 @@ index is which transition) stays owned by ``TransitionStateSpace``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from repro.exceptions import DomainError
+from repro.exceptions import DatasetError, DomainError
 from repro.stream.events import StateKind, TransitionState
 from repro.stream.state_space import TransitionStateSpace
 
@@ -222,46 +223,42 @@ class ColumnarStreamView:
         self._build(dataset, space)
 
     def _build(self, dataset, space: TransitionStateSpace) -> None:
-        ts: list[np.ndarray] = []
-        uids: list[np.ndarray] = []
-        idxs: list[np.ndarray] = []
-        kinds: list[np.ndarray] = []
-        include_eq = space.include_eq
-        enter_offset = getattr(space, "_enter_offset", None)
-        quit_offset = getattr(space, "_quit_offset", None)
-        for traj in dataset.trajectories:
-            cells = np.asarray(traj.cells, dtype=np.int64)
-            L = cells.size
-            # enter at start, moves at start+1..end, quit at end+1
-            t0 = traj.start_time
-            n_rows = L + 1
-            t_arr = np.arange(t0, t0 + n_rows, dtype=np.int64)
-            uid_arr = np.full(n_rows, traj.user_id, dtype=np.int64)
-            kind_arr = np.full(n_rows, KIND_MOVE, dtype=np.int8)
-            kind_arr[0] = KIND_ENTER
-            kind_arr[-1] = KIND_QUIT
-            idx_arr = np.full(n_rows, -1, dtype=np.int64)
-            if L > 1:
-                idx_arr[1:L] = space.move_index_lookup(cells[:-1], cells[1:])
-            if include_eq:
-                idx_arr[0] = enter_offset + cells[0]
-                idx_arr[-1] = quit_offset + cells[-1]
-            ts.append(t_arr)
-            uids.append(uid_arr)
-            idxs.append(idx_arr)
-            kinds.append(kind_arr)
-        if ts:
-            t_all = np.concatenate(ts)
-            order = np.argsort(t_all, kind="stable")
-            self._t = t_all[order]
-            self._uid = np.concatenate(uids)[order]
-            self._idx = np.concatenate(idxs)[order]
-            self._kind = np.concatenate(kinds)[order]
-        else:
-            self._t = np.empty(0, dtype=np.int64)
-            self._uid = np.empty(0, dtype=np.int64)
-            self._idx = np.empty(0, dtype=np.int64)
-            self._kind = np.empty(0, dtype=np.int8)
+        # Trajectory k gives L_k + 1 rows, from its enter row first[k]:
+        # enter at start, moves at start+1..end, quit at end+1.
+        trajs = list(dataset.trajectories)
+        n = len(trajs)
+        lengths = np.fromiter((len(tr.cells) for tr in trajs), np.int64, n)
+        starts = np.fromiter((tr.start_time for tr in trajs), np.int64, n)
+        user_ids = np.fromiter((tr.user_id for tr in trajs), np.int64, n)
+        cells = np.fromiter(
+            itertools.chain.from_iterable(tr.cells for tr in trajs),
+            np.int64, int(lengths.sum()),
+        )
+        n_rows = lengths + 1
+        first = np.cumsum(n_rows) - n_rows
+        t_all = np.repeat(starts - first, n_rows) + np.arange(n_rows.sum())
+        kinds = np.full(t_all.size, KIND_MOVE, dtype=np.int8)
+        kinds[first] = KIND_ENTER
+        kinds[first + lengths] = KIND_QUIT
+        idx = np.full(t_all.size, -1, dtype=np.int64)
+        # Cell c of trajectory k lands on row c + k, so the move out of it
+        # is row c + k + 1; pairs across a trajectory boundary are masked.
+        owner = np.repeat(np.arange(n), lengths)
+        pairs = np.flatnonzero(owner[:-1] == owner[1:])
+        idx[pairs + owner[pairs] + 1] = space.move_index_lookup(
+            cells[pairs], cells[pairs + 1]
+        )
+        if space.include_eq:
+            if (lengths == 0).any():
+                raise DatasetError("empty trajectory has no enter or quit state")
+            cell0 = np.cumsum(lengths) - lengths
+            idx[first] = space.enter_indices[cells[cell0]]
+            idx[first + lengths] = space.quit_indices[cells[cell0 + lengths - 1]]
+        order = np.argsort(t_all, kind="stable")
+        self._t = t_all[order]
+        self._uid = np.repeat(user_ids, n_rows)[order]
+        self._idx = idx[order]
+        self._kind = kinds[order]
         bounds = np.searchsorted(
             self._t, np.arange(self.n_timestamps + 1, dtype=np.int64)
         )

@@ -6,9 +6,9 @@ statuses, last-report timestamps and privacy-ledger windows can live in
 flat numpy arrays instead of per-uid dicts.  :class:`UserSlotTable` is
 that mapping, fully vectorized, and it *owns the rows*:
 
-* lookups are one ``np.searchsorted`` over a sorted uid index — no Python
-  loop over the batch, which is what keeps ``spend_many`` /
-  ``active_mask`` array-speed at 100k+ reporters per round;
+* a lookup is one gather — no Python loop over the batch, which is what
+  keeps ``spend_many`` / ``active_mask`` array-speed at 100k+ reporters
+  per round (see "Two indexes" below);
 * slot numbers are assigned in **first-appearance order**, exactly like
   the dict-based stores they replace, so audit surfaces that iterate in
   slot order (``recycle`` return values, ``active_users``) keep their
@@ -25,20 +25,40 @@ that mapping, fully vectorized, and it *owns the rows*:
   (:meth:`UserSlotTable.attach`), and whenever the table has doubled since
   its last scan, rows that *every* attached component releases are
   retired by one order-preserving compaction of the uid column, the
-  sorted index and every hung column.  Surviving users keep their
-  relative (first-appearance) order; a retired uid that shows up again is
-  simply interned as a fresh arrival.  A round therefore costs what the
-  live rows cost, not what every uid ever seen costs;
-* steady-state admission has an **identity fast path**: while every
-  interned uid equals its own slot (the table is an *identity* mapping —
-  the shape :meth:`UserSlotTable.intern` produces for a dense uid
-  population, uids ``0..n-1`` interned in order), lookups are a pure
-  bounds check with **no** ``searchsorted`` and the sorted index is not
-  even built.  The flag degrades
-  automatically (and permanently) the first time a non-dense uid arrives
-  or a row is retired; the index is then built on the next lookup and
-  extended by an amortised append whenever new uids sort after its tail
-  (the shape every replay generates).
+  index and every hung column.  Surviving users keep their relative
+  (first-appearance) order; a retired uid that shows up again is simply
+  interned as a fresh arrival.  A round therefore costs what the live
+  rows cost, not what every uid ever seen costs.
+
+Two indexes, one at a time
+--------------------------
+A table holding rows has exactly one index; an empty table has none.
+
+* **The dense map** serves a table while its resident uids are *dense*:
+  their span (largest minus smallest, plus one) is at most
+  ``_DENSE_SPAN`` times the table's capacity.  It is a direct-address
+  array ``uid - base -> slot`` (``-1`` where no resident uid sits), so a
+  lookup is a range check and a gather.  Uids handed out in arrival
+  order — every generated dataset, the round benchmark's clients — stay
+  dense however many users have come and gone, as long as the oldest
+  resident user arrived not too many arrivals before the newest:
+  compaction shrinks the span back to the rows that stay.  The identity
+  mapping (uids ``0..n-1`` interned in order) is its special case, not a
+  separate path.  ``_append`` writes new uids into it, widening it when
+  they fall outside; ``_compact`` rebuilds it over the rows that stay.
+* **The sorted index** (a ``searchsorted`` over the resident uids, sorted)
+  serves a table whose uids are too sparse for the map: hashed int64 ids
+  from an HTTP client, whose span no memory bound could cover, or one
+  hash partition whose long-lived users hold the span open.  It takes
+  over when an append would stretch the span past the bound, and it stays
+  for that input.  New uids that sort after its tail (the shape every
+  replay generates) are appended in amortised O(1); only a compaction
+  that leaves a dense population switches back to the map.
+
+Both exist because neither serves every input: the map is a gather but
+its memory follows the uid span, the sorted index is ``O(log n)`` per id
+but its memory follows the rows.  Which one serves a table changes only
+its speed, never a slot, a ``-1`` or an error.
 
 The table's ``state()`` is its resident uids and hung columns, named by
 their owners; ``load_state`` fills a table whose owners the curator's
@@ -58,6 +78,13 @@ _LOG_STEP = 1 << 16
 
 #: Tables smaller than this are never scanned for retirable rows.
 _MIN_COMPACT_ROWS = 1024
+
+#: Smallest capacity :func:`reserve` grows an array to.
+_MIN_GROWTH = 1024
+
+#: A table keeps the dense uid map while its resident uids span at most
+#: this many times its capacity (see the module docstring).
+_DENSE_SPAN = 4
 
 
 def _as_id_array(user_ids) -> np.ndarray:
@@ -91,7 +118,7 @@ def reserve(arr: np.ndarray, used: int, need: int, fill=0) -> np.ndarray:
     if need <= cap:
         return arr
     grown = np.full(
-        arr.shape[:-1] + (max(need, cap + cap // 2, 1024),), fill, dtype=arr.dtype
+        arr.shape[:-1] + (max(need, cap + cap // 2, _MIN_GROWTH),), fill, dtype=arr.dtype
     )
     grown[..., :used] = arr[..., :used]
     return grown
@@ -155,13 +182,14 @@ class UserSlotTable:
     def __init__(self) -> None:
         self._uids = np.empty(0, dtype=np.int64)  # slot -> uid (capacity-padded)
         self._n = 0
-        # Sorted secondary index for O(log n) vectorized lookups: built on
-        # the first lookup after the identity fast path disarms.
-        self._sorted_uids: Optional[np.ndarray] = None  # capacity-padded
+        # The one index of a table holding rows (none while it is empty):
+        # the dense map uid - _lo -> slot over resident uids in
+        # [_lo, _hi], or the sorted index (capacity-padded) when they are
+        # too sparse for it.
+        self._map: Optional[np.ndarray] = None
+        self._lo = self._hi = 0
+        self._sorted_uids: Optional[np.ndarray] = None
         self._sorted_slots: Optional[np.ndarray] = None
-        # True while uid == slot for every interned uid (dense 0..n-1
-        # population): lookups are then a bounds check, no searchsorted.
-        self._identity = True
         self._columns: list[SlotColumn] = []
         self._owners: list = []
         self._compact_at = _MIN_COMPACT_ROWS
@@ -179,6 +207,14 @@ class UserSlotTable:
     def uids(self) -> np.ndarray:
         """uid of each slot, indexed by slot (do not mutate)."""
         return self._uids[: self._n]
+
+    @property
+    def index(self) -> Optional[str]:
+        """The index serving lookups: ``"dense"``, ``"sorted"``, or ``None``
+        while the table is empty."""
+        if self._map is not None:
+            return "dense"
+        return None if self._sorted_uids is None else "sorted"
 
     def __len__(self) -> int:
         return self._n
@@ -213,24 +249,20 @@ class UserSlotTable:
     # ------------------------------------------------------------------ #
     # lookups
     # ------------------------------------------------------------------ #
-    @property
-    def is_identity(self) -> bool:
-        """True while every interned uid equals its slot (fast-path armed)."""
-        return self._identity
-
     def lookup(self, user_ids) -> np.ndarray:
         """Slots of ``user_ids``; ``-1`` marks ids the table does not hold."""
         ids = _as_id_array(user_ids)
         if self._n == 0 or ids.size == 0:
             return np.full(ids.shape, -1, dtype=np.int64)
-        if self._identity:
-            # Pre-registered fast path: uid == slot, so known ids map to
-            # themselves and anything outside [0, n) is unseen.
-            return np.where((ids >= 0) & (ids < self._n), ids, -1)
-        if self._sorted_uids is None:
-            self._build_index()
-        found, pos = find_sorted(self._sorted_uids[: self._n], ids)
-        return np.where(found, self._sorted_slots[pos], -1)
+        if self._map is None:
+            found, pos = find_sorted(self._sorted_uids[: self._n], ids)
+            return np.where(found, self._sorted_slots[pos], -1)
+        lo, hi = self._lo, self._hi
+        if lo <= ids.min() and ids.max() <= hi:
+            return self._map[ids - lo]
+        # ids - lo wraps only where ids lie outside [lo, hi], never read.
+        inside = (ids >= lo) & (ids <= hi)
+        return np.where(inside, self._map[np.where(inside, ids - lo, 0)], -1)
 
     def slot_of(self, user_id) -> int:
         """Scalar lookup; ``-1`` when unknown."""
@@ -266,25 +298,28 @@ class UserSlotTable:
         return slots
 
     def state(self) -> dict:
-        """uids and hung columns (registration order) of the resident rows."""
+        """uids and hung columns (registration order) of the resident rows.
+
+        ``identity`` (every uid equals its slot) is derived from the uids;
+        :meth:`load_state` checks it.
+        """
         n = self._n
         columns = {c.name: c.data[..., :n].ravel() for c in self._columns}
+        identity = bool(np.array_equal(self._uids[:n], np.arange(n)))
         return {
-            "n_retired": self.n_retired, "identity": self._identity,
+            "n_retired": self.n_retired, "identity": identity,
             "compact_at": self._compact_at, "uids": self._uids[:n], **columns,
         }
 
     def load_state(self, state: dict) -> None:
         """Fill this table, its owners attached, from :meth:`state`."""
-        self._uids, self._identity = state["uids"].copy(), state["identity"] is True
+        self._uids = state["uids"].copy()
         self._n = n = self._uids.size
-        self._sorted_uids = self._sorted_slots = None
-        if self._identity:
-            bad = (self._uids != np.arange(n)).any()
-        else:
-            self._build_index()  # sorted, so a repeated uid sits beside itself
-            bad = (self._sorted_uids[1:] == self._sorted_uids[:-1]).any()
-        if bad:
+        self._reindex()
+        slots = np.arange(n)
+        # A repeated uid resolves to one slot, so some slot misses itself.
+        bad = not np.array_equal(self.lookup(self._uids), slots)
+        if bad or (state["identity"] is True and not np.array_equal(self._uids, slots)):
             raise ValueError("slot uids repeat, or break the identity flag")
         for column in self._columns:
             shape = column.data.shape[:-1] + (n,)
@@ -305,14 +340,32 @@ class UserSlotTable:
         self._uids[base:need] = new_uids
         self._n = need
         new_slots = np.arange(base, need, dtype=np.int64)
-        if self._identity:
-            # Identity survives only while the appended uids continue the
-            # dense 0..n-1 run; one gap or reordering disarms it.  The
-            # sorted index is never read while it is armed, so none is
-            # kept: the first lookup after disarming builds it.
-            self._identity = bool(np.array_equal(new_uids, new_slots))
-        elif self._sorted_uids is not None:
+        if self._sorted_uids is not None:
             self._index_new(base, new_uids, new_slots)
+            return
+        lo, hi = int(new_uids.min()), int(new_uids.max())
+        if self._map is not None:
+            lo, hi = min(lo, self._lo), max(hi, self._hi)
+        if not self._dense(hi - lo + 1):
+            # Too sparse for the map: the sorted index takes over.
+            self._map = None
+            self._build_index()
+        elif self._map is None or lo < self._lo:
+            self._build_map(lo, hi)
+        else:
+            self._map = reserve(self._map, len(self._map), hi - lo + 1, fill=-1)
+            self._hi = hi
+            self._map[new_uids - lo] = new_slots
+
+    def _dense(self, span: int) -> bool:
+        """Whether a uid span this wide is served by the dense map."""
+        return span <= _DENSE_SPAN * max(len(self._uids), _MIN_GROWTH)
+
+    def _build_map(self, lo: int, hi: int) -> None:
+        n = self._n
+        self._lo, self._hi = lo, hi
+        self._map = np.full(hi - lo + 1, -1, dtype=np.int64)
+        self._map[self._uids[:n] - lo] = np.arange(n, dtype=np.int64)
 
     def _build_index(self) -> None:
         n = self._n
@@ -320,11 +373,37 @@ class UserSlotTable:
         self._sorted_uids = self._uids[:n][order]
         self._sorted_slots = order.astype(np.int64, copy=False)
 
+    def _reindex(self, keep: Optional[np.ndarray] = None) -> None:
+        """Give the resident rows their index: the map if their uids are
+        dense, else the sorted index.
+
+        ``keep`` (the mask a compaction kept, over the old rows) lets a
+        sorted index that stays sorted be compacted in place instead of
+        re-sorted.
+        """
+        sorted_uids, sorted_slots = self._sorted_uids, self._sorted_slots
+        self._map = self._sorted_uids = self._sorted_slots = None
+        n = self._n
+        if n == 0:
+            return
+        uids = self._uids[:n]
+        lo, hi = int(uids.min()), int(uids.max())
+        if self._dense(hi - lo + 1):
+            self._build_map(lo, hi)
+        elif keep is None or sorted_uids is None:
+            self._build_index()
+        else:
+            new_slot = np.cumsum(keep) - 1
+            kept = keep[sorted_slots[: keep.size]]
+            sorted_uids[:n] = sorted_uids[: keep.size][kept]
+            sorted_slots[:n] = new_slot[sorted_slots[: keep.size][kept]]
+            self._sorted_uids, self._sorted_slots = sorted_uids, sorted_slots
+
     def _index_new(self, base: int, new_uids, new_slots) -> None:
         """Merge freshly appended slots into the sorted index."""
         order = np.argsort(new_uids, kind="stable")
         new_uids, new_slots = new_uids[order], new_slots[order]
-        if base == 0 or new_uids[0] > self._sorted_uids[base - 1]:
+        if new_uids[0] > self._sorted_uids[base - 1]:
             # Everything sorts after the tail: an amortised append.
             need = base + new_uids.size
             self._sorted_uids = reserve(self._sorted_uids, base, need)
@@ -361,11 +440,6 @@ class UserSlotTable:
         for column in self._columns:
             column.data[..., :n_keep] = column.data[..., :n][..., keep]
             column.data[..., n_keep:n] = column.fill
-        if self._sorted_uids is not None:
-            new_slot = np.cumsum(keep) - 1
-            kept = keep[self._sorted_slots[:n]]
-            self._sorted_uids[:n_keep] = self._sorted_uids[:n][kept]
-            self._sorted_slots[:n_keep] = new_slot[self._sorted_slots[:n][kept]]
-        self._identity = False
         self._n = n_keep
         self.n_retired += int(gone.size)
+        self._reindex(keep)

@@ -15,15 +15,21 @@ division: each user reports at most once with full ε inside any window of
 ``w`` timestamps.
 
 Internally the tracker is columnar end-to-end: uid → row resolution goes
-through a :class:`~repro.stream.slots.UserSlotTable` (one vectorized
-``searchsorted`` per batch, no per-uid dict scan), and statuses (an int8
-code), last-report and quit timestamps are columns hung on that table,
-indexed by its dense slots.  Every lifecycle transition, the hot
-``recycle`` scan and ``active_mask`` are single vectorized masks over the
-resident rows.  The table can be *shared* — the unsharded curator hands
-the same instance to its columnar privacy accountant, so a user occupies
-one row in both planes; slots interned by the other component stay in an
-*unknown* state here until the tracker itself meets the user.
+through a :class:`~repro.stream.slots.UserSlotTable` (one gather per batch
+on its dense uid map, or one ``searchsorted`` when the uids are too sparse
+for it; no per-uid dict scan), and statuses (an int8 code), last-report
+and quit timestamps are columns hung on that table, indexed by its dense
+slots.  Every lifecycle transition, the hot ``recycle`` scan and
+``active_mask`` are single vectorized masks over the resident rows.  A
+round resolves its participants once: :meth:`UserTracker.active_slots`
+returns their slots with the active mask, and the chosen reporters are
+marked by those slots (:meth:`UserTracker.mark_reported_slots`); the
+uid-keyed :meth:`~UserTracker.active_mask` and
+:meth:`~UserTracker.mark_reported` wrap them.  The table can be
+*shared* — the unsharded curator hands the same instance to its columnar
+privacy accountant, so a user occupies one row in both planes; slots
+interned by the other component stay in an *unknown* state here until
+the tracker itself meets the user.
 
 The resident rows are the users who can still act.  A quit is terminal
 for ``w`` timestamps: while a QUITTED user was last seen (quit marked, or
@@ -184,7 +190,12 @@ class UserTracker:
     def mark_reported(self, user_ids: Iterable[int], timestamp: int) -> None:
         """Mark sampled reporters inactive and remember when (line 14)."""
         self._clock = max(self._clock, int(timestamp))
-        slots = self._slots_of(user_ids)
+        self.mark_reported_slots(self._slots_of(user_ids), timestamp)
+
+    def mark_reported_slots(self, slots: np.ndarray, timestamp: int) -> None:
+        """:meth:`mark_reported` by slot, as :meth:`active_slots` resolved
+        the reporters this round (no intern runs in between)."""
+        self._clock = max(self._clock, int(timestamp))
         if not slots.size:
             return
         # An unknown (shared-table) user reporting here behaves like a
@@ -234,16 +245,24 @@ class UserTracker:
         return _CODE_TO_STATUS[code]
 
     def active_mask(self, user_ids) -> np.ndarray:
-        """Boolean mask of which of ``user_ids`` are currently active.
+        """Boolean mask of which of ``user_ids`` are currently active."""
+        return self.active_slots(user_ids)[0]
+
+    def active_slots(self, user_ids) -> tuple[np.ndarray, np.ndarray]:
+        """``(active, slots)``: which of ``user_ids`` are active, and the
+        slot of each.
 
         Columnar twin of per-user :meth:`status` calls; unknown ids raise
         exactly as ``status`` does (including ids another component
         interned into a shared table without registering them here, and
-        forgotten users — those must re-register first).
+        forgotten users — those must re-register first).  The slots stay
+        valid until the table next interns, so a round marks its
+        reporters with them (:meth:`mark_reported_slots`) without
+        resolving their ids again.
         """
         ids = np.atleast_1d(np.asarray(user_ids))
         if ids.size == 0:
-            return np.zeros(0, dtype=bool)
+            return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
         slots = self._table.lookup(ids)  # validates integer dtype/range
         known = slots >= 0
         codes = np.full(ids.shape, _UNKNOWN, dtype=np.int8)
@@ -253,7 +272,7 @@ class UserTracker:
             raise ConfigurationError(f"unknown user {int(ids[unknown[0]])}")
         # A quitted user who keeps showing up is not forgotten meanwhile.
         self._idle_since.data[slots[codes == _QUITTED]] = self._clock
-        return codes == _ACTIVE
+        return codes == _ACTIVE, slots
 
     def _resident(self) -> np.ndarray:
         """Status codes of the resident rows, in slot order."""

@@ -102,12 +102,14 @@ def test_no_uid_exceeds_epsilon_in_any_window_when_uids_return(
 # bounded state: 40·w rounds of constant-active churn
 # ---------------------------------------------------------------------- #
 def _table_bytes(table) -> int:
-    """Bytes the resident rows occupy: uid column, index, hung columns."""
+    """Bytes the resident rows occupy: uid column, hung columns, and the
+    index (the dense map whole, since it spans uids rather than rows)."""
     per_row = 8 + (16 if table._sorted_uids is not None else 0) + sum(
         column.data.itemsize * int(np.prod(column.data.shape[:-1]))
         for column in table._columns
     )
-    return table.n_slots * per_row
+    dense_map = table._map.nbytes if table._map is not None else 0
+    return table.n_slots * per_row + dense_map
 
 
 def _live_state_bytes(curator) -> int:

@@ -6,7 +6,8 @@ import pytest
 from repro.core.sharded import shard_of
 from repro.datasets.synthetic import make_random_walks
 from repro.exceptions import DomainError
-from repro.stream.events import TransitionState
+from repro.geo.trajectory import CellTrajectory
+from repro.stream.events import StateKind, TransitionState
 from repro.stream.reports import (
     KIND_ENTER,
     KIND_MOVE,
@@ -16,6 +17,7 @@ from repro.stream.reports import (
     shard_of_array,
 )
 from repro.stream.state_space import TransitionStateSpace
+from repro.stream.stream import StreamDataset
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +147,32 @@ class TestColumnarStreamView:
             [view.batch_at(t).state_idx for t in range(walks.n_timestamps)]
         )
         assert ((idx == -1) == (kinds != KIND_MOVE)).all()
+
+    @pytest.mark.parametrize("eq", [True, False])
+    def test_trajectory_boundaries_are_not_moves(self, walks, eq):
+        """Cell 1 -> 15 spans two trajectories: not a move, so no error."""
+        data = StreamDataset(walks.grid, [
+            CellTrajectory(0, [0, 1], user_id=9), CellTrajectory(1, [15, 14], user_id=4),
+            CellTrajectory(2, [5], user_id=6),
+        ])
+        space = TransitionStateSpace(walks.grid, include_entering_quitting=eq)
+        view = ColumnarStreamView(data, space)
+        for t in range(data.n_timestamps):
+            batch, ref = view.batch_at(t), data.participants_at(t)
+            assert batch.user_ids.tolist() == [uid for uid, _s in ref]
+            assert batch.state_idx.tolist() == [
+                space.index_of(s) if eq or s.kind is StateKind.MOVE else -1
+                for _uid, s in ref
+            ]
+        empty = StreamDataset(walks.grid, [], n_timestamps=2)
+        assert len(ColumnarStreamView(empty, space).batch_at(1)) == 0
+
+    def test_a_jump_names_the_first_bad_movement(self, walks):
+        data = StreamDataset(walks.grid, [
+            CellTrajectory(0, [0, 1, 2]), CellTrajectory(0, [4, 15, 0]),
+        ])
+        with pytest.raises(DomainError, match="4->15"):
+            ColumnarStreamView(data, TransitionStateSpace(walks.grid))
 
     def test_out_of_range_timestamp(self, walks):
         space = TransitionStateSpace(walks.grid)

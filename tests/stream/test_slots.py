@@ -1,7 +1,11 @@
 """Tests for the shared uid → dense-slot table."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.stream.slots import UserSlotTable
 
@@ -87,64 +91,93 @@ class TestLookupIntern:
         assert np.array_equal(table.lookup(uids[perm]), slots[perm])
 
 
-class TestIdentityFastPath:
-    """Dense uid populations interned in order skip searchsorted entirely."""
+class TestDenseMap:
+    """Dense uid populations are served by the direct-address map."""
 
-    def test_dense_population_arms_the_fast_path(self):
+    def test_dense_population_is_served_by_the_map(self):
         table = UserSlotTable()
         table.intern(np.arange(10_000))
-        assert table.is_identity
-        assert table.lookup([0, 9_999, 10_000]).tolist() == [0, 9_999, -1]
+        assert table.index == "dense" and table.state()["identity"]
+        assert table.lookup([0, 9_999, 10_000, -1]).tolist() == [0, 9_999, -1, -1]
 
-    def test_incremental_dense_growth_keeps_identity(self):
+    def test_incremental_dense_growth_keeps_the_map_and_identity(self):
         table = UserSlotTable()
         table.intern(np.arange(5))
         table.intern(np.arange(5, 12))
-        assert table.is_identity
+        assert table.index == "dense" and table.state()["identity"]
         assert table.lookup(np.arange(12)).tolist() == list(range(12))
 
-    def test_gap_disarms_identity_permanently(self):
+    def test_a_gap_breaks_identity_but_keeps_the_map(self):
         table = UserSlotTable()
         table.intern(np.arange(4))
         table.intern([100])  # gap: uid 100 lands in slot 4
-        assert not table.is_identity
+        assert table.index == "dense" and not table.state()["identity"]
         assert table.slot_of(100) == 4
-        table.intern([4])  # resuming the dense run must NOT re-arm
-        assert not table.is_identity
+        table.intern([4])  # resuming the dense run gives slot 5, not 4
+        assert not table.state()["identity"]
         assert table.slot_of(4) == 5
 
-    def test_out_of_order_first_batch_disarms(self):
+    def test_out_of_order_first_batch(self):
         table = UserSlotTable()
         table.intern([3, 1, 2])
-        assert not table.is_identity
-        assert table.lookup([1, 2, 3]).tolist() == [1, 2, 0]
+        assert table.index == "dense" and not table.state()["identity"]
+        assert table.lookup([1, 2, 3, 0, 4]).tolist() == [1, 2, 0, -1, -1]
 
-    def test_negative_ids_disarm(self):
+    def test_negative_ids_and_a_lower_arrival_widen_the_map(self):
         table = UserSlotTable()
-        table.intern([-5])
-        assert not table.is_identity
-        assert table.slot_of(-5) == 0
+        table.intern([-5, 7])
+        table.intern([-300])  # below the map's base: rebuilt around it
+        table.intern([900])  # past its end: widened in place
+        assert table.index == "dense"
+        probe = [-301, -300, -5, 0, 7, 900, 901]
+        assert table.lookup(probe).tolist() == [-1, 2, 0, -1, 1, 3, -1]
 
-    def test_fast_and_slow_paths_agree(self):
-        """Differential: identity lookups == sorted-index lookups."""
+    def test_ids_at_the_int64_ends_never_wrap_into_the_map(self):
+        top, bottom = np.iinfo(np.int64).max, np.iinfo(np.int64).min
+        high = UserSlotTable()
+        high.intern([top - 2, top - 1])
+        assert high.index == "dense"
+        assert high.lookup([bottom, bottom + 1, top - 1, top]).tolist() == [-1, -1, 1, -1]
+        low = UserSlotTable()
+        low.intern([bottom + 1, bottom])
+        assert low.index == "dense"
+        assert low.lookup([top, top - 1, bottom, 0]).tolist() == [-1, -1, 1, -1]
+
+    def test_dense_and_sorted_tables_agree(self):
+        """Differential: the same uids, stretched past the dense bound."""
         rng = np.random.default_rng(7)
-        uids = np.arange(1_000)
-        fast = UserSlotTable()
-        fast.intern(uids)
-        slow = UserSlotTable()
-        slow.intern(uids)
-        slow._identity = False  # force the searchsorted path on one twin
-        assert fast.is_identity
+        uids = rng.permutation(1_000)
+        dense, sparse = UserSlotTable(), UserSlotTable()
+        dense.intern(uids)
+        sparse.intern(uids * _STRIDE)
+        assert (dense.index, sparse.index) == ("dense", "sorted")
         for _ in range(5):
             probe = rng.integers(-10, 1_200, size=500)
-            np.testing.assert_array_equal(fast.lookup(probe), slow.lookup(probe))
+            np.testing.assert_array_equal(
+                dense.lookup(probe), sparse.lookup(probe * _STRIDE)
+            )
 
-    def test_state_preserves_the_flag(self):
+    def test_state_derives_the_identity_flag(self):
         table = UserSlotTable()
         table.intern(np.arange(8))
-        assert _reloaded(table).is_identity
+        assert _reloaded(table).state()["identity"]
         table.intern([99])
-        assert not _reloaded(table).is_identity
+        assert not _reloaded(table).state()["identity"]
+
+    def test_load_refuses_a_false_identity_flag_and_repeated_uids(self):
+        table = UserSlotTable()
+        table.intern([0, 2])
+        forged = {**table.state(), "identity": True}
+        with pytest.raises(ValueError):
+            UserSlotTable().load_state(forged)
+        for uids in ([4, 9, 4], [4 * _STRIDE, 9 * _STRIDE, 4 * _STRIDE]):
+            repeated = {**table.state(), "uids": np.asarray(uids, dtype=np.int64)}
+            with pytest.raises(ValueError):
+                UserSlotTable().load_state(repeated)
+
+
+#: Multiplies uids far enough apart that no table keeps its dense map.
+_STRIDE = 10**9
 
 
 def _reloaded(table):
@@ -200,40 +233,58 @@ class TestSharingAndPersistence:
         assert fresh.accountant.window_spend(2, 0) == 0.5
 
 
-class TestSortedIndexIsLazy:
-    """The sorted index costs nothing while the identity path is armed."""
+def _one_index(table) -> str | None:
+    """The table's index, after checking it has exactly one while it holds
+    rows and none while it is empty."""
+    assert table._map is None or table._sorted_uids is None
+    assert (table.index is None) == (table.n_slots == 0)
+    return table.index
 
-    def test_no_index_while_identity_is_armed(self):
+
+class TestOneIndexAtATime:
+    """A table holding rows has one index, the map or the sorted one; an
+    empty table has none."""
+
+    def test_an_empty_table_has_no_index(self):
+        table = UserSlotTable()
+        assert _one_index(table) is None
+        table.intern([])
+        assert _one_index(table) is None
+        assert _one_index(_reloaded(table)) is None
+
+    def test_a_dense_table_never_builds_the_sorted_index(self):
         table = UserSlotTable()
         for lo in range(0, 5_000, 500):
             table.intern(np.arange(lo, lo + 500))
-        assert table.is_identity
-        assert table._sorted_uids is None  # never built, never copied
+            assert _one_index(table) == "dense"
+        assert _one_index(_reloaded(table)) == "dense"
 
-    def test_index_is_built_on_the_first_lookup_after_disarming(self):
+    def test_a_sparse_arrival_hands_over_to_the_sorted_index(self):
         table = UserSlotTable()
         table.intern(np.arange(100))
-        table.intern([1_000])  # a gap: identity disarms, still no index
-        assert not table.is_identity and table._sorted_uids is None
-        assert table.lookup([1_000, 5, 100]).tolist() == [100, 5, -1]
-        assert table._sorted_uids is not None
+        table.intern([10**12])  # stretches the span past the dense bound
+        assert _one_index(table) == "sorted"
+        assert table.lookup([10**12, 5, 100]).tolist() == [100, 5, -1]
+        table.intern([100])  # dense again, but the sorted index stays
+        assert _one_index(table) == "sorted"
+        assert _one_index(_reloaded(table)) == "sorted"
 
     def test_uids_past_the_tail_are_appended_without_reindexing(self):
         table = UserSlotTable()
-        table.intern([10, 5])  # out of order: indexed from the start
-        table.lookup([5])
+        table.intern(np.asarray([10, 5]) * _STRIDE)
         for lo in range(20, 4_000, 100):
-            table.intern(np.arange(lo, lo + 100))
+            table.intern(np.arange(lo, lo + 100) * _STRIDE)
             index = table._sorted_uids
         # Amortised growth: the buffer was not reallocated per batch.
-        table.intern([4_020])  # the batches above cover 20..4019
+        table.intern([4_020 * _STRIDE])  # the batches above cover 20..4019
         assert table._sorted_uids is index
-        probe = np.asarray([5, 10, 20, 4_019, 4_020, 4_021, 15])
+        probe = np.asarray([5, 10, 20, 4_019, 4_020, 4_021, 15]) * _STRIDE
         assert table.lookup(probe).tolist() == [1, 0, 2, 4_001, 4_002, -1, -1]
 
-    def test_out_of_order_arrivals_still_merge_correctly(self):
+    @pytest.mark.parametrize("stride", [1, _STRIDE])
+    def test_out_of_order_arrivals_still_merge_correctly(self, stride):
         rng = np.random.default_rng(3)
-        uids = rng.permutation(2_000)
+        uids = rng.permutation(2_000) * stride
         table = UserSlotTable()
         for part in np.array_split(uids, 17):
             table.intern(part)
@@ -288,7 +339,7 @@ class TestCompaction:
         table.intern(np.arange(5))
         owner.release = {1, 2}
         table.intern([9])
-        assert not table.is_identity  # retiring disarms the fast path
+        assert not table.state()["identity"]  # slots 1 and 2 now hold 3 and 4
         owner.release = set()
         assert table.intern([2]).tolist() == [4]
         assert table.uids.tolist() == [0, 3, 4, 9, 2]
@@ -336,6 +387,112 @@ class TestCompaction:
         assert clone.table._owners == [clone]
         assert clone.table._columns[0] is clone.column
         assert clone.table.lookup([3, 11]).tolist() == [4, -1]
+
+
+class TestCompactionReindexes:
+    @pytest.fixture(autouse=True)
+    def _small_tables_compact(self, monkeypatch):
+        from repro.stream import slots
+
+        monkeypatch.setattr(slots, "_MIN_COMPACT_ROWS", 4)
+
+    def test_the_map_is_rebuilt_over_the_rows_that_stay(self):
+        table = UserSlotTable()
+        owner = _Owner(table)
+        table.intern([7, 3, 9, 1])
+        owner.release = {3, 9}
+        table.intern([2])
+        assert _one_index(table) == "dense"
+        assert table.lookup([1, 2, 3, 7, 9]).tolist() == [1, 2, -1, 0, -1]
+
+    def test_a_sparse_table_compacts_its_sorted_index_in_place(self):
+        table = UserSlotTable()
+        owner = _Owner(table)
+        table.intern(np.asarray([7, 3, 9, 1]) * _STRIDE)
+        owner.release = {3 * _STRIDE, 9 * _STRIDE}
+        table.intern([2 * _STRIDE])
+        assert _one_index(table) == "sorted"
+        probe = np.asarray([1, 2, 3, 7, 9]) * _STRIDE
+        assert table.lookup(probe).tolist() == [1, 2, -1, 0, -1]
+
+    def test_retiring_the_outliers_brings_the_map_back(self):
+        table = UserSlotTable()
+        owner = _Owner(table)
+        table.intern([1, 2, 10**12, 3])
+        assert _one_index(table) == "sorted"
+        owner.release = {10**12}
+        table.intern([4])
+        assert _one_index(table) == "dense"
+        assert table.lookup([1, 4, 10**12]).tolist() == [0, 3, -1]
+
+    def test_retiring_every_row_leaves_no_index(self):
+        table = UserSlotTable()
+        owner = _Owner(table)
+        table.intern(np.arange(6) * _STRIDE)
+        owner.release = set((np.arange(6) * _STRIDE).tolist())
+        table.intern([])
+        assert table.n_slots == 0 and _one_index(table) is None
+        assert table.intern([5]).tolist() == [0]
+        assert _one_index(table) == "dense"
+
+
+#: One step of the differential property: intern, lookup, or release a
+#: set of uids (retired by the next intern's compaction scan).  Floats and
+#: uint64 ids past the int64 range exercise the refusals.
+_UIDS = st.lists(st.integers(-40, 200), max_size=12)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("intern"), _UIDS),
+        st.tuples(st.just("lookup"), _UIDS),
+        st.tuples(st.just("release"), _UIDS),
+        st.tuples(st.sampled_from(["intern", "lookup"]), st.just("float")),
+        st.tuples(st.just("intern"), st.just("uint64")),
+    ),
+    max_size=40,
+)
+
+
+def _replay(ops, stride):
+    """Run ``ops`` on a fresh table whose uids are multiplied by ``stride``;
+    every result, refusal and the final rows, in unstretched uids."""
+    from repro.exceptions import ConfigurationError
+    from repro.stream import slots
+
+    out = []
+    with mock.patch.object(slots, "_MIN_COMPACT_ROWS", 4):
+        table = UserSlotTable()
+        owner = _Owner(table)
+        for op, arg in ops:
+            if arg == "float":
+                ids = np.asarray([1.0 * stride])
+            elif arg == "uint64":
+                ids = np.asarray([2**63 + 1], dtype=np.uint64)
+            else:
+                ids = np.asarray(arg, dtype=np.int64) * stride
+            if op == "release":
+                owner.release = set(ids.tolist())
+                continue
+            try:
+                out.append((op, getattr(table, op)(ids).tolist()))
+            except ConfigurationError as err:
+                out.append((op, str(err)))
+            _one_index(table)
+    out.append((table.uids // stride).tolist())
+    out.append([uid // stride for uid in owner.retired])
+    return out, table
+
+
+class TestDenseAndSortedAgree:
+    @settings(max_examples=150, deadline=None)
+    @given(_OPS)
+    def test_one_sequence_on_dense_and_on_stretched_uids(self, ops):
+        """Which index serves a table never changes a slot, a -1 or an error."""
+        dense, dense_table = _replay(ops, 1)
+        sparse, sparse_table = _replay(ops, _STRIDE)
+        assert dense == sparse
+        assert dense_table.index in (None, "dense")
+        if len(set(sparse_table.uids.tolist())) > 1:
+            assert sparse_table.index == "sorted"
 
 
 class TestExtendLog:
