@@ -5,12 +5,13 @@ A deployed curator needs to survive restarts.  Three artefact shapes:
 * **models** (npz): the learned global mobility model — frequencies plus
   the grid geometry and state-space flags needed to rebuild the space;
 * **configurations** (JSON): the full pipeline tuning;
-* **checkpoints** (format v6): RSF2 frames (:mod:`repro.api.schema`) — a
+* **checkpoints** (format v7): RSF2 frames (:mod:`repro.api.schema`) — a
   ``checkpoint`` header with the version, grid, λ and the session spec's
   flat dict, then one ``state`` frame per stateful component (under the
   distributed executor, the frames each worker returns for its shard).
   A budget-division curator's ``ledger`` frame holds its O(w) schedule
-  ledger and no slot table.
+  ledger and no slot table; the ``store`` frame is the trajectory store's
+  round log as stored, adopted on load without a transpose.
 
 Loading reads the header's spec with :func:`config_from_dict`, the one
 reader of stored specs (JSON config files use it too), builds the curator
@@ -44,11 +45,12 @@ from repro.geo.point import BoundingBox
 from repro.stream.state_space import TransitionStateSpace
 
 _MODEL_FORMAT_VERSION = 1
-# v6: RSF2 frames — a header, then one state frame per component; budget
-# division's ledger frame is the schedule ledger.  v5 carried a per-user
-# ledger there and is refused, as are v4 and older, which were pickles of
-# the curator's attribute graph.
-_CHECKPOINT_FORMAT_VERSION = 6
+# v7: RSF2 frames — a header, then one state frame per component; the
+# store frame is the round log, the slots frame carries no identity flag.
+# v6 held a row-major store frame and v5 a per-user budget ledger; both
+# are refused, as are v4 and older, which were pickles of the curator's
+# attribute graph.
+_CHECKPOINT_FORMAT_VERSION = 7
 
 #: Fields stored specs may still carry that the spec no longer has.  All
 #: were service fields, which a resumed session takes from its caller, so
@@ -238,14 +240,19 @@ def _check_magic(path: Path, head) -> None:
         )
 
 
-def _parse_header(path: Path, header: dict, nbytes: int, shards=None):
-    """``(spec, grid, lam)`` from a header frame, once the file's ``nbytes``
-    and (unless ``None``) ``shards`` shard frames are seen to back its sizes."""
+def _check_version(header: dict) -> None:
+    """Refuse a header of another format version, before any state frame
+    of the file is decoded."""
     if header.get("version") != _CHECKPOINT_FORMAT_VERSION:
         raise DatasetError(
             f"unsupported checkpoint format version {header.get('version')!r} "
             f"(expected {_CHECKPOINT_FORMAT_VERSION})"
         )
+
+
+def _parse_header(path: Path, header: dict, nbytes: int, shards=None):
+    """``(spec, grid, lam)`` from a header frame, once the file's ``nbytes``
+    and (unless ``None``) ``shards`` shard frames are seen to back its sizes."""
     try:
         k, bbox = int(header["grid"]["k"]), map(float, header["grid"]["bbox"])
         spec = config_from_dict(header["spec"])
@@ -274,6 +281,7 @@ def _read_checkpoint(path: Path, header_only: bool = False):
             if header_only:
                 data += fh.read(schema.frame_length(data))
             header, offset = schema.load_frame(data, 0, expect="checkpoint")
+            _check_version(header)
             while offset < len(data) and not header_only:
                 msg, end = schema.load_frame(data, offset, expect="state")
                 frames.append((msg, memoryview(data)[offset:end]))

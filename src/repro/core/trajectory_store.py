@@ -43,12 +43,15 @@ of them) read the log's transpose — every row's cells, row after row —
 which one replay of the log's compactions builds in O(points).  It is
 cached until the store next changes, so a lazy view costs O(its length).
 
-A checkpoint holds :meth:`TrajectoryStore.state`: the row-major frame
-(live cells, archive of finished streams, per-row columns) derived from
-the log; :meth:`TrajectoryStore.load_state` rebuilds at once what a
-round reads (the live vectors and the open round) and transposes the
-sealed rounds back into the log on the first read of history, so a
-resumed session's first round does not wait for that transpose.
+A checkpoint holds :meth:`TrajectoryStore.state`: the log as stored
+(the sealed columns, removed positions and births, one concatenate of
+chunks each), the live vectors, the per-row lengths and the open round.
+Births, live lengths, the open round's birth count and its ghosts' rows
+are left out, since one vector expression rebuilds each.
+:meth:`TrajectoryStore.load_state` checks the frame
+whole — offsets, the column-size recurrence, removed positions, cells,
+live rows and lengths — and adopts it: nothing is transposed on either
+side.
 """
 
 from __future__ import annotations
@@ -207,8 +210,6 @@ class TrajectoryStore:
         self._t0 = 0
         self._t: Optional[int] = None  # the open round's timestamp
         self._reset_open_round(_EMPTY)
-        # Sealed rounds a checkpoint restored but the log does not hold yet.
-        self._pending: Optional[tuple] = None
         self._by_row_cache: Optional[tuple] = None
 
     def _reset_open_round(self, ghost_pos: np.ndarray) -> None:
@@ -216,11 +217,11 @@ class TrajectoryStore:
 
         ``_skip`` holds the positions of that column whose streams left the
         live vectors (so an older live stream at position p sat at
-        ``_src(p)`` there); ``_gone`` the subset absent from the open
-        column.  Streams ended while holding a cell of the open round are
-        its *ghosts*: still in its column, dropped by the next one.
+        ``_src(p)`` there), which are the positions the open round drops.
+        Streams ended while holding a cell of the open round are its
+        *ghosts*: still in its column, dropped by the next one.
         """
-        self._skip = self._gone = ghost_pos
+        self._skip = ghost_pos
         self._ghost_rows = self._ghost_cells = _EMPTY
         self._n_born = 0
 
@@ -228,126 +229,110 @@ class TrajectoryStore:
     # checkpoint state
     # ------------------------------------------------------------------ #
     def state(self) -> dict:
-        """Live cells (row order), archive (row order) and per-row columns."""
-        flat, _ = self._by_row()
-        n, live = self._n, self.live_rows().copy()
-        lengths = self.lengths()
-        done = self._length[:n] > 0
-        on_live = np.repeat(~done, lengths)
-        where = np.empty(n, dtype=np.int64)
-        where[live] = np.arange(live.size)
-        done_lengths = lengths[done]
-        where[done] = ~(np.cumsum(done_lengths) - done_lengths)
+        """The round log as stored, the live vectors and the open round.
+
+        What one vector expression rebuilds stays out: births, live
+        lengths, the open round's birth count and its ghosts' rows.
+        """
+        k = self._n_rounds
         return {
-            "cell_dtype": self._cells.dtype.name,
-            "cells": flat[on_live], "archive": flat[~on_live],
-            "free": _EMPTY, "live": live,
-            "birth": self._birth[:n], "length": lengths, "where": where,
+            "cell_dtype": self._cells.dtype.name, "t0": self._t0,
+            "cells": self._cells.read(0, self._cells.size),
+            "removed": self._removed.read(0, self._removed.size),
+            "col_start": self._col_start[: k + 1], "rm_start": self._rm_start[: k + 1],
+            "round_births": self._round_births[:k],
+            "live": self.live_rows(), "cur": self.live_cells(),
+            "length": self._length[: self._n],
+            "skip": self._skip, "ghost_cells": self._ghost_cells,
         }
 
     def load_state(self, state: dict) -> None:
-        """Fill this store from :meth:`state`.
+        """Fill this store from :meth:`state`, adopting the log as it is.
 
-        The frame is checked whole before anything changes.  The live
-        vectors and the open round (all a round reads) are rebuilt here;
-        the sealed rounds are transposed into the log on the first read of
-        history.
+        A checkpoint is outside input, so the frame is checked whole before
+        anything changes: the log's offsets, its column sizes against its
+        births and removals, each round's removed positions, every cell,
+        the live rows and the open round, and the per-row lengths against
+        the rounds that end them.
         """
         dtype = self._cells.dtype
         if state["cell_dtype"] != dtype.name:  # the grid decides the dtype
-            raise ValueError(f"cells are {state['cell_dtype']!r}, not {dtype.name}")
-        birth, length, where = state["birth"], state["length"], state["where"]
-        live, free, cells, archive = (
-            state[key] for key in ("live", "free", "cells", "archive")
+            raise DatasetError(f"cells are {state['cell_dtype']!r}, not {dtype.name}")
+        t0 = int(state["t0"])
+        cells, removed, col_start, rm_start, births, live, cur, length, skip, ghost_cells = (
+            state[key] for key in (
+                "cells", "removed", "col_start", "rm_start", "round_births", "live",
+                "cur", "length", "skip", "ghost_cells",
+            )
         )
-        n, n_slots = birth.size, live.size + free.size
-        lengths = length[live]
-        done = np.flatnonzero(where < 0)
-        starts = ~where[done]
-        if (
-            length.size != n or where.size != n or done.size + live.size != n
-            or (live.size and (live[0] < 0 or (np.diff(live) <= 0).any()))
-            or not np.array_equal(
-                np.sort(np.concatenate([where[live], free])), np.arange(n_slots)
-            )
-            or (length < 1).any() or lengths.sum() != cells.size
-            or (done.size and (starts + length[done]).max() > archive.size)
+        k, n = births.size, length.size
+        for starts, log in ((col_start, cells), (rm_start, removed)):
+            if starts.size != k + 1 or starts[0] != 0 or starts[-1] != log.size or (
+                np.diff(starts) < 0
+            ).any():
+                raise DatasetError(f"log offsets do not index {log.size} entries")
+        sizes, n_removed = np.diff(col_start), np.diff(rm_start)
+        n_born = n - int(births.sum()) if ((births >= 0) & (births <= n)).all() else -1
+        if n_born < 0 or (k and not n) or not np.array_equal(
+            np.cumsum(births - n_removed), sizes
         ):
-            raise ValueError(f"inconsistent rows ({n}, {live.size}, {free.size})")
-        for column in (cells, archive):
+            raise DatasetError("column sizes break the births/removals recurrence")
+        # Each round's removed positions strictly increase inside the
+        # previous column.
+        prev = np.concatenate([[0], sizes])[:-1].repeat(n_removed)
+        opens = np.zeros(removed.size, dtype=bool)
+        opens[rm_start[:-1][n_removed > 0]] = True
+        if (removed < 0).any() or (removed >= prev).any() or (
+            (np.diff(removed.astype(np.int64)) <= 0) & ~opens[1:]
+        ).any():
+            raise DatasetError("removed positions repeat or leave their column")
+        for column in (cells, cur, ghost_cells):
             self._check_cells(column)
-        ends = birth + length
-        last = int(ends.max()) - 1 if n else 0
-        if live.size:
-            last = int(ends[live[0]]) - 1
-        if n and (
-            (np.diff(birth) < 0).any() or (ends[live] != last + 1).any()
-            or ends.max() > last + 1
+        # Length 0 marks exactly the live rows.  The open round drops the
+        # ``skip`` positions of the newest column and adds its newborns;
+        # those that ended are its ghosts.
+        ghosts = n - n_born + np.flatnonzero(length[n - n_born :])
+        last = int(sizes[-1]) if k else 0
+        if (
+            (length < 0).any() or (length > k + 1).any()
+            or not np.array_equal(np.flatnonzero(length == 0), live)
+            or cur.size != live.size or ghost_cells.size != ghosts.size
+            or (skip.size and (skip[0] < 0 or skip[-1] >= last))
+            or (np.diff(skip) <= 0).any()
+            or live.size != last - skip.size + n_born - ghosts.size
         ):
+            raise DatasetError(f"inconsistent rows ({n}, {live.size}, {ghosts.size})")
+        # As many streams end at each timestamp as the log removes there:
+        # round j's removals, then the open round's skips and ghosts.
+        birth = np.repeat(t0 + np.arange(k + 1), np.append(births, n_born))
+        ended = length > 0
+        ends_at = np.bincount(birth[ended] + length[ended] - t0, minlength=k + 2)
+        if not np.array_equal(ends_at, np.append(n_removed, [skip.size, ghosts.size])):
             raise DatasetError(
-                "stored streams are not round-shaped: births must not decrease "
-                "and every live stream must end at the newest timestamp"
+                "stored streams are not round-shaped: their lengths do not "
+                "match the rounds that remove them"
             )
-        # Row r's cells start at source[src[r]]: live cells, then archive.
-        source = np.concatenate([cells, archive])
-        src = np.empty(n, dtype=np.int64)
-        src[live] = np.cumsum(lengths) - lengths
-        src[done] = cells.size + starts
-        alive = np.zeros(n, dtype=bool)
-        alive[live] = True
-        t0 = int(birth[0]) if n else 0
-        n_sealed = last - t0  # the rounds before the open one
-        born_at = np.bincount(birth - t0, minlength=n_sealed + 1)
-        ends_at = np.bincount(ends - t0, minlength=n_sealed + 2)
-        sizes = np.cumsum(born_at[:n_sealed] - ends_at[:n_sealed])
-        # The open round: its column's predecessor, what it dropped from
-        # there, and the ghosts it holds (streams ended at ``last``).
-        prev = np.flatnonzero((birth < last) & (ends >= last))
-        ghosts = np.flatnonzero(~alive & (ends == last + 1))
 
         self._n, self._n_live = n, 0
-        self._birth, self._length = birth.copy(), np.where(alive, 0, length)
+        self._birth, self._length = birth, np.array(length, dtype=np.int64)
         self._rows, self._cur, self._len = (
             np.zeros(max(live.size, self._rows.size), dtype=np.int64)
             for _ in range(3)
         )
-        self._place(live, source[src[live] + lengths - 1], lengths)
+        self._place(live, cur, t0 + k + 1 - birth[live])
         self._cells, self._removed = _AppendLog(dtype), _AppendLog(np.int32)
-        self._col_start = np.concatenate([[0], sizes.cumsum()])
-        self._rm_start = np.concatenate([[0], ends_at[:n_sealed].cumsum()])
-        self._round_births = born_at[:n_sealed].copy()
-        self._n_rounds, self._t0 = n_sealed, t0
-        self._t = last if n else None
-        self._pending = None
-        if n_sealed:
-            self._pending = (
-                n_sealed, source, src - birth, ends,
-                self._cells.append_unwritten(self._col_start[n_sealed]),
-                self._removed.append_unwritten(self._rm_start[n_sealed]),
-            )
-        self._skip = np.flatnonzero(~alive[prev])
-        self._gone = np.flatnonzero(ends[prev] == last)
+        self._cells.append(cells)
+        self._removed.append(removed)
+        self._col_start = np.array(col_start, dtype=np.int64)
+        self._rm_start = np.array(rm_start, dtype=np.int64)
+        self._round_births = np.array(births, dtype=np.int64)
+        self._n_rounds, self._t0 = k, t0
+        self._t = t0 + k if n else None
+        self._skip = np.array(skip, dtype=np.int64)
         self._ghost_rows = ghosts
-        self._ghost_cells = source[src[ghosts] + length[ghosts] - 1].astype(np.int64)
-        self._n_born = int(born_at[n_sealed])
+        self._ghost_cells = np.array(ghost_cells, dtype=np.int64)
+        self._n_born = n_born
         self._by_row_cache = None
-
-    def _restore(self) -> None:
-        """Transpose the rounds a checkpoint restored into the log."""
-        if self._pending is None:
-            return
-        n_rounds, source, q, ends, cells_out, removed_out = self._pending
-        self._pending = None
-        rows, n_rows = _EMPTY, 0
-        for k in range(n_rounds):
-            t, n_births = self._t0 + k, int(self._round_births[k])
-            removed = np.flatnonzero(ends.take(rows) == t)
-            rows = _next_column(rows, removed, n_rows, n_births)
-            n_rows += n_births
-            removed_out[self._rm_start[k] : self._rm_start[k + 1]] = removed
-            cells_out[self._col_start[k] : self._col_start[k + 1]] = source.take(
-                q.take(rows) + t
-            )
 
     # ------------------------------------------------------------------ #
     # sizes / row sets
@@ -421,10 +406,10 @@ class TrajectoryStore:
         n = self._n_live
         cells = self._cur[:n]
         if not self._ghost_rows.size:
-            return cells, self._gone, _EMPTY
+            return cells, self._skip, _EMPTY
         at = np.searchsorted(self._rows[:n], self._ghost_rows)
         ghost_pos = at + np.arange(at.size)
-        return np.insert(cells, at, self._ghost_cells), self._gone, ghost_pos
+        return np.insert(cells, at, self._ghost_cells), self._skip, ghost_pos
 
     def _seal(self) -> None:
         """Append the open round to the log and open the next timestamp."""
@@ -482,7 +467,6 @@ class TrajectoryStore:
             self._length[self._rows[quits]] = self._len[quits]
             src = self._src(quits)
             self._skip = np.union1d(self._skip, src) if self._skip.size else src
-            self._gone = np.union1d(self._gone, src) if self._gone.size else src
             self._compact(~quit_mask)
         m = self._n_live
         self._cur[:m] = new_cells
@@ -509,7 +493,6 @@ class TrajectoryStore:
         self._length[self._rows[pos]] = np.maximum(lengths - 1, 1)
         src = self._src(pos[~newborn])
         self._skip = np.union1d(self._skip, src)
-        self._gone = np.union1d(self._gone, src)
         if newborn.any():
             rows = np.concatenate([self._ghost_rows, self._rows[pos[newborn]]])
             cells = np.concatenate([self._ghost_cells, self._cur[pos[newborn]]])
@@ -569,7 +552,6 @@ class TrajectoryStore:
         row's start offset there: the log's transpose, built by replaying
         its compactions and cached until the store next changes."""
         if self._by_row_cache is None:
-            self._restore()
             lengths = self.lengths()
             starts = np.cumsum(lengths) - lengths
             flat = np.empty(int(lengths.sum()), dtype=self._cells.dtype)
@@ -616,7 +598,6 @@ class TrajectoryStore:
             return np.zeros(0, dtype=np.int64)
         if k == self._n_rounds:
             return self._open_record()[0].astype(np.int64)
-        self._restore()
         return self._cells.read(*self._col_start[k : k + 2]).astype(np.int64)
 
     def counts_matrix(self, n_timestamps: int, n_cells: int) -> np.ndarray:
@@ -631,7 +612,6 @@ class TrajectoryStore:
         counts = np.zeros((n_timestamps, n_cells), dtype=np.int64)
         if self._t is None:
             return counts
-        self._restore()
         k, stop = max(0, -self._t0), min(self._n_rounds, n_timestamps - self._t0)
         starts = self._col_start[: self._n_rounds + 1]
         while k < stop:

@@ -298,17 +298,12 @@ class UserSlotTable:
         return slots
 
     def state(self) -> dict:
-        """uids and hung columns (registration order) of the resident rows.
-
-        ``identity`` (every uid equals its slot) is derived from the uids;
-        :meth:`load_state` checks it.
-        """
+        """uids and hung columns (registration order) of the resident rows."""
         n = self._n
         columns = {c.name: c.data[..., :n].ravel() for c in self._columns}
-        identity = bool(np.array_equal(self._uids[:n], np.arange(n)))
         return {
-            "n_retired": self.n_retired, "identity": identity,
-            "compact_at": self._compact_at, "uids": self._uids[:n], **columns,
+            "n_retired": self.n_retired, "compact_at": self._compact_at,
+            "uids": self._uids[:n], **columns,
         }
 
     def load_state(self, state: dict) -> None:
@@ -316,11 +311,9 @@ class UserSlotTable:
         self._uids = state["uids"].copy()
         self._n = n = self._uids.size
         self._reindex()
-        slots = np.arange(n)
         # A repeated uid resolves to one slot, so some slot misses itself.
-        bad = not np.array_equal(self.lookup(self._uids), slots)
-        if bad or (state["identity"] is True and not np.array_equal(self._uids, slots)):
-            raise ValueError("slot uids repeat, or break the identity flag")
+        if not np.array_equal(self.lookup(self._uids), np.arange(n)):
+            raise ValueError("slot uids repeat")
         for column in self._columns:
             shape = column.data.shape[:-1] + (n,)
             column.data = np.array(state[column.name].reshape(shape), column.data.dtype)

@@ -1,4 +1,4 @@
-"""Checkpoint files (format v6): a fuzzed loader and a never-unpickled past.
+"""Checkpoint files (format v7): a fuzzed loader and a never-unpickled past.
 
 A checkpoint is RSF2 frames — a header, then one ``state`` frame per
 component — so the loader is a decoder like the ingress's, and gets the

@@ -1,12 +1,12 @@
 """Legacy-surface compatibility: flat config kwargs and the historical
 ``from repro import ...`` names keep working; checkpoints of older format
-versions are refused, never migrated — pickle files (format <= 4) by their
-missing RSF2 magic, without being unpickled."""
+versions are refused, never migrated — RSF2 files of format 5 and 6 by
+their header's version, pickle files (format <= 4) by their missing RSF2
+magic, without being unpickled."""
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import pickle
 import shutil
@@ -34,9 +34,10 @@ from repro.geo.trajectory import average_length
 from repro.serve import replay
 from repro.stream.reports import ColumnarStreamView
 
-#: Files the v6 writer wrote while the spec still had ``queue_size`` or
-#: accepted ``allocator="adaptive-user"``, and while the trajectory store
-#: kept a slot block and a kill-order archive.
+#: Files the v6 writer wrote (a row-major ``store`` frame) while the spec
+#: still had ``queue_size`` or accepted ``allocator="adaptive-user"``, and
+#: while the trajectory store kept a slot block and a kill-order archive;
+#: each is refused by version.  Also the JSON configs of those specs.
 DATA = Path(__file__).resolve().parents[1] / "data"
 
 #: The public names importable from `repro` before the unified API landed.
@@ -67,10 +68,10 @@ LEGACY_CONFIG_KWARGS = dict(
 )
 
 
-#: The ``spec`` keys a v6 checkpoint header carries now.  Headers written
+#: The ``spec`` keys a checkpoint header carries now.  Headers written
 #: while the spec still had ``queue_size`` carry it too, after
 #: ``transport`` (see ``TestRemovedServiceField``).
-V6_HEADER_SPEC_KEYS = (
+HEADER_SPEC_KEYS = (
     "epsilon", "w", "division", "allocator", "alpha", "kappa", "p_max",
     "accountant_mode", "track_privacy",
     "engine", "oracle_mode", "update_strategy", "model_entering_quitting", "lam",
@@ -186,14 +187,14 @@ class TestCheckpointVersions:
         path = tmp_path / "current.ckpt"
         save_checkpoint(curator, path)
         header, _end = schema.load_frame(path.read_bytes(), expect="checkpoint")
-        assert header["version"] == 6
+        assert header["version"] == 7
         spec = peek_checkpoint_spec(path)
         assert isinstance(spec, SessionSpec)
         assert spec == curator.config
         assert SessionSpec(**header["spec"]) == spec
         # The header's spec keys are the format: exactly these 28 names,
         # in this order.
-        assert list(header["spec"]) == list(V6_HEADER_SPEC_KEYS)
+        assert list(header["spec"]) == list(HEADER_SPEC_KEYS)
 
     @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_pickle_formats_are_refused_unread(self, tmp_path, version):
@@ -208,7 +209,7 @@ class TestCheckpointVersions:
             ):
                 load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [4, 5, 7])
+    @pytest.mark.parametrize("version", [4, 5, 6, 8])
     def test_other_frame_versions_are_refused_by_version(
         self, walk_data, tmp_path, version
     ):
@@ -223,15 +224,44 @@ class TestCheckpointVersions:
         ):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "name", sorted(path.name for path in DATA.glob("v6_*.ckpt"))
+    )
+    def test_v6_files_are_refused_by_version(self, tmp_path, name):
+        """v6 stored the trajectory store row-major; v7 stores its round
+        log.  No row-major reader is kept: every committed v6 file — one
+        whose ``store`` frame the slot-block store wrote among them — is
+        refused by its header's version, unread past it."""
+        path = tmp_path / name
+        shutil.copy(DATA / name, path)
+        header, _end = schema.load_frame(path.read_bytes(), expect="checkpoint")
+        assert header["version"] == 6
+        for read in (peek_checkpoint_spec, load_checkpoint, load_session):
+            with pytest.raises(
+                DatasetError, match="unsupported checkpoint format version 6"
+            ):
+                read(path)
+
+
+def _rewrite_header_spec(path, edit) -> dict:
+    """Replace the stored spec in ``path``'s header with ``edit(spec)``,
+    the component frames untouched; returns the new header."""
+    data = path.read_bytes()
+    header, end = schema.load_frame(data, expect="checkpoint")
+    header = {**header, "spec": edit(dict(header["spec"]))}
+    path.write_bytes(schema.dump_frame(header) + data[end:])
+    return header
+
 
 class TestRemovedServiceField:
     """Stored specs from before ``queue_size`` left the spec: 29 keys.
 
-    ``tests/data`` holds a v6 checkpoint and a JSON config written then:
-    a session over ``make_random_walks(k=4, n_streams=40, n_timestamps=12,
-    seed=6)`` with ``w=4, seed=9, transport="ingest", queue_size=64,
-    max_lateness=1``, fed timestamps 0-5 and drained, so its checkpoint
-    stops at t=4.  The reader drops the removed field.
+    The checkpoint is built here: a session over ``make_random_walks(k=4,
+    n_streams=40, n_timestamps=12, seed=6)`` with ``w=4, seed=9,
+    transport="ingest", max_lateness=1`` is fed timestamps 0-5, so its
+    checkpoint stops at t=3, and its header's spec gains ``queue_size=64``
+    after ``transport``, as the writer of that time put it.  ``tests/data``
+    holds a JSON config written then.  The reader drops the removed field.
     """
 
     SPEC = SessionSpec(
@@ -239,15 +269,32 @@ class TestRemovedServiceField:
         checkpoint_path="v6_queue_size.ckpt",
     )
 
-    def test_v6_checkpoint_with_queue_size_resumes(self, tmp_path):
+    @staticmethod
+    def _with_queue_size(spec: dict) -> dict:
+        out = {}
+        for key, value in spec.items():
+            out[key] = value
+            if key == "transport":
+                out["queue_size"] = 64
+        return out
+
+    def test_checkpoint_with_queue_size_resumes(self, tmp_path):
+        data = make_random_walks(k=4, n_streams=40, n_timestamps=12, seed=6)
+        first = create_session(self.SPEC, data.grid, lam=4.0)
+        view = ColumnarStreamView(data, first.curator.space)
+        for t in range(6):
+            first.submit_batch(t, view.batch_at(t))
+            first.advance()
         path = tmp_path / "old.ckpt"
-        shutil.copy(DATA / "v6_queue_size.ckpt", path)
-        header, _end = schema.load_frame(path.read_bytes(), expect="checkpoint")
+        first.checkpoint(path)
+        first.curator.close()
+        header = _rewrite_header_spec(path, self._with_queue_size)
         assert len(header["spec"]) == 29
-        assert header["spec"]["queue_size"] == 64
+        assert list(header["spec"]).index("queue_size") == (
+            HEADER_SPEC_KEYS.index("transport") + 1
+        )
         assert peek_checkpoint_spec(path) == self.SPEC
 
-        data = make_random_walks(k=4, n_streams=40, n_timestamps=12, seed=6)
         resumed = load_session(
             path, transport="ingest", max_lateness=1, checkpoint_path=None
         )
@@ -283,19 +330,34 @@ class TestRemovedServiceField:
 class TestRemovedAllocator:
     """Stored specs naming the removed ``allocator="adaptive-user"``.
 
-    ``tests/data`` holds a v6 checkpoint and a JSON config written while
-    the allocator existed: ``RetraSynConfig(epsilon=1.0, w=4,
-    division="budget", allocator="adaptive-user", seed=9)`` over
-    ``make_random_walks(k=4, n_streams=40, n_timestamps=12, seed=6)``,
-    fed timestamps 0-5.  Both are refused with a typed error naming the
-    allocator; nothing migrates them.
+    The checkpoint is built here: ``RetraSynConfig(epsilon=1.0, w=4,
+    division="budget", seed=9)`` over ``make_random_walks(k=4,
+    n_streams=40, n_timestamps=12, seed=6)``, fed timestamps 0-5, its
+    header's spec then naming the removed allocator.  ``tests/data`` holds
+    a JSON config written while the allocator existed.  Both are refused
+    with a typed error naming the allocator; nothing migrates them.
     """
 
-    def test_v6_checkpoint_with_adaptive_user_is_refused(self, tmp_path):
+    def test_checkpoint_with_adaptive_user_is_refused(self, tmp_path):
+        data = make_random_walks(k=4, n_streams=40, n_timestamps=12, seed=6)
+        config = RetraSynConfig(epsilon=1.0, w=4, division="budget", seed=9)
+        curator = OnlineRetraSyn(data.grid, config, lam=4.0)
+        view = ColumnarStreamView(data, curator.space)
+        for t in range(6):
+            curator.process_timestep(
+                t,
+                participants=view.batch_at(t),
+                newly_entered=view.newly_entered_at(t),
+                quitted=view.quitted_at(t),
+                n_real_active=view.n_active_at(t),
+            )
         path = tmp_path / "old.ckpt"
-        shutil.copy(DATA / "v6_adaptive_user.ckpt", path)
-        header, _end = schema.load_frame(path.read_bytes(), expect="checkpoint")
-        assert header["version"] == 6
+        save_checkpoint(curator, path)
+        curator.close()
+        header = _rewrite_header_spec(
+            path, lambda spec: {**spec, "allocator": "adaptive-user"}
+        )
+        assert header["version"] == 7
         assert header["spec"]["allocator"] == "adaptive-user"
         for read in (peek_checkpoint_spec, load_checkpoint):
             with pytest.raises(DatasetError, match="adaptive-user"):
@@ -312,55 +374,3 @@ class TestRemovedAllocator:
             load_config(path)
         with pytest.raises(ConfigurationError, match="adaptive-user"):
             config_from_dict(stored)
-
-
-def _result_digest(session, n_timestamps: int) -> str:
-    """SHA-256 over a session's ``result()``: rows, births, lengths, cells
-    and the per-timestamp count matrix."""
-    synthetic = session.result(n_timestamps).synthetic
-    store, rows = synthetic.trajectories.store, synthetic.trajectories.rows
-    digest = hashlib.sha256(rows.tobytes())
-    for column in (
-        store.births_of(rows), store.lengths_of(rows), store.flat_cells(rows),
-        synthetic.cell_counts_matrix(),
-    ):
-        digest.update(np.ascontiguousarray(column).tobytes())
-    return digest.hexdigest()
-
-
-class TestSlotBlockStoreCheckpoint:
-    """A v6 checkpoint whose ``store`` frame the slot-block store wrote.
-
-    ``tests/data`` holds one written before the store became a round log:
-    ``SessionSpec(epsilon=1.0, w=4, seed=9, division="budget",
-    engine="vectorized", transport="ingest")`` over
-    ``make_random_walks(k=4, n_streams=80, n_timestamps=20, seed=6)``, fed
-    timestamps 0-10 and checkpointed, so it stops at t=10 with 13 finished
-    streams archived in kill order and 36 live ones in recycled slots.  The round log rebuilds
-    from it and resumes to the uninterrupted run's result.
-    """
-
-    SPEC = SessionSpec(
-        epsilon=1.0, w=4, seed=9, division="budget", engine="vectorized",
-        transport="ingest", checkpoint_path="v6_vectorized_store.ckpt",
-    )
-
-    def test_resumes_to_the_uninterrupted_result(self, tmp_path):
-        path = tmp_path / "old.ckpt"
-        shutil.copy(DATA / "v6_vectorized_store.ckpt", path)
-        header, _end = schema.load_frame(path.read_bytes(), expect="checkpoint")
-        assert header["version"] == 6
-        assert peek_checkpoint_spec(path) == self.SPEC
-
-        data = make_random_walks(k=4, n_streams=80, n_timestamps=20, seed=6)
-        resumed = load_session(path, checkpoint_path=None)
-        store = resumed.curator.synthesizer.store
-        assert resumed.assembler.next_t == 11
-        assert (store.n_live, store.n_archived) == (36, 13)
-        replay(resumed, ColumnarStreamView(data, resumed.curator.space))
-
-        spec = dataclasses.replace(self.SPEC, checkpoint_path=None)
-        whole = create_session(spec, data.grid, lam=header["lam"])
-        replay(whole, ColumnarStreamView(data, whole.curator.space))
-        assert _result_digest(resumed, 20) == _result_digest(whole, 20)
-        assert resumed.stats()["state"] == whole.stats()["state"]

@@ -259,11 +259,9 @@ class TestState:
         (f,) = clone.append_streams(4, [8])
         clone.drop(np.asarray([False, True, True]))  # d gives back 7; f is a ghost
         (g,) = clone.append_streams(4, [9])
-        assert clone._pending is not None  # the sealed rounds wait for a read
         assert [clone.view(r).cells for r in (a, b, c, d, e, f, g)] == [
             [0, 1, 2, 3], [1, 2], [2, 3, 3, 4, 6], [3, 4, 4, 5], [6], [8], [9]
         ]
-        assert clone._pending is None
         assert clone.cells_at(2).tolist() == [2, 3, 4]
         assert clone.cells_at(3).tolist() == [3, 4, 5, 6]
         assert clone.cells_at(4).tolist() == [6, 8, 9]
@@ -405,13 +403,68 @@ def test_store_matches_list_of_lists_oracle(rounds, capacity, horizon, n_cells):
     _assert_cell_storage(clone, _CELL_DTYPES[n_cells])
 
 
+def _frame_cells(state) -> tuple:
+    """Cells a store frame holds: sealed columns, live vector, ghosts."""
+    return tuple(state[key].size for key in ("cells", "cur", "ghost_cells"))
+
+
+def _hostile_source():
+    """A 36-cell store whose frame has every part a refusal can aim at:
+    four sealed rounds with removals, live rows, a skip and a ghost."""
+    store = TrajectoryStore(n_cells=36)
+    store.append_streams(0, [1, 2, 3])
+    store.advance(1, np.zeros(3, dtype=bool), np.asarray([4, 5, 6]))
+    store.append_streams(1, [7, 8])
+    store.advance(2, np.asarray([True, False, True, False, False]), np.asarray([9, 10, 11]))
+    store.advance(3, np.asarray([False, True, False]), np.asarray([12, 13]))
+    store.append_streams(3, [14])
+    store.advance(4, np.zeros(3, dtype=bool), np.asarray([15, 16, 17]))
+    store.drop(np.asarray([True, False, False]))
+    store.append_streams(4, [18, 19])
+    store.drop(np.asarray([False, False, False, True]))  # row 7: a ghost
+    return store
+
+
+def _edit(key, at, value):
+    """A frame edit: ``state[key][at] = value`` on a copy."""
+    def edit(state):
+        column = np.array(state[key])
+        column[at] = value
+        state[key] = column
+    return edit
+
+
+#: Each edit breaks one thing the loader checks.
+_HOSTILE_FRAMES = {
+    "offsets-decrease": (_edit("col_start", 2, 0), "offsets"),
+    "removal-offsets-past-the-log": (_edit("rm_start", -1, 99), "offsets"),
+    "sizes-break-the-recurrence": (_edit("col_start", 2, 7), "recurrence"),
+    "births-miss-the-rows": (_edit("round_births", 1, 3), "recurrence"),
+    "removed-position-repeats": (_edit("removed", 1, 0), "removed positions"),
+    "removed-position-out-of-range": (_edit("removed", 0, 7), "removed positions"),
+    "live-rows-out-of-order": (_edit("live", [0, 1], [5, 4]), "inconsistent rows"),
+    "sealed-cell-out-of-range": (_edit("cells", 4, 36), "outside"),
+    "live-cell-out-of-range": (_edit("cur", 0, -1), "outside"),
+    "ghost-cell-out-of-range": (_edit("ghost_cells", 0, 99), "outside"),
+    "ended-row-of-length-zero": (_edit("length", 0, 0), "inconsistent rows"),
+    "ghost-cell-missing": (
+        lambda state: state.update(ghost_cells=state["ghost_cells"][:0]),
+        "inconsistent rows",
+    ),
+    "newborn-of-length-two": (_edit("length", 7, 2), "round-shaped"),
+    "skip-leaves-its-column": (_edit("skip", 0, 9), "inconsistent rows"),
+    "length-breaks-the-removals": (_edit("length", 1, 3), "round-shaped"),
+    "cell-dtype": (lambda state: state.update(cell_dtype="int16"), "cells are"),
+}
+
+
 class TestRoundContract:
     """Writes outside the round contract are refused with a typed error,
     and leave the store as it was."""
 
     @staticmethod
-    def _store():
-        store = TrajectoryStore(n_cells=10)
+    def _store(n_cells=10):
+        store = TrajectoryStore(n_cells=n_cells)
         rows = store.append_streams(0, [1, 2, 3])
         store.advance(1, np.zeros(3, dtype=bool), np.asarray([4, 5, 6]))
         return store, rows
@@ -462,20 +515,25 @@ class TestRoundContract:
             store.append_streams(0, [cell])
         assert store.n_total == 1 and store.view(0).cells == [3]
 
-    @pytest.mark.parametrize("column", ["cells", "archive"])
-    @pytest.mark.parametrize("cell", [-1, 100])
-    def test_load_state_refuses_out_of_range_cells(self, column, cell):
-        store = TrajectoryStore(n_cells=36)
-        store.append_streams(0, [1, 2])
-        store.advance(1, np.asarray([True, False]), np.asarray([4]))
-        state = store.state()
-        state[column] = state[column].copy()
-        state[column][0] = cell
-        target = TrajectoryStore(n_cells=36)
-        target.append_streams(0, [5])
-        with pytest.raises(DatasetError, match="outside"):
+    @pytest.mark.parametrize(
+        "edit, match", list(_HOSTILE_FRAMES.values()), ids=list(_HOSTILE_FRAMES)
+    )
+    def test_load_state_refuses_a_hostile_frame(self, edit, match):
+        source = _hostile_source()
+        state = source.state()
+        assert state["removed"].size and state["skip"].size and state["ghost_cells"].size
+        assert _reloaded(source, n_cells=36).state().keys() == state.keys()
+        edit(state)
+        target, _rows = self._store(n_cells=36)
+        before = {key: np.array(value) for key, value in target.state().items()}
+        snapshot = self._snapshot(target)
+        with pytest.raises(DatasetError, match=match):
             target.load_state(state)
-        assert target.n_total == 1 and target.view(0).cells == [5]
+        after = target.state()
+        assert after.keys() == before.keys()
+        for key, value in before.items():
+            np.testing.assert_array_equal(after[key], value, err_msg=key)
+        assert self._snapshot(target) == snapshot
 
 
 @pytest.mark.parametrize("n_cells", [127, 128, 32767, 32768])
@@ -548,11 +606,11 @@ class TestLiveVectorsAndLog:
         store = TrajectoryStore()
         store.append_streams(0, [1, 2, 3])
         _drop_all(store)
-        assert store.state()["archive"].size == 3
+        assert _frame_cells(store.state()) == (0, 0, 3)  # three ghosts
         clone = _reloaded(store)
         assert clone.cells_at(0).tolist() == [1, 2, 3]
         clone.append_streams(1, [4])
         _drop_all(clone)
         assert clone.flat_cells(np.arange(4)).tolist() == [1, 2, 3, 4]
         assert clone._cells.size == 3  # round 0 sealed; round 1 is open
-        assert clone.state()["archive"].size == 4
+        assert _frame_cells(clone.state()) == (3, 0, 1)

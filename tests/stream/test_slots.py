@@ -10,6 +10,11 @@ from hypothesis import strategies as st
 from repro.stream.slots import UserSlotTable
 
 
+def _is_identity(table) -> bool:
+    """Every resident uid equals its slot: uids ``0..n-1`` in order."""
+    return np.array_equal(table.uids, np.arange(table.n_slots))
+
+
 class TestLookupIntern:
     def test_empty_table(self):
         table = UserSlotTable()
@@ -97,30 +102,30 @@ class TestDenseMap:
     def test_dense_population_is_served_by_the_map(self):
         table = UserSlotTable()
         table.intern(np.arange(10_000))
-        assert table.index == "dense" and table.state()["identity"]
+        assert table.index == "dense" and _is_identity(table)
         assert table.lookup([0, 9_999, 10_000, -1]).tolist() == [0, 9_999, -1, -1]
 
     def test_incremental_dense_growth_keeps_the_map_and_identity(self):
         table = UserSlotTable()
         table.intern(np.arange(5))
         table.intern(np.arange(5, 12))
-        assert table.index == "dense" and table.state()["identity"]
+        assert table.index == "dense" and _is_identity(table)
         assert table.lookup(np.arange(12)).tolist() == list(range(12))
 
     def test_a_gap_breaks_identity_but_keeps_the_map(self):
         table = UserSlotTable()
         table.intern(np.arange(4))
         table.intern([100])  # gap: uid 100 lands in slot 4
-        assert table.index == "dense" and not table.state()["identity"]
+        assert table.index == "dense" and not _is_identity(table)
         assert table.slot_of(100) == 4
         table.intern([4])  # resuming the dense run gives slot 5, not 4
-        assert not table.state()["identity"]
+        assert not _is_identity(table)
         assert table.slot_of(4) == 5
 
     def test_out_of_order_first_batch(self):
         table = UserSlotTable()
         table.intern([3, 1, 2])
-        assert table.index == "dense" and not table.state()["identity"]
+        assert table.index == "dense" and not _is_identity(table)
         assert table.lookup([1, 2, 3, 0, 4]).tolist() == [1, 2, 0, -1, -1]
 
     def test_negative_ids_and_a_lower_arrival_widen_the_map(self):
@@ -157,19 +162,9 @@ class TestDenseMap:
                 dense.lookup(probe), sparse.lookup(probe * _STRIDE)
             )
 
-    def test_state_derives_the_identity_flag(self):
-        table = UserSlotTable()
-        table.intern(np.arange(8))
-        assert _reloaded(table).state()["identity"]
-        table.intern([99])
-        assert not _reloaded(table).state()["identity"]
-
-    def test_load_refuses_a_false_identity_flag_and_repeated_uids(self):
+    def test_load_refuses_repeated_uids(self):
         table = UserSlotTable()
         table.intern([0, 2])
-        forged = {**table.state(), "identity": True}
-        with pytest.raises(ValueError):
-            UserSlotTable().load_state(forged)
         for uids in ([4, 9, 4], [4 * _STRIDE, 9 * _STRIDE, 4 * _STRIDE]):
             repeated = {**table.state(), "uids": np.asarray(uids, dtype=np.int64)}
             with pytest.raises(ValueError):
@@ -339,7 +334,7 @@ class TestCompaction:
         table.intern(np.arange(5))
         owner.release = {1, 2}
         table.intern([9])
-        assert not table.state()["identity"]  # slots 1 and 2 now hold 3 and 4
+        assert not _is_identity(table)  # slots 1 and 2 now hold 3 and 4
         owner.release = set()
         assert table.intern([2]).tolist() == [4]
         assert table.uids.tolist() == [0, 3, 4, 9, 2]
