@@ -123,10 +123,9 @@ STATE_COLUMNS = {
     "budget": {"window": np.float64},
     "model": {"frequencies": np.float64},
     "synthesizer": {"live": np.int64, "finished": np.int64},
-    # The round log as stored, then the live vectors and the open round.
+    # The round log as stored, then the live cells, lengths and open round.
     "store": {
-        "cells": CELLS, "removed": np.int32, "col_start": np.int64,
-        "rm_start": np.int64, "round_births": np.int64, "live": np.int64,
+        "cells": CELLS, "removed": np.int32, "round_births": np.int64,
         "cur": CELLS, "length": np.int64, "skip": np.int64, "ghost_cells": CELLS,
     },
     "slots": {

@@ -45,13 +45,15 @@ cached until the store next changes, so a lazy view costs O(its length).
 
 A checkpoint holds :meth:`TrajectoryStore.state`: the log as stored
 (the sealed columns, removed positions and births, one concatenate of
-chunks each), the live vectors, the per-row lengths and the open round.
-Births, live lengths, the open round's birth count and its ghosts' rows
-are left out, since one vector expression rebuilds each.
-:meth:`TrajectoryStore.load_state` checks the frame
-whole — offsets, the column-size recurrence, removed positions, cells,
-live rows and lengths — and adopts it: nothing is transposed on either
-side.
+chunks each), the live cells, the per-row lengths and the open round.
+Births, the log's offsets, the live rows and lengths, the open round's
+birth count and its ghosts' rows are left out, since one vector
+expression over the lengths rebuilds each.
+:meth:`TrajectoryStore.load_state` checks the frame whole — the log's
+sizes against the lengths, removed positions and cells — and adopts it:
+nothing is transposed on either side.  That each round removes exactly
+the streams that end there takes a replay of the log to see, so the
+replay that builds the transpose checks it, at the first history read.
 """
 
 from __future__ import annotations
@@ -134,13 +136,6 @@ class _AppendLog:
             self._tail += take
             self.size += take
             done += take
-
-    def append_unwritten(self, count: int) -> np.ndarray:
-        """Append ``count`` entries for the caller to fill in; returns them."""
-        chunk = self._open_chunk(int(count))
-        self._tail = chunk.size
-        self.size += chunk.size
-        return chunk
 
     def read(self, lo: int, hi: int) -> np.ndarray:
         """Entries ``[lo, hi)``: a view inside one chunk, else a copy."""
@@ -229,20 +224,19 @@ class TrajectoryStore:
     # checkpoint state
     # ------------------------------------------------------------------ #
     def state(self) -> dict:
-        """The round log as stored, the live vectors and the open round.
+        """The round log as stored, the live cells, the per-row lengths and
+        the open round.
 
-        What one vector expression rebuilds stays out: births, live
-        lengths, the open round's birth count and its ghosts' rows.
+        What one vector expression rebuilds from the lengths stays out:
+        births, the log's offsets, the live rows and lengths, the open
+        round's birth count and its ghosts' rows.
         """
-        k = self._n_rounds
         return {
             "cell_dtype": self._cells.dtype.name, "t0": self._t0,
             "cells": self._cells.read(0, self._cells.size),
             "removed": self._removed.read(0, self._removed.size),
-            "col_start": self._col_start[: k + 1], "rm_start": self._rm_start[: k + 1],
-            "round_births": self._round_births[:k],
-            "live": self.live_rows(), "cur": self.live_cells(),
-            "length": self._length[: self._n],
+            "round_births": self._round_births[: self._n_rounds],
+            "cur": self.live_cells(), "length": self._length[: self._n],
             "skip": self._skip, "ghost_cells": self._ghost_cells,
         }
 
@@ -250,81 +244,76 @@ class TrajectoryStore:
         """Fill this store from :meth:`state`, adopting the log as it is.
 
         A checkpoint is outside input, so the frame is checked whole before
-        anything changes: the log's offsets, its column sizes against its
-        births and removals, each round's removed positions, every cell,
-        the live rows and the open round, and the per-row lengths against
-        the rounds that end them.
+        anything changes: the log's sizes against the per-row lengths, each
+        round's removed positions, every cell, and the open round.  Which
+        streams a round removes takes a replay of the log to see, so
+        :meth:`_by_row`'s replay checks that at the first history read.
         """
         dtype = self._cells.dtype
         if state["cell_dtype"] != dtype.name:  # the grid decides the dtype
             raise DatasetError(f"cells are {state['cell_dtype']!r}, not {dtype.name}")
         t0 = int(state["t0"])
-        cells, removed, col_start, rm_start, births, live, cur, length, skip, ghost_cells = (
+        cells, removed, births, cur, length, skip, ghost_cells = (
             state[key] for key in (
-                "cells", "removed", "col_start", "rm_start", "round_births", "live",
-                "cur", "length", "skip", "ghost_cells",
+                "cells", "removed", "round_births", "cur", "length", "skip",
+                "ghost_cells",
             )
         )
         k, n = births.size, length.size
-        for starts, log in ((col_start, cells), (rm_start, removed)):
-            if starts.size != k + 1 or starts[0] != 0 or starts[-1] != log.size or (
-                np.diff(starts) < 0
-            ).any():
-                raise DatasetError(f"log offsets do not index {log.size} entries")
-        sizes, n_removed = np.diff(col_start), np.diff(rm_start)
         n_born = n - int(births.sum()) if ((births >= 0) & (births <= n)).all() else -1
-        if n_born < 0 or (k and not n) or not np.array_equal(
-            np.cumsum(births - n_removed), sizes
+        if n_born < 0 or (k and not n) or ((length < 0) | (length > k + 1)).any():
+            raise DatasetError(f"{n} rows do not fill the births of {k} rounds")
+        # Round j (timestamp t0 + j; the open round is j = k) drops from the
+        # previous column the streams that end at t0 + j, at the positions
+        # ``removed`` (sealed rounds) then ``skip`` (the open round) hold,
+        # and appends its births.  Streams that end at t0 + k + 1 are the
+        # open round's ghosts.
+        born = np.append(births, n_born)
+        rounds = np.repeat(np.arange(k + 1), born)  # each row's birth round
+        live = np.flatnonzero(length == 0)
+        ghosts = n - n_born + np.flatnonzero(length[n - n_born :])
+        ends_at = np.bincount((rounds + length)[length > 0], minlength=k + 2)
+        gone = ends_at[: k + 1]
+        sizes = np.cumsum(born - gone)
+        rm_start = np.concatenate([[0], np.cumsum(gone)])
+        drops = np.concatenate([removed, skip])
+        if (
+            ends_at.size != k + 2 or removed.size != rm_start[k]
+            or skip.size != gone[k] or cells.size != sizes[:-1].sum()
         ):
-            raise DatasetError("column sizes break the births/removals recurrence")
+            raise DatasetError(
+                f"the log's {cells.size} cells and {drops.size} removals do "
+                "not fit its rows' lengths"
+            )
+        if (
+            cur.size != live.size or ghost_cells.size != ghosts.size
+            or ends_at[k + 1] != ghosts.size
+        ):
+            raise DatasetError(f"inconsistent rows ({n}, {live.size}, {ghosts.size})")
         # Each round's removed positions strictly increase inside the
         # previous column.
-        prev = np.concatenate([[0], sizes])[:-1].repeat(n_removed)
-        opens = np.zeros(removed.size, dtype=bool)
-        opens[rm_start[:-1][n_removed > 0]] = True
-        if (removed < 0).any() or (removed >= prev).any() or (
-            (np.diff(removed.astype(np.int64)) <= 0) & ~opens[1:]
+        prev = np.concatenate([[0], sizes[:-1]]).repeat(gone)
+        opens = np.zeros(drops.size, dtype=bool)
+        opens[rm_start[:-1][gone > 0]] = True
+        if (drops < 0).any() or (drops >= prev).any() or (
+            (np.diff(drops) <= 0) & ~opens[1:]
         ).any():
             raise DatasetError("removed positions repeat or leave their column")
         for column in (cells, cur, ghost_cells):
             self._check_cells(column)
-        # Length 0 marks exactly the live rows.  The open round drops the
-        # ``skip`` positions of the newest column and adds its newborns;
-        # those that ended are its ghosts.
-        ghosts = n - n_born + np.flatnonzero(length[n - n_born :])
-        last = int(sizes[-1]) if k else 0
-        if (
-            (length < 0).any() or (length > k + 1).any()
-            or not np.array_equal(np.flatnonzero(length == 0), live)
-            or cur.size != live.size or ghost_cells.size != ghosts.size
-            or (skip.size and (skip[0] < 0 or skip[-1] >= last))
-            or (np.diff(skip) <= 0).any()
-            or live.size != last - skip.size + n_born - ghosts.size
-        ):
-            raise DatasetError(f"inconsistent rows ({n}, {live.size}, {ghosts.size})")
-        # As many streams end at each timestamp as the log removes there:
-        # round j's removals, then the open round's skips and ghosts.
-        birth = np.repeat(t0 + np.arange(k + 1), np.append(births, n_born))
-        ended = length > 0
-        ends_at = np.bincount(birth[ended] + length[ended] - t0, minlength=k + 2)
-        if not np.array_equal(ends_at, np.append(n_removed, [skip.size, ghosts.size])):
-            raise DatasetError(
-                "stored streams are not round-shaped: their lengths do not "
-                "match the rounds that remove them"
-            )
 
         self._n, self._n_live = n, 0
-        self._birth, self._length = birth, np.array(length, dtype=np.int64)
+        self._birth, self._length = t0 + rounds, np.array(length, dtype=np.int64)
         self._rows, self._cur, self._len = (
             np.zeros(max(live.size, self._rows.size), dtype=np.int64)
             for _ in range(3)
         )
-        self._place(live, cur, t0 + k + 1 - birth[live])
+        self._place(live, cur, k + 1 - rounds[live])
         self._cells, self._removed = _AppendLog(dtype), _AppendLog(np.int32)
         self._cells.append(cells)
         self._removed.append(removed)
-        self._col_start = np.array(col_start, dtype=np.int64)
-        self._rm_start = np.array(rm_start, dtype=np.int64)
+        self._col_start = np.concatenate([[0], np.cumsum(sizes[:-1])])
+        self._rm_start = rm_start[: k + 1]
         self._round_births = np.array(births, dtype=np.int64)
         self._n_rounds, self._t0 = k, t0
         self._t = t0 + k if n else None
@@ -550,12 +539,18 @@ class TrajectoryStore:
     def _by_row(self) -> tuple:
         """Every stream's cells, row after row in creation order, and each
         row's start offset there: the log's transpose, built by replaying
-        its compactions and cached until the store next changes."""
+        its compactions and cached until the store next changes.
+
+        A loaded log's sizes fit its rows' lengths, so a round that removes
+        only streams ending there leaves each column exactly the streams
+        active at its timestamp; a round that removes others (a hostile
+        checkpoint) is refused before its cells are placed."""
         if self._by_row_cache is None:
             lengths = self.lengths()
             starts = np.cumsum(lengths) - lengths
             flat = np.empty(int(lengths.sum()), dtype=self._cells.dtype)
             q = starts - self._birth[: self._n]  # row r's cell at t: q[r] + t
+            end = self._birth[: self._n] + self._length[: self._n]  # live: birth
             rows, n_rows = _EMPTY, 0
             for k in range(self._n_rounds + (self._t is not None)):
                 if k < self._n_rounds:
@@ -565,6 +560,11 @@ class TrajectoryStore:
                 else:
                     column, removed, _ = self._open_record()
                     n_births = self._n_born
+                if (end.take(rows.take(removed)) != self._t0 + k).any():
+                    raise DatasetError(
+                        f"round {self._t0 + k} of the log removes streams that "
+                        "do not end there"
+                    )
                 rows = _next_column(rows, removed, n_rows, n_births)
                 n_rows += n_births
                 flat[q.take(rows) + self._t0 + k] = column

@@ -436,25 +436,44 @@ def _edit(key, at, value):
 
 #: Each edit breaks one thing the loader checks.
 _HOSTILE_FRAMES = {
-    "offsets-decrease": (_edit("col_start", 2, 0), "offsets"),
-    "removal-offsets-past-the-log": (_edit("rm_start", -1, 99), "offsets"),
-    "sizes-break-the-recurrence": (_edit("col_start", 2, 7), "recurrence"),
-    "births-miss-the-rows": (_edit("round_births", 1, 3), "recurrence"),
+    "cells-miss-the-log": (
+        lambda state: state.update(cells=np.append(state["cells"], 0)), "lengths"
+    ),
+    "removals-miss-the-log": (
+        lambda state: state.update(removed=state["removed"][1:]), "lengths"
+    ),
+    "skip-moved-into-the-log": (
+        lambda state: state.update(
+            removed=np.append(state["removed"], state["skip"]).astype(np.int32),
+            skip=state["skip"][:0],
+        ),
+        "lengths",
+    ),
+    "births-miss-the-rows": (_edit("round_births", 1, 9), "do not fill"),
+    "births-shift-a-row": (_edit("round_births", [1, 2], [1, 1]), "lengths"),
     "removed-position-repeats": (_edit("removed", 1, 0), "removed positions"),
     "removed-position-out-of-range": (_edit("removed", 0, 7), "removed positions"),
-    "live-rows-out-of-order": (_edit("live", [0, 1], [5, 4]), "inconsistent rows"),
     "sealed-cell-out-of-range": (_edit("cells", 4, 36), "outside"),
     "live-cell-out-of-range": (_edit("cur", 0, -1), "outside"),
     "ghost-cell-out-of-range": (_edit("ghost_cells", 0, 99), "outside"),
-    "ended-row-of-length-zero": (_edit("length", 0, 0), "inconsistent rows"),
+    "ended-row-of-length-zero": (_edit("length", 0, 0), "lengths"),
+    "ghost-turned-live": (_edit("length", 7, 0), "inconsistent rows"),
     "ghost-cell-missing": (
         lambda state: state.update(ghost_cells=state["ghost_cells"][:0]),
         "inconsistent rows",
     ),
-    "newborn-of-length-two": (_edit("length", 7, 2), "round-shaped"),
-    "skip-leaves-its-column": (_edit("skip", 0, 9), "inconsistent rows"),
-    "length-breaks-the-removals": (_edit("length", 1, 3), "round-shaped"),
+    "newborn-of-length-two": (_edit("length", 7, 2), "lengths"),
+    "skip-leaves-its-column": (_edit("skip", 0, 9), "removed positions"),
+    "length-breaks-the-removals": (_edit("length", 1, 3), "lengths"),
     "cell-dtype": (lambda state: state.update(cell_dtype="int16"), "cells are"),
+}
+
+#: Each edit makes a round remove streams that do not end there.  Its sizes
+#: still fit, so the frame loads (seeing which streams a round removes
+#: takes a replay of the log), and the first history read refuses it.
+_MISROUTED_FRAMES = {
+    "swapped-lengths": _edit("length", [0, 1], [4, 2]),
+    "removes-a-live-row": _edit("removed", 2, 2),
 }
 
 
@@ -534,6 +553,25 @@ class TestRoundContract:
         for key, value in before.items():
             np.testing.assert_array_equal(after[key], value, err_msg=key)
         assert self._snapshot(target) == snapshot
+
+    @pytest.mark.parametrize(
+        "edit", list(_MISROUTED_FRAMES.values()), ids=list(_MISROUTED_FRAMES)
+    )
+    def test_history_reads_refuse_a_log_that_removes_other_streams(self, edit):
+        state = _hostile_source().state()
+        edit(state)
+        store = TrajectoryStore(n_cells=36)
+        store.load_state(state)
+        reads = (
+            lambda: store.view(0), store.all_views,
+            lambda: store.flat_cells(np.arange(store.n_total)),
+        )
+        for read in reads:
+            with pytest.raises(DatasetError, match="do not end there"):
+                read()
+        for t in range(5):  # columns read straight from the log stay in range
+            column = store.cells_at(t)
+            assert column.size and 0 <= column.min() and column.max() < 36
 
 
 @pytest.mark.parametrize("n_cells", [127, 128, 32767, 32768])
