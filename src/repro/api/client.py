@@ -17,17 +17,27 @@ moving a workload across the network is a one-line change::
     synthetic = client.result()             # a StreamDataset, bit-identical
                                             # to the in-process run
 
-Only the Python standard library is used (``http.client``).  The client
-holds ONE persistent keep-alive connection and reconnects transparently
-when the server (or an idle timeout) drops it.  Every request and
-response body is RSF2 frames, and :meth:`submit_batches` pipelines
-several timestamps into a single request body (the frames concatenate
-because each is length-prefixed).
+The transport is a plain TCP socket (``TCP_NODELAY``) that the client
+holds across requests (keep-alive) and reopens transparently when the
+server (or an idle timeout) drops it.  Each request — request line,
+``Host``, ``Content-Type`` and ``Content-Length`` headers and body — goes
+out in one ``sendall``.  Each response is read into one reusable buffer
+and framed by ``Content-Length`` alone: a head over 64 KiB, a missing,
+repeated or non-digit ``Content-Length`` and any ``Transfer-Encoding``
+are refused.  Every request and response body is RSF2 frames, and
+:meth:`submit_batches` pipelines several timestamps into a single request
+body (the frames concatenate because each is length-prefixed).
 """
 
 from __future__ import annotations
 
-import http.client
+import socket
+from http.client import (
+    BadStatusLine,
+    HTTPException,
+    IncompleteRead,
+    RemoteDisconnected,
+)
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,12 +46,23 @@ from repro.api import schema
 from repro.api.schema import SchemaError
 from repro.exceptions import ResponseLostError
 
-#: Exceptions that mean "the TCP peer went away mid-exchange".
-_DISCONNECTS = (
-    http.client.RemoteDisconnected,
-    BrokenPipeError,
-    ConnectionResetError,
-)
+#: Exceptions that mean "the TCP peer went away mid-exchange".  The
+#: reader raises ``RemoteDisconnected`` (a ``ConnectionResetError``) when
+#: the peer closes before a whole response head arrived.
+_DISCONNECTS = (BrokenPipeError, ConnectionResetError)
+
+#: A response that never arrived whole: the peer went away, or closed
+#: before the declared ``Content-Length`` was read.
+_LOST = (*_DISCONNECTS, IncompleteRead)
+
+#: Bound on a response head (status line + headers), as the server bounds
+#: a request head.
+_MAX_HEAD_BYTES = 64 * 1024
+
+#: Size of the reusable receive buffer: it holds a whole head and the body
+#: of every response but ``result`` and large snapshots, which get a
+#: buffer of their own.
+_RECV_BUFFER_BYTES = 256 * 1024
 
 
 #: Default request-body budget for :meth:`Client.submit_batches` (bytes).
@@ -62,6 +83,49 @@ def _load_response(payload: bytes, expect: str) -> dict:
             f"response holds {len(payload) - end} bytes after its frame"
         )
     return msg
+
+
+def _parse_head(head: bytes) -> tuple[int, bool]:
+    """``(content_length, close)`` of a response head (no final CRLFCRLF).
+
+    The body is framed by ``Content-Length`` only, so every framing that
+    could make client and server disagree on where it ends is refused:
+    no ``Content-Length``, a repeated one, one that is not 1*DIGIT, and
+    any ``Transfer-Encoding``.  ``close`` is true after ``Connection:
+    close`` or an HTTP/1.0 status line.
+    """
+    lines = head.split(b"\r\n")
+    version, _, rest = lines[0].partition(b" ")
+    code = rest[:3]
+    if not (version.startswith(b"HTTP/") and len(code) == 3 and code.isdigit()):
+        raise BadStatusLine(lines[0].decode("latin-1"))
+    close = version == b"HTTP/1.0"
+    length = None
+    for line in lines[1:]:
+        name, _, value = line.partition(b":")
+        name = name.strip().lower()
+        value = value.strip()
+        if name == b"content-length":
+            if length is not None:
+                raise HTTPException("response repeats Content-Length")
+            if not value.isdigit() or len(value) >= 20:
+                raise HTTPException(
+                    f"response Content-Length {value!r} is not 1*DIGIT "
+                    "of at most 19 digits"
+                )
+            length = int(value)
+        elif name == b"transfer-encoding":
+            raise HTTPException(
+                f"response uses Transfer-Encoding {value!r}; only "
+                "Content-Length framing is accepted"
+            )
+        elif name == b"connection":
+            close = close or b"close" in (
+                token.strip() for token in value.lower().split(b",")
+            )
+    if length is None:
+        raise HTTPException("response has no Content-Length")
+    return length, close
 
 
 class Client:
@@ -90,55 +154,108 @@ class Client:
                 f"chunk_bytes must be >= 0, got {self.chunk_bytes}"
             )
         self._hello: Optional[dict] = None
-        self._conn: Optional[http.client.HTTPConnection] = None
+        self._sock: Optional[socket.socket] = None
+        self._buf = bytearray(_RECV_BUFFER_BYTES)
 
     # ------------------------------------------------------------------ #
     # transport
     # ------------------------------------------------------------------ #
     def _drop_connection(self) -> None:
-        if self._conn is not None:
+        if self._sock is not None:
             try:
-                self._conn.close()
+                self._sock.close()
             except OSError:  # pragma: no cover - close never matters
                 pass
-            self._conn = None
+            self._sock = None
+
+    def _write(self, request: bytes) -> None:
+        """Send one whole request, connecting first if no socket is open."""
+        if self._sock is None:
+            sock = socket.create_connection(
+                (self.host, self.port), timeout=self.timeout
+            )
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._sock = sock
+        self._sock.sendall(request)
+
+    def _read_response(self) -> tuple[bytes, bool]:
+        """``(body, close)`` of the next response on the open socket.
+
+        Reads into the reusable buffer until the head is whole, then until
+        ``Content-Length`` body bytes are in; a body that does not fit the
+        buffer is read into one of its own.  A peer close before the head
+        is whole raises ``RemoteDisconnected``, one before the body is
+        whole ``IncompleteRead``.  Bytes past the body (which no request
+        asked for) close the connection rather than being read as the
+        next response.
+        """
+        sock, buf = self._sock, self._buf
+        view = memoryview(buf)
+        n = 0
+        while True:
+            got = sock.recv_into(view[n:])
+            if not got:
+                raise RemoteDisconnected(
+                    "Remote end closed connection without response"
+                )
+            head_end = buf.find(b"\r\n\r\n", max(0, n - 3), n + got)
+            n += got
+            if head_end >= 0 or n >= _MAX_HEAD_BYTES:
+                break
+        if head_end < 0 or head_end + 4 > _MAX_HEAD_BYTES:
+            raise HTTPException(f"response head exceeds {_MAX_HEAD_BYTES} bytes")
+        length, close = _parse_head(bytes(view[:head_end]))
+        start = head_end + 4
+        have = n - start
+        if have >= length:
+            return bytes(view[start:start + length]), close or have > length
+        if start + length <= len(buf):
+            target, base = view, start
+        else:
+            target, base = memoryview(bytearray(length)), 0
+            target[:have] = view[start:n]
+        while have < length:
+            got = sock.recv_into(target[base + have:base + length])
+            if not got:
+                raise IncompleteRead(bytes(target[base:base + have]), length - have)
+            have += got
+        return bytes(target[base:base + length]), close
 
     def _send(self, method: str, path: str, body: bytes) -> bytes:
         """One request over the persistent connection, at most once applied.
 
-        A dead keep-alive socket (server restarted, idle drop) surfaces as
-        ``RemoteDisconnected`` / a broken pipe while *writing* the request
-        — the server never saw it, so one reconnect-and-retry is always
-        safe.  A disconnect after the request was written is ambiguous:
-        the server may have applied it and died before answering.  Only
-        idempotent ``GET``\\ s are retried past that point; a mutating
-        request raises :class:`~repro.exceptions.ResponseLostError`
-        instead of being blindly resent (a resent ``POST /v1/batch``
-        would double-apply every report in it).
+        A dead keep-alive socket (server restarted, idle drop) can surface
+        as a broken pipe or reset while *writing* the request — the
+        server never saw it, so one reconnect-and-resend is always safe.
+        A lost response after the request was written (the peer closed
+        or reset before the whole head, or before ``Content-Length`` body
+        bytes) is ambiguous: the server may have applied it and died
+        before answering.  Only idempotent ``GET``\\ s are retried past
+        that point; a mutating request raises
+        :class:`~repro.exceptions.ResponseLostError` instead of being
+        blindly resent (a resent ``POST /v1/batch`` would double-apply
+        every report in it).
         """
+        request = (
+            f"{method} {path} HTTP/1.1\r\nHost: {self.host}:{self.port}\r\n"
+            f"Content-Type: {schema.CONTENT_TYPE_FRAME}\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        ).encode("latin-1") + body
         for attempt in (0, 1):
-            if self._conn is None:
-                self._conn = http.client.HTTPConnection(
-                    self.host, self.port, timeout=self.timeout
-                )
             try:
-                self._conn.request(
-                    method, path, body=body,
-                    headers={"Content-Type": schema.CONTENT_TYPE_FRAME},
-                )
+                self._write(request)
             except _DISCONNECTS:
                 # Failed before (or while) writing: nothing was applied.
                 self._drop_connection()
                 if attempt:
                     raise
                 continue
-            except (http.client.HTTPException, ConnectionError, OSError):
+            except OSError:
                 self._drop_connection()
                 raise
             try:
-                response = self._conn.getresponse()
-                payload = response.read()
-            except _DISCONNECTS as exc:
+                payload, close = self._read_response()
+            except _LOST as exc:
                 # The request reached the wire but the response was lost.
                 self._drop_connection()
                 if method == "GET":
@@ -151,10 +268,10 @@ class Client:
                     f"applied it — reconcile via GET /v1/stats before "
                     f"resending"
                 ) from exc
-            except (http.client.HTTPException, ConnectionError, OSError):
+            except (HTTPException, OSError):
                 self._drop_connection()
                 raise
-            if response.will_close:
+            if close:
                 self._drop_connection()
             return payload
         raise AssertionError("unreachable")  # pragma: no cover

@@ -303,21 +303,34 @@ class HttpIngress:
             method, target, _proto = lines[0].split(" ", 2)
         except ValueError as exc:
             raise SchemaError(f"malformed request line {lines[0]!r}") from exc
-        length = 0
+        # The body is framed by Content-Length only.  Any framing a proxy
+        # in front could read differently (a repeated length, a length
+        # int() accepts but 1*DIGIT does not, any Transfer-Encoding) is a
+        # 400, and errors close the connection, so no body byte is ever
+        # read as the start of the next request.
+        length = None
         keep_alive = True  # HTTP/1.1 default
         for line in lines[1:]:
             name, _, value = line.partition(":")
             name = name.strip().lower()
+            value = value.strip()
             if name == "content-length":
-                try:
-                    length = int(value.strip())
-                except ValueError:
-                    raise SchemaError(
-                        f"unparseable Content-Length {value.strip()!r}"
-                    ) from None
+                if length is not None:
+                    raise SchemaError("request repeats Content-Length")
+                if not (value.isascii() and value.isdigit()):
+                    raise SchemaError(f"unparseable Content-Length {value!r}")
+                # int() refuses strings past 4,300 digits; any length of
+                # 20 digits is past the body bound anyway.
+                length = int(value) if len(value) < 20 else _MAX_BODY_BYTES + 1
+            elif name == "transfer-encoding":
+                raise SchemaError(
+                    f"Transfer-Encoding {value!r} is not accepted; frame "
+                    "the body with Content-Length"
+                )
             elif name == "connection":
-                keep_alive = value.strip().lower() != "close"
-        if not 0 <= length <= _MAX_BODY_BYTES:
+                keep_alive = value.lower() != "close"
+        length = length or 0
+        if length > _MAX_BODY_BYTES:
             raise SchemaError(f"request body of {length} bytes exceeds the bound")
         try:
             body = await reader.readexactly(length) if length else b""

@@ -8,6 +8,8 @@ different answer:
 * awaiting the response to a POST     → :class:`ResponseLostError`; the
   server may have applied the mutation, so a blind resend of
   ``POST /v1/batch`` would double-count every report in it.
+
+A response cut short of its ``Content-Length`` is a lost response too.
 """
 
 from __future__ import annotations
@@ -28,6 +30,14 @@ _RESPONSE = (
     b"Connection: close\r\n"
     b"\r\n"
     b"pong"
+)
+
+#: A response that declares 100 body bytes, sends 3 and closes.
+_TRUNCATED = (
+    b"HTTP/1.1 200 OK\r\n"
+    b"Content-Length: 100\r\n"
+    b"\r\n"
+    b"abc"
 )
 
 #: Close the connection after reading the request, without replying —
@@ -128,21 +138,49 @@ class TestLostResponse:
         assert len(server.requests) == 2
 
 
+class TestTruncatedResponse:
+    """A peer close before ``Content-Length`` body bytes arrived loses the
+    response exactly as a close before the status line does."""
+
+    def test_post_raises_typed_error_and_is_not_resent(self):
+        server = _ScriptedServer([_TRUNCATED])
+        client = Client("127.0.0.1", server.port, timeout=5)
+        with pytest.raises(ResponseLostError, match="POST /v1/batch"):
+            client._send("POST", "/v1/batch", b"reports")
+        server.join()
+        assert len(server.requests) == 1
+
+    def test_get_is_retried_transparently(self):
+        server = _ScriptedServer([_TRUNCATED, _RESPONSE])
+        client = Client("127.0.0.1", server.port, timeout=5)
+        assert client._send("GET", "/v1/stats", b"") == b"pong"
+        server.join()
+        assert len(server.requests) == 2
+
+    def test_get_gives_up_after_one_retry(self):
+        server = _ScriptedServer([_TRUNCATED, _TRUNCATED])
+        client = Client("127.0.0.1", server.port, timeout=5)
+        with pytest.raises(http.client.IncompleteRead):
+            client._send("GET", "/v1/stats", b"")
+        server.join()
+        assert len(server.requests) == 2
+
+
 class TestFailureBeforeWrite:
     def test_post_that_never_reached_the_wire_is_resent(self, monkeypatch):
         """A send that dies before the request was written is always safe
         to retry — the server cannot have seen it."""
         server = _ScriptedServer([_RESPONSE])
         calls = {"n": 0}
-        real_request = http.client.HTTPConnection.request
+        real_write = Client._write
 
-        def flaky(self, *args, **kwargs):
+        def flaky(self, request):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise BrokenPipeError("stale keep-alive")
-            return real_request(self, *args, **kwargs)
+            return real_write(self, request)
 
-        monkeypatch.setattr(http.client.HTTPConnection, "request", flaky)
+        monkeypatch.setattr(Client, "_write", flaky)
         client = Client("127.0.0.1", server.port, timeout=5)
         assert client._send("POST", "/v1/batch", b"reports") == b"pong"
         server.join()
@@ -151,9 +189,9 @@ class TestFailureBeforeWrite:
 
     def test_second_prewrite_failure_propagates(self, monkeypatch):
         monkeypatch.setattr(
-            http.client.HTTPConnection,
-            "request",
-            lambda self, *a, **k: (_ for _ in ()).throw(
+            Client,
+            "_write",
+            lambda self, request: (_ for _ in ()).throw(
                 BrokenPipeError("always down")
             ),
         )
