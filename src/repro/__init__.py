@@ -22,83 +22,54 @@ Session API (engine-agnostic; see ``docs/API.md``)::
     session = create_session(spec, data.grid, lam=14.0)
 """
 
-from repro.analysis import fidelity_report
-from repro.api.client import Client
-from repro.api.session import (
-    CuratorSession,
-    DirectSession,
-    IngestSession,
-    create_session,
-    load_session,
-)
-from repro.api.specs import SessionSpec
-from repro.core import (
-    GlobalMobilityModel,
-    OnlineRetraSyn,
-    RetraSyn,
-    RetraSynConfig,
-    SynthesisRun,
-    Synthesizer,
-    VectorizedSynthesizer,
-    make_all_update,
-    make_no_eq,
-    make_retrasyn,
-)
-from repro.baselines import LBA, LBD, LPA, LPD, make_baseline
-from repro.datasets import (
-    load_dataset,
-    make_oldenburg,
-    make_sanjoaquin,
-    make_tdrive,
-)
-from repro.geo import BoundingBox, Grid, Point, Trajectory, CellTrajectory
-from repro.ldp import OptimizedUnaryEncoding
-from repro.metrics import ALL_METRICS, evaluate_all
-from repro.planning import DeploymentPlan, plan_report, recommend_k
-from repro.stream import StreamDataset, TransitionStateSpace
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SessionSpec",
-    "CuratorSession",
-    "DirectSession",
-    "IngestSession",
-    "create_session",
-    "load_session",
-    "Client",
-    "RetraSyn",
-    "RetraSynConfig",
-    "OnlineRetraSyn",
-    "SynthesisRun",
-    "Synthesizer",
-    "VectorizedSynthesizer",
-    "GlobalMobilityModel",
-    "fidelity_report",
-    "make_retrasyn",
-    "make_all_update",
-    "make_no_eq",
-    "LBD",
-    "LBA",
-    "LPD",
-    "LPA",
-    "make_baseline",
-    "load_dataset",
-    "make_tdrive",
-    "make_oldenburg",
-    "make_sanjoaquin",
-    "Grid",
-    "Point",
-    "BoundingBox",
-    "Trajectory",
-    "CellTrajectory",
-    "OptimizedUnaryEncoding",
-    "ALL_METRICS",
-    "evaluate_all",
-    "DeploymentPlan",
-    "plan_report",
-    "recommend_k",
-    "StreamDataset",
-    "TransitionStateSpace",
-    "__version__",
-]
+#: Public name -> the module that defines it, imported on first read.
+_EXPORTS = {
+    "SessionSpec": "api.specs",
+    "CuratorSession": "api.session",
+    "DirectSession": "api.session",
+    "IngestSession": "api.session",
+    "create_session": "api.session",
+    "load_session": "api.session",
+    "Client": "api.client",
+    "RetraSyn": "core.retrasyn",
+    "RetraSynConfig": "core.retrasyn",
+    "OnlineRetraSyn": "core.online",
+    "SynthesisRun": "core.retrasyn",
+    "Synthesizer": "core.synthesis",
+    "VectorizedSynthesizer": "core.fast_synthesis",
+    "GlobalMobilityModel": "core.mobility_model",
+    "fidelity_report": "analysis.comparison",
+    "make_retrasyn": "core.variants",
+    "make_all_update": "core.variants",
+    "make_no_eq": "core.variants",
+    "LBD": "baselines.ldp_ids",
+    "LBA": "baselines.ldp_ids",
+    "LPD": "baselines.ldp_ids",
+    "LPA": "baselines.ldp_ids",
+    "make_baseline": "baselines.ldp_ids",
+    "load_dataset": "datasets.registry",
+    "make_tdrive": "datasets.tdrive",
+    "make_oldenburg": "datasets.brinkhoff",
+    "make_sanjoaquin": "datasets.brinkhoff",
+    "Grid": "geo.grid",
+    "Point": "geo.point",
+    "BoundingBox": "geo.point",
+    "Trajectory": "geo.trajectory",
+    "CellTrajectory": "geo.trajectory",
+    "OptimizedUnaryEncoding": "ldp.oue",
+    "ALL_METRICS": "metrics.registry",
+    "evaluate_all": "metrics.registry",
+    "DeploymentPlan": "planning",
+    "plan_report": "planning",
+    "recommend_k": "planning",
+    "StreamDataset": "stream.stream",
+    "TransitionStateSpace": "stream.state_space",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -10,9 +10,13 @@ that ``repro evaluate`` prints, and the repo's own static analyzer
 (:mod:`repro.analysis.lint`).
 """
 
-from repro.analysis.comparison import fidelity_report, format_fidelity_report
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "fidelity_report",
-    "format_fidelity_report",
-]
+_EXPORTS = {
+    "fidelity_report": "comparison",
+    "format_fidelity_report": "comparison",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

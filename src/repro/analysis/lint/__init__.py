@@ -29,26 +29,21 @@ documented in ``docs/ANALYSIS.md``.
 
 from __future__ import annotations
 
-from repro.analysis.lint.baseline import Baseline, BaselineEntry
-from repro.analysis.lint.engine import (
-    Finding,
-    LintResult,
-    Module,
-    Project,
-    Rule,
-    run_lint,
-)
-from repro.analysis.lint.rules import all_rules, rule_names
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Baseline",
-    "BaselineEntry",
-    "Finding",
-    "LintResult",
-    "Module",
-    "Project",
-    "Rule",
-    "all_rules",
-    "rule_names",
-    "run_lint",
-]
+_EXPORTS = {
+    "Baseline": "baseline",
+    "BaselineEntry": "baseline",
+    "Finding": "engine",
+    "LintResult": "engine",
+    "Module": "engine",
+    "Project": "engine",
+    "Rule": "engine",
+    "all_rules": "rules",
+    "rule_names": "rules",
+    "run_lint": "engine",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

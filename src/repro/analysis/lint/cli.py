@@ -22,12 +22,10 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.analysis.lint.baseline import Baseline, BaselineError
-from repro.analysis.lint.engine import find_project_root, run_lint
-from repro.analysis.lint.rules import all_rules
-
 
 def add_lint_parser(sub) -> None:
+    """Declare the ``lint`` subcommand's flags; the rule engine is imported
+    only when the command runs (:func:`run_lint_cli`)."""
     p = sub.add_parser(
         "lint",
         help="invariant-checking static analysis (determinism, "
@@ -71,6 +69,8 @@ def add_lint_parser(sub) -> None:
 
 
 def _default_baseline(paths: Sequence[str]) -> Optional[Path]:
+    from repro.analysis.lint.engine import find_project_root
+
     root = find_project_root(Path(paths[0]).resolve()) if paths else None
     for candidate in filter(None, (root, Path("."))):
         path = Path(candidate) / "lint-baseline.json"
@@ -80,6 +80,10 @@ def _default_baseline(paths: Sequence[str]) -> Optional[Path]:
 
 
 def run_lint_cli(args) -> int:
+    from repro.analysis.lint.baseline import Baseline, BaselineError
+    from repro.analysis.lint.engine import run_lint
+    from repro.analysis.lint.rules import all_rules
+
     if args.list_rules:
         for rule in all_rules():
             print(f"{rule.name:22s} [{rule.severity}] {rule.description}")

@@ -15,57 +15,30 @@
 * :mod:`repro.api.client` — :class:`Client`, the remote twin of a local
   session, for submission and querying over the ingress.
 
-The submodules are imported lazily so that ``repro.core`` (whose
-``RetraSynConfig`` is ``SessionSpec``) can import :mod:`repro.api.specs`
+The submodules are imported lazily, like every package's, so that
+``repro.core`` (whose ``RetraSynConfig`` is ``SessionSpec``) can import
+:mod:`repro.api.specs`, and a client process :mod:`repro.api.client`,
 without dragging the whole session/transport stack into every import.
 """
 
-from __future__ import annotations
-
-from typing import TYPE_CHECKING
+from repro._lazy import lazy_exports
 
 _EXPORTS = {
     # specs
-    "SessionSpec": "repro.api.specs",
+    "SessionSpec": "specs",
     # sessions
-    "CuratorSession": "repro.api.session",
-    "DirectSession": "repro.api.session",
-    "IngestSession": "repro.api.session",
-    "create_session": "repro.api.session",
-    "load_session": "repro.api.session",
+    "CuratorSession": "session",
+    "DirectSession": "session",
+    "IngestSession": "session",
+    "create_session": "session",
+    "load_session": "session",
     # wire schema + transports
-    "SCHEMA_VERSION": "repro.api.schema",
-    "Client": "repro.api.client",
-    "serve_http": "repro.api.http",
-    "HttpIngress": "repro.api.http",
+    "SCHEMA_VERSION": "schema",
+    "Client": "client",
+    "serve_http": "http",
+    "HttpIngress": "http",
 }
 
 __all__ = sorted(_EXPORTS)
 
-if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers
-    from repro.api.client import Client
-    from repro.api.http import HttpIngress, serve_http
-    from repro.api.schema import SCHEMA_VERSION
-    from repro.api.session import (
-        CuratorSession,
-        DirectSession,
-        IngestSession,
-        create_session,
-        load_session,
-    )
-    from repro.api.specs import SessionSpec
-
-
-def __getattr__(name: str):
-    if name in _EXPORTS:
-        import importlib
-
-        module = importlib.import_module(_EXPORTS[name])
-        value = getattr(module, name)
-        globals()[name] = value  # cache for subsequent lookups
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

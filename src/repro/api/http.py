@@ -53,7 +53,9 @@ ack reports how many batches landed.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import signal
+import threading
 
 import numpy as np
 
@@ -87,6 +89,26 @@ class _Plain:
         self.ctype = ctype
 
 
+def _on_daemon_thread(fn) -> asyncio.Future:
+    """``fn()`` on a new daemon thread, awaitable from the running loop.
+
+    Not the loop's default executor: ``asyncio.run`` and interpreter exit
+    both join executor threads, so a call that outlived its deadline
+    would still hold the process.  Nothing joins a daemon thread.
+    """
+    done: concurrent.futures.Future = concurrent.futures.Future()
+    done.set_running_or_notify_cancel()  # a timed-out await cannot cancel it
+
+    def run() -> None:
+        try:
+            done.set_result(fn())
+        except BaseException as exc:  # noqa: BLE001 - re-raised in the awaiter
+            done.set_exception(exc)
+
+    threading.Thread(target=run, name="session-close", daemon=True).start()
+    return asyncio.wrap_future(done)
+
+
 class HttpIngress:
     """One session behind an HTTP front door.
 
@@ -117,6 +139,9 @@ class HttpIngress:
         self._ready = False
         self._draining = False
         self._drain_task: asyncio.Task | None = None
+        #: Set when a drain outlived ``drain_deadline``: the session did
+        #: not finish closing, and its last complete checkpoint stands.
+        self.drain_expired = False
         self._handle_signals = bool(handle_signals)
         self.drain_deadline = float(session.spec.drain_deadline)
         # Transport counters, mirrored into the session's metrics registry
@@ -126,6 +151,20 @@ class HttpIngress:
         self.frames_sent = 0
         self.bytes_received = 0
         self.bytes_sent = 0
+        self._routes = {
+            ("GET", "/v1/hello"): self._hello,
+            ("POST", "/v1/batch"): self._batch,
+            ("GET", "/v1/snapshot"): self._snapshot,
+            ("GET", "/v1/stats"): self._stats,
+            ("POST", "/v1/checkpoint"): self._checkpoint,
+            ("POST", "/v1/close"): self._close,
+            ("GET", "/v1/result"): self._result,
+            ("POST", "/v1/shutdown"): self._shutdown_route,
+            ("GET", "/metrics"): self._metrics,
+            ("GET", "/healthz"): self._healthz,
+            ("GET", "/readyz"): self._readyz,
+        }
+        self._paths = frozenset(path for _, path in self._routes)
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -199,26 +238,29 @@ class HttpIngress:
         """Stop accepting, finish in-flight rounds, flush, checkpoint, stop.
 
         Bounded by ``drain_deadline`` seconds (0 = no bound); on timeout
-        the server still stops — a stuck round must not outlive the
-        supervisor's own kill timeout.
+        the server still stops, with :attr:`drain_expired` set — a stuck
+        close must not outlive the supervisor's own kill timeout.  The
+        last complete checkpoint then stands: each one is written to a
+        temporary file and renamed into place.
         """
         if self._draining:
             return
         self._draining = True  # /readyz -> 503, new batches refused
-        try:
-            if self.drain_deadline > 0:
-                await asyncio.wait_for(
-                    self._finish_session(), timeout=self.drain_deadline
-                )
-            else:
-                await self._finish_session()
-        except asyncio.TimeoutError:  # pragma: no cover - deadline escape
-            pass
-        self._shutdown.set()
-
-    async def _finish_session(self) -> None:
         async with self._lock:  # waits for the in-flight round
-            self.session.close()  # flush the assembler + final checkpoint
+            # Flush the assembler and write the final checkpoint off the
+            # loop, so the deadline can expire while they run.
+            closing = _on_daemon_thread(self.session.close)
+            try:
+                await asyncio.wait_for(
+                    asyncio.shield(closing), timeout=self.drain_deadline or None
+                )
+            except asyncio.TimeoutError:
+                self.drain_expired = True
+                self._shutdown.set()
+                # Hold the lock until the loop ends: no request may read
+                # the half-closed session.
+                await closing
+        self._shutdown.set()
 
     async def serve_until_shutdown(self) -> None:
         """Block until a client posts ``/v1/shutdown``, then stop."""
@@ -343,23 +385,9 @@ class HttpIngress:
     # ------------------------------------------------------------------ #
     async def _route(self, method: str, target: str, body: bytes):
         path = target.partition("?")[0]
-        handlers = {
-            ("GET", "/v1/hello"): self._hello,
-            ("POST", "/v1/batch"): self._batch,
-            ("GET", "/v1/snapshot"): self._snapshot,
-            ("GET", "/v1/stats"): self._stats,
-            ("POST", "/v1/checkpoint"): self._checkpoint,
-            ("POST", "/v1/close"): self._close,
-            ("GET", "/v1/result"): self._result,
-            ("POST", "/v1/shutdown"): self._shutdown_route,
-            ("GET", "/metrics"): self._metrics,
-            ("GET", "/healthz"): self._healthz,
-            ("GET", "/readyz"): self._readyz,
-        }
-        handler = handlers.get((method, path))
+        handler = self._routes.get((method, path))
         if handler is None:
-            known_paths = {p for _, p in handlers}
-            if path in known_paths:
+            if path in self._paths:
                 return 405, schema.error_message(
                     SchemaError(f"method {method} not allowed for {path}")
                 )

@@ -266,7 +266,8 @@ def dump_frame(msg: dict) -> bytes:
     everything else stays in the JSON header, alongside a ``_cols``
     manifest of ``[name, element_count]`` pairs in payload order.
     """
-    return b"".join(bytes(part) for part in dump_frame_parts(msg))
+    # join() reads each column's buffer in place: one copy per column.
+    return b"".join(dump_frame_parts(msg))
 
 
 def frame_length(prefix) -> int:

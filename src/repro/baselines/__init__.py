@@ -20,16 +20,19 @@ Four strategies:
 * :class:`~repro.baselines.ldp_ids.LPA` — population analogue of LBA.
 """
 
-from repro.baselines.ldp_ids import LBA, LBD, LPA, LPD, LdpIdsConfig, make_baseline
-from repro.baselines.ldptrace import LDPTraceConfig, LDPTraceSynthesizer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LBD",
-    "LBA",
-    "LPD",
-    "LPA",
-    "LdpIdsConfig",
-    "make_baseline",
-    "LDPTraceConfig",
-    "LDPTraceSynthesizer",
-]
+_EXPORTS = {
+    "LBD": "ldp_ids",
+    "LBA": "ldp_ids",
+    "LPD": "ldp_ids",
+    "LPA": "ldp_ids",
+    "LdpIdsConfig": "ldp_ids",
+    "make_baseline": "ldp_ids",
+    "LDPTraceConfig": "ldptrace",
+    "LDPTraceSynthesizer": "ldptrace",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -9,7 +9,9 @@ Usage (after installing the package)::
     python -m repro evaluate td.npz syn.npz --phi 10
     python -m repro experiment table3 --scale 0.02
 
-Every command is deterministic under ``--seed``.
+Every command is deterministic under ``--seed``.  Each command imports its
+modules when it runs, so ``repro serve`` never loads the evaluation,
+experiment or lint code.
 """
 
 from __future__ import annotations
@@ -19,10 +21,8 @@ import dataclasses
 import sys
 from typing import Optional, Sequence
 
-from repro.analysis.comparison import fidelity_report, format_fidelity_report
 from repro.datasets.io import load_stream_dataset, save_stream_dataset
 from repro.datasets.registry import available_datasets, load_dataset
-from repro.experiments.runner import ExperimentSetting, make_method
 
 
 def _add_datasets_parser(sub) -> None:
@@ -221,6 +221,8 @@ def _cmd_datasets(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from repro.experiments.runner import make_method
+
     if args.input:
         data = load_stream_dataset(args.input)
     else:
@@ -283,7 +285,8 @@ def _serve_http(args, data, spec) -> int:
     The dataset supplies the grid geometry and the λ estimate; the stream
     itself comes from remote :class:`repro.api.Client` submissions.  Runs
     until a client posts ``/v1/shutdown``, then reports and (optionally)
-    writes the synthetic output.
+    writes the synthetic output; a drain that outlives ``--drain-deadline``
+    exits 1 instead.
     """
     from repro.api import schema
     from repro.api.http import serve_http
@@ -304,6 +307,15 @@ def _serve_http(args, data, spec) -> int:
             f"POST /v1/shutdown to stop", flush=True,
         ),
     )
+    if ingress.drain_expired:
+        # The session is still closing on another thread: read nothing
+        # from it.  The last complete checkpoint is what a resume reads.
+        print(
+            f"ERROR: drain deadline of {spec.drain_deadline:g}s expired before "
+            "the session closed; the last complete checkpoint stands",
+            file=sys.stderr,
+        )
+        return 1
     session = ingress.session
     run = session.result(name=f"{session.curator.config.label}(http:{data.name})")
     stats = session.stats()
@@ -329,6 +341,8 @@ def _audit_exit_code(run) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from repro.analysis.comparison import fidelity_report, format_fidelity_report
+
     real = load_stream_dataset(args.real)
     syn = load_stream_dataset(args.synthetic)
     report = fidelity_report(real, syn, phi=args.phi, rng=args.seed)
@@ -337,6 +351,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from repro.experiments.runner import ExperimentSetting
+
     setting = ExperimentSetting(
         scale=args.scale, w=args.w, k=args.k, seed=args.seed
     )

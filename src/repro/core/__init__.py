@@ -21,67 +21,43 @@
   storage for synthetic streams, shared by both synthesis engines.
 """
 
-from repro.core.mobility_model import GlobalMobilityModel
-from repro.core.dmu import DMUSelector
-from repro.core.synthesis import Synthesizer
-from repro.core.fast_synthesis import VectorizedSynthesizer
-from repro.core.trajectory_store import StoreTrajectories, TrajectoryStore
-from repro.core.allocation import (
-    AdaptiveBudgetAllocator,
-    AdaptivePopulationAllocator,
-    AllocationContext,
-    BudgetAllocator,
-    PopulationAllocator,
-    SampleBudgetAllocator,
-    SamplePopulationAllocator,
-    UniformBudgetAllocator,
-    UniformPopulationAllocator,
-)
-from repro.core.online import OnlineRetraSyn, TimestepResult
-from repro.core.sharded import CollectionShard, shard_of
-from repro.core.persistence import (
-    load_checkpoint,
-    load_config,
-    load_model,
-    peek_checkpoint_spec,
-    save_checkpoint,
-    save_config,
-    save_model,
-)
-from repro.core.retrasyn import RetraSyn, RetraSynConfig, SynthesisRun
-from repro.core.variants import make_all_update, make_no_eq, make_retrasyn
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GlobalMobilityModel",
-    "DMUSelector",
-    "Synthesizer",
-    "VectorizedSynthesizer",
-    "TrajectoryStore",
-    "StoreTrajectories",
-    "AllocationContext",
-    "BudgetAllocator",
-    "PopulationAllocator",
-    "AdaptiveBudgetAllocator",
-    "AdaptivePopulationAllocator",
-    "UniformBudgetAllocator",
-    "UniformPopulationAllocator",
-    "SampleBudgetAllocator",
-    "SamplePopulationAllocator",
-    "RetraSyn",
-    "RetraSynConfig",
-    "SynthesisRun",
-    "OnlineRetraSyn",
-    "TimestepResult",
-    "CollectionShard",
-    "shard_of",
-    "save_model",
-    "load_model",
-    "save_config",
-    "load_config",
-    "save_checkpoint",
-    "load_checkpoint",
-    "peek_checkpoint_spec",
-    "make_retrasyn",
-    "make_all_update",
-    "make_no_eq",
-]
+_EXPORTS = {
+    "GlobalMobilityModel": "mobility_model",
+    "DMUSelector": "dmu",
+    "Synthesizer": "synthesis",
+    "VectorizedSynthesizer": "fast_synthesis",
+    "TrajectoryStore": "trajectory_store",
+    "StoreTrajectories": "trajectory_store",
+    "AllocationContext": "allocation",
+    "BudgetAllocator": "allocation",
+    "PopulationAllocator": "allocation",
+    "AdaptiveBudgetAllocator": "allocation",
+    "AdaptivePopulationAllocator": "allocation",
+    "UniformBudgetAllocator": "allocation",
+    "UniformPopulationAllocator": "allocation",
+    "SampleBudgetAllocator": "allocation",
+    "SamplePopulationAllocator": "allocation",
+    "RetraSyn": "retrasyn",
+    "RetraSynConfig": "retrasyn",
+    "SynthesisRun": "retrasyn",
+    "OnlineRetraSyn": "online",
+    "TimestepResult": "online",
+    "CollectionShard": "sharded",
+    "shard_of": "sharded",
+    "save_model": "persistence",
+    "load_model": "persistence",
+    "save_config": "persistence",
+    "load_config": "persistence",
+    "save_checkpoint": "persistence",
+    "load_checkpoint": "persistence",
+    "peek_checkpoint_spec": "persistence",
+    "make_retrasyn": "variants",
+    "make_all_update": "variants",
+    "make_no_eq": "variants",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -44,7 +44,6 @@ from typing import Optional
 import numpy as np
 
 from repro.core.mobility_model import GlobalMobilityModel
-from repro.core.synthesis import start_distribution
 from repro.core.trajectory_store import TrajectoryStore
 from repro.exceptions import ConfigurationError
 from repro.geo.trajectory import CellTrajectory
@@ -52,6 +51,25 @@ from repro.rng import RngLike, ensure_rng, load_rng
 
 #: Below this many live streams a shard round trip costs more than it saves.
 _MIN_STREAMS_PER_SHARD = 2048
+
+
+def start_distribution(probs, n_cells: int) -> Optional[np.ndarray]:
+    """``probs`` normalised to sum to one, or ``None`` when it has no mass
+    (callers then seed uniformly).  A wrong size, or an entry that is NaN,
+    infinite or negative, is a :class:`ConfigurationError`."""
+    probs = np.asarray(probs, dtype=float)
+    if probs.size != n_cells:
+        raise ConfigurationError(
+            f"expected {n_cells} start-cell probabilities, got {probs.size}"
+        )
+    bad = np.flatnonzero(~np.isfinite(probs) | (probs < 0))
+    if bad.size:
+        raise ConfigurationError(
+            f"start-cell probability {bad[0]} is {probs[bad[0]]}; "
+            "entries must be finite and >= 0"
+        )
+    total = probs.sum()
+    return probs / total if total > 0 else None
 
 
 def _inverse_cdf(cum_t: np.ndarray, cells: np.ndarray, draws: np.ndarray) -> np.ndarray:

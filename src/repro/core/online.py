@@ -60,7 +60,6 @@ from repro.core.allocation import (
 )
 from repro.core.dmu import DMUSelector
 from repro.core.mobility_model import GlobalMobilityModel
-from repro.core.synthesis import Synthesizer
 from repro.exceptions import ConfigurationError, DatasetError
 from repro.geo.grid import Grid
 from repro.ldp.accountant import make_ledger, require_distinct, uses_schedule_ledger
@@ -255,6 +254,8 @@ class OnlineRetraSyn:
                 synthesis_shards=config.synthesis_shards,
             )
         else:
+            from repro.core.synthesis import Synthesizer
+
             self.synthesizer = Synthesizer(
                 self.model,
                 lam=lam,

@@ -19,41 +19,27 @@ a ``scale`` factor so laptop-scale runs and paper-scale runs share one code
 path.
 """
 
-from repro.datasets.tdrive import TDriveConfig, make_tdrive
-from repro.datasets.brinkhoff import (
-    BrinkhoffConfig,
-    NetworkGenerator,
-    make_oldenburg,
-    make_sanjoaquin,
-)
-from repro.datasets.synthetic import (
-    make_random_walks,
-    make_two_hotspot_stream,
-    make_lane_stream,
-)
-from repro.datasets.io import load_stream_dataset, save_stream_dataset
-from repro.datasets.preprocess import (
-    RawFix,
-    load_fixes_csv,
-    preprocess_raw_traces,
-)
-from repro.datasets.registry import available_datasets, load_dataset
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TDriveConfig",
-    "make_tdrive",
-    "BrinkhoffConfig",
-    "NetworkGenerator",
-    "make_oldenburg",
-    "make_sanjoaquin",
-    "make_random_walks",
-    "make_two_hotspot_stream",
-    "make_lane_stream",
-    "save_stream_dataset",
-    "load_stream_dataset",
-    "RawFix",
-    "load_fixes_csv",
-    "preprocess_raw_traces",
-    "available_datasets",
-    "load_dataset",
-]
+_EXPORTS = {
+    "TDriveConfig": "tdrive",
+    "make_tdrive": "tdrive",
+    "BrinkhoffConfig": "brinkhoff",
+    "NetworkGenerator": "brinkhoff",
+    "make_oldenburg": "brinkhoff",
+    "make_sanjoaquin": "brinkhoff",
+    "make_random_walks": "synthetic",
+    "make_two_hotspot_stream": "synthetic",
+    "make_lane_stream": "synthetic",
+    "save_stream_dataset": "io",
+    "load_stream_dataset": "io",
+    "RawFix": "preprocess",
+    "load_fixes_csv": "preprocess",
+    "preprocess_raw_traces": "preprocess",
+    "available_datasets": "registry",
+    "load_dataset": "registry",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

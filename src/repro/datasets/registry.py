@@ -2,28 +2,42 @@
 
 ``load_dataset("tdrive", scale=0.05)`` hides generator details behind the
 paper's dataset names so experiment code reads like the evaluation section.
+Each factory imports its generator when it runs, so listing the names
+(the CLI's ``--dataset`` choices) imports none of them.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.datasets.brinkhoff import make_oldenburg, make_sanjoaquin
-from repro.datasets.tdrive import TDriveConfig, make_tdrive
 from repro.exceptions import DatasetError
 from repro.rng import RngLike
 from repro.stream.stream import StreamDataset
 
 
 def _tdrive(scale: float, k: int, seed: RngLike) -> StreamDataset:
+    from repro.datasets.tdrive import TDriveConfig, make_tdrive
+
     return make_tdrive(TDriveConfig.scaled(scale, k=k), seed=seed)
+
+
+def _oldenburg(scale: float, k: int, seed: RngLike) -> StreamDataset:
+    from repro.datasets.brinkhoff import make_oldenburg
+
+    return make_oldenburg(scale, k=k, seed=seed)
+
+
+def _sanjoaquin(scale: float, k: int, seed: RngLike) -> StreamDataset:
+    from repro.datasets.brinkhoff import make_sanjoaquin
+
+    return make_sanjoaquin(scale, k=k, seed=seed)
 
 
 _REGISTRY: dict[str, Callable[[float, int, RngLike], StreamDataset]] = {
     "tdrive": _tdrive,
     "t-drive": _tdrive,
-    "oldenburg": lambda scale, k, seed: make_oldenburg(scale, k=k, seed=seed),
-    "sanjoaquin": lambda scale, k, seed: make_sanjoaquin(scale, k=k, seed=seed),
+    "oldenburg": _oldenburg,
+    "sanjoaquin": _sanjoaquin,
 }
 
 

@@ -6,18 +6,19 @@ package provides that discretisation plus the trajectory containers every
 other layer builds on.
 """
 
-from repro.geo.point import BoundingBox, Point
-from repro.geo.grid import Grid
-from repro.geo.trajectory import CellTrajectory, Trajectory
-from repro.geo.distance import euclidean, haversine_km, path_length
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BoundingBox",
-    "Point",
-    "Grid",
-    "Trajectory",
-    "CellTrajectory",
-    "euclidean",
-    "haversine_km",
-    "path_length",
-]
+_EXPORTS = {
+    "BoundingBox": "point",
+    "Point": "point",
+    "Grid": "grid",
+    "Trajectory": "trajectory",
+    "CellTrajectory": "trajectory",
+    "euclidean": "distance",
+    "haversine_km": "distance",
+    "path_length": "distance",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

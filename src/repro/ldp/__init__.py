@@ -14,21 +14,18 @@ The baselines keep the per-user columnar ledger too; the dict ledger the
 two are checked against is a test oracle (``tests/reference/ledger.py``).
 """
 
-from repro.ldp.oue import OptimizedUnaryEncoding, oue_variance
-from repro.ldp.accountant import (
-    ACCOUNTANT_MODES,
-    ColumnarPrivacyAccountant,
-    ScheduleLedger,
-    make_accountant,
-    make_ledger,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "OptimizedUnaryEncoding",
-    "oue_variance",
-    "ColumnarPrivacyAccountant",
-    "ScheduleLedger",
-    "ACCOUNTANT_MODES",
-    "make_accountant",
-    "make_ledger",
-]
+_EXPORTS = {
+    "OptimizedUnaryEncoding": "oue",
+    "oue_variance": "oue",
+    "ColumnarPrivacyAccountant": "accountant",
+    "ScheduleLedger": "accountant",
+    "ACCOUNTANT_MODES": "accountant",
+    "make_accountant": "accountant",
+    "make_ledger": "accountant",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

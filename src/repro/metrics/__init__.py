@@ -28,32 +28,23 @@ Historical (trajectory-level) metrics:
 ``metrics.registry`` evaluates any subset of these uniformly.
 """
 
-from repro.metrics.divergence import jensen_shannon_divergence
-from repro.metrics.density import density_error
-from repro.metrics.query import query_error
-from repro.metrics.hotspot import hotspot_ndcg
-from repro.metrics.transition import transition_error
-from repro.metrics.pattern import pattern_f1
-from repro.metrics.kendall import kendall_tau
-from repro.metrics.trip import trip_error
-from repro.metrics.length import length_error
-from repro.metrics.registry import (
-    ALL_METRICS,
-    HIGHER_IS_BETTER,
-    evaluate_all,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "jensen_shannon_divergence",
-    "density_error",
-    "query_error",
-    "hotspot_ndcg",
-    "transition_error",
-    "pattern_f1",
-    "kendall_tau",
-    "trip_error",
-    "length_error",
-    "ALL_METRICS",
-    "HIGHER_IS_BETTER",
-    "evaluate_all",
-]
+_EXPORTS = {
+    "jensen_shannon_divergence": "divergence",
+    "density_error": "density",
+    "query_error": "query",
+    "hotspot_ndcg": "hotspot",
+    "transition_error": "transition",
+    "pattern_f1": "pattern",
+    "kendall_tau": "kendall",
+    "trip_error": "trip",
+    "length_error": "length",
+    "ALL_METRICS": "registry",
+    "HIGHER_IS_BETTER": "registry",
+    "evaluate_all": "registry",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -5,14 +5,14 @@ checkpoint) and rendered in the Prometheus text exposition format
 by the HTTP ingress.
 """
 
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    PROMETHEUS_CONTENT_TYPE,
-    MetricsRegistry,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_BUCKETS",
-    "PROMETHEUS_CONTENT_TYPE",
-    "MetricsRegistry",
-]
+_EXPORTS = {
+    "DEFAULT_BUCKETS": "metrics",
+    "PROMETHEUS_CONTENT_TYPE": "metrics",
+    "MetricsRegistry": "metrics",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

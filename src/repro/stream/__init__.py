@@ -25,29 +25,23 @@ Models the paper's streaming setting (Sections II-B and III-B):
   under a watermark.
 """
 
-from repro.stream.events import StateKind, TransitionState
-from repro.stream.ingest import IngestStats, TimestampAssembler
-from repro.stream.reports import (
-    ColumnarStreamView,
-    ReportBatch,
-    shard_of_array,
-)
-from repro.stream.slots import UserSlotTable
-from repro.stream.state_space import TransitionStateSpace
-from repro.stream.stream import StreamDataset
-from repro.stream.user_tracker import UserStatus, UserTracker
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "StateKind",
-    "TransitionState",
-    "TransitionStateSpace",
-    "StreamDataset",
-    "UserStatus",
-    "UserTracker",
-    "UserSlotTable",
-    "ReportBatch",
-    "ColumnarStreamView",
-    "shard_of_array",
-    "TimestampAssembler",
-    "IngestStats",
-]
+_EXPORTS = {
+    "StateKind": "events",
+    "TransitionState": "events",
+    "TransitionStateSpace": "state_space",
+    "StreamDataset": "stream",
+    "UserStatus": "user_tracker",
+    "UserTracker": "user_tracker",
+    "UserSlotTable": "slots",
+    "ReportBatch": "reports",
+    "ColumnarStreamView": "reports",
+    "shard_of_array": "reports",
+    "TimestampAssembler": "ingest",
+    "IngestStats": "ingest",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -10,6 +10,7 @@ nothing else.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from repro.api import schema
 from repro.api.client import _load_response
 from repro.api.schema import SchemaError
-from repro.exceptions import ReproError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.geo.grid import unit_grid
 from repro.stream.reports import KIND_ENTER, KIND_MOVE, KIND_QUIT, ReportBatch
 from repro.stream.state_space import TransitionStateSpace
@@ -65,6 +66,59 @@ def _split(blob: bytes) -> tuple[dict, bytes]:
 def _join(header: dict, payload: bytes) -> bytes:
     raw = json.dumps(header).encode()
     return b"RSF2" + struct.pack("<II", len(raw), len(payload)) + raw + payload
+
+
+#: One deterministic message per ``*_message`` builder, and the SHA-256
+#: of its frame as the encoder wrote it when the digests were pinned.
+FRAME_BUILDERS = {
+    "hello_message": lambda: schema.hello_message(
+        unit_grid(6), include_eq=True, label="RetraSyn_p", lam=14.25
+    ),
+    "report_batch_message": lambda: schema.report_batch_message(
+        7, _batch(n=33, seed=5), newly_entered=[3, 9, 2**40], quitted=[],
+        n_real_active=61,
+    ),
+    "snapshot_message": lambda: schema.snapshot_message(np.arange(-1, 40, 3)),
+    "stats_message": lambda: schema.stats_message(
+        {"n_timestamps": 12, "ingest": {"late": 0.5}}
+    ),
+    "result_message": lambda: schema.result_message(
+        np.array([0, 2, 5]), np.array([3, 1, 2]), np.array([4, 5, 5, 9, 1, 2]),
+        8, "online(walks)", np.array([10, 11, 2**33]),
+    ),
+    "error_message": lambda: schema.error_message(
+        ConfigurationError("epsilon must be > 0")
+    ),
+}
+FRAME_SHA256 = {
+    "hello_message":
+        "99a8707ae4ead69466954aa516332124bbb0cb890d425d85841b0f7ddeb50c08",
+    "report_batch_message":
+        "4698c33937c6cb2c4d251cb2556ca788d6611982b8ef2b06442142af5d33443f",
+    "snapshot_message":
+        "e02609f38b6aa895a4e8d27b5b9c9a9ba75a3563dd43203de81cd95cb3513094",
+    "stats_message":
+        "88183c43e6f8244c0e4ea695102aa7ec221ecdeff3a0e93506ad8818e0db6b40",
+    "result_message":
+        "58de7ec02af48b7e99083c682ff456e13e21c080593cad54e13481830a29db2e",
+    "error_message":
+        "e323d260ecfa265661e782db2cc0ea6a6daf8fdab45f098b2d408266bc24609a",
+}
+
+
+class TestFrameBytesArePinned:
+    def test_every_builder_is_pinned(self):
+        builders = {name for name in dir(schema) if name.endswith("_message")}
+        assert builders == set(FRAME_BUILDERS) == set(FRAME_SHA256)
+
+    @pytest.mark.parametrize("builder", sorted(FRAME_BUILDERS))
+    def test_frame_bytes(self, builder):
+        msg = FRAME_BUILDERS[builder]()
+        frame = schema.dump_frame(msg)
+        assert hashlib.sha256(frame).hexdigest() == FRAME_SHA256[builder]
+        # The frame is its parts, concatenated.
+        parts = schema.dump_frame_parts(msg)
+        assert frame == b"".join(bytes(part) for part in parts)
 
 
 class TestReportBatchDifferential:

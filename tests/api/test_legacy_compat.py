@@ -94,9 +94,11 @@ class TestLegacyImports:
     def test_every_legacy_name_still_importable(self):
         import repro
 
+        listed = dir(repro)
         for name in LEGACY_EXPORTS:
             assert hasattr(repro, name), f"legacy export {name} vanished"
             assert name in repro.__all__
+            assert name in listed
         # The deliberate break: OnlineRetraSyn is the one engine; sharding
         # is configuration, not a second class.
         with pytest.raises(ImportError):

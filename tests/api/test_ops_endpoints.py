@@ -6,6 +6,7 @@ import asyncio
 import http.client
 import re
 import threading
+import time
 
 import pytest
 
@@ -82,6 +83,26 @@ def served(walk_data):
     except Exception:
         pass
     server.join()
+
+
+def _lam(data) -> float:
+    return max(1.0, average_length(data.trajectories))
+
+
+def _slow_closing(session, seconds: float = 2.0):
+    """``session`` whose close() sleeps ``seconds`` before closing."""
+    real_close = session.close
+
+    def close(**kwargs):
+        time.sleep(seconds)
+        real_close(**kwargs)
+
+    session.close = close
+    return session
+
+
+def _half_closed_read(*args, **kwargs):
+    raise AssertionError("read a session whose close() had not finished")
 
 
 def _replay(client, data, n: int):
@@ -245,10 +266,72 @@ class TestGracefulDrain:
 
         ingress = asyncio.run(main())
         assert ingress._draining
+        assert not ingress.drain_expired
         from repro.core.persistence import checkpoint_exists
 
         assert checkpoint_exists(str(ck))
         assert ingress.session.curator._last_t is not None
+
+    def test_drain_deadline_bounds_a_slow_close(self, walk_data):
+        """close() runs off the loop, so the deadline expires while it runs."""
+        spec = SessionSpec(
+            epsilon=1.0, w=10, seed=21, transport="ingest", drain_deadline=0.5
+        )
+        session = _slow_closing(
+            create_session(spec, walk_data.grid, lam=_lam(walk_data))
+        )
+
+        async def main():
+            ingress = HttpIngress(session)
+            await ingress.start()
+            started = time.perf_counter()
+            ingress.begin_drain()
+            await asyncio.wait_for(ingress.serve_until_shutdown(), 10)
+            return ingress, time.perf_counter() - started
+
+        ingress, elapsed = asyncio.run(main())
+        assert ingress.drain_expired
+        assert elapsed < 1.5, f"drain took {elapsed:.2f}s under a 0.5s deadline"
+
+    def test_cli_reports_an_expired_drain_and_exits_nonzero(
+        self, walk_data, tmp_path, monkeypatch, capsys
+    ):
+        import repro.api.http as http_mod
+        import repro.serve as serve_mod
+        from repro.cli import main
+        from repro.datasets.io import save_stream_dataset
+
+        path = tmp_path / "walks.npz"
+        save_stream_dataset(walk_data, path)
+        real_open, real_serve = serve_mod.open_session, http_mod.serve_http
+
+        def open_slow(*args, **kwargs):
+            session = _slow_closing(real_open(*args, **kwargs))
+            session.result = session.stats = _half_closed_read
+            return session
+
+        def serve_then_drain(session, host, port, on_ready=None):
+            def ready(ingress):
+                on_ready(ingress)
+                ingress.begin_drain()
+
+            return real_serve(
+                session, host=host, port=port, on_ready=ready,
+                handle_signals=False,
+            )
+
+        monkeypatch.setattr(serve_mod, "open_session", open_slow)
+        monkeypatch.setattr(http_mod, "serve_http", serve_then_drain)
+        started = time.perf_counter()
+        code = main([
+            "serve", "--input", str(path), "--http", "0",
+            "--drain-deadline", "0.5",
+        ])
+        elapsed = time.perf_counter() - started
+        assert code == 1
+        assert elapsed < 1.5, f"serve took {elapsed:.2f}s under a 0.5s deadline"
+        err = capsys.readouterr().err
+        assert "drain deadline of 0.5s expired" in err
 
     def test_begin_drain_is_idempotent(self, served):
         server, _client = served
