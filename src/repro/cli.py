@@ -246,7 +246,7 @@ def _cmd_run(args) -> int:
     run = algo.run(data)
     save_stream_dataset(run.synthetic, args.out)
     print(f"wrote {args.out}: {run.synthetic.stats()}")
-    return _audit_exit_code(run)
+    return _audit_exit_code(run.accountant)
 
 
 def _cmd_serve(args) -> int:
@@ -276,7 +276,7 @@ def _cmd_serve(args) -> int:
     if args.out:
         save_stream_dataset(outcome.run.synthetic, args.out)
         print(f"wrote {args.out}: {outcome.run.synthetic.stats()}")
-    return _audit_exit_code(outcome.run)
+    return _audit_exit_code(outcome.run.accountant)
 
 
 def _serve_http(args, data, spec) -> int:
@@ -317,22 +317,24 @@ def _serve_http(args, data, spec) -> int:
         )
         return 1
     session = ingress.session
-    run = session.result(name=f"{session.curator.config.label}(http:{data.name})")
     stats = session.stats()
     print(f"timestamps processed   {stats['n_timestamps']}")
     if "ingest" in stats:
         print(f"reports ingested       {stats['ingest']['n_submitted']}")
         print(f"late reports dropped   {stats['ingest']['n_late_dropped']}")
     if args.out:
+        # The synthetic database is built only to be written.
+        run = session.result(name=f"{session.curator.config.label}(http:{data.name})")
         save_stream_dataset(run.synthetic, args.out)
         print(f"wrote {args.out}: {run.synthetic.stats()}")
-    return _audit_exit_code(run)
+    return _audit_exit_code(session.curator.accountant)
 
 
-def _audit_exit_code(run) -> int:
-    """Shared privacy-audit epilogue of run/serve."""
-    if run.accountant is not None:
-        summary = run.accountant.summary()
+def _audit_exit_code(accountant) -> int:
+    """Shared privacy-audit epilogue of run/serve: prints ``accountant``'s
+    summary (none without an audit) and fails on a violated guarantee."""
+    if accountant is not None:
+        summary = accountant.summary()
         print(f"privacy audit: {summary}")
         if not summary["satisfied"]:
             print("ERROR: w-event LDP guarantee violated", file=sys.stderr)

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.stream.state_space import TransitionStateSpace
+from repro.stream.state_space import TransitionStateSpace, distinct_cells
 
 #: How many version bumps of dirty-row provenance are retained.  A compiled
 #: model that falls further behind than this simply rebuilds in full; DMU
@@ -118,7 +118,9 @@ class GlobalMobilityModel:
             return None
         if any(d is None for _, d in entries):
             return None
-        return np.unique(np.concatenate([d for _, d in entries]))
+        return distinct_cells(
+            np.concatenate([d for _, d in entries]), self.space.n_cells
+        )
 
     def _invalidate(self) -> None:
         self._version += 1

@@ -78,6 +78,16 @@ _COUNT_BLOCK = 1 << 18
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
+def _merge_positions(skip: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """Sorted union of two sorted, disjoint position sets.
+
+    A stream leaves the live vectors once, so positions never repeat and
+    ``np.union1d``'s unique pass (which, under numpy 2.x, imports
+    ``numpy.ma`` on its first call) finds nothing to remove.
+    """
+    return np.sort(np.concatenate((skip, src))) if skip.size else src
+
+
 def _cell_dtype(n_cells: Optional[int]) -> type:
     """Smallest signed dtype holding cell ids below ``n_cells``."""
     if n_cells is None:
@@ -455,7 +465,7 @@ class TrajectoryStore:
         if quits.size:
             self._length[self._rows[quits]] = self._len[quits]
             src = self._src(quits)
-            self._skip = np.union1d(self._skip, src) if self._skip.size else src
+            self._skip = _merge_positions(self._skip, src)
             self._compact(~quit_mask)
         m = self._n_live
         self._cur[:m] = new_cells
@@ -481,7 +491,7 @@ class TrajectoryStore:
         newborn = lengths == 1
         self._length[self._rows[pos]] = np.maximum(lengths - 1, 1)
         src = self._src(pos[~newborn])
-        self._skip = np.union1d(self._skip, src)
+        self._skip = _merge_positions(self._skip, src)
         if newborn.any():
             rows = np.concatenate([self._ghost_rows, self._rows[pos[newborn]]])
             cells = np.concatenate([self._ghost_cells, self._cur[pos[newborn]]])
@@ -685,7 +695,12 @@ class StoreTrajectories:
     def __init__(self, store: TrajectoryStore, rows) -> None:
         self._store = store
         self._rows = np.asarray(rows, dtype=np.int64)
-        if self._rows.size != np.unique(self._rows).size:
+        n = store.n_total
+        if self._rows.size and not (0 <= self._rows.min() and self._rows.max() < n):
+            raise DatasetError(f"store rows in trajectory sequence outside [0, {n})")
+        seen = np.zeros(n, dtype=bool)
+        seen[self._rows] = True
+        if int(np.count_nonzero(seen)) != self._rows.size:
             raise DatasetError("duplicate store rows in trajectory sequence")
         self._cache: dict[int, CellTrajectory] = {}
 

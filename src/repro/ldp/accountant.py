@@ -352,17 +352,35 @@ class ColumnarPrivacyAccountant:
         """``(uids, lifetime totals)`` of retired rows, uid-sorted, merged.
 
         A uid retired more than once (it returned and left again) holds
-        several raw entries; they are folded into one on the first audit
-        query after an out-of-order append.
+        several raw entries; they are folded into one, in place, on the
+        first audit query after an out-of-order append.  A stable
+        ``argsort`` (each compaction appends one sorted run, which timsort
+        merges) orders both columns, one 8 B/row temporary at a time, so
+        the fold peaks at 16 B per archived row.  A "first of its uid"
+        mask ends it when no uid repeats; otherwise each repeat is added
+        to its uid's first entry by ``np.add.at``, which applies them in
+        index order.  The stable sort keeps a uid's entries in the order
+        they were retired, so a folded total is that sequence summed left
+        to right, bit for bit.
         """
         n = self._arch_n
         if not self._arch_sorted:
-            uids, inverse = np.unique(self._arch_uid[:n], return_inverse=True)
-            self._arch_total = np.bincount(
-                inverse, weights=self._arch_total[:n], minlength=uids.size
-            )
-            self._arch_uid, self._arch_n, self._arch_sorted = uids, uids.size, True
-            n = uids.size
+            uids, totals = self._arch_uid[:n], self._arch_total[:n]
+            order = np.argsort(uids, kind="stable")
+            uids[:] = uids[order]
+            totals[:] = totals[order]
+            del order
+            first = np.empty(n, dtype=bool)
+            first[0] = True
+            np.not_equal(uids[1:], uids[:-1], out=first[1:])
+            m = int(np.count_nonzero(first))
+            if m < n:
+                again = np.flatnonzero(~first)
+                np.add.at(totals, np.searchsorted(uids, uids[again]), totals[again])
+                uids[:m] = uids[first]
+                totals[:m] = totals[first]
+            self._arch_n, self._arch_sorted = m, True
+            n = m
         return self._arch_uid[:n], self._arch_total[:n]
 
     def _archived(self, uids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -470,7 +488,11 @@ class ColumnarPrivacyAccountant:
         return [("slots", self._slots), ("ledger", self)]
 
     def state(self) -> dict:
-        """Everything but the ring and totals, which are the table's."""
+        """Everything but the ring and totals, which are the table's.
+
+        The archive columns are views: the next audit query may fold them
+        in place, so encode the state before one runs.
+        """
         n = self._arch_n
         return {
             "frontier": self._frontier, "max_window": self._max_window,

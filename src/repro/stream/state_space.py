@@ -24,6 +24,15 @@ from repro.geo.grid import Grid
 from repro.stream.events import StateKind, TransitionState
 
 
+def distinct_cells(cells: np.ndarray, n_cells: int) -> np.ndarray:
+    """The sorted distinct values of ``cells`` (ids in ``[0, n_cells)``).
+
+    A presence count instead of ``np.unique``, which sorts and, under
+    numpy 2.x, imports ``numpy.ma`` on its first call.
+    """
+    return np.flatnonzero(np.bincount(cells, minlength=n_cells))
+
+
 class TransitionStateSpace:
     """Bijective mapping between legal transition states and dense indices.
 
@@ -222,7 +231,7 @@ class TransitionStateSpace:
         if self.include_eq:
             quits = idx[idx >= self._quit_offset]
             parts.append(quits - self._quit_offset)
-        return np.unique(np.concatenate(parts))
+        return distinct_cells(np.concatenate(parts), self.n_cells)
 
     @property
     def enter_indices(self) -> np.ndarray:

@@ -450,6 +450,67 @@ class TestServeHttpResume:
             _serve_http(args, walk_data, spec)
 
 
+class TestServeHttpEpilogue:
+    """After the shutdown `repro serve --http` prints the live ledger's
+    audit; it builds the synthetic database only to write ``--out``."""
+
+    def _serve(self, walk_data, monkeypatch, capsys, out, division):
+        import argparse
+
+        import repro.api.http as http_mod
+        from repro.cli import _serve_http
+
+        served = {}
+
+        def replay_then_stop(session, host, port, on_ready=None):
+            view = ColumnarStreamView(walk_data, session.curator.space)
+            for t in range(walk_data.n_timestamps):
+                session.submit_batch(
+                    t, view.batch_at(t),
+                    newly_entered=view.newly_entered_at(t),
+                    quitted=view.quitted_at(t),
+                    n_real_active=view.n_active_at(t),
+                )
+            session.close()
+            served["session"] = session
+            return HttpIngress(session, host=host, port=port)
+
+        monkeypatch.setattr(http_mod, "serve_http", replay_then_stop)
+        spec = SessionSpec(
+            epsilon=1.0, w=10, seed=4, transport="ingest", division=division
+        )
+        args = argparse.Namespace(resume=False, host="127.0.0.1", http=0, out=out)
+        assert _serve_http(args, walk_data, spec) == 0
+        audit = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("privacy audit: ")
+        ]
+        return served["session"], audit
+
+    @pytest.mark.parametrize("division", ["population", "budget"])
+    def test_no_out_builds_no_result_and_prints_the_same_audit(
+        self, walk_data, monkeypatch, capsys, tmp_path, division
+    ):
+        from repro.api import session as session_mod
+        from repro.datasets.io import load_stream_dataset
+
+        out = tmp_path / "syn.npz"
+        session, audit_with_out = self._serve(
+            walk_data, monkeypatch, capsys, str(out), division
+        )
+        written = load_stream_dataset(str(out))
+        assert written.n_timestamps == walk_data.n_timestamps
+        summary = session.curator.accountant.summary()
+        assert audit_with_out == [f"privacy audit: {summary}"]
+
+        def no_result(self, *args, **kwargs):
+            raise AssertionError("result() built without --out")
+
+        monkeypatch.setattr(session_mod._SessionBase, "result", no_result)
+        _, audit = self._serve(walk_data, monkeypatch, capsys, None, division)
+        assert audit == audit_with_out
+
+
 class TestIngressCheckpointing:
     def test_remote_checkpoint_writes_the_configured_path(
         self, walk_data, tmp_path

@@ -56,8 +56,15 @@ class TestStoreTrajectories:
             seq.index_of_user(1)
 
     def test_duplicate_rows_rejected(self, store):
-        with pytest.raises(DatasetError):
+        with pytest.raises(DatasetError, match="duplicate"):
             StoreTrajectories(store, [0, 0])
+        with pytest.raises(DatasetError, match="duplicate"):
+            StoreTrajectories(store, [2, 1, 0, 1])
+
+    @pytest.mark.parametrize("rows", [[0, 3], [-1, 0], [1, 99]])
+    def test_out_of_range_rows_rejected(self, store, rows):
+        with pytest.raises(DatasetError, match=r"outside \[0, 3\)"):
+            StoreTrajectories(store, rows)
 
     def test_horizon_matches_object_derivation(self, store):
         seq = StoreTrajectories(store, np.arange(store.n_total))

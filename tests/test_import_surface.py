@@ -45,7 +45,7 @@ CLIENT_MODULE_BUDGET = 15
 
 #: An ingress on a thread and a Client that submits 30 rounds, takes a
 #: snapshot and closes; prints the repro modules loaded during the rounds
-#: and after the run.
+#: and after the run, and whether ``numpy.ma`` was loaded.
 SERVED_RUN = """
 import asyncio, json, sys, threading
 import numpy as np
@@ -102,6 +102,7 @@ assert ingress.session.stats()["n_timestamps"] == 30
 print(json.dumps({
     "during": during,
     "after": sorted(m for m in sys.modules if m.startswith("repro")),
+    "numpy_ma": "numpy.ma" in sys.modules,
 }))
 """
 
@@ -185,6 +186,8 @@ def test_every_third_party_import_is_declared():
 def test_served_run_stays_inside_the_module_budget():
     loaded = json.loads(run_python(SERVED_RUN))
     assert loaded["during"] == [], "rounds imported modules"
+    # np.unique / np.union1d import numpy.ma on first use (numpy 2.x).
+    assert not loaded["numpy_ma"], "the served run imported numpy.ma"
     never = [
         m for m in loaded["after"]
         if any(m == n or m.startswith(n + ".") for n in NEVER_SERVED)
